@@ -9,8 +9,8 @@ Compares every ``queries_per_s`` (and ``messages_per_s``) sample of the
 current ``BENCH_perf.json`` against the committed baseline and exits
 non-zero if any workload is more than ``tolerance`` slower.  Faster is
 always fine — the committed file is refreshed by re-running
-``pytest benchmarks/test_bench_p1_hot_path.py`` and committing the
-result, which is how intentional trajectory changes land.
+``pytest benchmarks`` and copying ``.benchmarks/BENCH_perf.json`` over
+it, which is how intentional trajectory changes land.
 
 When both records carry ``calibration_events_per_s`` (a synthetic
 kernel-shaped loop measured in the same run), throughput is normalized

@@ -33,16 +33,12 @@ record reports honestly rather than a knob left unexercised.
 
 from __future__ import annotations
 
-import pathlib
 import time
 
 import pytest
 
 from repro.network.membership import PopulationModel
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-PERF_PATH = REPO_ROOT / "BENCH_perf.json"
 
 PROTOCOLS = ("centralized", "gnutella", "super-peer", "rendezvous")
 
@@ -171,7 +167,7 @@ def test_bench_e10_write_record(benchmark, report, request):
         pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
     from conftest import write_perf_record
 
-    write_perf_record(PERF_PATH, {"caching": RECORD})
+    write_perf_record({"caching": RECORD})
     rows = []
     for protocol in PROTOCOLS:
         for cell in RECORD["protocols"][protocol]["cells"]:
@@ -193,4 +189,3 @@ def test_bench_e10_write_record(benchmark, report, request):
         ["protocol", "churn", "size", "ttl ms", "hit ratio", "msgs saved", "stale/hit", "success"],
         rows,
     )
-    assert PERF_PATH.exists()

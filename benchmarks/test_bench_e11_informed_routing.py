@@ -44,15 +44,11 @@ The record lands in ``BENCH_perf.json`` under the ``routing`` key;
 
 from __future__ import annotations
 
-import pathlib
 import time
 
 import pytest
 
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-PERF_PATH = REPO_ROOT / "BENCH_perf.json"
 
 FILTER_BITS = (512, 2_048)
 DEPTHS = (2, 4)
@@ -217,7 +213,7 @@ def test_bench_e11_write_record(benchmark, report, request):
             which: {key: value for key, value in sample.items() if key != "counts"}
             for which, sample in RECORD["live"].items()
         }
-    write_perf_record(PERF_PATH, {"routing": record})
+    write_perf_record({"routing": record})
     rows = []
     for level in CHURN_LEVELS:
         blind = RECORD["grid"][f"{level}/blind"]
@@ -239,4 +235,3 @@ def test_bench_e11_write_record(benchmark, report, request):
          "fp fwd", "success"],
         rows,
     )
-    assert PERF_PATH.exists()

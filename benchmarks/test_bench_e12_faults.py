@@ -30,7 +30,6 @@ flood.  The record lands in ``BENCH_perf.json`` under ``faults``.
 
 from __future__ import annotations
 
-import pathlib
 import time
 
 import pytest
@@ -38,9 +37,6 @@ import pytest
 from repro.network.errors import TransferError
 from repro.network.faults import FaultPlan, PartitionWindow
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-PERF_PATH = REPO_ROOT / "BENCH_perf.json"
 
 PROTOCOLS = ("centralized", "gnutella", "super-peer", "rendezvous")
 
@@ -318,7 +314,7 @@ def test_bench_e12_write_record(benchmark, report, request):
         pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
     from conftest import write_perf_record
 
-    write_perf_record(PERF_PATH, {"faults": RECORD})
+    write_perf_record({"faults": RECORD})
     rows = []
     for protocol in PROTOCOLS:
         sweep = RECORD["protocols"][protocol]
@@ -352,4 +348,3 @@ def test_bench_e12_write_record(benchmark, report, request):
          "dropped", "retries", "failovers", "timeouts"],
         rows,
     )
-    assert PERF_PATH.exists()

@@ -22,16 +22,12 @@ queries/sec trajectory (``benchmarks/check_perf_regression.py``).
 
 from __future__ import annotations
 
-import pathlib
 import time
 
 import pytest
 
 from repro.network.membership import PopulationModel
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-PERF_PATH = REPO_ROOT / "BENCH_perf.json"
 
 PROTOCOLS = ("centralized", "gnutella", "super-peer", "rendezvous")
 
@@ -155,7 +151,7 @@ def test_bench_e9_write_record(benchmark, report, request):
     if request.config.getoption("benchmark_disable", False):
         pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
     from conftest import write_perf_record
-    write_perf_record(PERF_PATH, {"membership": RECORD})
+    write_perf_record({"membership": RECORD})
     rows = []
     for protocol in PROTOCOLS:
         for level in CHURN_RATES:
@@ -170,4 +166,3 @@ def test_bench_e9_write_record(benchmark, report, request):
            "(40 peers, live membership)",
            ["protocol", "churn", "ctrl frac", "ctrl bytes", "hit rate",
             "stale ms", "purges"], rows)
-    assert PERF_PATH.exists()

@@ -33,7 +33,6 @@ the full grid::
 from __future__ import annotations
 
 import os
-import pathlib
 
 import pytest
 
@@ -42,9 +41,6 @@ from repro.workloads.scale import run_population
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 from _rss import measure_in_child
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-PERF_PATH = REPO_ROOT / "BENCH_perf.json"
 
 POPULATIONS = (200, 2_000, 10_000)
 SHARD_COUNTS = (1, 2, 4)
@@ -178,15 +174,11 @@ def test_bench_p2_write_record(report, request):
     """
     if request.config.getoption("benchmark_disable", False):
         pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
-    import json
-
-    from conftest import write_perf_record
-    existing = {}
-    if PERF_PATH.exists():
-        existing = json.loads(PERF_PATH.read_text(encoding="utf-8")).get("scale", {})
+    from conftest import read_perf_record, write_perf_record
+    existing = read_perf_record().get("scale", {})
     merged_grid = {**existing.get("grid", {}), **RECORD["grid"]}
     scale = {**existing, **RECORD, "grid": merged_grid}
-    write_perf_record(PERF_PATH, {"scale": scale})
+    write_perf_record({"scale": scale})
     rows = [[label,
              sample["population"], sample["shards"],
              f"{sample['wall_s']:.2f}", f"{sample['messages_per_s']:.0f}",
@@ -195,4 +187,3 @@ def test_bench_p2_write_record(report, request):
     report("P2  scale grid (written to BENCH_perf.json)",
            ["cell", "population", "shards", "wall s", "msgs/s", "peak RSS MB"],
            rows)
-    assert PERF_PATH.exists()

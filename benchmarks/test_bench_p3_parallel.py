@@ -22,16 +22,12 @@ column only means anything when ``cores_available >= workers``.
 from __future__ import annotations
 
 import os
-import pathlib
 import time
 
 import pytest
 
 from repro.engine.parallel import run_parallel_scenario
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-PERF_PATH = REPO_ROOT / "BENCH_perf.json"
 
 POPULATIONS = (30, 60)
 SHARD_COUNTS = (2, 4)
@@ -113,19 +109,14 @@ def test_bench_p3_write_record(report, request):
     """Merge the parallel-execution samples into ``BENCH_perf.json``."""
     if request.config.getoption("benchmark_disable", False):
         pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
-    import json
-
-    from conftest import write_perf_record
-    existing = {}
-    if PERF_PATH.exists():
-        existing = json.loads(
-            PERF_PATH.read_text(encoding="utf-8")).get("parallel", {})
+    from conftest import read_perf_record, write_perf_record
+    existing = read_perf_record().get("parallel", {})
     merged_grid = {**existing.get("grid", {}), **RECORD["grid"]}
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else (os.cpu_count() or 1)
     parallel = {**existing, **RECORD, "grid": merged_grid,
                 "workers": WORKERS, "cores_available": cores}
-    write_perf_record(PERF_PATH, {"parallel": parallel})
+    write_perf_record({"parallel": parallel})
     rows = [[label, sample["population"], sample["shards"], sample["mode"],
              f"{sample['wall_s']:.2f}", f"{sample['messages_per_s']:.0f}",
              "/".join(str(rss) for rss in sample.get("worker_peak_rss_mb", []))
@@ -135,4 +126,3 @@ def test_bench_p3_write_record(report, request):
            ["cell", "population", "shards", "mode", "wall s", "msgs/s",
             "worker RSS MB"],
            rows)
-    assert PERF_PATH.exists()

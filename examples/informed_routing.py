@@ -20,17 +20,15 @@ contract end to end:
    re-floods it blindly, so bigger is not automatically better).
 
 Every variant must return bit-identical per-query result counts while
-the informed ones spend fewer messages.  The routing knobs ride the
-grouped :class:`~repro.workloads.config.RoutingConfig` spelling of the
-configuration API; the equivalent flat spelling is
-``informed_routing=True, routing_filter_bits=..., routing_depth=...``.
+the informed ones spend fewer messages.  The knobs are the flat
+``informed_routing`` / ``routing_filter_bits`` / ``routing_depth``
+fields of :class:`~repro.workloads.scenario.ScenarioConfig`.
 
 Run with:  python examples/informed_routing.py
 """
 
 from __future__ import annotations
 
-from repro.workloads.config import RoutingConfig
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 BASE = dict(
@@ -48,18 +46,18 @@ BASE = dict(
 )
 
 
-def run(routing: RoutingConfig):
-    scenario = build_scenario(ScenarioConfig(routing=routing, **BASE))
+def run(routing: dict):
+    scenario = build_scenario(ScenarioConfig(**BASE, **routing))
     counts = scenario.run_queries(max_results=100)
     return counts, scenario.network.stats
 
 
 def main() -> None:
     variants = {
-        "blind flood": RoutingConfig(),
-        "informed (defaults)": RoutingConfig(informed=True),
-        "informed (2048b x 5)": RoutingConfig(informed=True,
-                                              filter_bits=2_048, depth=5),
+        "blind flood": dict(),
+        "informed (defaults)": dict(informed_routing=True),
+        "informed (2048b x 5)": dict(informed_routing=True,
+                                     routing_filter_bits=2_048, routing_depth=5),
     }
 
     results = {label: run(routing) for label, routing in variants.items()}

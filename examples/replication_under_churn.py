@@ -19,6 +19,7 @@ from repro.communities.mp3 import mp3_community
 from repro.core.application import Application
 from repro.core.servent import Servent
 from repro.network.centralized import CentralizedProtocol
+from repro.network.config import MembershipConfig
 from repro.network.membership import PopulationModel
 from repro.workloads.popularity import ZipfDistribution
 
@@ -28,7 +29,8 @@ DOWNLOADS = 120
 
 
 def main() -> None:
-    network = CentralizedProtocol(seed=5, maintenance_interval_ms=400.0)
+    network = CentralizedProtocol(
+        seed=5, membership=MembershipConfig(maintenance_interval_ms=400.0))
     definition = mp3_community()
     servents = [Servent(f"peer-{index:02d}", network) for index in range(PEERS)]
     founder = definition.application_on(servents[0])

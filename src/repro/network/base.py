@@ -3,9 +3,14 @@
 The paper's future-work section proposes modelling "the peer-to-peer
 layer as providing a generic interface with primitives for create,
 search and retrieve".  :class:`PeerNetwork` is exactly that interface;
-the three protocol adapters implement it, and the U-P2P core is written
+the four protocol adapters implement it, and the U-P2P core is written
 against it only — which is the protocol-independence property the
 experiments test.
+
+The mechanisms every organisation shares (live membership, result
+caching, reliable delivery and chunked downloads, informed routing) are
+configured by the four frozen groups of :mod:`repro.network.config`,
+the only spelling the constructor accepts.
 """
 
 from __future__ import annotations
@@ -17,6 +22,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.engine.kernel import EventKernel, ExchangeContext, QueryContext, RetrieveContext
+from repro.network.config import (
+    CacheConfig,
+    MembershipConfig,
+    ReliabilityConfig,
+    RoutingConfig,
+    check_composition,
+)
 from repro.network.errors import (
     DuplicatePeerError,
     PeerOfflineError,
@@ -129,91 +141,36 @@ class _PendingAck:
     attempt: int = 0
 
 
-#: distinguishes "flat kwarg not passed" from an explicit ``None`` for
-#: the knobs whose meaningful default *is* ``None`` (download_chunk_bytes)
-_UNSET: object = object()
-
-
 class PeerNetwork(ABC):
     """Common behaviour of all network organisations.
 
-    Configuration is accepted in two interchangeable spellings: the
-    historical flat kwargs (``result_caching=True, cache_ttl_ms=400.0``)
-    and grouped config objects (``cache=CacheConfig(enabled=True,
-    ttl_ms=400.0)`` — see :mod:`repro.workloads.config`).  Both
-    normalize into the same flat attributes; passing a group together
-    with an explicit flat knob of that group raises ``ValueError``.
+    Mechanism knobs arrive as the four frozen groups of
+    :mod:`repro.network.config` (``cache=``, ``membership=``,
+    ``reliability=``, ``routing=``); parameters are read from
+    ``self.cache_config`` etc.  Only the four on/off flags are plain
+    attributes: handlers branch on them per delivered message, and
+    ``live_membership`` is runtime state flipped by :meth:`go_live`.
     """
 
     protocol_name = "abstract"
 
     def __init__(self, *, simulator: Optional[NetworkSimulator] = None,
                  stats: Optional[NetworkStats] = None, seed: int = 0,
-                 compile_queries: bool = True,
-                 live_membership: Optional[bool] = None,
-                 maintenance_interval_ms: Optional[float] = None,
-                 heartbeat_lease_intervals: Optional[int] = None,
-                 result_caching: Optional[bool] = None,
-                 cache_capacity: Optional[int] = None,
-                 cache_ttl_ms: Optional[float] = None, shards: int = 1,
+                 compile_queries: bool = True, shards: int = 1,
                  parallel: bool = False,
                  faults: Optional[FaultPlan] = None,
-                 reliable_delivery: Optional[bool] = None,
-                 retry_timeout_ms: Optional[float] = None,
-                 retry_max_attempts: Optional[int] = None,
-                 download_chunk_bytes: object = _UNSET,
-                 download_stall_timeout_ms: Optional[float] = None,
-                 informed_routing: Optional[bool] = None,
-                 routing_filter_bits: Optional[int] = None,
-                 routing_hash_count: Optional[int] = None,
-                 routing_depth: Optional[int] = None,
-                 cache: Optional[object] = None,
-                 membership: Optional[object] = None,
-                 reliability: Optional[object] = None,
-                 routing: Optional[object] = None) -> None:
-        # Imported lazily: repro.workloads eagerly imports the scenario
-        # builder, which imports this module — at call time the cycle
-        # has already resolved.
-        from repro.workloads.config import (
-            CacheConfig, MembershipConfig, ReliabilityConfig, RoutingConfig,
-            resolve_group)
-
-        def explicit(**pairs):
-            return {name: value for name, value in pairs.items() if value is not None}
-
-        cache = resolve_group(cache, "cache", CacheConfig, explicit(
-            enabled=result_caching, capacity=cache_capacity, ttl_ms=cache_ttl_ms))
-        membership = resolve_group(membership, "membership", MembershipConfig, explicit(
-            live=live_membership, maintenance_interval_ms=maintenance_interval_ms,
-            heartbeat_lease_intervals=heartbeat_lease_intervals))
-        reliability_flat = explicit(
-            reliable_delivery=reliable_delivery, retry_timeout_ms=retry_timeout_ms,
-            retry_max_attempts=retry_max_attempts,
-            download_stall_timeout_ms=download_stall_timeout_ms)
-        if download_chunk_bytes is not _UNSET:
-            reliability_flat["download_chunk_bytes"] = download_chunk_bytes
-        reliability = resolve_group(reliability, "reliability", ReliabilityConfig,
-                                    reliability_flat)
-        routing = resolve_group(routing, "routing", RoutingConfig, explicit(
-            informed=informed_routing, filter_bits=routing_filter_bits,
-            hash_count=routing_hash_count, depth=routing_depth))
+                 cache: Optional[CacheConfig] = None,
+                 membership: Optional[MembershipConfig] = None,
+                 reliability: Optional[ReliabilityConfig] = None,
+                 routing: Optional[RoutingConfig] = None) -> None:
         if shards < 1:
             raise ValueError("need at least one shard")
-        if routing.informed and cache.enabled:
-            # Refuse loudly rather than compose unsoundly: a pruned
-            # flood changes which path peers complete (and thus cache)
-            # a query, so cached repeats would become vantage-dependent
-            # and the "informed only saves messages" contract unprovable.
-            raise ValueError(
-                "informed_routing does not compose with result_caching: "
-                "pruning changes which peers fill their path caches; "
-                "run the knobs separately")
-        #: the canonical grouped spellings (flat attributes below are
-        #: derived from these and stay the API downstream code reads)
-        self.cache_config = cache
-        self.membership_config = membership
-        self.reliability_config = reliability
-        self.routing_config = routing
+        #: ``None`` means the group's defaults
+        self.cache_config = cache = cache or CacheConfig()
+        self.membership_config = membership = membership or MembershipConfig()
+        self.reliability_config = reliability = reliability or ReliabilityConfig()
+        self.routing_config = routing = routing or RoutingConfig()
+        check_composition(cache, routing)
         #: event-queue shard count.  ``shards=1`` (the default) keeps
         #: the single-queue simulator and the existing hot path
         #: untouched; ``shards>1`` partitions the queue across a
@@ -261,41 +218,12 @@ class PeerNetwork(ABC):
         #: flag exists so the contract suite can pin that the compiled
         #: path is result- and message-count-identical to the naive one
         self.compile_queries = compile_queries
-        #: when on, peer lifecycle is protocol traffic on the kernel:
-        #: joins/leaves/heartbeats/lease renewals cost real messages and
-        #: a departed peer's state decays only when repair traffic
-        #: notices.  Off (the default) keeps today's instantaneous
-        #: ``set_online`` semantics bit-identically.
+        #: the four on/off flags (documented on the groups); off is
+        #: pinned bit-identical to the mechanism's absence
         self.live_membership = membership.live
-        #: period of the recurring maintenance tick (heartbeats, lease
-        #: sweeps); keep it larger than the worst link latency so a live
-        #: counterpart is never mistaken for a dead one
-        self.maintenance_interval_ms = membership.maintenance_interval_ms
-        #: a counterpart silent for this many intervals is presumed dead
-        self.heartbeat_lease_intervals = membership.heartbeat_lease_intervals
-        #: when on, the protocol's natural traffic-concentration points
-        #: (server / flooding peers / super-peers / rendezvous edges)
-        #: cache finished result sets and answer repeats without paying
-        #: the discovery cost again.  Off (the default) is pinned
-        #: bit-identical to uncached behaviour by the contract suite.
         self.result_caching = cache.enabled
-        #: entries per cache site (LRU beyond this)
-        self.cache_capacity = cache.capacity
-        #: cached-entry lifetime; keep it at or below the heartbeat
-        #: lease so a stale cached hit never outlives the staleness
-        #: window the membership layer reports
-        self.cache_ttl_ms = cache.ttl_ms
-        #: when on, gnutella's flood consults per-neighbour attenuated
-        #: Bloom filters and forwards only where the filter admits the
-        #: query, falling back to the blind flood when no neighbour
-        #: admits it (``repro.network.routing``).  Off (the default) is
-        #: pinned bit-identical to the blind flood; the other
-        #: organisations have no flood to prune and ignore the knob.
         self.informed_routing = routing.informed
-        #: bits per Bloom-filter level / hashes per key / filter depth
-        self.routing_filter_bits = routing.filter_bits
-        self.routing_hash_count = routing.hash_count
-        self.routing_depth = routing.depth
+        self.reliable_delivery = reliability.reliable_delivery
         #: per-peer result caches (the sites that live *on* a peer:
         #: flooding peers, rendezvous edges).  A departing peer's cache
         #: dies with its RAM in both membership modes.
@@ -303,25 +231,6 @@ class PeerNetwork(ABC):
         self._cache_sweep_timer = None
         self._maintenance_timer = None
         self._query_sequence = itertools.count(1)
-        #: when on, request/response traffic that semantically needs
-        #: delivery (REGISTER / JOIN / AD-RENEW / LEAF-ATTACH,
-        #: DOWNLOAD-REQUEST) rides an ACK + capped-exponential-backoff
-        #: envelope; gnutella's flood stays best-effort by design.  Off
-        #: (the default) is pinned bit-identical by the fault contract.
-        self.reliable_delivery = reliability.reliable_delivery
-        #: first retransmission fires this long after a reliable send;
-        #: each further attempt doubles it, capped at 8x
-        self.retry_timeout_ms = reliability.retry_timeout_ms
-        #: total attempts (the original send plus retransmissions) per
-        #: reliable message, and re-requests per download provider
-        self.retry_max_attempts = reliability.retry_max_attempts
-        #: ``None`` keeps the legacy single-response download; a byte
-        #: count streams downloads as chunks with stall detection and
-        #: deterministic failover to the next-ranked replica
-        self.download_chunk_bytes = reliability.download_chunk_bytes
-        #: a chunked download making no progress for this long is
-        #: stalled: re-request the provider, then fail over
-        self.download_stall_timeout_ms = reliability.download_stall_timeout_ms
         #: reliably-sent messages awaiting their ACK, keyed by message id
         self._pending_acks: dict[str, _PendingAck] = {}
         self._register_handlers(self.kernel)
@@ -468,7 +377,8 @@ class PeerNetwork(ABC):
     @property
     def heartbeat_lease_ms(self) -> float:
         """How long a silent counterpart stays trusted."""
-        return self.maintenance_interval_ms * self.heartbeat_lease_intervals
+        membership = self.membership_config
+        return membership.maintenance_interval_ms * membership.heartbeat_lease_intervals
 
     def _ensure_maintenance(self) -> None:
         # Re-arm after kernel.cancel_timers() too, so going live again
@@ -478,7 +388,7 @@ class PeerNetwork(ABC):
             # every peer/site, so it has no single home shard; it runs on the
             # sharded simulator's control queue by design.
             self._maintenance_timer = self.kernel.every(
-                self.maintenance_interval_ms, self._maintenance_tick)
+                self.membership_config.maintenance_interval_ms, self._maintenance_tick)
 
     def _maintenance_tick(self) -> None:
         self._on_maintenance_tick(self.simulator.now)
@@ -666,7 +576,7 @@ class PeerNetwork(ABC):
         )
         request = download_request(requester_id, provider_id, resource_id)
         self.send_reliable(request, context=context)
-        if self.download_chunk_bytes is not None:
+        if self.reliability_config.download_chunk_bytes is not None:
             # The stall watchdog holds a pending token so a download
             # whose chunks stop arriving stays open long enough to
             # re-request or fail over instead of completing as lost.
@@ -766,7 +676,8 @@ class PeerNetwork(ABC):
             peer = self.peers.get(peer_id)
             if peer is None or not peer.online:
                 return None
-            cache = QueryResultCache(capacity=self.cache_capacity, ttl_ms=self.cache_ttl_ms)
+            cache = QueryResultCache(capacity=self.cache_config.capacity,
+                                     ttl_ms=self.cache_config.ttl_ms)
             self._peer_caches[peer_id] = cache
         return cache
 
@@ -917,7 +828,8 @@ class PeerNetwork(ABC):
             # detlint: ignore[KERN001] -- sweeps every cache site in one pass
             # (peer caches plus subclass sites), so it is control-plane work
             # with no single home shard.
-            self._cache_sweep_timer = self.kernel.every(self.cache_ttl_ms, self._cache_sweep)
+            self._cache_sweep_timer = self.kernel.every(
+                self.cache_config.ttl_ms, self._cache_sweep)
 
     def _cache_sweep(self) -> None:
         now = self.simulator.now
@@ -956,7 +868,7 @@ class PeerNetwork(ABC):
 
     def _retry_timeout_for(self, attempt: int) -> float:
         """Capped exponential backoff: 1x, 2x, 4x, ... up to 8x."""
-        return self.retry_timeout_ms * min(2.0 ** attempt, 8.0)
+        return self.reliability_config.retry_timeout_ms * min(2.0 ** attempt, 8.0)
 
     def _arm_retry(self, entry: _PendingAck) -> None:
         # post_keyed declares the retry timer's shard affinity (the
@@ -980,7 +892,7 @@ class PeerNetwork(ABC):
             # not a delivery timeout.
             self._settle_reliable(message_id, entry)
             return
-        if entry.attempt + 1 >= self.retry_max_attempts:
+        if entry.attempt + 1 >= self.reliability_config.retry_max_attempts:
             self.stats.record_timeout()
             self._settle_reliable(message_id, entry)
             return
@@ -1020,7 +932,7 @@ class PeerNetwork(ABC):
     # Chunked downloads: stall detection and replica failover
     # ------------------------------------------------------------------
     def _chunk_sizes(self, payload_bytes: int) -> tuple:
-        chunk_bytes = self.download_chunk_bytes
+        chunk_bytes = self.reliability_config.download_chunk_bytes
         assert chunk_bytes is not None
         total = max(1, math.ceil(payload_bytes / chunk_bytes))
         return tuple([chunk_bytes] * (total - 1)
@@ -1161,7 +1073,7 @@ class PeerNetwork(ABC):
         # timer, so it runs on the requester's home shard and stays
         # lookahead-safe at any timeout value.
         self.simulator.post_keyed(
-            context.requester_id, self.download_stall_timeout_ms,
+            context.requester_id, self.reliability_config.download_stall_timeout_ms,
             self._check_download, context, self._download_progress(context))
 
     def _check_download(self, context: RetrieveContext, progress_then: tuple) -> None:
@@ -1192,7 +1104,7 @@ class PeerNetwork(ABC):
         """
         provider = self.peers.get(context.provider_id)
         if provider is not None and provider.online \
-                and context.provider_attempts + 1 < self.retry_max_attempts:
+                and context.provider_attempts + 1 < self.reliability_config.retry_max_attempts:
             context.provider_attempts += 1
             self.stats.record_retry()
         else:
@@ -1240,7 +1152,7 @@ class PeerNetwork(ABC):
         except ObjectNotFoundError as error:
             context.error = error
             return
-        if self.download_chunk_bytes is not None:
+        if self.reliability_config.download_chunk_bytes is not None:
             if context.extra.get("serving") == (peer.peer_id, context.provider_attempts):
                 return  # a duplicated request: this stream is already running
             context.extra["serving"] = (peer.peer_id, context.provider_attempts)

@@ -105,8 +105,8 @@ class CentralizedProtocol(PeerNetwork):
         if not self.result_caching:
             return None
         if self._server_cache is None:
-            self._server_cache = QueryResultCache(capacity=self.cache_capacity,
-                                                  ttl_ms=self.cache_ttl_ms)
+            self._server_cache = QueryResultCache(capacity=self.cache_config.capacity,
+                                                  ttl_ms=self.cache_config.ttl_ms)
         return self._server_cache
 
     def _iter_caches(self):

@@ -1,24 +1,15 @@
-"""Grouped configuration objects for the scenario/network API.
+"""The four frozen configuration groups of the network stack.
 
-The knob surface grew one flat keyword at a time — ~30 fields on
-:class:`~repro.workloads.scenario.ScenarioConfig` and a long
-``PeerNetwork.__init__`` signature — so the related knobs are grouped
-into small frozen dataclasses: caching, membership, reliability and
-routing.  Both spellings are accepted everywhere and are documented as
-interchangeable:
-
-* **flat** — ``ScenarioConfig(result_caching=True, cache_ttl_ms=400.0)``
-  keeps working unchanged;
-* **grouped** — ``ScenarioConfig(cache=CacheConfig(enabled=True,
-  ttl_ms=400.0))`` normalizes into the same flat attributes.
-
-Normalization is strict: passing a group *and* an explicit flat knob of
-the same group is ambiguous and raises ``ValueError`` rather than
-silently preferring one.  After normalization both spellings are
-materialized — flat attributes for the downstream code that reads them,
-canonical group objects for callers that want to forward a bundle —
-and all value validation lives here, in the groups' ``__post_init__``,
-so the flat and grouped paths cannot drift apart.
+Each mechanism knob has exactly one home: a field of
+:class:`CacheConfig`, :class:`MembershipConfig`,
+:class:`ReliabilityConfig` or :class:`RoutingConfig`, which owns its
+default, its validation and its doc-comment.
+:class:`~repro.network.base.PeerNetwork` accepts the groups (``cache=``,
+``membership=``, ``reliability=``, ``routing=``) and nothing flat; the
+flat :class:`~repro.workloads.scenario.ScenarioConfig` takes its
+defaults from the group classes, and its ``network_config()`` — what
+``build_network`` hands the protocol constructor — is the one place
+flat becomes grouped.
 
 Fault injection stays a top-level ``faults=FaultPlan(...)`` knob: a
 fault plan is a *workload* description (what the environment does to
@@ -27,15 +18,16 @@ the run), not a configuration of the network stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "CacheConfig",
     "MembershipConfig",
     "ReliabilityConfig",
     "RoutingConfig",
-    "resolve_group",
+    "check_composition",
+    "check_rendezvous_lease",
 ]
 
 
@@ -69,18 +61,12 @@ class MembershipConfig:
     maintenance_interval_ms: float = 2_000.0
     #: a counterpart silent for this many intervals is presumed dead
     heartbeat_lease_intervals: int = 2
-    #: advertisement lease of the rendezvous organisation (lease-driven
-    #: rather than heartbeat-driven decay); consumed by the scenario
-    #: builder, not by ``PeerNetwork`` itself
-    rendezvous_lease_ms: float = 30 * 60 * 1000.0
 
     def __post_init__(self) -> None:
         if self.maintenance_interval_ms <= 0:
             raise ValueError("the maintenance interval must be positive")
         if self.heartbeat_lease_intervals < 1:
             raise ValueError("the heartbeat lease must cover at least one interval")
-        if self.rendezvous_lease_ms <= 0:
-            raise ValueError("the rendezvous lease must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,27 +123,22 @@ class RoutingConfig:
             raise ValueError("the filter needs at least one level")
 
 
-def resolve_group(group: Optional[Any], group_name: str, cls: type,
-                  flat_values: dict[str, Any]) -> Any:
-    """Normalize one group: either the given ``group`` object (every
-    corresponding flat kwarg must then be unset) or a fresh ``cls``
-    built from the flat values, defaults filling the gaps.
+def check_composition(cache: CacheConfig, routing: RoutingConfig) -> None:
+    """Refuse loudly rather than compose unsoundly: a pruned flood
+    changes which path peers complete (and thus cache) a query, so
+    cached repeats would become vantage-dependent and the "informed
+    only saves messages" contract unprovable."""
+    if routing.informed and cache.enabled:
+        raise ValueError(
+            "informed_routing does not compose with result_caching: "
+            "pruning changes which peers fill their path caches; "
+            "run the knobs separately")
 
-    ``flat_values`` maps group field names to the *explicitly passed*
-    flat values only — unset flat kwargs must not appear (callers use
-    ``None``/sentinel defaults to tell the difference).
-    """
-    if group is not None:
-        if not isinstance(group, cls):
-            raise TypeError(f"{group_name} must be a {cls.__name__} or None")
-        if flat_values:
-            clashing = ", ".join(sorted(flat_values))
-            raise ValueError(
-                f"pass either {group_name}={cls.__name__}(...) or the flat "
-                f"kwargs ({clashing}), not both")
-        return group
-    known = {field.name for field in fields(cls)}
-    unknown = set(flat_values) - known
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    return cls(**flat_values)
+
+def check_rendezvous_lease(lease_ms: float, membership: MembershipConfig) -> None:
+    """Under live membership renewals fire at lease/2 but only when a
+    maintenance tick runs; a lease shorter than two intervals would
+    expire every advertisement before its renewal could be sent."""
+    if lease_ms < 2 * membership.maintenance_interval_ms:
+        raise ValueError("the advertisement lease must cover at least "
+                         "two maintenance intervals under live membership")

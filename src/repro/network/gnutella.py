@@ -52,7 +52,7 @@ from repro.storage.query import Query
 
 #: sentinel distinguishing "probe keys not computed yet" from the
 #: legitimate ``None`` of an unprobeable query
-_KEYS_UNSET = object()
+_KEYS_NOT_HASHED = object()
 
 
 class GnutellaProtocol(PeerNetwork):
@@ -79,9 +79,10 @@ class GnutellaProtocol(PeerNetwork):
         #: knob); ``None`` keeps the blind flood untouched on the hot path
         self._routing: Optional[RoutingIndex] = None
         if self.informed_routing:
+            routing = self.routing_config
             self._routing = RoutingIndex(
-                self, filter_bits=self.routing_filter_bits,
-                hash_count=self.routing_hash_count, depth=self.routing_depth)
+                self, filter_bits=routing.filter_bits,
+                hash_count=routing.hash_count, depth=routing.depth)
 
     # ------------------------------------------------------------------
     # Overlay maintenance
@@ -481,8 +482,8 @@ class GnutellaProtocol(PeerNetwork):
                 targets.append(neighbor_id)
         routing = self._routing
         if routing is not None and targets and ttl <= routing.depth:
-            hashed = extra.get("routing_keys", _KEYS_UNSET)
-            if hashed is _KEYS_UNSET:
+            hashed = extra.get("routing_keys", _KEYS_NOT_HASHED)
+            if hashed is _KEYS_NOT_HASHED:
                 # Hash the probe keys once per flood; every hop reuses
                 # the positions.  ``None`` marks an unprobeable query
                 # (no compilable criterion), which floods blind.

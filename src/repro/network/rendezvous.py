@@ -37,6 +37,7 @@ from typing import Optional
 from repro.engine.kernel import EventKernel, QueryContext
 from repro.engine.local import local_matches
 from repro.network.base import PeerNetwork, SearchResult
+from repro.network.config import check_rendezvous_lease
 from repro.network.messages import (
     Message,
     MessageType,
@@ -103,11 +104,7 @@ class RendezvousProtocol(PeerNetwork):
         self._last_renewed: dict[str, float] = {}
 
     def go_live(self) -> None:
-        if self.lease_ms < 2 * self.maintenance_interval_ms:
-            # Renewals fire at lease/2 but only when a tick runs; with a
-            # shorter lease every ad would expire before its renewal.
-            raise ValueError("the advertisement lease must cover at least "
-                             "two maintenance intervals under live membership")
+        check_rendezvous_lease(self.lease_ms, self.membership_config)
         super().go_live()
 
     # ------------------------------------------------------------------

@@ -406,8 +406,8 @@ class SuperPeerProtocol(PeerNetwork):
         if not self.result_caching:
             return None
         if state.cache is None and create:
-            state.cache = QueryResultCache(capacity=self.cache_capacity,
-                                           ttl_ms=self.cache_ttl_ms)
+            state.cache = QueryResultCache(capacity=self.cache_config.capacity,
+                                           ttl_ms=self.cache_config.ttl_ms)
         return state.cache
 
     def _iter_caches(self):

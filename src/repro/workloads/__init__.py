@@ -9,7 +9,7 @@
   servents, communities, corpora and query streams.
 """
 
-from repro.workloads.config import (
+from repro.network.config import (
     CacheConfig,
     MembershipConfig,
     ReliabilityConfig,

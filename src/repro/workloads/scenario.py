@@ -26,18 +26,19 @@ from repro.core.servent import Servent
 from repro.engine.driver import BatchOutcome, QueryDriver, RetrieveOp, SearchOp, WorkloadOp
 from repro.network.base import PeerNetwork
 from repro.network.centralized import CentralizedProtocol
+from repro.network.config import (
+    CacheConfig,
+    MembershipConfig,
+    ReliabilityConfig,
+    RoutingConfig,
+    check_composition,
+    check_rendezvous_lease,
+)
 from repro.network.faults import FaultPlan
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.membership import PopulationModel
 from repro.network.rendezvous import RendezvousProtocol
 from repro.network.superpeer import SuperPeerProtocol
-from repro.workloads.config import (
-    CacheConfig,
-    MembershipConfig,
-    ReliabilityConfig,
-    RoutingConfig,
-    resolve_group,
-)
 from repro.workloads.popularity import ZipfDistribution
 from repro.workloads.queries import QueryWorkload, build_query_workload
 
@@ -47,28 +48,6 @@ PROTOCOLS = {
     "super-peer": SuperPeerProtocol,
     "rendezvous": RendezvousProtocol,
 }
-
-#: group field -> (flat ScenarioConfig attribute, its default); the
-#: normalization in ``ScenarioConfig.__post_init__`` treats a flat
-#: value still at its default as "not passed", so groups and untouched
-#: flat kwargs coexist while a genuine clash raises.
-_CACHE_FLAT = {"enabled": ("result_caching", False),
-               "capacity": ("cache_capacity", 128),
-               "ttl_ms": ("cache_ttl_ms", 2_000.0)}
-_MEMBERSHIP_FLAT = {"live": ("live_membership", False),
-                    "maintenance_interval_ms": ("maintenance_interval_ms", 2_000.0),
-                    "heartbeat_lease_intervals": ("heartbeat_lease_intervals", 2),
-                    "rendezvous_lease_ms": ("rendezvous_lease_ms", 30 * 60 * 1000.0)}
-_RELIABILITY_FLAT = {"reliable_delivery": ("reliable_delivery", False),
-                     "retry_timeout_ms": ("retry_timeout_ms", 250.0),
-                     "retry_max_attempts": ("retry_max_attempts", 4),
-                     "download_chunk_bytes": ("download_chunk_bytes", None),
-                     "download_stall_timeout_ms": ("download_stall_timeout_ms", 500.0)}
-_ROUTING_FLAT = {"informed": ("informed_routing", False),
-                 "filter_bits": ("routing_filter_bits", 512),
-                 "hash_count": ("routing_hash_count", 4),
-                 "depth": ("routing_depth", 3)}
-
 
 @dataclass
 class ScenarioConfig:
@@ -106,31 +85,25 @@ class ScenarioConfig:
     #: off by the contract/benchmark suites to compare against the
     #: naive re-evaluating path, which must behave identically
     compile_queries: bool = True
-    #: make peer lifecycle real protocol traffic: the network goes live
-    #: after the bootstrap phase, so joins/leaves/heartbeats cost
-    #: messages and stale state decays through repair traffic.  Off
-    #: (the default) keeps the instantaneous set_online semantics
-    #: bit-identically.
-    live_membership: bool = False
-    #: period of the live-mode maintenance tick (heartbeats, lease
-    #: sweeps); must exceed the worst link latency
-    maintenance_interval_ms: float = 2_000.0
-    #: a counterpart silent for this many maintenance intervals is
-    #: presumed dead (heartbeat lease = interval x this)
-    heartbeat_lease_intervals: int = 2
-    #: advertisement lease of the rendezvous organisation (its staleness
-    #: and repair behaviour is lease-driven rather than heartbeat-driven)
+    # Mechanism knobs, flat here and grouped at the network: each takes
+    # its default, validation and documentation from the field of
+    # ``repro.network.config`` named on its line (``network_config``
+    # below is the translation).
+    #: ``MembershipConfig.live`` — the network goes live after bootstrap
+    live_membership: bool = MembershipConfig.live
+    #: ``MembershipConfig.maintenance_interval_ms``
+    maintenance_interval_ms: float = MembershipConfig.maintenance_interval_ms
+    #: ``MembershipConfig.heartbeat_lease_intervals``
+    heartbeat_lease_intervals: int = MembershipConfig.heartbeat_lease_intervals
+    #: advertisement lease of the rendezvous organisation
+    #: (``RendezvousProtocol(lease_ms=...)``; the others ignore it)
     rendezvous_lease_ms: float = 30 * 60 * 1000.0
-    #: cache finished result sets at each protocol's traffic-concentration
-    #: points and answer repeats without re-paying discovery.  Off (the
-    #: default) is pinned bit-identical to uncached behaviour by the
-    #: contract suite.
-    result_caching: bool = False
-    #: result-cache entries per cache site (LRU beyond this)
-    cache_capacity: int = 128
-    #: result-cache entry lifetime; keep at or below the membership
-    #: lease so stale cached hits stay inside the staleness window
-    cache_ttl_ms: float = 2_000.0
+    #: ``CacheConfig.enabled``
+    result_caching: bool = CacheConfig.enabled
+    #: ``CacheConfig.capacity``
+    cache_capacity: int = CacheConfig.capacity
+    #: ``CacheConfig.ttl_ms``
+    cache_ttl_ms: float = CacheConfig.ttl_ms
     #: probability that a workload position re-issues an earlier query
     #: verbatim (the repeat structure result caching feeds on); 0 keeps
     #: the historical workloads bit-identical
@@ -150,54 +123,26 @@ class ScenarioConfig:
     #: default) keeps the fault-free path pinned bit-identical by the
     #: fault contract
     faults: Optional[FaultPlan] = None
-    #: acknowledge-and-retry envelope around the registration-style
-    #: control traffic (REGISTER / JOIN / LEAF-ATTACH / AD-RENEW /
-    #: DOWNLOAD-REQUEST); off by default — with it off the ack machinery
-    #: never engages and behaviour is bit-identical to the seed
-    reliable_delivery: bool = False
-    #: base ack timeout of the reliable envelope (doubles per attempt,
-    #: capped at 8x)
-    retry_timeout_ms: float = 250.0
-    #: total send attempts (first try included) before the envelope
-    #: gives up on a message or a download provider
-    retry_max_attempts: int = 4
-    #: serve downloads as a paced stream of chunks of this size instead
-    #: of one up-front scheduled response; required for mid-transfer
-    #: failover (``None`` keeps the legacy single-shot transfer)
-    download_chunk_bytes: Optional[int] = None
-    #: requester-side watchdog period: how long a download may make no
-    #: progress before the requester re-requests or fails over
-    download_stall_timeout_ms: float = 500.0
-    #: prune gnutella's flood with per-neighbour attenuated Bloom
-    #: filters (``repro.network.routing``); off (the default) is pinned
-    #: bit-identical to the blind flood, and the non-flooding
-    #: organisations ignore the knob
-    informed_routing: bool = False
-    #: bits per Bloom-filter level (a multiple of 8)
-    routing_filter_bits: int = 512
-    #: hash functions per key (crc32 double hashing)
-    routing_hash_count: int = 4
-    #: filter levels (level ``d`` summarizes content ``d`` hops out)
-    routing_depth: int = 3
-    #: convenience alias for big runs: when set, overrides ``peers``
-    #: (the scale benchmark and examples speak in populations)
-    population: Optional[int] = None
-    # ------------------------------------------------------------------
-    # Grouped spellings: each bundle may be passed as one config object
-    # instead of (never alongside) its flat kwargs above.  After
-    # __post_init__ both spellings are materialized: the canonical
-    # group objects live here, the flat attributes mirror them.
-    # ------------------------------------------------------------------
-    cache: Optional[CacheConfig] = None
-    membership: Optional[MembershipConfig] = None
-    reliability: Optional[ReliabilityConfig] = None
-    routing: Optional[RoutingConfig] = None
+    #: ``ReliabilityConfig.reliable_delivery``
+    reliable_delivery: bool = ReliabilityConfig.reliable_delivery
+    #: ``ReliabilityConfig.retry_timeout_ms``
+    retry_timeout_ms: float = ReliabilityConfig.retry_timeout_ms
+    #: ``ReliabilityConfig.retry_max_attempts``
+    retry_max_attempts: int = ReliabilityConfig.retry_max_attempts
+    #: ``ReliabilityConfig.download_chunk_bytes``
+    download_chunk_bytes: Optional[int] = ReliabilityConfig.download_chunk_bytes
+    #: ``ReliabilityConfig.download_stall_timeout_ms``
+    download_stall_timeout_ms: float = ReliabilityConfig.download_stall_timeout_ms
+    #: ``RoutingConfig.informed`` (gnutella only; the others ignore it)
+    informed_routing: bool = RoutingConfig.informed
+    #: ``RoutingConfig.filter_bits``
+    routing_filter_bits: int = RoutingConfig.filter_bits
+    #: ``RoutingConfig.hash_count``
+    routing_hash_count: int = RoutingConfig.hash_count
+    #: ``RoutingConfig.depth``
+    routing_depth: int = RoutingConfig.depth
 
     def __post_init__(self) -> None:
-        if self.population is not None:
-            if self.population < 2:
-                raise ValueError("a population needs at least two peers")
-            self.peers = self.population
         if self.shards < 1:
             raise ValueError("need at least one shard")
         if self.parallel and self.shards < 2:
@@ -226,47 +171,35 @@ class ScenarioConfig:
             raise ValueError("query_repeat_alpha must be within [0, 1]")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError("faults must be a FaultPlan or None")
-        # Normalize the grouped spellings.  Value validation (positive
-        # intervals, cache capacity, retry budgets, ...) lives in the
-        # group constructors, so both spellings fail identically.
-        self.cache = resolve_group(
-            self.cache, "cache", CacheConfig, self._explicit_flat(_CACHE_FLAT))
-        self.membership = resolve_group(
-            self.membership, "membership", MembershipConfig,
-            self._explicit_flat(_MEMBERSHIP_FLAT))
-        self.reliability = resolve_group(
-            self.reliability, "reliability", ReliabilityConfig,
-            self._explicit_flat(_RELIABILITY_FLAT))
-        self.routing = resolve_group(
-            self.routing, "routing", RoutingConfig,
-            self._explicit_flat(_ROUTING_FLAT))
-        for mapping, group in ((_CACHE_FLAT, self.cache),
-                               (_MEMBERSHIP_FLAT, self.membership),
-                               (_RELIABILITY_FLAT, self.reliability),
-                               (_ROUTING_FLAT, self.routing)):
-            for field_name, (attribute, _default) in mapping.items():
-                setattr(self, attribute, getattr(group, field_name))
-        if self.informed_routing and self.result_caching:
-            raise ValueError(
-                "informed_routing does not compose with result_caching: "
-                "pruning changes which peers fill their path caches; "
-                "run the knobs separately")
-        if self.live_membership and self.protocol == "rendezvous" \
-                and self.rendezvous_lease_ms < 2 * self.maintenance_interval_ms:
-            # Renewals fire at lease/2 but only when a maintenance tick
-            # runs; a lease shorter than two intervals would expire every
-            # ad before its renewal could ever be sent.
-            raise ValueError("the rendezvous lease must cover at least two "
-                             "maintenance intervals under live membership")
+        # Building the groups is the value validation of every knob.
+        groups = self.network_config()
+        check_composition(groups["cache"], groups["routing"])
+        if self.live_membership and self.protocol == "rendezvous":
+            check_rendezvous_lease(self.rendezvous_lease_ms, groups["membership"])
 
-    def _explicit_flat(self, mapping: dict) -> dict:
-        """The explicitly-passed flat values of one group: a flat kwarg
-        still sitting at its default is indistinguishable from unset,
-        which is exactly the contract — defaults never clash with a
-        group, a deliberate flat override does."""
-        return {field_name: getattr(self, attribute)
-                for field_name, (attribute, default) in mapping.items()
-                if getattr(self, attribute) != default}
+    def network_config(self) -> dict[str, object]:
+        """The mechanism knobs as the ``cache=`` / ``membership=`` /
+        ``reliability=`` / ``routing=`` keywords of a protocol
+        constructor — the one place flat becomes grouped."""
+        return dict(
+            cache=CacheConfig(enabled=self.result_caching,
+                              capacity=self.cache_capacity,
+                              ttl_ms=self.cache_ttl_ms),
+            membership=MembershipConfig(
+                live=self.live_membership,
+                maintenance_interval_ms=self.maintenance_interval_ms,
+                heartbeat_lease_intervals=self.heartbeat_lease_intervals),
+            reliability=ReliabilityConfig(
+                reliable_delivery=self.reliable_delivery,
+                retry_timeout_ms=self.retry_timeout_ms,
+                retry_max_attempts=self.retry_max_attempts,
+                download_chunk_bytes=self.download_chunk_bytes,
+                download_stall_timeout_ms=self.download_stall_timeout_ms),
+            routing=RoutingConfig(informed=self.informed_routing,
+                                  filter_bits=self.routing_filter_bits,
+                                  hash_count=self.routing_hash_count,
+                                  depth=self.routing_depth),
+        )
 
 
 @dataclass
@@ -391,13 +324,10 @@ def build_network(config: ScenarioConfig) -> PeerNetwork:
     setup, not measured traffic; ``build_scenario`` calls ``go_live()``
     right before the workload when the knob is set.
     """
-    common = dict(seed=config.seed, compile_queries=config.compile_queries,
-                  cache=config.cache,
-                  membership=replace(config.membership, live=False),
-                  reliability=config.reliability,
-                  routing=config.routing,
-                  shards=config.shards,
-                  parallel=config.parallel)
+    common = dict(config.network_config(), seed=config.seed,
+                  compile_queries=config.compile_queries,
+                  shards=config.shards, parallel=config.parallel)
+    common["membership"] = replace(common["membership"], live=False)
     if config.protocol == "gnutella":
         return GnutellaProtocol(default_ttl=config.ttl, degree=config.degree, **common)
     if config.protocol == "super-peer":
@@ -410,8 +340,7 @@ def build_network(config: ScenarioConfig) -> PeerNetwork:
 
 def build_scenario(config: Optional[ScenarioConfig] = None, **overrides) -> Scenario:
     """Build a complete scenario from ``config`` (or keyword overrides)."""
-    if config is None:
-        config = ScenarioConfig(**overrides)
+    config = ScenarioConfig(**overrides) if config is None else replace(config, **overrides)
     network = build_network(config)
     servents = [Servent(f"peer-{index:04d}", network) for index in range(config.peers)]
 

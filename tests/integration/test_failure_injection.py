@@ -8,6 +8,7 @@ from repro.core.application import Application
 from repro.core.errors import InvalidObjectError
 from repro.core.servent import Servent
 from repro.network.churn import ChurnModel
+from repro.network.config import ReliabilityConfig
 from repro.network.errors import PeerOfflineError, UnknownPeerError
 from repro.network.gnutella import GnutellaProtocol
 from repro.storage.errors import ObjectNotFoundError
@@ -149,9 +150,10 @@ class TestProviderCrashMidDownload:
 
     def build(self, **knobs):
         network = GnutellaProtocol(seed=21, degree=3, default_ttl=8,
-                                   reliable_delivery=True,
-                                   download_chunk_bytes=2_048,
-                                   download_stall_timeout_ms=400.0, **knobs)
+                                   reliability=ReliabilityConfig(
+                                       reliable_delivery=True,
+                                       download_chunk_bytes=2_048,
+                                       download_stall_timeout_ms=400.0), **knobs)
         alice = Servent("alice", network)
         mirror = Servent("mirror", network)
         requester = Servent("requester", network)

@@ -15,6 +15,7 @@ import pytest
 from repro.engine.driver import QueryDriver, RetrieveOp, SearchOp
 from repro.network.centralized import CentralizedProtocol
 from repro.network.churn import ChurnModel
+from repro.network.config import CacheConfig, MembershipConfig
 from repro.network.errors import DuplicatePeerError
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.rendezvous import RendezvousProtocol
@@ -368,8 +369,9 @@ class TestMembershipContract:
         """Joins, departures and maintenance move state only through
         queue events: submitting them leaves ``simulator.now`` frozen
         until the kernel processes the queue."""
-        network = make_network("super-peer")
-        network.maintenance_interval_ms = 250.0
+        network = SuperPeerProtocol(
+            seed=7, super_peer_ratio=0.2,
+            membership=MembershipConfig(maintenance_interval_ms=250.0))
         populate(network)
         network.go_live()
         before = network.simulator.now
@@ -386,9 +388,9 @@ class TestRendezvousLeaseUnderChurnContract:
     organically under live membership."""
 
     def test_expiry_and_repair_compose_with_churn(self):
-        network = make_network("rendezvous")
-        network.lease_ms = 900.0
-        network.maintenance_interval_ms = 200.0
+        network = RendezvousProtocol(
+            seed=7, rendezvous_ratio=0.2, lease_ms=900.0,
+            membership=MembershipConfig(maintenance_interval_ms=200.0))
         populate(network)
         resource_id = publish_pattern(network, "peer-005", "Leased Observer")
         network.go_live()
@@ -487,9 +489,9 @@ class TestResultCacheContract:
     # Invalidation: graceful departure vs. crash churn
     # ------------------------------------------------------------------
     def make_cached_centralized(self):
-        network = CentralizedProtocol(seed=7, result_caching=True,
-                                      cache_ttl_ms=60_000.0,
-                                      maintenance_interval_ms=400.0)
+        network = CentralizedProtocol(
+            seed=7, cache=CacheConfig(enabled=True, ttl_ms=60_000.0),
+            membership=MembershipConfig(maintenance_interval_ms=400.0))
         populate(network)
         publish_pattern(network, "peer-005", "Observer")
         publish_pattern(network, "peer-007", "Observer Twin")
@@ -535,8 +537,8 @@ class TestResultCacheContract:
         of a silent leaf's records invalidates the cached answers that
         named it."""
         network = SuperPeerProtocol(seed=7, super_peer_ratio=0.2,
-                                    result_caching=True, cache_ttl_ms=60_000.0,
-                                    maintenance_interval_ms=400.0)
+                                    cache=CacheConfig(enabled=True, ttl_ms=60_000.0),
+                                    membership=MembershipConfig(maintenance_interval_ms=400.0))
         populate(network)
         publish_pattern(network, "peer-005", "Observer")
         network.go_live()
@@ -555,8 +557,8 @@ class TestResultCacheContract:
         cached answer stays stale exactly one TTL — the bound the knob
         documentation demands stays at or below the membership lease."""
         network = GnutellaProtocol(seed=7, default_ttl=20, degree=2,
-                                   topology_kind="ring", result_caching=True,
-                                   cache_ttl_ms=1_000.0)
+                                   topology_kind="ring",
+                                   cache=CacheConfig(enabled=True, ttl_ms=1_000.0))
         populate(network)
         publish_pattern(network, "peer-005", "Observer")
         assert "peer-005" in self.providers_of(network)  # fills the origin cache
@@ -571,8 +573,8 @@ class TestResultCacheContract:
         that found nothing (and negative-cached the miss) must not
         satisfy a later deep search for the same query."""
         network = GnutellaProtocol(seed=7, default_ttl=20, degree=2,
-                                   topology_kind="ring", result_caching=True,
-                                   cache_ttl_ms=60_000.0)
+                                   topology_kind="ring",
+                                   cache=CacheConfig(enabled=True, ttl_ms=60_000.0))
         populate(network)
         publish_pattern(network, "peer-006", "Observer")  # 6 hops from peer-000
         shallow = network.search("peer-000", Query.keyword("patterns", "observer"),
@@ -589,8 +591,8 @@ class TestResultCacheContract:
         drops, and a distinct cached result sitting behind it in the
         entry is never served at all."""
         network = GnutellaProtocol(seed=7, default_ttl=20, degree=2,
-                                   topology_kind="ring", result_caching=True,
-                                   cache_ttl_ms=60_000.0)
+                                   topology_kind="ring",
+                                   cache=CacheConfig(enabled=True, ttl_ms=60_000.0))
         populate(network)
         publish_pattern(network, "peer-001", "Observer")
         publish_pattern(network, "peer-005", "Observer Twin")
@@ -622,8 +624,8 @@ class TestResultCacheContract:
         what caching off does here."""
         def build(caching):
             network = GnutellaProtocol(seed=7, default_ttl=20, degree=2,
-                                       topology_kind="ring", result_caching=caching,
-                                       cache_ttl_ms=60_000.0)
+                                       topology_kind="ring",
+                                       cache=CacheConfig(enabled=caching, ttl_ms=60_000.0))
             populate(network, peer_count=8)
             network.build_overlay()
             publish_pattern(network, "peer-002", "Observer")
@@ -641,8 +643,8 @@ class TestResultCacheContract:
         local matches to room before filtering would hand the slot to
         the promised duplicate and silently drop the new result."""
         network = GnutellaProtocol(seed=7, default_ttl=20, degree=2,
-                                   topology_kind="ring", result_caching=True,
-                                   cache_ttl_ms=60_000.0)
+                                   topology_kind="ring",
+                                   cache=CacheConfig(enabled=True, ttl_ms=60_000.0))
         populate(network, peer_count=8)
         network.build_overlay()
         cached_id = publish_pattern(network, "peer-002", "Observer")

@@ -6,6 +6,7 @@ recovery through partitions and loss, and crash-stop scheduling."""
 import pytest
 
 from repro.network.centralized import INDEX_SERVER_ID, CentralizedProtocol
+from repro.network.config import ReliabilityConfig
 from repro.network.faults import (FaultModel, FaultPlan, PartitionWindow,
                                   build_fault_model)
 from repro.network.gnutella import GnutellaProtocol
@@ -175,7 +176,7 @@ class TestReliableEnvelope:
         silently lost."""
         partition = PartitionWindow(0.0, 150.0, ("peer-003",), (INDEX_SERVER_ID,))
         network = self.build_live_centralized(
-            reliable_delivery=True, retry_timeout_ms=100.0,
+            reliability=ReliabilityConfig(reliable_delivery=True, retry_timeout_ms=100.0),
             faults=FaultPlan(partitions=(partition,)))
         publish_pattern(network, "peer-003", "Observer")
         settle(network, 1_000)
@@ -190,7 +191,7 @@ class TestReliableEnvelope:
         for good: the control case the retry machinery exists for."""
         partition = PartitionWindow(0.0, 150.0, ("peer-003",), (INDEX_SERVER_ID,))
         network = self.build_live_centralized(
-            reliable_delivery=False,
+            reliability=ReliabilityConfig(reliable_delivery=False),
             faults=FaultPlan(partitions=(partition,)))
         publish_pattern(network, "peer-003", "Observer")
         settle(network, 1_000)
@@ -203,7 +204,8 @@ class TestReliableEnvelope:
         """A permanently dead link exhausts the attempt budget and is
         recorded as a timeout instead of retrying forever."""
         network = self.build_live_centralized(
-            reliable_delivery=True, retry_timeout_ms=50.0, retry_max_attempts=3,
+            reliability=ReliabilityConfig(reliable_delivery=True, retry_timeout_ms=50.0,
+                                          retry_max_attempts=3),
             faults=FaultPlan(link_loss=(("peer-003", INDEX_SERVER_ID, 1.0),)))
         publish_pattern(network, "peer-003", "Observer")
         settle(network, 5_000)
@@ -212,7 +214,7 @@ class TestReliableEnvelope:
 
     def test_duplicated_registrations_are_harmless(self):
         network = self.build_live_centralized(
-            reliable_delivery=True,
+            reliability=ReliabilityConfig(reliable_delivery=True),
             faults=FaultPlan(seed=2, duplicate_rate=1.0))
         publish_pattern(network, "peer-003", "Observer")
         settle(network, 1_000)

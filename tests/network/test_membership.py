@@ -4,6 +4,7 @@ live-membership (lifecycle-as-protocol-traffic) mode of every adapter."""
 import pytest
 
 from repro.network.centralized import CentralizedProtocol
+from repro.network.config import MembershipConfig
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.membership import MembershipEvent, PopulationModel
 from repro.network.messages import MessageType
@@ -167,7 +168,8 @@ class TestUptimeAccounting:
 
 class TestCentralizedLiveMembership:
     def build(self):
-        network = CentralizedProtocol(seed=3, maintenance_interval_ms=200.0)
+        network = CentralizedProtocol(
+            seed=3, membership=MembershipConfig(maintenance_interval_ms=200.0))
         for index in range(8):
             network.create_peer(f"peer-{index:03d}")
         ids = [publish_pattern(network, "peer-001", "Observer"),
@@ -211,7 +213,8 @@ class TestCentralizedLiveMembership:
         assert network.stats.messages_of(MessageType.LEAVE) == 1
 
     def test_registrations_of_peer_offline_at_go_live_still_decay(self):
-        network = CentralizedProtocol(seed=3, maintenance_interval_ms=200.0)
+        network = CentralizedProtocol(
+            seed=3, membership=MembershipConfig(maintenance_interval_ms=200.0))
         for index in range(6):
             network.create_peer(f"peer-{index:03d}")
         publish_pattern(network, "peer-001", "Pre Live Observer")
@@ -257,7 +260,7 @@ class TestCentralizedLiveMembership:
 class TestGnutellaLiveMembership:
     def build(self):
         network = GnutellaProtocol(seed=5, degree=3, default_ttl=6,
-                                   maintenance_interval_ms=200.0)
+                                   membership=MembershipConfig(maintenance_interval_ms=200.0))
         for index in range(10):
             network.create_peer(f"peer-{index:03d}")
         network.build_overlay()
@@ -318,7 +321,7 @@ class TestGnutellaLiveMembership:
 class TestSuperPeerLiveMembership:
     def build(self, peer_count=10):
         network = SuperPeerProtocol(seed=6, super_peer_ratio=0.2,
-                                    maintenance_interval_ms=200.0)
+                                    membership=MembershipConfig(maintenance_interval_ms=200.0))
         for index in range(peer_count):
             network.create_peer(f"peer-{index:03d}")
         network.elect_super_peers()
@@ -383,7 +386,7 @@ class TestRendezvousLiveMembership:
     def build(self, lease_ms=1_000.0):
         network = RendezvousProtocol(seed=7, rendezvous_ratio=0.25,
                                      lease_ms=lease_ms,
-                                     maintenance_interval_ms=200.0)
+                                     membership=MembershipConfig(maintenance_interval_ms=200.0))
         for index in range(8):
             network.create_peer(f"peer-{index:03d}")
         network.elect_rendezvous()
@@ -424,7 +427,7 @@ class TestRendezvousLiveMembership:
         staying online must never lose its published objects."""
         network = RendezvousProtocol(seed=11, rendezvous_ratio=0.25,
                                      lease_ms=1_000.0,
-                                     maintenance_interval_ms=300.0)
+                                     membership=MembershipConfig(maintenance_interval_ms=300.0))
         for index in range(8):
             network.create_peer(f"peer-{index:03d}")
         network.elect_rendezvous()
@@ -453,7 +456,7 @@ class TestLiveMembershipWithPopulationModel:
 
     def test_flash_crowd_joins_cost_messages(self):
         network = GnutellaProtocol(seed=9, degree=3,
-                                   maintenance_interval_ms=300.0)
+                                   membership=MembershipConfig(maintenance_interval_ms=300.0))
         for index in range(8):
             network.create_peer(f"peer-{index:03d}")
         network.build_overlay()

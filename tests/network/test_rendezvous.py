@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.network.config import MembershipConfig
 from repro.network.rendezvous import RendezvousProtocol
 from repro.storage.query import Query
 from repro.xmlkit.parser import parse
@@ -133,8 +134,9 @@ class TestLeases:
         """Same property with live membership: expiry happens in the
         recurring sweep (recording the staleness window) and the return
         re-advertises through kernel traffic, with no manual pulls."""
-        network = RendezvousProtocol(seed=10, rendezvous_ratio=0.25, lease_ms=800,
-                                     maintenance_interval_ms=200.0)
+        network = RendezvousProtocol(
+            seed=10, rendezvous_ratio=0.25, lease_ms=800,
+            membership=MembershipConfig(maintenance_interval_ms=200.0))
         populate(network, 12)
         network.go_live()
         # An *edge* owner: a departed rendezvous peer's own ads die with

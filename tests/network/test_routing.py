@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.driver import QueryDriver
+from repro.network.config import CacheConfig, RoutingConfig
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.routing import (
     AttenuatedFilter,
@@ -28,7 +29,6 @@ from repro.network.routing import (
 )
 from repro.storage.plan import compile_query
 from repro.storage.query import Operator, Query
-from repro.workloads.config import RoutingConfig
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 from tests.network.test_contract import (
@@ -136,10 +136,10 @@ class TestRoutingKeys:
 # Units: the routing index over a live overlay
 # ---------------------------------------------------------------------------
 
-def _ring_network(**kwargs):
+def _ring_network():
     network = GnutellaProtocol(seed=7, default_ttl=20, degree=2,
-                               topology_kind="ring", informed_routing=True,
-                               **kwargs)
+                               topology_kind="ring",
+                               routing=RoutingConfig(informed=True))
     populate(network)
     return network
 
@@ -335,10 +335,8 @@ class TestInformedRoutingContract:
         with pytest.raises(ValueError, match="does not compose"):
             ScenarioConfig(informed_routing=True, result_caching=True)
         with pytest.raises(ValueError, match="does not compose"):
-            GnutellaProtocol(informed_routing=True, result_caching=True)
-        with pytest.raises(ValueError, match="does not compose"):
             GnutellaProtocol(routing=RoutingConfig(informed=True),
-                             result_caching=True)
+                             cache=CacheConfig(enabled=True))
 
     def test_non_flooding_protocols_ignore_the_knob(self):
         for protocol in ("centralized", "super-peer", "rendezvous"):

@@ -1,11 +1,9 @@
-"""Grouped configuration objects: interchangeable with flat kwargs.
+"""One home per knob: flat at the scenario, grouped at the network.
 
-The redesign's contract: ``ScenarioConfig(cache=CacheConfig(...))``
-and ``ScenarioConfig(result_caching=..., ...)`` are two spellings of
-the same configuration — whole seeded runs must be bit-identical
-across them, value validation must fail identically, and mixing a
-group with an explicit flat knob of the same group must refuse
-loudly rather than silently prefer one.
+The four frozen groups of ``repro.network.config`` own every mechanism
+knob's default and validation; ``ScenarioConfig`` spells them flat and
+``build_network`` translates; protocol constructors take the groups
+and nothing flat.
 """
 
 from __future__ import annotations
@@ -14,44 +12,34 @@ import dataclasses
 
 import pytest
 
-from repro.network.base import PeerNetwork
-from repro.network.gnutella import GnutellaProtocol
-from repro.workloads.config import (
+from repro.network.config import (
     CacheConfig,
     MembershipConfig,
     ReliabilityConfig,
     RoutingConfig,
-    resolve_group,
 )
-from repro.workloads.scenario import ScenarioConfig, build_scenario
+from repro.network.gnutella import GnutellaProtocol
+from repro.network.rendezvous import RendezvousProtocol
+from repro.workloads.scenario import ScenarioConfig, build_network, build_scenario
 
-PROTOCOL_NAMES = ("centralized", "gnutella", "super-peer", "rendezvous")
-
-BASE = dict(
-    peers=30,
-    members=12,
-    publishers=6,
-    corpus_size=40,
-    queries=16,
-    ttl=6,
-    seed=23,
-    concurrency=8,
-    query_interarrival_ms=20.0,
+#: (flat ScenarioConfig field, group keyword, group field, non-default value)
+KNOBS = (
+    ("result_caching", "cache", "enabled", True),
+    ("cache_capacity", "cache", "capacity", 7),
+    ("cache_ttl_ms", "cache", "ttl_ms", 400.0),
+    ("live_membership", "membership", "live", True),
+    ("maintenance_interval_ms", "membership", "maintenance_interval_ms", 500.0),
+    ("heartbeat_lease_intervals", "membership", "heartbeat_lease_intervals", 5),
+    ("reliable_delivery", "reliability", "reliable_delivery", True),
+    ("retry_timeout_ms", "reliability", "retry_timeout_ms", 125.0),
+    ("retry_max_attempts", "reliability", "retry_max_attempts", 9),
+    ("download_chunk_bytes", "reliability", "download_chunk_bytes", 4_096),
+    ("download_stall_timeout_ms", "reliability", "download_stall_timeout_ms", 77.0),
+    ("informed_routing", "routing", "informed", True),
+    ("routing_filter_bits", "routing", "filter_bits", 2_048),
+    ("routing_hash_count", "routing", "hash_count", 2),
+    ("routing_depth", "routing", "depth", 5),
 )
-
-
-def signature(**overrides):
-    scenario = build_scenario(ScenarioConfig(**{**BASE, **overrides}))
-    counts = scenario.run_queries(max_results=100)
-    stats = scenario.network.stats
-    return {
-        "counts": counts,
-        "total_messages": stats.total_messages,
-        "total_bytes": stats.total_bytes,
-        "by_type": dict(stats.messages_by_type),
-        "bytes_by_type": dict(stats.bytes_by_type),
-        "latencies": [round(record.latency_ms, 6) for record in stats.queries],
-    }
 
 
 class TestGroupDataclasses:
@@ -59,15 +47,13 @@ class TestGroupDataclasses:
         for config in (CacheConfig(), MembershipConfig(), ReliabilityConfig(),
                        RoutingConfig()):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                config.__class__ and setattr(config, next(iter(
-                    field.name for field in dataclasses.fields(config))), 1)
+                setattr(config, dataclasses.fields(config)[0].name, 1)
 
     @pytest.mark.parametrize("bad", (
         lambda: CacheConfig(capacity=0),
         lambda: CacheConfig(ttl_ms=0.0),
         lambda: MembershipConfig(maintenance_interval_ms=0.0),
         lambda: MembershipConfig(heartbeat_lease_intervals=0),
-        lambda: MembershipConfig(rendezvous_lease_ms=0.0),
         lambda: ReliabilityConfig(retry_timeout_ms=0.0),
         lambda: ReliabilityConfig(retry_max_attempts=0),
         lambda: ReliabilityConfig(download_chunk_bytes=0),
@@ -76,148 +62,88 @@ class TestGroupDataclasses:
         lambda: RoutingConfig(filter_bits=100),   # not a multiple of 8
         lambda: RoutingConfig(hash_count=0),
         lambda: RoutingConfig(depth=0),
+        # the flat spelling validates through the same constructors
+        lambda: ScenarioConfig(cache_capacity=0),
+        lambda: ScenarioConfig(maintenance_interval_ms=-1.0),
+        lambda: ScenarioConfig(routing_filter_bits=100),
     ))
     def test_value_validation(self, bad):
         with pytest.raises(ValueError):
             bad()
 
-    def test_resolve_group_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="cache must be a CacheConfig"):
-            resolve_group(MembershipConfig(), "cache", CacheConfig, {})
+    def test_the_ignored_rendezvous_lease_field_is_gone(self):
+        """The lease's one home is ``RendezvousProtocol(lease_ms=...)``."""
+        with pytest.raises(TypeError):
+            MembershipConfig(rendezvous_lease_ms=5_000.0)
 
-    def test_resolve_group_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown CacheConfig fields"):
-            resolve_group(None, "cache", CacheConfig, {"nope": 1})
-
-
-class TestClashRefusal:
-    def test_scenario_group_plus_flat_raises(self):
-        with pytest.raises(ValueError, match="cache=CacheConfig"):
-            ScenarioConfig(cache=CacheConfig(enabled=True), result_caching=True)
-        with pytest.raises(ValueError, match="membership=MembershipConfig"):
-            ScenarioConfig(membership=MembershipConfig(live=True),
-                           maintenance_interval_ms=500.0)
-        with pytest.raises(ValueError, match="reliability=ReliabilityConfig"):
-            ScenarioConfig(reliability=ReliabilityConfig(reliable_delivery=True),
-                           retry_max_attempts=2)
-        with pytest.raises(ValueError, match="routing=RoutingConfig"):
-            ScenarioConfig(routing=RoutingConfig(informed=True),
-                           routing_depth=2)
-
-    def test_network_group_plus_flat_raises(self):
-        with pytest.raises(ValueError, match="not both"):
-            GnutellaProtocol(cache=CacheConfig(enabled=True),
-                             cache_ttl_ms=100.0)
-        with pytest.raises(ValueError, match="not both"):
-            GnutellaProtocol(reliability=ReliabilityConfig(),
-                             download_chunk_bytes=None)
-
-    def test_flat_defaults_do_not_clash_with_groups(self):
-        # Untouched flat kwargs coexist with any group spelling.
-        config = ScenarioConfig(cache=CacheConfig(enabled=True, ttl_ms=400.0),
-                                membership=MembershipConfig(live=True),
-                                **BASE)
-        assert config.result_caching is True
-        assert config.cache_ttl_ms == 400.0
-        assert config.live_membership is True
+    def test_rendezvous_lease_rule_is_one_check(self):
+        """Scenario and protocol refuse a lease shorter than two
+        maintenance intervals through the same function."""
+        with pytest.raises(ValueError, match="two maintenance intervals"):
+            ScenarioConfig(protocol="rendezvous", live_membership=True,
+                           rendezvous_lease_ms=1_000.0, maintenance_interval_ms=600.0)
+        network = RendezvousProtocol(
+            lease_ms=1_000.0, membership=MembershipConfig(maintenance_interval_ms=600.0))
+        with pytest.raises(ValueError, match="two maintenance intervals"):
+            network.go_live()
 
 
-class TestMaterializedSpellings:
-    def test_scenario_materializes_both(self):
-        config = ScenarioConfig(result_caching=True, cache_ttl_ms=750.0, **BASE)
-        assert config.cache == CacheConfig(enabled=True, ttl_ms=750.0)
-        assert config.membership == MembershipConfig()
-        assert config.reliability == ReliabilityConfig()
-        assert config.routing == RoutingConfig()
+class TestOneSpellingPerLayer:
+    @pytest.mark.parametrize("flat, group, field, value", KNOBS)
+    def test_flat_knob_arrives_in_its_group_on_the_network(self, flat, group, field, value):
+        config = ScenarioConfig(**{flat: value})
+        groups = config.network_config()
+        assert getattr(groups[group], field) == value
+        # bootstrap is structural: the network is built with live off
+        # and build_scenario calls go_live() before the workload
+        groups["membership"] = dataclasses.replace(groups["membership"], live=False)
+        network = build_network(config)
+        assert getattr(network, f"{group}_config") == groups[group]
 
-    def test_network_materializes_both(self):
-        network = GnutellaProtocol(
-            membership=MembershipConfig(live=False,
-                                        maintenance_interval_ms=1_000.0,
-                                        heartbeat_lease_intervals=3))
-        assert network.maintenance_interval_ms == 1_000.0
-        assert network.heartbeat_lease_intervals == 3
-        assert network.heartbeat_lease_ms == 3_000.0
-        assert network.membership_config.heartbeat_lease_intervals == 3
-        assert isinstance(network, PeerNetwork)
-
-    def test_heartbeat_lease_flows_from_scenario_to_network(self):
+    def test_live_membership_and_lease_reach_the_running_network(self):
         scenario = build_scenario(ScenarioConfig(
-            protocol="gnutella", heartbeat_lease_intervals=4, **BASE))
-        assert scenario.network.heartbeat_lease_intervals == 4
+            protocol="gnutella", peers=12, members=6, publishers=3, corpus_size=8,
+            queries=2, live_membership=True, heartbeat_lease_intervals=4))
+        assert scenario.network.live_membership is True
         assert scenario.network.heartbeat_lease_ms == \
-            4 * scenario.network.maintenance_interval_ms
+            4 * MembershipConfig.maintenance_interval_ms
 
-    def test_validation_parity_between_spellings(self):
-        """Both spellings reject bad values with the same error."""
-        with pytest.raises(ValueError, match="at least one entry"):
-            ScenarioConfig(cache_capacity=0, **BASE)
-        with pytest.raises(ValueError, match="at least one entry"):
-            ScenarioConfig(cache=CacheConfig(capacity=0), **BASE)
-        with pytest.raises(ValueError, match="maintenance interval"):
-            GnutellaProtocol(maintenance_interval_ms=-1.0)
-        with pytest.raises(ValueError, match="maintenance interval"):
-            GnutellaProtocol(membership=MembershipConfig(
-                maintenance_interval_ms=-1.0))
+    @pytest.mark.parametrize("flat, group, field, value", KNOBS)
+    def test_protocol_constructors_take_no_flat_knob(self, flat, group, field, value):
+        with pytest.raises(TypeError):
+            GnutellaProtocol(**{flat: value})
+
+    @pytest.mark.parametrize("group, value", (
+        ("cache", CacheConfig(ttl_ms=400.0)),
+        ("membership", MembershipConfig(live=True)),
+        ("reliability", ReliabilityConfig(reliable_delivery=True)),
+        ("routing", RoutingConfig(informed=True)),
+    ))
+    def test_scenario_takes_no_group(self, group, value):
+        """``ScenarioConfig(cache=CacheConfig(ttl_ms=400.0),
+        cache_ttl_ms=2000.0)`` used to be silently accepted as 400; with
+        one spelling there is nothing for an explicit value to lose to."""
+        with pytest.raises(TypeError):
+            ScenarioConfig(**{group: value})
 
 
-class TestGroupedFlatEquivalence:
-    """Whole seeded runs are bit-identical across the two spellings."""
+class TestReplace:
+    @pytest.mark.parametrize("knobs, change", (
+        (dict(result_caching=True, cache_ttl_ms=400.0), dict(peers=60)),
+        (dict(live_membership=True, maintenance_interval_ms=500.0), dict(peers=60)),
+        (dict(reliable_delivery=True, download_chunk_bytes=4_096), dict(peers=60)),
+        (dict(informed_routing=True, routing_depth=2), dict(peers=60)),
+        # the exact call run_parallel_scenario makes
+        (dict(shards=4, result_caching=True), dict(parallel=True)),
+    ))
+    def test_replace_preserves_every_knob(self, knobs, change):
+        replaced = dataclasses.replace(ScenarioConfig(**knobs), **change)
+        assert replaced == ScenarioConfig(**knobs, **change)
 
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_default_groups_match_defaults(self, protocol):
-        flat = signature(protocol=protocol)
-        grouped = signature(protocol=protocol, cache=CacheConfig(),
-                            membership=MembershipConfig(),
-                            reliability=ReliabilityConfig(),
-                            routing=RoutingConfig())
-        assert flat == grouped
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_caching_cell_equivalent(self, protocol):
-        flat = signature(protocol=protocol, result_caching=True,
-                         cache_capacity=64, cache_ttl_ms=800.0,
-                         query_repeat_alpha=0.5)
-        grouped = signature(protocol=protocol, query_repeat_alpha=0.5,
-                            cache=CacheConfig(enabled=True, capacity=64,
-                                              ttl_ms=800.0))
-        assert flat == grouped
-
-    def test_composed_cell_equivalent(self):
-        """One cell composing all four groups at once (live membership,
-        caching, reliable chunked downloads, churn) must agree with the
-        flat spelling bit-for-bit."""
-        knobs_flat = dict(
-            protocol="super-peer",
-            live_membership=True, maintenance_interval_ms=500.0,
-            heartbeat_lease_intervals=3,
-            result_caching=True, cache_capacity=64, cache_ttl_ms=450.0,
-            reliable_delivery=True, retry_timeout_ms=125.0,
-            retry_max_attempts=3, download_chunk_bytes=4_096,
-            download_stall_timeout_ms=250.0,
-            retrieve_fraction=0.3,
-            churn_session_ms=1_500.0, churn_absence_ms=800.0,
-        )
-        knobs_grouped = dict(
-            protocol="super-peer",
-            membership=MembershipConfig(live=True,
-                                        maintenance_interval_ms=500.0,
-                                        heartbeat_lease_intervals=3),
-            cache=CacheConfig(enabled=True, capacity=64, ttl_ms=450.0),
-            reliability=ReliabilityConfig(reliable_delivery=True,
-                                          retry_timeout_ms=125.0,
-                                          retry_max_attempts=3,
-                                          download_chunk_bytes=4_096,
-                                          download_stall_timeout_ms=250.0),
-            retrieve_fraction=0.3,
-            churn_session_ms=1_500.0, churn_absence_ms=800.0,
-        )
-        assert signature(**knobs_flat) == signature(**knobs_grouped)
-
-    def test_routing_cell_equivalent(self):
-        flat = signature(protocol="gnutella", informed_routing=True,
-                         routing_filter_bits=2_048, routing_depth=4)
-        grouped = signature(protocol="gnutella",
-                            routing=RoutingConfig(informed=True,
-                                                  filter_bits=2_048, depth=4))
-        assert flat == grouped
+    def test_build_scenario_applies_overrides_to_a_given_config(self):
+        config = ScenarioConfig(peers=30, members=6, publishers=3, corpus_size=8,
+                                queries=2, result_caching=True)
+        scenario = build_scenario(config, peers=12)
+        assert scenario.config.peers == 12
+        assert scenario.config.result_caching is True
+        assert len(scenario.servents) == 12
