@@ -18,7 +18,6 @@ from repro.engine.kernel import (
     RetrieveContext,
 )
 from repro.engine.driver import BatchOutcome, QueryDriver, RetrieveOp, SearchOp
-from repro.engine.local import local_matches
 
 __all__ = [
     "EventKernel",
@@ -31,5 +30,4 @@ __all__ = [
     "BatchOutcome",
     "SearchOp",
     "RetrieveOp",
-    "local_matches",
 ]

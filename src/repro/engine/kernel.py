@@ -99,7 +99,7 @@ class QueryContext(ExchangeContext):
     visited: set[str] = field(default_factory=set)
     claimed: int = 0
     #: the query compiled once at search start; every protocol handler's
-    #: ``local_matches`` call reuses it, so per-hop evaluation is pure
+    #: ``repository.search`` call reuses it, so per-hop evaluation is pure
     #: index intersection (``None`` when compilation is disabled)
     plan: Optional["CompiledQuery"] = None
 

@@ -508,7 +508,7 @@ class WorkerKernel(EventKernel):
             return
         self._rt.applying_ops = True
         try:
-            self.network._promised_results(context).update(identities)
+            self.network.caches.promised(context).update(identities)
         finally:
             self._rt.applying_ops = False
 
@@ -529,7 +529,7 @@ class WorkerKernel(EventKernel):
         self._suppress_sends = True
         try:
             simulator._now = at_ms
-            self.network._complete_document(peer, context, stored)
+            self.network.downloads.complete_document(peer, context, stored)
         finally:
             simulator._now = saved_now
             self._rt.mode = saved_mode

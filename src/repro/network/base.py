@@ -7,21 +7,29 @@ the four protocol adapters implement it, and the U-P2P core is written
 against it only — which is the protocol-independence property the
 experiments test.
 
-The mechanisms every organisation shares (live membership, result
-caching, reliable delivery and chunked downloads, informed routing) are
-configured by the four frozen groups of :mod:`repro.network.config`,
-the only spelling the constructor accepts.
+``PeerNetwork`` itself owns the peer lifecycle (with the hooks that are
+the adapter contract), the search contexts and ``finish_search``, and
+fault installation.  The mechanisms every organisation shares are
+collaborators it composes, each built from its frozen group of
+:mod:`repro.network.config` and owning its own state:
+
+* ``channel`` — :class:`~repro.network.reliable.ReliableChannel`, the
+  pending-ACK table and retry timers;
+* ``downloads`` — :class:`~repro.network.transfer.DownloadManager`, both
+  ends of the retrieve primitive, chunk streaming, stall watchdog and
+  replica failover;
+* ``caches`` — :class:`~repro.network.result_cache.ResultCacheLayer`,
+  every result-cache site plus the shared serving paths.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from repro.engine.kernel import EventKernel, ExchangeContext, QueryContext, RetrieveContext
+from repro.engine.kernel import EventKernel, QueryContext, RetrieveContext
 from repro.network.config import (
     CacheConfig,
     MembershipConfig,
@@ -29,32 +37,26 @@ from repro.network.config import (
     RoutingConfig,
     check_composition,
 )
-from repro.network.errors import (
-    DuplicatePeerError,
-    PeerOfflineError,
-    TransferError,
-    UnknownPeerError,
-)
+from repro.network.errors import DuplicatePeerError, PeerOfflineError, UnknownPeerError
 from repro.network.faults import FaultModel, FaultPlan, build_fault_model
 from repro.network.messages import (
     Message,
     MessageType,
-    attachment_transfer,
-    download_chunk,
-    download_request,
-    download_response,
+    ad_renew_message,
+    metadata_wire_bytes,
     query_hit_message,
+    register_message,
 )
 from repro.network.peers import Peer
+from repro.network.reliable import ReliableChannel
+from repro.network.result_cache import ResultCacheLayer
 from repro.network.simulator import NetworkSimulator
-from repro.network.stats import DownloadRecord, NetworkStats, QueryRecord
-from repro.storage.cache import CacheEntry, QueryResultCache
+from repro.network.stats import NetworkStats, QueryRecord
+from repro.network.transfer import DownloadManager, RetrieveResult
 from repro.storage.document_store import StoredObject
-from repro.storage.errors import ObjectNotFoundError
 from repro.storage.plan import CompiledQuery, compile_query
 from repro.storage.query import Query
 from repro.storage.replicas import ReplicaRegistry
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -121,35 +123,17 @@ class SearchResponse:
         return min(self.results, key=lambda result: result.hops, default=None)
 
 
-@dataclass
-class RetrieveResult:
-    """Outcome of downloading one object (plus attachments) from a provider."""
-
-    stored: StoredObject
-    provider_id: str
-    transfer_bytes: int
-    latency_ms: float
-    attachments_transferred: int = 0
-
-
-@dataclass
-class _PendingAck:
-    """One reliably-sent message awaiting its ACK (see ``send_reliable``)."""
-
-    message: Message
-    context: Optional[ExchangeContext]
-    attempt: int = 0
-
-
 class PeerNetwork(ABC):
     """Common behaviour of all network organisations.
 
     Mechanism knobs arrive as the four frozen groups of
     :mod:`repro.network.config` (``cache=``, ``membership=``,
     ``reliability=``, ``routing=``); parameters are read from
-    ``self.cache_config`` etc.  Only the four on/off flags are plain
-    attributes: handlers branch on them per delivered message, and
-    ``live_membership`` is runtime state flipped by :meth:`go_live`.
+    ``self.cache_config`` etc. and by the collaborator each group
+    builds (``channel``, ``downloads``, ``caches``).  Only the on/off
+    flags handlers branch on per delivered message are plain
+    attributes, and ``live_membership`` is runtime state flipped by
+    :meth:`go_live`.
     """
 
     protocol_name = "abstract"
@@ -218,21 +202,18 @@ class PeerNetwork(ABC):
         #: flag exists so the contract suite can pin that the compiled
         #: path is result- and message-count-identical to the naive one
         self.compile_queries = compile_queries
-        #: the four on/off flags (documented on the groups); off is
-        #: pinned bit-identical to the mechanism's absence
+        #: the on/off flags handlers branch on per delivered message
+        #: (documented on the groups); off is pinned bit-identical to
+        #: the mechanism's absence
         self.live_membership = membership.live
         self.result_caching = cache.enabled
         self.informed_routing = routing.informed
-        self.reliable_delivery = reliability.reliable_delivery
-        #: per-peer result caches (the sites that live *on* a peer:
-        #: flooding peers, rendezvous edges).  A departing peer's cache
-        #: dies with its RAM in both membership modes.
-        self._peer_caches: dict[str, QueryResultCache] = {}
-        self._cache_sweep_timer = None
+        self.channel = ReliableChannel(self.kernel, reliability)
+        self.downloads = DownloadManager(self.kernel, reliability, channel=self.channel,
+                                         replicas=self.replicas, announce=self.publish)
+        self.caches = ResultCacheLayer(self.kernel, cache)
         self._maintenance_timer = None
         self._query_sequence = itertools.count(1)
-        #: reliably-sent messages awaiting their ACK, keyed by message id
-        self._pending_acks: dict[str, _PendingAck] = {}
         self._register_handlers(self.kernel)
         #: deterministic fault injection (``faults=None``, the default,
         #: is pinned bit-identical to the perfect-link substrate)
@@ -254,6 +235,15 @@ class PeerNetwork(ABC):
         self.kernel.faults = self.faults
         for peer_id, at_ms in plan.crashes:
             self.simulator.post(max(0.0, at_ms), self._fault_crash, peer_id)
+
+    def _fault_crash(self, peer_id: str) -> None:
+        """A crash-stop failure from the fault plan: the peer goes
+        offline permanently (never rescheduled), exactly like an
+        ungraceful churn departure."""
+        peer = self.peers.get(peer_id)
+        if peer is None or not peer.online:
+            return
+        self.depart(peer_id, graceful=False)
 
     # ------------------------------------------------------------------
     # Membership
@@ -300,7 +290,7 @@ class PeerNetwork(ABC):
                 self.stats.record_uptime(session_ms)
             self._on_peer_removed(peer)
         self.replicas.forget_peer(peer_id)
-        self._peer_caches.pop(peer_id, None)
+        self.caches.drop(peer_id)
         del self.peers[peer_id]
 
     def set_online(self, peer_id: str, online: bool) -> None:
@@ -335,8 +325,8 @@ class PeerNetwork(ABC):
             peer.online = False
             # The departing peer's own result cache lives in its RAM and
             # dies with it (both membership modes; a no-op when caching
-            # is off because the dict stays empty).
-            self._peer_caches.pop(peer.peer_id, None)
+            # is off because the site table stays empty).
+            self.caches.drop(peer.peer_id)
             if self.live_membership:
                 self._on_peer_left_live(peer)
             else:
@@ -548,42 +538,17 @@ class PeerNetwork(ABC):
         if query_id:
             context.extra["query_id"] = query_id
         if self.result_caching:
-            self._ensure_cache_sweep()
+            self.caches.ensure_sweep()
         return context
 
     def start_retrieve(self, requester_id: str, provider_id: str, resource_id: str,
                        *, bandwidth_kbps: float = 512.0) -> RetrieveContext:
-        """Inject a download into the event kernel and return its context.
-
-        The DOWNLOAD-REQUEST is scheduled like any other message; the
-        provider answers at delivery time with a DOWNLOAD-RESPONSE plus
-        one transfer event per attachment, and the object replicates
-        into the requester's repository when the response *arrives*.
-        The context quiesces by reference counting — the shared clock is
-        never mutated, so downloads compose deterministically with any
-        queries in flight.
-        """
+        """Inject a download into the event kernel and return its context
+        (:meth:`repro.network.transfer.DownloadManager.start`)."""
         self._require_peer(requester_id)
         self._require_peer(provider_id)
-        if bandwidth_kbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        context = RetrieveContext(
-            requester_id=requester_id,
-            provider_id=provider_id,
-            resource_id=resource_id,
-            bandwidth_kbps=bandwidth_kbps,
-            started_at=self.simulator.now,
-        )
-        request = download_request(requester_id, provider_id, resource_id)
-        self.send_reliable(request, context=context)
-        if self.reliability_config.download_chunk_bytes is not None:
-            # The stall watchdog holds a pending token so a download
-            # whose chunks stop arriving stays open long enough to
-            # re-request or fail over instead of completing as lost.
-            context.pending += 1
-            context.watchdog_held = True
-            self._arm_download_watchdog(context)
-        return context
+        return self.downloads.start(requester_id, provider_id, resource_id,
+                                    bandwidth_kbps=bandwidth_kbps)
 
     def retrieve(self, requester_id: str, provider_id: str, resource_id: str,
                  *, bandwidth_kbps: float = 512.0) -> RetrieveResult:
@@ -601,59 +566,16 @@ class PeerNetwork(ABC):
         return self.finish_retrieve(context)
 
     def finish_retrieve(self, context: RetrieveContext) -> RetrieveResult:
-        """Turn a completed retrieve context into a result, or raise.
-
-        Raises the failure recorded during the exchange (e.g. the
-        provider had no such object) or :class:`TransferError` when the
-        transfer never completed (provider churned offline mid-request,
-        requester churned before the response arrived, starvation).
-        """
-        self.kernel.sync_context(context)
-        if not context.finalized:
-            context.finalized = True
-            if context.succeeded:
-                self.stats.record_download(context.transfer_bytes, DownloadRecord(
-                    resource_id=context.resource_id,
-                    requester=context.requester_id,
-                    provider=context.provider_id,
-                    bytes=context.transfer_bytes,
-                    latency_ms=context.latency_ms,
-                    attachments=context.attachments_transferred,
-                ))
-        if context.error is not None:
-            raise context.error
-        if context.stored is None:
-            raise TransferError(
-                f"download of {context.resource_id!r} from {context.provider_id!r} "
-                f"did not complete (dropped in flight)"
-            )
-        return RetrieveResult(
-            stored=context.stored,
-            provider_id=context.provider_id,
-            transfer_bytes=context.transfer_bytes,
-            latency_ms=context.latency_ms,
-            attachments_transferred=context.attachments_transferred,
-        )
+        """Turn a completed retrieve context into a result, or raise the
+        failure recorded during the exchange."""
+        return self.downloads.finish(context)
 
     def locate_provider(self, resource_id: str, *,
                         exclude: Union[str, Iterable[str], None] = None) -> Optional[str]:
-        """An online peer currently holding ``resource_id``, or ``None``.
-
-        Deterministic: originals are preferred over replicas, ties
-        break by peer id.  Used by the mixed-workload driver to resolve
-        a download target at submission time, and by download failover
-        to pick the next-ranked replica — ``exclude`` takes a single
-        peer id or a collection (the requester plus every provider that
-        already crashed or stalled out of the transfer).
-        """
-        excluded = frozenset((exclude,)) if isinstance(exclude, str) \
-            else frozenset(exclude or ())
-        for holder in self.replicas.holders(resource_id, exclude=excluded):
-            peer = self.peers.get(holder)
-            if peer is not None and peer.online \
-                    and peer.repository.documents.contains(resource_id):
-                return holder
-        return None
+        """An online peer currently holding ``resource_id``, or ``None``
+        (deterministic: originals before replicas, ties by peer id;
+        ``exclude`` takes one peer id or a collection)."""
+        return self.downloads.locate_provider(resource_id, exclude=exclude)
 
     def replication_degree(self, resource_id: str, *, online_only: bool = False) -> int:
         """How many peers hold a copy of ``resource_id``."""
@@ -666,133 +588,67 @@ class PeerNetwork(ABC):
         )
 
     # ------------------------------------------------------------------
-    # Query-result caching (the ``result_caching`` knob)
+    # Helpers shared by the adapters
     # ------------------------------------------------------------------
-    def _peer_cache(self, peer_id: str, *, create: bool = True) -> Optional[QueryResultCache]:
-        """The result cache living on ``peer_id`` (flooding peers and
-        rendezvous edges cache on the peer itself)."""
-        cache = self._peer_caches.get(peer_id)
-        if cache is None and create:
-            peer = self.peers.get(peer_id)
-            if peer is None or not peer.online:
-                return None
-            cache = QueryResultCache(capacity=self.cache_config.capacity,
-                                     ttl_ms=self.cache_config.ttl_ms)
-            self._peer_caches[peer_id] = cache
-        return cache
+    def _answer_locally(self, origin: Peer, context: QueryContext) -> None:
+        """Open a search at its origin: render and measure the wire form
+        once (every hop's QUERY shares the payload string and its byte
+        count), then answer from the origin's own index — no messages."""
+        query = context.query
+        context.extra["query_xml"], context.extra["query_bytes"] = \
+            self.wire_form(query, context.plan)
+        for stored in origin.repository.search(query, plan=context.plan)[:context.max_results]:
+            context.add_result(SearchResult.from_stored(origin.peer_id, stored, hops=0))
 
-    def _context_cache_key(self, context: QueryContext) -> tuple:
-        """The context's canonical cache key, computed once per search.
+    def _send_hit(self, sender_id: str, context: QueryContext, results,
+                  metadata_bytes: int, *, message_id: str, hops: int = 0) -> None:
+        """Ship ``results`` to the origin as one QUERY-HIT.
 
-        Keys include ``max_results`` because cached entries hold the
-        truncated result set as answered for that room.  With query
-        compilation off the plan is compiled here for keying only —
-        evaluation still follows the naive path.
+        Results ride the hit and count only on arrival at the origin;
+        the room they will occupy is claimed here, so concurrent
+        answerers never promise more than ``max_results`` between them.
+        A hit that travels ``hops`` hops back along the reverse path
+        costs one message per hop (at least one) and arrives after the
+        same latency the query spent getting to the sender.
         """
-        key = context.extra.get("cache_key")
-        if key is None:
-            plan = context.plan if context.plan is not None else compile_query(context.query)
-            # "cache_scope" carries whatever else bounds the search's
-            # coverage (gnutella's flood TTL): a shallow search's sparse
-            # result set must never answer a deeper repeat.
-            key = (plan.cache_key, context.max_results, context.extra.get("cache_scope"))
-            context.extra["cache_key"] = key
-        return key
-
-    def _promised_results(self, context: QueryContext) -> set[tuple[str, str]]:
-        """The ``(provider, resource)`` identities already promised to
-        this query — arrived, claimed in flight, or held locally by the
-        origin (the lazy seed).  Every caching-mode generation site
-        filters against this set and registers what it claims, so no
-        identity is ever promised twice."""
-        seen = context.extra.get("seen_results")
-        if seen is None:
-            seen = {(result.provider_id, result.resource_id)
-                    for result in context.results}
-            context.extra["seen_results"] = seen
-        return seen
-
-    def _count_offline_providers(self, results) -> int:
-        """How many of ``results`` name a currently-unreachable provider
-        (the stale answers a cached serving can contain)."""
-        peers = self.peers
-        return sum(
-            1 for result in results
-            if (peer := peers.get(result.provider_id)) is None or not peer.online
-        )
-
-    def _serve_cached_locally(self, context: QueryContext, entry: CacheEntry) -> None:
-        """Answer the search from a cache co-located with the origin:
-        results append directly, no message is sent, and the query
-        quiesces with zero latency — the cache's entire point."""
-        seen = self._promised_results(context)
-        served = []
-        for result in entry.results:
-            if len(context.results) >= context.max_results:
-                break
-            identity = (result.provider_id, result.resource_id)
-            if identity in seen:
-                continue
-            seen.add(identity)
-            context.add_result(result)
-            served.append(result)
-        self.kernel.note_result_claims(
-            context, tuple((result.provider_id, result.resource_id)
-                           for result in served))
-        context.extra["cache_hit"] = True
-        self.stats.record_cache_hit(stale_results=self._count_offline_providers(served))
-
-    def _send_cached_hit(self, sender_id: str, context: QueryContext, cached: CacheEntry,
-                         *, message_id: str, copies: int = 1,
-                         reply_when_empty: bool = False) -> None:
-        """Serve a cached result set as one QUERY-HIT back to the origin.
-
-        The shared serving path of every remote cache site (the index
-        server, a flooding path peer, an entry super-peer): slice to
-        the context's room, account the hit (counting results whose
-        provider has since departed as stale), claim the room and send
-        the hit with the elapsed forward-path latency.  An empty served
-        set sends nothing unless ``reply_when_empty`` — the centralized
-        server always answers, a flood peer stays silent.
-
-        Cached results already promised to the origin — its own local
-        answers, an earlier serving, a direct hit claimed in flight —
-        are filtered *before* the room is claimed, and the served ones
-        are registered in turn: claiming room for a result that never
-        lands (or lands twice) would starve other answerers below
-        ``max_results``."""
-        seen = self._promised_results(context)
-        fresh = [result for result in cached.results
-                 if (result.provider_id, result.resource_id) not in seen]
-        served = fresh[: context.room()]
-        self.stats.record_cache_hit(stale_results=self._count_offline_providers(served))
-        context.extra["remote_cache_served"] = True
-        if not served and not reply_when_empty:
-            return
-        seen.update((result.provider_id, result.resource_id) for result in served)
-        self.kernel.note_result_claims(
-            context, tuple((result.provider_id, result.resource_id)
-                           for result in served))
-        context.claim(len(served))
-        metadata_bytes = (cached.metadata_bytes if len(served) == len(cached.results)
-                          else sum(result.metadata_bytes() for result in served))
-        hit = query_hit_message(sender_id, context.origin_id, result_count=len(served),
+        context.claim(len(results))
+        hit = query_hit_message(sender_id, context.origin_id, result_count=len(results),
                                 metadata_bytes=metadata_bytes, message_id=message_id)
-        hit.carried_results = tuple(served)
-        self.kernel.send(hit, context=context, copies=copies,
+        hit.carried_results = tuple(results)
+        self.kernel.send(hit, context=context, copies=max(1, hops),
                          latency_ms=self.simulator.now - context.started_at)
 
-    def _store_response_at(self, cache: Optional[QueryResultCache], context: QueryContext,
-                           response: SearchResponse, *,
-                           lease_ms: Optional[float] = None) -> None:
-        """Fill ``cache`` with a finished response (the shared body of
-        the per-protocol ``_cache_store`` hooks)."""
-        if cache is None:
-            return
-        results = tuple(response.results)
-        metadata_bytes = sum(result.metadata_bytes() for result in results)
-        cache.put(self._context_cache_key(context), results, metadata_bytes,
-                  self.simulator.now, lease_ms=lease_ms)
+    def _upload(self, peer_id: str, hub_id: str, community_id: str, resource_id: str,
+                metadata: dict[str, list[str]], title: str, *,
+                renew: bool = False) -> None:
+        """Reliably ship one object's searchable metadata to the index
+        point ``hub_id`` (a REGISTER, or an AD-RENEW when ``renew``).
+
+        The record lands when the message *arrives* — the recipient's
+        handler inserts it — and a lost upload makes the object
+        invisible, which is why this traffic is retried under faults.
+        """
+        build = ad_renew_message if renew else register_message
+        self.channel.send(build(
+            peer_id, hub_id, community_id=community_id, resource_id=resource_id,
+            metadata_bytes=metadata_wire_bytes(metadata),
+            payload_object=(dict(metadata), title)))
+
+    def _upload_all(self, peer: Peer, hub_id: str, *, renew: bool = False) -> None:
+        """Re-upload everything ``peer`` shares (a join, a re-attachment
+        or a lease renewal pays the full upload)."""
+        for stored in peer.repository.documents:
+            self._upload(peer.peer_id, hub_id, stored.community_id, stored.resource_id,
+                         stored.metadata, stored.title, renew=renew)
+
+    def _account_registration(self, peer_id: str, hub_id: str, community_id: str,
+                              resource_id: str, metadata_bytes: int) -> None:
+        """Off mode a registration mutates the index point instantly and
+        for free, but still counts as one REGISTER on the wire."""
+        self.stats.record_message(register_message(
+            peer_id, hub_id, community_id=community_id, resource_id=resource_id,
+            metadata_bytes=metadata_bytes))
+        self.stats.record_registration()
 
     def _cache_store(self, context: QueryContext, response: SearchResponse) -> None:
         """Subclass hook: store a finished response at this protocol's
@@ -816,456 +672,6 @@ class PeerNetwork(ABC):
         always safe.  The base class has no shard-plane cache sites."""
         return False
 
-    def _iter_caches(self):
-        """Every live cache site (subclasses add non-peer sites)."""
-        yield from self._peer_caches.values()
-
-    def _ensure_cache_sweep(self) -> None:
-        # Expired entries are also rejected lazily at lookup; the
-        # recurring sweep (one TTL period) just bounds memory and keeps
-        # the expiration counters honest.
-        if self._cache_sweep_timer is None or self._cache_sweep_timer.cancelled:
-            # detlint: ignore[KERN001] -- sweeps every cache site in one pass
-            # (peer caches plus subclass sites), so it is control-plane work
-            # with no single home shard.
-            self._cache_sweep_timer = self.kernel.every(
-                self.cache_config.ttl_ms, self._cache_sweep)
-
-    def _cache_sweep(self) -> None:
-        now = self.simulator.now
-        for cache in self._iter_caches():
-            cache.sweep(now)
-
-    # ------------------------------------------------------------------
-    # Reliable delivery (ACK + capped exponential backoff + timeout)
-    # ------------------------------------------------------------------
-    def send_reliable(self, message: Message, *,
-                      context: Optional[ExchangeContext] = None) -> None:
-        """Send ``message``, retransmitting until acknowledged.
-
-        With ``reliable_delivery`` off this is a plain ``kernel.send``
-        (the pinned default).  On, the message is marked for
-        acknowledgement, parked in the pending-ACK table and
-        retransmitted on a capped exponential backoff until its ACK
-        arrives or ``retry_max_attempts`` sends are exhausted.  Only
-        traffic that semantically needs delivery goes through here —
-        REGISTER / JOIN / AD-RENEW / LEAF-ATTACH and DOWNLOAD-REQUEST;
-        floods and heartbeats stay best-effort by design.
-        """
-        if not self.reliable_delivery:
-            self.kernel.send(message, context=context)
-            return
-        message.ack_to = message.sender
-        entry = _PendingAck(message=message, context=context)
-        self._pending_acks[message.message_id] = entry
-        if context is not None:
-            # The envelope holds a pending token: a dropped request's
-            # arrival-time bookkeeping must not complete the exchange
-            # while a retransmission may still extend it.
-            context.pending += 1
-        self.kernel.send(message, context=context)
-        self._arm_retry(entry)
-
-    def _retry_timeout_for(self, attempt: int) -> float:
-        """Capped exponential backoff: 1x, 2x, 4x, ... up to 8x."""
-        return self.reliability_config.retry_timeout_ms * min(2.0 ** attempt, 8.0)
-
-    def _arm_retry(self, entry: _PendingAck) -> None:
-        # post_keyed declares the retry timer's shard affinity (the
-        # sender's home shard) and enqueues directly there, bypassing
-        # the cross-shard outbox — so a short timeout never violates
-        # the sharded kernel's conservative lookahead window.
-        self.simulator.post_keyed(
-            entry.message.sender, self._retry_timeout_for(entry.attempt),
-            self._check_reliable, entry.message.message_id, entry.attempt)
-
-    def _check_reliable(self, message_id: str, attempt: int) -> None:
-        """One retry timer firing: retransmit, give up, or stand down."""
-        entry = self._pending_acks.get(message_id)
-        if entry is None or entry.attempt != attempt:
-            return  # acked meanwhile, or a newer attempt armed its own timer
-        sender = entry.message.sender
-        peer = self.peers.get(sender)
-        if (peer is None or not peer.online) and sender not in self.kernel.virtual_nodes:
-            # The sender crashed or churned offline: nobody is left to
-            # retransmit.  Settle quietly — this is the sender's death,
-            # not a delivery timeout.
-            self._settle_reliable(message_id, entry)
-            return
-        if entry.attempt + 1 >= self.reliability_config.retry_max_attempts:
-            self.stats.record_timeout()
-            self._settle_reliable(message_id, entry)
-            return
-        entry.attempt += 1
-        self.stats.record_retry()
-        self.kernel.send(entry.message, context=entry.context)
-        self._arm_retry(entry)
-
-    def _settle_reliable(self, message_id: str, entry: _PendingAck) -> None:
-        del self._pending_acks[message_id]
-        if entry.context is not None:
-            self.kernel.release(entry.context)
-
-    def _on_ack(self, peer: Optional[Peer], message: Message, context) -> None:
-        """The sender's ACK arrival: resolve the pending envelope.
-
-        Idempotent under duplication — a retransmitted original
-        produces multiple ACKs carrying the same message id, and every
-        one after the first finds the table entry already gone.
-        """
-        entry = self._pending_acks.pop(message.message_id, None)
-        if entry is None:
-            return
-        if entry.context is not None:
-            self.kernel.release(entry.context)
-
-    def _fault_crash(self, peer_id: str) -> None:
-        """A crash-stop failure from the fault plan: the peer goes
-        offline permanently (never rescheduled), exactly like an
-        ungraceful churn departure."""
-        peer = self.peers.get(peer_id)
-        if peer is None or not peer.online:
-            return
-        self.depart(peer_id, graceful=False)
-
-    # ------------------------------------------------------------------
-    # Chunked downloads: stall detection and replica failover
-    # ------------------------------------------------------------------
-    def _chunk_sizes(self, payload_bytes: int) -> tuple:
-        chunk_bytes = self.reliability_config.download_chunk_bytes
-        assert chunk_bytes is not None
-        total = max(1, math.ceil(payload_bytes / chunk_bytes))
-        return tuple([chunk_bytes] * (total - 1)
-                     + [payload_bytes - chunk_bytes * (total - 1)])
-
-    def _begin_chunked_serve(self, peer: Peer, stored: StoredObject,
-                             context: RetrieveContext) -> None:
-        """The provider streams the whole object as paced chunk emissions.
-
-        Unlike the legacy single-response path — which schedules every
-        delivery up front, so a provider crash mid-transfer changes
-        nothing — each chunk is emitted by its own event that checks
-        the provider is still online.  A crash-stop between chunks
-        therefore strands the rest of the stream, which is exactly what
-        the requester's stall watchdog exists to notice.
-
-        Attachments stream *first* (each one chunked like the document)
-        and the document chunks come last: the assembled object rides
-        the very final chunk, so ``context.stored`` is only set once
-        everything arrived and a stall at *any* point is recoverable by
-        the watchdog's full restart against a surviving replica.
-        """
-        sizes = self._chunk_sizes(len(stored.to_xml_text().encode("utf-8")))
-        uris = tuple(uri for uri in stored.metadata.get("__attachments__", [])
-                     if peer.repository.attachments.has(uri))
-        if uris:
-            self._emit_attachment(peer.peer_id, stored, uris, sizes, 0, 0,
-                                  context, False)
-        else:
-            self._emit_chunk(peer.peer_id, stored, sizes, 0, context, False)
-
-    def _stream_live(self, provider_id: str, context: RetrieveContext) -> bool:
-        """Is this emission chain still the download's active stream?"""
-        peer = self.peers.get(provider_id)
-        if peer is None or not peer.online:
-            return False  # crash-stop mid-transfer: the rest never leaves
-        if context.done or context.stored is not None \
-                or context.provider_id != provider_id:
-            return False  # completed meanwhile, or the requester failed over
-        return True
-
-    def _emit_chunk(self, provider_id: str, stored: StoredObject,
-                    sizes: tuple, index: int, context: RetrieveContext,
-                    holds_token: bool) -> None:
-        """Emit document chunk ``index`` and schedule the next emission.
-
-        Scheduled emissions hold a pending token on the context so the
-        exchange cannot complete between two chunks; the token is
-        released here whatever path the emission takes.
-        """
-        try:
-            if not self._stream_live(provider_id, context):
-                return
-            size = sizes[index]
-            total = len(sizes)
-            latency = self.simulator.transfer_time(
-                provider_id, context.requester_id, size,
-                bandwidth_kbps=context.bandwidth_kbps)
-            chunk = download_chunk(provider_id, context.requester_id,
-                                   context.resource_id, index=index, total=total,
-                                   size_bytes=size,
-                                   payload_object=stored if index == total - 1 else None)
-            self.kernel.send(chunk, context=context, latency_ms=latency)
-            if index + 1 < total:
-                transmission = latency - self.simulator.link_latency(
-                    provider_id, context.requester_id)
-                context.pending += 1
-                self.simulator.post_keyed(provider_id, transmission, self._emit_chunk,
-                                          provider_id, stored, sizes, index + 1,
-                                          context, True)
-        finally:
-            if holds_token:
-                self.kernel.release(context)
-
-    def _emit_attachment(self, provider_id: str, stored: StoredObject,
-                         uris: tuple, doc_sizes: tuple, uri_index: int,
-                         chunk_index: int, context: RetrieveContext,
-                         holds_token: bool) -> None:
-        """Emit one chunk of one attachment, paced like the doc stream.
-
-        After the last chunk of the last attachment the chain hands
-        over to :meth:`_emit_chunk` for the document itself.
-        """
-        try:
-            if not self._stream_live(provider_id, context):
-                return
-            peer = self.peers[provider_id]
-            uri = uris[uri_index]
-            transmission = 0.0
-            last_of_attachment = True
-            if peer.repository.attachments.has(uri):
-                attachment = peer.repository.attachments.serve(uri)
-                sizes = self._chunk_sizes(attachment.size_bytes)
-                size = sizes[chunk_index]
-                last_of_attachment = chunk_index + 1 >= len(sizes)
-                latency = self.simulator.transfer_time(
-                    provider_id, context.requester_id, size,
-                    bandwidth_kbps=context.bandwidth_kbps)
-                transfer = attachment_transfer(
-                    provider_id, context.requester_id, context.resource_id,
-                    uri=uri, size_bytes=size,
-                    payload_object=attachment if last_of_attachment else None,
-                    chunk_index=chunk_index, chunk_total=len(sizes))
-                self.kernel.send(transfer, context=context, latency_ms=latency)
-                transmission = latency - self.simulator.link_latency(
-                    provider_id, context.requester_id)
-            context.pending += 1
-            if not last_of_attachment:
-                self.simulator.post_keyed(provider_id, transmission,
-                                          self._emit_attachment, provider_id,
-                                          stored, uris, doc_sizes, uri_index,
-                                          chunk_index + 1, context, True)
-            elif uri_index + 1 < len(uris):
-                self.simulator.post_keyed(provider_id, transmission,
-                                          self._emit_attachment, provider_id,
-                                          stored, uris, doc_sizes, uri_index + 1,
-                                          0, context, True)
-            else:
-                self.simulator.post_keyed(provider_id, transmission,
-                                          self._emit_chunk, provider_id, stored,
-                                          doc_sizes, 0, context, True)
-        finally:
-            if holds_token:
-                self.kernel.release(context)
-
-    def _download_progress(self, context: RetrieveContext) -> tuple:
-        """The watchdog's progress mark: any arrival moves it.
-
-        Bytes (not chunk ordinals) are the primary signal so progress
-        during the attachment phase — when ``chunks_received`` is still
-        empty — keeps the watchdog quiet.
-        """
-        return (context.transfer_bytes, len(context.chunks_received),
-                context.provider_id, context.provider_attempts)
-
-    def _arm_download_watchdog(self, context: RetrieveContext) -> None:
-        # Keyed to the requester: the watchdog is the requester's own
-        # timer, so it runs on the requester's home shard and stays
-        # lookahead-safe at any timeout value.
-        self.simulator.post_keyed(
-            context.requester_id, self.reliability_config.download_stall_timeout_ms,
-            self._check_download, context, self._download_progress(context))
-
-    def _check_download(self, context: RetrieveContext, progress_then: tuple) -> None:
-        """One watchdog firing: re-arm on progress, recover on stall."""
-        if context.done or context.stored is not None or not context.watchdog_held:
-            return
-        requester = self.peers.get(context.requester_id)
-        if requester is None or not requester.online:
-            # Nobody is left to collect the download.
-            self._release_watchdog(context)
-            return
-        if self._download_progress(context) != progress_then:
-            self._arm_download_watchdog(context)
-            return
-        self._recover_download(context)
-
-    def _recover_download(self, context: RetrieveContext) -> None:
-        """A stalled transfer: re-request the provider, then fail over.
-
-        A provider that is still online gets ``retry_max_attempts``
-        requests in total (the stall may have been a lost request or a
-        lost chunk).  A dead or exhausted provider is struck off and
-        the download restarts against the next-ranked replica from the
-        registry — deterministically, so a mid-transfer crash degrades
-        to a slower download instead of a lost one.  With no replica
-        left the watchdog stands down and the exchange completes as a
-        failed transfer.
-        """
-        provider = self.peers.get(context.provider_id)
-        if provider is not None and provider.online \
-                and context.provider_attempts + 1 < self.reliability_config.retry_max_attempts:
-            context.provider_attempts += 1
-            self.stats.record_retry()
-        else:
-            context.failed_providers.append(context.provider_id)
-            next_provider = self.locate_provider(
-                context.resource_id,
-                exclude=[context.requester_id, *context.failed_providers])
-            if next_provider is None:
-                self.stats.record_timeout()
-                self._release_watchdog(context)
-                return
-            self.stats.record_failover()
-            context.provider_id = next_provider
-            context.provider_attempts = 0
-        # Restart the stream: stale partial state is discarded
-        # (transfer_bytes keeps accumulating — the wasted wire bytes
-        # are an honest cost of the recovery).
-        context.error = None
-        context.chunks_received.clear()
-        context.extra.pop("chunk_payload", None)
-        request = download_request(context.requester_id, context.provider_id,
-                                   context.resource_id)
-        self.send_reliable(request, context=context)
-        self._arm_download_watchdog(context)
-
-    def _release_watchdog(self, context: RetrieveContext) -> None:
-        if context.watchdog_held:
-            context.watchdog_held = False
-            self.kernel.release(context)
-
-    # ------------------------------------------------------------------
-    # Download message handlers (shared by every protocol)
-    # ------------------------------------------------------------------
-    def _on_download_request(self, peer: Optional[Peer], message: Message,
-                             context) -> None:
-        """The provider serves the object: a response event for the
-        document plus one transfer event per attachment, each arriving
-        after its cumulative transmission time."""
-        if peer is None or not isinstance(context, RetrieveContext):
-            return
-        if peer.peer_id != context.provider_id:
-            return  # a late retransmission reached a struck-off provider
-        try:
-            stored = peer.repository.retrieve(message.resource_id)
-        except ObjectNotFoundError as error:
-            context.error = error
-            return
-        if self.reliability_config.download_chunk_bytes is not None:
-            if context.extra.get("serving") == (peer.peer_id, context.provider_attempts):
-                return  # a duplicated request: this stream is already running
-            context.extra["serving"] = (peer.peer_id, context.provider_attempts)
-            self._begin_chunked_serve(peer, stored, context)
-            return
-        payload = len(stored.to_xml_text().encode("utf-8"))
-        latency = self.simulator.transfer_time(peer.peer_id, context.requester_id, payload,
-                                               bandwidth_kbps=context.bandwidth_kbps)
-        response = download_response(peer.peer_id, context.requester_id, message.resource_id,
-                                     payload_bytes=payload, message_id=message.message_id,
-                                     payload_object=stored)
-        self.kernel.send(response, context=context, latency_ms=latency)
-        for uri in stored.metadata.get("__attachments__", []):
-            if not peer.repository.attachments.has(uri):
-                continue
-            attachment = peer.repository.attachments.serve(uri)
-            latency += self.simulator.transfer_time(peer.peer_id, context.requester_id,
-                                                    attachment.size_bytes,
-                                                    bandwidth_kbps=context.bandwidth_kbps)
-            transfer = attachment_transfer(peer.peer_id, context.requester_id,
-                                           message.resource_id, uri=uri,
-                                           size_bytes=attachment.size_bytes,
-                                           payload_object=attachment)
-            self.kernel.send(transfer, context=context, latency_ms=latency)
-
-    def _on_download_response(self, peer: Optional[Peer], message: Message,
-                              context) -> None:
-        """The requester receives the document (replicating it and
-        re-announcing through this protocol's own publish path) or one
-        attachment.  A requester that churned offline never gets here —
-        the kernel dropped the delivery."""
-        if peer is None or not isinstance(context, RetrieveContext):
-            return
-        if message.attachment_uri:
-            if message.chunk_total:
-                # A chunk of a streamed attachment: partial chunks only
-                # count bytes; the attachment itself rides the final
-                # chunk of its stream.
-                context.transfer_bytes += message.payload_bytes
-                attachment = message.payload_object
-                if attachment is None:
-                    return
-                seen = context.extra.setdefault("attachments_seen", set())
-                if message.attachment_uri in seen:
-                    return  # a duplicate, or a failover re-serving it
-                seen.add(message.attachment_uri)
-                peer.repository.attachments.receive(attachment)
-                context.attachments_transferred += 1
-                return
-            attachment = message.payload_object
-            if attachment is None:
-                return
-            if self.faults is not None:
-                # Duplicate-tolerance under injected faults: each
-                # attachment counts once per download.  (Gated so the
-                # pinned faults=None byte accounting stays untouched.)
-                seen = context.extra.setdefault("attachments_seen", set())
-                if message.attachment_uri in seen:
-                    return
-                seen.add(message.attachment_uri)
-            peer.repository.attachments.receive(attachment)
-            context.attachments_transferred += 1
-            context.transfer_bytes += attachment.size_bytes
-            return
-        if message.chunk_total:
-            self._on_chunk_arrival(peer, message, context)
-            return
-        stored = message.payload_object
-        if stored is None:
-            return
-        if context.stored is not None:
-            return  # a duplicated response: the document already arrived
-        context.transfer_bytes += message.payload_bytes
-        self._complete_document(peer, context, stored)
-
-    def _on_chunk_arrival(self, peer: Peer, message: Message,
-                          context: RetrieveContext) -> None:
-        """One chunk of a chunked download reached the requester."""
-        if context.stored is not None:
-            return  # the document already completed (a straggler chunk)
-        context.transfer_bytes += message.payload_bytes
-        if message.chunk_index in context.chunks_received:
-            return  # a duplicated delivery: bytes burned, no progress
-        context.chunks_received.add(message.chunk_index)
-        context.chunk_total = message.chunk_total
-        if message.payload_object is not None:
-            # The assembled object rides the final chunk; stash it in
-            # case faults deliver chunks out of order.
-            context.extra["chunk_payload"] = message.payload_object
-        if len(context.chunks_received) >= message.chunk_total:
-            stored = context.extra.pop("chunk_payload", None)
-            if stored is None:
-                return  # payload chunk lost; the watchdog will re-request
-            self._complete_document(peer, context, stored)
-
-    def _complete_document(self, peer: Peer, context: RetrieveContext,
-                           stored: StoredObject) -> None:
-        """The document arrived in full: replicate and re-announce it."""
-        context.stored = stored
-        replica = peer.repository.publish(
-            stored.community_id, stored.document, dict(stored.metadata), title=stored.title
-        )
-        self.replicas.note_replica(replica.resource_id, peer.peer_id,
-                                   at_ms=self.simulator.now)
-        context.replicated = True
-        # The new replica is announced so later searches can find it here.
-        self.publish(peer.peer_id, stored.community_id, replica.resource_id,
-                     dict(stored.metadata), title=stored.title)
-        self._release_watchdog(context)
-        # Parallel workers replicate this completion to the rest of the
-        # fleet at the next barrier (no-op in serial execution).
-        self.kernel.note_document_completed(peer, context, stored)
-
     def _on_query_hit(self, peer: Optional[Peer], message: Message,
                       context) -> None:
         """Results ride the QUERY-HIT and count only on arrival at an
@@ -1277,7 +683,7 @@ class PeerNetwork(ABC):
         # With caching on, duplicates cannot arrive: every generation
         # site — a cached serving or a direct answerer — filters and
         # registers against the query's promised-identities set at
-        # claim time (see ``_promised_results``), so each
+        # claim time (see ``ResultCacheLayer.promised``), so each
         # (provider, resource) is claimed and sent at most once.
         results = message.carried_results
         if self.faults is not None:
@@ -1299,11 +705,9 @@ class PeerNetwork(ABC):
     # Hooks for subclasses
     # ------------------------------------------------------------------
     def _register_handlers(self, kernel: EventKernel) -> None:
-        """Register the shared handlers; subclasses extend via super()."""
-        kernel.register(MessageType.DOWNLOAD_REQUEST, self._on_download_request)
-        kernel.register(MessageType.DOWNLOAD_RESPONSE, self._on_download_response)
+        """Register the shared handlers (each collaborator registers its
+        own); subclasses extend via super()."""
         kernel.register(MessageType.QUERY_HIT, self._on_query_hit)
-        kernel.register(MessageType.ACK, self._on_ack)
 
     def _on_peer_added(self, peer: Peer) -> None:
         """Subclass hook: wire a new peer into the overlay."""
@@ -1338,11 +742,6 @@ class PeerNetwork(ABC):
 
     def _stamp_freshness(self, now: float) -> None:
         """Subclass hook: initialize heartbeat/lease stamps at go-live."""
-
-    # ------------------------------------------------------------------
-    def _account(self, message: Message) -> None:
-        """Record one message in the statistics."""
-        self.stats.record_message(message)
 
     def describe(self) -> str:
         online = len(self.online_peers())

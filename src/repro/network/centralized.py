@@ -29,13 +29,10 @@ from repro.network.messages import (
     leave_message,
     metadata_wire_bytes,
     ping_message,
-    query_hit_message,
     query_message,
-    register_message,
     unregister_message,
 )
 from repro.network.peers import Peer
-from repro.storage.cache import QueryResultCache
 from repro.storage.index import AttributeIndex
 from repro.storage.interning import intern_view
 from repro.storage.query import Query
@@ -74,54 +71,33 @@ class CentralizedProtocol(PeerNetwork):
         #: time its last heartbeat (JOIN / PING / REGISTER) arrived.
         #: Only meaningful in live-membership mode.
         self._server_heartbeats: dict[str, float] = {}
-        #: the server-side result cache (``result_caching`` mode): the
-        #: one place every query of this organisation passes through
-        self._server_cache: Optional[QueryResultCache] = None
 
     # ------------------------------------------------------------------
     def publish(self, peer_id: str, community_id: str, resource_id: str,
                 metadata: dict[str, list[str]], *, title: str = "") -> None:
         peer = self._require_peer(peer_id)
-        metadata_bytes = metadata_wire_bytes(metadata)
         self.replicas.note_original(resource_id, peer_id, at_ms=self.simulator.now)
         if self.live_membership:
             # The registration is real traffic: the catalog learns of
             # the object when the REGISTER *arrives* at the server.
-            # Reliable: a lost registration makes the object invisible
-            # until the peer next rejoins.
-            self.send_reliable(register_message(
-                peer_id, INDEX_SERVER_ID, community_id=community_id,
-                resource_id=resource_id, metadata_bytes=metadata_bytes,
-                payload_object=(dict(metadata), title)))
+            self._upload(peer_id, INDEX_SERVER_ID, community_id, resource_id,
+                         metadata, title)
             return
-        message = register_message(peer_id, INDEX_SERVER_ID, community_id=community_id,
-                                   resource_id=resource_id, metadata_bytes=metadata_bytes)
-        self._account(message)
-        self.stats.record_registration()
+        metadata_bytes = metadata_wire_bytes(metadata)
+        self._account_registration(peer_id, INDEX_SERVER_ID, community_id, resource_id,
+                                   metadata_bytes)
         self._insert_catalog_entry(peer.peer_id, community_id, resource_id,
                                    metadata, title, metadata_bytes)
-
-    def _server_result_cache(self) -> Optional[QueryResultCache]:
-        if not self.result_caching:
-            return None
-        if self._server_cache is None:
-            self._server_cache = QueryResultCache(capacity=self.cache_config.capacity,
-                                                  ttl_ms=self.cache_config.ttl_ms)
-        return self._server_cache
-
-    def _iter_caches(self):
-        yield from super()._iter_caches()
-        if self._server_cache is not None:
-            yield self._server_cache
 
     def _insert_catalog_entry(self, provider_id: str, community_id: str,
                               resource_id: str, metadata: dict[str, list[str]],
                               title: str, metadata_bytes: int) -> None:
-        if self._server_cache is not None:
+        cache = self.caches.sites.get(INDEX_SERVER_ID)
+        if cache is not None:
             # A publish (or replica announcement) arriving at the server
             # is the invalidation traffic: the catalog version moves and
             # every cached answer filled before it goes stale.
-            self._server_cache.bump_version()
+            cache.bump_version()
         entry = self._catalog.get(resource_id)
         if entry is None:
             entry = _CatalogEntry(
@@ -139,11 +115,12 @@ class CentralizedProtocol(PeerNetwork):
         entry = self._catalog.get(resource_id)
         if entry is None:
             return
-        if self._server_cache is not None and peer_id in entry.providers:
+        cache = self.caches.sites.get(INDEX_SERVER_ID)
+        if cache is not None and peer_id in entry.providers:
             # The server learned this provider is gone (UNREGISTER, a
             # permanent removal, or its heartbeat lease lapsing): cached
             # answers naming it die the same moment the catalog's do.
-            self._server_cache.invalidate_provider(peer_id)
+            cache.invalidate_provider(peer_id)
         entry.providers.discard(peer_id)
         if not entry.providers:
             self._index.remove(resource_id)
@@ -185,21 +162,20 @@ class CentralizedProtocol(PeerNetwork):
         arrives at a still-online origin."""
         if context is None or message.recipient != INDEX_SERVER_ID:
             return
-        now = self.simulator.now
-        cache = self._server_result_cache()
-        if cache is not None:
-            key = self._context_cache_key(context)
-            cached = cache.get(key, now)
+        if self.result_caching:
+            # The server's cache is the one place every query of this
+            # organisation passes through.
+            cached = self.caches.lookup(INDEX_SERVER_ID, context, create=True)
             if cached is not None:
                 # Served straight from the result cache: same two-message
-                # round trip, but no catalog/index evaluation — and the
+                # round trip (the server always answers, even with
+                # nothing), but no catalog/index evaluation — and the
                 # entry may name providers that departed since the fill
                 # (stale within the TTL / invalidation bounds).
-                self._send_cached_hit(INDEX_SERVER_ID, context, cached,
-                                      message_id=message.message_id,
-                                      reply_when_empty=True)
+                served, served_bytes = self.caches.take(context, cached)
+                self._send_hit(INDEX_SERVER_ID, context, served, served_bytes,
+                               message_id=message.message_id)
                 return
-            self.stats.record_cache_miss()
         metadata_bytes = 0
         results: list[SearchResult] = []
         room = context.room()
@@ -223,14 +199,11 @@ class CentralizedProtocol(PeerNetwork):
                     break
             if len(results) >= room:
                 break
-        if cache is not None:
-            cache.put(key, tuple(results), metadata_bytes, now)
-        context.claim(len(results))
-        hit = query_hit_message(INDEX_SERVER_ID, context.origin_id, result_count=len(results),
-                                metadata_bytes=metadata_bytes, message_id=message.message_id)
-        hit.carried_results = tuple(results)
-        self.kernel.send(hit, context=context,
-                         latency_ms=self.simulator.now - context.started_at)
+        if self.result_caching:
+            self.caches.store(INDEX_SERVER_ID, context, results,
+                              metadata_bytes=metadata_bytes)
+        self._send_hit(INDEX_SERVER_ID, context, results, metadata_bytes,
+                       message_id=message.message_id)
 
     # ------------------------------------------------------------------
     def _matching_ids(self, context: QueryContext) -> set[str]:
@@ -297,14 +270,8 @@ class CentralizedProtocol(PeerNetwork):
         """
         # JOIN and the re-uploads are the traffic this peer's whole
         # visibility rides on — reliable delivery retries them.
-        self.send_reliable(join_message(peer.peer_id, INDEX_SERVER_ID))
-        for stored in peer.repository.documents:
-            metadata = stored.metadata
-            metadata_bytes = metadata_wire_bytes(metadata)
-            self.send_reliable(register_message(
-                peer.peer_id, INDEX_SERVER_ID, community_id=stored.community_id,
-                resource_id=stored.resource_id, metadata_bytes=metadata_bytes,
-                payload_object=(dict(metadata), stored.title)))
+        self.channel.send(join_message(peer.peer_id, INDEX_SERVER_ID))
+        self._upload_all(peer, INDEX_SERVER_ID)
 
     def _announce_departure_live(self, peer: Peer) -> None:
         for stored in peer.repository.documents:

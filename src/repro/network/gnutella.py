@@ -20,8 +20,8 @@ cases of a graph walk.
 
 Reliability stance: gnutella's traffic is *best-effort by design*, so
 the ``reliable_delivery`` knob changes nothing here except downloads
-(the shared DOWNLOAD-REQUEST envelope in the base class).  The flood's
-redundancy — many paths, duplicate suppression — is its loss recovery:
+(the DOWNLOAD-REQUEST envelope of the shared ``DownloadManager``).  The
+flood's redundancy — many paths, duplicate suppression — is its loss recovery:
 under injected message loss a query hit can still arrive along another
 path, and the duplicate-suppression ``visited`` set makes duplicated
 QUERY deliveries harmless.  PING/PONG keepalives are likewise
@@ -35,14 +35,12 @@ from collections import deque
 from typing import Optional
 
 from repro.engine.kernel import EventKernel, MembershipContext, QueryContext
-from repro.engine.local import local_matches
 from repro.network.base import PeerNetwork, SearchResult
 from repro.network.messages import (
     Message,
     MessageType,
     ping_message,
     pong_message,
-    query_hit_message,
 )
 from repro.network.peers import Peer
 from repro.network.routing import RoutingIndex
@@ -285,7 +283,7 @@ class GnutellaProtocol(PeerNetwork):
             # The publisher's own cached answers predate the new object;
             # nobody else hears about a free publish, so remote caches
             # stay bounded by their TTL instead.
-            cache = self._peer_caches.get(peer_id)
+            cache = self.caches.sites.get(peer_id)
             if cache is not None:
                 cache.bump_version()
 
@@ -307,27 +305,16 @@ class GnutellaProtocol(PeerNetwork):
         # free, and never a fabricated answer.
         context.extra["cache_scope"] = ttl
         if self.result_caching:
-            cache = self._peer_cache(origin_id)
-            cached = cache.get(self._context_cache_key(context),
-                               self.simulator.now) if cache is not None else None
+            cached = self.caches.lookup(origin_id, context, create=True)
             if cached is not None:
                 # The origin re-asked a query it recently completed: the
                 # whole flood is saved and the cached set (its own local
                 # answers included) returns with zero messages.
-                self._serve_cached_locally(context, cached)
+                self.caches.serve_locally(context, cached)
                 self.kernel.finish_if_idle(context)
                 return context
-            self.stats.record_cache_miss()
-        # The wire form is rendered and measured once; every hop's QUERY
-        # message shares the same payload string and byte count.
-        wire_xml, wire_bytes = self.wire_form(query, context.plan)
-        context.extra["query_xml"] = wire_xml
-        context.extra["query_bytes"] = wire_bytes
-
         # The origin searches its own index first (no messages).
-        for stored in local_matches(origin.repository, query, plan=context.plan,
-                                    limit=max_results):
-            context.add_result(SearchResult.from_stored(origin_id, stored, hops=0))
+        self._answer_locally(origin, context)
 
         if ttl > 0:
             self._flood_from(origin, ttl=ttl, hops=1, context=context)
@@ -347,10 +334,9 @@ class GnutellaProtocol(PeerNetwork):
                   context: Optional[QueryContext]) -> None:
         """One QUERY copy arrived at ``peer``: accept, answer, re-flood.
 
-        Hits ride the QUERY-HIT back to the origin and only count on
-        arrival (see ``PeerNetwork._on_query_hit``); here we claim the
-        room they will occupy so concurrent answerers never promise
-        more than ``max_results`` between them.
+        Hits ride the QUERY-HIT back to the origin along the reverse
+        path and only count on arrival (see ``PeerNetwork._send_hit`` /
+        ``_on_query_hit``).
         """
         if peer is None or context is None:
             return
@@ -360,23 +346,22 @@ class GnutellaProtocol(PeerNetwork):
         context.peers_probed += 1
         hops = message.hops
 
-        if self.result_caching:
-            cache = self._peer_caches.get(peer.peer_id)
-            if cache is not None:
-                cached = cache.get(self._context_cache_key(context), self.simulator.now)
-                if cached is not None:
-                    # Path caching: this peer completed the same query
-                    # recently and answers for its whole flood subtree
-                    # from the cached set — the flood stops here.  (An
-                    # empty cached set still cuts the flood: repeated
-                    # miss-queries are the most expensive to re-flood.)
-                    self._send_cached_hit(peer.peer_id, context, cached,
-                                          message_id=message.message_id,
-                                          copies=max(1, message.hops))
-                    return
-                # Symmetric accounting: every lookup at a cache site
-                # counts, so the hit ratio compares across protocols.
-                self.stats.record_cache_miss()
+        if self.result_caching and peer.peer_id in self.caches.sites:
+            # (Symmetric accounting: every lookup at a cache site counts
+            # as hit or miss, so the hit ratio compares across protocols.)
+            cached = self.caches.lookup(peer.peer_id, context)
+            if cached is not None:
+                # Path caching: this peer completed the same query
+                # recently and answers for its whole flood subtree
+                # from the cached set — the flood stops here.  (An
+                # empty cached set still cuts the flood, silently:
+                # repeated miss-queries are the most expensive to
+                # re-flood.)
+                served, served_bytes = self.caches.take(context, cached)
+                if served:
+                    self._send_hit(peer.peer_id, context, served, served_bytes,
+                                   message_id=message.message_id, hops=hops)
+                return
 
         room = context.room()
         if room <= 0:
@@ -387,18 +372,14 @@ class GnutellaProtocol(PeerNetwork):
             # *before* the room limit is applied (a promised duplicate
             # must neither claim room twice nor consume a limit slot a
             # fresh match needed), and the survivors register in turn.
-            seen = self._promised_results(context)
+            seen = self.caches.promised(context)
             taken = [stored
-                     for stored in local_matches(peer.repository, context.query,
-                                                 plan=context.plan)
+                     for stored in peer.repository.search(context.query, plan=context.plan)
                      if (peer.peer_id, stored.resource_id) not in seen][:room]
-            seen.update((peer.peer_id, stored.resource_id) for stored in taken)
-            self.kernel.note_result_claims(
-                context, tuple((peer.peer_id, stored.resource_id)
-                               for stored in taken))
+            self.caches.claim(context, tuple((peer.peer_id, stored.resource_id)
+                                             for stored in taken))
         else:
-            taken = local_matches(peer.repository, context.query, plan=context.plan,
-                                  limit=room)
+            taken = peer.repository.search(context.query, plan=context.plan)[:room]
         if (self._routing is not None and message.ttl == 1 and room > 0
                 and not taken
                 and context.extra.get("routing_keys") is not None
@@ -408,22 +389,11 @@ class GnutellaProtocol(PeerNetwork):
             # nothing: a Bloom false positive paid for in one message.
             self.stats.record_routing_fp()
         if taken:
-            results = []
-            metadata_bytes = 0
-            for stored in taken:
-                result = SearchResult.from_stored(peer.peer_id, stored, hops=hops)
-                results.append(result)
-                metadata_bytes += stored.metadata_wire_bytes()
-            context.claim(len(results))
-            # The query hit travels back along the reverse path: one
-            # message per hop, arriving after the same latency the query
-            # spent getting here.
-            hit = query_hit_message(peer.peer_id, context.origin_id, result_count=len(taken),
-                                    metadata_bytes=metadata_bytes,
-                                    message_id=message.message_id)
-            hit.carried_results = tuple(results)
-            self.kernel.send(hit, context=context, copies=max(1, hops),
-                             latency_ms=self.simulator.now - context.started_at)
+            self._send_hit(
+                peer.peer_id, context,
+                [SearchResult.from_stored(peer.peer_id, stored, hops=hops) for stored in taken],
+                sum(stored.metadata_wire_bytes() for stored in taken),
+                message_id=message.message_id, hops=hops)
 
         remaining = message.ttl - 1
         if remaining > 0:
@@ -432,7 +402,7 @@ class GnutellaProtocol(PeerNetwork):
     def _cache_store(self, context: QueryContext, response) -> None:
         """The origin caches its finished response, becoming a cache
         site for its own repeats and for floods passing through it."""
-        self._store_response_at(self._peer_cache(context.origin_id), context, response)
+        self.caches.store(context.origin_id, context, response.results)
 
     def _parallel_serve_probe(self, message: Message, context, at_ms: float) -> bool:
         """A queued QUERY serves from the recipient's path cache iff the
@@ -444,10 +414,7 @@ class GnutellaProtocol(PeerNetwork):
             return False
         if message.recipient in context.visited:
             return False
-        cache = self._peer_caches.get(message.recipient)
-        if cache is None:
-            return False
-        return cache.peek(self._context_cache_key(context), at_ms) is not None
+        return self.caches.would_serve(message.recipient, context, at_ms)
 
     def _flood_from(self, peer: Peer, *, ttl: int, hops: int, context: QueryContext) -> None:
         """Send one QUERY copy to every online neighbour of ``peer``.

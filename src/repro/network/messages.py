@@ -37,7 +37,7 @@ class MessageType(Enum):
     LEAF_DETACH = "leaf-detach"
     AD_RENEW = "ad-renew"
     # Reliable-delivery envelope: a header-only acknowledgement echoing
-    # the acknowledged message's id (see ``PeerNetwork.send_reliable``).
+    # the acknowledged message's id (see ``ReliableChannel.send``).
     ACK = "ack"
 
 

@@ -23,82 +23,46 @@ rendezvous peer that churns offline mid-walk drops the chain, ending
 the walk early, which is exactly the fragility the lease/renewal model
 is there to paper over.
 
-Compared with :class:`~repro.network.superpeer.SuperPeerProtocol` the
-interesting differences are the lease/expiry behaviour and the bounded
-walk instead of a full broadcast.
+The hub catalog (an advertisement is a
+:class:`~repro.network.twotier.HubRecord` with a lease) and the
+lifecycle shared with the super-peer adapter live in
+:mod:`repro.network.twotier`.  This module holds what is the
+rendezvous organisation's own: hashed attachment, leases that decay
+instead of purges, renewal maintenance, the edge's result cache and
+the bounded ring walk instead of a full broadcast.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from repro.engine.kernel import EventKernel, QueryContext
-from repro.engine.local import local_matches
-from repro.network.base import PeerNetwork, SearchResult
+from repro.engine.kernel import EventKernel, ExchangeContext, QueryContext
+from repro.network.base import SearchResponse
 from repro.network.config import check_rendezvous_lease
-from repro.network.messages import (
-    Message,
-    MessageType,
-    ad_renew_message,
-    leaf_attach_message,
-    leave_message,
-    metadata_wire_bytes,
-    query_hit_message,
-    query_message,
-    register_message,
-)
+from repro.network.messages import Message, MessageType, leave_message, query_message
 from repro.network.peers import Peer
-from repro.storage.index import AttributeIndex
-from repro.storage.interning import intern_view
+from repro.network.twotier import HubRecord, TwoTierNetwork
 from repro.storage.query import Query
 
 
-@dataclass
-class Advertisement:
-    """One advertised object replica held by a rendezvous peer.
-
-    ``metadata_view`` (tuple-valued) and ``metadata_bytes`` are built
-    once at publish time and shared by every search result generated
-    from this advertisement — the walk never re-copies metadata.
-    """
-
-    resource_id: str
-    community_id: str
-    title: str
-    metadata: dict[str, list[str]]
-    provider_id: str
-    expires_at_ms: float
-    metadata_view: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    metadata_bytes: int = 0
+def _expired_by(now: float) -> Callable[[HubRecord], bool]:
+    """Selects the advertisements whose lease ran out by ``now``."""
+    return lambda record: record.expires_at_ms <= now
 
 
-@dataclass
-class _RendezvousState:
-    """Advertisement index of one rendezvous peer."""
-
-    index: AttributeIndex = field(default_factory=AttributeIndex)
-    advertisements: dict[str, Advertisement] = field(default_factory=dict)
-    edges: set[str] = field(default_factory=set)
-
-
-class RendezvousProtocol(PeerNetwork):
+class RendezvousProtocol(TwoTierNetwork):
     """A JXTA-flavoured rendezvous/advertisement organisation."""
 
     protocol_name = "rendezvous"
 
     def __init__(self, *, rendezvous_ratio: float = 0.15, lease_ms: float = 30 * 60 * 1000.0,
-                 walk_limit: Optional[int] = None, **kwargs) -> None:
-        super().__init__(**kwargs)
-        if not 0.0 < rendezvous_ratio <= 1.0:
-            raise ValueError("rendezvous_ratio must be in (0, 1]")
+                 walk_limit: Optional[int] = None, **kwargs: Any) -> None:
+        super().__init__(hub_ratio=rendezvous_ratio, **kwargs)
         if lease_ms <= 0:
             raise ValueError("the advertisement lease must be positive")
-        self.rendezvous_ratio = rendezvous_ratio
         self.lease_ms = lease_ms
         self.walk_limit = walk_limit
-        self._states: dict[str, _RendezvousState] = {}
         #: live-membership renewal clocks: peer id -> virtual time it
         #: last re-advertised its objects
         self._last_renewed: dict[str, float] = {}
@@ -112,66 +76,30 @@ class RendezvousProtocol(PeerNetwork):
     # ------------------------------------------------------------------
     def elect_rendezvous(self, count: Optional[int] = None) -> list[str]:
         """Promote peers to rendezvous and attach every edge peer."""
-        online = self.online_peers()
-        if not online:
-            return []
-        if count is None:
-            count = max(1, round(len(online) * self.rendezvous_ratio))
-        count = min(count, len(online))
-        chosen = sorted(online, key=lambda peer: peer.peer_id)[:count]
-        chosen_ids = {peer.peer_id for peer in chosen}
-        self._states = {peer_id: self._states.get(peer_id, _RendezvousState())
-                        for peer_id in sorted(chosen_ids)}
-        for peer in self.peers.values():
-            peer.is_super_peer = peer.peer_id in chosen_ids
-            peer.super_peer_id = peer.peer_id if peer.is_super_peer else None
-        for peer in self.online_peers():
-            if not peer.is_super_peer:
-                self._attach_edge(peer)
-        return sorted(chosen_ids)
+        return self._elect(count)
 
     def rendezvous_ids(self) -> list[str]:
-        return sorted(self._states)
+        return sorted(self._hubs)
 
-    def _attach_edge(self, peer: Peer) -> None:
-        online = [peer_id for peer_id in self._states if self.peers[peer_id].online]
-        if not online:
-            peer.super_peer_id = None
-            return
+    def _choose_hub(self, peer: Peer) -> Optional[str]:
         # Deterministic assignment: a stable hash of the peer id picks
         # the rendezvous (crc32, not the salted builtin hash, so runs
         # agree across processes and CI).
-        target = sorted(online)[zlib.crc32(peer.peer_id.encode("utf-8")) % len(online)]
-        peer.super_peer_id = target
-        self._states[target].edges.add(peer.peer_id)
+        online = self._online_hubs()
+        if not online:
+            return None
+        return online[zlib.crc32(peer.peer_id.encode("utf-8")) % len(online)]
 
-    # ------------------------------------------------------------------
-    # Churn hooks
-    # ------------------------------------------------------------------
-    def _on_peer_departed(self, peer: Peer) -> None:
-        if peer.is_super_peer:
-            state = self._states.pop(peer.peer_id, None)
-            peer.is_super_peer = False
-            if state is not None:
-                # Sorted for reproducibility hygiene: today each edge's
-                # new rendezvous is a crc32 hash of its own id, so the
-                # outcome is order-independent, but a load-aware
-                # _attach_edge would silently inherit set-salt order.
-                for edge_id in sorted(state.edges):
-                    edge = self.peers.get(edge_id)
-                    if edge is not None and edge.online:
-                        self._attach_edge(edge)
-        elif peer.super_peer_id in self._states:
-            self._states[peer.super_peer_id].edges.discard(peer.peer_id)
+    def _attach(self, peer: Peer) -> None:
+        peer.super_peer_id = hub_id = self._choose_hub(peer)
+        if hub_id is not None:
+            self._hubs[hub_id].members.add(peer.peer_id)
 
-    def _on_peer_returned(self, peer: Peer) -> None:
-        if not self._states:
-            self.elect_rendezvous()
-            return
-        self._attach_edge(peer)
-
-    def _on_peer_removed(self, peer: Peer) -> None:
-        self._on_peer_departed(peer)
+    def _insert(self, hub_id: str, provider_id: str, community_id: str,
+                resource_id: str, metadata: dict[str, list[str]], title: str) -> None:
+        """(Re)insert an advertisement whose lease starts now."""
+        self._hubs[hub_id].insert(provider_id, community_id, resource_id, metadata, title,
+                                  expires_at_ms=self.simulator.now + self.lease_ms)
 
     # ------------------------------------------------------------------
     # Live membership: edges renew their advertisements on a timer (the
@@ -180,138 +108,63 @@ class RendezvousProtocol(PeerNetwork):
     # rendezvous died re-homes — and re-advertises everything — at its
     # next renewal tick, which is the organic repair path.
     # ------------------------------------------------------------------
-    def _on_peer_joined_live(self, peer: Peer) -> None:
-        peer.is_super_peer = False
-        peer.super_peer_id = None
-        self._live_attach_edge(peer)
-
-    def _on_peer_left_live(self, peer: Peer) -> None:
-        if peer.is_super_peer:
-            # The advertisement index lived in the departed rendezvous
-            # peer's RAM and dies with it; edges notice at their next
-            # renewal tick and re-home.
-            self._states.pop(peer.peer_id, None)
-            peer.is_super_peer = False
-
     def _announce_departure_live(self, peer: Peer) -> None:
-        if not peer.is_super_peer and peer.super_peer_id in self._states:
+        if not peer.is_super_peer and peer.super_peer_id in self._hubs:
             self.kernel.send(leave_message(peer.peer_id, peer.super_peer_id))
 
-    def _live_attach_edge(self, peer: Peer) -> None:
-        now = self.simulator.now
-        online = sorted(rdv_id for rdv_id in self._states
-                        if rdv_id in self.peers and self.peers[rdv_id].online)
-        if not online:
-            self._promote_rendezvous(peer)
-            return
-        target = online[zlib.crc32(peer.peer_id.encode("utf-8")) % len(online)]
-        peer.super_peer_id = target
-        # Attachment is the edge's whole visibility — reliable delivery
-        # retries it (and the renewals below) under faults.
-        self.send_reliable(leaf_attach_message(peer.peer_id, target))
-        self._readvertise(peer, target)
-        self._last_renewed[peer.peer_id] = now
+    def _live_attach(self, peer: Peer) -> Optional[str]:
+        hub_id = super()._live_attach(peer)
+        if hub_id is not None:
+            self._upload_all(peer, hub_id, renew=True)
+            self._last_renewed[peer.peer_id] = self.simulator.now
+        return hub_id
 
-    def _promote_rendezvous(self, peer: Peer) -> None:
-        """Deterministic promotion: the edge that found no reachable
-        rendezvous becomes one itself (maintenance iterates peers in
-        sorted order, so the lowest-id orphan promotes first)."""
-        peer.is_super_peer = True
-        peer.super_peer_id = peer.peer_id
-        self._states.setdefault(peer.peer_id, _RendezvousState())
-        for stored in peer.repository.documents:
-            metadata = stored.metadata
-            metadata_bytes = metadata_wire_bytes(metadata)
-            self._insert_advertisement(peer.peer_id, peer.peer_id,
-                                       stored.community_id, stored.resource_id,
-                                       metadata, stored.title, metadata_bytes)
+    def _promote(self, peer: Peer) -> None:
+        super()._promote(peer)
         self._last_renewed[peer.peer_id] = self.simulator.now
-
-    def _readvertise(self, peer: Peer, target: str) -> None:
-        """Re-ship every shared object's advertisement (lease renewal)."""
-        for stored in peer.repository.documents:
-            metadata = stored.metadata
-            metadata_bytes = metadata_wire_bytes(metadata)
-            self.send_reliable(ad_renew_message(
-                peer.peer_id, target, community_id=stored.community_id,
-                resource_id=stored.resource_id, metadata_bytes=metadata_bytes,
-                payload_object=(dict(metadata), stored.title)))
 
     def _on_maintenance_tick(self, now: float) -> None:
         renew_after = self.lease_ms / 2
+        expired = _expired_by(now)
         for peer_id in sorted(self.peers):
             peer = self.peers[peer_id]
             if not peer.online:
                 continue
-            if peer.is_super_peer and peer_id in self._states:
+            if peer.is_super_peer and peer_id in self._hubs:
+                hub = self._hubs[peer_id]
                 # A rendezvous peer renews its *own* ads in place (it
                 # holds its own index: no wire cost, like self-publish)
                 # before sweeping — otherwise they would expire too.
                 if now - self._last_renewed.get(peer_id, 0.0) >= renew_after:
-                    state = self._states[peer_id]
-                    for advertisement in state.advertisements.values():
-                        if advertisement.provider_id == peer_id:
-                            advertisement.expires_at_ms = now + self.lease_ms
+                    for record in hub.records.values():
+                        if record.provider_id == peer_id:
+                            record.expires_at_ms = now + self.lease_ms
                     self._last_renewed[peer_id] = now
-                self._expire_at(peer_id, now)
+                # The sweep pays the staleness window for ads whose
+                # provider already departed.
+                for record in hub.remove_where(expired):
+                    self._note_staleness(record.provider_id, now)
                 continue
             rendezvous_id = peer.super_peer_id
-            if rendezvous_id is None or rendezvous_id not in self._states:
+            if rendezvous_id is None or rendezvous_id not in self._hubs:
                 # The edge's rendezvous is gone: re-home and repair.
-                self._live_attach_edge(peer)
+                self._live_attach(peer)
             elif now - self._last_renewed.get(peer_id, 0.0) >= renew_after:
-                self._readvertise(peer, rendezvous_id)
+                # Lease renewal: re-ship every shared object's advertisement.
+                self._upload_all(peer, rendezvous_id, renew=True)
                 self._last_renewed[peer_id] = now
-
-    def _expire_at(self, rendezvous_id: str, now: float) -> None:
-        """Sweep one rendezvous peer's expired advertisements, paying
-        the staleness window for ads whose provider already departed."""
-        state = self._states[rendezvous_id]
-        dead = [key for key, advertisement in state.advertisements.items()
-                if advertisement.expires_at_ms <= now]
-        for key in dead:
-            self._note_staleness(state.advertisements[key].provider_id, now)
-            state.index.remove(key)
-            del state.advertisements[key]
 
     def _stamp_freshness(self, now: float) -> None:
         self._last_renewed = {peer_id: now for peer_id in sorted(self.peers)}
 
-    # ------------------------------------------------------------------
-    # Live-membership handlers
-    # ------------------------------------------------------------------
-    def _on_ad_upload(self, peer: Optional[Peer], message: Message, context) -> None:
-        """A REGISTER (first publication) or AD-RENEW (lease renewal)
-        arrived at a rendezvous peer: (re)insert the advertisement with
-        a fresh lease starting now.  A recipient that stopped being a
-        rendezvous loses the upload — the sender re-homes at its next
-        renewal tick."""
-        if peer is None or message.payload_object is None:
-            return
-        if peer.peer_id not in self._states:
-            return
-        metadata, title = message.payload_object
-        self.stats.record_registration()
-        self._insert_advertisement(peer.peer_id, message.sender,
-                                   message.community_id, message.resource_id,
-                                   metadata, title, message.payload_bytes)
-
-    def _on_leaf_attach(self, peer: Optional[Peer], message: Message, context) -> None:
-        if peer is not None and peer.peer_id in self._states:
-            self._states[peer.peer_id].edges.add(message.sender)
-
-    def _on_leave(self, peer: Optional[Peer], message: Message, context) -> None:
+    def _on_leave(self, peer: Optional[Peer], message: Message,
+                  context: Optional[ExchangeContext]) -> None:
         """A graceful goodbye: drop the sender's advertisements now
         instead of letting them decay through lease expiry."""
-        if peer is None or peer.peer_id not in self._states:
-            return
-        state = self._states[peer.peer_id]
-        state.edges.discard(message.sender)
-        gone = [key for key, advertisement in state.advertisements.items()
-                if advertisement.provider_id == message.sender]
-        for key in gone:
-            state.index.remove(key)
-            del state.advertisements[key]
+        hub = self._hubs.get(peer.peer_id) if peer is not None else None
+        if hub is not None:
+            hub.members.discard(message.sender)
+            hub.remove_where(lambda record: record.provider_id == message.sender)
 
     # ------------------------------------------------------------------
     # Primitives
@@ -319,70 +172,12 @@ class RendezvousProtocol(PeerNetwork):
     def publish(self, peer_id: str, community_id: str, resource_id: str,
                 metadata: dict[str, list[str]], *, title: str = "") -> None:
         """Publish an advertisement with a lease to the peer's rendezvous."""
-        peer = self._require_peer(peer_id)
-        self.replicas.note_original(resource_id, peer_id, at_ms=self.simulator.now)
-        if self.result_caching:
+        cache = self.caches.sites.get(peer_id)
+        if cache is not None:
             # The publisher's own cached answers predate the new object;
             # other edges' caches are bounded by the TTL/lease instead.
-            cache = self._peer_caches.get(peer_id)
-            if cache is not None:
-                cache.bump_version()
-        if self.live_membership:
-            self._publish_live(peer, community_id, resource_id, metadata, title)
-            return
-        if not self._states:
-            self.elect_rendezvous()
-        target = peer.peer_id if peer.is_super_peer else peer.super_peer_id
-        if target is None or target not in self._states:
-            self._attach_edge(peer)
-            target = peer.super_peer_id
-        if target is None:
-            return
-        metadata_bytes = metadata_wire_bytes(metadata)
-        if peer_id != target:
-            message = register_message(peer_id, target, community_id=community_id,
-                                       resource_id=resource_id, metadata_bytes=metadata_bytes)
-            self._account(message)
-            self.stats.record_registration()
-        self._insert_advertisement(target, peer_id, community_id, resource_id,
-                                   metadata, title, metadata_bytes)
-
-    def _insert_advertisement(self, rendezvous_id: str, provider_id: str,
-                              community_id: str, resource_id: str,
-                              metadata: dict[str, list[str]], title: str,
-                              metadata_bytes: int) -> None:
-        state = self._states[rendezvous_id]
-        key = f"{resource_id}@{provider_id}"
-        state.advertisements[key] = Advertisement(
-            resource_id=resource_id,
-            community_id=community_id,
-            title=title,
-            metadata=dict(metadata),
-            provider_id=provider_id,
-            expires_at_ms=self.simulator.now + self.lease_ms,
-            metadata_view=intern_view(metadata),
-            metadata_bytes=metadata_bytes,
-        )
-        state.index.add(community_id, key, metadata)
-
-    def _publish_live(self, peer: Peer, community_id: str, resource_id: str,
-                      metadata: dict[str, list[str]], title: str) -> None:
-        """Live publication: a rendezvous peer indexes its own ad for
-        free; an edge ships the advertisement as a REGISTER whose lease
-        starts when it *arrives*.  An orphaned edge publishes nothing —
-        its next renewal tick re-homes it and re-advertises."""
-        metadata_bytes = metadata_wire_bytes(metadata)
-        if peer.is_super_peer and peer.peer_id in self._states:
-            self._insert_advertisement(peer.peer_id, peer.peer_id, community_id,
-                                       resource_id, metadata, title, metadata_bytes)
-            return
-        target = peer.super_peer_id
-        if target is None:
-            return
-        self.send_reliable(register_message(
-            peer.peer_id, target, community_id=community_id,
-            resource_id=resource_id, metadata_bytes=metadata_bytes,
-            payload_object=(dict(metadata), title)))
+            cache.bump_version()
+        self._publish(peer_id, community_id, resource_id, metadata, title)
 
     def renew(self, peer_id: str) -> int:
         """Re-advertise every object a peer shares (lease renewal).
@@ -399,22 +194,21 @@ class RendezvousProtocol(PeerNetwork):
 
     def expire_advertisements(self) -> int:
         """Drop expired advertisements everywhere; returns how many died."""
-        expired = 0
-        now = self.simulator.now
-        for state in self._states.values():
-            dead = [key for key, advertisement in state.advertisements.items()
-                    if advertisement.expires_at_ms <= now]
-            for key in dead:
-                state.index.remove(key)
-                del state.advertisements[key]
-                expired += 1
-        return expired
+        expired = _expired_by(self.simulator.now)
+        # (Off mode this runs before every search: at population scale
+        # most rendezvous peers hold no advertisement and are skipped.)
+        return sum(len(hub.remove_where(expired)) for hub in self._hubs.values()
+                   if hub.records)
+
+    def advertisement_count(self) -> int:
+        """Live advertisements across all rendezvous peers."""
+        return sum(len(hub.records) for hub in self._hubs.values())
 
     def start_search(self, origin_id: str, query: Query, *, max_results: int = 100,
-                     **kwargs) -> QueryContext:
+                     **kwargs: Any) -> QueryContext:
         origin = self._require_peer(origin_id)
-        if not self._states and not self.live_membership:
-            self.elect_rendezvous()
+        if not self._hubs and not self.live_membership:
+            self._elect(None)
         if not self.live_membership:
             # Off-mode lease handling is a pull at search time; in live
             # mode expiry happens only in the recurring sweep, so a
@@ -426,32 +220,23 @@ class RendezvousProtocol(PeerNetwork):
             query_id=query.query_id or f"rdv-{self.next_query_number()}",
         )
         if self.result_caching:
-            cache = self._peer_cache(origin_id)
-            cached = (cache.get(self._context_cache_key(context), self.simulator.now)
-                      if cache is not None else None)
+            cached = self.caches.lookup(origin_id, context, create=True)
             if cached is not None:
                 # The edge re-asked a query whose walk it recently paid
                 # for: the cached set returns with zero messages.
-                self._serve_cached_locally(context, cached)
+                self.caches.serve_locally(context, cached)
                 self.kernel.finish_if_idle(context)
                 return context
-            self.stats.record_cache_miss()
-        wire_xml, wire_bytes = self.wire_form(query, context.plan)
-        context.extra["query_xml"] = wire_xml
-        context.extra["query_bytes"] = wire_bytes
-
-        for stored in local_matches(origin.repository, query, plan=context.plan,
-                                    limit=max_results):
-            context.add_result(SearchResult.from_stored(origin_id, stored, hops=0))
+        self._answer_locally(origin, context)
 
         entry = origin.peer_id if origin.is_super_peer else origin.super_peer_id
-        if entry is None or entry not in self._states:
+        if entry is None or entry not in self._hubs:
             if self.live_membership:
                 # An orphaned edge answers locally only until its next
                 # renewal tick re-homes it.
                 entry = None
             else:
-                self._attach_edge(origin)
+                self._attach(origin)
                 entry = origin.super_peer_id
         if entry is None:
             self.kernel.finish_if_idle(context)
@@ -459,7 +244,7 @@ class RendezvousProtocol(PeerNetwork):
 
         # The walk order is fixed at submission: the ring of online
         # rendezvous peers, rotated to start at the entry point.
-        ring = sorted(peer_id for peer_id in self._states if self.peers[peer_id].online)
+        ring = self._online_hubs()
         if entry in ring:
             start = ring.index(entry)
             ordered = ring[start:] + ring[:start]
@@ -475,9 +260,9 @@ class RendezvousProtocol(PeerNetwork):
         hop_to_entry = 0 if origin.is_super_peer else 1
         context.extra["hop_to_entry"] = hop_to_entry
         if hop_to_entry:
-            message = query_message(origin_id, walk[0], wire_xml,
+            message = query_message(origin_id, walk[0], context.extra["query_xml"],
                                     community_id=query.community_id,
-                                    payload_bytes=wire_bytes)
+                                    payload_bytes=context.extra["query_bytes"])
             message.hops = hop_to_entry
             self.kernel.send(message, context=context)
         else:
@@ -491,9 +276,7 @@ class RendezvousProtocol(PeerNetwork):
     def _register_handlers(self, kernel: EventKernel) -> None:
         super()._register_handlers(kernel)
         kernel.register(MessageType.QUERY, self._on_query)
-        kernel.register(MessageType.REGISTER, self._on_ad_upload)
-        kernel.register(MessageType.AD_RENEW, self._on_ad_upload)
-        kernel.register(MessageType.LEAF_ATTACH, self._on_leaf_attach)
+        kernel.register(MessageType.AD_RENEW, self._on_upload)
         kernel.register(MessageType.LEAVE, self._on_leave)
 
     def _on_query(self, peer: Optional[Peer], message: Message,
@@ -505,19 +288,16 @@ class RendezvousProtocol(PeerNetwork):
     def _answer_at_rendezvous(self, peer: Peer, *, hops: int, context: QueryContext) -> None:
         """One walk step: answer from this rendezvous, relay to the next.
 
-        Results ride the QUERY-HIT and count only on arrival at the
-        origin; their room is claimed here so the walk stops at the
-        same point it would if hits were instantaneous."""
+        The room the results will occupy is claimed as the hit is sent,
+        so the walk stops at the same point it would if hits were
+        instantaneous."""
         context.peers_probed += 1
-        results, metadata_bytes = self._collect_results(peer.peer_id, context, hops)
-        if results:
-            context.claim(len(results))
-            hit = query_hit_message(peer.peer_id, context.origin_id, result_count=len(results),
-                                    metadata_bytes=metadata_bytes,
-                                    message_id=f"rdv-{len(self.stats.queries)}")
-            hit.carried_results = tuple(results)
-            self.kernel.send(hit, context=context,
-                             latency_ms=self.simulator.now - context.started_at)
+        hub = self._hubs.get(peer.peer_id)
+        if hub is not None:
+            results, metadata_bytes = hub.take(context, self.peers, hops)
+            if results:
+                self._send_hit(peer.peer_id, context, results, metadata_bytes,
+                               message_id=f"rdv-{len(self.stats.queries)}")
         walk: list[str] = context.extra["walk"]
         position = hops - context.extra.get("hop_to_entry", 0)
         if context.room() <= 0 or position + 1 >= len(walk):
@@ -528,53 +308,11 @@ class RendezvousProtocol(PeerNetwork):
         relay.hops = hops + 1
         self.kernel.send(relay, context=context)
 
-    # ------------------------------------------------------------------
-    def _collect_results(self, rendezvous_id: str, context: QueryContext,
-                         hops: int) -> tuple[list[SearchResult], int]:
-        """Matching results at one rendezvous plus their metadata bytes
-        (summed from the per-advertisement counts measured at publish)."""
-        state = self._states.get(rendezvous_id)
-        if state is None:
-            return [], 0
-        evaluator = context.plan if context.plan is not None else context.query
-        if evaluator.is_empty:
-            keys = sorted(key for key, advertisement in state.advertisements.items()
-                          if advertisement.community_id == evaluator.community_id)
-        else:
-            keys = sorted(evaluator.evaluate(state.index))
-        results: list[SearchResult] = []
-        metadata_bytes = 0
-        room = context.room()
-        for key in keys:
-            advertisement = state.advertisements.get(key)
-            if advertisement is None:
-                continue
-            provider = self.peers.get(advertisement.provider_id)
-            if provider is None or not provider.online \
-                    or advertisement.provider_id == context.origin_id:
-                continue
-            results.append(SearchResult(
-                provider_id=advertisement.provider_id,
-                resource_id=advertisement.resource_id,
-                community_id=advertisement.community_id,
-                title=advertisement.title,
-                metadata=advertisement.metadata_view,
-                hops=hops + 1,
-            ))
-            metadata_bytes += advertisement.metadata_bytes
-            if len(results) >= room:
-                break
-        return results, metadata_bytes
-
-    def _cache_store(self, context: QueryContext, response) -> None:
+    def _cache_store(self, context: QueryContext, response: SearchResponse) -> None:
         """The origin edge caches its finished response.  Entry lifetime
         is additionally capped at one advertisement lease from the fill:
         an advertisement serving the response had at most that much
         life left, so a cached answer can outlive any individual ad by
         at most one lease period (within the TTL bound as always)."""
-        self._store_response_at(self._peer_cache(context.origin_id), context, response,
-                                lease_ms=self.lease_ms)
-
-    def advertisement_count(self) -> int:
-        """Live advertisements across all rendezvous peers."""
-        return sum(len(state.advertisements) for state in self._states.values())
+        self.caches.store(context.origin_id, context, response.results,
+                          lease_ms=self.lease_ms)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine.driver import BatchOutcome, QueryDriver, RetrieveOp, SearchOp
 from repro.engine.kernel import EventKernel, QueryContext, RetrieveContext
-from repro.engine.local import local_matches
 from repro.network.centralized import CentralizedProtocol
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.messages import Message, MessageType, query_message
@@ -14,7 +13,6 @@ from repro.network.peers import Peer
 from repro.network.simulator import NetworkSimulator
 from repro.network.stats import NetworkStats
 from repro.storage.query import Query
-from repro.storage.repository import LocalRepository
 from repro.xmlkit.parser import parse
 
 
@@ -156,34 +154,6 @@ class TestCompletion:
         kernel.send(query_message("a", "b", "<q/>"), context=context)
         kernel.run_until_complete([context])
         assert context.done and not context.starved
-
-
-class TestLocalMatches:
-    def make_repository(self):
-        repository = LocalRepository(owner="a")
-        for name in ("Observer", "Visitor"):
-            document = parse(f"<pattern><name>{name}</name></pattern>").root
-            repository.publish("patterns", document, {"name": [name]}, title=name)
-        return repository
-
-    def test_constrained_query_uses_index_intersection(self):
-        repository = self.make_repository()
-        matched = local_matches(repository, Query.keyword("patterns", "observer"))
-        assert [stored.title for stored in matched] == ["Observer"]
-
-    def test_empty_query_browses_community(self):
-        repository = self.make_repository()
-        assert len(local_matches(repository, Query("patterns"))) == 2
-        assert local_matches(repository, Query("patterns"), limit=1)
-
-    def test_rebuilt_index_answers_identically(self):
-        repository = self.make_repository()
-        before = [stored.resource_id
-                  for stored in local_matches(repository, Query.keyword("patterns", "visitor"))]
-        repository.rebuild_index()
-        after = [stored.resource_id
-                 for stored in local_matches(repository, Query.keyword("patterns", "visitor"))]
-        assert before == after and before
 
 
 class TestQueryDriver:

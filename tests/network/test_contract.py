@@ -132,6 +132,21 @@ class TestKernelContract:
         response = protocol_network.finish_search(context)
         assert response.result_count == 0
 
+    @pytest.mark.parametrize("name", ("super-peer", "rendezvous"))
+    def test_hub_claims_nothing_once_the_origin_filled_max_results(self, name):
+        """Room is checked *before* a hub appends: when the origin's
+        own matches already fill ``max_results``, no hub ships a
+        QUERY-HIT the origin would have to discard."""
+        network = make_network(name)
+        populate(network)
+        publish_pattern(network, "peer-005", "Observer")
+        publish_pattern(network, "peer-005", "Observer Twin")
+        publish_pattern(network, "peer-007", "Observer Triplet")
+        response = network.search("peer-005", Query.keyword("patterns", "observer"),
+                                  max_results=2)
+        assert len(response.results) == 2
+        assert "query-hit" not in network.stats.messages_by_type
+
     def test_duplicate_peer_rejected(self, protocol_network):
         protocol_network.create_peer("dup")
         with pytest.raises(DuplicatePeerError):

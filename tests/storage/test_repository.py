@@ -63,7 +63,7 @@ class TestRepository:
         repository = LocalRepository()
         self.publish_sample(repository)
         hits = repository.search(Query.keyword("patterns", "observer"))
-        assert len(hits) == 1
+        assert [stored.title for stored in hits] == ["Observer"]
         misses = repository.search(Query.keyword("patterns", "visitor"))
         assert misses == []
 
@@ -72,6 +72,9 @@ class TestRepository:
         self.publish_sample(repository)
         assert len(repository.search(Query("patterns"))) == 1
         assert repository.search(Query("other")) == []
+        repository.publish("patterns", doc("<pattern><name>Visitor</name></pattern>"),
+                           {"name": ["Visitor"]}, title="Visitor")
+        assert len(repository.search(Query("patterns"))) == 2
 
     def test_empty_query_result_is_not_aliased_to_the_store(self):
         """Mutating a browse result must never corrupt the document
@@ -98,6 +101,15 @@ class TestRepository:
         ):
             plan = compile_query(query)
             assert repository.search(query, plan=plan) == repository.search(query)
+
+    def test_rebuilt_index_answers_identically(self):
+        repository = LocalRepository()
+        self.publish_sample(repository)
+        query = Query.keyword("patterns", "observer")
+        before = [stored.resource_id for stored in repository.search(query)]
+        repository.rebuild_index()
+        after = [stored.resource_id for stored in repository.search(query)]
+        assert before == after and before
 
     def test_retrieve(self):
         repository = LocalRepository()
