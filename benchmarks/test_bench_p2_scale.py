@@ -5,7 +5,9 @@ The ROADMAP's north star is populations orders of magnitude beyond the
 population (200 / 2k / 10k) × shard count (1 / 2 / 4) — through the
 process-per-shard island runner (:mod:`repro.workloads.scale`),
 recording wall-clock message throughput and peak resident memory per
-cell, plus two supporting samples:
+cell — with the slowest island's wall split into scenario build and
+query run, so set-up is not read as kernel throughput — plus two
+supporting samples:
 
 * the *windowed determinism contract* cell: a 200-peer scenario run on
   the in-process ``ShardedSimulator`` with ``shards=4`` must reproduce
@@ -32,6 +34,7 @@ the full grid::
 
 from __future__ import annotations
 
+import math
 import os
 
 import pytest
@@ -88,6 +91,9 @@ def test_bench_p2_grid_cell(population, shards, request):
         "queries": report.queries,
         "results": report.results,
         "wall_s": round(report.wall_s, 3),
+        # Islands run side by side, so the slowest one sets the wall.
+        "build_s": round(max(island.build_s for island in report.islands), 3),
+        "run_s": round(max(island.run_s for island in report.islands), 3),
         "messages_per_s": round(report.messages_per_s, 1),
         "peak_rss_mb": round(report.peak_rss_bytes / (1 << 20), 1),
     }
@@ -181,9 +187,14 @@ def test_bench_p2_write_record(report, request):
     write_perf_record({"scale": scale})
     rows = [[label,
              sample["population"], sample["shards"],
-             f"{sample['wall_s']:.2f}", f"{sample['messages_per_s']:.0f}",
+             f"{sample['wall_s']:.2f}",
+             # nan: a cell kept from a record older than the split
+             f"{sample.get('build_s', math.nan):.2f}",
+             f"{sample.get('run_s', math.nan):.2f}",
+             f"{sample['messages_per_s']:.0f}",
              f"{sample['peak_rss_mb']:.1f}"]
             for label, sample in sorted(merged_grid.items())]
     report("P2  scale grid (written to BENCH_perf.json)",
-           ["cell", "population", "shards", "wall s", "msgs/s", "peak RSS MB"],
+           ["cell", "population", "shards", "wall s", "build s", "run s",
+            "msgs/s", "peak RSS MB"],
            rows)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 from repro.core.errors import CommunityError
@@ -147,7 +148,7 @@ class Community:
         self.descriptor = descriptor
         self.schema_xsd = schema_xsd
         try:
-            self.schema: Schema = parse_schema_text(schema_xsd)
+            self.schema: Schema = _shared_schema(schema_xsd)
         except Exception as error:
             raise CommunityError(
                 f"community {descriptor.name!r} has an unusable schema: {error}"
@@ -232,6 +233,19 @@ class Community:
 
 
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=64)
+def _shared_schema(schema_xsd: str) -> Schema:
+    """The one parsed :class:`Schema` per distinct schema text.
+
+    Every registry's root community and every member joining the same
+    community carry the same XSD, so they share one parse.  Sharing is
+    safe because ``validate``, ``build_instance``, ``fields()`` and the
+    forms only read a schema.  Treat ``Community.schema`` as immutable;
+    :func:`parse_schema_text` hands out a private, mutable parse.
+    """
+    return parse_schema_text(schema_xsd)
+
+
 def derive_community_id(name: str, schema_xsd: str) -> str:
     """Stable community identifier derived from name and schema."""
     digest = hashlib.sha1()

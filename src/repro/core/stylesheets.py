@@ -18,6 +18,8 @@ indexed attributes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.xmlkit.parser import parse as parse_xml
 from repro.xslt.engine import TransformResult, Transformer
 from repro.xslt.model import Stylesheet
@@ -181,7 +183,18 @@ class StylesheetSet:
         return transformer.transform(document)
 
 
+@lru_cache(maxsize=64)
 def _compile(stylesheet_text: str) -> Transformer:
+    """The one compiled transformer per distinct stylesheet text.
+
+    Every peer gets the same default stylesheets, so a population shares
+    four transformers instead of parsing four texts per servent.  Sharing
+    is safe because a transformer is read-only once built: it holds only
+    its :class:`Stylesheet`, and ``transform`` builds fresh result
+    elements and re-parents the *source* root, never a stylesheet node.
+    Treat what this returns as immutable; :func:`compile_stylesheet`
+    hands out a private, mutable parse.
+    """
     return Transformer(parse_stylesheet_text(stylesheet_text))
 
 

@@ -81,17 +81,18 @@ class RendezvousProtocol(TwoTierNetwork):
     def rendezvous_ids(self) -> list[str]:
         return sorted(self._hubs)
 
-    def _choose_hub(self, peer: Peer) -> Optional[str]:
+    def _choose_hub(self, peer: Peer,
+                    online_hubs: Optional[list[str]] = None) -> Optional[str]:
         # Deterministic assignment: a stable hash of the peer id picks
         # the rendezvous (crc32, not the salted builtin hash, so runs
         # agree across processes and CI).
-        online = self._online_hubs()
+        online = self._online_hubs() if online_hubs is None else online_hubs
         if not online:
             return None
         return online[zlib.crc32(peer.peer_id.encode("utf-8")) % len(online)]
 
-    def _attach(self, peer: Peer) -> None:
-        peer.super_peer_id = hub_id = self._choose_hub(peer)
+    def _attach(self, peer: Peer, online_hubs: Optional[list[str]] = None) -> None:
+        peer.super_peer_id = hub_id = self._choose_hub(peer, online_hubs)
         if hub_id is not None:
             self._hubs[hub_id].members.add(peer.peer_id)
 

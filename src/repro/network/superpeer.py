@@ -66,19 +66,20 @@ class SuperPeerProtocol(TwoTierNetwork):
         hub = self._hubs.get(super_id)
         return set(hub.members) if hub is not None else set()
 
-    def _choose_hub(self, peer: Peer, *, cap: Optional[int] = None) -> Optional[str]:
+    def _choose_hub(self, peer: Peer, online_hubs: Optional[list[str]] = None, *,
+                    cap: Optional[int] = None) -> Optional[str]:
         """The least-loaded online super-peer (ties by id).  With a
         ``cap``, supers below it are preferred; when everything is full
         the globally least loaded takes the leaf anyway."""
-        hubs = self._online_hubs()
+        hubs = self._online_hubs() if online_hubs is None else online_hubs
         if cap is not None:
             hubs = [hub_id for hub_id in hubs
                     if len(self._hubs[hub_id].members) < cap] or hubs
         return min(hubs, key=lambda hub_id: (len(self._hubs[hub_id].members), hub_id),
                    default=None)
 
-    def _attach(self, leaf: Peer) -> None:
-        hub_id = self._choose_hub(leaf, cap=self.max_leaves)
+    def _attach(self, leaf: Peer, online_hubs: Optional[list[str]] = None) -> None:
+        hub_id = self._choose_hub(leaf, online_hubs, cap=self.max_leaves)
         if hub_id is None:
             leaf.super_peer_id = None
             return

@@ -130,12 +130,16 @@ class TwoTierNetwork(PeerNetwork):
         self._hubs: dict[str, HubCatalog] = {}
 
     @abstractmethod
-    def _choose_hub(self, peer: Peer) -> Optional[str]:
-        """The hub ``peer`` should attach to, or ``None`` when no hub is up."""
+    def _choose_hub(self, peer: Peer,
+                    online_hubs: Optional[list[str]] = None) -> Optional[str]:
+        """The hub ``peer`` should attach to, or ``None`` when no hub is up.
+        ``online_hubs`` is the caller's ``_online_hubs()`` snapshot (read,
+        never mutated); without one the choice takes its own."""
 
     @abstractmethod
-    def _attach(self, peer: Peer) -> None:
-        """Off mode: (re)attach ``peer`` to a hub, instantly and for free."""
+    def _attach(self, peer: Peer, online_hubs: Optional[list[str]] = None) -> None:
+        """Off mode: (re)attach ``peer`` to a hub, instantly and for free;
+        ``online_hubs`` is handed on to :meth:`_choose_hub`."""
 
     def _detach(self, peer: Peer, hub_id: str) -> None:
         """Off mode: ``peer`` left ``hub_id``; its records stay unless the adapter purges."""
@@ -165,17 +169,21 @@ class TwoTierNetwork(PeerNetwork):
         # Stable election: lowest peer ids become hubs, which keeps
         # experiments deterministic across runs.
         chosen = sorted(peer.peer_id for peer in online)[:count]
-        for hub_id in sorted(set(self._hubs).difference(chosen)):
+        elected = set(chosen)
+        for hub_id in sorted(set(self._hubs).difference(elected)):
             self._drop_hub(hub_id)
         for peer in self.peers.values():
-            peer.is_super_peer = peer.peer_id in chosen
+            peer.is_super_peer = peer.peer_id in elected
             if peer.is_super_peer:
                 peer.super_peer_id = peer.peer_id
                 if peer.peer_id not in self._hubs:
                     self._hubs[peer.peer_id] = HubCatalog()
+        # One snapshot for the whole loop: attaching changes member sets
+        # and catalogs, never a hub's online status or the hub set.
+        online_hubs = self._online_hubs()
         for peer in online:
             if not peer.is_super_peer:
-                self._attach(peer)
+                self._attach(peer, online_hubs)
         return chosen
 
     def _on_peer_departed(self, peer: Peer) -> None:

@@ -282,6 +282,8 @@ class Schema:
         self.complex_types: dict[str, ComplexType] = {}
         self.simple_types: dict[str, SimpleType] = {}
         self.annotations: list[str] = []
+        # The default-root field walk, kept until the next add_*().
+        self._root_fields: Optional[list[FieldInfo]] = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -290,6 +292,7 @@ class Schema:
         if declaration.name in self.elements:
             raise SchemaError(f"duplicate global element {declaration.name!r}")
         self.elements[declaration.name] = declaration
+        self._root_fields = None
         return declaration
 
     def add_complex_type(self, definition: ComplexType) -> ComplexType:
@@ -298,6 +301,7 @@ class Schema:
         if definition.name in self.complex_types:
             raise SchemaError(f"duplicate complexType {definition.name!r}")
         self.complex_types[definition.name] = definition
+        self._root_fields = None
         return definition
 
     def add_simple_type(self, definition: SimpleType) -> SimpleType:
@@ -306,6 +310,7 @@ class Schema:
         if definition.name in self.simple_types:
             raise SchemaError(f"duplicate simpleType {definition.name!r}")
         self.simple_types[definition.name] = definition
+        self._root_fields = None
         return definition
 
     # ------------------------------------------------------------------
@@ -341,10 +346,18 @@ class Schema:
     # Flattened field view (drives forms, search and indexing)
     # ------------------------------------------------------------------
     def fields(self, root: Optional[ElementDeclaration] = None) -> list[FieldInfo]:
-        """Return the leaf fields of the (default: root) element, in order."""
-        declaration = root or self.root_element()
+        """Return the leaf fields of the (default: root) element, in order.
+
+        The default-root walk is done once per schema content (the
+        publish path asks for it several times per object); every call
+        returns a fresh list of the shared :class:`FieldInfo` records.
+        """
+        if root is None:
+            if self._root_fields is None:
+                self._root_fields = self.fields(self.root_element())
+            return list(self._root_fields)
         collected: list[FieldInfo] = []
-        self._collect_fields(declaration, prefix="", out=collected, seen=set())
+        self._collect_fields(root, prefix="", out=collected, seen=set())
         return collected
 
     def searchable_fields(self, root: Optional[ElementDeclaration] = None) -> list[FieldInfo]:

@@ -10,6 +10,7 @@ floods).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -73,6 +74,7 @@ def build_query_workload(
     repeat_rng = random.Random(f"repeat:{seed}")
     fields = list(searchable_fields) if searchable_fields else _text_fields(corpus)
     popularity = ZipfDistribution(len(corpus), exponent=zipf_exponent, seed=seed)
+    matches = _CorpusMatches(corpus)
     workload = QueryWorkload(community_id=community_id)
 
     for query_index in range(count):
@@ -93,18 +95,18 @@ def build_query_workload(
         if not value:
             query = Query.keyword(community_id, "shared")
             workload.queries.append(query)
-            workload.expected_matches.append(_count_keyword_matches(corpus, "shared"))
+            workload.expected_matches.append(matches.keyword("shared"))
             continue
         if rng.random() < 0.5:
             # Field-scoped query on the full value.
             query = Query(community_id, [Criterion(field_path, value, Operator.CONTAINS)])
-            expected = sum(1 for other in corpus if _contains(other, field_path, value))
+            expected = matches.field_contains(field_path, value)
         else:
             # Keyword query on a word of the value.
             tokens = tokenize(value)
             token = rng.choice(tokens) if tokens else value
             query = Query.keyword(community_id, token)
-            expected = _count_keyword_matches(corpus, token)
+            expected = matches.keyword(token)
         workload.queries.append(query)
         workload.expected_matches.append(expected)
     return workload
@@ -128,19 +130,46 @@ def _value_of(record: dict[str, object], field_path: str) -> str:
     return str(value) if value else ""
 
 
-def _contains(record: dict[str, object], field_path: str, value: str) -> bool:
-    wanted = set(tokenize(value))
-    present = set(tokenize(_value_of(record, field_path)))
-    return bool(wanted) and wanted.issubset(present)
+class _CorpusMatches:
+    """Expected-match counts over one corpus, each value tokenised once.
 
+    Keyword queries are answered from a document-frequency table (token
+    -> records holding it in any field) built on first use; field
+    queries from per-field postings (token -> bitmask of the records
+    whose field value holds it) built the first time a field is asked
+    about.  Counts and bitmasks, not per-record token sets: the corpus
+    is large and the memo must stay small beside it.
+    """
 
-def _count_keyword_matches(corpus: Sequence[dict[str, object]], token: str) -> int:
-    count = 0
-    for record in corpus:
-        text = " ".join(
-            value if isinstance(value, str) else " ".join(str(item) for item in value)
-            for value in record.values()
-        )
-        if token.lower() in tokenize(text):
-            count += 1
-    return count
+    def __init__(self, corpus: Sequence[dict[str, object]]) -> None:
+        self._corpus = corpus
+        self._keyword_frequency: Optional[Counter[str]] = None
+        self._field_postings: dict[str, dict[str, int]] = {}
+
+    def keyword(self, token: str) -> int:
+        """Records holding ``token`` in any field."""
+        if self._keyword_frequency is None:
+            self._keyword_frequency = Counter()
+            for record in self._corpus:
+                text = " ".join(
+                    value if isinstance(value, str) else " ".join(str(item) for item in value)
+                    for value in record.values()
+                )
+                self._keyword_frequency.update(set(tokenize(text)))
+        return self._keyword_frequency[token.lower()]
+
+    def field_contains(self, field_path: str, value: str) -> int:
+        """Records whose ``field_path`` value holds every token of ``value``."""
+        wanted = tokenize(value)
+        if not wanted:
+            return 0
+        postings = self._field_postings.get(field_path)
+        if postings is None:
+            postings = self._field_postings[field_path] = {}
+            for position, record in enumerate(self._corpus):
+                for token in tokenize(_value_of(record, field_path)):
+                    postings[token] = postings.get(token, 0) | (1 << position)
+        holders = -1
+        for token in wanted:
+            holders &= postings.get(token, 0)
+        return holders.bit_count()

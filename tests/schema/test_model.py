@@ -161,6 +161,29 @@ class TestSchema:
         assert by_path["solution/participants"].repeated
         assert by_path["category"].enumeration == ["creational", "structural", "behavioral"]
 
+    def test_fields_memo_sees_later_additions(self):
+        schema = Schema()
+        schema.add_element(ElementDeclaration(name="note", type_name="noteType"))
+        first = schema.fields()
+        assert [info.path for info in first] == ["note"]    # type not defined yet: a leaf
+        schema.add_complex_type(ComplexType(name="noteType", particle=Particle(items=[
+            ElementDeclaration(name="body"),
+            ElementDeclaration(name="mood", type_name="moodType"),
+        ])))
+        assert [info.path for info in schema.fields()] == ["body", "mood"]
+        assert schema.field_by_path("mood").enumeration == []
+        schema.add_simple_type(SimpleType(name="moodType", base="string",
+                                          facets=Facets(enumeration=["calm", "cross"])))
+        assert schema.field_by_path("mood").enumeration == ["calm", "cross"]
+        assert [info.path for info in first] == ["note"]    # an earlier answer is not rewritten
+
+    def test_fields_returns_a_fresh_list_per_call(self):
+        schema = build_pattern_schema()
+        first = schema.fields()
+        first.clear()
+        assert len(schema.fields()) == 6
+        assert schema.fields() == schema.fields(schema.root_element())
+
     def test_searchable_fields_subset(self):
         schema = build_pattern_schema()
         assert [info.path for info in schema.searchable_fields()] == ["name", "category", "intent"]

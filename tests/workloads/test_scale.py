@@ -52,6 +52,10 @@ class TestRunPopulation:
         assert report.messages == sum(island.messages for island in report.islands)
         assert report.messages_per_s > 0
         assert report.peak_rss_bytes > 0
+        # Set-up and the query phase are timed apart; wall_s is their sum.
+        for island in report.islands:
+            assert 0 < island.build_s and 0 < island.run_s
+            assert island.build_s + island.run_s <= island.wall_s <= report.wall_s
         counters = report.counters()
         assert counters["messages"] == report.messages
         assert any(key.startswith("type:") for key in counters)
