@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from repro.network.errors import NetworkError
+from repro.network.simulator import DriveLatch
 from repro.storage.errors import StorageError
 from repro.storage.query import Query
 
@@ -123,26 +124,29 @@ class QueryDriver:
         # None when a submission failed); Any keeps the two finish_* call
         # sites below from needing per-branch casts.
         contexts: list[Any] = [None] * len(ops)
-        failures: set[int] = set()
-        # Completion is counted by the kernel's per-context watcher hook,
-        # so the drive loop below is O(1) per processed event instead of
-        # re-scanning every context of the batch after each event.
-        settled = 0
-        # The latest completion (or failed-submission) time seen — the
-        # canonical batch exit clock.  A serial drive loop exits with
-        # ``simulator.now`` there already; a parallel worker may have run
-        # ahead of (or stopped short of) it inside its window, so the
-        # clock is re-pinned through ``align_exit_clock`` below.
+        simulator = self.network.simulator
+        # Every op settles exactly once — refused at submission, answered
+        # locally, or completed by the kernel (its per-context watcher
+        # hook) — and releases the latch the drive loop runs against, so
+        # nothing re-scans the batch after each event.
+        latch = DriveLatch(len(ops))
+        # The latest settle time seen — the canonical batch exit clock.
+        # A serial drive loop exits with ``simulator.now`` there already;
+        # a parallel worker may have run ahead of (or stopped short of)
+        # it inside its window, so the clock is re-pinned through
+        # ``align_exit_clock`` below.
         settle_clock = 0.0
 
+        def settle(at_ms: float) -> None:
+            nonlocal settle_clock
+            latch.remaining -= 1
+            if at_ms > settle_clock:
+                settle_clock = at_ms
+
         def note_done(context: Any) -> None:
-            nonlocal settled, settle_clock
-            settled += 1
-            if context.completed_at > settle_clock:
-                settle_clock = context.completed_at
+            settle(context.completed_at)
 
         def submit(index: int, op: WorkloadOp) -> None:
-            nonlocal settled, settle_clock
             try:
                 if isinstance(op, SearchOp):
                     context = self.network.start_search(
@@ -152,48 +156,34 @@ class QueryDriver:
                     provider_id = op.provider_id or self.network.locate_provider(
                         op.resource_id, exclude=op.requester_id)
                     if provider_id is None:
-                        failures.add(index)
-                        settled += 1
-                        settle_clock = max(settle_clock, self.network.simulator.now)
+                        settle(simulator.now)
                         return
                     context = self.network.start_retrieve(
                         op.requester_id, provider_id, op.resource_id,
                         bandwidth_kbps=op.bandwidth_kbps)
             except NetworkError:
-                failures.add(index)
-                settled += 1
-                settle_clock = max(settle_clock, self.network.simulator.now)
+                settle(simulator.now)
                 return
             contexts[index] = context
             if context.done:
                 # Answered purely locally, before a watcher could be
                 # attached — count it here instead.
-                settled += 1
-                settle_clock = max(settle_clock, context.completed_at)
+                settle(context.completed_at)
             else:
                 context.watcher = note_done
 
         for index, op in enumerate(ops):
-            self.network.simulator.schedule(index * interarrival_ms, submit, index, op)
+            simulator.schedule(index * interarrival_ms, submit, index, op)
 
-        expected = len(ops)
-        processed = 0
-        drained = False
-        step = self.network.simulator.step
-        while settled < expected:
-            if not step():
-                # The queue drained with exchanges still pending: their
-                # deliveries are lost, so complete them at the drain time
-                # instead of leaving a bogus zero completion stamp.
-                self.network.kernel.mark_starved(
-                    [context for context in contexts if context is not None])
-                drained = True
-                break
-            processed += 1
-            if processed > max_events:
-                raise RuntimeError(f"driver exceeded {max_events} events without quiescing")
-        if not drained and ops:
-            self.network.simulator.align_exit_clock(settle_clock)
+        _processed, drained = simulator.drive(latch, max_events=max_events)
+        if drained:
+            # The queue drained with exchanges still pending: their
+            # deliveries are lost, so complete them at the drain time
+            # instead of leaving a bogus zero completion stamp.
+            self.network.kernel.mark_starved(
+                [context for context in contexts if context is not None])
+        elif ops:
+            simulator.align_exit_clock(settle_clock)
 
         outcome = BatchOutcome()
         from repro.network.base import SearchResponse  # local import: cycle

@@ -29,11 +29,11 @@ processing events, never by side-effecting mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
 from repro.network.faults import FaultModel
 from repro.network.messages import Message, MessageType, ack_message
-from repro.network.simulator import NetworkSimulator
+from repro.network.simulator import DriveLatch, NetworkSimulator
 from repro.network.stats import NetworkStats
 from repro.storage.query import Query
 
@@ -177,7 +177,7 @@ class MaintenanceTimer:
 
     Slotted and allocation-light: each firing re-posts through the
     simulator's no-handle fast path, so a long steady-state run costs
-    one list per tick and nothing else.
+    one tuple per tick and nothing else.
     """
 
     __slots__ = ("interval_ms", "callback", "args", "cancelled", "affinity")
@@ -207,9 +207,13 @@ class EventKernel:
         # C-level, while hashing an Enum member goes through a Python
         # __hash__ on every dispatch.
         self._handlers: dict[str, Handler] = {}
-        # Bound method of the latency model, resolved once: the send
-        # path calls it per message.
+        #: type values delivered at most once per node per exchange
+        #: (see :meth:`deliver_once_per_node`)
+        self._once_per_node: set[str] = set()
+        # Bound methods of the latency model, resolved once: the send
+        # path calls one per message, the fan-out the other per hop.
         self._link_latency = simulator.latency_model.latency
+        self._latency_row = simulator.latency_model.row
         #: always-on endpoints that are not peers (e.g. the index server)
         self.virtual_nodes: set[str] = set()
         #: recurring maintenance timers (heartbeats, lease sweeps)
@@ -224,6 +228,23 @@ class EventKernel:
     def register(self, message_type: MessageType, handler: Handler) -> None:
         """Install the handler invoked when a ``message_type`` arrives."""
         self._handlers[message_type.value] = handler
+
+    def deliver_once_per_node(self, message_type: MessageType) -> None:
+        """Hand ``message_type`` to its handler at most once per node per
+        exchange — a flood's duplicate suppression, kernel-side.
+
+        A flooded message reaches most nodes along several paths and
+        only the first arrival does anything; of a gnutella flood's
+        deliveries three in four are such duplicates.  For a registered
+        type the kernel keeps the exchange's ``visited`` set itself: a
+        delivery at a node already in it never enters a handler frame.
+        It is still a message that was sent — counted at send time, its
+        ``pending`` token released at its arrival time.  Exchanges that
+        carry a registered type must have a ``visited`` set (the search
+        and membership contexts do); a delivery without an exchange is
+        never filtered.
+        """
+        self._once_per_node.add(message_type.value)
 
     def add_virtual_node(self, node_id: str) -> None:
         """Declare an always-online endpoint (it has no :class:`Peer`)."""
@@ -305,24 +326,74 @@ class EventKernel:
         delay = latency_ms if latency_ms is not None else self._link_latency(
             message.sender, message.recipient)
         if self.faults is not None:
-            decision = self.faults.decide(message.sender, message.recipient,
-                                          self.simulator.now)
-            if decision.drop:
-                # The delivery is lost, but the exchange's reference
-                # count must still fall at the original arrival time —
-                # a drop event rides the queue in the delivery's place
-                # (and routes to the recipient's shard exactly like it).
-                self.stats.record_drop(partition=decision.partitioned)
-                self.simulator.post(delay, self._drop, message, context)
-                return
-            if decision.duplicate:
-                self.stats.record_duplicate()
-                if context is not None:
-                    context.pending += 1
-                self.simulator.post(delay + decision.duplicate_lag_ms,
-                                    self._deliver, message, context)
-            delay += decision.extra_delay_ms
-        self.simulator.post(delay, self._deliver, message, context)
+            self._post_faulted(delay, message, context)
+        else:
+            self.simulator.post(delay, self._deliver, message, context)
+
+    def send_many(self, messages: Sequence[Message], *,
+                  context: Optional[ExchangeContext] = None) -> None:
+        """Send one hop's fan-out: the same message to several recipients.
+
+        ``messages`` are copies of one message from one sender that
+        differ only in their recipient (a flood hop, a relay broadcast,
+        a keepalive round), so wire size, type, statistics, the
+        exchange's counters and the sender's latency row are resolved
+        once for the hop; then, per copy and in the given order, the
+        link latency is read and the delivery posted — the same events,
+        in the same order, as one :meth:`send` per copy.
+        """
+        if not messages:
+            return
+        first = messages[0]
+        count = len(messages)
+        size = first.size_bytes
+        self.stats.record(first.type._value_, size, count)
+        if context is not None:
+            context.messages_sent += count
+            context.bytes_sent += count * size
+            context.pending += count
+        sender = first.sender
+        row = self._latency_row(sender)
+        faulted = self.faults is not None
+        post = self.simulator.post
+        deliver = self._deliver
+        for message in messages:
+            recipient = message.recipient
+            delay = row.get(recipient)
+            if delay is None:
+                delay = self._link_latency(sender, recipient)
+            if faulted:
+                self._post_faulted(delay, message, context)
+            else:
+                post(delay, deliver, message, context)
+
+    def _post_faulted(self, delay: float, message: Message,
+                      context: Optional[ExchangeContext]) -> None:
+        """The send tail under fault injection: one fate per copy.
+
+        ``decide`` keys same-instant sends on one link by their
+        occurrence index, so it must be consulted exactly once per copy,
+        in send order.
+        """
+        assert self.faults is not None
+        decision = self.faults.decide(message.sender, message.recipient,
+                                      self.simulator.now)
+        if decision.drop:
+            # The delivery is lost, but the exchange's reference
+            # count must still fall at the original arrival time —
+            # a drop event rides the queue in the delivery's place
+            # (and routes to the recipient's shard exactly like it).
+            self.stats.record_drop(partition=decision.partitioned)
+            self.simulator.post(delay, self._drop, message, context)
+            return
+        if decision.duplicate:
+            self.stats.record_duplicate()
+            if context is not None:
+                context.pending += 1
+            self.simulator.post(delay + decision.duplicate_lag_ms,
+                                self._deliver, message, context)
+        self.simulator.post(delay + decision.extra_delay_ms,
+                            self._deliver, message, context)
 
     def _drop(self, message: Message, context: Optional[ExchangeContext]) -> None:
         """A faulted delivery's arrival-time bookkeeping (no dispatch)."""
@@ -352,7 +423,14 @@ class EventKernel:
             recipient = message.recipient
             peer = self.peers.get(recipient)
             if (peer is not None and peer.online) or recipient in self.virtual_nodes:
-                handler = self._handlers.get(message.type._value_)
+                type_value = message.type._value_
+                handler = self._handlers.get(type_value)
+                if type_value in self._once_per_node and context is not None:
+                    visited = context.visited  # type: ignore[attr-defined]
+                    if recipient in visited:
+                        handler = None  # a faster copy got here first
+                    else:
+                        visited.add(recipient)
                 if handler is not None:
                     handler(peer, message, context)
                 if message.ack_to:
@@ -431,21 +509,34 @@ class EventKernel:
         point.  Events scheduled after the last context completes stay
         queued.  If the queue drains while contexts are still pending,
         they are marked ``starved`` and completed at the drain time.
+
+        Completions are counted through each context's ``watcher`` hook
+        (chained behind one already installed), so the drive loop
+        re-scans nothing per event.
         """
-        processed = 0
-        drained = False
-        while any(not context.done for context in contexts):
-            if not self.simulator.step():
-                self.mark_starved(contexts)
-                drained = True
-                break
-            processed += 1
-            if processed > max_events:
-                raise RuntimeError(f"kernel exceeded {max_events} events without quiescing")
-        if not drained and contexts:
+        latch = DriveLatch(0)
+        for context in contexts:
+            if not context.done:
+                latch.remaining += 1
+                context.watcher = _chained(context.watcher, latch)
+        processed, drained = self.simulator.drive(latch, max_events=max_events)
+        if drained:
+            self.mark_starved(contexts)
+        elif contexts:
             # Serial execution exits with the clock already at the last
             # completion; a parallel worker pins its clock to it here so
             # later submissions are stamped identically fleet-wide.
             self.simulator.align_exit_clock(
                 max(context.completed_at for context in contexts))
         return processed
+
+
+def _chained(previous: Optional[Callable[[ExchangeContext], None]],
+             latch: DriveLatch) -> Callable[[ExchangeContext], None]:
+    """A completion watcher that releases ``latch`` after running the
+    watcher that was installed before it."""
+    def watcher(context: ExchangeContext) -> None:
+        if previous is not None:
+            previous(context)
+        latch.remaining -= 1
+    return watcher

@@ -49,7 +49,7 @@ import itertools
 import pickle
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 # engine/parallel.py is the sanctioned home for process management
 # (detlint KERN002); everything else must route through here or
@@ -418,6 +418,12 @@ class WorkerKernel(EventKernel):
         super().send(message, context=context, copies=copies,
                      latency_ms=latency_ms)
 
+    def send_many(self, messages: Sequence[Message], *,
+                  context: Any = None) -> None:
+        if self._suppress_sends:
+            return
+        super().send_many(messages, context=context)
+
     # -- completion ------------------------------------------------------
 
     def _complete(self, context: Any) -> None:
@@ -696,16 +702,16 @@ class WorkerSimulator(NetworkSimulator):
                  *args) -> EventHandle:
         if delay_ms < 0:
             raise ValueError("cannot schedule events in the past")
-        entry = [self._now + delay_ms, next(self._sequence), callback, args]
+        entry = (self._now + delay_ms, next(self._sequence), callback, args)
         self._route(entry)
-        return EventHandle(entry)
+        return EventHandle(entry, self._cancelled)
 
     def post(self, delay_ms: float, callback: Callable[..., None], *args) -> None:
-        self._route([self._now + delay_ms, next(self._sequence), callback, args])
+        self._route((self._now + delay_ms, next(self._sequence), callback, args))
 
     def post_keyed(self, key: str, delay_ms: float,
                    callback: Callable[..., None], *args) -> None:
-        entry = [self._now + delay_ms, next(self._sequence), callback, args]
+        entry = (self._now + delay_ms, next(self._sequence), callback, args)
         if self._active_shard is None or not key:
             # Control-plane arming is replicated, so the timer runs as a
             # replicated control event in every worker — consistent, and
@@ -721,7 +727,7 @@ class WorkerSimulator(NetworkSimulator):
                 f"stay owner-local")
         heapq.heappush(self._shard_queues[dest], entry)
 
-    def _route(self, entry: list) -> None:
+    def _route(self, entry: tuple) -> None:
         args = entry[_ARGS]
         message = args[0] if args else None
         if type(message) is not Message:
@@ -773,8 +779,8 @@ class WorkerSimulator(NetworkSimulator):
         best_key = None
         best_shard = None
         for shard, queue in self._heaps():
-            while queue and queue[0][_CALLBACK] is None:
-                heapq.heappop(queue)
+            if self._cancelled:
+                self._drop_cancelled_heads(queue)
             if not queue:
                 continue
             head = queue[0]
@@ -832,6 +838,10 @@ class WorkerSimulator(NetworkSimulator):
             self._sequence = self._ctrl_sequence
         return True
 
+    #: the drive loop runs over :meth:`step` above (windows, barriers,
+    #: plane switching) — never the base class's inlined single-queue loop
+    drive = NetworkSimulator._drive_by_step
+
     def advance(self, delta_ms: float) -> None:
         raise RuntimeError(
             "advance() mutates the clock outside an event and would break "
@@ -880,7 +890,7 @@ class WorkerSimulator(NetworkSimulator):
             self._queue, *self._shard_queues.values(),
             *self._outboxes, self._bcast)
         for entry in entries:
-            if entry[_CALLBACK] is not None and (
+            if entry[_SEQUENCE] not in self._cancelled and (
                     until_ms is None or entry[_TIME] <= until_ms):
                 return True
         return False
@@ -889,11 +899,12 @@ class WorkerSimulator(NetworkSimulator):
         entries = itertools.chain(
             self._queue, *self._shard_queues.values(),
             *self._outboxes, self._bcast)
-        return sum(1 for entry in entries if entry[_CALLBACK] is not None)
+        return sum(1 for entry in entries
+                   if entry[_SEQUENCE] not in self._cancelled)
 
     # -- the barrier -----------------------------------------------------
 
-    def _encode(self, entry: list, closed_end: float) -> tuple:
+    def _encode(self, entry: tuple, closed_end: float) -> tuple:
         if entry[_TIME] < closed_end:
             raise RuntimeError(
                 f"lookahead violated: cross-shard delivery at "
@@ -927,8 +938,8 @@ class WorkerSimulator(NetworkSimulator):
             context = contexts[cid] if cid is not None else None
             callback = (kernel._deliver if kind == _WIRE_DELIVER
                         else kernel._drop)
-            entry = [event_time, SHIP_BASE + sequence * workers + sender_rank,
-                     callback, (message, context)]
+            entry = (event_time, SHIP_BASE + sequence * workers + sender_rank,
+                     callback, (message, context))
             if (message.type._value_ in SHARD_ROUTED_TYPE_VALUES
                     and message.recipient not in self._control_nodes):
                 dest = self.shard_of_node(message.recipient)
@@ -951,9 +962,10 @@ class WorkerSimulator(NetworkSimulator):
         logic relies on "is the global minimum exactly the serving
         candidate" being a pure key comparison."""
         best: Optional[tuple] = None
+        cancelled = self._cancelled
         for entry in itertools.chain(self._queue,
                                      *self._shard_queues.values()):
-            if entry[_CALLBACK] is None:
+            if entry[_SEQUENCE] in cancelled:
                 continue
             key = (entry[_TIME], entry[_SEQUENCE])
             if best is None or key < best:
@@ -961,7 +973,7 @@ class WorkerSimulator(NetworkSimulator):
         workers = self._rt.workers
         rank = self._rt.rank
         for entry in itertools.chain(*self._outboxes, self._bcast):
-            if entry[_CALLBACK] is None:
+            if entry[_SEQUENCE] in cancelled:
                 continue
             key = (entry[_TIME],
                    SHIP_BASE + entry[_SEQUENCE] * workers + rank)
@@ -985,7 +997,7 @@ class WorkerSimulator(NetworkSimulator):
         best: Optional[tuple] = None
         for queue in self._shard_queues.values():
             for entry in queue:
-                if entry[_CALLBACK] is None or entry[_TIME] >= end:
+                if entry[_SEQUENCE] in self._cancelled or entry[_TIME] >= end:
                     continue
                 key = (entry[_TIME], entry[_SEQUENCE])
                 if best is not None and key >= best:
@@ -1015,7 +1027,7 @@ class WorkerSimulator(NetworkSimulator):
             if not entries:
                 continue
             wire = [self._encode(entry, closed_end) for entry in entries
-                    if entry[_CALLBACK] is not None]
+                    if entry[_SEQUENCE] not in self._cancelled]
             if not wire:
                 continue
             if dest_rank == runtime.rank:
@@ -1028,7 +1040,7 @@ class WorkerSimulator(NetworkSimulator):
                 self.bytes_shipped += len(blob)
                 out_payload[dest_rank] = blob
         bcast_wire = [self._encode(entry, closed_end) for entry in self._bcast
-                      if entry[_CALLBACK] is not None]
+                      if entry[_SEQUENCE] not in self._cancelled]
         bcast_blob = None
         if bcast_wire:
             bcast_blob = pickle.dumps(bcast_wire,

@@ -90,8 +90,8 @@ class ShardedSimulator(NetworkSimulator):
         self._assignment: Assignment = dict(assignment or {})
         #: the inherited ``_queue`` is the control shard; message
         #: deliveries go to per-shard heaps
-        self._shard_queues: list[list[list]] = [[] for _ in range(shards)]
-        self._outbox: list[list] = []
+        self._shard_queues: list[list[tuple]] = [[] for _ in range(shards)]
+        self._outbox: list[tuple] = []
         self._lookahead = self.latency_model.base_ms
         #: single-queue fallback when no safe lookahead exists
         self._degenerate = self._lookahead <= 0 or shards == 1
@@ -133,24 +133,23 @@ class ShardedSimulator(NetworkSimulator):
                  *args: object) -> EventHandle:
         if delay_ms < 0:
             raise ValueError("cannot schedule events in the past")
-        entry = [self._now + delay_ms, next(self._sequence), callback, args]
+        entry = (self._now + delay_ms, next(self._sequence), callback, args)
         self._route(entry)
-        return EventHandle(entry)
+        return EventHandle(entry, self._cancelled)
 
     def post(self, delay_ms: float, callback: Callable[..., None], *args: object) -> None:
-        self._route([self._now + delay_ms, next(self._sequence), callback, args])
+        self._route((self._now + delay_ms, next(self._sequence), callback, args))
 
     def post_keyed(self, key: str, delay_ms: float,
                    callback: Callable[..., None], *args: object) -> None:
         """Post an event with explicit shard affinity (keyed timers)."""
+        entry = (self._now + delay_ms, next(self._sequence), callback, args)
         if self._degenerate or not key:
-            heapq.heappush(self._queue,
-                           [self._now + delay_ms, next(self._sequence), callback, args])
-            return
-        entry = [self._now + delay_ms, next(self._sequence), callback, args]
-        self._push(entry, self.shard_of_node(key))
+            heapq.heappush(self._queue, entry)
+        else:
+            self._push(entry, self.shard_of_node(key))
 
-    def _route(self, entry: list) -> None:
+    def _route(self, entry: tuple) -> None:
         """Queue ``entry`` on the shard its event belongs to.
 
         Message deliveries (the kernel posts ``_deliver, message,
@@ -175,18 +174,18 @@ class ShardedSimulator(NetworkSimulator):
         else:
             self._push(entry, dest)
 
-    def _push(self, entry: list, shard: int) -> None:
+    def _push(self, entry: tuple, shard: int) -> None:
         heapq.heappush(self._shard_queues[shard], entry)
 
     # ------------------------------------------------------------------
     # Windowed execution
     # ------------------------------------------------------------------
-    def _queues(self) -> Iterator[tuple[int, list]]:
+    def _queues(self) -> Iterator[tuple[int, list[tuple]]]:
         yield CONTROL, self._queue
         for shard, queue in enumerate(self._shard_queues):
             yield shard, queue
 
-    def _pop_eligible(self) -> Optional[tuple[int, list]]:
+    def _pop_eligible(self) -> Optional[tuple[int, tuple]]:
         """Pop the globally minimal ``(time, seq)`` entry inside the
         current window, skipping cancelled entries; ``None`` when every
         queue is empty or beyond the window end."""
@@ -195,8 +194,8 @@ class ShardedSimulator(NetworkSimulator):
         best_shard = CONTROL
         best_queue: Optional[list] = None
         for shard, queue in self._queues():
-            while queue and queue[0][_CALLBACK] is None:
-                heapq.heappop(queue)
+            if self._cancelled:
+                self._drop_cancelled_heads(queue)
             if not queue:
                 continue
             head = queue[0]
@@ -217,7 +216,7 @@ class ShardedSimulator(NetworkSimulator):
         if self._outbox:
             closed_end = self._window_end
             for entry in self._outbox:
-                if entry[_CALLBACK] is not None and entry[_TIME] < closed_end:
+                if entry[_SEQUENCE] not in self._cancelled and entry[_TIME] < closed_end:
                     raise RuntimeError(
                         f"lookahead violated: cross-shard delivery at "
                         f"t={entry[_TIME]:.3f}ms inside the closed window "
@@ -227,8 +226,8 @@ class ShardedSimulator(NetworkSimulator):
             self._outbox.clear()
         start: Optional[float] = None
         for _, queue in self._queues():
-            while queue and queue[0][_CALLBACK] is None:
-                heapq.heappop(queue)
+            if self._cancelled:
+                self._drop_cancelled_heads(queue)
             if queue and (start is None or queue[0][_TIME] < start):
                 start = queue[0][_TIME]
         if start is None:
@@ -248,15 +247,12 @@ class ShardedSimulator(NetworkSimulator):
                     return False
                 continue
             shard, entry = popped
-            callback = entry[_CALLBACK]
-            if callback is None:
-                continue
             time = entry[_TIME]
             if time > self._now:
                 self._now = time
             self._active_shard = shard if shard != CONTROL else None
             try:
-                callback(*entry[_ARGS])
+                entry[_CALLBACK](*entry[_ARGS])
             finally:
                 self._active_shard = None
             self.events_processed += 1
@@ -266,17 +262,21 @@ class ShardedSimulator(NetworkSimulator):
                 self.events_per_shard[shard] += 1
             return True
 
+    #: the drive loop runs over :meth:`step` above — the single-queue
+    #: loop the base class inlines must never pop these queues
+    drive = NetworkSimulator._drive_by_step
+
     def _peek_time(self) -> Optional[float]:
         """Earliest pending event time across every queue and the outbox."""
         earliest: Optional[float] = None
         for _, queue in self._queues():
-            while queue and queue[0][_CALLBACK] is None:
-                heapq.heappop(queue)
+            if self._cancelled:
+                self._drop_cancelled_heads(queue)
             if queue and (earliest is None or queue[0][_TIME] < earliest):
                 earliest = queue[0][_TIME]
         for entry in self._outbox:
-            if entry[_CALLBACK] is not None and (earliest is None
-                                                 or entry[_TIME] < earliest):
+            if entry[_SEQUENCE] not in self._cancelled and (
+                    earliest is None or entry[_TIME] < earliest):
                 earliest = entry[_TIME]
         return earliest
 
@@ -306,6 +306,6 @@ class ShardedSimulator(NetworkSimulator):
 
     def pending_events(self) -> int:
         live = sum(1 for _, queue in self._queues()
-                   for entry in queue if entry[_CALLBACK] is not None)
+                   for entry in queue if entry[_SEQUENCE] not in self._cancelled)
         return live + sum(1 for entry in self._outbox
-                          if entry[_CALLBACK] is not None)
+                          if entry[_SEQUENCE] not in self._cancelled)

@@ -41,6 +41,7 @@ from repro.network.messages import (
     MessageType,
     ping_message,
     pong_message,
+    query_message,
 )
 from repro.network.peers import Peer
 from repro.network.routing import RoutingIndex
@@ -154,27 +155,22 @@ class GnutellaProtocol(PeerNetwork):
             return
         now = self.simulator.now
         if isinstance(context, MembershipContext):
-            # Discovery ping: answer with a PONG routed back along the
-            # reverse path, then re-flood while TTL remains.
-            if peer.peer_id in context.visited:
-                return
-            context.visited.add(peer.peer_id)
+            # Discovery ping (first arrival here — the kernel drops the
+            # flood's duplicates): answer with a PONG routed back along
+            # the reverse path, then re-flood while TTL remains.
             pong = pong_message(peer.peer_id, context.peer_id,
                                 message_id=message.message_id)
             self.kernel.send(pong, context=context, copies=max(1, message.hops),
                              latency_ms=now - context.started_at)
-            remaining = message.ttl - 1
-            if remaining <= 0:
+            if message.ttl <= 1:
                 return
+            copies = []
             for neighbor_id in sorted(peer.neighbors):
                 neighbor = self.peers.get(neighbor_id)
-                if neighbor is None or not neighbor.online \
-                        or neighbor_id in context.visited:
-                    continue
-                forward = ping_message(peer.peer_id, neighbor_id, ttl=remaining)
-                forward.message_id = message.message_id
-                forward.hops = message.hops + 1
-                self.kernel.send(forward, context=context)
+                if neighbor is not None and neighbor.online \
+                        and neighbor_id not in context.visited:
+                    copies.append(message.forwarded(peer.peer_id, neighbor_id))
+            self.kernel.send_many(copies, context=context)
             return
         # Keepalive ping from a neighbour: acknowledge directly.  Under
         # informed routing the PONG also piggybacks this peer's routing
@@ -238,8 +234,8 @@ class GnutellaProtocol(PeerNetwork):
             for neighbor_id in sorted(peer.neighbors):
                 if peer.last_pong_ms.get(neighbor_id, 0.0) <= now - lease:
                     self._drop_link(peer, neighbor_id, now)
-            for neighbor_id in sorted(peer.neighbors):
-                self.kernel.send(ping_message(peer_id, neighbor_id))
+            self.kernel.send_many([ping_message(peer_id, neighbor_id)
+                                   for neighbor_id in sorted(peer.neighbors)])
             if len(peer.neighbors) < self.degree:
                 self._discover_neighbors(peer, kind="repair")
 
@@ -316,8 +312,15 @@ class GnutellaProtocol(PeerNetwork):
         # The origin searches its own index first (no messages).
         self._answer_locally(origin, context)
 
-        if ttl > 0:
-            self._flood_from(origin, ttl=ttl, hops=1, context=context)
+        # The descriptor as the origin holds it: no hop travelled, one
+        # TTL unit above the copies it sends (forwarding spends one per
+        # hop).  Its id — the Gnutella descriptor GUID — is the query
+        # id, and every copy of the flood carries it.
+        self._flood_from(origin, query_message(
+            origin_id, origin_id, context.extra["query_xml"], ttl=ttl + 1,
+            community_id=query.community_id,
+            payload_bytes=context.extra["query_bytes"],
+            message_id=context.extra["query_id"]), context)
         self.kernel.finish_if_idle(context)
         return context
 
@@ -329,10 +332,16 @@ class GnutellaProtocol(PeerNetwork):
         kernel.register(MessageType.QUERY, self._on_query)
         kernel.register(MessageType.PING, self._on_ping)
         kernel.register(MessageType.PONG, self._on_pong)
+        # Both floods (search and neighbour discovery) reach a peer along
+        # many paths; only the first arrival per exchange gets a handler.
+        kernel.deliver_once_per_node(MessageType.QUERY)
+        kernel.deliver_once_per_node(MessageType.PING)
 
     def _on_query(self, peer: Optional[Peer], message: Message,
                   context: Optional[QueryContext]) -> None:
-        """One QUERY copy arrived at ``peer``: accept, answer, re-flood.
+        """The first QUERY copy of a flood arrived at ``peer``: answer,
+        re-flood.  (Later copies never get here: QUERY is delivered once
+        per node, see ``_register_handlers``.)
 
         Hits ride the QUERY-HIT back to the origin along the reverse
         path and only count on arrival (see ``PeerNetwork._send_hit`` /
@@ -340,9 +349,6 @@ class GnutellaProtocol(PeerNetwork):
         """
         if peer is None or context is None:
             return
-        if peer.peer_id in context.visited:
-            return  # duplicate suppression: a faster copy got here first
-        context.visited.add(peer.peer_id)
         context.peers_probed += 1
         hops = message.hops
 
@@ -395,9 +401,7 @@ class GnutellaProtocol(PeerNetwork):
                 sum(stored.metadata_wire_bytes() for stored in taken),
                 message_id=message.message_id, hops=hops)
 
-        remaining = message.ttl - 1
-        if remaining > 0:
-            self._flood_from(peer, ttl=remaining, hops=hops + 1, context=context)
+        self._flood_from(peer, message, context)
 
     def _cache_store(self, context: QueryContext, response) -> None:
         """The origin caches its finished response, becoming a cache
@@ -416,11 +420,13 @@ class GnutellaProtocol(PeerNetwork):
             return False
         return self.caches.would_serve(message.recipient, context, at_ms)
 
-    def _flood_from(self, peer: Peer, *, ttl: int, hops: int, context: QueryContext) -> None:
-        """Send one QUERY copy to every online neighbour of ``peer``.
+    def _flood_from(self, peer: Peer, message: Message, context: QueryContext) -> None:
+        """Forward ``message``, the QUERY ``peer`` holds, to every online
+        neighbour while TTL remains — one kernel fan-out per hop.
 
         Every copy shares the immutable wire form rendered at search
-        start — no per-neighbour serialization or byte counting.
+        start and the flood's descriptor id — no per-neighbour
+        serialization, byte counting or id draw.
 
         Under ``informed_routing`` the fan-out narrows once the
         remaining TTL fits inside the filter depth: only neighbours
@@ -431,12 +437,11 @@ class GnutellaProtocol(PeerNetwork):
         admits, the hop falls back to the full blind fan-out rather
         than silently truncating the flood.
         """
+        ttl = message.ttl - 1  # what the copies carry
+        if ttl <= 0:
+            return
         extra = context.extra
-        query_xml = extra["query_xml"]
-        query_bytes = extra["query_bytes"]
-        community_id = context.query.community_id
         peers = self.peers
-        send = self.kernel.send
         peer_id = peer.peer_id
         order = self._flood_order.get(peer_id)
         if order is None:
@@ -470,18 +475,9 @@ class GnutellaProtocol(PeerNetwork):
                     # exempt this hop's receivers from FP accounting.
                     self.stats.record_routing_fallback()
                     extra.setdefault("fallback_hops", set()).add(peer_id)
-        for neighbor_id in targets:
-            message = Message(
-                type=MessageType.QUERY,
-                sender=peer_id,
-                recipient=neighbor_id,
-                ttl=ttl,
-                hops=hops,
-                payload_bytes=query_bytes,
-                query_xml=query_xml,
-                community_id=community_id,
-            )
-            send(message, context=context)
+        self.kernel.send_many(
+            [message.forwarded(peer_id, neighbor_id) for neighbor_id in targets],
+            context=context)
 
     # ------------------------------------------------------------------
     def reachable_peers(self, origin_id: str, ttl: Optional[int] = None) -> int:

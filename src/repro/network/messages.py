@@ -79,7 +79,8 @@ class Message:
     ``size_bytes``; the wire cost is already in ``payload_bytes``.
 
     The class is slotted: a flood constructs one message per neighbour
-    per hop, so construction cost is squarely on the kernel hot path.
+    per hop (:meth:`forwarded`), so construction cost is squarely on the
+    kernel hot path.
     ``query_xml`` holds a *shared* reference to the query's wire form —
     serialized once per search, never per hop.
     """
@@ -130,22 +131,16 @@ class Message:
     def forwarded(self, sender: str, recipient: str) -> "Message":
         """A copy of this message forwarded one hop further.
 
-        The immutable query payload (``query_xml``, ``payload_bytes``)
-        is shared, not recomputed — forwarding never re-serializes or
-        re-measures the wire form.
+        The one spelling of "forward a copy": every flood hop, discovery
+        re-flood and relay broadcast builds its copies here.  The copy
+        keeps the descriptor id and shares the immutable query payload
+        (``query_xml``, ``payload_bytes``) — forwarding never draws an
+        id, re-serializes or re-measures the wire form.  Positional
+        construction: this runs once per copy of every flood.
         """
-        return Message(
-            type=self.type,
-            sender=sender,
-            recipient=recipient,
-            message_id=self.message_id,
-            ttl=self.ttl - 1,
-            hops=self.hops + 1,
-            payload_bytes=self.payload_bytes,
-            query_xml=self.query_xml,
-            resource_id=self.resource_id,
-            community_id=self.community_id,
-        )
+        return Message(self.type, sender, recipient, self.message_id,
+                       self.ttl - 1, self.hops + 1, self.payload_bytes,
+                       self.query_xml, self.resource_id, self.community_id)
 
     @property
     def size_bytes(self) -> int:
@@ -158,16 +153,20 @@ class Message:
 
 
 def query_message(sender: str, recipient: str, query_xml: str, *, ttl: int = 7,
-                  community_id: str = "", payload_bytes: Optional[int] = None) -> Message:
+                  community_id: str = "", payload_bytes: Optional[int] = None,
+                  message_id: str = "") -> Message:
     """Build a QUERY message carrying a serialized structured query.
 
     ``payload_bytes`` lets callers that measured the wire form once (a
-    compiled plan) skip the per-message UTF-8 encode.
+    compiled plan) skip the per-message UTF-8 encode.  ``message_id`` is
+    the descriptor id every forwarded copy will carry (a search passes
+    its query id); without one a fresh id is drawn.
     """
     return Message(
         type=MessageType.QUERY,
         sender=sender,
         recipient=recipient,
+        message_id=message_id or next_message_id(),
         ttl=ttl,
         payload_bytes=payload_bytes if payload_bytes is not None
         else len(query_xml.encode("utf-8")),

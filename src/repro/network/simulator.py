@@ -20,10 +20,13 @@ import itertools
 import random
 from typing import Callable, Optional
 
-# Heap entries are plain lists ``[time, sequence, callback, args]`` so
-# the heap compares (time, sequence) with C-level float/int comparisons
-# — the callback slot is never reached.  A cancelled entry has its
-# callback replaced by ``None`` and is skipped on pop.
+# Heap entries are plain tuples ``(time, sequence, callback, args)``: one
+# allocation per event, and the heap compares (time, sequence) with
+# C-level float/int comparisons — sequence numbers are unique, so the
+# callback slot is never reached.  Entries are immutable; cancelling one
+# (rare: nothing on the simulation's own paths does) records its
+# sequence number in the simulator's ``_cancelled`` set, which the pop
+# sites consult only while it is non-empty.
 _TIME, _SEQUENCE, _CALLBACK, _ARGS = 0, 1, 2, 3
 
 
@@ -45,17 +48,37 @@ class SimulationTruncated(RuntimeError):
 class EventHandle:
     """Handle returned by :meth:`NetworkSimulator.schedule`; allows cancelling."""
 
-    __slots__ = ("_entry",)
+    __slots__ = ("_entry", "_cancelled")
 
-    def __init__(self, entry: list) -> None:
+    def __init__(self, entry: tuple, cancelled: set[int]) -> None:
         self._entry = entry
+        self._cancelled = cancelled
 
     def cancel(self) -> None:
-        self._entry[_CALLBACK] = None
+        """Keep the still-queued event from running (the mark is
+        dropped when the entry is popped, unrun and uncounted)."""
+        self._cancelled.add(self._entry[_SEQUENCE])
 
     @property
     def time(self) -> float:
         return self._entry[_TIME]
+
+
+class DriveLatch:
+    """What a drive loop waits on: how many exchanges are still open.
+
+    Whoever starts a drive counts its exchanges in and releases one per
+    completion (the kernel's ``watcher`` hook); :meth:`NetworkSimulator.drive`
+    runs events until the count reaches zero.  Each drive owns its
+    latch, so a drive started from inside an event (a synchronous
+    search issued by a callback) neither stops nor is stopped by the
+    one around it.
+    """
+
+    __slots__ = ("remaining",)
+
+    def __init__(self, remaining: int) -> None:
+        self.remaining = remaining
 
 
 class LatencyModel:
@@ -71,21 +94,35 @@ class LatencyModel:
         self.base_ms = base_ms
         self.jitter_ms = jitter_ms
         self._seed = seed
-        self._cache: dict[tuple[str, str], float] = {}
+        #: source -> {target: ms}, filled on first use in both directions
+        self._rows: dict[str, dict[str, float]] = {}
+
+    def row(self, source: str) -> dict[str, float]:
+        """The latencies from ``source`` computed so far, by target.
+
+        A fan-out fetches its sender's row once per hop and reads each
+        recipient from it without building a key; a target missing from
+        the row goes through :meth:`latency`, which fills it.
+        """
+        row = self._rows.get(source)
+        if row is None:
+            row = self._rows[source] = {}
+        return row
 
     def latency(self, source: str, target: str) -> float:
         """Latency in milliseconds of the link ``source`` ↔ ``target``."""
         if source == target:
             return 0.0
-        cached = self._cache.get((source, target))
+        row = self.row(source)
+        cached = row.get(target)
         if cached is None:
             ordered = (source, target) if source <= target else (target, source)
             rng = random.Random(f"{self._seed}:{ordered[0]}:{ordered[1]}")
             cached = self.base_ms + rng.random() * self.jitter_ms
             # Cache both directions so the symmetric hit path skips the
             # ordering comparison entirely.
-            self._cache[(source, target)] = cached
-            self._cache[(target, source)] = cached
+            row[target] = cached
+            self.row(target)[source] = cached
         return cached
 
 
@@ -96,8 +133,10 @@ class NetworkSimulator:
         self.latency_model = latency or LatencyModel(seed=seed)
         self.random = random.Random(seed)
         self._now = 0.0
-        self._queue: list[list] = []
+        self._queue: list[tuple] = []
         self._sequence = itertools.count()
+        #: sequence numbers of cancelled, not yet popped entries
+        self._cancelled: set[int] = set()
         self.events_processed = 0
 
     # ------------------------------------------------------------------
@@ -115,19 +154,19 @@ class NetworkSimulator:
         """
         if delay_ms < 0:
             raise ValueError("cannot schedule events in the past")
-        entry = [self._now + delay_ms, next(self._sequence), callback, args]
+        entry = (self._now + delay_ms, next(self._sequence), callback, args)
         heapq.heappush(self._queue, entry)
-        return EventHandle(entry)
+        return EventHandle(entry, self._cancelled)
 
     def post(self, delay_ms: float, callback: Callable[..., None], *args) -> None:
         """Fire-and-forget :meth:`schedule` for the kernel hot path.
 
         No :class:`EventHandle` is allocated and no negative-delay check
         runs — callers pass link latencies, which are non-negative by
-        construction.  One list allocation per posted message.
+        construction.  One tuple allocation per posted message.
         """
         heapq.heappush(self._queue,
-                       [self._now + delay_ms, next(self._sequence), callback, args])
+                       (self._now + delay_ms, next(self._sequence), callback, args))
 
     def post_keyed(self, key: str, delay_ms: float,
                    callback: Callable[..., None], *args) -> None:
@@ -140,7 +179,7 @@ class NetworkSimulator:
         overrides this to queue the event on the key's shard.
         """
         heapq.heappush(self._queue,
-                       [self._now + delay_ms, next(self._sequence), callback, args])
+                       (self._now + delay_ms, next(self._sequence), callback, args))
 
     def schedule_at(self, time_ms: float, callback: Callable[..., None],
                     *args) -> EventHandle:
@@ -160,13 +199,12 @@ class NetworkSimulator:
             if until_ms is not None and self._queue[0][_TIME] > until_ms:
                 break
             entry = heapq.heappop(self._queue)
-            callback = entry[_CALLBACK]
-            if callback is None:
+            if self._cancelled and self._was_cancelled(entry):
                 continue
             time = entry[_TIME]
             if time > self._now:
                 self._now = time
-            callback(*entry[_ARGS])
+            entry[_CALLBACK](*entry[_ARGS])
             processed += 1
             self.events_processed += 1
         if processed >= max_events and self._has_eligible(until_ms):
@@ -184,10 +222,25 @@ class NetworkSimulator:
         the heap costs nothing in normal operation.
         """
         for entry in self._queue:
-            if entry[_CALLBACK] is not None and (
+            if entry[_SEQUENCE] not in self._cancelled and (
                     until_ms is None or entry[_TIME] <= until_ms):
                 return True
         return False
+
+    def _was_cancelled(self, entry: tuple) -> bool:
+        """Whether the just-popped ``entry`` was cancelled; forgets the
+        cancellation if so (the entry is gone from the queue)."""
+        sequence = entry[_SEQUENCE]
+        if sequence in self._cancelled:
+            self._cancelled.discard(sequence)
+            return True
+        return False
+
+    def _drop_cancelled_heads(self, queue: list[tuple]) -> None:
+        """Pop cancelled entries off the top of ``queue`` (callers that
+        peek at a head test ``_cancelled`` for emptiness first)."""
+        while queue and queue[0][_SEQUENCE] in self._cancelled:
+            self._cancelled.discard(heapq.heappop(queue)[_SEQUENCE])
 
     def step(self) -> bool:
         """Process exactly one pending event (skipping cancelled ones).
@@ -198,19 +251,67 @@ class NetworkSimulator:
         other queries) in place.
         """
         queue = self._queue
-        pop = heapq.heappop
         while queue:
-            entry = pop(queue)
-            callback = entry[2]
-            if callback is None:
+            entry = heapq.heappop(queue)
+            if self._cancelled and self._was_cancelled(entry):
                 continue
             time = entry[0]
             if time > self._now:
                 self._now = time
-            callback(*entry[3])
+            entry[2](*entry[3])
             self.events_processed += 1
             return True
         return False
+
+    def drive(self, latch: DriveLatch, *, max_events: int) -> tuple[int, bool]:
+        """Run events until ``latch`` is released: the one drive loop.
+
+        Returns ``(processed, drained)``; ``drained`` says the queue ran
+        empty with the latch still held (the caller marks what it was
+        waiting on starved).  Events after the releasing one stay
+        queued and ``now`` is the releasing event's time.  Running more
+        than ``max_events`` raises — a cascade that never quiesces.
+
+        This is :meth:`step` in a loop with the body inlined: the hot
+        path pays the event's own frame and no ``step()`` call around
+        it.  A subclass with its own :meth:`step` (its own queues) must
+        take :meth:`_drive_by_step` instead.
+        """
+        queue = self._queue
+        cancelled = self._cancelled
+        pop = heapq.heappop
+        processed = 0
+        try:
+            while latch.remaining > 0:
+                if not queue:
+                    return processed, True
+                entry = pop(queue)
+                if cancelled and self._was_cancelled(entry):
+                    continue
+                time = entry[0]
+                if time > self._now:
+                    self._now = time
+                entry[2](*entry[3])
+                processed += 1
+                if processed > max_events:
+                    raise RuntimeError(
+                        f"drive loop exceeded {max_events} events without quiescing")
+        finally:
+            self.events_processed += processed
+        return processed, False
+
+    def _drive_by_step(self, latch: DriveLatch, *, max_events: int) -> tuple[int, bool]:
+        """:meth:`drive` as a plain loop over :meth:`step` — what a
+        simulator with its own queues and its own ``step`` uses."""
+        processed = 0
+        while latch.remaining > 0:
+            if not self.step():
+                return processed, True
+            processed += 1
+            if processed > max_events:
+                raise RuntimeError(
+                    f"drive loop exceeded {max_events} events without quiescing")
+        return processed, False
 
     def advance(self, delta_ms: float) -> None:
         """Advance the clock without processing events (accounting style)."""
@@ -227,7 +328,8 @@ class NetworkSimulator:
         its window and pins its clock to the canonical exit time."""
 
     def pending_events(self) -> int:
-        return sum(1 for entry in self._queue if entry[_CALLBACK] is not None)
+        return sum(1 for entry in self._queue
+                   if entry[_SEQUENCE] not in self._cancelled)
 
     # ------------------------------------------------------------------
     def link_latency(self, source: str, target: str) -> float:

@@ -234,16 +234,19 @@ class SuperPeerProtocol(TwoTierNetwork):
             self.kernel.finish_if_idle(context)
             return context
 
+        # The query's descriptor; the relay broadcast forwards copies of it.
+        message = query_message(origin_id, entry, context.extra["query_xml"],
+                                community_id=query.community_id,
+                                payload_bytes=context.extra["query_bytes"],
+                                message_id=context.extra["query_id"])
         if origin.is_super_peer:
-            # The origin IS the entry super-peer: answer and relay now.
-            self._answer_at_super(self.peers[entry], hops=0, context=context)
+            # The origin IS the entry super-peer: answer and relay now
+            # (no hop travelled, nothing sent to get here).
+            self._answer_at_super(self.peers[entry], message, context)
         else:
             # The entry may be a dead super the origin has not noticed
             # yet (live mode): the kernel drops the delivery and the
             # query quiesces with local results only.
-            message = query_message(origin_id, entry, context.extra["query_xml"],
-                                    community_id=query.community_id,
-                                    payload_bytes=context.extra["query_bytes"])
             message.hops = 1
             self.kernel.send(message, context=context)
         self.kernel.finish_if_idle(context)
@@ -267,12 +270,15 @@ class SuperPeerProtocol(TwoTierNetwork):
             # The leaf's believed super was demoted while the query was
             # in flight: the message is lost, like any stale-state cost.
             return
-        self._answer_at_super(peer, hops=message.hops, context=context)
+        self._answer_at_super(peer, message, context)
 
-    def _answer_at_super(self, super_peer: Peer, *, hops: int, context: QueryContext) -> None:
-        """Answer from one super-peer's aggregated index; the entry
-        super-peer additionally relays to every other online super-peer."""
+    def _answer_at_super(self, super_peer: Peer, message: Message,
+                         context: QueryContext) -> None:
+        """Answer ``message``, the QUERY as it reached this super-peer,
+        from its aggregated index; the entry super-peer additionally
+        relays to every other online super-peer."""
         super_id = super_peer.peer_id
+        hops = message.hops
         at_entry = super_id == context.extra.get("entry")
         context.peers_probed += 1
         if self.result_caching and at_entry:
@@ -299,14 +305,10 @@ class SuperPeerProtocol(TwoTierNetwork):
                 self._send_hit(super_id, context, results, metadata_bytes,
                                message_id=f"sp-{len(self.stats.queries)}", hops=hops)
         if at_entry:
-            for other_id in self._online_hubs():
-                if other_id == super_id:
-                    continue
-                relay = query_message(super_id, other_id, context.extra["query_xml"],
-                                      community_id=context.query.community_id,
-                                      payload_bytes=context.extra["query_bytes"])
-                relay.hops = hops + 1
-                self.kernel.send(relay, context=context)
+            self.kernel.send_many(
+                [message.forwarded(super_id, other_id)
+                 for other_id in self._online_hubs() if other_id != super_id],
+                context=context)
 
     def _cache_store(self, context: QueryContext, response: SearchResponse) -> None:
         """The finished response fills the entry super-peer's cache, the

@@ -1,0 +1,269 @@
+"""The kernel fan-out is N sends; the drive loop is ``step()`` in a loop.
+
+* A property: ``EventKernel.send_many`` over any recipient list, with
+  and without injected faults, leaves statistics, exchange counters and
+  the queued deliveries exactly as one ``send()`` per copy does — on the
+  single-queue simulator and on a sharded one.
+* The semantics of ``NetworkSimulator.drive`` (the loop under every
+  batch and every synchronous search), on both simulators.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.engine.driver import QueryDriver
+from repro.engine.kernel import EventKernel, QueryContext
+from repro.engine.sharded import ShardedSimulator
+from repro.network.faults import FaultPlan, PartitionWindow, build_fault_model
+from repro.network.gnutella import GnutellaProtocol
+from repro.network.messages import MessageType, query_message
+from repro.network.peers import Peer
+from repro.network.simulator import DriveLatch, NetworkSimulator
+from repro.network.stats import NetworkStats
+from repro.storage.query import Query
+
+NODES = ("s", "x") + tuple(f"n{index}" for index in range(6))
+
+SIMULATORS = {
+    "single-queue": lambda: NetworkSimulator(seed=3),
+    "sharded": lambda: ShardedSimulator(seed=3, shards=4),
+}
+
+
+def queued(simulator):
+    """Every queued entry as ``(time, sequence, callback name, recipient)``."""
+    queues = [simulator._queue]
+    if isinstance(simulator, ShardedSimulator):
+        queues += [*simulator._shard_queues, simulator._outbox]
+    return sorted((entry[0], entry[1], entry[2].__name__, entry[3][0].recipient)
+                  for entry in itertools.chain(*queues))
+
+
+def fan_out_state(make_simulator, recipients, plan, *, many):
+    """Fan a QUERY out from inside a delivery at ``s`` and report
+    everything the two spellings must agree on."""
+    simulator = make_simulator()
+    stats = NetworkStats()
+    kernel = EventKernel(simulator=simulator, stats=stats,
+                         peers={node: Peer(peer_id=node) for node in NODES})
+    context = QueryContext(query=Query("c"), origin_id="s")
+    held = query_message("x", "s", "<q/>", ttl=4, message_id="flood-1")
+
+    def fan_out(peer, message, _context):
+        copies = [message.forwarded("s", recipient) for recipient in recipients]
+        if many:
+            kernel.send_many(copies, context=context)
+        else:
+            for copy in copies:
+                kernel.send(copy, context=context)
+
+    kernel.register(MessageType.QUERY, fan_out)
+    kernel.send(held)
+    kernel.faults = build_fault_model(plan)   # after the send that must arrive
+    assert simulator.step()   # the delivery at s; its fan-out stays queued
+    return {
+        "messages": dict(stats.messages_by_type), "bytes": dict(stats.bytes_by_type),
+        "faults": stats.fault_summary(),
+        "context": (context.messages_sent, context.bytes_sent, context.pending),
+        "queued": queued(simulator),
+    }
+
+
+fault_plans = st.one_of(st.none(), st.builds(
+    FaultPlan,
+    seed=st.integers(0, 50),
+    loss_rate=st.sampled_from([0.0, 0.3, 0.7]),
+    duplicate_rate=st.sampled_from([0.0, 0.5]),
+    extra_delay_rate=st.sampled_from([0.0, 0.5]),
+    extra_delay_ms=st.sampled_from([0.0, 35.0]),
+    partitions=st.sampled_from([
+        (), (PartitionWindow(0.0, 500.0, left=("s",), right=("n0", "n3")),)]),
+))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(recipients=st.lists(st.sampled_from(NODES), max_size=7), plan=fault_plans,
+       simulator=st.sampled_from(sorted(SIMULATORS)))
+def test_fan_out_is_one_send_per_copy(recipients, plan, simulator):
+    """Repeated recipients are the sharp case: the fault model keys
+    same-instant sends on one link by their occurrence, i.e. by order."""
+    make = SIMULATORS[simulator]
+    one_by_one = fan_out_state(make, recipients, plan, many=False)
+    assert fan_out_state(make, recipients, plan, many=True) == one_by_one
+    assert one_by_one["context"][0] == len(recipients)
+
+
+@pytest.fixture(params=sorted(SIMULATORS))
+def simulator(request):
+    return SIMULATORS[request.param]()
+
+
+def release(latch, log=None, label=None):
+    def callback():
+        latch.remaining -= 1
+        if log is not None:
+            log.append(label)
+    return callback
+
+
+class TestDriveLoop:
+    def test_stops_at_the_releasing_event(self, simulator):
+        latch, ran = DriveLatch(1), []
+        simulator.schedule(10.0, release(latch, ran, "release"))
+        simulator.schedule(20.0, ran.append, "later")
+        assert simulator.drive(latch, max_events=100) == (1, False)
+        assert ran == ["release"]
+        assert simulator.now == 10.0
+        assert simulator.pending_events() == 1
+        assert simulator.events_processed == 1
+
+    def test_released_latch_runs_nothing(self, simulator):
+        simulator.schedule(1.0, lambda: None)
+        assert simulator.drive(DriveLatch(0), max_events=100) == (0, False)
+        assert simulator.pending_events() == 1 and simulator.now == 0.0
+
+    def test_nested_drive_does_not_stop_the_outer_one(self, simulator):
+        outer, inner, ran = DriveLatch(1), DriveLatch(1), []
+
+        def nested():
+            ran.append("nested starts")
+            assert simulator.drive(inner, max_events=100) == (1, False)
+            ran.append(f"nested done at {simulator.now}")
+
+        simulator.schedule(5.0, nested)
+        simulator.schedule(8.0, release(inner, ran, "inner released"))
+        simulator.schedule(12.0, release(outer, ran, "outer released"))
+        simulator.schedule(30.0, ran.append, "later")
+        assert simulator.drive(outer, max_events=100) == (2, False)
+        assert ran == ["nested starts", "inner released", "nested done at 8.0",
+                       "outer released"]
+        assert simulator.now == 12.0
+        assert simulator.events_processed == 3
+        assert simulator.pending_events() == 1
+
+    def test_outer_release_inside_a_nested_drive_does_not_stop_the_nested_one(
+            self, simulator):
+        outer, inner, ran = DriveLatch(1), DriveLatch(1), []
+        simulator.schedule(
+            5.0, lambda: ran.append(simulator.drive(inner, max_events=100)))
+        simulator.schedule(6.0, release(outer, ran, "outer released"))
+        simulator.schedule(8.0, release(inner, ran, "inner released"))
+        simulator.schedule(30.0, ran.append, "later")
+        assert simulator.drive(outer, max_events=100) == (1, False)
+        assert ran == ["outer released", "inner released", (2, False)]
+        assert simulator.now == 8.0
+        assert simulator.pending_events() == 1
+
+    def test_cancelled_event_is_neither_run_nor_counted(self, simulator):
+        latch, ran = DriveLatch(1), []
+        simulator.schedule(3.0, ran.append, "cancelled").cancel()
+        simulator.schedule(5.0, release(latch, ran, "kept"))
+        assert simulator.pending_events() == 1
+        assert simulator.drive(latch, max_events=100) == (1, False)
+        assert ran == ["kept"]
+        assert simulator.events_processed == 1
+
+    def test_drained_queue_is_reported(self, simulator):
+        simulator.schedule(4.0, lambda: None)
+        assert simulator.drive(DriveLatch(1), max_events=100) == (1, True)
+        assert simulator.now == 4.0
+        assert simulator.drive(DriveLatch(1), max_events=100) == (0, True)
+
+    def test_max_events_raises(self, simulator):
+        def again():
+            simulator.schedule(1.0, again)
+
+        simulator.schedule(1.0, again)
+        with pytest.raises(RuntimeError, match="exceeded 50 events"):
+            simulator.drive(DriveLatch(1), max_events=50)
+        assert simulator.events_processed == 51
+
+    def test_events_processed_counts_what_ran_when_a_callback_raises(self, simulator):
+        latch = DriveLatch(1)
+
+        def boom():
+            raise ValueError("boom")
+
+        simulator.schedule(1.0, lambda: None)
+        simulator.schedule(2.0, boom)
+        simulator.schedule(3.0, release(latch))
+        with pytest.raises(ValueError):
+            simulator.drive(latch, max_events=100)
+        # as with step(): an event counts once its callback returned
+        assert simulator.events_processed == 1
+        assert simulator.drive(latch, max_events=100) == (1, False)
+        assert simulator.events_processed == 2
+
+
+def make_kernel(simulator):
+    peers = {node: Peer(peer_id=node) for node in NODES}
+    return EventKernel(simulator=simulator, peers=peers, stats=NetworkStats())
+
+
+class TestRunUntilComplete:
+    def test_chains_onto_an_installed_watcher(self, simulator):
+        kernel = make_kernel(simulator)
+        context, seen = QueryContext(query=Query("c"), origin_id="s"), []
+        context.watcher = seen.append
+        kernel.send(query_message("s", "n0", "<q/>"), context=context)
+        assert kernel.run_until_complete([context]) == 1
+        assert seen == [context] and context.done
+
+    def test_same_context_listed_twice(self, simulator):
+        kernel = make_kernel(simulator)
+        context = QueryContext(query=Query("c"), origin_id="s")
+        kernel.send(query_message("s", "n0", "<q/>"), context=context)
+        assert kernel.run_until_complete([context, context]) == 1
+        assert context.done and not context.starved
+
+    def test_search_from_inside_an_event_leaves_the_outer_drive_running(self, simulator):
+        kernel = make_kernel(simulator)
+        outer = QueryContext(query=Query("c"), origin_id="s")
+        inner = QueryContext(query=Query("c"), origin_id="x")
+        ran = []
+
+        def search_synchronously():
+            kernel.send(query_message("x", "n1", "<q/>"), context=inner, latency_ms=10.0)
+            kernel.run_until_complete([inner])
+            ran.append(("inner done", simulator.now, outer.done))
+
+        kernel.send(query_message("s", "n0", "<q/>"), context=outer, latency_ms=50.0)
+        simulator.schedule(5.0, search_synchronously)
+        simulator.schedule(90.0, ran.append, "later")
+        kernel.run_until_complete([outer])
+        assert ran == [("inner done", 15.0, False)]
+        assert outer.done and outer.completed_at == simulator.now == 50.0
+        assert simulator.pending_events() == 1
+
+    def test_drain_starves_what_is_left(self, simulator):
+        kernel = make_kernel(simulator)
+        context = QueryContext(query=Query("c"), origin_id="s")
+        context.pending += 1   # a delivery that will never happen
+        simulator.schedule(40.0, lambda: None)
+        kernel.run_until_complete([context])
+        assert context.starved and context.completed_at == simulator.now == 40.0
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_driver_marks_a_drained_batch_starved(shards):
+    network = GnutellaProtocol(seed=9, default_ttl=4, degree=3, shards=shards)
+    for index in range(12):
+        network.create_peer(f"peer-{index:02d}")
+    network.build_overlay()
+    start_search = network.start_search
+
+    def leaky_start_search(origin_id, query, **kwargs):
+        context = start_search(origin_id, query, **kwargs)
+        if origin_id == "peer-01":
+            context.pending += 1   # a delivery that will never happen
+        return context
+
+    network.start_search = leaky_start_search
+    outcome = QueryDriver(network).run_batch(
+        [(f"peer-{index:02d}", Query.keyword("patterns", "observer")) for index in range(3)],
+        interarrival_ms=5.0)
+    assert outcome.starved == 1 and outcome.failed == 0
+    assert len(outcome.responses) == 3
+    assert network.simulator.pending_events() == 0
