@@ -127,15 +127,6 @@ def write_rss_summary(current: dict) -> None:
             f"| `{label}` | {sample.get('messages_per_s', 0):,.0f} "
             f"| {rss_mb:,.1f} | {sample.get('wall_s', 0):.2f} |"
             if rss_mb is not None else f"| `{label}` | — | — | — |")
-    index_rss = current.get("scale", {}).get("index_rss")
-    if index_rss:
-        lines += [
-            "",
-            f"Index layout A/B at {index_rss.get('indexes', 0):,} indexes: "
-            f"set `{index_rss.get('set_mb', 0):,.1f} MB` → lean "
-            f"`{index_rss.get('lean_mb', 0):,.1f} MB` "
-            f"({index_rss.get('ratio', 0):.2f}x)",
-        ]
     lines.append("")
     with open(summary_path, "a", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -15,8 +15,8 @@ from repro.communities.mp3 import mp3_community
 from repro.core.application import Application
 from repro.core.servent import Servent
 from repro.network.centralized import CentralizedProtocol
-from repro.network.churn import ChurnModel
 from repro.network.gnutella import GnutellaProtocol
+from repro.network.membership import PopulationModel
 from repro.network.superpeer import SuperPeerProtocol
 
 PEERS = 40
@@ -57,7 +57,7 @@ def build_world(factory):
 def run_under_churn(factory, session_ms: float) -> dict[str, float]:
     network, applications, corpus = build_world(factory)
     # Searchers (the first 12 peers) stay up; the rest churn.
-    churn = ChurnModel(network, mean_session_ms=session_ms, mean_absence_ms=ABSENCE_MS, seed=5)
+    churn = PopulationModel(network, mean_session_ms=session_ms, mean_absence_ms=ABSENCE_MS, seed=5)
     churn.start([f"peer-{index:02d}" for index in range(12, PEERS)])
     network.stats.reset()
     answered = 0

@@ -6,16 +6,11 @@ population (200 / 2k / 10k) × shard count (1 / 2 / 4) — through the
 process-per-shard island runner (:mod:`repro.workloads.scale`),
 recording wall-clock message throughput and peak resident memory per
 cell — with the slowest island's wall split into scenario build and
-query run, so set-up is not read as kernel throughput — plus two
-supporting samples:
-
-* the *windowed determinism contract* cell: a 200-peer scenario run on
-  the in-process ``ShardedSimulator`` with ``shards=4`` must reproduce
-  the ``shards=1`` counters bit-for-bit (the cheap always-on echo of
-  the full contract suite);
-* the *index layout A/B*: peak RSS of a worker that builds thousands of
-  per-peer ``AttributeIndex`` instances under the lean (numeric-id
-  array) layout versus the historical set layout.
+query run, so set-up is not read as kernel throughput — plus the
+*windowed determinism contract* cell: a 200-peer scenario run on the
+in-process ``ShardedSimulator`` with ``shards=4`` must reproduce the
+``shards=1`` counters bit-for-bit (the cheap always-on echo of the full
+contract suite).
 
 Results merge into ``BENCH_perf.json`` under the ``scale`` key;
 ``check_perf_regression.py`` guards the per-cell ``messages_per_s``
@@ -39,11 +34,8 @@ import os
 
 import pytest
 
-from repro.storage.index import AttributeIndex
 from repro.workloads.scale import run_population
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-from _rss import measure_in_child
 
 POPULATIONS = (200, 2_000, 10_000)
 SHARD_COUNTS = (1, 2, 4)
@@ -121,53 +113,6 @@ def test_bench_p2_windowed_contract():
         "peers": 200, "shards_compared": [1, 4],
         "identical": True,
         "messages": sum(single["messages"].values()),
-    }
-
-
-def _build_indexes(layout: str, indexes: int, objects_per_index: int) -> int:
-    """Worker: the per-peer index population of a large network."""
-    built = []
-    for index_number in range(indexes):
-        index = AttributeIndex(layout=layout)
-        for object_number in range(objects_per_index):
-            # Realistic sharing: corpus objects replicated across peers
-            # produce identical ids/values on many indexes.
-            resource_id = f"res-{(index_number * 7 + object_number) % 600:05d}"
-            index.add("patterns", resource_id, {
-                "name": [f"Pattern {object_number % 40}"],
-                "intent": [f"decouple part {object_number % 12} from whole "
-                           f"{index_number % 9}"],
-                "category": ["behavioral" if object_number % 2 else "creational"],
-            })
-        built.append(index)
-    return sum(index.entry_count() for index in built)
-
-
-def test_bench_p2_index_layout_rss(request):
-    """The lean posting layout must hold a 10k-peer population's worth
-    of per-peer indexes in measurably less memory than the set layout."""
-    indexes = 10_000 if max_population(request) >= 10_000 else 1_000
-    entries_set, rss_set = measure_in_child(_build_indexes, "set", indexes, 20)
-    entries_lean, rss_lean = measure_in_child(_build_indexes, "lean", indexes, 20)
-    assert entries_set == entries_lean
-    # Peak RSS only ever flakes upward (an allocator or kernel artifact
-    # making extra pages resident), never below the true footprint, so
-    # when a transient inverts the comparison re-measure and keep the
-    # minimum per layout.
-    for _ in range(2):
-        if rss_lean < rss_set:
-            break
-        _, again_set = measure_in_child(_build_indexes, "set", indexes, 20)
-        _, again_lean = measure_in_child(_build_indexes, "lean", indexes, 20)
-        rss_set, rss_lean = min(rss_set, again_set), min(rss_lean, again_lean)
-    assert rss_lean < rss_set, (
-        f"lean layout should be smaller: {rss_lean} vs {rss_set} bytes")
-    RECORD["index_rss"] = {
-        "indexes": indexes,
-        "objects_per_index": 20,
-        "set_mb": round(rss_set / (1 << 20), 1),
-        "lean_mb": round(rss_lean / (1 << 20), 1),
-        "ratio": round(rss_lean / rss_set, 3),
     }
 
 

@@ -35,13 +35,13 @@ from repro.network.faults import FaultModel
 from repro.network.messages import Message, MessageType, ack_message
 from repro.network.simulator import DriveLatch, NetworkSimulator
 from repro.network.stats import NetworkStats
+from repro.storage.plan import CompiledQuery, compile_query
 from repro.storage.query import Query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.base import SearchResult
     from repro.network.peers import Peer
     from repro.storage.document_store import StoredObject
-    from repro.storage.plan import CompiledQuery
 
 #: handler(peer, message, context) — ``peer`` is the recipient (``None``
 #: for virtual nodes such as the centralized index server).
@@ -98,10 +98,14 @@ class QueryContext(ExchangeContext):
     first_hit_hops: Optional[int] = None
     visited: set[str] = field(default_factory=set)
     claimed: int = 0
-    #: the query compiled once at search start; every protocol handler's
-    #: ``repository.search`` call reuses it, so per-hop evaluation is pure
-    #: index intersection (``None`` when compilation is disabled)
-    plan: Optional["CompiledQuery"] = None
+    #: the query compiled once, when its context is created; every
+    #: evaluation of the search (``repository.search``, hub catalogs, the
+    #: index server) and its wire form, cache key and routing keys come
+    #: from this one plan
+    plan: CompiledQuery = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.plan = compile_query(self.query)
 
     def room(self) -> int:
         """How many more results fit under ``max_results``.

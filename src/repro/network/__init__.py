@@ -46,7 +46,6 @@ _LAZY = {
     "GnutellaProtocol": ("repro.network.gnutella", "GnutellaProtocol"),
     "SuperPeerProtocol": ("repro.network.superpeer", "SuperPeerProtocol"),
     "RendezvousProtocol": ("repro.network.rendezvous", "RendezvousProtocol"),
-    "ChurnModel": ("repro.network.churn", "ChurnModel"),
     "PopulationModel": ("repro.network.membership", "PopulationModel"),
     "MembershipEvent": ("repro.network.membership", "MembershipEvent"),
     "BloomFilter": ("repro.network.routing", "BloomFilter"),
@@ -82,7 +81,6 @@ __all__ = [
     "MessageType",
     "Topology",
     "build_topology",
-    "ChurnModel",
     "PopulationModel",
     "MembershipEvent",
     "BloomFilter",

@@ -54,7 +54,6 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.stats import NetworkStats, QueryRecord
 from repro.network.transfer import DownloadManager, RetrieveResult
 from repro.storage.document_store import StoredObject
-from repro.storage.plan import CompiledQuery, compile_query
 from repro.storage.query import Query
 from repro.storage.replicas import ReplicaRegistry
 
@@ -140,8 +139,7 @@ class PeerNetwork(ABC):
 
     def __init__(self, *, simulator: Optional[NetworkSimulator] = None,
                  stats: Optional[NetworkStats] = None, seed: int = 0,
-                 compile_queries: bool = True, shards: int = 1,
-                 parallel: bool = False,
+                 shards: int = 1, parallel: bool = False,
                  faults: Optional[FaultPlan] = None,
                  cache: Optional[CacheConfig] = None,
                  membership: Optional[MembershipConfig] = None,
@@ -198,10 +196,6 @@ class PeerNetwork(ABC):
             self.kernel = EventKernel(simulator=self.simulator, peers=self.peers,
                                       stats=self.stats)
         self.replicas = ReplicaRegistry()
-        #: compile each query once at search start (the fast path); the
-        #: flag exists so the contract suite can pin that the compiled
-        #: path is result- and message-count-identical to the naive one
-        self.compile_queries = compile_queries
         #: the on/off flags handlers branch on per delivered message
         #: (documented on the groups); off is pinned bit-identical to
         #: the mechanism's absence
@@ -502,38 +496,19 @@ class PeerNetwork(ABC):
         """
         return next(self._query_sequence)
 
-    def compile(self, query: Query) -> Optional[CompiledQuery]:
-        """The query's compiled plan, or ``None`` when compilation is off."""
-        return compile_query(query) if self.compile_queries else None
-
-    def wire_form(self, query: Query, plan: Optional[CompiledQuery]) -> tuple[str, int]:
-        """The query's serialized wire form and its byte length.
-
-        With a plan both are computed once per search and shared by
-        every hop's QUERY message; without one they are recomputed here
-        (the naive path the contract suite compares against).
-        """
-        if plan is not None:
-            return plan.wire_xml, plan.wire_bytes
-        xml = query.to_xml_text()
-        return xml, len(xml.encode("utf-8"))
-
     def new_context(self, origin_id: str, query: Query, *, max_results: int,
-                    query_id: str = "",
-                    plan: Optional[CompiledQuery] = None) -> QueryContext:
+                    query_id: str = "") -> QueryContext:
         """A fresh context stamped with the current virtual time.
 
-        The query is compiled here, once per search — every protocol
-        handler that evaluates it downstream reuses ``context.plan``.
-        Callers that compiled earlier (to build the opening message)
-        pass their plan in to avoid compiling twice.
+        Creating it compiles the query, once per search: every protocol
+        handler that evaluates it downstream, and every hop's QUERY
+        message, reuses ``context.plan``.
         """
         context = QueryContext(
             query=query,
             origin_id=origin_id,
             max_results=max_results,
             started_at=self.simulator.now,
-            plan=plan if plan is not None else self.compile(query),
         )
         if query_id:
             context.extra["query_id"] = query_id
@@ -591,13 +566,9 @@ class PeerNetwork(ABC):
     # Helpers shared by the adapters
     # ------------------------------------------------------------------
     def _answer_locally(self, origin: Peer, context: QueryContext) -> None:
-        """Open a search at its origin: render and measure the wire form
-        once (every hop's QUERY shares the payload string and its byte
-        count), then answer from the origin's own index — no messages."""
-        query = context.query
-        context.extra["query_xml"], context.extra["query_bytes"] = \
-            self.wire_form(query, context.plan)
-        for stored in origin.repository.search(query, plan=context.plan)[:context.max_results]:
+        """Open a search at its origin: answer from the origin's own
+        index — no messages."""
+        for stored in origin.repository.search(context.plan)[:context.max_results]:
             context.add_result(SearchResult.from_stored(origin.peer_id, stored, hops=0))
 
     def _send_hit(self, sender_id: str, context: QueryContext, results,

@@ -130,13 +130,11 @@ class CentralizedProtocol(PeerNetwork):
     def start_search(self, origin_id: str, query: Query, *, max_results: int = 100,
                      **kwargs) -> QueryContext:
         self._require_peer(origin_id)
-        plan = self.compile(query)
-        wire_xml, wire_bytes = self.wire_form(query, plan)
-        request = query_message(origin_id, INDEX_SERVER_ID, wire_xml,
+        context = self.new_context(origin_id, query, max_results=max_results)
+        request = query_message(origin_id, INDEX_SERVER_ID, context.plan.wire_xml,
                                 community_id=query.community_id,
-                                payload_bytes=wire_bytes)
-        context = self.new_context(origin_id, query, max_results=max_results,
-                                   query_id=request.message_id, plan=plan)
+                                payload_bytes=context.plan.wire_bytes)
+        context.extra["query_id"] = request.message_id
         context.peers_probed = 1
         self.kernel.send(request, context=context)
         return context
@@ -207,17 +205,14 @@ class CentralizedProtocol(PeerNetwork):
 
     # ------------------------------------------------------------------
     def _matching_ids(self, context: QueryContext) -> set[str]:
-        # Query and CompiledQuery share the evaluation surface
-        # (is_empty / community_id / evaluate), so the compiled plan
-        # substitutes for the query wherever one exists.
-        evaluator = context.plan if context.plan is not None else context.query
-        if evaluator.is_empty:
+        plan = context.plan
+        if plan.is_empty:
             return {
                 resource_id
                 for resource_id, entry in self._catalog.items()
-                if entry.community_id == evaluator.community_id
+                if entry.community_id == plan.community_id
             }
-        return evaluator.evaluate(self._index)
+        return plan.evaluate(self._index)
 
     # ------------------------------------------------------------------
     # Live-membership handlers: the server's *belief* about who is

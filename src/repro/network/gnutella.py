@@ -46,7 +46,6 @@ from repro.network.messages import (
 from repro.network.peers import Peer
 from repro.network.routing import RoutingIndex
 from repro.network.topology import Topology, build_topology
-from repro.storage.plan import compile_query
 from repro.storage.query import Query
 
 #: sentinel distinguishing "probe keys not computed yet" from the
@@ -317,9 +316,9 @@ class GnutellaProtocol(PeerNetwork):
         # hop).  Its id — the Gnutella descriptor GUID — is the query
         # id, and every copy of the flood carries it.
         self._flood_from(origin, query_message(
-            origin_id, origin_id, context.extra["query_xml"], ttl=ttl + 1,
+            origin_id, origin_id, context.plan.wire_xml, ttl=ttl + 1,
             community_id=query.community_id,
-            payload_bytes=context.extra["query_bytes"],
+            payload_bytes=context.plan.wire_bytes,
             message_id=context.extra["query_id"]), context)
         self.kernel.finish_if_idle(context)
         return context
@@ -380,12 +379,12 @@ class GnutellaProtocol(PeerNetwork):
             # fresh match needed), and the survivors register in turn.
             seen = self.caches.promised(context)
             taken = [stored
-                     for stored in peer.repository.search(context.query, plan=context.plan)
+                     for stored in peer.repository.search(context.plan)
                      if (peer.peer_id, stored.resource_id) not in seen][:room]
             self.caches.claim(context, tuple((peer.peer_id, stored.resource_id)
                                              for stored in taken))
         else:
-            taken = peer.repository.search(context.query, plan=context.plan)[:room]
+            taken = peer.repository.search(context.plan)[:room]
         if (self._routing is not None and message.ttl == 1 and room > 0
                 and not taken
                 and context.extra.get("routing_keys") is not None
@@ -459,8 +458,7 @@ class GnutellaProtocol(PeerNetwork):
                 # Hash the probe keys once per flood; every hop reuses
                 # the positions.  ``None`` marks an unprobeable query
                 # (no compilable criterion), which floods blind.
-                plan = context.plan or compile_query(context.query)
-                keys = plan.routing_keys
+                keys = context.plan.routing_keys
                 hashed = None if keys is None else routing.hash_keys(keys)
                 extra["routing_keys"] = hashed
             if hashed is not None:

@@ -50,8 +50,7 @@ class MembershipEvent:
 
     @property
     def online(self) -> bool:
-        """Whether the peer is online after this event (legacy churn
-        consumers read ``event.online`` off the old ChurnEvent)."""
+        """Whether the peer is online after this event."""
         return self.kind in ("return", "arrive")
 
 

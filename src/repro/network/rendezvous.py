@@ -261,9 +261,9 @@ class RendezvousProtocol(TwoTierNetwork):
         hop_to_entry = 0 if origin.is_super_peer else 1
         context.extra["hop_to_entry"] = hop_to_entry
         if hop_to_entry:
-            message = query_message(origin_id, walk[0], context.extra["query_xml"],
+            message = query_message(origin_id, walk[0], context.plan.wire_xml,
                                     community_id=query.community_id,
-                                    payload_bytes=context.extra["query_bytes"])
+                                    payload_bytes=context.plan.wire_bytes)
             message.hops = hop_to_entry
             self.kernel.send(message, context=context)
         else:
@@ -303,9 +303,9 @@ class RendezvousProtocol(TwoTierNetwork):
         position = hops - context.extra.get("hop_to_entry", 0)
         if context.room() <= 0 or position + 1 >= len(walk):
             return
-        relay = query_message(peer.peer_id, walk[position + 1], context.extra["query_xml"],
+        relay = query_message(peer.peer_id, walk[position + 1], context.plan.wire_xml,
                               community_id=context.query.community_id,
-                              payload_bytes=context.extra["query_bytes"])
+                              payload_bytes=context.plan.wire_bytes)
         relay.hops = hops + 1
         self.kernel.send(relay, context=context)
 

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from repro.engine.kernel import EventKernel, MaintenanceTimer, QueryContext
 from repro.network.config import CacheConfig
 from repro.storage.cache import CacheEntry, QueryResultCache
-from repro.storage.plan import compile_query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.base import SearchResult
@@ -77,17 +76,15 @@ class ResultCacheLayer:
         """The context's canonical cache key, computed once per search.
 
         Keys include ``max_results`` because cached entries hold the
-        truncated result set as answered for that room.  With query
-        compilation off the plan is compiled here for keying only —
-        evaluation still follows the naive path.
+        truncated result set as answered for that room.
         """
         key = context.extra.get("cache_key")
         if key is None:
-            plan = context.plan if context.plan is not None else compile_query(context.query)
             # "cache_scope" carries whatever else bounds the search's
             # coverage (gnutella's flood TTL): a shallow search's sparse
             # result set must never answer a deeper repeat.
-            key = (plan.cache_key, context.max_results, context.extra.get("cache_scope"))
+            key = (context.plan.cache_key, context.max_results,
+                   context.extra.get("cache_scope"))
             context.extra["cache_key"] = key
         return key
 

@@ -235,9 +235,9 @@ class SuperPeerProtocol(TwoTierNetwork):
             return context
 
         # The query's descriptor; the relay broadcast forwards copies of it.
-        message = query_message(origin_id, entry, context.extra["query_xml"],
+        message = query_message(origin_id, entry, context.plan.wire_xml,
                                 community_id=query.community_id,
-                                payload_bytes=context.extra["query_bytes"],
+                                payload_bytes=context.plan.wire_bytes,
                                 message_id=context.extra["query_id"])
         if origin.is_super_peer:
             # The origin IS the entry super-peer: answer and relay now

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.engine.kernel import EventKernel, ExchangeContext, QueryContext
 from repro.network.base import PeerNetwork, SearchResult
@@ -25,7 +25,6 @@ from repro.network.peers import Peer
 from repro.storage.index import AttributeIndex
 from repro.storage.interning import intern_view
 from repro.storage.plan import CompiledQuery
-from repro.storage.query import Query
 
 
 @dataclass(slots=True)
@@ -86,13 +85,13 @@ class HubCatalog:
             del self.records[key]
         return [record for _key, record in removed]
 
-    def select(self, evaluator: Union[Query, CompiledQuery]) -> list[str]:
-        """Keys of the records matching a query (or its compiled plan),
-        in key order; an empty query browses its whole community."""
-        if evaluator.is_empty:
+    def select(self, plan: CompiledQuery) -> list[str]:
+        """Keys of the records matching a compiled query, in key order;
+        an empty query browses its whole community."""
+        if plan.is_empty:
             return sorted(key for key, record in self.records.items()
-                          if record.community_id == evaluator.community_id)
-        return sorted(evaluator.evaluate(self.index))
+                          if record.community_id == plan.community_id)
+        return sorted(plan.evaluate(self.index))
 
     def take(self, context: QueryContext, peers: dict[str, Peer],
              hops: int) -> tuple[list[SearchResult], int]:
@@ -102,7 +101,7 @@ class HubCatalog:
         results: list[SearchResult] = []
         metadata_bytes = 0
         room = context.room()
-        for key in self.select(context.plan if context.plan is not None else context.query):
+        for key in self.select(context.plan):
             if len(results) >= room:
                 break
             record = self.records[key]

@@ -8,21 +8,14 @@ is that search engine: it stores, per community and field path, both
 the exact value and its word tokens, so queries can do exact matching
 (enumerations, identifiers) and keyword matching (descriptions).
 
-Two posting layouts share one public API:
-
-* ``layout="lean"`` (the default) — postings are sorted
-  ``array('I')`` lists of small numeric ids (one number per indexed
-  object, mapped through a per-index id table), intersected by
-  galloping binary search.  A posting entry costs 4 bytes instead of a
-  hashed set slot holding a 40-character resource-id string, which is
-  what lets 10k–100k peer populations hold their indexes in RAM.
-* ``layout="set"`` — the historical per-entry ``set[str]`` layout,
-  kept for the memory A/B benchmark and as the reference semantics.
-
-Both layouts return identical result sets for every lookup — numeric
-ids are resolved back to resource-id strings at the boundary, and
-every consumer sorts result ids before use, so the layout is never
-observable in results, counts or bytes (pinned by the contract suite).
+Postings are sorted ``array('I')`` lists of small numeric ids (one
+number per indexed object, mapped through a per-index id table),
+intersected by galloping binary search.  A posting entry costs 4 bytes
+instead of a hashed set slot holding a 40-character resource-id string,
+which is what lets 10k–100k peer populations hold their indexes in RAM.
+Numeric ids are resolved back to resource-id strings at the boundary,
+and every consumer sorts result ids before use, so the id mapping is
+never observable in results, counts or bytes.
 """
 
 from __future__ import annotations
@@ -32,17 +25,14 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.storage.interning import intern_values
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
-#: shared empty posting set returned by the non-copying lookups, so a
-#: miss costs no allocation (callers must treat postings as read-only)
-EMPTY_POSTING: frozenset[str] = frozenset()
-
-#: shared empty posting array (the lean layout's miss result)
+#: shared empty posting returned by the non-copying lookups, so a miss
+#: costs no allocation (callers must treat postings as read-only)
 EMPTY_IDS = array("I")
 
 
@@ -111,7 +101,7 @@ def _gallop_intersect(small: array, large: array) -> array:
     return out
 
 
-def intersect_postings(arrays: list, id_sets: list) -> array | set[int]:
+def intersect_postings(arrays: list[array], id_sets: list[set[int]]) -> array | set[int]:
     """Ids present in every posting; postings may be sorted arrays
     (exact/keyword buckets, treated read-only) or ``set[int]`` objects
     (prefix/any-field matches, freshly computed so mutable in place).
@@ -146,27 +136,20 @@ def intersect_postings(arrays: list, id_sets: list) -> array | set[int]:
 class AttributeIndex:
     """Inverted index: (community, field, token/value) → resource ids."""
 
-    def __init__(self, *, layout: str = "lean") -> None:
-        if layout not in ("lean", "set"):
-            raise ValueError(f"unknown index layout {layout!r}; choose 'lean' or 'set'")
-        self.layout = layout
-        #: True when postings are numeric-id arrays (the default)
-        self.lean = layout == "lean"
-        # community -> field path -> token -> posting (set[str] | array('I'))
-        # Posting values are layout-polymorphic, hence Any: set[str] in
-        # the set layout, sorted array('I') in the lean layout.
-        self._tokens: dict[str, dict[str, dict[str, Any]]] = {}
+    def __init__(self) -> None:
+        # community -> field path -> token -> sorted numeric-id posting
+        self._tokens: dict[str, dict[str, dict[str, array]]] = {}
         # community -> field path -> exact value (lowered) -> posting
-        self._values: dict[str, dict[str, dict[str, Any]]] = {}
+        self._values: dict[str, dict[str, dict[str, array]]] = {}
         # resource id -> its entries (for removal and size accounting)
         self._entries: dict[str, list[IndexEntry]] = {}
-        # lean layout: resource id <-> dense numeric id
+        # resource id <-> dense numeric id
         self._ids: dict[str, int] = {}
         self._rids: list[str] = []
         self._free: list[int] = []
 
     # ------------------------------------------------------------------
-    # Numeric-id table (lean layout)
+    # Numeric-id table
     # ------------------------------------------------------------------
     def _assign_id(self, resource_id: str) -> int:
         numeric_id = self._ids.get(resource_id)
@@ -181,7 +164,7 @@ class AttributeIndex:
         return numeric_id
 
     def resolve_ids(self, numeric_ids: Iterable[int]) -> set[str]:
-        """Resource-id strings of ``numeric_ids`` (the lean→public boundary)."""
+        """Resource-id strings of ``numeric_ids`` (the id→public boundary)."""
         rids = self._rids
         return {rids[numeric_id] for numeric_id in numeric_ids}
 
@@ -198,8 +181,7 @@ class AttributeIndex:
             self.remove(resource_id)
         community_id = sys.intern(community_id)
         resource_id = sys.intern(resource_id)
-        lean = self.lean
-        numeric_id = self._assign_id(resource_id) if lean else 0
+        numeric_id = self._assign_id(resource_id)
         entries: list[IndexEntry] = []
         for field_path, values in fields.items():
             field_path = sys.intern(field_path)
@@ -212,22 +194,17 @@ class AttributeIndex:
                 entries.append(entry)
                 field_values = self._values.setdefault(community_id, {}).setdefault(field_path, {})
                 field_tokens = self._tokens.setdefault(community_id, {}).setdefault(field_path, {})
-                if lean:
-                    bucket = field_values.get(entry.value_lower)
-                    if bucket is None:
-                        field_values[entry.value_lower] = bucket = array("I")
-                    _insert_id(bucket, numeric_id)
-                    for token in entry.tokens:
-                        token_bucket = field_tokens.get(token)
-                        if token_bucket is None:
-                            field_tokens[token] = token_bucket = array("I")
-                        _insert_id(token_bucket, numeric_id)
-                else:
-                    field_values.setdefault(entry.value_lower, set()).add(resource_id)
-                    for token in entry.tokens:
-                        field_tokens.setdefault(token, set()).add(resource_id)
+                bucket = field_values.get(entry.value_lower)
+                if bucket is None:
+                    field_values[entry.value_lower] = bucket = array("I")
+                _insert_id(bucket, numeric_id)
+                for token in entry.tokens:
+                    token_bucket = field_tokens.get(token)
+                    if token_bucket is None:
+                        field_tokens[token] = token_bucket = array("I")
+                    _insert_id(token_bucket, numeric_id)
         self._entries[resource_id] = entries
-        if lean and not entries:
+        if not entries:
             self._release_id(resource_id, numeric_id)
         return len(entries)
 
@@ -238,26 +215,22 @@ class AttributeIndex:
 
     def remove(self, resource_id: str) -> None:
         """Remove every entry of ``resource_id`` (peer un-sharing)."""
-        entries = self._entries.pop(resource_id, [])
-        numeric_id = self._ids.get(resource_id) if self.lean else None
+        entries = self._entries.pop(resource_id, None)
+        if not entries:
+            return
+        numeric_id = self._ids[resource_id]
         for entry in entries:
             values = self._values.get(entry.community_id, {}).get(entry.field_path, {})
             bucket = values.get(entry.value_lower)
             if bucket is not None:
-                if numeric_id is None:
-                    bucket.discard(resource_id)
-                else:
-                    _discard_id(bucket, numeric_id)
+                _discard_id(bucket, numeric_id)
                 if not bucket:
                     values.pop(entry.value_lower, None)
             tokens = self._tokens.get(entry.community_id, {}).get(entry.field_path, {})
             for token in entry.tokens:
                 token_bucket = tokens.get(token)
                 if token_bucket is not None:
-                    if numeric_id is None:
-                        token_bucket.discard(resource_id)
-                    else:
-                        _discard_id(token_bucket, numeric_id)
+                    _discard_id(token_bucket, numeric_id)
                     if not token_bucket:
                         tokens.pop(token, None)
             # Prune emptied field/community levels so an add/remove
@@ -269,58 +242,41 @@ class AttributeIndex:
                     del community[entry.field_path]
                     if not community:
                         del table[entry.community_id]
-        if numeric_id is not None and entries:
-            self._release_id(resource_id, numeric_id)
+        self._release_id(resource_id, numeric_id)
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def exact(self, community_id: str, field_path: str, value: str) -> set[str]:
         """Resource ids whose field equals ``value`` (case-insensitive)."""
-        bucket = self.exact_ref(community_id, field_path, value.strip().lower())
-        if self.lean:
-            return self.resolve_ids(bucket)
-        return set(bucket)
+        return self.resolve_ids(
+            self.exact_ref(community_id, field_path, value.strip().lower()))
 
     def exact_ref(self, community_id: str, field_path: str,
-                  normalized_value: str) -> Any:  # set[str] | array, by layout
+                  normalized_value: str) -> array:
         """Non-copying variant of :meth:`exact`: the *live* posting.
 
         ``normalized_value`` must already be stripped and lowered (a
-        compiled plan does this once).  The returned posting — a
-        ``set[str]`` in the set layout, a sorted ``array('I')`` of
-        numeric ids in the lean layout — is internal state; callers
-        must not mutate it.
+        compiled plan does this once).  The returned sorted
+        ``array('I')`` of numeric ids is internal state; callers must
+        not mutate it.
         """
-        bucket = self._values.get(community_id, {}).get(field_path, {}).get(
-            normalized_value)
-        if bucket is None:
-            return EMPTY_IDS if self.lean else EMPTY_POSTING
-        return bucket
+        return self._values.get(community_id, {}).get(field_path, {}).get(
+            normalized_value, EMPTY_IDS)
 
     def keyword(self, community_id: str, field_path: str, text: str) -> set[str]:
         """Resource ids whose field contains every word of ``text``."""
         postings = self.keyword_postings(community_id, field_path, tokenize(text))
         if postings is None:
             return set()
-        if self.lean:
-            return self.resolve_ids(intersect_postings(postings, []))
-        if len(postings) == 1:
-            return set(postings[0])
-        postings.sort(key=len)
-        result = postings[0] & postings[1]
-        for bucket in postings[2:]:
-            result &= bucket
-            if not result:
-                break
-        return result
+        return self.resolve_ids(intersect_postings(postings, []))
 
     def keyword_postings(self, community_id: str, field_path: str,
-                         tokens: Sequence[str]) -> Optional[list]:
-        """Non-copying variant of :meth:`keyword`: one live posting per
-        token (``set[str]`` or sorted ``array('I')`` depending on the
-        layout), or ``None`` when no match is possible (no tokens, or a
-        token with no postings).  Callers must not mutate the postings.
+                         tokens: Sequence[str]) -> Optional[list[array]]:
+        """Non-copying variant of :meth:`keyword`: one live sorted
+        ``array('I')`` posting per token, or ``None`` when no match is
+        possible (no tokens, or a token with no postings).  Callers must
+        not mutate the postings.
         """
         if not tokens:
             return None
@@ -337,20 +293,11 @@ class AttributeIndex:
 
     def prefix(self, community_id: str, field_path: str, stem: str) -> set[str]:
         """Resource ids whose field has a token starting with ``stem``."""
-        if self.lean:
-            return self.resolve_ids(self.prefix_ids(community_id, field_path, stem))
-        stem = stem.strip().lower()
-        if not stem:
-            return set()
-        matches: set[str] = set()
-        for token, bucket in self._tokens.get(community_id, {}).get(field_path, {}).items():
-            if token.startswith(stem):
-                matches.update(bucket)
-        return matches
+        return self.resolve_ids(self.prefix_ids(community_id, field_path, stem))
 
     def prefix_ids(self, community_id: str, field_path: str, stem: str) -> set[int]:
-        """Lean-layout :meth:`prefix`: matching *numeric* ids, as a
-        fresh set the caller may mutate (plans intersect in place)."""
+        """:meth:`prefix` as matching *numeric* ids, in a fresh set the
+        caller may mutate (plans intersect in place)."""
         stem = stem.strip().lower()
         matches: set[int] = set()
         if not stem:
@@ -362,43 +309,17 @@ class AttributeIndex:
 
     def any_field_keyword(self, community_id: str, text: str) -> set[str]:
         """Keyword match across every indexed field of a community."""
-        return self.any_field_keyword_tokens(community_id, tokenize(text))
-
-    def any_field_keyword_tokens(self, community_id: str,
-                                 tokens: Sequence[str]) -> set[str]:
-        """Non-copying variant of :meth:`any_field_keyword`: the text is
-        tokenized once by the caller instead of once per indexed field.
-        Returns a fresh set (the union is computed, never aliased).
-        """
-        if self.lean:
-            return self.resolve_ids(self.any_field_ids(community_id, tokens))
-        matches: set[str] = set()
-        if not tokens:
-            return matches
-        for field_tokens in self._tokens.get(community_id, {}).values():
-            current: Any = None
-            for token in tokens:
-                bucket = field_tokens.get(token)
-                if not bucket:
-                    current = None
-                    break
-                current = bucket if current is None else current & bucket
-                if not current:
-                    current = None
-                    break
-            if current:
-                matches.update(current)
-        return matches
+        return self.resolve_ids(self.any_field_ids(community_id, tokenize(text)))
 
     def any_field_ids(self, community_id: str, tokens: Sequence[str]) -> set[int]:
-        """Lean-layout :meth:`any_field_keyword_tokens`: per-field
+        """:meth:`any_field_keyword` over pre-tokenized text: per-field
         galloping intersections, unioned as a fresh set of numeric ids
         the caller may mutate."""
         matches: set[int] = set()
         if not tokens:
             return matches
         for field_tokens in self._tokens.get(community_id, {}).values():
-            postings: Optional[list[Any]] = []
+            postings: Optional[list[array]] = []
             for token in tokens:
                 bucket = field_tokens.get(token)
                 if not bucket:
@@ -438,15 +359,13 @@ class AttributeIndex:
     def posting_bytes(self) -> int:
         """Actual memory held by the posting containers themselves.
 
-        This is the number the lean layout shrinks: a numeric-id array
-        slot costs ``itemsize`` (4) bytes past the container overhead, a
-        set layout pays the hashed set plus a reference per member.
-        Array buckets are costed by *content* (base + itemsize × length)
-        rather than ``getsizeof``'s live buffer, which reflects growth
-        history — two indexes holding identical postings (one built
-        incrementally, one unpickled in a worker process) must account
-        identically.  Resource-id strings and the dictionary levels
-        above the postings are shared by both layouts and excluded.
+        A numeric-id slot costs ``itemsize`` (4) bytes past the array's
+        fixed overhead.  Buckets are costed by *content* (base +
+        itemsize × length) rather than ``getsizeof``'s live buffer, which
+        reflects growth history — two indexes holding identical postings
+        (one built incrementally, one unpickled in a worker process) must
+        account identically.  Resource-id strings and the dictionary
+        levels above the postings are excluded.
         """
         array_base = sys.getsizeof(array("I"))
         total = 0
@@ -454,10 +373,7 @@ class AttributeIndex:
             for community in table.values():
                 for field_postings in community.values():
                     for bucket in field_postings.values():
-                        if isinstance(bucket, array):
-                            total += array_base + bucket.itemsize * len(bucket)
-                        else:
-                            total += sys.getsizeof(bucket) + 8 * len(bucket)
+                        total += array_base + bucket.itemsize * len(bucket)
         return total
 
     def entries_for(self, resource_id: str) -> Iterable[IndexEntry]:

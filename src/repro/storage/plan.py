@@ -1,34 +1,36 @@
 """Compiled query plans: normalize once, evaluate everywhere.
 
 A Gnutella flood delivers the *same* query to every visited peer, and a
-mixed workload keeps many such floods in flight at once — so the naive
-path re-strips, re-lowers and re-tokenizes every criterion value at
-every peer visit, and re-serializes the query wire form per hop.  The
-paper's cost argument (searchable-field indices keep evaluation cheap
-enough to run at every servent) only holds if that per-visit work is
-constant-time dictionary probing, which is what compilation buys:
+mixed workload keeps many such floods in flight at once — so evaluating
+the :class:`Query` itself would re-strip, re-lower and re-tokenize every
+criterion value at every peer visit, and re-serialize the query wire
+form per hop.  The paper's cost argument (searchable-field indices keep
+evaluation cheap enough to run at every servent) only holds if that
+per-visit work is constant-time dictionary probing, which is what
+compilation buys — and every search the system runs is compiled:
 
 * every criterion value is stripped/lowered/tokenized exactly once, at
   :func:`compile_query` time;
 * criteria are reordered cheapest-first (EQUALS → CONTAINS → PREFIX →
   ANY), so evaluation probes hash tables before it scans token tables;
-* evaluation intersects live index postings smallest-set-first and
-  copies only the final result, never the candidate sets
-  (:meth:`AttributeIndex.exact_ref` / :meth:`AttributeIndex.keyword_postings`);
+* evaluation intersects live numeric-id postings smallest-first and
+  resolves only the final result to resource ids, never copying the
+  candidate sets (:meth:`AttributeIndex.exact_ref` /
+  :meth:`AttributeIndex.keyword_postings`);
 * the XML wire form and its byte length are computed once and shared by
   every hop's QUERY message.
 
 The contract the equivalence suite pins: :meth:`CompiledQuery.evaluate`
-returns exactly the ids :meth:`Query.evaluate` would, and
-:meth:`CompiledQuery.matches_metadata` exactly the boolean
-:meth:`Query.matches_metadata` would, for every operator — including
-the edge semantics (blank values are skipped; a punctuation-only
-CONTAINS value matches no index entry but any metadata dictionary).
+returns exactly the ids :meth:`Query.evaluate` — the reference
+semantics — would, for every operator, including the edge semantics
+(blank values are skipped; a punctuation-only CONTAINS value matches no
+index entry).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from array import array
+from typing import Optional
 
 from repro.storage.index import AttributeIndex, intersect_postings, tokenize
 from repro.storage.query import Criterion, Operator, Query
@@ -51,7 +53,7 @@ class CompiledCriterion:
     def __init__(self, criterion: Criterion) -> None:
         self.field_path = criterion.field_path
         self.operator = criterion.operator
-        # Both naive evaluators treat a "*" field path as an any-field
+        # The reference semantics treat a "*" field path as an any-field
         # keyword criterion regardless of the declared operator.
         self.any_field = (criterion.operator is Operator.ANY
                           or criterion.field_path == "*")
@@ -60,28 +62,6 @@ class CompiledCriterion:
         self.token_set = frozenset(self.tokens)
         self.cost = (_OPERATOR_COST[Operator.ANY] if self.any_field
                      else _OPERATOR_COST[self.operator])
-
-    # ------------------------------------------------------------------
-    def matches_values(self, values: Sequence[str]) -> bool:
-        """Precompiled :meth:`Criterion.matches` over one field's values."""
-        if self.operator is Operator.EQUALS and not self.any_field:
-            wanted = self.norm_value
-            return any(value.strip().lower() == wanted for value in values)
-        if self.operator is Operator.PREFIX and not self.any_field:
-            stem = self.norm_value
-            return any(
-                token.startswith(stem) for value in values for token in tokenize(value)
-            )
-        # CONTAINS / ANY: every wanted token appears somewhere in the values.
-        wanted_set = self.token_set
-        if not wanted_set:
-            return True
-        present: set[str] = set()
-        for value in values:
-            present.update(tokenize(value))
-            if wanted_set.issubset(present):
-                return True
-        return False
 
 
 class CompiledQuery:
@@ -198,62 +178,17 @@ class CompiledQuery:
     def evaluate(self, index: AttributeIndex) -> set[str]:
         """Matching resource ids; identical to :meth:`Query.evaluate`.
 
-        Collects the live posting set of every criterion (no copies),
-        then intersects smallest-first with early exit; only the final
-        result is materialized as a fresh set.
-        """
-        if self.is_empty:
-            return set()
-        if index.lean:
-            return self._evaluate_lean(index)
-        community_id = self.community_id
-        postings: list = []
-        for criterion in self.criteria:
-            if criterion.any_field:
-                matched = index.any_field_keyword_tokens(community_id, criterion.tokens)
-                if not matched:
-                    return set()
-                postings.append(matched)
-            elif criterion.operator is Operator.EQUALS:
-                bucket = index.exact_ref(community_id, criterion.field_path,
-                                         criterion.norm_value)
-                if not bucket:
-                    return set()
-                postings.append(bucket)
-            elif criterion.operator is Operator.PREFIX:
-                matched = index.prefix(community_id, criterion.field_path,
-                                       criterion.norm_value)
-                if not matched:
-                    return set()
-                postings.append(matched)
-            else:  # CONTAINS
-                buckets = index.keyword_postings(community_id, criterion.field_path,
-                                                 criterion.tokens)
-                if buckets is None:
-                    return set()
-                postings.extend(buckets)
-        if len(postings) == 1:
-            return set(postings[0])
-        postings.sort(key=len)
-        result = postings[0] & postings[1]
-        for bucket in postings[2:]:
-            result &= bucket
-            if not result:
-                break
-        return set(result) if not isinstance(result, set) else result
-
-    def _evaluate_lean(self, index: AttributeIndex) -> set[str]:
-        """Lean-layout evaluation: numeric-id postings all the way down.
-
         Exact and keyword criteria contribute live sorted ``array('I')``
         postings (no copies), prefix and any-field criteria contribute
         fresh ``set[int]`` matches; the postings intersect smallest-first
-        by galloping binary search and only the surviving ids are
-        resolved back to resource-id strings.
+        by galloping binary search with early exit, and only the
+        surviving ids are resolved back to a fresh set of resource ids.
         """
+        if self.is_empty:
+            return set()
         community_id = self.community_id
-        arrays: list = []
-        id_sets: list = []
+        arrays: list[array] = []
+        id_sets: list[set[int]] = []
         for criterion in self.criteria:
             if criterion.any_field:
                 matched = index.any_field_ids(community_id, criterion.tokens)
@@ -279,35 +214,6 @@ class CompiledQuery:
                     return set()
                 arrays.extend(buckets)
         return index.resolve_ids(intersect_postings(arrays, id_sets))
-
-    # ------------------------------------------------------------------
-    # Evaluation against a plain metadata dictionary
-    # ------------------------------------------------------------------
-    def matches_metadata(self, metadata: dict[str, list[str]]) -> bool:
-        """Identical to :meth:`Query.matches_metadata`, minus the
-        per-call normalization (conjunction order does not matter)."""
-        for criterion in self.criteria:
-            if criterion.any_field:
-                wanted = criterion.token_set
-                if not wanted:
-                    continue
-                present: set[str] = set()
-                satisfied = False
-                for values in metadata.values():
-                    for value in values:
-                        present.update(tokenize(value))
-                        if wanted.issubset(present):
-                            satisfied = True
-                            break
-                    if satisfied:
-                        break
-                if not satisfied:
-                    return False
-                continue
-            values = metadata.get(criterion.field_path, [])
-            if not values or not criterion.matches_values(values):
-                return False
-        return True
 
     def describe(self) -> str:
         return f"compiled[{self.source.describe()}]"

@@ -3,8 +3,10 @@
 Search requests travel between servents as small structured documents:
 a community id plus a conjunction of field criteria.  The class has an
 XML wire form (used by the network layer and measured in the message-
-cost experiments) and an in-memory matching form (used against the
-attribute index and directly against metadata dictionaries).
+cost experiments) and an in-memory matching form against the attribute
+index and against metadata dictionaries.  Searches evaluate the query
+through its compiled plan (:mod:`repro.storage.plan`); the matching
+form here is the reference semantics the plan is tested against.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The per-peer repository: store + index + attachments behind one API.
 
 This is what a U-P2P servent talks to locally: publish an object (store
-it and index its searchable fields), evaluate a query against the local
-index, and retrieve a full object with its attachments.
+it and index its searchable fields), evaluate a compiled query plan
+against the local index, and retrieve a full object with its
+attachments.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from repro.storage.attachments import Attachment, AttachmentStore
 from repro.storage.document_store import DocumentStore, StoredObject
 from repro.storage.index import AttributeIndex
 from repro.storage.plan import CompiledQuery
-from repro.storage.query import Query
 from repro.xmlkit.dom import Element
 
 
@@ -34,13 +34,10 @@ class PublishResult:
 class LocalRepository:
     """Store, index and attachments of one peer."""
 
-    def __init__(self, owner: str = "", *, index_layout: str = "lean") -> None:
+    def __init__(self, owner: str = "") -> None:
         self.owner = owner
         self.documents = DocumentStore()
-        #: lean (numeric-id array postings) by default; the set layout
-        #: remains available for the memory A/B benchmark
-        self.index_layout = index_layout
-        self.index = AttributeIndex(layout=index_layout)
+        self.index = AttributeIndex()
         self.attachments = AttachmentStore()
 
     # ------------------------------------------------------------------
@@ -88,7 +85,7 @@ class LocalRepository:
         use this to measure cold-index query phases: the index is
         rebuilt from scratch immediately before the workload runs.
         """
-        self.index = AttributeIndex(layout=self.index_layout)
+        self.index = AttributeIndex()
         indexed = 0
         for stored in self.documents:
             indexed += self.index.add(stored.community_id, stored.resource_id,
@@ -96,20 +93,18 @@ class LocalRepository:
         return indexed
 
     # ------------------------------------------------------------------
-    def search(self, query: Query, *, plan: Optional[CompiledQuery] = None) -> list[StoredObject]:
-        """Evaluate ``query`` against the local index.
+    def search(self, plan: CompiledQuery) -> list[StoredObject]:
+        """Evaluate a compiled query against the local index; matches
+        come back in resource-id order.
 
         An empty query returns every object of the community (browsing);
         the returned list is always a fresh copy, never an alias of the
-        store's internals.  With ``plan`` (a :class:`CompiledQuery` of
-        the same query, compiled once per search) evaluation skips all
-        per-call normalization and intersects index postings directly.
+        store's internals.
         """
-        evaluator = plan if plan is not None else query
-        if evaluator.is_empty:
-            return self.documents.objects_in(evaluator.community_id)
-        ids = evaluator.evaluate(self.index)
-        return [self.documents.get(resource_id) for resource_id in sorted(ids)]
+        if plan.is_empty:
+            return self.documents.objects_in(plan.community_id)
+        return [self.documents.get(resource_id)
+                for resource_id in sorted(plan.evaluate(self.index))]
 
     def retrieve(self, resource_id: str) -> StoredObject:
         """Return the full stored object (the download path)."""

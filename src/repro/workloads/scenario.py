@@ -81,10 +81,6 @@ class ScenarioConfig:
     #: Zipf exponent of the download popularity distribution over the
     #: corpus (0 = uniform; 1+ = the skew early measurements reported)
     popularity_skew: float = 1.0
-    #: compile each query once at search start (the hot path); turned
-    #: off by the contract/benchmark suites to compare against the
-    #: naive re-evaluating path, which must behave identically
-    compile_queries: bool = True
     # Mechanism knobs, flat here and grouped at the network: each takes
     # its default, validation and documentation from the field of
     # ``repro.network.config`` named on its line (``network_config``
@@ -325,7 +321,6 @@ def build_network(config: ScenarioConfig) -> PeerNetwork:
     right before the workload when the knob is set.
     """
     common = dict(config.network_config(), seed=config.seed,
-                  compile_queries=config.compile_queries,
                   shards=config.shards, parallel=config.parallel)
     common["membership"] = replace(common["membership"], live=False)
     if config.protocol == "gnutella":

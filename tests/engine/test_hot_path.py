@@ -6,11 +6,19 @@
   change that moves one of them fails here in seconds, not only in the
   bench pipeline; a change that means to move one (ROADMAP item 3 (c) /
   (d)) rebases the constant and says so.
+* *Golden query evaluation.*  Per protocol, a digest of a concurrent
+  search scenario's observables and the hits of one direct search,
+  taken while a switch could still send every query through the
+  reference ``Query.evaluate`` path instead of ``CompiledQuery`` — and
+  checked equal between the two paths then.
 * *Count guards with no clock in them.*  The transport pays per hop, not
   per copy: one ``NetworkStats.record`` per re-flooding peer, no handler
   frame for a duplicate QUERY delivery, no message id drawn for a QUERY
   copy.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -21,7 +29,9 @@ from repro.network import messages as messages_module
 from repro.network.base import PeerNetwork
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.stats import NetworkStats
+from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
+from tests.network.test_contract import make_network, publish_pattern
 
 SEED = 7
 
@@ -41,6 +51,78 @@ def test_toy_round_reproduces_the_golden_digest(name, shards):
     phase = measure.run_ops(scenario, 0.0, measure.HostSpeed())
     assert phase.failed == 0
     assert phase.first.digest == GOLDEN[name]
+
+
+#: eight searches in flight at once, over every protocol
+PLAN_SCENARIO = dict(peers=30, members=12, publishers=6, corpus_size=40, queries=16,
+                     ttl=6, seed=23, concurrency=8, query_interarrival_ms=20.0)
+
+#: protocol -> (sha256 of ``plan_observables``, ``direct_search`` outcome)
+GOLDEN_PLAN = {
+    "centralized": (
+        "67d29e4b31f78af16b6dd8ebf219c32206ddfc2de1a07615b7c2fdced9f9e922",
+        ([("p2", "55e29fe5f28c6a97ad86", 1), ("p3", "f059f6a5518481657d48", 1)], 2, 276)),
+    "gnutella": (
+        "09fa56eae9c568d762e279a971b45c152c801283dd43480ac2cdebefb3c46877",
+        ([("p2", "55e29fe5f28c6a97ad86", 2), ("p3", "f059f6a5518481657d48", 3)], 17, 1934)),
+    "super-peer": (
+        "95d84c93b6def3583c44db0e719368ba020ab75e47ae33dcf6e98629429992a4",
+        ([("p2", "55e29fe5f28c6a97ad86", 1), ("p3", "f059f6a5518481657d48", 1)], 1, 154)),
+    "rendezvous": (
+        "e1c9807d8b7c06c5f7cfda00020e2081907a9fbb6691e18e94af0a26bd1a5c02",
+        ([("p2", "55e29fe5f28c6a97ad86", 1), ("p3", "f059f6a5518481657d48", 1)], 1, 154)),
+}
+
+
+def plan_observables(protocol):
+    """Results, message and byte counts and latencies of every search."""
+    scenario = build_scenario(ScenarioConfig(protocol=protocol, **PLAN_SCENARIO))
+    counts = scenario.run_queries(max_results=100)
+    stats = scenario.network.stats
+    return {
+        "counts": counts,
+        "total_messages": stats.total_messages,
+        "total_bytes": stats.total_bytes,
+        "by_type": dict(stats.messages_by_type),
+        "bytes_by_type": dict(stats.bytes_by_type),
+        "results": [record.results for record in stats.queries],
+        "messages": [record.messages for record in stats.queries],
+        "bytes": [record.bytes for record in stats.queries],
+        "probed": [record.peers_probed for record in stats.queries],
+        "latencies": [round(record.latency_ms, 6) for record in stats.queries],
+    }
+
+
+def direct_search(protocol):
+    """``(provider, resource, hops)`` hits, messages and bytes of one search."""
+    network = make_network(protocol)
+    for index in range(6):
+        network.create_peer(f"p{index}")
+    publish_pattern(network, "p1", "Observer", "decouple subject from observers")
+    publish_pattern(network, "p2", "Abstract Factory", "create families of objects")
+    publish_pattern(network, "p3", "Factory Method", "defer creation to subclasses")
+    if protocol == "gnutella":
+        network.build_overlay()
+    response = network.search("p0", Query("patterns").where("name", "factory"),
+                              max_results=50)
+    return sorted((r.provider_id, r.resource_id, r.hops) for r in response.results), \
+        response.messages_sent, response.bytes_sent
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_PLAN))
+def test_query_evaluation_reproduces_the_golden_observables(protocol):
+    digest, _ = GOLDEN_PLAN[protocol]
+    observables = plan_observables(protocol)
+    assert observables["total_messages"] > 0
+    encoded = json.dumps(observables, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == digest
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_PLAN))
+def test_direct_search_reproduces_the_golden_hits(protocol):
+    """Beyond counts: the actual (provider, resource, hops) hits."""
+    _, direct = GOLDEN_PLAN[protocol]
+    assert direct_search(protocol) == direct
 
 
 class _CountingIds:

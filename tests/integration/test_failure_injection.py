@@ -7,10 +7,10 @@ from repro.communities.mp3 import mp3_community
 from repro.core.application import Application
 from repro.core.errors import InvalidObjectError
 from repro.core.servent import Servent
-from repro.network.churn import ChurnModel
 from repro.network.config import ReliabilityConfig
 from repro.network.errors import PeerOfflineError, UnknownPeerError
 from repro.network.gnutella import GnutellaProtocol
+from repro.network.membership import PopulationModel
 from repro.storage.errors import ObjectNotFoundError
 from repro.xmlkit.errors import XMLParseError
 
@@ -100,7 +100,7 @@ class TestChurnDuringWorkload:
         for index, record in enumerate(corpus):
             applications[index % len(applications)].publish(record)
 
-        churn = ChurnModel(network, mean_session_ms=2_000, mean_absence_ms=2_000, seed=3)
+        churn = PopulationModel(network, mean_session_ms=2_000, mean_absence_ms=2_000, seed=3)
         churn.start([f"peer-{index:02d}" for index in range(10, 30)])
 
         completed = 0

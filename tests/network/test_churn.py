@@ -1,9 +1,10 @@
-"""Tests for the churn model."""
+"""Tests for on/off session churn: the population model with no
+permanent departures and no staged arrivals."""
 
 import pytest
 
-from repro.network.churn import ChurnModel
 from repro.network.gnutella import GnutellaProtocol
+from repro.network.membership import PopulationModel
 
 
 def build_network(peer_count=30):
@@ -14,22 +15,22 @@ def build_network(peer_count=30):
     return network
 
 
-class TestChurnModel:
+class TestSessionChurn:
     def test_invalid_durations_rejected(self):
         network = build_network(5)
         with pytest.raises(ValueError):
-            ChurnModel(network, mean_session_ms=0)
+            PopulationModel(network, mean_session_ms=0)
         with pytest.raises(ValueError):
-            ChurnModel(network, mean_absence_ms=-5)
+            PopulationModel(network, mean_absence_ms=-5)
 
     def test_expected_availability(self):
         network = build_network(5)
-        churn = ChurnModel(network, mean_session_ms=3000, mean_absence_ms=1000)
+        churn = PopulationModel(network, mean_session_ms=3000, mean_absence_ms=1000)
         assert churn.expected_availability() == pytest.approx(0.75)
 
     def test_peers_depart_and_return(self):
         network = build_network()
-        churn = ChurnModel(network, mean_session_ms=1000, mean_absence_ms=1000, seed=3)
+        churn = PopulationModel(network, mean_session_ms=1000, mean_absence_ms=1000, seed=3)
         churn.start()
         network.simulator.run(until_ms=10_000)
         departures = [event for event in churn.events if not event.online]
@@ -43,7 +44,7 @@ class TestChurnModel:
 
     def test_observed_availability_roughly_matches_expected(self):
         network = build_network(60)
-        churn = ChurnModel(network, mean_session_ms=2000, mean_absence_ms=2000, seed=5)
+        churn = PopulationModel(network, mean_session_ms=2000, mean_absence_ms=2000, seed=5)
         churn.start()
         network.simulator.run(until_ms=20_000)
         observed = churn.observed_availability()
@@ -51,7 +52,7 @@ class TestChurnModel:
 
     def test_events_recorded_with_timestamps(self):
         network = build_network(10)
-        churn = ChurnModel(network, mean_session_ms=500, mean_absence_ms=500, seed=1)
+        churn = PopulationModel(network, mean_session_ms=500, mean_absence_ms=500, seed=1)
         churn.start()
         network.simulator.run(until_ms=5000)
         times = [event.time_ms for event in churn.events]
@@ -60,7 +61,7 @@ class TestChurnModel:
 
     def test_churn_of_subset(self):
         network = build_network(10)
-        churn = ChurnModel(network, mean_session_ms=200, mean_absence_ms=10_000, seed=2)
+        churn = PopulationModel(network, mean_session_ms=200, mean_absence_ms=10_000, seed=2)
         churn.start(peer_ids=["peer-000", "peer-001"])
         network.simulator.run(until_ms=5_000)
         affected = {event.peer_id for event in churn.events}
@@ -76,7 +77,7 @@ class TestChurnModel:
             metadata = {"name": [f"Observer {index}"]}
             result = peer.repository.publish("patterns", document, metadata)
             network.publish(peer.peer_id, "patterns", result.resource_id, metadata)
-        churn = ChurnModel(network, mean_session_ms=1000, mean_absence_ms=1000, seed=9)
+        churn = PopulationModel(network, mean_session_ms=1000, mean_absence_ms=1000, seed=9)
         churn.start()
         completed = 0
         for round_number in range(5):

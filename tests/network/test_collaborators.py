@@ -159,9 +159,12 @@ def insert(catalog, provider_id, name, *, community_id="patterns", **kwargs):
     catalog.insert(provider_id, community_id, f"{name}-id", {"name": [name]}, name, **kwargs)
 
 
-def query_context(query, *, origin_id="origin", max_results=100, compiled=True):
-    return QueryContext(query=query, origin_id=origin_id, max_results=max_results,
-                        plan=compile_query(query) if compiled else None)
+def query_context(query, *, origin_id="origin", max_results=100):
+    return QueryContext(query=query, origin_id=origin_id, max_results=max_results)
+
+
+def keyword(text):
+    return compile_query(Query.keyword("patterns", text))
 
 
 class TestHubCatalog:
@@ -173,7 +176,7 @@ class TestHubCatalog:
         record = catalog.records["Observer-id@alice"]
         assert record.expires_at_ms == 500.0
         assert record.metadata_bytes == len("name") + len("Observer")
-        assert catalog.select(Query.keyword("patterns", "observer")) == ["Observer-id@alice"]
+        assert catalog.select(keyword("observer")) == ["Observer-id@alice"]
 
     def test_remove_where_by_provider_and_by_lease(self):
         catalog = HubCatalog()
@@ -182,22 +185,23 @@ class TestHubCatalog:
         insert(catalog, "bob", "Visitor", expires_at_ms=100.0)
         gone = catalog.remove_where(lambda record: record.provider_id == "alice")
         assert [(record.provider_id, record.title) for record in gone] == [("alice", "Observer")]
-        assert catalog.select(Query.keyword("patterns", "observer")) == ["Observer-id@bob"]
+        assert catalog.select(keyword("observer")) == ["Observer-id@bob"]
         expired = catalog.remove_where(lambda record: record.expires_at_ms <= 100.0)
         assert [record.title for record in expired] == ["Visitor"]
         assert list(catalog.records) == ["Observer-id@bob"]
-        assert catalog.select(Query.keyword("patterns", "visitor")) == []
+        assert catalog.select(keyword("visitor")) == []
         assert catalog.remove_where(lambda record: False) == []
 
-    @pytest.mark.parametrize("compiled", (True, False))
-    def test_an_empty_query_browses_one_community_in_key_order(self, compiled):
+    @pytest.mark.parametrize("community_id, expected", [
+        ("patterns", ["Observer-id@alice", "Visitor-id@bob"]),
+        ("music", ["Sonata-id@alice"]),
+    ])
+    def test_an_empty_query_browses_one_community_in_key_order(self, community_id, expected):
         catalog = HubCatalog()
         insert(catalog, "bob", "Visitor")
         insert(catalog, "alice", "Observer")
         insert(catalog, "alice", "Sonata", community_id="music")
-        query = Query("patterns")
-        evaluator = compile_query(query) if compiled else query
-        assert catalog.select(evaluator) == ["Observer-id@alice", "Visitor-id@bob"]
+        assert catalog.select(compile_query(Query(community_id))) == expected
 
     def test_take_honours_room_origin_and_offline_providers(self):
         peers = {name: Peer(peer_id=name) for name in ("alice", "bob", "carol", "origin")}
@@ -212,8 +216,7 @@ class TestHubCatalog:
         assert {result.hops for result in results} == {3}
         assert metadata_bytes == 2 * (len("name") + len("Observer"))
 
-        results, _ = catalog.take(query_context(query, max_results=1, compiled=False),
-                                  peers, hops=0)
+        results, _ = catalog.take(query_context(query, max_results=1), peers, hops=0)
         assert [result.provider_id for result in results] == ["alice"]
 
         full = query_context(query, max_results=2)

@@ -14,10 +14,10 @@ import pytest
 
 from repro.engine.driver import QueryDriver, RetrieveOp, SearchOp
 from repro.network.centralized import CentralizedProtocol
-from repro.network.churn import ChurnModel
 from repro.network.config import CacheConfig, MembershipConfig
 from repro.network.errors import DuplicatePeerError
 from repro.network.gnutella import GnutellaProtocol
+from repro.network.membership import PopulationModel
 from repro.network.rendezvous import RendezvousProtocol
 from repro.network.superpeer import SuperPeerProtocol
 from repro.storage.query import Query
@@ -188,7 +188,7 @@ class TestReplicationUnderChurn:
         provider, requester, watcher = "peer-011", "peer-006", "peer-002"
         resource_id = publish_pattern(network, provider, "Churnproof Pattern", "still here")
 
-        churn = ChurnModel(network, mean_session_ms=5_000, mean_absence_ms=1_000, seed=3)
+        churn = PopulationModel(network, mean_session_ms=5_000, mean_absence_ms=1_000, seed=3)
         churn.start(["peer-008", "peer-009", "peer-010"])
 
         found = network.search(requester, Query.keyword("patterns", "churnproof"),
@@ -410,7 +410,7 @@ class TestRendezvousLeaseUnderChurnContract:
         resource_id = publish_pattern(network, "peer-005", "Leased Observer")
         network.go_live()
         # Background churn on unrelated peers keeps the queue busy.
-        churn = ChurnModel(network, mean_session_ms=700, mean_absence_ms=500, seed=4)
+        churn = PopulationModel(network, mean_session_ms=700, mean_absence_ms=500, seed=4)
         churn.start(["peer-008", "peer-009", "peer-010"])
 
         network.set_online("peer-005", False)
@@ -673,70 +673,6 @@ class TestResultCacheContract:
         response = network.search("peer-006", query, max_results=2)
         assert {result.resource_id for result in response.results} \
             == {cached_id, fresh_id}
-
-
-class TestCompiledPlanContract:
-    """Acceptance: the compiled-query fast path is observationally
-    identical to the naive path — same search results, same hit counts,
-    same message and byte counts — for every protocol, fixed seed,
-    queries concurrently in flight."""
-
-    CONFIG = dict(
-        peers=30,
-        members=12,
-        publishers=6,
-        corpus_size=40,
-        queries=16,
-        ttl=6,
-        seed=23,
-        concurrency=8,
-        query_interarrival_ms=20.0,
-    )
-
-    def run_once(self, protocol, compile_queries):
-        scenario = build_scenario(ScenarioConfig(
-            protocol=protocol, compile_queries=compile_queries, **self.CONFIG))
-        counts = scenario.run_queries(max_results=100)
-        stats = scenario.network.stats
-        return {
-            "counts": counts,
-            "total_messages": stats.total_messages,
-            "total_bytes": stats.total_bytes,
-            "by_type": dict(stats.messages_by_type),
-            "bytes_by_type": dict(stats.bytes_by_type),
-            "results": [record.results for record in stats.queries],
-            "messages": [record.messages for record in stats.queries],
-            "bytes": [record.bytes for record in stats.queries],
-            "probed": [record.peers_probed for record in stats.queries],
-            "latencies": [round(record.latency_ms, 6) for record in stats.queries],
-        }
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_compiled_path_identical_to_naive(self, protocol):
-        compiled = self.run_once(protocol, True)
-        naive = self.run_once(protocol, False)
-        assert compiled == naive
-        assert compiled["total_messages"] > 0
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_search_results_identical_per_query(self, protocol):
-        """Beyond counts: the actual (provider, resource) hit sets of a
-        direct search agree between the two modes."""
-        def hits(compile_queries):
-            network = make_network(protocol)
-            network.compile_queries = compile_queries
-            for index in range(6):
-                network.create_peer(f"p{index}")
-            publish_pattern(network, "p1", "Observer", "decouple subject from observers")
-            publish_pattern(network, "p2", "Abstract Factory", "create families of objects")
-            publish_pattern(network, "p3", "Factory Method", "defer creation to subclasses")
-            if protocol == "gnutella":
-                network.build_overlay()
-            query = Query("patterns").where("name", "factory")
-            response = network.search("p0", query, max_results=50)
-            return sorted((r.provider_id, r.resource_id, r.hops) for r in response.results), \
-                response.messages_sent, response.bytes_sent
-        assert hits(True) == hits(False)
 
 
 class TestShardedKernelContract:

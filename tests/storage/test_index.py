@@ -1,5 +1,8 @@
 """Tests for the inverted attribute index."""
 
+import sys
+from array import array
+
 from repro.storage.index import AttributeIndex, tokenize
 
 
@@ -138,9 +141,14 @@ class TestMaintenance:
         assert (index._tokens, index._values, index._entries) == snapshot
 
 
-class TestLeanLayout:
-    """The lean (numeric-id array) layout is observably identical to the
-    set layout through the public API, and measurably smaller."""
+def ids(*numbers):
+    return {f"r{number}" for number in numbers}
+
+
+class TestNumericIdPostings:
+    """Postings are sorted numeric-id arrays.  The expected answers are
+    the ones the historical ``set[str]`` posting layout returned for the
+    same corpus and probes, so the id mapping is never observable."""
 
     CORPUS = {
         f"r{number}": {
@@ -151,47 +159,57 @@ class TestLeanLayout:
         for number in range(50)
     }
 
-    def build(self, layout):
-        index = AttributeIndex(layout=layout)
+    def build(self):
+        index = AttributeIndex()
         for resource_id, fields in self.CORPUS.items():
             index.add("patterns", resource_id, fields)
         return index
 
-    def test_unknown_layout_rejected(self):
-        import pytest
-        with pytest.raises(ValueError):
-            AttributeIndex(layout="bitset")
-
     def test_every_lookup_matches_set_layout(self):
-        lean, sets = self.build("lean"), self.build("set")
+        index = self.build()
         probes = [
-            ("exact", ("patterns", "category", "Behavioral")),
-            ("exact", ("patterns", "name", "pattern 3")),
-            ("keyword", ("patterns", "intent", "decouple observer")),
-            ("keyword", ("patterns", "intent", "thing 4")),
-            ("keyword", ("patterns", "intent", "nonexistent")),
-            ("prefix", ("patterns", "intent", "obs")),
-            ("prefix", ("patterns", "name", "")),
-            ("any_field_keyword", ("patterns", "behavioral decouple")),
-            ("any_field_keyword", ("patterns", "")),
+            ("exact", ("patterns", "category", "Behavioral"), ids(*range(1, 50, 2))),
+            ("exact", ("patterns", "name", "pattern 3"), ids(*range(3, 50, 7))),
+            ("keyword", ("patterns", "intent", "decouple observer"), ids(*range(50))),
+            ("keyword", ("patterns", "intent", "thing 4"), ids(*range(4, 50, 5))),
+            ("keyword", ("patterns", "intent", "nonexistent"), set()),
+            ("prefix", ("patterns", "intent", "obs"), ids(*range(50))),
+            ("prefix", ("patterns", "name", ""), set()),
+            ("any_field_keyword", ("patterns", "behavioral decouple"), set()),
+            ("any_field_keyword", ("patterns", ""), set()),
         ]
-        for method, args in probes:
-            assert getattr(lean, method)(*args) == getattr(sets, method)(*args), (method, args)
-        assert lean.values_for("patterns", "name") == sets.values_for("patterns", "name")
-        assert lean.fields_for("patterns") == sets.fields_for("patterns")
-        assert lean.entry_count() == sets.entry_count()
+        for method, args, expected in probes:
+            assert getattr(index, method)(*args) == expected, (method, args)
+        assert index.values_for("patterns", "name") == [f"pattern {n}" for n in range(7)]
+        assert index.fields_for("patterns") == ["category", "intent", "name"]
+        assert index.entry_count() == 150
 
     def test_remove_and_readd_round_trip(self):
-        for layout in ("lean", "set"):
-            index = self.build(layout)
-            before = index.exact("patterns", "category", "behavioral")
-            index.remove("r3")
-            assert "r3" not in index.exact("patterns", "category", "behavioral")
-            index.add("patterns", "r3", self.CORPUS["r3"])
-            assert index.exact("patterns", "category", "behavioral") == before
+        index = self.build()
+        before = index.exact("patterns", "category", "behavioral")
+        index.remove("r3")
+        assert "r3" not in index.exact("patterns", "category", "behavioral")
+        index.add("patterns", "r3", self.CORPUS["r3"])
+        assert index.exact("patterns", "category", "behavioral") == before
+
+    def test_postings_are_sorted_arrays_of_live_ids(self):
+        index = self.build()
+        for resource_id in ("r3", "r10", "r11"):
+            index.remove(resource_id)
+        index.add("patterns", "r10", self.CORPUS["r10"])
+        live = set(index._ids.values())
+        postings = [bucket for table in (index._values, index._tokens)
+                    for community in table.values()
+                    for field_postings in community.values()
+                    for bucket in field_postings.values()]
+        assert len(postings) == 43
+        for bucket in postings:
+            assert isinstance(bucket, array) and bucket.typecode == "I"
+            assert bucket and list(bucket) == sorted(set(bucket))
+            assert set(bucket) <= live
 
     def test_remove_all_empties_index_and_recycles_ids(self):
-        index = self.build("lean")
+        index = self.build()
         for resource_id in self.CORPUS:
             index.remove(resource_id)
         assert index.entry_count() == 0
@@ -203,26 +221,29 @@ class TestLeanLayout:
         index.add("patterns", "r0", self.CORPUS["r0"])
         assert len(index._rids) == table_size
 
-    def test_compiled_plan_evaluates_identically_on_both_layouts(self):
+    def test_compiled_plan_matches_set_layout(self):
         from repro.storage.plan import compile_query
         from repro.storage.query import Operator, Query
-        lean, sets = self.build("lean"), self.build("set")
-        queries = [
-            Query("patterns").where("category", "behavioral", Operator.EQUALS),
-            Query("patterns").where("intent", "decouple observer"),
-            Query("patterns").where("category", "behavioral", Operator.EQUALS)
-                             .where("intent", "thing 2"),
-            Query("patterns").where("intent", "obs", Operator.PREFIX),
-            Query.keyword("patterns", "decouple 4"),
+        index = self.build()
+        cases = [
+            (Query("patterns").where("category", "behavioral", Operator.EQUALS),
+             ids(*range(1, 50, 2))),
+            (Query("patterns").where("intent", "decouple observer"), ids(*range(50))),
+            (Query("patterns").where("category", "behavioral", Operator.EQUALS)
+                              .where("intent", "thing 2"),
+             ids(5, 7, 11, 17, 23, 27, 29, 35, 37, 41, 47)),
+            (Query("patterns").where("intent", "obs", Operator.PREFIX), ids(*range(50))),
+            (Query.keyword("patterns", "decouple 4"), ids(*range(4, 50, 5))),
         ]
-        for query in queries:
-            plan = compile_query(query)
-            assert plan.evaluate(lean) == plan.evaluate(sets) == query.evaluate(sets) \
-                == query.evaluate(lean), query.describe()
+        for query, expected in cases:
+            assert compile_query(query).evaluate(index) == query.evaluate(index) \
+                == expected, query.describe()
 
-    def test_lean_postings_are_measurably_smaller(self):
-        lean, sets = self.build("lean"), self.build("set")
-        assert lean.posting_bytes() < sets.posting_bytes() / 2
+    def test_posting_bytes_cost_four_bytes_per_id(self):
+        """43 postings holding 588 ids, each costed by content: one empty
+        ``array('I')`` plus four bytes per id (the set layout held the
+        same postings in 46 760 bytes)."""
+        assert self.build().posting_bytes() == 43 * sys.getsizeof(array("I")) + 4 * 588
 
     def test_interned_views_share_structure(self):
         from repro.storage.interning import intern_values, intern_view

@@ -76,8 +76,6 @@ class TestCompiledQueryRoundTrip:
         assert loaded.wire_xml == wire_xml
         assert loaded.wire_bytes == wire_bytes
         assert loaded.cache_key == compiled.cache_key
-        metadata = {"name": ("abstract factory",), "intent": ("create families",)}
-        assert loaded.matches_metadata(metadata) == compiled.matches_metadata(metadata)
 
     def test_uncompiled_caches_rebuild_identically(self):
         compiled = compile_query(Query("patterns").where("name", "factory"))

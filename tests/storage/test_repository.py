@@ -4,6 +4,7 @@ import pytest
 
 from repro.storage.attachments import Attachment, AttachmentStore
 from repro.storage.errors import ObjectNotFoundError
+from repro.storage.plan import compile_query
 from repro.storage.query import Query
 from repro.storage.repository import LocalRepository
 from repro.xmlkit.parser import parse
@@ -62,33 +63,32 @@ class TestRepository:
     def test_search_by_keyword(self):
         repository = LocalRepository()
         self.publish_sample(repository)
-        hits = repository.search(Query.keyword("patterns", "observer"))
+        hits = repository.search(compile_query(Query.keyword("patterns", "observer")))
         assert [stored.title for stored in hits] == ["Observer"]
-        misses = repository.search(Query.keyword("patterns", "visitor"))
+        misses = repository.search(compile_query(Query.keyword("patterns", "visitor")))
         assert misses == []
 
     def test_empty_query_browses_community(self):
         repository = LocalRepository()
         self.publish_sample(repository)
-        assert len(repository.search(Query("patterns"))) == 1
-        assert repository.search(Query("other")) == []
+        assert len(repository.search(compile_query(Query("patterns")))) == 1
+        assert repository.search(compile_query(Query("other"))) == []
         repository.publish("patterns", doc("<pattern><name>Visitor</name></pattern>"),
                            {"name": ["Visitor"]}, title="Visitor")
-        assert len(repository.search(Query("patterns"))) == 2
+        assert len(repository.search(compile_query(Query("patterns")))) == 2
 
     def test_empty_query_result_is_not_aliased_to_the_store(self):
         """Mutating a browse result must never corrupt the document
         store shared by every in-process peer (mutation aliasing)."""
         repository = LocalRepository()
         self.publish_sample(repository)
-        first = repository.search(Query("patterns"))
+        first = repository.search(compile_query(Query("patterns")))
         first.clear()
-        again = repository.search(Query("patterns"))
+        again = repository.search(compile_query(Query("patterns")))
         assert len(again) == 1
         assert len(repository.documents.objects_in("patterns")) == 1
 
     def test_search_with_compiled_plan_matches_naive(self):
-        from repro.storage.plan import compile_query
         from repro.storage.query import Operator
 
         repository = LocalRepository()
@@ -96,19 +96,19 @@ class TestRepository:
         for query in (
             Query.keyword("patterns", "observer"),
             Query("patterns").where("name", "Observer", Operator.EQUALS),
-            Query("patterns"),  # empty query: the browse path
             Query.keyword("patterns", "visitor"),
         ):
-            plan = compile_query(query)
-            assert repository.search(query, plan=plan) == repository.search(query)
+            expected = [repository.retrieve(resource_id)
+                        for resource_id in sorted(query.evaluate(repository.index))]
+            assert repository.search(compile_query(query)) == expected
 
     def test_rebuilt_index_answers_identically(self):
         repository = LocalRepository()
         self.publish_sample(repository)
-        query = Query.keyword("patterns", "observer")
-        before = [stored.resource_id for stored in repository.search(query)]
+        plan = compile_query(Query.keyword("patterns", "observer"))
+        before = [stored.resource_id for stored in repository.search(plan)]
         repository.rebuild_index()
-        after = [stored.resource_id for stored in repository.search(query)]
+        after = [stored.resource_id for stored in repository.search(plan)]
         assert before == after and before
 
     def test_retrieve(self):
@@ -121,7 +121,7 @@ class TestRepository:
         repository = LocalRepository()
         result = self.publish_sample(repository)
         repository.unpublish(result.resource_id)
-        assert repository.search(Query.keyword("patterns", "observer")) == []
+        assert repository.search(compile_query(Query.keyword("patterns", "observer"))) == []
         with pytest.raises(ObjectNotFoundError):
             repository.retrieve(result.resource_id)
 

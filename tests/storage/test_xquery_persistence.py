@@ -7,6 +7,7 @@ from repro.schema.instance import build_instance
 from repro.schema.parser import parse_schema_text
 from repro.storage.errors import QueryError, StorageError
 from repro.storage.persistence import load_repository, save_repository
+from repro.storage.plan import compile_query
 from repro.storage.query import Query
 from repro.storage.repository import LocalRepository
 from repro.storage.xquery import XQueryLite, xquery
@@ -96,8 +97,8 @@ class TestXQueryEvaluation:
         """The richer language and the attribute-index search agree on
         queries both can express."""
         index_hits = {stored.resource_id
-                      for stored in pattern_repository.search(
-                          Query("patterns").where("category", "structural"))}
+                      for stored in pattern_repository.search(compile_query(
+                          Query("patterns").where("category", "structural")))}
         xquery_hits = {result.resource_id
                        for result in xquery(pattern_repository, "patterns",
                                             "for $p in pattern where $p/category = 'structural' "
