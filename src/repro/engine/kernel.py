@@ -239,7 +239,7 @@ class EventKernel:
 
         A flooded message reaches most nodes along several paths and
         only the first arrival does anything; of a gnutella flood's
-        deliveries three in four are such duplicates.  For a registered
+        deliveries two in three are such duplicates.  For a registered
         type the kernel keeps the exchange's ``visited`` set itself: a
         delivery at a node already in it never enters a handler frame.
         It is still a message that was sent — counted at send time, its

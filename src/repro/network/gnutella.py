@@ -12,11 +12,11 @@ The flood is executed on the event kernel: the origin hands one QUERY
 message per neighbour to the kernel; each delivery at a not-yet-visited
 peer evaluates the query locally (attribute-index intersection),
 schedules a QUERY-HIT back along the reverse path, and re-floods to its
-own neighbours with the TTL decremented.  Deliveries at peers that
-already saw the query — or that churned offline while the message is
-in flight — are dropped, which is how duplicate suppression and
-mid-query churn fall out of the message model instead of being special
-cases of a graph walk.
+own neighbours, except the one that delivered it, with the TTL
+decremented.  Deliveries at peers that already saw the query — or that
+churned offline while the message is in flight — are dropped, which is
+how duplicate suppression and mid-query churn fall out of the message
+model instead of being special cases of a graph walk.
 
 Reliability stance: gnutella's traffic is *best-effort by design*, so
 the ``reliable_delivery`` knob changes nothing here except downloads
@@ -164,6 +164,8 @@ class GnutellaProtocol(PeerNetwork):
             if message.ttl <= 1:
                 return
             copies = []
+            # ``visited`` already holds the delivering neighbour, so the
+            # re-flood never echoes back to it.
             for neighbor_id in sorted(peer.neighbors):
                 neighbor = self.peers.get(neighbor_id)
                 if neighbor is not None and neighbor.online \
@@ -421,7 +423,8 @@ class GnutellaProtocol(PeerNetwork):
 
     def _flood_from(self, peer: Peer, message: Message, context: QueryContext) -> None:
         """Forward ``message``, the QUERY ``peer`` holds, to every online
-        neighbour while TTL remains — one kernel fan-out per hop.
+        neighbour but its sender while TTL remains — one kernel fan-out
+        per hop.
 
         Every copy shares the immutable wire form rendered at search
         start and the flood's descriptor id — no per-neighbour
@@ -473,8 +476,17 @@ class GnutellaProtocol(PeerNetwork):
                     # exempt this hop's receivers from FP accounting.
                     self.stats.record_routing_fallback()
                     extra.setdefault("fallback_hops", set()).add(peer_id)
+        # Gnutella forwards to every neighbour *except the one that
+        # delivered the descriptor*: it already handled the flood, so
+        # the copy could only arrive as a duplicate.  Filtered after the
+        # routing decision, which must see every neighbour (before it,
+        # a hop whose only admitting filter is the sender's would fall
+        # back to the blind fan-out).  The origin's own copy has
+        # ``sender == origin``, never a neighbour.
+        delivered_by = message.sender
         self.kernel.send_many(
-            [message.forwarded(peer_id, neighbor_id) for neighbor_id in targets],
+            [message.forwarded(peer_id, neighbor_id) for neighbor_id in targets
+             if neighbor_id != delivered_by],
             context=context)
 
     # ------------------------------------------------------------------

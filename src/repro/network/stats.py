@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -216,6 +218,26 @@ class NetworkStats:
     def cache_hit_ratio(self) -> float:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
+
+    def digest(self, result_counts: list[int]) -> str:
+        """sha256 over everything a simulator-only change must leave
+        alone: the per-search ``result_counts`` a driver collected, the
+        per-type traffic, every query record and every download record
+        (latencies rounded to six decimals of a millisecond).  The same
+        payload and hash as ``bench.measure.counters_digest``.
+        """
+        payload = {
+            "result_counts": result_counts,
+            "messages_by_type": sorted(self.messages_by_type.items()),
+            "bytes_by_type": sorted(self.bytes_by_type.items()),
+            "queries": [(record.results, record.messages, record.bytes,
+                         record.peers_probed, round(record.latency_ms, 6))
+                        for record in self.queries],
+            "downloads": [(record.resource_id, record.requester, record.provider,
+                           record.bytes, round(record.latency_ms, 6))
+                          for record in self.download_records],
+        }
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     # ------------------------------------------------------------------
     @property

@@ -1,20 +1,24 @@
 """Guards on the transport hot path: what it must compute, and how often.
 
-* *Golden digests.*  ``bench.measure.counters_digest`` of one toy-size
-  round of each benchmark workload, serial and ``shards=4``, against
-  constants taken before the transport was reworked.  A simulator-only
-  change that moves one of them fails here in seconds, not only in the
-  bench pipeline; a change that means to move one (ROADMAP item 3 (c) /
-  (d)) rebases the constant and says so.
+* *Golden digests.*  ``NetworkStats.digest`` of one toy-size round of
+  each benchmark workload, serial and ``shards=4``, against constants
+  taken before the transport was reworked.  A simulator-only change
+  that moves one of them fails here in seconds, not only in the bench
+  pipeline; a change that means to move one rebases the constant and
+  says so.  ``flood`` was rebased once, when the flood stopped echoing
+  a QUERY back to the neighbour that delivered it.  The bench's own
+  ``counters_digest`` is pinned equal to the ``src/`` spelling.
 * *Golden query evaluation.*  Per protocol, a digest of a concurrent
   search scenario's observables and the hits of one direct search,
   taken while a switch could still send every query through the
   reference ``Query.evaluate`` path instead of ``CompiledQuery`` — and
-  checked equal between the two paths then.
+  checked equal between the two paths then.  ``gnutella``'s digest and
+  direct-search message and byte counts were rebased with ``flood``;
+  its hits were not.
 * *Count guards with no clock in them.*  The transport pays per hop, not
   per copy: one ``NetworkStats.record`` per re-flooding peer, no handler
   frame for a duplicate QUERY delivery, no message id drawn for a QUERY
-  copy.
+  copy, and no QUERY copy sent back to the peer it came from.
 """
 
 import hashlib
@@ -24,10 +28,13 @@ import pytest
 
 from bench import measure
 from bench.trace import Tracer
-from bench.workloads import scenario_config
+from bench.workloads import BATCH_OPS, INTERARRIVAL_MS, MAX_RESULTS, operations, scenario_config
+from repro.engine.driver import QueryDriver
+from repro.engine.kernel import EventKernel
 from repro.network import messages as messages_module
 from repro.network.base import PeerNetwork
 from repro.network.gnutella import GnutellaProtocol
+from repro.network.messages import MessageType
 from repro.network.stats import NetworkStats
 from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -37,20 +44,47 @@ SEED = 7
 
 #: workload -> digest of the toy round at seed 7 (serial and sharded alike)
 GOLDEN = {
-    "flood": "6395c7522a6b629a3d4c03d7484469ad4261251c316254a8ef8bb87749e37c03",
+    "flood": "3bf86cf2e40d994994dc581a2b1793a7e20779e3da955ba69c9720a0d18e4a5e",
     "directory": "b2ac0be0afd8c487b30e50094a11057c61717639d43d8460fc59548dc841e5d8",
     "bootstrap": "9d1b9f5733f1a0cc0114a605727ec3e0e3ad4d93cfe84f735f0065b66f20c316",
     "dynamic": "756a5c46bcf7fec2641e9968d9d60303a121bc373890ccf4cdaf2887176d9953",
 }
 
 
+def toy_round(name, shards=1):
+    """One toy-size round of workload ``name``, batched the way the bench
+    batches it; returns the scenario and each search's result count."""
+    scenario = build_scenario(scenario_config(name, SEED, toy=True, shards=shards))
+    ops = operations(scenario)
+    driver = QueryDriver(scenario.network)
+    counts = []
+    for start in range(0, len(ops), BATCH_OPS):
+        outcome = driver.run_mixed(ops[start:start + BATCH_OPS], max_results=MAX_RESULTS,
+                                   interarrival_ms=INTERARRIVAL_MS)
+        assert outcome.failed == outcome.retrieve_failures == outcome.starved == 0
+        counts.extend(outcome.result_counts)
+    return scenario, counts
+
+
 @pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_toy_round_reproduces_the_golden_digest(name, shards):
-    scenario = build_scenario(scenario_config(name, SEED, toy=True, shards=shards))
-    phase = measure.run_ops(scenario, 0.0, measure.HostSpeed())
+    scenario, counts = toy_round(name, shards)
+    assert scenario.network.stats.digest(counts) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stats_digest_is_the_bench_counters_digest(name):
+    """``NetworkStats.digest`` and ``bench.measure.counters_digest`` are one
+    definition of "same behaviour": equal on the round itself, and on the
+    bench's own first round."""
+    scenario, counts = toy_round(name)
+    stats = scenario.network.stats
+    assert stats.digest(counts) == measure.counters_digest(counts, stats)
+    bench_scenario = build_scenario(scenario_config(name, SEED, toy=True))
+    phase = measure.run_ops(bench_scenario, 0.0, measure.HostSpeed())
     assert phase.failed == 0
-    assert phase.first.digest == GOLDEN[name]
+    assert phase.first.digest == stats.digest(counts)
 
 
 #: eight searches in flight at once, over every protocol
@@ -63,8 +97,8 @@ GOLDEN_PLAN = {
         "67d29e4b31f78af16b6dd8ebf219c32206ddfc2de1a07615b7c2fdced9f9e922",
         ([("p2", "55e29fe5f28c6a97ad86", 1), ("p3", "f059f6a5518481657d48", 1)], 2, 276)),
     "gnutella": (
-        "09fa56eae9c568d762e279a971b45c152c801283dd43480ac2cdebefb3c46877",
-        ([("p2", "55e29fe5f28c6a97ad86", 2), ("p3", "f059f6a5518481657d48", 3)], 17, 1934)),
+        "43d23c2986257b703cfc9a35475962d567501649929f4f0380e7b2febd2fc5d8",
+        ([("p2", "55e29fe5f28c6a97ad86", 2), ("p3", "f059f6a5518481657d48", 3)], 12, 1324)),
     "super-peer": (
         "95d84c93b6def3583c44db0e719368ba020ab75e47ae33dcf6e98629429992a4",
         ([("p2", "55e29fe5f28c6a97ad86", 1), ("p3", "f059f6a5518481657d48", 1)], 1, 154)),
@@ -175,3 +209,33 @@ def test_a_flood_pays_per_hop_not_per_copy(tracer, monkeypatch):
     assert tracer.counts["on_query"] == probed
     # every copy of one flood carries the flood's id: none is drawn per copy
     assert ids.draws <= searches + hits
+
+
+def test_a_flood_never_echoes(monkeypatch):
+    """Gnutella forwards a descriptor to every neighbour *except the one
+    that delivered it*: no QUERY copy goes back to the peer it came from."""
+    scenario = build_scenario(ScenarioConfig(
+        protocol="gnutella", peers=60, degree=4, ttl=5, members=10, publishers=5,
+        corpus_size=40, queries=12, concurrency=4, seed=23))
+    delivered_by = {}   # forwarder -> the neighbour whose copy it is re-flooding
+    sent = []           # (forwarder, recipient, delivered by) per QUERY copy
+    flood_from = GnutellaProtocol._flood_from
+    send_many = EventKernel.send_many
+
+    def recording_flood_from(self, peer, message, context):
+        delivered_by[peer.peer_id] = message.sender
+        flood_from(self, peer, message, context)
+
+    def recording_send_many(self, messages, *, context=None):
+        # A fan-out runs inside the ``_flood_from`` that just booked its sender.
+        sent.extend((copy.sender, copy.recipient, delivered_by[copy.sender])
+                    for copy in messages if copy.type is MessageType.QUERY)
+        send_many(self, messages, context=context)
+
+    monkeypatch.setattr(GnutellaProtocol, "_flood_from", recording_flood_from)
+    monkeypatch.setattr(EventKernel, "send_many", recording_send_many)
+    scenario.run_queries()
+
+    probed = sum(record.peers_probed for record in scenario.network.stats.queries)
+    assert len(sent) == scenario.network.stats.messages_by_type["query"] > 2 * probed
+    assert [copy for copy in sent if copy[1] == copy[2]] == []
