@@ -7,8 +7,8 @@ System for Description and Discovery of Resource-Sharing Communities*
 Sub-packages
 ------------
 ``repro.xmlkit``
-    Hand-written XML substrate: tokenizer, parser, DOM, serializer and a
-    minimal XPath engine.
+    XML substrate: a DOM, a parser driving the standard library's expat,
+    a serializer and a minimal XPath engine.
 ``repro.schema``
     XML Schema subset: object model, XSD parser, instance validator,
     built-in datatypes and a programmatic schema builder.

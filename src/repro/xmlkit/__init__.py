@@ -1,12 +1,12 @@
-"""Hand-written XML substrate.
+"""XML substrate.
 
-The original U-P2P relied on Xerces for XML parsing; this package is the
-pure-Python substitute.  It provides:
+The original U-P2P relied on Xerces for XML parsing; this package parses
+with the standard library's expat and supplies the rest.  It provides:
 
 * :mod:`repro.xmlkit.dom` — a small element tree (:class:`Element`,
   :class:`Document`) with namespace-aware names.
-* :mod:`repro.xmlkit.tokenizer` and :mod:`repro.xmlkit.parser` — a
-  hand-rolled well-formedness-checking XML parser.
+* :mod:`repro.xmlkit.parser` — builds that tree from expat's events,
+  with XML 1.0 well-formedness from expat and a namespace-prefix check.
 * :mod:`repro.xmlkit.serializer` — canonical and pretty serialization.
 * :mod:`repro.xmlkit.xpath` — the XPath subset used by the XSLT engine
   and by searchable-field selection.

@@ -1,21 +1,10 @@
-"""Character escaping and entity handling for the XML substrate."""
+"""Character escaping for serialization (parsing is expat's job)."""
 
 from __future__ import annotations
 
 import re
 
-from repro.xmlkit.errors import XMLParseError, XMLSerializeError
-
-# The five predefined XML entities.
-NAMED_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "apos": "'",
-    "quot": '"',
-}
-
-_ENTITY_RE = re.compile(r"&(#x?[0-9a-fA-F]+|[A-Za-z][A-Za-z0-9]*);")
+from repro.xmlkit.errors import XMLSerializeError
 
 # Characters legal in XML 1.0 documents.
 _ILLEGAL_TEXT_RE = re.compile(
@@ -23,66 +12,27 @@ _ILLEGAL_TEXT_RE = re.compile(
 )
 
 
-def is_name_start_char(char: str) -> bool:
-    """Return True if ``char`` may start an XML name."""
-    if char.isalpha() or char in ("_", ":"):
-        return True
-    code = ord(char)
-    return 0xC0 <= code <= 0x2FF or 0x370 <= code <= 0x1FFF or code >= 0x2070
-
-
-def is_name_char(char: str) -> bool:
-    """Return True if ``char`` may appear inside an XML name."""
-    return is_name_start_char(char) or char.isdigit() or char in (".", "-", "·")
-
-
-def is_valid_name(name: str) -> bool:
-    """Return True when ``name`` is a legal XML element/attribute name."""
-    if not name:
-        return False
-    if not is_name_start_char(name[0]):
-        return False
-    return all(is_name_char(char) for char in name[1:])
-
-
-def decode_entities(text: str, line: int = 0, column: int = 0) -> str:
-    """Replace entity and character references with their characters."""
-
-    def _replace(match: re.Match[str]) -> str:
-        body = match.group(1)
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
-        if body.startswith("#"):
-            return chr(int(body[1:]))
-        if body in NAMED_ENTITIES:
-            return NAMED_ENTITIES[body]
-        raise XMLParseError(f"unknown entity &{body};", line, column)
-
-    # A bare ampersand that does not introduce a reference is ill-formed.
-    result = []
-    position = 0
-    for match in _ENTITY_RE.finditer(text):
-        chunk = text[position:match.start()]
-        if "&" in chunk:
-            raise XMLParseError("unescaped '&' in content", line, column)
-        result.append(chunk)
-        result.append(_replace(match))
-        position = match.end()
-    tail = text[position:]
-    if "&" in tail:
-        raise XMLParseError("unescaped '&' in content", line, column)
-    result.append(tail)
-    return "".join(result)
-
-
 def escape_text(text: str) -> str:
-    """Escape character data for serialization."""
+    """Escape character data for serialization.
+
+    A carriage return is written as ``&#13;``: a raw one would be read
+    back as a line feed (XML 1.0 §2.11).
+    """
     _check_serializable(text)
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (
+        text.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace("\r", "&#13;")
+    )
 
 
 def escape_attribute(value: str) -> str:
-    """Escape an attribute value for serialization in double quotes."""
+    """Escape an attribute value for serialization in double quotes.
+
+    Line feeds, tabs and carriage returns become character references,
+    since a parser normalises raw ones to spaces (XML 1.0 §3.3.3).
+    """
     _check_serializable(value)
     return (
         value.replace("&", "&amp;")
@@ -90,6 +40,7 @@ def escape_attribute(value: str) -> str:
         .replace('"', "&quot;")
         .replace("\n", "&#10;")
         .replace("\t", "&#9;")
+        .replace("\r", "&#13;")
     )
 
 

@@ -10,8 +10,13 @@ Supported syntax
 * text nodes: ``text()``
 * predicates: positional ``[2]``, ``[last()]``, attribute equality
   ``[@a='v']``, child-value equality ``[name='v']`` and existence
-  ``[@a]`` / ``[name]``
+  ``[@a]`` / ``[name]``.  As in XPath 1.0, a position counts among the
+  candidates one parent contributes: ``a/b[1]`` and ``//b[1]`` select
+  the first ``b`` of every parent.
 * union expressions: ``a | b``
+
+Only abbreviated steps (and the ``child::`` spelling) are accepted; any
+other ``axis::`` is refused.
 
 This covers every path used by the default stylesheets, the searchable-
 field annotations (``upsearch`` in the original prototype) and the index
@@ -21,6 +26,7 @@ filter stylesheets of the case study.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -188,9 +194,7 @@ def _compile_step(piece: str, axis: str) -> Step:
         return Step(axis="attribute", name=name_part[1:] or "*", predicates=tuple(predicates))
     if name_part.startswith("child::"):
         name_part = name_part[len("child::"):]
-    if name_part.startswith("descendant::"):
-        return Step(axis="descendant", name=name_part[len("descendant::"):], predicates=tuple(predicates))
-    if not name_part or "[" in name_part or "]" in name_part:
+    if not name_part or "[" in name_part or "]" in name_part or "::" in name_part:
         raise XPathError(f"cannot parse location step {piece!r}")
     return Step(axis=axis, name=name_part, predicates=tuple(predicates))
 
@@ -251,22 +255,29 @@ def _name_matches(step_name: str, element: Element) -> bool:
 def _evaluate_steps(start: Sequence[Element], steps: Sequence[Step]) -> Iterable[Union[Element, str]]:
     current: list[Union[Element, str]] = list(start)
     for step in steps:
-        next_nodes: list[Union[Element, str]] = []
         elements = [node for node in current if isinstance(node, Element)]
+        # (origin, candidate) pairs; a predicate position counts per origin:
+        # the context node, or for '//' (descendant-or-self::node()/child::)
+        # the candidate's parent.
+        candidates: list[tuple[Optional[Element], Element]]
         if step.axis == "self":
-            candidates = elements
+            candidates = [(node, node) for node in elements]
         elif step.axis == "parent":
-            candidates = [node.parent for node in elements if node.parent is not None]
+            candidates = [(node, node.parent) for node in elements if node.parent is not None]
         elif step.axis == "child":
-            candidates = [child for node in elements for child in node.children if _name_matches(step.name, child)]
+            candidates = [
+                (node, child)
+                for node in elements
+                for child in node.children
+                if _name_matches(step.name, child)
+            ]
         elif step.axis == "descendant":
-            candidates = []
-            for node in elements:
-                for descendant in node.iter():
-                    if descendant is node:
-                        continue
-                    if _name_matches(step.name, descendant):
-                        candidates.append(descendant)
+            candidates = [
+                (descendant.parent, descendant)
+                for node in elements
+                for descendant in node.iter()
+                if descendant is not node and _name_matches(step.name, descendant)
+            ]
         elif step.axis == "attribute":
             values: list[Union[Element, str]] = []
             for node in elements:
@@ -283,26 +294,23 @@ def _evaluate_steps(start: Sequence[Element], steps: Sequence[Step]) -> Iterable
             continue
         else:  # pragma: no cover - defensive
             raise XPathError(f"unsupported axis {step.axis!r}")
-
-        if step.axis == "self" and step.name == "*" and not step.predicates:
-            next_nodes = list(candidates)
-        else:
-            filtered = _apply_predicates(candidates, step.predicates)
-            next_nodes = list(filtered)
-        current = next_nodes
+        current = list(_apply_predicates(candidates, step.predicates))
     return current
 
 
-def _apply_predicates(candidates: Sequence[Element], predicates: Sequence[Predicate]) -> list[Element]:
-    nodes = [node for node in candidates if node is not None]
+def _apply_predicates(
+    candidates: list[tuple[Optional[Element], Element]], predicates: Sequence[Predicate]
+) -> list[Element]:
     for predicate in predicates:
-        size = len(nodes)
-        nodes = [
-            node
-            for position, node in enumerate(nodes, start=1)
-            if predicate.matches(node, position, size)
-        ]
-    return nodes
+        sizes = Counter(origin for origin, _ in candidates)
+        positions: Counter[Optional[Element]] = Counter()
+        kept = []
+        for origin, node in candidates:
+            positions[origin] += 1
+            if predicate.matches(node, positions[origin], sizes[origin]):
+                kept.append((origin, node))
+        candidates = kept
+    return [node for _, node in candidates]
 
 
 # ----------------------------------------------------------------------

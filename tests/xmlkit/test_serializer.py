@@ -4,7 +4,7 @@ import pytest
 
 from repro.xmlkit.dom import Element
 from repro.xmlkit.errors import XMLSerializeError
-from repro.xmlkit.escape import escape_attribute, escape_text, is_valid_name
+from repro.xmlkit.escape import escape_attribute, escape_text
 from repro.xmlkit.parser import parse
 from repro.xmlkit.serializer import canonical, pretty, serialize
 
@@ -82,14 +82,11 @@ class TestEscapeHelpers:
     def test_escape_attribute_newlines(self):
         assert "&#10;" in escape_attribute("line1\nline2")
 
-    @pytest.mark.parametrize("name,ok", [
-        ("community", True),
-        ("xsd:element", True),
-        ("_private", True),
-        ("with-dash", True),
-        ("1number", False),
-        ("", False),
-        ("spa ce", False),
-    ])
-    def test_is_valid_name(self, name, ok):
-        assert is_valid_name(name) is ok
+    def test_carriage_return_written_as_a_reference(self):
+        # A raw CR would be read back as LF (XML 1.0 §2.11).
+        assert escape_text("a\r\nb\rc") == "a&#13;\nb&#13;c"
+        assert escape_attribute("a\r\n\tb") == "a&#13;&#10;&#9;b"
+        element = Element("a", {"v": "x\r\ny"}, text="p\r\nq\r")
+        again = parse(serialize(element)).root
+        assert again.text == "p\r\nq\r"
+        assert again.get("v") == "x\r\ny"
