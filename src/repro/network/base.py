@@ -196,6 +196,10 @@ class PeerNetwork(ABC):
             self.kernel = EventKernel(simulator=self.simulator, peers=self.peers,
                                       stats=self.stats)
         self.replicas = ReplicaRegistry()
+        #: peers that left for good (:meth:`depart`, a fault-plan crash):
+        #: :meth:`set_online` never brings one back, so a permanent
+        #: departure sticks whatever churn return is still queued
+        self.gone: set[str] = set()
         #: the on/off flags handlers branch on per delivered message
         #: (documented on the groups); off is pinned bit-identical to
         #: the mechanism's absence
@@ -232,12 +236,11 @@ class PeerNetwork(ABC):
 
     def _fault_crash(self, peer_id: str) -> None:
         """A crash-stop failure from the fault plan: the peer goes
-        offline permanently (never rescheduled), exactly like an
-        ungraceful churn departure."""
-        peer = self.peers.get(peer_id)
-        if peer is None or not peer.online:
-            return
-        self.depart(peer_id, graceful=False)
+        offline permanently, exactly like an ungraceful permanent
+        departure — and stays gone even if it was already offline (a
+        churn absence then never ends)."""
+        if peer_id in self.peers:
+            self.depart(peer_id, graceful=False)
 
     # ------------------------------------------------------------------
     # Membership
@@ -298,10 +301,11 @@ class PeerNetwork(ABC):
         physically-observable effects happen here (a departed node's
         own RAM dies with it) and everything else — re-homing,
         re-registration, stale-record cleanup — is later protocol
-        traffic.
+        traffic.  A peer that is :attr:`gone` is never brought back
+        online: the call is a no-op.
         """
         peer = self._require_peer(peer_id, allow_offline=True)
-        if peer.online == online:
+        if peer.online == online or (online and peer_id in self.gone):
             return
         now = self.simulator.now
         if online:
@@ -327,7 +331,8 @@ class PeerNetwork(ABC):
                 self._on_peer_departed(peer)
 
     def depart(self, peer_id: str, *, graceful: bool = False) -> None:
-        """Take a peer offline permanently (it is never rescheduled).
+        """Take a peer offline permanently: it joins :attr:`gone`, even
+        when it is offline already, so it never comes back.
 
         With live membership on and ``graceful`` set, the peer first
         announces its departure (UNREGISTER / LEAVE / LEAF-DETACH
@@ -336,6 +341,7 @@ class PeerNetwork(ABC):
         stale state behind exactly like a crash.
         """
         peer = self._require_peer(peer_id, allow_offline=True)
+        self.gone.add(peer_id)
         if not peer.online:
             return
         if self.live_membership and graceful:

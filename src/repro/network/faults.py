@@ -9,27 +9,47 @@ peer failures — while keeping every run bit-reproducible.
 
 Determinism contract
 --------------------
-Every fault decision is drawn from a *dedicated* RNG stream, so the
-latency model's per-pair jitter streams are never perturbed: a
-:class:`FaultPlan` with all rates at ``0.0`` produces runs bit-identical
-to ``faults=None``.  Each decision seeds its own ``random.Random`` from
-``zlib.crc32`` over the message's *content identity* — plan seed,
-sender, recipient and send instant, plus an occurrence index when the
-same link fires more than once at the same instant.  That identity is
-the same whichever execution order (or process) evaluates the send: a
-global ``msg-N`` token would break run-twice reproducibility (the
-counter never resets within one interpreter), and a send *ordinal*
-would break process-parallel execution, where each worker only executes
-the sends of its own shards and therefore counts a different ordinal
-sequence.  Content keying makes fault decisions — and therefore the
-drop/duplicate/retry counters — bit-identical across shard counts,
-across worker processes and across interpreter hash seeds.
+Fault decisions never touch an RNG stream anything else draws from, so
+the latency model's per-pair jitter and the workload and churn streams
+are never perturbed: a :class:`FaultPlan` with all rates at ``0.0``
+produces runs bit-identical to ``faults=None``.
+
+Each decision is a pure function of the message's *content identity*:
+``f"{seed}:{sender}:{recipient}:{now_ms:.6f}"``, with ``#k`` appended
+for the ``k``-th repeat of one link at one instant.  The identity's
+16-byte BLAKE2b digest is read as four little-endian 32-bit lanes,
+each scaled by 2**-32 into ``[0, 1)``: the loss, duplicate, delay and
+lag rolls, always all four, in that order.  A rate of ``0.0`` never
+fires and ``1.0`` always does.
+
+Content keying is what makes the counters reproducible.  A global
+``msg-N`` token would break run-twice reproducibility (the counter
+never resets within one interpreter), and a send *ordinal* would break
+process-parallel execution, where each worker executes only its own
+shards' sends and counts a different ordinal sequence.  The identity
+is the same whichever execution order, shard count, worker process or
+interpreter hash seed evaluates the send.
+
+The occurrence table behind ``#k`` holds one instant only.  The kernel
+always passes ``simulator.now``, which never goes back in the serial
+drive loop or in the sharded simulator's global order, so the first
+send at a new instant can never repeat an earlier key, and the table is
+cleared whenever the formatted instant changes.  Comparing the
+formatted string, not the float, keeps two floats that round to the
+same ``.6f`` on one shared count.  A process-parallel worker rewinds
+its clock in two places.  A replicated document completion runs with
+sends suppressed, so it never reaches :meth:`FaultModel.decide`.  At a
+batch's exit, ``align_exit_clock`` pins the clock back to the batch's
+settle instant, which the worker may have run past inside its window.
+A send after the pin at an instant the worker had already passed
+restarts its link's count at ``#0``.  It differs from a serial run only
+if the same link had already sent at that exact instant before the pin.
 """
 
 from __future__ import annotations
 
-import random
-import zlib
+import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,6 +141,11 @@ _CLEAN = FaultDecision()
 _PARTITION_DROP = FaultDecision(drop=True, partitioned=True)
 _LOSS_DROP = FaultDecision(drop=True)
 
+#: a roll is one little-endian 32-bit digest lane scaled by 2**-32, so
+#: ``roll < rate`` is tested, exactly, as ``lane < rate * 2**32``
+_LANES = struct.Struct("<4I").unpack
+_LANE_RANGE = 2.0 ** 32
+
 
 class FaultModel:
     """Executable form of a :class:`FaultPlan`.
@@ -135,10 +160,14 @@ class FaultModel:
         #: virtual time the plan was installed; window times are
         #: interpreted relative to it
         self.epoch_ms = epoch_ms
+        #: per-link loss as a lane cut (see ``_LANES``)
         self._link_loss: dict[tuple[str, str], float] = {}
         for source, target, rate in plan.link_loss:
-            self._link_loss[(source, target)] = rate
-            self._link_loss[(target, source)] = rate
+            self._link_loss[(source, target)] = rate * _LANE_RANGE
+            self._link_loss[(target, source)] = rate * _LANE_RANGE
+        self._loss_cut = plan.loss_rate * _LANE_RANGE
+        self._duplicate_cut = plan.duplicate_rate * _LANE_RANGE
+        self._delay_cut = plan.extra_delay_rate * _LANE_RANGE
         self._partitions = [
             (window.start_ms, window.end_ms, frozenset(window.left), frozenset(window.right))
             for window in plan.partitions
@@ -146,11 +175,17 @@ class FaultModel:
         self._random_faults = bool(
             plan.loss_rate or plan.duplicate_rate or plan.extra_delay_rate
             or self._link_loss)
+        # Every identity starts with the plan seed: that prefix is
+        # hashed once, and each decision continues from a copy.
+        self._seed_state = hashlib.blake2b(f"{plan.seed}:".encode(), digest_size=16)
         # Occurrence index per (sender, recipient, instant) key: the
         # rare repeat — one event sending twice over the same link at
         # the same virtual instant — still gets distinct draws, keyed
-        # by content rather than send order (see the module docstring).
+        # by content rather than send order.  Only the current instant
+        # is held (see the module docstring).
         self._seen: dict[str, int] = {}
+        self._now_ms: Optional[float] = None
+        self._instant = ""
 
     # ------------------------------------------------------------------
     def partitioned(self, sender: str, recipient: str, now_ms: float) -> bool:
@@ -163,25 +198,13 @@ class FaultModel:
                 return True
         return False
 
-    def _loss_rate(self, sender: str, recipient: str) -> float:
-        override = self._link_loss.get((sender, recipient))
-        return override if override is not None else self.plan.loss_rate
-
-    def _rng(self, sender: str, recipient: str, now_ms: float) -> random.Random:
-        identity = f"{self.plan.seed}:{sender}:{recipient}:{now_ms:.6f}"
-        occurrence = self._seen.get(identity, 0)
-        self._seen[identity] = occurrence + 1
-        if occurrence:
-            identity = f"{identity}#{occurrence}"
-        return random.Random(zlib.crc32(identity.encode("utf-8")))
-
     def decide(self, sender: str, recipient: str, now_ms: float) -> FaultDecision:
         """One message's fate, decided at send time.
 
         A partition cut is deterministic and consumes no randomness;
-        all probabilistic faults draw from this message's own
-        crc32-keyed stream, so enabling one fault kind never shifts
-        the draws of another.
+        all probabilistic faults read this message's own content-keyed
+        rolls, so enabling one fault kind never shifts the draws of
+        another.
         """
         if sender == recipient:
             return _CLEAN
@@ -189,25 +212,36 @@ class FaultModel:
             return _PARTITION_DROP
         if not self._random_faults:
             return _CLEAN
-        plan = self.plan
-        rng = self._rng(sender, recipient, now_ms)
+        if now_ms != self._now_ms:
+            self._now_ms = now_ms
+            instant = f"{now_ms:.6f}"
+            if instant != self._instant:
+                self._instant = instant
+                self._seen.clear()
+        link = f"{sender}:{recipient}:{self._instant}"
+        occurrence = self._seen.get(link, 0)
+        self._seen[link] = occurrence + 1
+        if occurrence:
+            link = f"{link}#{occurrence}"
+        state = self._seed_state.copy()
+        state.update(link.encode())
         # The four rolls are drawn unconditionally, in a fixed order:
-        # each fault kind's outcome then depends only on the plan seed,
-        # the ordinal and its own rate — changing one rate never shifts
+        # each fault kind's outcome then depends only on the message's
+        # identity and its own rate — changing one rate never shifts
         # another kind's per-message pattern.
-        loss_roll = rng.random()
-        duplicate_roll = rng.random()
-        delay_roll = rng.random()
-        lag_roll = rng.random()
-        if loss_roll < self._loss_rate(sender, recipient):
+        loss, duplicate, delay, lag = _LANES(state.digest())
+        loss_cut = self._link_loss.get((sender, recipient), self._loss_cut) \
+            if self._link_loss else self._loss_cut
+        if loss < loss_cut:
             return _LOSS_DROP
-        duplicate = duplicate_roll < plan.duplicate_rate
-        extra_delay = plan.extra_delay_ms if delay_roll < plan.extra_delay_rate else 0.0
-        if not duplicate and extra_delay == 0.0:
+        plan = self.plan
+        duplicated = duplicate < self._duplicate_cut
+        extra_delay = plan.extra_delay_ms if delay < self._delay_cut else 0.0
+        if not duplicated and extra_delay == 0.0:
             return _CLEAN
-        lag = lag_roll * plan.duplicate_spread_ms if duplicate else 0.0
-        return FaultDecision(duplicate=duplicate, extra_delay_ms=extra_delay,
-                             duplicate_lag_ms=lag)
+        lag_ms = lag / _LANE_RANGE * plan.duplicate_spread_ms if duplicated else 0.0
+        return FaultDecision(duplicate=duplicated, extra_delay_ms=extra_delay,
+                             duplicate_lag_ms=lag_ms)
 
 
 def build_fault_model(plan: Optional[FaultPlan], *,

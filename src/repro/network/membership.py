@@ -71,9 +71,6 @@ class PopulationModel:
     events: list[MembershipEvent] = field(default_factory=list)
     _rng: random.Random = field(init=False, repr=False)
     _arrivals: int = field(init=False, repr=False, default=0)
-    #: peers that left for good: their queued churn returns are voided,
-    #: so a permanent departure sticks even if it struck mid-absence
-    _gone: set[str] = field(init=False, repr=False, default_factory=set)
 
     def __post_init__(self) -> None:
         if self.mean_session_ms <= 0 or self.mean_absence_ms <= 0:
@@ -102,7 +99,7 @@ class PopulationModel:
         self.network.simulator.post(delay, self._return, peer_id)
 
     def _depart(self, peer_id: str) -> None:
-        if peer_id not in self.network.peers or peer_id in self._gone:
+        if peer_id not in self.network.peers or peer_id in self.network.gone:
             return
         now = self.network.simulator.now
         # Short-circuit so a permanence of zero draws nothing extra and
@@ -111,7 +108,6 @@ class PopulationModel:
                 and self._rng.random() < self.departure_permanence:
             graceful = self.graceful_fraction > 0.0 \
                 and self._rng.random() < self.graceful_fraction
-            self._gone.add(peer_id)
             self.network.depart(peer_id, graceful=graceful)
             self.events.append(MembershipEvent(now, peer_id, "depart-permanent"))
             return
@@ -120,7 +116,7 @@ class PopulationModel:
         self._schedule_return(peer_id)
 
     def _return(self, peer_id: str) -> None:
-        if peer_id not in self.network.peers or peer_id in self._gone:
+        if peer_id not in self.network.peers or peer_id in self.network.gone:
             return
         self.network.set_online(peer_id, True)
         self.events.append(MembershipEvent(self.network.simulator.now, peer_id, "return"))
@@ -177,12 +173,10 @@ class PopulationModel:
         self.network.simulator.post(at_ms, self._depart_forever, peer_id, graceful)
 
     def _depart_forever(self, peer_id: str, graceful: bool) -> None:
-        if peer_id not in self.network.peers or peer_id in self._gone:
+        if peer_id not in self.network.peers or peer_id in self.network.gone:
             return
-        # Marking the peer gone voids any queued churn return, so the
-        # departure is permanent even when it strikes mid-absence (the
-        # peer was already offline and ``depart`` is then a no-op).
-        self._gone.add(peer_id)
+        # ``depart`` marks the peer gone even when it strikes mid-absence,
+        # which voids any queued churn return.
         self.network.depart(peer_id, graceful=graceful)
         self.events.append(MembershipEvent(self.network.simulator.now,
                                            peer_id, "depart-permanent"))

@@ -896,7 +896,7 @@ class TestFaultContract:
 
 class TestFaultHashSaltIndependence:
     """Fault decisions and recovery counters must not depend on the
-    per-process string hash salt (crc32-keyed streams, no builtin
+    per-process string hash salt (BLAKE2b-keyed rolls, no builtin
     ``hash``): the same faulty cell replayed in subprocesses under two
     ``PYTHONHASHSEED`` values commits identical counters."""
 

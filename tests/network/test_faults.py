@@ -1,15 +1,26 @@
 """Tests for deterministic fault injection and the reliable-delivery
-envelope: plan validation, decision determinism, RNG-stream isolation
-(a zero-rate plan is bit-identical to ``faults=None``), retry/backoff
-recovery through partitions and loss, and crash-stop scheduling."""
+envelope: plan validation, decision determinism, the content-keyed
+draw (lane quality, exact rate edges, the one-instant occurrence
+table), RNG-stream isolation (a zero-rate plan is bit-identical to
+``faults=None``), retry/backoff recovery through partitions and loss,
+and crash-stop scheduling, under churn too."""
+
+import collections
+import hashlib
+import itertools
+import math
+import statistics
+import struct
 
 import pytest
 
+from repro.network import faults as faults_module
 from repro.network.centralized import INDEX_SERVER_ID, CentralizedProtocol
 from repro.network.config import ReliabilityConfig
 from repro.network.faults import (FaultModel, FaultPlan, PartitionWindow,
                                   build_fault_model)
 from repro.network.gnutella import GnutellaProtocol
+from repro.network.membership import PopulationModel
 from repro.network.rendezvous import RendezvousProtocol
 from repro.network.superpeer import SuperPeerProtocol
 from repro.storage.query import Query
@@ -128,6 +139,159 @@ class TestFaultModelDecisions:
         assert not model.decide("a", "b", 5_150.0).drop
 
 
+def reference_rolls(identity):
+    """The specified draw, spelled independently of the module: the four
+    little-endian 32-bit lanes of the identity's 16-byte BLAKE2b digest,
+    each scaled by 2**-32."""
+    digest = hashlib.blake2b(identity.encode(), digest_size=16).digest()
+    return [lane * 2.0 ** -32 for lane in struct.unpack("<4I", digest)]
+
+
+class UnboundedReference:
+    """The draw with an occurrence table that is never pruned: what a
+    :class:`FaultModel` must reproduce decision for decision."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.seen = {}
+
+    def decide(self, sender, recipient, now_ms):
+        plan = self.plan
+        identity = f"{plan.seed}:{sender}:{recipient}:{now_ms:.6f}"
+        occurrence = self.seen.get(identity, 0)
+        self.seen[identity] = occurrence + 1
+        if occurrence:
+            identity = f"{identity}#{occurrence}"
+        loss, duplicate, delay, lag = reference_rolls(identity)
+        if loss < plan.loss_rate:
+            return (True, False, 0.0, 0.0)
+        duplicated = duplicate < plan.duplicate_rate
+        return (False, duplicated,
+                plan.extra_delay_ms if delay < plan.extra_delay_rate else 0.0,
+                lag * plan.duplicate_spread_ms if duplicated else 0.0)
+
+
+def fate(decision):
+    return (decision.drop, decision.duplicate, decision.extra_delay_ms,
+            decision.duplicate_lag_ms)
+
+
+def sends_with_repeats():
+    """A monotone send sequence whose instants repeat: every step sends
+    twice on two of its links, and every third step advances the clock
+    by 1e-7 ms, a distinct float that formats to the same ``.6f``."""
+    links = [(f"p{index}", f"p{(index * 3 + 1) % 8}") for index in range(8)]
+    now_ms = 100.0
+    sends = []
+    for step in range(300):
+        now_ms += 1e-7 if step % 3 == 0 else 0.731
+        # squares mod 8 are 0, 1, 4, 1, 0: links step and step + 1 fire twice
+        sends.extend((*links[(step + k * k) % len(links)], now_ms) for k in range(5))
+    return sends
+
+
+class TestContentKeyedRolls:
+    """The draw behind every probabilistic fault: BLAKE2b lanes over the
+    content key, with an occurrence table that holds one instant."""
+
+    PLAN = FaultPlan(seed=5, loss_rate=0.3, duplicate_rate=0.3,
+                     extra_delay_rate=0.3, extra_delay_ms=12.0)
+
+    def test_lanes_are_uniform_and_uncorrelated(self):
+        keys = [f"11:peer-{index % 400:03d}:peer-{(index * 7 + 3) % 397:03d}:"
+                f"{1_000.0 + index * 0.37:.6f}" for index in range(40_000)]
+        lanes = list(zip(*(reference_rolls(key) for key in keys), strict=True))
+        expected = len(keys) / 10
+        for lane in lanes:
+            assert abs(statistics.fmean(lane) - 0.5) < 0.01
+            bins = collections.Counter(int(roll * 10) for roll in lane)
+            chi_square = sum((bins[index] - expected) ** 2 / expected for index in range(10))
+            assert chi_square < 27.88  # 9 degrees of freedom, p = 0.001
+        for first, second in itertools.combinations(lanes, 2):
+            assert abs(statistics.correlation(first, second)) < 0.02
+
+    def test_drop_share_matches_the_loss_rate(self):
+        model = FaultModel(FaultPlan(seed=11, loss_rate=0.05))
+        sends = 40_000
+        drops = sum(model.decide(f"peer-{index % 400}", f"peer-{index % 397 + 400}",
+                                 float(index)).drop
+                    for index in range(sends))
+        sigma = math.sqrt(sends * 0.05 * 0.95)
+        assert abs(drops - sends * 0.05) <= 4 * sigma
+
+    def test_rate_zero_never_fires_and_rate_one_always_does(self, monkeypatch):
+        # An unrelated link override keeps the draw path on at rate 0.0.
+        never = FaultModel(FaultPlan(seed=3, link_loss=(("x", "y", 0.5),)))
+        always = FaultModel(FaultPlan(seed=3, loss_rate=1.0))
+        pairs = [(f"p{index}", f"q{index}") for index in range(2_000)]
+        assert all(fate(never.decide(a, b, 7.0)) == (False, False, 0.0, 0.0)
+                   for a, b in pairs)
+        assert all(always.decide(a, b, 7.0).drop for a, b in pairs)
+        # The extreme lanes: 0 does not fire rate 0.0, 2**32 - 1 fires rate 1.0.
+        monkeypatch.setattr(faults_module, "_LANES", lambda digest: (0, 0, 0, 0))
+        assert fate(never.decide("a", "b", 8.0)) == (False, False, 0.0, 0.0)
+        top = 2 ** 32 - 1
+        monkeypatch.setattr(faults_module, "_LANES", lambda digest: (top, top, top, top))
+        assert always.decide("a", "b", 8.0).drop
+        every_kind = FaultModel(FaultPlan(seed=3, duplicate_rate=1.0, extra_delay_rate=1.0,
+                                          extra_delay_ms=5.0, duplicate_spread_ms=40.0))
+        decision = every_kind.decide("a", "b", 8.0)
+        assert decision.duplicate and decision.extra_delay_ms == 5.0
+        assert 39.999 < decision.duplicate_lag_ms < 40.0
+
+    def test_bounded_table_reproduces_an_unbounded_one(self):
+        sends = sends_with_repeats()
+        instants = collections.defaultdict(set)
+        for _, _, now_ms in sends:
+            instants[f"{now_ms:.6f}"].add(now_ms)
+        assert any(len(floats) > 1 for floats in instants.values())
+        repeats = collections.Counter((a, b, f"{now_ms:.6f}") for a, b, now_ms in sends)
+        assert max(repeats.values()) >= 4
+        model, reference = FaultModel(self.PLAN), UnboundedReference(self.PLAN)
+        decisions = [fate(model.decide(*send)) for send in sends]
+        assert decisions == [reference.decide(*send) for send in sends]
+        # drops, duplicates and delays all occur
+        assert all(any(decision[kind] for decision in decisions) for kind in range(3))
+
+    def test_table_holds_one_instant(self):
+        model = FaultModel(self.PLAN)
+        at_instant = collections.Counter()
+        for sender, recipient, now_ms in sends_with_repeats():
+            model.decide(sender, recipient, now_ms)
+            at_instant[f"{now_ms:.6f}"] += 1
+            assert len(model._seen) <= at_instant[f"{now_ms:.6f}"]
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_table_holds_one_instant_in_a_faulty_run(self, monkeypatch, shards):
+        """In a live, churned, reliable super-peer run, serial or sharded,
+        the clock handed to ``decide`` never goes back and the table
+        never outgrows the sends of the current instant."""
+        at_instant = collections.Counter()
+        clock = [-1.0]
+        decide = FaultModel.decide
+
+        def checked_decide(model, sender, recipient, now_ms):
+            assert now_ms >= clock[0]
+            clock[0] = now_ms
+            decision = decide(model, sender, recipient, now_ms)
+            if sender != recipient:
+                at_instant[f"{now_ms:.6f}"] += 1
+                assert len(model._seen) <= at_instant[f"{now_ms:.6f}"]
+            return decision
+
+        monkeypatch.setattr(FaultModel, "decide", checked_decide)
+        scenario = build_scenario(ScenarioConfig(
+            protocol="super-peer", peers=30, members=12, publishers=6, corpus_size=40,
+            queries=16, seed=23, concurrency=8, query_interarrival_ms=20.0,
+            live_membership=True, churn_session_ms=900.0, churn_absence_ms=500.0,
+            reliable_delivery=True, retry_timeout_ms=120.0, shards=shards,
+            faults=FaultPlan(seed=17, loss_rate=0.08, duplicate_rate=0.04)))
+        scenario.run_queries(max_results=100)
+        assert scenario.network.stats.dropped > 0
+        # some instants carry several sends
+        assert sum(at_instant.values()) > len(at_instant) > 20
+
+
 class TestRngStreamIsolation:
     """Satellite regression: a FaultPlan with every rate at 0.0 must be
     bit-identical to ``faults=None`` — the fault stream is drawn from
@@ -232,6 +396,33 @@ class TestReliableEnvelope:
         assert not network.peer("peer-004").online
         settle(network, 1_000)
         assert not network.peer("peer-004").online  # crash-stop: never returns
+
+    def test_crash_stop_is_permanent_under_session_churn(self):
+        """Churn never revives a crashed peer: not one it queued a
+        departure for (the return that departure schedules is void), and
+        not one the crash struck mid-absence (its pending return is)."""
+        crashed = ("peer-004", "peer-005", "peer-007")
+        network = GnutellaProtocol(
+            seed=8, degree=4, faults=FaultPlan(crashes=tuple((peer_id, 500.0)
+                                                             for peer_id in crashed)))
+        for index in range(30):
+            network.create_peer(f"peer-{index:03d}")
+        network.build_overlay()
+        churn = PopulationModel(network, mean_session_ms=1_000.0,
+                                mean_absence_ms=1_000.0, seed=3)
+        churn.start()
+        settle(network, 499.0)
+        assert not network.peer("peer-005").online  # the crash strikes mid-absence
+        assert network.peer("peer-004").online and network.peer("peer-007").online
+        settle(network, 20_000.0)
+        assert not [event for event in churn.events
+                    if event.peer_id in crashed and event.time_ms > 500.0]
+        assert not any(network.peer(peer_id).online for peer_id in crashed)
+        assert network.gone == set(crashed)
+        # The churn went on around them.
+        assert len(churn.events) > 100
+        network.set_online("peer-004", True)
+        assert not network.peer("peer-004").online
 
     def test_extra_delay_slows_but_never_loses(self):
         slow = self.build_live_centralized(
