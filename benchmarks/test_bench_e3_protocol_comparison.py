@@ -87,20 +87,6 @@ def test_bench_e3_concurrent_load_is_deterministic(benchmark):
     assert first == second
 
 
-def test_bench_e3_warm_vs_cold_index(benchmark):
-    """A cold-index query phase answers the same workload identically;
-    the rebuild only restates what publishing had already indexed."""
-    warm = build_scenario(ScenarioConfig(protocol="centralized", **BASE))
-    cold = build_scenario(ScenarioConfig(protocol="centralized", cold_index=True, **BASE))
-
-    def cold_phase():
-        return cold.run_queries(max_results=200)
-
-    cold_counts = benchmark.pedantic(cold_phase, rounds=1, iterations=1)
-    warm_counts = warm.run_queries(max_results=200)
-    assert cold_counts == warm_counts
-
-
 def test_bench_e3_report(benchmark, results, report):
     benchmark.pedantic(lambda: dict(results), rounds=1, iterations=1)
     rows = [[protocol,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core.application import Application
 from repro.core.community import Community
@@ -53,10 +53,3 @@ class CommunityDefinition:
         if self.corpus is None:
             return []
         return self.corpus(size, seed)
-
-
-def spread_corpus(values: Sequence[dict[str, object]], publishers: Sequence[Application]) -> None:
-    """Publish a corpus round-robin across several peers' applications."""
-    for index, record in enumerate(values):
-        application = publishers[index % len(publishers)]
-        application.publish(record)

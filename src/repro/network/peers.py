@@ -60,9 +60,6 @@ class Peer:
     def leave_community(self, community_id: str) -> None:
         self.joined_communities.discard(community_id)
 
-    def is_member_of(self, community_id: str) -> bool:
-        return community_id in self.joined_communities
-
     def shared_object_count(self) -> int:
         return len(self.repository.documents)
 

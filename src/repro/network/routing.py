@@ -46,7 +46,7 @@ link pays the advertisement again.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 from zlib import crc32
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base imports us)
@@ -270,15 +270,6 @@ class RoutingIndex:
         return _ADVERT_HEADER_BYTES + self.depth * (self.filter_bits // 8)
 
     # ------------------------------------------------------------------
-    # Diagnostics (E11)
-    # ------------------------------------------------------------------
-    def fill_ratios(self) -> list[float]:
-        """Level-0 fill ratio per peer, sorted by peer id."""
-        self._ensure_current()
-        return [self._filters[peer_id].levels[0].fill_ratio()
-                for peer_id in sorted(self._filters)]
-
-    # ------------------------------------------------------------------
     # Rebuild
     # ------------------------------------------------------------------
     def _ensure_current(self) -> None:
@@ -335,12 +326,6 @@ class RoutingIndex:
             if not frontier:
                 break
         return AttenuatedFilter(levels)
-
-
-def probe_positions(keys: Iterable[str], *, filter_bits: int,
-                    hash_count: int) -> dict[str, tuple[int, ...]]:
-    """Hash ``keys`` outside a :class:`RoutingIndex` (unit-test helper)."""
-    return {key: _positions(key, filter_bits, hash_count) for key in keys}
 
 
 def routing_index_for(network: "PeerNetwork") -> Optional[RoutingIndex]:

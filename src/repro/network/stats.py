@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from repro.network.messages import Message, MessageType
@@ -267,14 +267,6 @@ class NetworkStats:
     def control_bytes(self) -> int:
         return self._class_totals(CONTROL_TYPE_VALUES)[1]
 
-    @property
-    def query_message_bytes(self) -> int:
-        return self._class_totals(QUERY_TYPE_VALUES)[1]
-
-    @property
-    def download_message_bytes(self) -> int:
-        return self._class_totals(DOWNLOAD_TYPE_VALUES)[1]
-
     def traffic_breakdown(self) -> dict[str, dict[str, int]]:
         """Messages and bytes per traffic class; classes are disjoint
         and together cover every recorded message type."""
@@ -373,50 +365,20 @@ class NetworkStats:
         themselves carry no ordering constraint — consumers that care
         sort by their own keys).
         """
-        self.messages_by_type.update(other.messages_by_type)
-        self.bytes_by_type.update(other.bytes_by_type)
-        self.queries.extend(other.queries)
-        self.download_records.extend(other.download_records)
-        self.downloads += other.downloads
-        self.download_bytes += other.download_bytes
-        self.registrations += other.registrations
-        self.staleness_windows_ms.extend(other.staleness_windows_ms)
-        self.uptime_ms_total += other.uptime_ms_total
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_stale_served += other.cache_stale_served
-        self.dropped += other.dropped
-        self.partition_dropped += other.partition_dropped
-        self.duplicated += other.duplicated
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.failovers += other.failovers
-        self.routing_pruned += other.routing_pruned
-        self.routing_fallbacks += other.routing_fallbacks
-        self.routing_fp_forwards += other.routing_fp_forwards
-        self.routing_filter_bytes += other.routing_filter_bytes
+        for spec in fields(self):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            if isinstance(mine, Counter):
+                mine.update(theirs)
+            elif isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, spec.name, mine + theirs)
 
     def reset(self) -> None:
         """Clear all counters (between experiment phases)."""
-        self.messages_by_type.clear()
-        self.bytes_by_type.clear()
-        self.queries.clear()
-        self.download_records.clear()
-        self.downloads = 0
-        self.download_bytes = 0
-        self.registrations = 0
-        self.staleness_windows_ms.clear()
-        self.uptime_ms_total = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_stale_served = 0
-        self.dropped = 0
-        self.partition_dropped = 0
-        self.duplicated = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.failovers = 0
-        self.routing_pruned = 0
-        self.routing_fallbacks = 0
-        self.routing_fp_forwards = 0
-        self.routing_filter_bytes = 0
+        for spec in fields(self):
+            if spec.default is MISSING:
+                # A breakdown or record list, emptied in place.
+                getattr(self, spec.name).clear()
+            else:
+                setattr(self, spec.name, spec.default)

@@ -4,8 +4,9 @@ member lifecycle around them.
 In both the super-peer and the rendezvous network a fraction of peers
 are promoted to *hubs* (super-peers / rendezvous peers); every other
 peer attaches to one hub and uploads the searchable metadata of its
-shared objects there.  :class:`HubCatalog` is the one hub-side replica
-store; :class:`TwoTierNetwork` holds the lifecycle both adapters spell
+shared objects there.  :class:`HubCatalog` is the one index-point
+replica store (the centralized index server keeps one too);
+:class:`TwoTierNetwork` holds the lifecycle both adapters spell
 the same.  What really differs stays in the adapters: which hub a peer
 attaches to, whether detaching purges or leases decay, heartbeat versus
 renewal maintenance, and broadcast relay versus ring walk.
@@ -47,7 +48,8 @@ class HubRecord:
 
 
 class HubCatalog:
-    """Everything one hub holds for the peers attached to it.
+    """Everything one index point (a hub, or the centralized index
+    server) holds for the peers registered with it.
 
     Records are keyed ``"<resource_id>@<provider>"`` in one
     :class:`AttributeIndex`, so the same object shared by two members

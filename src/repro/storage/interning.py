@@ -47,11 +47,6 @@ def intern_view(metadata: Mapping[str, Iterable[str]]) -> dict[str, tuple[str, .
             for path, values in metadata.items()}
 
 
-def interned_tuples() -> int:
-    """Size of the tuple table (observability for tests/benchmarks)."""
-    return len(_TUPLES)
-
-
 def clear() -> None:
     """Drop the table (test isolation; canonical copies re-form lazily)."""
     _TUPLES.clear()

@@ -110,9 +110,6 @@ class LocalRepository:
         """Return the full stored object (the download path)."""
         return self.documents.get(resource_id)
 
-    def serve_attachment(self, uri: str) -> Attachment:
-        return self.attachments.serve(uri)
-
     # ------------------------------------------------------------------
     def statistics(self) -> dict[str, int]:
         """Counters used by the experiment harness."""

@@ -8,9 +8,7 @@ benchmark needs to measure a claim.
 The query phase runs on the event kernel: with ``concurrency`` above
 one, batches of queries are submitted at staggered virtual times and
 stay in flight together, optionally while churn events (enabled with
-``churn_session_ms``) strike mid-query.  ``cold_index`` rebuilds every
-peer's local attribute index immediately before the workload, so
-experiments can compare warm- against cold-index query phases.
+``churn_session_ms``) strike mid-query.
 """
 
 from __future__ import annotations
@@ -73,8 +71,6 @@ class ScenarioConfig:
     churn_session_ms: Optional[float] = None
     #: mean absence once a churning peer departs
     churn_absence_ms: float = 2_000.0
-    #: rebuild every peer's local attribute index before the query phase
-    cold_index: bool = False
     #: fraction of workload operations that are downloads instead of
     #: searches (the paper's download-and-replicate load)
     retrieve_fraction: float = 0.0
@@ -381,13 +377,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None, **overrides) -> Scen
         repeat_alpha=config.query_repeat_alpha,
         seed=config.seed,
     )
-
-    if config.cold_index:
-        # Cold start: every peer re-derives its index from its documents
-        # right before the workload, so the query phase pays first-touch
-        # index state instead of the one warmed by publishing.
-        for servent in servents:
-            servent.repository.rebuild_index()
 
     if config.live_membership:
         # From here on, lifecycle is protocol traffic: maintenance

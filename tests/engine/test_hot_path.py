@@ -6,8 +6,10 @@
   that moves one of them fails here in seconds, not only in the bench
   pipeline; a change that means to move one rebases the constant and
   says so.  ``flood`` was rebased once, when the flood stopped echoing
-  a QUERY back to the neighbour that delivered it, and ``dynamic`` once,
-  when fault rolls became BLAKE2b lanes.  The bench's own
+  a QUERY back to the neighbour that delivered it, ``dynamic`` once,
+  when fault rolls became BLAKE2b lanes, and ``directory`` once, when
+  the index server's store became a ``HubCatalog`` and the origin began
+  answering its own matches locally.  The bench's own
   ``counters_digest`` is pinned equal to the ``src/`` spelling.
 * *Golden query evaluation.*  Per protocol, a digest of a concurrent
   search scenario's observables and the hits of one direct search,
@@ -15,7 +17,10 @@
   reference ``Query.evaluate`` path instead of ``CompiledQuery`` — and
   checked equal between the two paths then.  ``gnutella``'s digest and
   direct-search message and byte counts were rebased with ``flood``;
-  its hits were not.
+  its hits were not.  ``centralized``'s digest was rebased with
+  ``directory``: every search kept its result count and message count,
+  and only the bytes moved (the origin's own matches no longer ride the
+  QUERY-HIT); its direct-search triples, messages and bytes are literal.
 * *Count guards with no clock in them.*  The transport pays per hop, not
   per copy: one ``NetworkStats.record`` per re-flooding peer, no handler
   frame for a duplicate QUERY delivery, no message id drawn for a QUERY
@@ -47,9 +52,13 @@ SEED = 7
 #: ``dynamic`` is the one workload with a fault plan; it was rebased when
 #: fault rolls moved from a Mersenne Twister seeded per message to BLAKE2b
 #: lanes over the same content key, which re-draws every message's fate.
+#: ``directory`` was rebased when the index server's private catalog became
+#: a ``HubCatalog`` and every search began answering its origin locally: each
+#: search's result count (137 in all) and the 32 messages stayed, and bytes
+#: fell 67 599 -> 61 022; shards=1 and shards=4 still agree.
 GOLDEN = {
     "flood": "3bf86cf2e40d994994dc581a2b1793a7e20779e3da955ba69c9720a0d18e4a5e",
-    "directory": "b2ac0be0afd8c487b30e50094a11057c61717639d43d8460fc59548dc841e5d8",
+    "directory": "ace821caed15ce4f6b1736dc429c7e488393661e6f10d0ae3bd365e2f848d24f",
     "bootstrap": "9d1b9f5733f1a0cc0114a605727ec3e0e3ad4d93cfe84f735f0065b66f20c316",
     "dynamic": "ff34508003cfa91562c5c186fd612188e2b2f7d751879a05424eed74cba782d3",
 }
@@ -97,8 +106,10 @@ PLAN_SCENARIO = dict(peers=30, members=12, publishers=6, corpus_size=40, queries
 
 #: protocol -> (sha256 of ``plan_observables``, ``direct_search`` outcome)
 GOLDEN_PLAN = {
+    # Rebased with ``GOLDEN["directory"]``: counts and messages unchanged,
+    # bytes 74 999 -> 66 482 once the origin answers its own matches.
     "centralized": (
-        "67d29e4b31f78af16b6dd8ebf219c32206ddfc2de1a07615b7c2fdced9f9e922",
+        "56e7b0f58335d490aac3a710130734f67cd3b8b4f7f7badc9b93e3fae102a85b",
         ([("p2", "55e29fe5f28c6a97ad86", 1), ("p3", "f059f6a5518481657d48", 1)], 2, 276)),
     "gnutella": (
         "43d23c2986257b703cfc9a35475962d567501649929f4f0380e7b2febd2fc5d8",

@@ -132,6 +132,20 @@ class TestKernelContract:
         response = protocol_network.finish_search(context)
         assert response.result_count == 0
 
+    def test_origin_answers_its_own_matches_at_hop_zero(self, protocol_network):
+        """Every organisation opens a search in the origin's own index:
+        its matching objects come back at ``hops == 0``, and no index
+        point hands them back a second time."""
+        populate(protocol_network)
+        own = publish_pattern(protocol_network, "peer-002", "Observer Local")
+        remote = publish_pattern(protocol_network, "peer-005", "Observer")
+        response = protocol_network.search(
+            "peer-002", Query.keyword("patterns", "observer"), max_results=50)
+        hits = sorted((result.hops, result.provider_id, result.resource_id)
+                      for result in response.results)
+        assert [hit[1:] for hit in hits] == [("peer-002", own), ("peer-005", remote)]
+        assert hits[0][0] == 0 < hits[1][0]
+
     @pytest.mark.parametrize("name", ("super-peer", "rendezvous"))
     def test_hub_claims_nothing_once_the_origin_filled_max_results(self, name):
         """Room is checked *before* a hub appends: when the origin's

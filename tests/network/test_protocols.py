@@ -140,6 +140,20 @@ class TestCentralized:
         assert centralized_network.provider_count(resource_ids[0]) == 0
         assert INDEX_SERVER_ID not in centralized_network.peers
 
+    def test_two_providers_of_one_object_are_two_records(self, centralized_network):
+        """The server keeps one record per (object, provider): withdrawing
+        one provider leaves the other answering."""
+        resource_ids = populate(centralized_network)
+        resource_id = resource_ids[0]
+        centralized_network.retrieve("peer-001", "peer-000", resource_id)
+        assert centralized_network.provider_count(resource_id) == 2
+        centralized_network.withdraw("peer-000", resource_id)
+        assert centralized_network.provider_count(resource_id) == 1
+        assert centralized_network.catalog_size() == len(resource_ids)
+        response = centralized_network.search("peer-003", Query.keyword("patterns", "observer"),
+                                              max_results=500)
+        assert response.providers_of(resource_id) == ["peer-001"]
+
     def test_max_results_cap(self, centralized_network):
         populate(centralized_network, peer_count=20, object_every=1)
         response = centralized_network.search("peer-001", Query.keyword("patterns", "observer"),
