@@ -1,10 +1,12 @@
 """Shared helpers for the experiment/benchmark harness.
 
-Every benchmark module reproduces one row of the experiment index in
-DESIGN.md.  Besides the pytest-benchmark timings, each module prints the
-table or series the experiment is about (workload → measured values) so
-that running ``pytest benchmarks/ --benchmark-only`` regenerates the
-figures' data; EXPERIMENTS.md records the interpretation.
+Every benchmark module reproduces one experiment, which its module
+docstring names and states (E1–E12 the paper's claims, F1–F3 its
+figures, A1–A3 the ablations, P1–P3 the substrate's performance).
+Besides the pytest-benchmark timings, each module prints the table or
+series the experiment is about (workload → measured values) so that
+running ``pytest benchmarks/ --benchmark-only`` regenerates the
+figures' data; the module docstring says how to read it.
 """
 
 from __future__ import annotations

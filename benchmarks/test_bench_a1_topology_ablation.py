@@ -1,7 +1,7 @@
 """A1 (ablation) — overlay topology of the flooding network.
 
-DESIGN.md calls for ablations of the design choices; the first is the
-Gnutella overlay shape.  The default is the power-law overlay measured
+The A-series ablates the reproduction's own design choices; the first is
+the Gnutella overlay shape.  The default is the power-law overlay measured
 for the real Gnutella network of 2001/2002; the ablation compares it to
 random, ring and star overlays under the same TTL and workload, showing
 why the default matters for the E4 numbers.

@@ -258,7 +258,7 @@ class _Checker(ast.NodeVisitor):
         return self.scope_all or _in_protocol_scope(self.path)
 
     @property
-    def _kern001_schedule_active(self) -> bool:
+    def _kern001_queue_active(self) -> bool:
         return (self.scope_all or _in_network_scope(self.path)) and not self._in_simulator_class()
 
     @property
@@ -411,7 +411,7 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "_queue" and self._kern001_schedule_active:
+        if node.attr == "_queue" and self._kern001_queue_active:
             self._add(
                 node,
                 "KERN001",
@@ -506,14 +506,6 @@ class _Checker(ast.NodeVisitor):
                           f"datetime.{func.attr}() reads the wall clock; simulation "
                           "code must use simulator.now")
 
-            # KERN001: raw scheduling in protocol code
-            if self._kern001_schedule_active and func.attr in ("schedule", "schedule_at"):
-                self._add(
-                    node,
-                    "KERN001",
-                    f".{func.attr}() bypasses the sharded simulator's routing/outbox; "
-                    "protocol code must send through kernel.send or simulator.post/post_keyed",
-                )
             # KERN001: kernel timers without shard affinity
             if (
                 self._kern001_every_active

@@ -87,7 +87,7 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             id="KERN001",
-            summary="cross-shard hazard: raw schedule()/heap access in protocol code, "
+            summary="cross-shard hazard: event-heap access in protocol code, "
             "or a kernel timer without shard affinity",
             rationale=(
                 "The sharded kernel's determinism argument (engine/sharded.py) "
@@ -95,8 +95,8 @@ RULES: dict[str, Rule] = {
                 "entry point: message deliveries via kernel.send -> "
                 "simulator.post (routed to the recipient's shard, parked in "
                 "the outbox when sent cross-shard mid-event), keyed timers "
-                "via post_keyed.  A protocol calling simulator.schedule / "
-                "schedule_at directly, or touching the _queue heap, bypasses "
+                "via post_keyed.  post and post_keyed are the only ways onto "
+                "a queue; a protocol touching the _queue heap bypasses "
                 "_route and the barrier — under shards>1 that undermines the "
                 "bit-identical contract the windowed execution provides.  "
                 "Likewise EventKernel.every(...) without affinity= runs the "

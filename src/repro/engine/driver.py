@@ -173,7 +173,7 @@ class QueryDriver:
                 context.watcher = note_done
 
         for index, op in enumerate(ops):
-            simulator.schedule(index * interarrival_ms, submit, index, op)
+            simulator.post(index * interarrival_ms, submit, index, op)
 
         _processed, drained = simulator.drive(latch, max_events=max_events)
         if drained:

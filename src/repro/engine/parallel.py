@@ -66,7 +66,6 @@ from repro.network.simulator import (
     _CALLBACK,
     _SEQUENCE,
     _TIME,
-    EventHandle,
     LatencyModel,
     NetworkSimulator,
     SimulationTruncated,
@@ -698,14 +697,6 @@ class WorkerSimulator(NetworkSimulator):
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, delay_ms: float, callback: Callable[..., None],
-                 *args) -> EventHandle:
-        if delay_ms < 0:
-            raise ValueError("cannot schedule events in the past")
-        entry = (self._now + delay_ms, next(self._sequence), callback, args)
-        self._route(entry)
-        return EventHandle(entry, self._cancelled)
-
     def post(self, delay_ms: float, callback: Callable[..., None], *args) -> None:
         self._route((self._now + delay_ms, next(self._sequence), callback, args))
 
@@ -779,8 +770,6 @@ class WorkerSimulator(NetworkSimulator):
         best_key = None
         best_shard = None
         for shard, queue in self._heaps():
-            if self._cancelled:
-                self._drop_cancelled_heads(queue)
             if not queue:
                 continue
             head = queue[0]
@@ -842,11 +831,6 @@ class WorkerSimulator(NetworkSimulator):
     #: plane switching) — never the base class's inlined single-queue loop
     drive = NetworkSimulator._drive_by_step
 
-    def advance(self, delta_ms: float) -> None:
-        raise RuntimeError(
-            "advance() mutates the clock outside an event and would break "
-            "worker lockstep; schedule an event instead")
-
     def align_exit_clock(self, time_ms: float) -> None:
         """Pin the clock to the serial run's exit time.
 
@@ -889,18 +873,13 @@ class WorkerSimulator(NetworkSimulator):
         entries = itertools.chain(
             self._queue, *self._shard_queues.values(),
             *self._outboxes, self._bcast)
-        for entry in entries:
-            if entry[_SEQUENCE] not in self._cancelled and (
-                    until_ms is None or entry[_TIME] <= until_ms):
-                return True
-        return False
+        return any(until_ms is None or entry[_TIME] <= until_ms
+                   for entry in entries)
 
     def pending_events(self) -> int:
-        entries = itertools.chain(
-            self._queue, *self._shard_queues.values(),
-            *self._outboxes, self._bcast)
-        return sum(1 for entry in entries
-                   if entry[_SEQUENCE] not in self._cancelled)
+        return (len(self._queue) + len(self._bcast)
+                + sum(len(queue) for queue in self._shard_queues.values())
+                + sum(len(outbox) for outbox in self._outboxes))
 
     # -- the barrier -----------------------------------------------------
 
@@ -952,7 +931,7 @@ class WorkerSimulator(NetworkSimulator):
                 heapq.heappush(self._queue, entry)
 
     def _min_next(self) -> Optional[tuple]:
-        """Earliest live event key this worker knows about — local heaps
+        """Earliest event key this worker knows about — local heaps
         plus everything it is about to ship (counted by the sender so
         the coordinator's global minimum is complete).
 
@@ -962,19 +941,14 @@ class WorkerSimulator(NetworkSimulator):
         logic relies on "is the global minimum exactly the serving
         candidate" being a pure key comparison."""
         best: Optional[tuple] = None
-        cancelled = self._cancelled
         for entry in itertools.chain(self._queue,
                                      *self._shard_queues.values()):
-            if entry[_SEQUENCE] in cancelled:
-                continue
             key = (entry[_TIME], entry[_SEQUENCE])
             if best is None or key < best:
                 best = key
         workers = self._rt.workers
         rank = self._rt.rank
         for entry in itertools.chain(*self._outboxes, self._bcast):
-            if entry[_SEQUENCE] in cancelled:
-                continue
             key = (entry[_TIME],
                    SHIP_BASE + entry[_SEQUENCE] * workers + rank)
             if best is None or key < best:
@@ -997,7 +971,7 @@ class WorkerSimulator(NetworkSimulator):
         best: Optional[tuple] = None
         for queue in self._shard_queues.values():
             for entry in queue:
-                if entry[_SEQUENCE] in self._cancelled or entry[_TIME] >= end:
+                if entry[_TIME] >= end:
                     continue
                 key = (entry[_TIME], entry[_SEQUENCE])
                 if best is not None and key >= best:
@@ -1026,10 +1000,7 @@ class WorkerSimulator(NetworkSimulator):
             entries = self._outboxes[dest_rank]
             if not entries:
                 continue
-            wire = [self._encode(entry, closed_end) for entry in entries
-                    if entry[_SEQUENCE] not in self._cancelled]
-            if not wire:
-                continue
+            wire = [self._encode(entry, closed_end) for entry in entries]
             if dest_rank == runtime.rank:
                 # Our own cross-shard traffic: applied locally below,
                 # with the same uniform re-sequencing as shipped traffic
@@ -1039,8 +1010,7 @@ class WorkerSimulator(NetworkSimulator):
                 blob = pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
                 self.bytes_shipped += len(blob)
                 out_payload[dest_rank] = blob
-        bcast_wire = [self._encode(entry, closed_end) for entry in self._bcast
-                      if entry[_SEQUENCE] not in self._cancelled]
+        bcast_wire = [self._encode(entry, closed_end) for entry in self._bcast]
         bcast_blob = None
         if bcast_wire:
             bcast_blob = pickle.dumps(bcast_wire,

@@ -60,7 +60,6 @@ from repro.network.simulator import (
     _CALLBACK,
     _SEQUENCE,
     _TIME,
-    EventHandle,
     LatencyModel,
     NetworkSimulator,
     SimulationTruncated,
@@ -73,7 +72,7 @@ CONTROL = -1
 class ShardedSimulator(NetworkSimulator):
     """A :class:`NetworkSimulator` whose queue is partitioned by shard.
 
-    Drop-in compatible: ``schedule`` / ``post`` / ``step`` / ``run``
+    Drop-in compatible: ``post`` / ``post_keyed`` / ``step`` / ``run``
     keep their contracts, and a fixed seed reproduces the single-queue
     execution bit-for-bit (see the module docstring for the argument).
     The in-process windowed execution is the determinism mechanism the
@@ -129,14 +128,6 @@ class ShardedSimulator(NetworkSimulator):
     # ------------------------------------------------------------------
     # Scheduling (routing layer over the parent's single queue)
     # ------------------------------------------------------------------
-    def schedule(self, delay_ms: float, callback: Callable[..., None],
-                 *args: object) -> EventHandle:
-        if delay_ms < 0:
-            raise ValueError("cannot schedule events in the past")
-        entry = (self._now + delay_ms, next(self._sequence), callback, args)
-        self._route(entry)
-        return EventHandle(entry, self._cancelled)
-
     def post(self, delay_ms: float, callback: Callable[..., None], *args: object) -> None:
         self._route((self._now + delay_ms, next(self._sequence), callback, args))
 
@@ -187,15 +178,13 @@ class ShardedSimulator(NetworkSimulator):
 
     def _pop_eligible(self) -> Optional[tuple[int, tuple]]:
         """Pop the globally minimal ``(time, seq)`` entry inside the
-        current window, skipping cancelled entries; ``None`` when every
-        queue is empty or beyond the window end."""
+        current window; ``None`` when every queue is empty or beyond the
+        window end."""
         window_end = self._window_end
         best_key: Optional[tuple[float, int]] = None
         best_shard = CONTROL
         best_queue: Optional[list] = None
         for shard, queue in self._queues():
-            if self._cancelled:
-                self._drop_cancelled_heads(queue)
             if not queue:
                 continue
             head = queue[0]
@@ -216,7 +205,7 @@ class ShardedSimulator(NetworkSimulator):
         if self._outbox:
             closed_end = self._window_end
             for entry in self._outbox:
-                if entry[_SEQUENCE] not in self._cancelled and entry[_TIME] < closed_end:
+                if entry[_TIME] < closed_end:
                     raise RuntimeError(
                         f"lookahead violated: cross-shard delivery at "
                         f"t={entry[_TIME]:.3f}ms inside the closed window "
@@ -224,12 +213,7 @@ class ShardedSimulator(NetworkSimulator):
                         f"{self._lookahead:.3f}ms)")
                 self._push(entry, self.shard_of_node(entry[_ARGS][0].recipient))
             self._outbox.clear()
-        start: Optional[float] = None
-        for _, queue in self._queues():
-            if self._cancelled:
-                self._drop_cancelled_heads(queue)
-            if queue and (start is None or queue[0][_TIME] < start):
-                start = queue[0][_TIME]
+        start = self._peek_time()
         if start is None:
             return False
         self._window_start = start
@@ -270,13 +254,10 @@ class ShardedSimulator(NetworkSimulator):
         """Earliest pending event time across every queue and the outbox."""
         earliest: Optional[float] = None
         for _, queue in self._queues():
-            if self._cancelled:
-                self._drop_cancelled_heads(queue)
             if queue and (earliest is None or queue[0][_TIME] < earliest):
                 earliest = queue[0][_TIME]
         for entry in self._outbox:
-            if entry[_SEQUENCE] not in self._cancelled and (
-                    earliest is None or entry[_TIME] < earliest):
+            if earliest is None or entry[_TIME] < earliest:
                 earliest = entry[_TIME]
         return earliest
 
@@ -305,7 +286,4 @@ class ShardedSimulator(NetworkSimulator):
         return processed
 
     def pending_events(self) -> int:
-        live = sum(1 for _, queue in self._queues()
-                   for entry in queue if entry[_SEQUENCE] not in self._cancelled)
-        return live + sum(1 for entry in self._outbox
-                          if entry[_SEQUENCE] not in self._cancelled)
+        return sum(len(queue) for _, queue in self._queues()) + len(self._outbox)

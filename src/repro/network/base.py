@@ -43,7 +43,6 @@ from repro.network.messages import (
     Message,
     MessageType,
     ad_renew_message,
-    metadata_wire_bytes,
     query_hit_message,
     register_message,
 )
@@ -53,7 +52,7 @@ from repro.network.result_cache import ResultCacheLayer
 from repro.network.simulator import NetworkSimulator
 from repro.network.stats import NetworkStats, QueryRecord
 from repro.network.transfer import DownloadManager, RetrieveResult
-from repro.storage.document_store import StoredObject
+from repro.storage.document_store import StoredObject, metadata_wire_bytes
 from repro.storage.query import Query
 from repro.storage.replicas import ReplicaRegistry
 
@@ -89,10 +88,7 @@ class SearchResult:
 
     def metadata_bytes(self) -> int:
         """Approximate wire size of the carried metadata."""
-        return sum(
-            len(path) + sum(len(value) for value in values)
-            for path, values in self.metadata.items()
-        )
+        return metadata_wire_bytes(self.metadata)
 
 
 @dataclass

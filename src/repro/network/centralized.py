@@ -26,13 +26,13 @@ from repro.network.messages import (
     MessageType,
     join_message,
     leave_message,
-    metadata_wire_bytes,
     ping_message,
     query_message,
     unregister_message,
 )
 from repro.network.peers import Peer
 from repro.network.twotier import HubCatalog, HubRecord
+from repro.storage.document_store import metadata_wire_bytes
 from repro.storage.query import Query
 
 INDEX_SERVER_ID = "index-server"

@@ -45,17 +45,6 @@ _HEADER_BYTES = 23  # Gnutella descriptor header size
 _message_counter = itertools.count(1)
 
 
-def metadata_wire_bytes(metadata: dict[str, list[str]]) -> int:
-    """Approximate wire size of one object's searchable metadata.
-
-    The single definition every adapter uses for REGISTER / AD-RENEW
-    payload accounting — the cross-protocol control-overhead comparison
-    only holds if all of them measure bytes the same way.
-    """
-    return sum(len(path) + sum(len(value) for value in values)
-               for path, values in metadata.items())
-
-
 def next_message_id() -> str:
     """Globally unique message identifier (for duplicate suppression).
 

@@ -1,16 +1,12 @@
 """A small discrete-event simulator for the peer-to-peer substrate.
 
 The simulator provides a virtual clock, an event queue and a latency
-model between peers.  Protocols use it in two ways:
-
-* *event style* — schedule callbacks (used by the churn model and by
-  periodic maintenance such as super-peer re-election), then ``run``;
-* *accounting style* — ask for link latencies while executing a search
-  synchronously, accumulating the virtual time a real deployment would
-  have spent.
-
-Both styles share the same clock, so experiments can mix churn events
-with query workloads.
+model between peers.  There is one way onto the queue — :meth:`post`
+(or :meth:`post_keyed`, with a shard-affinity hint) — and the clock
+moves only by processing events: ``run``, ``step`` and ``drive`` pop
+the earliest entry and set ``now`` to its time.  Message deliveries,
+timers, churn transitions and workload submissions all share that one
+clock, so experiments can mix churn events with query workloads.
 """
 
 from __future__ import annotations
@@ -23,10 +19,9 @@ from typing import Callable, Optional
 # Heap entries are plain tuples ``(time, sequence, callback, args)``: one
 # allocation per event, and the heap compares (time, sequence) with
 # C-level float/int comparisons — sequence numbers are unique, so the
-# callback slot is never reached.  Entries are immutable; cancelling one
-# (rare: nothing on the simulation's own paths does) records its
-# sequence number in the simulator's ``_cancelled`` set, which the pop
-# sites consult only while it is non-empty.
+# callback slot is never reached.  An entry, once posted, always runs:
+# a timer that may be stopped carries its own flag and reads it when it
+# fires (``MaintenanceTimer.cancel``).
 _TIME, _SEQUENCE, _CALLBACK, _ARGS = 0, 1, 2, 3
 
 
@@ -43,25 +38,6 @@ class SimulationTruncated(RuntimeError):
     def __init__(self, message: str, *, processed: int) -> None:
         super().__init__(message)
         self.processed = processed
-
-
-class EventHandle:
-    """Handle returned by :meth:`NetworkSimulator.schedule`; allows cancelling."""
-
-    __slots__ = ("_entry", "_cancelled")
-
-    def __init__(self, entry: tuple, cancelled: set[int]) -> None:
-        self._entry = entry
-        self._cancelled = cancelled
-
-    def cancel(self) -> None:
-        """Keep the still-queued event from running (the mark is
-        dropped when the entry is popped, unrun and uncounted)."""
-        self._cancelled.add(self._entry[_SEQUENCE])
-
-    @property
-    def time(self) -> float:
-        return self._entry[_TIME]
 
 
 class DriveLatch:
@@ -135,8 +111,6 @@ class NetworkSimulator:
         self._now = 0.0
         self._queue: list[tuple] = []
         self._sequence = itertools.count()
-        #: sequence numbers of cancelled, not yet popped entries
-        self._cancelled: set[int] = set()
         self.events_processed = 0
 
     # ------------------------------------------------------------------
@@ -145,25 +119,14 @@ class NetworkSimulator:
         """Current virtual time in milliseconds."""
         return self._now
 
-    def schedule(self, delay_ms: float, callback: Callable[..., None],
-                 *args) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay_ms`` from now.
+    def post(self, delay_ms: float, callback: Callable[..., None], *args) -> None:
+        """Queue ``callback(*args)`` to run ``delay_ms`` from now.
 
         Passing ``args`` here instead of closing over them avoids one
-        closure allocation per scheduled message on the kernel hot path.
-        """
-        if delay_ms < 0:
-            raise ValueError("cannot schedule events in the past")
-        entry = (self._now + delay_ms, next(self._sequence), callback, args)
-        heapq.heappush(self._queue, entry)
-        return EventHandle(entry, self._cancelled)
-
-    def post(self, delay_ms: float, callback: Callable[..., None], *args) -> None:
-        """Fire-and-forget :meth:`schedule` for the kernel hot path.
-
-        No :class:`EventHandle` is allocated and no negative-delay check
-        runs — callers pass link latencies, which are non-negative by
-        construction.  One tuple allocation per posted message.
+        closure allocation per posted message on the kernel hot path.
+        No negative-delay check runs: callers pass link latencies,
+        timer periods and workload offsets, all non-negative by
+        construction.  One tuple allocation per posted event.
         """
         heapq.heappush(self._queue,
                        (self._now + delay_ms, next(self._sequence), callback, args))
@@ -181,11 +144,6 @@ class NetworkSimulator:
         heapq.heappush(self._queue,
                        (self._now + delay_ms, next(self._sequence), callback, args))
 
-    def schedule_at(self, time_ms: float, callback: Callable[..., None],
-                    *args) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time_ms``."""
-        return self.schedule(max(0.0, time_ms - self._now), callback, *args)
-
     def run(self, until_ms: Optional[float] = None, *, max_events: int = 1_000_000) -> int:
         """Process events until the queue is empty or ``until_ms`` is reached.
 
@@ -199,8 +157,6 @@ class NetworkSimulator:
             if until_ms is not None and self._queue[0][_TIME] > until_ms:
                 break
             entry = heapq.heappop(self._queue)
-            if self._cancelled and self._was_cancelled(entry):
-                continue
             time = entry[_TIME]
             if time > self._now:
                 self._now = time
@@ -216,52 +172,27 @@ class NetworkSimulator:
         return processed
 
     def _has_eligible(self, until_ms: Optional[float]) -> bool:
-        """Any live queued event within the ``until_ms`` horizon?
-
-        Runs only on the cap-hit error path, so the linear scan over
-        the heap costs nothing in normal operation.
-        """
-        for entry in self._queue:
-            if entry[_SEQUENCE] not in self._cancelled and (
-                    until_ms is None or entry[_TIME] <= until_ms):
-                return True
-        return False
-
-    def _was_cancelled(self, entry: tuple) -> bool:
-        """Whether the just-popped ``entry`` was cancelled; forgets the
-        cancellation if so (the entry is gone from the queue)."""
-        sequence = entry[_SEQUENCE]
-        if sequence in self._cancelled:
-            self._cancelled.discard(sequence)
-            return True
-        return False
-
-    def _drop_cancelled_heads(self, queue: list[tuple]) -> None:
-        """Pop cancelled entries off the top of ``queue`` (callers that
-        peek at a head test ``_cancelled`` for emptiness first)."""
-        while queue and queue[0][_SEQUENCE] in self._cancelled:
-            self._cancelled.discard(heapq.heappop(queue)[_SEQUENCE])
+        """Any queued event within the ``until_ms`` horizon?"""
+        return bool(self._queue) and (
+            until_ms is None or self._queue[0][_TIME] <= until_ms)
 
     def step(self) -> bool:
-        """Process exactly one pending event (skipping cancelled ones).
+        """Process exactly one pending event.
 
         Returns ``True`` if an event ran, ``False`` if the queue was
         empty.  The event kernel uses this to drain the queue only as
         far as a query's completion, leaving later events (churn chains,
         other queries) in place.
         """
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            if self._cancelled and self._was_cancelled(entry):
-                continue
-            time = entry[0]
-            if time > self._now:
-                self._now = time
-            entry[2](*entry[3])
-            self.events_processed += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        entry = heapq.heappop(self._queue)
+        time = entry[_TIME]
+        if time > self._now:
+            self._now = time
+        entry[_CALLBACK](*entry[_ARGS])
+        self.events_processed += 1
+        return True
 
     def drive(self, latch: DriveLatch, *, max_events: int) -> tuple[int, bool]:
         """Run events until ``latch`` is released: the one drive loop.
@@ -278,7 +209,6 @@ class NetworkSimulator:
         take :meth:`_drive_by_step` instead.
         """
         queue = self._queue
-        cancelled = self._cancelled
         pop = heapq.heappop
         processed = 0
         try:
@@ -286,8 +216,6 @@ class NetworkSimulator:
                 if not queue:
                     return processed, True
                 entry = pop(queue)
-                if cancelled and self._was_cancelled(entry):
-                    continue
                 time = entry[0]
                 if time > self._now:
                     self._now = time
@@ -313,12 +241,6 @@ class NetworkSimulator:
                     f"drive loop exceeded {max_events} events without quiescing")
         return processed, False
 
-    def advance(self, delta_ms: float) -> None:
-        """Advance the clock without processing events (accounting style)."""
-        if delta_ms < 0:
-            raise ValueError("time cannot move backwards")
-        self._now += delta_ms
-
     def align_exit_clock(self, time_ms: float) -> None:
         """Hook for process-parallel workers (see ``engine/parallel.py``).
 
@@ -328,8 +250,7 @@ class NetworkSimulator:
         its window and pins its clock to the canonical exit time."""
 
     def pending_events(self) -> int:
-        return sum(1 for entry in self._queue
-                   if entry[_SEQUENCE] not in self._cancelled)
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     def link_latency(self, source: str, target: str) -> float:

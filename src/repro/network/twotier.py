@@ -21,8 +21,9 @@ from typing import Any, Callable, Optional
 
 from repro.engine.kernel import EventKernel, ExchangeContext, QueryContext
 from repro.network.base import PeerNetwork, SearchResult
-from repro.network.messages import Message, MessageType, leaf_attach_message, metadata_wire_bytes
+from repro.network.messages import Message, MessageType, leaf_attach_message
 from repro.network.peers import Peer
+from repro.storage.document_store import metadata_wire_bytes
 from repro.storage.index import AttributeIndex
 from repro.storage.interning import intern_view
 from repro.storage.plan import CompiledQuery

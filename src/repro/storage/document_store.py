@@ -12,12 +12,23 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.storage.errors import ObjectNotFoundError
 from repro.storage.interning import intern_view
 from repro.xmlkit.dom import Element
 from repro.xmlkit.serializer import canonical, serialize
+
+
+def metadata_wire_bytes(metadata: Mapping[str, Sequence[str]]) -> int:
+    """Approximate wire size of one object's searchable metadata.
+
+    The single definition behind REGISTER / AD-RENEW payloads, QUERY-HIT
+    result bytes and cached result sets — the cross-protocol overhead
+    comparison only holds if every adapter measures bytes the same way.
+    """
+    return sum(len(path) + sum(len(value) for value in values)
+               for path, values in metadata.items())
 
 
 def resource_id_for(community_id: str, document: Element) -> str:
@@ -80,10 +91,7 @@ class StoredObject:
     def metadata_wire_bytes(self) -> int:
         """Approximate wire size of the metadata, measured once."""
         if self._metadata_wire_bytes < 0:
-            self._metadata_wire_bytes = sum(
-                len(path) + sum(len(value) for value in values)
-                for path, values in self.metadata.items()
-            )
+            self._metadata_wire_bytes = metadata_wire_bytes(self.metadata)
         return self._metadata_wire_bytes
 
 

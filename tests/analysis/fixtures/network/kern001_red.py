@@ -1,8 +1,6 @@
-"""KERN001 red: raw scheduling, heap access, and an affinity-less timer."""
+"""KERN001 red: direct heap access and an affinity-less timer."""
 
 
 def misbehave(simulator, kernel, peer_id: str) -> None:
-    simulator.schedule(10.0, print, peer_id)        # bypasses _route/outbox
-    simulator.schedule_at(50.0, print, peer_id)     # same, absolute form
     simulator._queue.append(None)                   # direct heap access
     kernel.every(100.0, print, peer_id)             # timer without affinity

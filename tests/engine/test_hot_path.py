@@ -21,6 +21,8 @@
   ``directory``: every search kept its result count and message count,
   and only the bytes moved (the origin's own matches no longer ride the
   QUERY-HIT); its direct-search triples, messages and bytes are literal.
+* *Quiescence.*  A drained toy round leaves no queued event, no un-ACKed
+  reliable send and no result cache on a departed node.
 * *Count guards with no clock in them.*  The transport pays per hop, not
   per copy: one ``NetworkStats.record`` per re-flooding peer, no handler
   frame for a duplicate QUERY delivery, no message id drawn for a QUERY
@@ -64,10 +66,11 @@ GOLDEN = {
 }
 
 
-def toy_round(name, shards=1):
+def toy_round(name, shards=1, **overrides):
     """One toy-size round of workload ``name``, batched the way the bench
     batches it; returns the scenario and each search's result count."""
-    scenario = build_scenario(scenario_config(name, SEED, toy=True, shards=shards))
+    scenario = build_scenario(scenario_config(name, SEED, toy=True, shards=shards,
+                                              **overrides))
     ops = operations(scenario)
     driver = QueryDriver(scenario.network)
     counts = []
@@ -84,6 +87,24 @@ def toy_round(name, shards=1):
 def test_toy_round_reproduces_the_golden_digest(name, shards):
     scenario, counts = toy_round(name, shards)
     assert scenario.network.stats.digest(counts) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_drained_round_leaves_no_state_behind(name, shards):
+    """No leaked state at quiescence: once the timers are cancelled and the
+    queue has run dry, nothing is queued, no reliable send is un-ACKed and
+    every result-cache site is a live node.  ``dynamic`` runs without churn:
+    a churning ``PopulationModel`` is an event chain that never ends."""
+    overrides = {"churn_session_ms": None} if name == "dynamic" else {}
+    scenario, _ = toy_round(name, shards, **overrides)
+    network = scenario.network
+    network.kernel.cancel_timers()
+    network.simulator.run()
+    assert network.simulator.pending_events() == 0
+    assert network.channel.pending == {}
+    live = {peer.peer_id for peer in network.online_peers()} | network.kernel.virtual_nodes
+    assert set(network.caches.sites) <= live
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -119,7 +119,7 @@ class TestCompletion:
     def test_run_until_complete_leaves_unrelated_events_queued(self):
         kernel, simulator, _, _ = make_kernel()
         fired = []
-        simulator.schedule(10_000.0, lambda: fired.append("late"))
+        simulator.post(10_000.0, lambda: fired.append("late"))
         context = make_context()
         kernel.register(MessageType.QUERY, lambda peer, message, context_: None)
         kernel.send(query_message("a", "b", "<q/>"), context=context)
@@ -131,7 +131,7 @@ class TestCompletion:
     def test_step_returns_false_on_empty_queue(self):
         simulator = NetworkSimulator(seed=0)
         assert simulator.step() is False
-        simulator.schedule(1.0, lambda: None)
+        simulator.post(1.0, lambda: None)
         assert simulator.step() is True
         assert simulator.step() is False
 
@@ -141,7 +141,7 @@ class TestCompletion:
         kernel, simulator, _, _ = make_kernel()
         context = make_context()
         context.pending += 1  # an in-flight message whose event was lost
-        simulator.schedule(40.0, lambda: None)
+        simulator.post(40.0, lambda: None)
         kernel.run_until_complete([context])
         assert context.done
         assert context.starved
@@ -350,7 +350,7 @@ class TestRetrieveOnKernel:
         nothing replicates and the sync wrapper reports the failure."""
         network, resource_id = self.build_network()
         context = network.start_retrieve("peer-01", "peer-05", resource_id)
-        network.simulator.schedule(0.5, lambda: network.set_online("peer-01", False))
+        network.simulator.post(0.5, lambda: network.set_online("peer-01", False))
         network.kernel.run_until_complete([context])
         assert context.done and not context.succeeded
         with pytest.raises(Exception):
@@ -361,7 +361,7 @@ class TestRetrieveOnKernel:
     def test_provider_churning_before_request_arrival_fails(self):
         network, resource_id = self.build_network()
         context = network.start_retrieve("peer-01", "peer-05", resource_id)
-        network.simulator.schedule(0.5, lambda: network.set_online("peer-05", False))
+        network.simulator.post(0.5, lambda: network.set_online("peer-05", False))
         network.kernel.run_until_complete([context])
         assert context.done and context.stored is None
 

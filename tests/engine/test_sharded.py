@@ -107,7 +107,7 @@ class TestShardedRouting:
     def test_control_events_stay_on_control_queue(self):
         kernel, simulator, _ = make_sharded_kernel()
         fired = []
-        simulator.schedule(5.0, fired.append, "control")
+        simulator.post(5.0, fired.append, "control")
         simulator.run()
         assert fired == ["control"]
         assert simulator.control_events == 1
@@ -188,13 +188,14 @@ class TestConservativeBarrier:
         assert len(fired) == 5
 
     def test_schedule_at_clamps_to_now_on_sharded_clock(self):
+        # run(until_ms=) moves the shared clock, and a later zero-delay
+        # post lands at that clock, not before it.
         _, simulator, _ = make_sharded_kernel()
-        simulator.advance(50.0)
+        simulator.run(until_ms=50.0)
         fired = []
-        handle = simulator.schedule_at(10.0, fired.append, "past")
-        assert handle.time == 50.0  # clamped to now, not scheduled into the past
+        simulator.post(0.0, lambda: fired.append(simulator.now))
         simulator.run()
-        assert fired == ["past"]
+        assert fired == [50.0]
 
     def test_lookahead_violation_is_detected_not_silent(self):
         kernel, simulator, _ = make_sharded_kernel(base_ms=20.0, jitter_ms=0.0)
@@ -240,39 +241,16 @@ class TestCrossShardInFlight:
         def depart():
             peers["b"].online = False
 
-        simulator.schedule(1.0, depart)                  # departs before delivery
+        simulator.post(1.0, depart)                  # departs before delivery
         kernel.run_until_complete([context])
         assert handled == []
         assert context.done and context.pending == 0 and not context.starved
-
-    def test_cancelled_entry_parked_in_outbox_never_runs(self):
-        kernel, simulator, _ = make_sharded_kernel()
-        fired = []
-        handles = []
-
-        def relay(peer, message, context):
-            if message.recipient == "a":
-                # Cross-shard schedule from inside an event: parks in the
-                # outbox until the barrier.
-                handles.append(simulator.schedule(
-                    25.0, fired.append, ping("a", "b"), None))
-
-        kernel.register(MessageType.PING, relay)
-        kernel.send(ping("b", "a"))
-        # Run just the first delivery, then cancel the parked entry.
-        simulator.step()
-        assert handles and simulator.pending_events() == 1
-        handles[0].cancel()
-        assert simulator.pending_events() == 0
-        simulator.run()
-        assert fired == []
-
 
 class TestTruncationIsLoud:
     def test_max_events_cap_with_leftover_work_raises(self):
         _, simulator, _ = make_sharded_kernel()
         for tick in range(10):
-            simulator.schedule(float(tick + 1), lambda: None)
+            simulator.post(float(tick + 1), lambda: None)
         with pytest.raises(SimulationTruncated) as excinfo:
             simulator.run(max_events=5)
         assert excinfo.value.processed == 5
@@ -280,12 +258,12 @@ class TestTruncationIsLoud:
     def test_max_events_cap_without_leftover_work_returns_normally(self):
         _, simulator, _ = make_sharded_kernel()
         for tick in range(5):
-            simulator.schedule(float(tick + 1), lambda: None)
+            simulator.post(float(tick + 1), lambda: None)
         assert simulator.run(max_events=5) == 5
 
     def test_max_events_cap_ignores_events_beyond_horizon(self):
         _, simulator, _ = make_sharded_kernel()
-        simulator.schedule(1.0, lambda: None)
-        simulator.schedule(1_000.0, lambda: None)
+        simulator.post(1.0, lambda: None)
+        simulator.post(1_000.0, lambda: None)
         assert simulator.run(until_ms=10.0, max_events=1) == 1
         assert simulator.now == 10.0

@@ -108,7 +108,7 @@ class TestKernelContract:
             "peer-002", Query.keyword("patterns", "observer"), max_results=50)
         # Knock a provider offline while the query's messages are still
         # in flight: the cascade must still quiesce deterministically.
-        protocol_network.simulator.schedule(
+        protocol_network.simulator.post(
             1.0, lambda: protocol_network.set_online("peer-007", False))
         protocol_network.kernel.run_until_complete([context])
         assert context.done
@@ -125,7 +125,7 @@ class TestKernelContract:
             "peer-002", Query.keyword("patterns", "observer"), max_results=50)
         # The origin departs before any hit can arrive (hits need at
         # least one full round trip, i.e. tens of virtual milliseconds).
-        protocol_network.simulator.schedule(
+        protocol_network.simulator.post(
             0.5, lambda: protocol_network.set_online("peer-002", False))
         protocol_network.kernel.run_until_complete([context])
         assert context.done

@@ -68,8 +68,8 @@ def searches_at_fixed_instants(scenario, plan):
     members = scenario.members()
     for index, query in enumerate(scenario.workload):
         origin_id = members[index % len(members)].peer_id
-        network.simulator.schedule_at(
-            EPOCH_MS + SPACING_MS * index,
+        network.simulator.post(
+            SPACING_MS * index,
             lambda origin_id=origin_id, query=query: contexts.append(
                 network.start_search(origin_id, query, max_results=100)))
     network.simulator.run(until_ms=EPOCH_MS + SPACING_MS * (len(scenario.workload) - 1))

@@ -131,12 +131,12 @@ class TestUptimeAccounting:
     def test_uptime_accumulates_per_session(self):
         network = CentralizedProtocol(seed=1)
         network.create_peer("worker")
-        network.simulator.advance(1_000)
+        network.simulator.run(until_ms=network.simulator.now + 1_000)
         network.set_online("worker", False)
         assert network.peer("worker").uptime_ms == pytest.approx(1_000)
-        network.simulator.advance(500)
+        network.simulator.run(until_ms=network.simulator.now + 500)
         network.set_online("worker", True)
-        network.simulator.advance(250)
+        network.simulator.run(until_ms=network.simulator.now + 250)
         network.set_online("worker", False)
         assert network.peer("worker").uptime_ms == pytest.approx(1_250)
         assert network.stats.uptime_ms_total == pytest.approx(1_250)
@@ -147,9 +147,9 @@ class TestUptimeAccounting:
         network = CentralizedProtocol(seed=1)
         network.create_peer("steady")
         network.create_peer("flaky")
-        network.simulator.advance(400)
+        network.simulator.run(until_ms=network.simulator.now + 400)
         network.set_online("flaky", False)
-        network.simulator.advance(600)
+        network.simulator.run(until_ms=network.simulator.now + 600)
         # Without the snapshot only flaky's closed session counts.
         assert network.stats.uptime_ms_total == pytest.approx(400)
         total = network.snapshot_uptime()
@@ -161,7 +161,7 @@ class TestUptimeAccounting:
         network = CentralizedProtocol(seed=1)
         network.create_peer("worker")
         assert network.peer("worker").last_departed_ms == -1.0
-        network.simulator.advance(750)
+        network.simulator.run(until_ms=network.simulator.now + 750)
         network.set_online("worker", False)
         assert network.peer("worker").last_departed_ms == pytest.approx(750)
 

@@ -91,7 +91,7 @@ class TestLeases:
         network = RendezvousProtocol(seed=5, rendezvous_ratio=0.2, lease_ms=1_000)
         populate(network)
         assert network.advertisement_count() == 10
-        network.simulator.advance(2_000)
+        network.simulator.run(until_ms=network.simulator.now + 2_000)
         response = network.search("peer-001", Query.keyword("patterns", "observer"),
                                   max_results=200)
         # Only local results remain possible; all remote advertisements expired.
@@ -101,7 +101,7 @@ class TestLeases:
     def test_renewal_restores_visibility(self):
         network = RendezvousProtocol(seed=6, rendezvous_ratio=0.2, lease_ms=1_000)
         populate(network)
-        network.simulator.advance(2_000)
+        network.simulator.run(until_ms=network.simulator.now + 2_000)
         network.expire_advertisements()
         renewed = network.renew("peer-000")
         assert renewed >= 1
@@ -117,7 +117,7 @@ class TestLeases:
         ids = populate(network)
         owner = "peer-000"
         network.set_online(owner, False)
-        network.simulator.advance(2_000)
+        network.simulator.run(until_ms=network.simulator.now + 2_000)
         expired = network.expire_advertisements()
         assert expired >= 1
         hidden = network.search("peer-001", Query.keyword("patterns", "observer"),

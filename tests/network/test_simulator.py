@@ -2,7 +2,14 @@
 
 import pytest
 
+from repro.engine.kernel import EventKernel
 from repro.network.simulator import LatencyModel, NetworkSimulator, SimulationTruncated
+from repro.network.stats import NetworkStats
+
+
+def timer_kernel(simulator):
+    """A peerless kernel: enough to arm a recurring maintenance timer."""
+    return EventKernel(simulator=simulator, peers={}, stats=NetworkStats())
 
 
 class TestLatencyModel:
@@ -54,9 +61,9 @@ class TestSimulator:
     def test_events_run_in_time_order(self):
         simulator = NetworkSimulator()
         order = []
-        simulator.schedule(30, lambda: order.append("late"))
-        simulator.schedule(10, lambda: order.append("early"))
-        simulator.schedule(20, lambda: order.append("middle"))
+        simulator.post(30, lambda: order.append("late"))
+        simulator.post(10, lambda: order.append("early"))
+        simulator.post(20, lambda: order.append("middle"))
         processed = simulator.run()
         assert processed == 3
         assert order == ["early", "middle", "late"]
@@ -65,28 +72,31 @@ class TestSimulator:
     def test_fifo_for_same_timestamp(self):
         simulator = NetworkSimulator()
         order = []
-        simulator.schedule(5, lambda: order.append(1))
-        simulator.schedule(5, lambda: order.append(2))
+        simulator.post(5, lambda: order.append(1))
+        simulator.post(5, lambda: order.append(2))
         simulator.run()
         assert order == [1, 2]
 
     def test_run_until(self):
         simulator = NetworkSimulator()
         fired = []
-        simulator.schedule(10, lambda: fired.append("a"))
-        simulator.schedule(100, lambda: fired.append("b"))
+        simulator.post(10, lambda: fired.append("a"))
+        simulator.post(100, lambda: fired.append("b"))
         simulator.run(until_ms=50)
         assert fired == ["a"]
         assert simulator.now == 50
         assert simulator.pending_events() == 1
 
     def test_cancel(self):
+        # The one cancellation left: a maintenance timer's flag, read
+        # when its already-queued firing comes up.
         simulator = NetworkSimulator()
         fired = []
-        handle = simulator.schedule(10, lambda: fired.append("x"))
-        handle.cancel()
+        timer = timer_kernel(simulator).every(10, lambda: fired.append("x"))
+        timer.cancel()
         simulator.run()
         assert fired == []
+        assert simulator.pending_events() == 0
 
     def test_events_scheduled_during_run(self):
         simulator = NetworkSimulator()
@@ -94,74 +104,67 @@ class TestSimulator:
 
         def chain():
             fired.append("first")
-            simulator.schedule(5, lambda: fired.append("second"))
+            simulator.post(5, lambda: fired.append("second"))
 
-        simulator.schedule(1, chain)
+        simulator.post(1, chain)
         simulator.run()
         assert fired == ["first", "second"]
         assert simulator.now == 6
 
     def test_schedule_at_absolute_time(self):
+        # An absolute time is a delay from the current clock.
         simulator = NetworkSimulator()
-        simulator.advance(100)
+        simulator.run(until_ms=100)
         fired = []
-        simulator.schedule_at(150, lambda: fired.append("x"))
+        simulator.post(150 - simulator.now, lambda: fired.append(simulator.now))
         simulator.run()
-        assert simulator.now == 150 and fired == ["x"]
+        assert simulator.now == 150 and fired == [150]
 
     def test_schedule_at_past_time_clamps_to_now(self):
-        """An absolute time already in the past fires immediately at the
-        current clock instead of raising or travelling backwards."""
+        """The earliest a post can land is the current clock: a zero
+        delay after the clock has moved fires at ``now``, never earlier."""
         simulator = NetworkSimulator()
-        simulator.advance(100)
+        simulator.run(until_ms=100)
         fired = []
-        handle = simulator.schedule_at(40, lambda: fired.append(simulator.now))
-        assert handle.time == 100
+        simulator.post(0, lambda: fired.append(simulator.now))
         simulator.run()
         assert fired == [100]
         assert simulator.now == 100
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkSimulator().schedule(-1, lambda: None)
-
     def test_cancelled_events_skipped_by_run(self):
         simulator = NetworkSimulator()
         fired = []
-        cancelled = simulator.schedule(5, lambda: fired.append("cancelled"))
-        simulator.schedule(10, lambda: fired.append("kept"))
-        cancelled.cancel()
+        timer = timer_kernel(simulator).every(5, lambda: fired.append("cancelled"))
+        simulator.post(10, lambda: fired.append("kept"))
+        timer.cancel()
         processed = simulator.run()
         assert fired == ["kept"]
-        # The cancelled event is not counted as processed work.
-        assert processed == 1
-        assert simulator.events_processed == 1
+        # The stopped timer's queued firing still runs as an event — it
+        # reads the flag and does not re-arm — so run() drains.
+        assert processed == 2
+        assert simulator.pending_events() == 0
 
     def test_cancelled_events_skipped_by_step(self):
         simulator = NetworkSimulator()
         fired = []
-        cancelled = simulator.schedule(5, lambda: fired.append("cancelled"))
-        simulator.schedule(10, lambda: fired.append("kept"))
-        cancelled.cancel()
-        # One step skips straight over the cancelled event to the live one.
+        timer = timer_kernel(simulator).every(5, lambda: fired.append("cancelled"))
+        simulator.post(10, lambda: fired.append("kept"))
+        timer.cancel()
+        assert simulator.step() is True     # the stopped timer's last firing
+        assert fired == [] and simulator.now == 5
         assert simulator.step() is True
         assert fired == ["kept"]
         assert simulator.now == 10
         assert simulator.step() is False
 
-    def test_step_returns_false_when_only_cancelled_events_remain(self):
-        simulator = NetworkSimulator()
-        handle = simulator.schedule(5, lambda: None)
-        handle.cancel()
-        assert simulator.step() is False
-        assert simulator.pending_events() == 0
-
     def test_advance(self):
+        # The clock moves only by run(): a horizon past the last event
+        # (here: an empty queue) sets it there; one behind it is a no-op.
         simulator = NetworkSimulator()
-        simulator.advance(25)
+        assert simulator.run(until_ms=simulator.now + 25) == 0
         assert simulator.now == 25
-        with pytest.raises(ValueError):
-            simulator.advance(-1)
+        simulator.run(until_ms=10)
+        assert simulator.now == 25
 
     def test_transfer_time_scales_with_size(self):
         simulator = NetworkSimulator(seed=1)
@@ -177,9 +180,9 @@ class TestSimulator:
         simulator = NetworkSimulator()
 
         def reschedule():
-            simulator.schedule(1, reschedule)
+            simulator.post(1, reschedule)
 
-        simulator.schedule(1, reschedule)
+        simulator.post(1, reschedule)
         with pytest.raises(SimulationTruncated) as excinfo:
             simulator.run(max_events=50)
         assert excinfo.value.processed == 50
@@ -188,7 +191,7 @@ class TestSimulator:
         simulator = NetworkSimulator()
         ran = []
         for index in range(5):
-            simulator.schedule(index, ran.append, index)
+            simulator.post(index, ran.append, index)
         assert simulator.run(max_events=5) == 5
         assert ran == [0, 1, 2, 3, 4]
 
@@ -197,15 +200,7 @@ class TestSimulator:
         # legitimately stops at the horizon.
         simulator = NetworkSimulator()
         for index in range(5):
-            simulator.schedule(index, lambda: None)
-        simulator.schedule(1_000, lambda: None)
+            simulator.post(index, lambda: None)
+        simulator.post(1_000, lambda: None)
         assert simulator.run(until_ms=10, max_events=5) == 5
         assert simulator.now == 10
-
-    def test_max_events_cap_ignores_cancelled_leftovers(self):
-        simulator = NetworkSimulator()
-        for index in range(3):
-            simulator.schedule(index, lambda: None)
-        handle = simulator.schedule(50, lambda: None)
-        handle.cancel()
-        assert simulator.run(max_events=3) == 3
