@@ -93,8 +93,8 @@ def test_bench_p2_grid_cell(population, shards, request):
 
 def test_bench_p2_windowed_contract():
     """The in-process sharded simulator reproduces shards=1 exactly
-    (the full matrix lives in tests/network/test_contract.py; this cell
-    keeps a sample in the perf record)."""
+    (every generated cell of tests/network/test_contract.py checks it;
+    this cell keeps a sample in the perf record)."""
 
     def signature(shards):
         scenario = build_scenario(ScenarioConfig(

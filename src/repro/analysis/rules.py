@@ -39,7 +39,7 @@ RULES: dict[str, Rule] = {
                 "iteration order decided the new leaf->super map and whole "
                 "benchmark grids flipped with the salt.  Repeat-twice "
                 "determinism tests cannot see this (both runs share one "
-                "salt); only the subprocess TestHashSaltIndependence contract "
+                "salt); only the contract suite's subprocess hash-salt leg "
                 "can, after the fact.  In protocol-decision modules "
                 "(src/repro/network/, src/repro/engine/) iterate sets in "
                 "sorted(...) order, or materialize through an "

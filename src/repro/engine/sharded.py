@@ -39,9 +39,9 @@ deferred cross-shard deliveries are never eligible before the barrier
 that releases them.  By induction the sharded execution is therefore
 *bit-identical* to the single-kernel execution for a fixed seed,
 regardless of shard count, which is what the cross-shard determinism
-contract (``tests/network/test_contract.py``) pins for all four
-protocol organisations.  Aggregate counters, per-query results, bytes
-and latencies all reproduce exactly.
+contract (``tests/network/test_contract.py``) pins on every generated
+cell of all four protocol organisations.  Aggregate counters, per-query
+results, bytes and latencies all reproduce exactly.
 
 A degenerate latency model (``base_ms == 0``) leaves no safe lookahead;
 the simulator then collapses to a single control queue — plain

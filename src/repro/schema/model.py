@@ -219,12 +219,6 @@ class Particle:
             else:
                 yield from item.element_declarations()
 
-    def find_element(self, name: str) -> Optional[ElementDeclaration]:
-        for declaration in self.element_declarations():
-            if declaration.name == name:
-                return declaration
-        return None
-
 
 @dataclass
 class ComplexType:

@@ -95,13 +95,6 @@ class XQueryLite:
             results.extend(self.evaluate_object(stored))
         return results
 
-    def evaluate_objects(self, objects: list[StoredObject]) -> list[XQueryResult]:
-        """Run the query over an explicit list of stored objects."""
-        results: list[XQueryResult] = []
-        for stored in objects:
-            results.extend(self.evaluate_object(stored))
-        return results
-
     def evaluate_object(self, stored: StoredObject) -> list[XQueryResult]:
         """Run the query against a single stored object."""
         document = stored.document

@@ -249,10 +249,6 @@ class Scenario:
             counts.extend(outcome.result_counts)
         return counts
 
-    def query_latencies_ms(self) -> list[float]:
-        """Per-query latencies recorded during the runs so far."""
-        return [record.latency_ms for record in self.network.stats.queries]
-
     def mixed_operations(self) -> list[WorkloadOp]:
         """The workload as a mixed op sequence, decided deterministically.
 

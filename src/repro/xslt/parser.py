@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Union
 
 from repro.xmlkit.dom import Document, Element, XSLT_NAMESPACE
@@ -21,11 +20,6 @@ def parse_stylesheet_text(text: str) -> Stylesheet:
     except XMLParseError as error:
         raise XSLTParseError(f"stylesheet is not well-formed XML: {error}") from error
     return parse_stylesheet(document)
-
-
-def parse_stylesheet_file(path: Union[str, Path]) -> Stylesheet:
-    """Parse the stylesheet file at ``path``."""
-    return parse_stylesheet_text(Path(path).read_text(encoding="utf-8"))
 
 
 def parse_stylesheet(document: Union[Document, Element]) -> Stylesheet:

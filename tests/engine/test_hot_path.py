@@ -46,7 +46,7 @@ from repro.network.messages import MessageType
 from repro.network.stats import NetworkStats
 from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-from tests.network.test_contract import make_network, publish_pattern
+from tests.network.test_contract import BASE_CELL, make_network, publish_pattern
 
 SEED = 7
 
@@ -121,10 +121,6 @@ def test_stats_digest_is_the_bench_counters_digest(name):
     assert phase.first.digest == stats.digest(counts)
 
 
-#: eight searches in flight at once, over every protocol
-PLAN_SCENARIO = dict(peers=30, members=12, publishers=6, corpus_size=40, queries=16,
-                     ttl=6, seed=23, concurrency=8, query_interarrival_ms=20.0)
-
 #: protocol -> (sha256 of ``plan_observables``, ``direct_search`` outcome)
 GOLDEN_PLAN = {
     # Rebased with ``GOLDEN["directory"]``: counts and messages unchanged,
@@ -145,8 +141,9 @@ GOLDEN_PLAN = {
 
 
 def plan_observables(protocol):
-    """Results, message and byte counts and latencies of every search."""
-    scenario = build_scenario(ScenarioConfig(protocol=protocol, **PLAN_SCENARIO))
+    """Results, message and byte counts and latencies of every search of
+    the contract suite's base cell: eight searches in flight at once."""
+    scenario = build_scenario(ScenarioConfig(protocol=protocol, **BASE_CELL))
     counts = scenario.run_queries(max_results=100)
     stats = scenario.network.stats
     return {

@@ -4,18 +4,35 @@ The four network organisations are interchangeable strategies over the
 same message-dispatch substrate.  This suite pins down the substrate
 contract: searches are event cascades with measurable latency, queries
 can overlap in flight, churn can strike mid-query without breaking
-anything, replicas made by retrieve survive the original provider, and
-a fixed seed makes whole concurrent workloads bit-for-bit repeatable.
+anything, and replicas made by retrieve survive the original provider.
+
+``TestGeneratedContract`` runs every cell of protocol x lifecycle x
+caching x faults x routing and checks invariants on each: shards=4
+reproduces shards=1, a switched-off mechanism's knobs change nothing, a
+switched-on mechanism engaged, every delivery meets exactly one fate,
+the traffic classes add up and a drained churn-free run leaves nothing
+behind.  A subprocess leg replays cells under two string-hash salts.
 """
 
 from __future__ import annotations
 
+import functools
+import json
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
+
 import pytest
 
+import repro
 from repro.engine.driver import QueryDriver, RetrieveOp, SearchOp
 from repro.network.centralized import CentralizedProtocol
 from repro.network.config import CacheConfig, MembershipConfig
 from repro.network.errors import DuplicatePeerError
+from repro.network.faults import FaultPlan
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.membership import PopulationModel
 from repro.network.rendezvous import RendezvousProtocol
@@ -166,6 +183,22 @@ class TestKernelContract:
         with pytest.raises(DuplicatePeerError):
             protocol_network.create_peer("dup")
 
+    def test_no_lifecycle_transition_touches_the_clock(self):
+        """Joins, departures and maintenance move state only through
+        queue events: submitting them leaves ``simulator.now`` frozen
+        until the kernel processes the queue."""
+        network = SuperPeerProtocol(
+            seed=7, super_peer_ratio=0.2,
+            membership=MembershipConfig(maintenance_interval_ms=250.0))
+        populate(network)
+        network.go_live()
+        before = network.simulator.now
+        network.set_online("peer-003", False)
+        network.set_online("peer-003", True)
+        network.create_peer("late-arrival")
+        network.depart("peer-004", graceful=True)
+        assert network.simulator.now == before
+
 
 class TestReplicationUnderChurn:
     """Satellite contract: a replica announced by ``retrieve`` stays
@@ -264,153 +297,6 @@ class TestRetrieveComposition:
         assert with_download == without
 
 
-class TestConcurrentDeterminism:
-    """Acceptance: ≥8 queries in flight under churn, bit-for-bit
-    repeatable for a fixed seed."""
-
-    CONFIG = dict(
-        protocol="gnutella",
-        peers=30,
-        members=12,
-        publishers=6,
-        corpus_size=40,
-        queries=16,
-        ttl=6,
-        seed=23,
-        concurrency=8,
-        query_interarrival_ms=20.0,
-        churn_session_ms=4_000.0,
-        churn_absence_ms=1_500.0,
-    )
-
-    def run_once(self, **overrides):
-        scenario = build_scenario(ScenarioConfig(**{**self.CONFIG, **overrides}))
-        counts = scenario.run_queries(max_results=100)
-        stats = scenario.network.stats
-        return {
-            "counts": counts,
-            "total_messages": stats.total_messages,
-            "total_bytes": stats.total_bytes,
-            "by_type": dict(stats.messages_by_type),
-            "latencies": [round(record.latency_ms, 6) for record in stats.queries],
-        }
-
-    def test_concurrent_churned_run_is_deterministic(self):
-        first = self.run_once()
-        second = self.run_once()
-        assert first == second
-        assert len(first["counts"]) == self.CONFIG["queries"]
-        assert first["total_messages"] > 0
-
-    @pytest.mark.parametrize("protocol", ("centralized", "super-peer", "rendezvous"))
-    def test_other_protocols_deterministic_too(self, protocol):
-        first = self.run_once(protocol=protocol)
-        second = self.run_once(protocol=protocol)
-        assert first == second
-
-    def test_concurrency_keeps_queries_overlapped(self):
-        """With stagger shorter than flood latency, later queries start
-        before earlier ones end: total elapsed virtual time is shorter
-        than the sum of individual latencies."""
-        scenario = build_scenario(ScenarioConfig(**{**self.CONFIG,
-                                                    "churn_session_ms": None}))
-        before = scenario.network.simulator.now
-        scenario.run_queries(max_results=100)
-        elapsed = scenario.network.simulator.now - before
-        total_latency = sum(record.latency_ms for record in scenario.network.stats.queries)
-        assert elapsed < total_latency
-
-
-class TestMembershipContract:
-    """Acceptance: with ``live_membership=False`` (the default) every
-    protocol reproduces today's results bit-identically — the knob and
-    its plumbing must leak nothing.  With it on, membership traffic is
-    bit-for-bit reproducible for a fixed seed and the stats split
-    cleanly into control / query / download classes."""
-
-    CONFIG = dict(
-        peers=30,
-        members=12,
-        publishers=6,
-        corpus_size=40,
-        queries=16,
-        ttl=6,
-        seed=23,
-        concurrency=8,
-        query_interarrival_ms=20.0,
-        churn_session_ms=1_500.0,
-        churn_absence_ms=800.0,
-    )
-
-    def signature(self, **overrides):
-        scenario = build_scenario(ScenarioConfig(**{**self.CONFIG, **overrides}))
-        counts = scenario.run_queries(max_results=100)
-        stats = scenario.network.stats
-        return {
-            "counts": counts,
-            "total_messages": stats.total_messages,
-            "total_bytes": stats.total_bytes,
-            "by_type": dict(stats.messages_by_type),
-            "bytes_by_type": dict(stats.bytes_by_type),
-            "latencies": [round(record.latency_ms, 6) for record in stats.queries],
-            "staleness": tuple(stats.staleness_windows_ms),
-        }
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_live_off_is_bit_identical_regardless_of_knobs(self, protocol):
-        """The default run and an explicit live_membership=False run with
-        different maintenance settings must agree on everything pinned:
-        results, message counts, byte counts, latencies."""
-        default = self.signature(protocol=protocol)
-        explicit = self.signature(protocol=protocol, live_membership=False,
-                                  maintenance_interval_ms=123.0,
-                                  rendezvous_lease_ms=5_000.0)
-        assert default == explicit
-        assert default["by_type"].keys() <= {"query", "query-hit", "register"}
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_live_membership_traffic_is_deterministic(self, protocol):
-        first = self.signature(protocol=protocol, live_membership=True,
-                               maintenance_interval_ms=250.0,
-                               rendezvous_lease_ms=1_000.0)
-        second = self.signature(protocol=protocol, live_membership=True,
-                                maintenance_interval_ms=250.0,
-                                rendezvous_lease_ms=1_000.0)
-        assert first == second
-        # Live mode genuinely emitted lifecycle traffic.
-        control_types = set(first["by_type"]) - {"query", "query-hit"}
-        assert control_types, "live membership must cost control messages"
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_traffic_breakdown_partitions_all_bytes(self, protocol):
-        scenario = build_scenario(ScenarioConfig(
-            protocol=protocol, live_membership=True,
-            maintenance_interval_ms=250.0, rendezvous_lease_ms=1_000.0,
-            **self.CONFIG))
-        scenario.run_queries(max_results=100)
-        stats = scenario.network.stats
-        breakdown = stats.traffic_breakdown()
-        assert sum(cls["messages"] for cls in breakdown.values()) == stats.total_messages
-        assert sum(cls["bytes"] for cls in breakdown.values()) == stats.total_bytes
-        assert breakdown["control"]["bytes"] > 0
-
-    def test_no_lifecycle_transition_touches_the_clock(self):
-        """Joins, departures and maintenance move state only through
-        queue events: submitting them leaves ``simulator.now`` frozen
-        until the kernel processes the queue."""
-        network = SuperPeerProtocol(
-            seed=7, super_peer_ratio=0.2,
-            membership=MembershipConfig(maintenance_interval_ms=250.0))
-        populate(network)
-        network.go_live()
-        before = network.simulator.now
-        network.set_online("peer-003", False)
-        network.set_online("peer-003", True)
-        network.create_peer("late-arrival")
-        network.depart("peer-004", graceful=True)
-        assert network.simulator.now == before
-
-
 class TestRendezvousLeaseUnderChurnContract:
     """Satellite contract: an advertisement expiring while its owner is
     offline stays gone until the owner returns and re-advertises —
@@ -442,77 +328,9 @@ class TestRendezvousLeaseUnderChurnContract:
 
 
 class TestResultCacheContract:
-    """Acceptance: with ``result_caching=False`` (the default) every
-    protocol reproduces the uncached behaviour bit-identically —
-    results, message counts, byte counts — whatever the cache knobs
-    say.  With it on, runs stay deterministic, repeat-heavy workloads
-    cost measurably fewer messages, and a stale cached hit never
-    outlives the membership staleness window."""
-
-    CONFIG = dict(
-        peers=30,
-        members=12,
-        publishers=6,
-        corpus_size=40,
-        queries=24,
-        ttl=6,
-        seed=23,
-        concurrency=6,
-        query_interarrival_ms=20.0,
-        query_repeat_alpha=0.6,
-    )
-
-    def signature(self, **overrides):
-        scenario = build_scenario(ScenarioConfig(**{**self.CONFIG, **overrides}))
-        counts = scenario.run_queries(max_results=100)
-        stats = scenario.network.stats
-        return {
-            "counts": counts,
-            "total_messages": stats.total_messages,
-            "total_bytes": stats.total_bytes,
-            "by_type": dict(stats.messages_by_type),
-            "bytes_by_type": dict(stats.bytes_by_type),
-            "latencies": [round(record.latency_ms, 6) for record in stats.queries],
-            "cache": (stats.cache_hits, stats.cache_misses, stats.cache_stale_served),
-        }
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_caching_off_is_bit_identical_regardless_of_knobs(self, protocol):
-        """The knob plumbing must leak nothing: a default run and an
-        explicit caching-off run with exotic cache knobs agree on
-        everything pinned, and no cache counter ever moves."""
-        default = self.signature(protocol=protocol)
-        explicit = self.signature(protocol=protocol, result_caching=False,
-                                  cache_capacity=2, cache_ttl_ms=37.0)
-        assert default == explicit
-        assert default["cache"] == (0, 0, 0)
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_caching_on_is_deterministic(self, protocol):
-        first = self.signature(protocol=protocol, result_caching=True)
-        second = self.signature(protocol=protocol, result_caching=True)
-        assert first == second
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_caching_on_deterministic_under_live_membership_and_churn(self, protocol):
-        overrides = dict(protocol=protocol, result_caching=True,
-                         live_membership=True, maintenance_interval_ms=250.0,
-                         rendezvous_lease_ms=1_000.0, cache_ttl_ms=500.0,
-                         churn_session_ms=1_500.0, churn_absence_ms=800.0)
-        assert self.signature(**overrides) == self.signature(**overrides)
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_repeat_heavy_workload_saves_messages(self, protocol):
-        off = self.signature(protocol=protocol)
-        on = self.signature(protocol=protocol, result_caching=True)
-        hits, misses, _ = on["cache"]
-        assert hits > 0, "a repeat-heavy workload must produce cache hits"
-        assert on["total_messages"] <= off["total_messages"]
-        if protocol in ("gnutella", "super-peer"):
-            # The organisations that broadcast per query must save real
-            # traffic; the centralized round trip costs 2 messages with
-            # or without the server cache.
-            assert on["total_messages"] < off["total_messages"]
+    """A stale cached hit never outlives the membership staleness
+    window, and no cached serving claims room twice.  (Caching off
+    leaving no trace, and caching on engaging, are generated cells.)"""
 
     # ------------------------------------------------------------------
     # Invalidation: graceful departure vs. crash churn
@@ -689,276 +507,326 @@ class TestResultCacheContract:
             == {cached_id, fresh_id}
 
 
-class TestShardedKernelContract:
-    """Acceptance: the sharded simulator's conservative time-window
-    barrier reproduces the single-queue execution bit-for-bit — shards=4
-    and shards=1 agree on every pinned observable (result counts,
-    message and byte counters, per-query latencies, staleness) for all
-    four protocols, with and without live membership + churn."""
+# ---------------------------------------------------------------------------
+# The generated contract: every cell of protocol x lifecycle x caching x
+# faults x routing, checked by invariants rather than stored numbers
+# ---------------------------------------------------------------------------
 
-    CONFIG = dict(
-        peers=30,
-        members=12,
-        publishers=6,
-        corpus_size=40,
-        queries=16,
-        ttl=6,
-        seed=23,
-        concurrency=8,
-        query_interarrival_ms=20.0,
+#: the base cell every generated run starts from: eight searches in flight
+BASE_CELL = dict(peers=30, members=12, publishers=6, corpus_size=40, queries=16,
+                 ttl=6, seed=23, concurrency=8, query_interarrival_ms=20.0)
+
+#: how the peer population behaves during the query phase
+LIFECYCLES = {
+    "static": {},
+    "churn": dict(churn_session_ms=1_500.0, churn_absence_ms=800.0),
+    "live": dict(churn_session_ms=1_500.0, churn_absence_ms=800.0, live_membership=True,
+                 maintenance_interval_ms=250.0, rendezvous_lease_ms=1_000.0),
+}
+CACHING = dict(result_caching=True, query_repeat_alpha=0.6)
+FAULTS = dict(reliable_delivery=True,
+              faults=FaultPlan(seed=17, loss_rate=0.08, duplicate_rate=0.04))
+INFORMED = dict(informed_routing=True)
+
+#: mechanism -> exotic values of its knobs, which must change nothing
+#: while the mechanism is off.  ``rendezvous_lease_ms`` is not here: the
+#: off-mode rendezvous walk pulls lease expiry at search time.
+INERT_KNOBS = {
+    "live": dict(maintenance_interval_ms=123.0, heartbeat_lease_intervals=5),
+    "churn": dict(churn_absence_ms=333.0),
+    "caching": dict(cache_capacity=2, cache_ttl_ms=37.0),
+    "faults": dict(retry_timeout_ms=37.0, retry_max_attempts=9,
+                   download_stall_timeout_ms=77.0, faults=FaultPlan(seed=99)),
+    "informed": dict(routing_filter_bits=64, routing_hash_count=1, routing_depth=1),
+}
+
+
+class Cell(NamedTuple):
+    protocol: str
+    lifecycle: str = "static"
+    caching: bool = False
+    faults: bool = False
+    informed: bool = False
+
+    @property
+    def id(self) -> str:
+        switched = [name for name, on in (("cache", self.caching), ("faults", self.faults),
+                                          ("informed", self.informed)) if on]
+        return "-".join([self.protocol, self.lifecycle, *switched])
+
+    def config(self, **knobs) -> ScenarioConfig:
+        overrides = dict(BASE_CELL, protocol=self.protocol, **LIFECYCLES[self.lifecycle])
+        for on, group in ((self.caching, CACHING), (self.faults, FAULTS),
+                          (self.informed, INFORMED)):
+            if on:
+                overrides.update(group)
+        return ScenarioConfig(**{**overrides, **knobs})
+
+
+#: every protocol x lifecycle x faults x caching cell, plus gnutella's
+#: informed-routing cells (caching off: that composition is refused)
+CELLS = [Cell(protocol, lifecycle, caching, faults, informed)
+         for protocol in PROTOCOL_NAMES for lifecycle in LIFECYCLES for faults in (False, True)
+         for caching, informed in ((False, False), (True, False), (False, True))
+         if protocol == "gnutella" or not informed]
+
+
+def richest_cell(protocol: str, off: str) -> Cell:
+    """The cell with mechanism ``off`` off and every other compatible
+    mechanism on."""
+    return Cell(protocol,
+                lifecycle={"live": "churn", "churn": "static"}.get(off, "live"),
+                caching=off not in ("caching", "informed"),
+                faults=off != "faults",
+                informed=protocol == "gnutella" and off == "caching")
+
+
+INERT_CASES = [(mechanism, cell) for mechanism in INERT_KNOBS for protocol in PROTOCOL_NAMES
+               for cell in (Cell(protocol), richest_cell(protocol, mechanism))]
+
+
+def observe(stats, counts) -> tuple:
+    """One run as the contract compares it."""
+    return stats.digest(counts), stats.summary(), tuple(stats.staleness_windows_ms)
+
+
+class FateLedger:
+    """Counts the deliveries one kernel schedules (one per ``send``, one
+    per ``send_many`` copy) and the delivery events it executes
+    (``_deliver`` or ``_drop``), by wrapping those entry points on the
+    kernel instance."""
+
+    def __init__(self, network) -> None:
+        kernel = network.kernel
+        self.network = network
+        self.scheduled = self.executed = 0
+        send, send_many, deliver, drop = (kernel.send, kernel.send_many,
+                                          kernel._deliver, kernel._drop)
+
+        def counted_send(message, **kwargs):
+            self.scheduled += 1
+            send(message, **kwargs)
+
+        def counted_send_many(messages, **kwargs):
+            self.scheduled += len(messages)
+            send_many(messages, **kwargs)
+
+        def counted_deliver(*args):
+            self.executed += 1
+            deliver(*args)
+
+        def counted_drop(*args):
+            self.executed += 1
+            drop(*args)
+
+        kernel.send, kernel.send_many = counted_send, counted_send_many
+        kernel._deliver, kernel._drop = counted_deliver, counted_drop
+        self.callbacks = (deliver, drop, counted_deliver, counted_drop)
+        self.queued_at_start = self.queued()
+
+    def queued(self) -> int:
+        simulator = self.network.simulator
+        heaps = [simulator._queue, *getattr(simulator, "_shard_queues", ()),
+                 getattr(simulator, "_outbox", ())]
+        return sum(entry[2] in self.callbacks for heap in heaps for entry in heap)
+
+    def balance(self) -> tuple[int, int]:
+        """(deliveries scheduled, deliveries executed or still queued)."""
+        scheduled = self.queued_at_start + self.scheduled + self.network.stats.duplicated
+        return scheduled, self.executed + self.queued()
+
+
+@dataclass
+class CellRun:
+    observation: tuple
+    #: fate balances after the query phase (and after the drain)
+    fates: list
+    #: what each mechanism did, read by the "it engaged" invariant
+    engaged: dict
+    #: (messages, bytes) summed over traffic classes, and the totals
+    breakdown: tuple
+    totals: tuple
+    elapsed_ms: float
+    latency_sum_ms: float
+    #: churn-free cells only: (queued events, un-ACKed sends, cache
+    #: sites on departed nodes) once timers are cancelled and drained
+    leftovers: Optional[tuple] = None
+
+
+def run_cell(cell: Cell, shards: int = 1, knobs: tuple = ()) -> CellRun:
+    """Build and run ``cell`` once per ``(cell, shards, knobs)``: every
+    invariant reads the same memoized run."""
+    return _run_cell(cell, shards, knobs)
+
+
+@functools.cache
+def _run_cell(cell: Cell, shards: int, knobs: tuple) -> CellRun:
+    scenario = build_scenario(cell.config(shards=shards, **dict(knobs)))
+    network = scenario.network
+    simulator, stats = network.simulator, network.stats
+    ledger = FateLedger(network)
+    started = simulator.now
+    counts = scenario.run_queries(max_results=100)
+    breakdown = stats.traffic_breakdown().values()
+    run = CellRun(
+        observation=observe(stats, counts),
+        fates=[ledger.balance()],
+        engaged=dict(
+            cache=(stats.cache_hits, stats.cache_misses), faults=stats.fault_summary(),
+            routing=stats.routing_summary(), control_messages=stats.control_messages,
+            churn_events=len(scenario.churn.events) if scenario.churn else 0,
+            windows=getattr(simulator, "windows", 0),
+            cross_shard_messages=getattr(simulator, "cross_shard_messages", 0),
+            events_per_shard=getattr(simulator, "events_per_shard", ())),
+        breakdown=(sum(cls["messages"] for cls in breakdown),
+                   sum(cls["bytes"] for cls in breakdown)),
+        totals=(stats.total_messages, stats.total_bytes),
+        elapsed_ms=simulator.now - started,
+        latency_sum_ms=sum(record.latency_ms for record in stats.queries),
     )
+    if scenario.churn is None:
+        # A churning PopulationModel is an event chain that never ends.
+        network.kernel.cancel_timers()
+        simulator.run()
+        live = {peer.peer_id for peer in network.online_peers()} | network.kernel.virtual_nodes
+        run.leftovers = (simulator.pending_events(), dict(network.channel.pending),
+                         sorted(set(network.caches.sites) - live))
+        run.fates.append(ledger.balance())
+    return run
 
-    def signature(self, **overrides):
-        scenario = build_scenario(ScenarioConfig(**{**self.CONFIG, **overrides}))
-        counts = scenario.run_queries(max_results=100)
-        stats = scenario.network.stats
-        return {
-            "counts": counts,
-            "total_messages": stats.total_messages,
-            "total_bytes": stats.total_bytes,
-            "by_type": dict(stats.messages_by_type),
-            "bytes_by_type": dict(stats.bytes_by_type),
-            "latencies": [round(record.latency_ms, 6) for record in stats.queries],
-            "staleness": tuple(stats.staleness_windows_ms),
-        }
 
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_shards_4_reproduces_shards_1(self, protocol):
-        single = self.signature(protocol=protocol, shards=1)
-        sharded = self.signature(protocol=protocol, shards=4)
-        assert single == sharded
-        assert single["total_messages"] > 0
+class TestGeneratedContract:
+    """The organisation, the shard count and every switched-off knob may
+    change nothing but what they are for, in every generated cell."""
 
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_shards_4_reproduces_shards_1_under_live_churn(self, protocol):
-        live = dict(live_membership=True, churn_session_ms=4_000.0,
-                    churn_absence_ms=1_500.0)
-        single = self.signature(protocol=protocol, shards=1, **live)
-        sharded = self.signature(protocol=protocol, shards=4, **live)
-        assert single == sharded
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
+    def test_shards_4_reproduces_shards_1(self, cell):
+        """Both sides are fresh builds, so this is also the run-twice
+        determinism check of every cell."""
+        assert run_cell(cell, 4).observation == run_cell(cell, 1).observation
 
     def test_shard_count_itself_is_immaterial(self):
-        """2, 3 and 4 shards all reproduce the same run — the contract
-        is shard-count independence, not a lucky pairing."""
-        reference = self.signature(shards=1)
-        for shards in (2, 3, 4):
-            assert self.signature(shards=shards) == reference
+        base = Cell("gnutella")
+        for shards in (2, 3):
+            assert run_cell(base, shards).observation == run_cell(base, 1).observation
 
-    def test_sharded_run_actually_shards(self):
-        """Guard against the contract passing because sharding silently
-        fell back to the single queue: the windowed machinery must have
-        engaged (windows opened, cross-shard traffic deferred, events on
-        every shard) with counters preserved."""
-        scenario = build_scenario(ScenarioConfig(**{**self.CONFIG, "shards": 4}))
-        scenario.run_queries(max_results=100)
-        simulator = scenario.network.simulator
-        assert type(simulator).__name__ == "ShardedSimulator"
-        assert not simulator._degenerate
-        assert simulator.windows > 0
-        assert simulator.cross_shard_messages > 0
-        assert all(count > 0 for count in simulator.events_per_shard)
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
+    def test_every_switched_on_mechanism_engaged(self, cell):
+        """A contract that passes because nothing happened proves
+        nothing; a switched-off mechanism moves none of its counters."""
+        engaged = run_cell(cell).engaged
+        hits, misses = engaged["cache"]
+        faults, routing = engaged["faults"], engaged["routing"]
+        assert (hits > 0) == (misses > 0) == cell.caching
+        assert (faults["dropped"] > 0) == any(faults.values()) == cell.faults
+        assert (routing["routing_pruned"] > 0) == any(routing.values()) == cell.informed
+        assert (engaged["churn_events"] > 0) == (cell.lifecycle != "static")
+        assert (engaged["control_messages"] > 0) == (cell.lifecycle == "live")
+        sharded = run_cell(cell, 4).engaged
+        assert sharded["windows"] > 0 and sharded["cross_shard_messages"] > 0
+        assert 0 not in sharded["events_per_shard"]
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
+    def test_every_delivery_meets_one_fate(self, cell):
+        """Deliveries scheduled (plus fault duplicates) equal deliveries
+        executed or dropped plus those still queued."""
+        for shards in (1, 4):
+            for scheduled, accounted in run_cell(cell, shards).fates:
+                assert scheduled == accounted
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
+    def test_traffic_classes_add_up_to_the_totals(self, cell):
+        run = run_cell(cell)
+        assert run.breakdown == run.totals
+        assert run.totals[0] > 0
+
+    @pytest.mark.parametrize("cell", [cell for cell in CELLS if cell.lifecycle == "static"],
+                             ids=lambda cell: cell.id)
+    def test_quiescence_leaves_nothing_behind(self, cell):
+        """With timers cancelled and the queue drained: nothing queued,
+        no un-ACKed reliable send, no result cache on a departed node."""
+        for shards in (1, 4):
+            assert run_cell(cell, shards).leftovers == (0, {}, [])
+
+    @pytest.mark.parametrize(("mechanism", "cell"), INERT_CASES,
+                             ids=[f"{mechanism}-off-{cell.id}" for mechanism, cell in INERT_CASES])
+    def test_switched_off_knobs_change_nothing(self, mechanism, cell):
+        exotic = tuple(INERT_KNOBS[mechanism].items())
+        assert run_cell(cell, knobs=exotic).observation == run_cell(cell).observation
+
+    def test_concurrency_keeps_queries_overlapped(self):
+        """With stagger shorter than flood latency, later queries start
+        before earlier ones end: the query phase takes less virtual time
+        than the sum of the individual latencies."""
+        run = run_cell(Cell("gnutella"))
+        assert run.elapsed_ms < run.latency_sum_ms
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_repeat_heavy_workload_saves_messages(self, protocol):
+        """The static caching cell against itself with caching off."""
+        cell = Cell(protocol, caching=True)
+        on = run_cell(cell).totals[0]
+        off = run_cell(cell, knobs=(("result_caching", False),)).totals[0]
+        # The organisations that broadcast per query must save real
+        # traffic; the centralized round trip costs 2 messages with or
+        # without the server cache.
+        if protocol in ("gnutella", "super-peer"):
+            assert on < off
+        assert on <= off
+
+    def test_rendezvous_lease_is_live_with_membership_off(self):
+        """The off-mode walk pulls lease expiry at search time, so the
+        lease reaches into the bootstrap itself: it is no inert knob."""
+        default = build_scenario(Cell("rendezvous").config())
+        short = build_scenario(Cell("rendezvous").config(rendezvous_lease_ms=5_000.0))
+        assert short.network.simulator.now < default.network.simulator.now
 
 
-class TestHashSaltIndependence:
-    """Acceptance: counters must not depend on the per-process string
-    hash salt.  In-process repeat-twice determinism tests share one
-    salt, so a ``set[str]`` iteration order leaking into protocol
-    decisions (which super an orphaned leaf re-attaches to, say) passes
-    them while producing different committed baselines run to run.
-    This contract replays the super-peer churny caching cell — the one
-    that historically flipped — in subprocesses under two different
-    ``PYTHONHASHSEED`` values and requires identical counters."""
-
-    SCRIPT = """
-import json, sys
+#: The historic incident cell (off-mode churn of every servent but two,
+#: which re-homes orphaned leaves; no generated cell does that, because
+#: hubs are the lowest ids, which are members, and members never churn),
+#: then the richest fault cell of every protocol.
+HASH_SALT_SCRIPT = """
+import json
 from repro.network.membership import PopulationModel
 from repro.workloads.scenario import ScenarioConfig, build_scenario
+from tests.network.test_contract import PROTOCOL_NAMES, Cell, observe, run_cell
 
-scenario = build_scenario(ScenarioConfig(
-    protocol=sys.argv[1], peers=30, members=12, publishers=6,
-    corpus_size=40, queries=48, community="design-patterns", ttl=6,
-    seed=29, concurrency=6, query_interarrival_ms=20.0,
-    query_repeat_alpha=0.6, result_caching=True, cache_capacity=8,
-    cache_ttl_ms=4000.0))
-population = PopulationModel(scenario.network, mean_session_ms=1200.0,
-                             mean_absence_ms=720.0, seed=5)
-population.start([servent.peer_id for servent in scenario.servents[2:]])
-counts = scenario.run_queries(max_results=100)
-stats = scenario.network.stats
-print(json.dumps({
-    "counts": counts,
-    "messages": stats.total_messages,
-    "bytes": stats.total_bytes,
-    "cache_hits": stats.cache_hits,
-    "cache_misses": stats.cache_misses,
-    "stale_served": stats.cache_stale_served,
-}))
+observations = {}
+for protocol in ("super-peer", "rendezvous"):
+    scenario = build_scenario(ScenarioConfig(
+        protocol=protocol, peers=30, members=12, publishers=6,
+        corpus_size=40, queries=48, community="design-patterns", ttl=6,
+        seed=29, concurrency=6, query_interarrival_ms=20.0,
+        query_repeat_alpha=0.6, result_caching=True, cache_capacity=8,
+        cache_ttl_ms=4000.0))
+    population = PopulationModel(scenario.network, mean_session_ms=1200.0,
+                                 mean_absence_ms=720.0, seed=5)
+    population.start([servent.peer_id for servent in scenario.servents[2:]])
+    counts = scenario.run_queries(max_results=100)
+    observations[protocol + "-incident"] = observe(scenario.network.stats, counts)
+for protocol in PROTOCOL_NAMES:
+    cell = Cell(protocol, "live", caching=True, faults=True)
+    observations[cell.id] = run_cell(cell).observation
+print(json.dumps(observations))
 """
 
-    def run_with_hash_seed(self, protocol: str, hash_seed: str) -> dict:
-        import json
-        import os
-        import pathlib
-        import subprocess
-        import sys
 
-        import repro
-
-        env = dict(
-            os.environ,
-            PYTHONHASHSEED=hash_seed,
-            PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]),
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, protocol],
-            capture_output=True, text=True, env=env, check=True, timeout=120,
-        )
-        return json.loads(completed.stdout)
-
-    # Hash seeds 0 and 4 are the pair that historically disagreed on
-    # the super-peer cell (4 re-attached orphans in a different order).
-    @pytest.mark.parametrize("protocol", ("super-peer", "rendezvous"))
-    def test_counters_identical_across_hash_salts(self, protocol):
-        first = self.run_with_hash_seed(protocol, "0")
-        second = self.run_with_hash_seed(protocol, "4")
-        assert first == second
-        assert first["cache_hits"] > 0
-
-
-class TestFaultContract:
-    """Acceptance for deterministic fault injection.  ``faults=None``
-    (the default) must be bit-identical to the seed behaviour for all
-    four protocols whatever the reliability knobs say — including the
-    live-membership + caching + shards=4 cell.  And a fixed FaultPlan
-    seed must reproduce the exact drop/duplicate/retry/failover
-    counters across shard counts and across interpreter hash salts."""
-
-    CONFIG = dict(
-        peers=30,
-        members=12,
-        publishers=6,
-        corpus_size=40,
-        queries=16,
-        ttl=6,
-        seed=23,
-        concurrency=8,
-        query_interarrival_ms=20.0,
-    )
-
-    FAULTY = dict(
-        live_membership=True,
-        churn_session_ms=900.0,
-        churn_absence_ms=500.0,
-        reliable_delivery=True,
-        retry_timeout_ms=120.0,
-    )
-
-    def signature(self, **overrides):
-        from repro.network.faults import FaultPlan  # noqa: F401 (knob type)
-        scenario = build_scenario(ScenarioConfig(**{**self.CONFIG, **overrides}))
-        counts = scenario.run_queries(max_results=100)
-        stats = scenario.network.stats
-        return {
-            "counts": counts,
-            "total_messages": stats.total_messages,
-            "total_bytes": stats.total_bytes,
-            "by_type": dict(stats.messages_by_type),
-            "bytes_by_type": dict(stats.bytes_by_type),
-            "latencies": [round(record.latency_ms, 6) for record in stats.queries],
-            "faults": stats.fault_summary(),
-        }
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_faults_off_is_bit_identical_regardless_of_knobs(self, protocol):
-        """The knob plumbing leaks nothing: a default run agrees with an
-        explicit faults=None run under exotic (inert) reliability
-        timers, and no fault counter ever moves."""
-        default = self.signature(protocol=protocol)
-        explicit = self.signature(protocol=protocol, faults=None,
-                                  retry_timeout_ms=37.0, retry_max_attempts=9,
-                                  download_stall_timeout_ms=77.0)
-        assert default == explicit
-        assert all(value == 0.0 for value in default["faults"].values())
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_faults_off_live_caching_sharded_cell_unchanged(self, protocol):
-        """The busiest composed cell — live membership, churn, caching,
-        shards=4 — is equally pinned against the inert knobs."""
-        cell = dict(live_membership=True, churn_session_ms=1_500.0,
-                    churn_absence_ms=800.0, result_caching=True, shards=4)
-        default = self.signature(protocol=protocol, **cell)
-        explicit = self.signature(protocol=protocol, faults=None,
-                                  retry_timeout_ms=41.0, retry_max_attempts=7,
-                                  download_stall_timeout_ms=99.0, **cell)
-        assert default == explicit
-        assert all(value == 0.0 for value in default["faults"].values())
-
-    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-    def test_fault_counters_identical_across_shard_counts(self, protocol):
-        """A fixed fault seed drops/duplicates the *same* messages under
-        shards=1 and shards=4: every pinned observable — including the
-        fault and recovery counters — agrees exactly."""
-        from repro.network.faults import FaultPlan
-        plan = FaultPlan(seed=17, loss_rate=0.08, duplicate_rate=0.04)
-        single = self.signature(protocol=protocol, faults=plan,
-                                shards=1, **self.FAULTY)
-        sharded = self.signature(protocol=protocol, faults=plan,
-                                 shards=4, **self.FAULTY)
-        assert single == sharded
-        assert single["faults"]["dropped"] > 0
-
-
-class TestFaultHashSaltIndependence:
-    """Fault decisions and recovery counters must not depend on the
-    per-process string hash salt (BLAKE2b-keyed rolls, no builtin
-    ``hash``): the same faulty cell replayed in subprocesses under two
-    ``PYTHONHASHSEED`` values commits identical counters."""
-
-    SCRIPT = """
-import json, sys
-from repro.network.faults import FaultPlan
-from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-scenario = build_scenario(ScenarioConfig(
-    protocol=sys.argv[1], peers=30, members=12, publishers=6,
-    corpus_size=40, queries=16, community="design-patterns", ttl=6,
-    seed=23, concurrency=8, query_interarrival_ms=20.0,
-    live_membership=True, churn_session_ms=900.0, churn_absence_ms=500.0,
-    reliable_delivery=True, retry_timeout_ms=120.0,
-    faults=FaultPlan(seed=17, loss_rate=0.08, duplicate_rate=0.04)))
-counts = scenario.run_queries(max_results=100)
-stats = scenario.network.stats
-print(json.dumps({
-    "counts": counts,
-    "messages": stats.total_messages,
-    "bytes": stats.total_bytes,
-    "faults": stats.fault_summary(),
-}))
-"""
-
-    def run_with_hash_seed(self, protocol: str, hash_seed: str) -> dict:
-        import json
-        import os
-        import pathlib
-        import subprocess
-        import sys
-
-        import repro
-
-        env = dict(
-            os.environ,
-            PYTHONHASHSEED=hash_seed,
-            PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]),
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, protocol],
-            capture_output=True, text=True, env=env, check=True, timeout=120,
-        )
-        return json.loads(completed.stdout)
-
-    @pytest.mark.parametrize("protocol", ("centralized", "super-peer"))
-    def test_fault_counters_identical_across_hash_salts(self, protocol):
-        first = self.run_with_hash_seed(protocol, "0")
-        second = self.run_with_hash_seed(protocol, "4")
-        assert first == second
-        assert first["faults"]["dropped"] > 0
+def test_observations_identical_across_hash_salts():
+    """Counters must not depend on the per-process string hash salt: a
+    ``set[str]`` iteration order reaching a protocol decision passes
+    every in-process check (one salt) and flips committed baselines run
+    to run.  Hash seeds 0 and 4 are the pair that historically disagreed
+    on the super-peer incident cell."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    pythonpath = os.pathsep.join([str(pathlib.Path(repro.__file__).parents[1]), str(root)])
+    runs = [subprocess.Popen([sys.executable, "-c", HASH_SALT_SCRIPT], cwd=root, text=True,
+                             stdout=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath))
+            for seed in ("0", "4")]
+    first, second = (json.loads(run.communicate(timeout=120)[0]) for run in runs)
+    assert all(run.returncode == 0 for run in runs)
+    assert first == second
+    for name, (_digest, summary, _staleness) in first.items():
+        assert summary["cache_hits"] > 0, name
+        assert summary["dropped"] > 0 or name.endswith("-incident"), name

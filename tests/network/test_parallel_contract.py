@@ -1,13 +1,14 @@
 """Acceptance: process-parallel shard execution is bit-identical to
 ``shards=1``.
 
-The in-process sharded contract (``test_contract.TestShardedKernelContract``)
-proves the windowed-barrier order is exact; this suite proves the same
-windows survive being split across *worker processes* — full-replica
-workers, cross-worker outboxes, a replicated control plane, a global
-pending ledger, claim replication and serving isolation — for all four
-protocol organisations, composed with live membership, churn, result
-caching and deterministic fault injection.
+The in-process sharded contract (the shards=4 leg of
+``test_contract.TestGeneratedContract``) proves the windowed-barrier
+order is exact; this suite proves the same windows survive being split
+across *worker processes* — full-replica workers, cross-worker
+outboxes, a replicated control plane, a global pending ledger, claim
+replication and serving isolation — for all four protocol
+organisations, composed with live membership, churn, result caching
+and deterministic fault injection.
 """
 
 from __future__ import annotations
@@ -17,20 +18,7 @@ import pytest
 from repro.engine.parallel import run_parallel_scenario
 from repro.network.faults import FaultPlan
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-PROTOCOL_NAMES = ("centralized", "gnutella", "super-peer", "rendezvous")
-
-CONFIG = dict(
-    peers=30,
-    members=12,
-    publishers=6,
-    corpus_size=40,
-    queries=16,
-    ttl=6,
-    seed=23,
-    concurrency=8,
-    query_interarrival_ms=20.0,
-)
+from tests.network.test_contract import BASE_CELL, PROTOCOL_NAMES, observe
 
 #: the busiest composed cell: churned membership plus repeated queries
 #: hitting every protocol's cache sites (the registry/serving-isolation
@@ -40,8 +28,8 @@ COMPOSED = dict(
     result_caching=True, query_repeat_alpha=0.6,
 )
 
-#: the hardened fault cell from TestFaultContract: fast churn, reliable
-#: delivery with retries, and seeded loss/duplication.
+#: a hardened fault cell: fast churn, reliable delivery with quick
+#: retries, and seeded loss/duplication.
 FAULTY = dict(
     live_membership=True, churn_session_ms=900.0, churn_absence_ms=500.0,
     reliable_delivery=True, retry_timeout_ms=120.0,
@@ -49,28 +37,16 @@ FAULTY = dict(
 
 
 def serial_signature(**overrides):
-    scenario = build_scenario(ScenarioConfig(**{**CONFIG, **overrides}))
+    scenario = build_scenario(ScenarioConfig(**{**BASE_CELL, **overrides}))
     counts = scenario.run_queries(max_results=100)
-    return _signature(counts, scenario.network.stats)
+    return observe(scenario.network.stats, counts)
 
 
 def parallel_signature(workers=2, **overrides):
     config = ScenarioConfig(
-        **{**CONFIG, "shards": 4, "parallel": True, **overrides})
+        **{**BASE_CELL, "shards": 4, "parallel": True, **overrides})
     report = run_parallel_scenario(config, workers=workers, max_results=100)
-    return _signature(report.counts, report.stats), report
-
-
-def _signature(counts, stats):
-    return {
-        "counts": counts,
-        "total_messages": stats.total_messages,
-        "total_bytes": stats.total_bytes,
-        "by_type": dict(stats.messages_by_type),
-        "bytes_by_type": dict(stats.bytes_by_type),
-        "latencies": [round(record.latency_ms, 6) for record in stats.queries],
-        "staleness": tuple(stats.staleness_windows_ms),
-    }
+    return observe(report.stats, report.counts), report
 
 
 class TestParallelContract:
@@ -81,7 +57,7 @@ class TestParallelContract:
         serial = serial_signature(protocol=protocol, shards=1, **COMPOSED)
         parallel, report = parallel_signature(protocol=protocol, **COMPOSED)
         assert parallel == serial
-        assert serial["total_messages"] > 0
+        assert serial[1]["total_messages"] > 0
         assert report.windows > 0
 
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
@@ -119,12 +95,12 @@ class TestParallelContract:
 
     def test_parallel_needs_multiple_shards(self):
         with pytest.raises(ValueError, match="shards > 1"):
-            run_parallel_scenario(ScenarioConfig(**CONFIG, shards=1))
+            run_parallel_scenario(ScenarioConfig(**BASE_CELL, shards=1))
         with pytest.raises(ValueError, match="shards > 1"):
-            ScenarioConfig(**CONFIG, shards=1, parallel=True)
+            ScenarioConfig(**BASE_CELL, shards=1, parallel=True)
 
     def test_parallel_rejects_chunked_downloads(self):
-        config = ScenarioConfig(**CONFIG, shards=4,
+        config = ScenarioConfig(**BASE_CELL, shards=4,
                                 download_chunk_bytes=4_096)
         with pytest.raises(ValueError, match="chunked downloads"):
             run_parallel_scenario(config)
