@@ -121,11 +121,12 @@ class Message:
         """A copy of this message forwarded one hop further.
 
         The one spelling of "forward a copy": every flood hop, discovery
-        re-flood and relay broadcast builds its copies here.  The copy
-        keeps the descriptor id and shares the immutable query payload
-        (``query_xml``, ``payload_bytes``) — forwarding never draws an
-        id, re-serializes or re-measures the wire form.  Positional
-        construction: this runs once per copy of every flood.
+        re-flood, relay broadcast and rendezvous walk step builds its
+        copies here.  The copy keeps the descriptor id and shares the
+        immutable query payload (``query_xml``, ``payload_bytes``) —
+        forwarding never draws an id, re-serializes or re-measures the
+        wire form.  Positional construction: this runs once per copy of
+        every flood.
         """
         return Message(self.type, sender, recipient, self.message_id,
                        self.ttl - 1, self.hops + 1, self.payload_bytes,

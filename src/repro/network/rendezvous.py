@@ -18,10 +18,13 @@ below models the parts that matter for U-P2P:
 On the event kernel the walk is a chain of QUERY deliveries: each
 rendezvous peer answers from its advertisement index when its copy
 arrives, then relays a single copy to the next ring position — unless
-enough results have accumulated or the walk budget is spent.  A
-rendezvous peer that churns offline mid-walk drops the chain, ending
-the walk early, which is exactly the fragility the lease/renewal model
-is there to paper over.
+enough results have accumulated or the walk budget is spent.  The
+relay is the origin's QUERY forwarded (:meth:`Message.forwarded`), so
+every step carries the query's descriptor id; its ``ttl`` counts below
+zero and nothing reads it — ``walk_limit`` (default: every online
+rendezvous) is what bounds the walk.  A rendezvous peer that churns
+offline mid-walk drops the chain, ending the walk early, which is
+exactly the fragility the lease/renewal model is there to paper over.
 
 The hub catalog (an advertisement is a
 :class:`~repro.network.twotier.HubRecord` with a lease) and the
@@ -260,14 +263,17 @@ class RendezvousProtocol(TwoTierNetwork):
 
         hop_to_entry = 0 if origin.is_super_peer else 1
         context.extra["hop_to_entry"] = hop_to_entry
+        # The query's descriptor; every walk step relays a copy of it.
+        message = query_message(origin_id, walk[0], context.plan.wire_xml,
+                                community_id=query.community_id,
+                                payload_bytes=context.plan.wire_bytes,
+                                message_id=context.extra["query_id"])
+        message.hops = hop_to_entry
         if hop_to_entry:
-            message = query_message(origin_id, walk[0], context.plan.wire_xml,
-                                    community_id=query.community_id,
-                                    payload_bytes=context.plan.wire_bytes)
-            message.hops = hop_to_entry
             self.kernel.send(message, context=context)
         else:
-            self._answer_at_rendezvous(origin, hops=0, context=context)
+            # The origin IS the entry rendezvous: it takes the first step.
+            self._answer_at_rendezvous(origin, message, context)
         self.kernel.finish_if_idle(context)
         return context
 
@@ -284,14 +290,18 @@ class RendezvousProtocol(TwoTierNetwork):
                   context: Optional[QueryContext]) -> None:
         if peer is None or context is None:
             return
-        self._answer_at_rendezvous(peer, hops=message.hops, context=context)
+        self._answer_at_rendezvous(peer, message, context)
 
-    def _answer_at_rendezvous(self, peer: Peer, *, hops: int, context: QueryContext) -> None:
-        """One walk step: answer from this rendezvous, relay to the next.
+    def _answer_at_rendezvous(self, peer: Peer, message: Message,
+                              context: QueryContext) -> None:
+        """One walk step: answer ``message``, the QUERY as it reached
+        this rendezvous, then relay it to the next.
 
         The room the results will occupy is claimed as the hit is sent,
         so the walk stops at the same point it would if hits were
-        instantaneous."""
+        instantaneous.  The relay keeps the descriptor id; its ``ttl``
+        is not read — ``walk_limit`` bounds the walk."""
+        hops = message.hops
         context.peers_probed += 1
         hub = self._hubs.get(peer.peer_id)
         if hub is not None:
@@ -303,11 +313,8 @@ class RendezvousProtocol(TwoTierNetwork):
         position = hops - context.extra.get("hop_to_entry", 0)
         if context.room() <= 0 or position + 1 >= len(walk):
             return
-        relay = query_message(peer.peer_id, walk[position + 1], context.plan.wire_xml,
-                              community_id=context.query.community_id,
-                              payload_bytes=context.plan.wire_bytes)
-        relay.hops = hops + 1
-        self.kernel.send(relay, context=context)
+        self.kernel.send(message.forwarded(peer.peer_id, walk[position + 1]),
+                         context=context)
 
     def _cache_store(self, context: QueryContext, response: SearchResponse) -> None:
         """The origin edge caches its finished response.  Entry lifetime

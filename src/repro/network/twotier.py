@@ -100,7 +100,11 @@ class HubCatalog:
              hops: int) -> tuple[list[SearchResult], int]:
         """The results this hub contributes to ``context`` — at most
         the room left, skipping unreachable providers and the origin's
-        own objects — plus their metadata bytes."""
+        own objects — plus their metadata bytes.  An empty catalog
+        answers at once, without evaluating the plan (most rendezvous a
+        walk visits hold no advertisement)."""
+        if not self.records:
+            return [], 0
         results: list[SearchResult] = []
         metadata_bytes = 0
         room = context.room()

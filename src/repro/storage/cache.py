@@ -22,7 +22,9 @@ The cache is deliberately small and honest about staleness:
   (graceful goodbye traffic, or a heartbeat/lease purge), every entry
   carrying a result from that provider dies with
   :meth:`invalidate_provider`, so a stale cached hit never outlives the
-  staleness window the membership layer already reports.
+  staleness window the membership layer already reports.  The cache
+  indexes its keys by provider, so this costs time proportional to the
+  entries naming that provider, not to the cache.
 
 The cache never touches the simulation clock; owners sweep expired
 entries on a recurring kernel timer (``EventKernel.every``).
@@ -85,6 +87,10 @@ class QueryResultCache:
         self.ttl_ms = ttl_ms
         self.version = 0
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
+        #: provider id -> keys of the entries carrying one of its
+        #: results (insertion-ordered dicts, never sets, so no hash-salted
+        #: order reaches a decision); no bucket is ever left empty
+        self._by_provider: dict[str, dict[tuple, None]] = {}
         # Local counters (the network-wide ones live on NetworkStats).
         self.hits = 0
         self.misses = 0
@@ -112,12 +118,12 @@ class QueryResultCache:
             self.misses += 1
             return None
         if entry.expires_at_ms <= now:
-            del self._entries[key]
+            self._forget(key, entry)
             self.expirations += 1
             self.misses += 1
             return None
         if entry.version != self.version:
-            del self._entries[key]
+            self._forget(key, entry)
             self.invalidations += 1
             self.misses += 1
             return None
@@ -162,13 +168,29 @@ class QueryResultCache:
             created_at_ms=now,
             expires_at_ms=now + life,
         )
-        if key in self._entries:
-            del self._entries[key]
+        old = self._entries.get(key)
+        if old is not None:
+            self._forget(key, old)
         self._entries[key] = entry
+        for result in results:
+            self._by_provider.setdefault(result.provider_id, {})[key] = None
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            oldest = next(iter(self._entries))
+            self._forget(oldest, self._entries[oldest])
             self.evictions += 1
         return entry
+
+    def _forget(self, key: tuple, entry: CacheEntry) -> None:
+        """The one way an entry leaves: drop it and its index marks."""
+        del self._entries[key]
+        by_provider = self._by_provider
+        for result in entry.results:
+            keys = by_provider.get(result.provider_id)
+            if keys is None:
+                continue  # named twice, or its bucket is being invalidated
+            keys.pop(key, None)
+            if not keys:
+                del by_provider[result.provider_id]
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -186,26 +208,27 @@ class QueryResultCache:
         moment the membership layer itself stops.  Returns how many
         entries died.
         """
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if any(result.provider_id == provider_id for result in entry.results)
-        ]
+        # Detached first, so forgetting these keys never edits the
+        # bucket being walked.
+        stale = self._by_provider.pop(provider_id, None)
+        if stale is None:
+            return 0
         for key in stale:
-            del self._entries[key]
+            self._forget(key, self._entries[key])
         self.invalidations += len(stale)
         return len(stale)
 
     def sweep(self, now: float) -> int:
         """Drop every expired entry (the recurring timer's body)."""
-        dead = [key for key, entry in self._entries.items() if entry.expires_at_ms <= now]
-        for key in dead:
-            del self._entries[key]
+        dead = [(key, entry) for key, entry in self._entries.items() if entry.expires_at_ms <= now]
+        for key, entry in dead:
+            self._forget(key, entry)
         self.expirations += len(dead)
         return len(dead)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._by_provider.clear()
 
     # ------------------------------------------------------------------
     def hit_ratio(self) -> float:

@@ -10,7 +10,8 @@ anything, and replicas made by retrieve survive the original provider.
 caching x faults x routing and checks invariants on each: shards=4
 reproduces shards=1, a switched-off mechanism's knobs change nothing, a
 switched-on mechanism engaged, every delivery meets exactly one fate,
-the traffic classes add up and a drained churn-free run leaves nothing
+the traffic classes add up, every result cache's provider index equals
+a scan of its entries and a drained churn-free run leaves nothing
 behind.  A subprocess leg replays cells under two string-hash salts.
 """
 
@@ -40,6 +41,7 @@ from repro.network.superpeer import SuperPeerProtocol
 from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 from repro.xmlkit.parser import parse
+from tests.storage.test_cache import provider_scan
 
 
 def make_network(name: str):
@@ -648,6 +650,9 @@ class CellRun:
     totals: tuple
     elapsed_ms: float
     latency_sum_ms: float
+    #: (result cache sites, those whose provider index differs from a
+    #: brute-force scan of their entries) at the end of the run
+    cache_index: tuple = ()
     #: churn-free cells only: (queued events, un-ACKed sends, cache
     #: sites on departed nodes) once timers are cancelled and drained
     leftovers: Optional[tuple] = None
@@ -692,6 +697,9 @@ def _run_cell(cell: Cell, shards: int, knobs: tuple) -> CellRun:
         run.leftovers = (simulator.pending_events(), dict(network.channel.pending),
                          sorted(set(network.caches.sites) - live))
         run.fates.append(ledger.balance())
+    sites = network.caches.sites
+    run.cache_index = (len(sites), [node_id for node_id, cache in sites.items()
+                                    if cache._by_provider != provider_scan(cache)])
     return run
 
 
@@ -747,6 +755,16 @@ class TestGeneratedContract:
         no un-ACKed reliable send, no result cache on a departed node."""
         for shards in (1, 4):
             assert run_cell(cell, shards).leftovers == (0, {}, [])
+
+    @pytest.mark.parametrize("cell", [cell for cell in CELLS if cell.caching],
+                             ids=lambda cell: cell.id)
+    def test_cache_provider_index_matches_a_scan(self, cell):
+        """Every result cache's provider index names exactly the entries
+        that carry each provider.  Not a quiescence claim: it holds
+        mid-churn too."""
+        for shards in (1, 4):
+            sites, drifted = run_cell(cell, shards).cache_index
+            assert sites > 0 and drifted == []
 
     @pytest.mark.parametrize(("mechanism", "cell"), INERT_CASES,
                              ids=[f"{mechanism}-off-{cell.id}" for mechanism, cell in INERT_CASES])

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.network.config import MembershipConfig
+from repro.network.messages import MessageType
 from repro.network.rendezvous import RendezvousProtocol
+from repro.network.twotier import HubCatalog
+from repro.storage.plan import CompiledQuery
 from repro.storage.query import Query
 from repro.xmlkit.parser import parse
 
@@ -67,6 +70,41 @@ class TestSearch:
         populate(full)
         assert full.search("peer-001", Query.keyword("patterns", "observer"),
                            max_results=200).result_count >= response.result_count
+
+    def test_walk_relays_one_descriptor(self, monkeypatch):
+        """Every step forwards the QUERY it was handed: one descriptor id
+        along the whole walk, one hop more per step."""
+        network = RendezvousProtocol(seed=2, rendezvous_ratio=0.2)
+        populate(network)
+        sent = []
+        send = network.kernel.send
+
+        def spy(message, **kwargs):
+            if message.type is MessageType.QUERY:
+                sent.append(message)
+            send(message, **kwargs)
+
+        monkeypatch.setattr(network.kernel, "send", spy)
+        context = network.start_search("peer-011", Query.keyword("patterns", "observer"),
+                                       max_results=200)
+        network.kernel.run_until_complete([context])
+        walk = context.extra["walk"]
+        assert len(walk) >= 3
+        assert [message.recipient for message in sent] == walk
+        assert [message.hops for message in sent] == list(range(1, len(walk) + 1))
+        assert {message.message_id for message in sent} == {sent[0].message_id}
+
+    def test_empty_catalog_answers_without_evaluating(self, monkeypatch):
+        network = RendezvousProtocol(seed=2, rendezvous_ratio=0.2)
+        populate(network)
+        context = network.new_context("peer-011", Query.keyword("patterns", "observer"),
+                                      max_results=200)
+
+        def evaluate(*_args, **_kwargs):
+            raise AssertionError("an empty catalog evaluated the plan")
+
+        monkeypatch.setattr(CompiledQuery, "evaluate", evaluate)
+        assert HubCatalog().take(context, network.peers, 0) == ([], 0)
 
     def test_offline_provider_filtered(self):
         network = RendezvousProtocol(seed=3, rendezvous_ratio=0.2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage.cache import QueryResultCache
 from repro.storage.plan import compile_query
@@ -19,6 +20,16 @@ class FakeResult:
 
 def entry_for(*providers: str) -> tuple:
     return tuple(FakeResult(provider, f"res-{index}") for index, provider in enumerate(providers))
+
+
+def provider_scan(cache: QueryResultCache) -> dict:
+    """provider id -> keys of the entries naming it, by brute force over
+    every entry: what the cache's provider index must always equal."""
+    scan: dict = {}
+    for key, entry in cache._entries.items():
+        for result in entry.results:
+            scan.setdefault(result.provider_id, {})[key] = None
+    return scan
 
 
 class TestCanonicalKey:
@@ -128,3 +139,51 @@ class TestQueryResultCache:
         cache.get("absent", now=1.0)
         assert cache.hit_ratio() == 0.5
         assert "1h/1m" in cache.describe()
+
+
+PROVIDERS = ("p0", "p1", "p2", "p3")
+KEYS = st.integers(0, 3)
+PUT = st.tuples(st.just("put"), KEYS,
+                st.lists(st.sampled_from(PROVIDERS), min_size=1, max_size=4),
+                st.sampled_from([None, 30.0]))
+
+#: one cache operation on a two-entry cache: keys outnumber the
+#: capacity, so puts replace and evict; waits outrun the lease, so
+#: lookups and sweeps meet expired entries; a result list may name one
+#: provider twice
+CACHE_OPS = st.one_of(
+    PUT, PUT, st.tuples(st.just("get"), KEYS), st.tuples(st.just("get"), KEYS),
+    st.tuples(st.just("wait"), st.sampled_from([10.0, 60.0])),
+    st.tuples(st.just("invalidate"), st.sampled_from(PROVIDERS)),
+    st.tuples(st.sampled_from(["bump", "sweep", "clear"])),
+)
+
+
+class TestProviderIndex:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ops=st.lists(CACHE_OPS, min_size=30, max_size=60))
+    def test_index_equals_a_brute_force_scan_after_every_step(self, ops):
+        cache = QueryResultCache(capacity=2, ttl_ms=100.0)
+        now = 0.0
+        for op in ops:
+            kind = op[0]
+            if kind == "put":
+                _kind, key, providers, lease = op
+                cache.put(key, entry_for(*providers), 1, now, lease_ms=lease)
+            elif kind == "get":
+                cache.get(op[1], now)
+            elif kind == "wait":
+                now += op[1]
+            elif kind == "invalidate":
+                expected = len(provider_scan(cache).get(op[1], ()))
+                before = cache.invalidations
+                assert cache.invalidate_provider(op[1]) == expected
+                assert cache.invalidations == before + expected
+            elif kind == "bump":
+                cache.bump_version()
+            elif kind == "sweep":
+                cache.sweep(now)
+            else:
+                cache.clear()
+            assert cache._by_provider == provider_scan(cache)
+            assert all(cache._by_provider.values())
