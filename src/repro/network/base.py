@@ -72,6 +72,8 @@ class SearchResult:
     title: str
     metadata: dict[str, tuple[str, ...]] = field(default_factory=dict)
     hops: int = 0
+    #: ``metadata_wire_bytes(metadata)``, when the builder already knows it
+    wire_bytes: int = field(default=-1, compare=False, repr=False)
 
     @classmethod
     def from_stored(cls, provider_id: str, stored: StoredObject, *, hops: int = 0) -> "SearchResult":
@@ -84,10 +86,13 @@ class SearchResult:
             title=stored.title,
             metadata=stored.metadata_view(),
             hops=hops,
+            wire_bytes=stored.metadata_wire_bytes(),
         )
 
     def metadata_bytes(self) -> int:
         """Approximate wire size of the carried metadata."""
+        if self.wire_bytes >= 0:
+            return self.wire_bytes
         return metadata_wire_bytes(self.metadata)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 from dataclasses import dataclass
+from heapq import heapify, heappop
 from typing import Any, Callable, Optional
 
 from repro.engine.kernel import EventKernel, ExchangeContext, QueryContext
@@ -26,7 +27,6 @@ from repro.network.peers import Peer
 from repro.storage.document_store import metadata_wire_bytes
 from repro.storage.index import AttributeIndex
 from repro.storage.interning import intern_view
-from repro.storage.plan import CompiledQuery
 
 
 @dataclass(slots=True)
@@ -34,8 +34,11 @@ class HubRecord:
     """One object replica a hub knows about.
 
     The tuple-valued metadata view and its wire byte count are built
-    once at registration and shared by every search result generated
-    from the record — answering a query never re-copies metadata.
+    once at registration.  The hit itself is shared too: :meth:`hit`
+    builds one frozen :class:`SearchResult` per depth on first use and
+    every later search answered at that depth reuses it, so a repeated
+    search builds no result object.  A re-insert replaces the whole
+    record, hits included, so a shared hit never goes stale.
     """
 
     resource_id: str
@@ -46,6 +49,19 @@ class HubRecord:
     metadata_bytes: int
     #: end of the advertisement lease (never, where records do not decay)
     expires_at_ms: float
+    #: hops -> the shared hit; allocated by the first search it answers
+    hits: Optional[dict[int, SearchResult]] = None
+
+    def hit(self, hops: int) -> SearchResult:
+        """The search result for this record ``hops`` hops from the origin."""
+        if self.hits is None:
+            self.hits = {}
+        result = self.hits.get(hops)
+        if result is None:
+            result = self.hits[hops] = SearchResult(
+                self.provider_id, self.resource_id, self.community_id, self.title,
+                self.metadata_view, hops, self.metadata_bytes)
+        return result
 
 
 class HubCatalog:
@@ -88,37 +104,35 @@ class HubCatalog:
             del self.records[key]
         return [record for _key, record in removed]
 
-    def select(self, plan: CompiledQuery) -> list[str]:
-        """Keys of the records matching a compiled query, in key order;
-        an empty query browses its whole community."""
-        if plan.is_empty:
-            return sorted(key for key, record in self.records.items()
-                          if record.community_id == plan.community_id)
-        return sorted(plan.evaluate(self.index))
-
     def take(self, context: QueryContext, peers: dict[str, Peer],
              hops: int) -> tuple[list[SearchResult], int]:
         """The results this hub contributes to ``context`` — at most
-        the room left, skipping unreachable providers and the origin's
-        own objects — plus their metadata bytes.  An empty catalog
-        answers at once, without evaluating the plan (most rendezvous a
-        walk visits hold no advertisement)."""
-        if not self.records:
+        the room left, in key order, skipping unreachable providers and
+        the origin's own objects — plus their metadata bytes.  An empty
+        query browses its whole community.  Matching keys are popped off
+        a heap, so the cost follows the room rather than the match count.
+        An empty catalog answers at once, without evaluating the plan
+        (most rendezvous a walk visits hold no advertisement)."""
+        records = self.records
+        if not records:
             return [], 0
+        plan = context.plan
+        if plan.is_empty:
+            keys = [key for key, record in records.items()
+                    if record.community_id == plan.community_id]
+        else:
+            keys = list(plan.evaluate(self.index))
+        heapify(keys)
         results: list[SearchResult] = []
         metadata_bytes = 0
         room = context.room()
-        for key in self.select(context.plan):
-            if len(results) >= room:
-                break
-            record = self.records[key]
+        while keys and len(results) < room:
+            record = records[heappop(keys)]
             provider = peers.get(record.provider_id)
             if provider is None or not provider.online \
                     or record.provider_id == context.origin_id:
                 continue
-            results.append(SearchResult(record.provider_id, record.resource_id,
-                                        record.community_id, record.title,
-                                        record.metadata_view, hops + 1))
+            results.append(record.hit(hops + 1))
             metadata_bytes += record.metadata_bytes
         return results, metadata_bytes
 

@@ -26,7 +26,9 @@
 * *Count guards with no clock in them.*  The transport pays per hop, not
   per copy: one ``NetworkStats.record`` per re-flooding peer, no handler
   frame for a duplicate QUERY delivery, no message id drawn for a QUERY
-  copy, and no QUERY copy sent back to the peer it came from.
+  copy, and no QUERY copy sent back to the peer it came from.  An index
+  point builds each hit once per record and depth: a repeated
+  ``directory`` round constructs no ``SearchResult`` in ``HubCatalog.take``.
 """
 
 import hashlib
@@ -40,6 +42,7 @@ from bench.workloads import BATCH_OPS, INTERARRIVAL_MS, MAX_RESULTS, operations,
 from repro.engine.driver import QueryDriver
 from repro.engine.kernel import EventKernel
 from repro.network import messages as messages_module
+from repro.network import twotier
 from repro.network.base import PeerNetwork
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.messages import MessageType
@@ -71,6 +74,12 @@ def toy_round(name, shards=1, **overrides):
     batches it; returns the scenario and each search's result count."""
     scenario = build_scenario(scenario_config(name, SEED, toy=True, shards=shards,
                                               **overrides))
+    return scenario, run_round(scenario)
+
+
+def run_round(scenario):
+    """One round of the bench's operations on ``scenario``; returns each
+    search's result count."""
     ops = operations(scenario)
     driver = QueryDriver(scenario.network)
     counts = []
@@ -79,7 +88,7 @@ def toy_round(name, shards=1, **overrides):
                                    interarrival_ms=INTERARRIVAL_MS)
         assert outcome.failed == outcome.retrieve_failures == outcome.starved == 0
         counts.extend(outcome.result_counts)
-    return scenario, counts
+    return counts
 
 
 @pytest.mark.parametrize("shards", [1, 4])
@@ -272,3 +281,22 @@ def test_a_flood_never_echoes(monkeypatch):
     probed = sum(record.peers_probed for record in scenario.network.stats.queries)
     assert len(sent) == scenario.network.stats.messages_by_type["query"] > 2 * probed
     assert [copy for copy in sent if copy[1] == copy[2]] == []
+
+
+def test_a_repeated_directory_round_builds_no_new_hit(monkeypatch):
+    """The index server's catalog shares one frozen hit per record and
+    depth: a second round of the same searches on the same scenario gets
+    the same answers without ``HubCatalog.take`` building one result."""
+    built = []
+    search_result = twotier.SearchResult
+
+    def counting(*args):
+        built.append(args)
+        return search_result(*args)
+
+    monkeypatch.setattr(twotier, "SearchResult", counting)
+    scenario, counts = toy_round("directory")
+    assert built   # the first round builds the hits: the guard bites
+    built.clear()
+    assert run_round(scenario) == counts
+    assert built == []

@@ -2,20 +2,25 @@
 
 No protocol adapter is involved: ``ReliableChannel`` and
 ``ResultCacheLayer`` run against a scripted fake kernel, ``HubCatalog``
-against plain peers and a hand-built query context.
+against plain peers and a hand-built query context, checked against a
+brute-force reference that sorts every match.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.kernel import MaintenanceTimer, QueryContext, RetrieveContext
+from repro.network.base import SearchResult
 from repro.network.config import CacheConfig, ReliabilityConfig
 from repro.network.messages import MessageType, ack_message, register_message
 from repro.network.peers import Peer
 from repro.network.reliable import ReliableChannel
 from repro.network.result_cache import ResultCacheLayer
 from repro.network.twotier import HubCatalog
+from repro.storage.document_store import metadata_wire_bytes
 from repro.storage.plan import compile_query
 from repro.storage.query import Query
 
@@ -78,14 +83,14 @@ class FakeKernel:
 
 def make_channel(**config):
     kernel = FakeKernel("alice", "hub")
-    channel = ReliableChannel(kernel, ReliabilityConfig(
-        reliable_delivery=True, retry_timeout_ms=100.0, **config))
+    channel = ReliableChannel(
+        kernel, ReliabilityConfig(reliable_delivery=True, retry_timeout_ms=100.0, **config)
+    )
     return kernel, channel
 
 
 def upload():
-    return register_message("alice", "hub", community_id="c", resource_id="r",
-                            metadata_bytes=10)
+    return register_message("alice", "hub", community_id="c", resource_id="r", metadata_bytes=10)
 
 
 def download_context():
@@ -148,8 +153,9 @@ class TestReliableChannel:
     def test_a_virtual_sender_is_never_offline(self):
         kernel, channel = make_channel()
         kernel.virtual_nodes.add("server")
-        message = register_message("server", "alice", community_id="c",
-                                   resource_id="r", metadata_bytes=1)
+        message = register_message(
+            "server", "alice", community_id="c", resource_id="r", metadata_bytes=1
+        )
         channel.send(message)
         kernel.fire_next_timer()
         assert kernel.sent == [message, message] and kernel.stats.retries == 1
@@ -167,6 +173,52 @@ def keyword(text):
     return compile_query(Query.keyword("patterns", text))
 
 
+def select(catalog, plan, *, peers=None, origin_id=None, room=None):
+    """The keys ``HubCatalog.take`` must answer with, by brute force: every
+    match sorted (an empty query browses its community), then the offline,
+    unknown and origin providers skipped, then the slice to ``room``."""
+    records = catalog.records
+    if plan.is_empty:
+        keys = [key for key, record in records.items() if record.community_id == plan.community_id]
+    else:
+        keys = plan.evaluate(catalog.index)
+    keys = sorted(keys)
+    if peers is not None:
+        keys = [key for key in keys if reachable(records[key].provider_id, peers, origin_id)]
+    return keys if room is None else keys[: max(room, 0)]
+
+
+def reachable(provider_id, peers, origin_id):
+    provider = peers.get(provider_id)
+    return provider is not None and provider.online and provider_id != origin_id
+
+
+def key_of(result):
+    return f"{result.resource_id}@{result.provider_id}"
+
+
+PROVIDERS = ("alice", "bob", "carol", "dave")
+NAMES = ("Observer", "Visitor", "Factory Method", "Abstract Factory", "Sonata")
+DESCRIPTIONS = ("", "a creational pattern", "a behavioural pattern")
+
+#: (provider, community, name, description); no peer table knows the "ghost" provider
+CATALOG_ENTRIES = st.lists(
+    st.tuples(
+        st.sampled_from((*PROVIDERS, "ghost")),
+        st.sampled_from(("patterns", "music")),
+        st.sampled_from(NAMES),
+        st.sampled_from(DESCRIPTIONS),
+    ),
+    min_size=8,
+    max_size=40,
+)
+#: (community, keyword text): keyword plans, an empty text browses, "zzz" matches nothing
+SEARCHES = st.tuples(
+    st.sampled_from(("patterns", "music")),
+    st.sampled_from(("factory", "pattern", "creational", "", "zzz")),
+)
+
+
 class TestHubCatalog:
     def test_reinserting_a_key_replaces_the_record(self):
         catalog = HubCatalog()
@@ -176,7 +228,7 @@ class TestHubCatalog:
         record = catalog.records["Observer-id@alice"]
         assert record.expires_at_ms == 500.0
         assert record.metadata_bytes == len("name") + len("Observer")
-        assert catalog.select(keyword("observer")) == ["Observer-id@alice"]
+        assert select(catalog, keyword("observer")) == ["Observer-id@alice"]
 
     def test_remove_where_by_provider_and_by_lease(self):
         catalog = HubCatalog()
@@ -185,23 +237,26 @@ class TestHubCatalog:
         insert(catalog, "bob", "Visitor", expires_at_ms=100.0)
         gone = catalog.remove_where(lambda record: record.provider_id == "alice")
         assert [(record.provider_id, record.title) for record in gone] == [("alice", "Observer")]
-        assert catalog.select(keyword("observer")) == ["Observer-id@bob"]
+        assert select(catalog, keyword("observer")) == ["Observer-id@bob"]
         expired = catalog.remove_where(lambda record: record.expires_at_ms <= 100.0)
         assert [record.title for record in expired] == ["Visitor"]
         assert list(catalog.records) == ["Observer-id@bob"]
-        assert catalog.select(keyword("visitor")) == []
+        assert select(catalog, keyword("visitor")) == []
         assert catalog.remove_where(lambda record: False) == []
 
-    @pytest.mark.parametrize("community_id, expected", [
-        ("patterns", ["Observer-id@alice", "Visitor-id@bob"]),
-        ("music", ["Sonata-id@alice"]),
-    ])
+    @pytest.mark.parametrize(
+        "community_id, expected",
+        [
+            ("patterns", ["Observer-id@alice", "Visitor-id@bob"]),
+            ("music", ["Sonata-id@alice"]),
+        ],
+    )
     def test_an_empty_query_browses_one_community_in_key_order(self, community_id, expected):
         catalog = HubCatalog()
         insert(catalog, "bob", "Visitor")
         insert(catalog, "alice", "Observer")
         insert(catalog, "alice", "Sonata", community_id="music")
-        assert catalog.select(compile_query(Query(community_id))) == expected
+        assert select(catalog, compile_query(Query(community_id))) == expected
 
     def test_take_honours_room_origin_and_offline_providers(self):
         peers = {name: Peer(peer_id=name) for name in ("alice", "bob", "carol", "origin")}
@@ -223,12 +278,86 @@ class TestHubCatalog:
         full.claim(2)
         assert catalog.take(full, peers, hops=0) == ([], 0)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        entries=CATALOG_ENTRIES,
+        offline=st.sets(st.sampled_from(PROVIDERS), max_size=2),
+        origin_id=st.sampled_from((*PROVIDERS, "origin")),
+        search=SEARCHES,
+        max_results=st.integers(0, 4),
+        claimed=st.integers(0, 1),
+        hops=st.integers(0, 3),
+    )
+    def test_take_equals_the_reference_and_shares_one_hit_per_depth(
+        self, entries, offline, origin_id, search, max_results, claimed, hops
+    ):
+        catalog = HubCatalog()
+        for provider_id, community_id, name, description in entries:
+            metadata = {"name": [name], "description": [description] if description else []}
+            catalog.insert(provider_id, community_id, f"{name}-id", metadata, name)
+        peers = {provider_id: Peer(peer_id=provider_id) for provider_id in PROVIDERS}
+        for provider_id in offline:
+            peers[provider_id].online = False
+        query = Query.keyword(*search)
+
+        def take(depth):
+            context = query_context(query, origin_id=origin_id, max_results=max_results)
+            context.claim(claimed)
+            return catalog.take(context, peers, hops=depth)
+
+        expected = select(
+            catalog,
+            compile_query(query),
+            peers=peers,
+            origin_id=origin_id,
+            room=max_results - claimed,
+        )
+        results, metadata_bytes = take(hops)
+        assert [key_of(result) for result in results] == expected
+        for result in results:
+            record = catalog.records[key_of(result)]
+            assert result == SearchResult(
+                record.provider_id,
+                record.resource_id,
+                record.community_id,
+                record.title,
+                record.metadata_view,
+                hops + 1,
+            )
+            assert result.metadata_bytes() == metadata_wire_bytes(result.metadata)
+            assert result.metadata_bytes() == record.metadata_bytes
+        assert metadata_bytes == sum(result.metadata_bytes() for result in results)
+
+        # One depth, one shared hit per record; another depth, its own.
+        again, again_bytes = take(hops)
+        assert again_bytes == metadata_bytes
+        assert all(hit is first for hit, first in zip(again, results, strict=True))
+        deeper, _ = take(hops + 1)
+        assert [key_of(result) for result in deeper] == expected
+        assert [result.hops for result in deeper] == [hops + 2] * len(expected)
+
+        # A re-insert replaces the record, and with it the shared hit.
+        if results:
+            stale = results[0]
+            record = catalog.records[key_of(stale)]
+            metadata = {path: list(values) for path, values in record.metadata_view.items()}
+            catalog.insert(
+                record.provider_id,
+                record.community_id,
+                record.resource_id,
+                metadata,
+                f"{record.title} (revised)",
+            )
+            fresh, _ = take(hops)
+            assert [key_of(result) for result in fresh] == expected
+            assert fresh[0] is not stale and fresh[0].title == f"{stale.title} (revised)"
+            assert all(hit is first for hit, first in zip(fresh[1:], results[1:], strict=True))
+
 
 def make_cache_layer():
     kernel = FakeKernel("alice", "bob")
     kernel.virtual_nodes.add("server")
-    return kernel, ResultCacheLayer(kernel, CacheConfig(enabled=True, capacity=4,
-                                                        ttl_ms=100.0))
+    return kernel, ResultCacheLayer(kernel, CacheConfig(enabled=True, capacity=4, ttl_ms=100.0))
 
 
 class TestResultCacheLayer:
