@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.network.gnutella import GnutellaProtocol
+from repro.network.topology import Topology
 from repro.storage.query import Query
 from repro.xmlkit.parser import parse
 
@@ -45,7 +46,9 @@ def measure(network: GnutellaProtocol) -> dict[str, float]:
         "results": results / len(origins),
         "msgs_per_query": network.stats.mean_messages_per_query(),
         "reach": sum(network.reachable_peers(origin, ttl=TTL) for origin in origins) / len(origins),
-        "path_length": network.topology.average_path_length(),
+        "path_length": Topology({peer_id: set(peer.neighbors)
+                                 for peer_id, peer in network.peers.items()}
+                                ).average_path_length(),
     }
 
 

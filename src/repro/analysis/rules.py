@@ -53,8 +53,8 @@ RULES: dict[str, Rule] = {
                 "hash(str) changes with PYTHONHASHSEED, so anything derived "
                 "from it — a shard assignment, a cache key, a tie-break — "
                 "varies across processes while looking deterministic within "
-                "one.  engine/partition.py's shard_of deliberately uses "
-                "crc32(id) % shards for exactly this reason: the partition "
+                "one.  engine/sharded.py's shard_of deliberately uses "
+                "crc32(id) % shards for exactly this reason: the placement "
                 "decides the event interleaving and must be reproducible "
                 "across worker processes and interpreter versions.  Use "
                 "zlib.crc32 (or a sorted key) instead of hash()."

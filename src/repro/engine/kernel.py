@@ -135,14 +135,11 @@ class MembershipContext(ExchangeContext):
     membership context — lifecycle traffic is background load — but the
     context still provides per-exchange state (``visited`` gives a
     discovery flood its duplicate suppression) and completion stamps.
-    ``acquired`` counts what the exchange obtained (e.g. neighbour
-    links made from PONGs).
     """
 
     peer_id: str = ""
     kind: str = ""
     visited: set[str] = field(default_factory=set)
-    acquired: int = 0
 
 
 @dataclass
@@ -157,7 +154,6 @@ class RetrieveContext(ExchangeContext):
     stored: Optional["StoredObject"] = None
     transfer_bytes: int = 0
     attachments_transferred: int = 0
-    replicated: bool = False
     error: Optional[Exception] = None
     # Chunked-transfer state (``download_chunk_bytes`` mode).  The
     # received set is consulted only by length and membership, never

@@ -58,7 +58,7 @@ import multiprocessing
 import multiprocessing.connection
 
 from repro.engine.kernel import EventKernel
-from repro.engine.partition import shard_of
+from repro.engine.sharded import shard_of
 from repro.network import messages as messages_module
 from repro.network.messages import Message
 from repro.network.simulator import (
@@ -203,9 +203,6 @@ class WorkerRuntime:
             entry[2] = max(entry[2], self.simulator.now)
 
     # -- ownership --------------------------------------------------------
-
-    def worker_of_shard(self, shard: int) -> int:
-        return shard % self.workers
 
     def owns_shard(self, shard: int) -> bool:
         return shard % self.workers == self.rank
@@ -631,7 +628,6 @@ class WorkerSimulator(NetworkSimulator):
         self._rt = runtime
         runtime.simulator = self
         self.shards = shards
-        self._assignment: Dict[str, int] = {}
         self._control_nodes: set = set()
         self._lookahead = self.latency_model.base_ms
         if self._lookahead <= 0:
@@ -678,16 +674,7 @@ class WorkerSimulator(NetworkSimulator):
     def lookahead_ms(self) -> float:
         return self._lookahead
 
-    def assign(self, node_id: str, shard: int) -> None:
-        """Pin ``node_id`` to ``shard`` (otherwise crc32 placement)."""
-        if not 0 <= shard < self.shards:
-            raise ValueError(f"shard {shard} out of range")
-        self._assignment[node_id] = shard
-
     def shard_of_node(self, node_id: str) -> int:
-        assigned = self._assignment.get(node_id)
-        if assigned is not None:
-            return assigned
         return shard_of(node_id, self.shards)
 
     def mark_control_node(self, node_id: str) -> None:

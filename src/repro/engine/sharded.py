@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import heapq
 from typing import Callable, Iterator, Optional
+from zlib import crc32
 
-from repro.engine.partition import Assignment, shard_of
 from repro.network.messages import Message
 from repro.network.simulator import (
     _ARGS,
@@ -69,6 +69,18 @@ from repro.network.simulator import (
 CONTROL = -1
 
 
+def shard_of(node_id: str, shards: int) -> int:
+    """Stable home shard of ``node_id``: crc32 of the id modulo ``shards``.
+
+    crc32 rather than ``hash()``: the builtin string hash is salted per
+    process (``PYTHONHASHSEED``), which would make the placement — and
+    therefore the event interleaving — unreproducible across runs.
+    """
+    if shards <= 1:
+        return 0
+    return crc32(node_id.encode("utf-8")) % shards
+
+
 class ShardedSimulator(NetworkSimulator):
     """A :class:`NetworkSimulator` whose queue is partitioned by shard.
 
@@ -81,12 +93,12 @@ class ShardedSimulator(NetworkSimulator):
     """
 
     def __init__(self, *, latency: Optional[LatencyModel] = None, seed: int = 0,
-                 shards: int = 2, assignment: Optional[Assignment] = None) -> None:
+                 shards: int = 2, assignment: Optional[dict[str, int]] = None) -> None:
         super().__init__(latency=latency, seed=seed)
         if shards < 1:
             raise ValueError("need at least one shard")
         self.shards = shards
-        self._assignment: Assignment = dict(assignment or {})
+        self._assignment: dict[str, int] = dict(assignment or {})
         #: the inherited ``_queue`` is the control shard; message
         #: deliveries go to per-shard heaps
         self._shard_queues: list[list[tuple]] = [[] for _ in range(shards)]
@@ -113,12 +125,6 @@ class ShardedSimulator(NetworkSimulator):
         if shard is None:
             shard = shard_of(node_id, self.shards)
         return shard
-
-    def assign(self, node_id: str, shard: int) -> None:
-        """Pin ``node_id`` to ``shard`` (new peers joining mid-run)."""
-        if not 0 <= shard < self.shards:
-            raise ValueError(f"shard {shard} out of range for {self.shards} shards")
-        self._assignment[node_id] = shard
 
     @property
     def lookahead_ms(self) -> float:

@@ -151,7 +151,7 @@ class PeerNetwork(ABC):
         #: ``None`` means the group's defaults
         self.cache_config = cache = cache or CacheConfig()
         self.membership_config = membership = membership or MembershipConfig()
-        self.reliability_config = reliability = reliability or ReliabilityConfig()
+        reliability = reliability or ReliabilityConfig()
         self.routing_config = routing = routing or RoutingConfig()
         check_composition(cache, routing)
         #: event-queue shard count.  ``shards=1`` (the default) keeps

@@ -45,7 +45,7 @@ from repro.network.messages import (
 )
 from repro.network.peers import Peer
 from repro.network.routing import RoutingIndex
-from repro.network.topology import Topology, build_topology
+from repro.network.topology import build_topology
 from repro.storage.query import Query
 
 #: sentinel distinguishing "probe keys not computed yet" from the
@@ -54,7 +54,15 @@ _KEYS_NOT_HASHED = object()
 
 
 class GnutellaProtocol(PeerNetwork):
-    """TTL-scoped query flooding over an unstructured overlay."""
+    """TTL-scoped query flooding over an unstructured overlay.
+
+    The overlay is stored once, in each peer's ``Peer.neighbors``: every
+    link is written on both ends (``build_overlay``, joins, discovery
+    PONGs) and removed from both ends (``_drop_link``, off-mode peer
+    removal), so the flood, the routing BFS and the keepalives all read
+    that one set.  A live departure is the exception by design: its
+    neighbours keep their end until the keepalive lease lapses.
+    """
 
     protocol_name = "gnutella"
 
@@ -67,7 +75,6 @@ class GnutellaProtocol(PeerNetwork):
         self.topology_kind = topology_kind
         self.degree = degree
         self._seed = seed
-        self.topology = Topology()
         # peer id -> its neighbour ids in flood order, cached because a
         # flood re-visits the same adjacency for every in-flight query;
         # invalidated whenever the overlay changes (churn only toggles
@@ -87,12 +94,12 @@ class GnutellaProtocol(PeerNetwork):
     # ------------------------------------------------------------------
     def build_overlay(self) -> None:
         """(Re)build the neighbour graph over the current peer set."""
-        self.topology = build_topology(
+        topology = build_topology(
             self.peers, kind=self.topology_kind, degree=self.degree, seed=self._seed
         )
         self._flood_order.clear()
         for peer in self.peers.values():
-            peer.neighbors = set(self.topology.neighbors(peer.peer_id))
+            peer.neighbors = set(topology.neighbors(peer.peer_id))
         if self._routing is not None:
             self._routing.note_overlay_changed()
 
@@ -107,15 +114,14 @@ class GnutellaProtocol(PeerNetwork):
             return
         sample_size = min(self.degree, len(others))
         for neighbor in self.simulator.random.sample(others, sample_size):
-            self.topology.add_edge(peer.peer_id, neighbor.peer_id)
             peer.connect(neighbor.peer_id)
             neighbor.connect(peer.peer_id)
 
     def _on_peer_removed(self, peer: Peer) -> None:
         self._flood_order.clear()
-        self.topology.remove_peer(peer.peer_id)
-        for other in self.peers.values():
-            other.disconnect(peer.peer_id)
+        # Links are symmetric: the peer's own set names every other end.
+        for neighbor_id in sorted(peer.neighbors):
+            self.peers[neighbor_id].disconnect(peer.peer_id)
         if self._routing is not None:
             self._routing.forget_peer(peer.peer_id)
 
@@ -211,7 +217,6 @@ class GnutellaProtocol(PeerNetwork):
                 # so without this cap a flash crowd would grow one
                 # peer's fan-out (and its keepalive bill) without bound.
                 return
-            self.topology.add_edge(peer.peer_id, message.sender)
             peer.connect(message.sender)
             other.connect(peer.peer_id)
             peer.last_pong_ms[message.sender] = now
@@ -219,7 +224,6 @@ class GnutellaProtocol(PeerNetwork):
             self._flood_order.clear()
             if self._routing is not None:
                 self._routing.note_overlay_changed()
-            context.acquired += 1
             return
         peer.last_pong_ms[message.sender] = now
 
@@ -241,7 +245,6 @@ class GnutellaProtocol(PeerNetwork):
                 self._discover_neighbors(peer, kind="repair")
 
     def _drop_link(self, peer: Peer, neighbor_id: str, now: float) -> None:
-        self.topology.remove_edge(peer.peer_id, neighbor_id)
         peer.disconnect(neighbor_id)
         peer.last_pong_ms.pop(neighbor_id, None)
         other = self.peers.get(neighbor_id)

@@ -13,9 +13,13 @@ class Peer:
     """One participant in the peer-to-peer network.
 
     A peer owns a :class:`~repro.storage.repository.LocalRepository`
-    (its shared objects and local index), a set of neighbour links
-    (meaningful for the decentralized organisations) and an online
-    flag toggled by the membership layer.  ``uptime_ms`` accumulates
+    (its shared objects and local index), a set of neighbour links and
+    an online flag toggled by the membership layer.  ``neighbors`` is
+    the Gnutella overlay itself — the network keeps no other copy, and
+    writes every link on both ends.  ``super_peer_id`` is the hub a
+    two-tier member attached to (a hub's own id for a hub); whether a
+    peer *is* a hub is the network's fact (``super_peer_ids()`` /
+    ``rendezvous_ids()``), not the peer's.  ``uptime_ms`` accumulates
     completed online-session time at each offline transition;
     ``online_since`` stamps the start of the current session.  In
     live-membership mode ``last_pong_ms`` tracks when each counterpart
@@ -30,7 +34,6 @@ class Peer:
     repository: LocalRepository = field(default_factory=LocalRepository)
     neighbors: set[str] = field(default_factory=set)
     online: bool = True
-    is_super_peer: bool = False
     super_peer_id: Optional[str] = None
     joined_communities: set[str] = field(default_factory=set)
     uptime_ms: float = 0.0
@@ -57,13 +60,9 @@ class Peer:
     def join_community(self, community_id: str) -> None:
         self.joined_communities.add(community_id)
 
-    def leave_community(self, community_id: str) -> None:
-        self.joined_communities.discard(community_id)
-
     def shared_object_count(self) -> int:
         return len(self.repository.documents)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        role = "super" if self.is_super_peer else "leaf"
         status = "online" if self.online else "offline"
-        return f"<Peer {self.peer_id} {role} {status} objects={self.shared_object_count()}>"
+        return f"<Peer {self.peer_id} {status} objects={self.shared_object_count()}>"

@@ -113,7 +113,7 @@ class RendezvousProtocol(TwoTierNetwork):
     # next renewal tick, which is the organic repair path.
     # ------------------------------------------------------------------
     def _announce_departure_live(self, peer: Peer) -> None:
-        if not peer.is_super_peer and peer.super_peer_id in self._hubs:
+        if peer.peer_id not in self._hubs and peer.super_peer_id in self._hubs:
             self.kernel.send(leave_message(peer.peer_id, peer.super_peer_id))
 
     def _live_attach(self, peer: Peer) -> Optional[str]:
@@ -134,8 +134,8 @@ class RendezvousProtocol(TwoTierNetwork):
             peer = self.peers[peer_id]
             if not peer.online:
                 continue
-            if peer.is_super_peer and peer_id in self._hubs:
-                hub = self._hubs[peer_id]
+            hub = self._hubs.get(peer_id)
+            if hub is not None:
                 # A rendezvous peer renews its *own* ads in place (it
                 # holds its own index: no wire cost, like self-publish)
                 # before sweeping — otherwise they would expire too.
@@ -233,7 +233,7 @@ class RendezvousProtocol(TwoTierNetwork):
                 return context
         self._answer_locally(origin, context)
 
-        entry = origin.peer_id if origin.is_super_peer else origin.super_peer_id
+        entry = origin_id if origin_id in self._hubs else origin.super_peer_id
         if entry is None or entry not in self._hubs:
             if self.live_membership:
                 # An orphaned edge answers locally only until its next
@@ -261,7 +261,7 @@ class RendezvousProtocol(TwoTierNetwork):
             self.kernel.finish_if_idle(context)
             return context
 
-        hop_to_entry = 0 if origin.is_super_peer else 1
+        hop_to_entry = 0 if origin_id in self._hubs else 1
         context.extra["hop_to_entry"] = hop_to_entry
         # The query's descriptor; every walk step relays a copy of it.
         message = query_message(origin_id, walk[0], context.plan.wire_xml,

@@ -40,16 +40,17 @@ from repro.network.peers import Peer
 from repro.network.twotier import HubCatalog, TwoTierNetwork
 from repro.storage.query import Query
 
+#: leaves a super-peer takes before attachment prefers a less loaded one
+MAX_LEAVES = 50
+
 
 class SuperPeerProtocol(TwoTierNetwork):
     """Two-tier super-peer / leaf organisation."""
 
     protocol_name = "super-peer"
 
-    def __init__(self, *, super_peer_ratio: float = 0.1, max_leaves: int = 50,
-                 **kwargs: Any) -> None:
+    def __init__(self, *, super_peer_ratio: float = 0.1, **kwargs: Any) -> None:
         super().__init__(hub_ratio=super_peer_ratio, **kwargs)
-        self.max_leaves = max_leaves
 
     # ------------------------------------------------------------------
     # Role assignment and attachment
@@ -79,7 +80,7 @@ class SuperPeerProtocol(TwoTierNetwork):
                    default=None)
 
     def _attach(self, leaf: Peer, online_hubs: Optional[list[str]] = None) -> None:
-        hub_id = self._choose_hub(leaf, online_hubs, cap=self.max_leaves)
+        hub_id = self._choose_hub(leaf, online_hubs, cap=MAX_LEAVES)
         if hub_id is None:
             leaf.super_peer_id = None
             return
@@ -140,7 +141,7 @@ class SuperPeerProtocol(TwoTierNetwork):
     # exceeds the lease.
     # ------------------------------------------------------------------
     def _announce_departure_live(self, peer: Peer) -> None:
-        if not peer.is_super_peer and peer.super_peer_id is not None:
+        if peer.peer_id not in self._hubs and peer.super_peer_id is not None:
             self.kernel.send(leaf_detach_message(peer.peer_id, peer.super_peer_id))
 
     def _live_attach(self, peer: Peer) -> Optional[str]:
@@ -158,10 +159,8 @@ class SuperPeerProtocol(TwoTierNetwork):
             peer = self.peers[peer_id]
             if not peer.online:
                 continue
-            if peer.is_super_peer:
-                hub = self._hubs.get(peer_id)
-                if hub is None:
-                    continue
+            hub = self._hubs.get(peer_id)
+            if hub is not None:
                 for leaf_id in sorted(hub.members):
                     if hub.last_heard.get(leaf_id, 0.0) <= now - lease:
                         self._purge_leaf(peer_id, leaf_id, now=now)
@@ -178,7 +177,7 @@ class SuperPeerProtocol(TwoTierNetwork):
         for hub in self._hubs.values():
             hub.last_heard = {leaf_id: now for leaf_id in sorted(hub.members)}
         for peer in self.peers.values():
-            if not peer.is_super_peer and peer.super_peer_id is not None:
+            if peer.peer_id not in self._hubs and peer.super_peer_id is not None:
                 peer.last_pong_ms[peer.super_peer_id] = now
 
     # ------------------------------------------------------------------
@@ -223,7 +222,7 @@ class SuperPeerProtocol(TwoTierNetwork):
         # Local index is always consulted first.
         self._answer_locally(origin, context)
 
-        entry = origin.peer_id if origin.is_super_peer else origin.super_peer_id
+        entry = origin_id if origin_id in self._hubs else origin.super_peer_id
         if entry is None and not self.live_membership:
             self._attach(origin)
             entry = origin.super_peer_id
@@ -239,7 +238,7 @@ class SuperPeerProtocol(TwoTierNetwork):
                                 community_id=query.community_id,
                                 payload_bytes=context.plan.wire_bytes,
                                 message_id=context.extra["query_id"])
-        if origin.is_super_peer:
+        if origin_id in self._hubs:
             # The origin IS the entry super-peer: answer and relay now
             # (no hop travelled, nothing sent to get here).
             self._answer_at_super(self.peers[entry], message, context)

@@ -35,30 +35,11 @@ class Topology:
     def edge_count(self) -> int:
         return sum(len(neighbors) for neighbors in self.adjacency.values()) // 2
 
-    def edges(self) -> Iterable[tuple[str, str]]:
-        """Every undirected edge once, as ``(a, b)`` with ``a < b``.
-
-        Sorted-order iteration keeps consumers (shard partitioning,
-        cross-shard edge counting) deterministic.
-        """
-        for node in sorted(self.adjacency):
-            for neighbor in sorted(self.adjacency[node]):
-                if node < neighbor:
-                    yield node, neighbor
-
     def add_edge(self, a: str, b: str) -> None:
         if a == b:
             return
         self.adjacency.setdefault(a, set()).add(b)
         self.adjacency.setdefault(b, set()).add(a)
-
-    def remove_edge(self, a: str, b: str) -> None:
-        self.adjacency.get(a, set()).discard(b)
-        self.adjacency.get(b, set()).discard(a)
-
-    def remove_peer(self, peer_id: str) -> None:
-        for neighbor in sorted(self.adjacency.pop(peer_id, set())):
-            self.adjacency.get(neighbor, set()).discard(peer_id)
 
     def is_connected(self) -> bool:
         if not self.adjacency:

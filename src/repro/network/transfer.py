@@ -347,7 +347,6 @@ class DownloadManager:
         )
         self.replicas.note_replica(replica.resource_id, peer.peer_id,
                                    at_ms=self.simulator.now)
-        context.replicated = True
         # The new replica is announced so later searches can find it here.
         self.announce(peer.peer_id, stored.community_id, replica.resource_id,
                       dict(stored.metadata), title=stored.title)

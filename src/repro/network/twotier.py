@@ -193,8 +193,7 @@ class TwoTierNetwork(PeerNetwork):
         for hub_id in sorted(set(self._hubs).difference(elected)):
             self._drop_hub(hub_id)
         for peer in self.peers.values():
-            peer.is_super_peer = peer.peer_id in elected
-            if peer.is_super_peer:
+            if peer.peer_id in elected:
                 peer.super_peer_id = peer.peer_id
                 if peer.peer_id not in self._hubs:
                     self._hubs[peer.peer_id] = HubCatalog()
@@ -202,20 +201,19 @@ class TwoTierNetwork(PeerNetwork):
         # and catalogs, never a hub's online status or the hub set.
         online_hubs = self._online_hubs()
         for peer in online:
-            if not peer.is_super_peer:
+            if peer.peer_id not in elected:
                 self._attach(peer, online_hubs)
         return chosen
 
     def _on_peer_departed(self, peer: Peer) -> None:
         """Off mode: churn re-shapes the overlay instantly and for free."""
-        if peer.is_super_peer:
-            hub = self._drop_hub(peer.peer_id)
-            peer.is_super_peer = False
+        hub = self._drop_hub(peer.peer_id)
+        if hub is not None:
             # Sorted, not raw set order: orphans may re-attach least-
             # loaded first-come, so the iteration order decides the new
             # member->hub map, and raw set[str] order varies with the
             # per-process string-hash salt (PYTHONHASHSEED).
-            for orphan_id in sorted(hub.members) if hub is not None else ():
+            for orphan_id in sorted(hub.members):
                 orphan = self.peers.get(orphan_id)
                 if orphan is not None and orphan.online:
                     self._attach(orphan)
@@ -231,16 +229,13 @@ class TwoTierNetwork(PeerNetwork):
     _on_peer_removed = _on_peer_departed
 
     def _on_peer_joined_live(self, peer: Peer) -> None:
-        peer.is_super_peer = False
         peer.super_peer_id = None
         self._live_attach(peer)
 
     def _on_peer_left_live(self, peer: Peer) -> None:
         """Live mode: a departed hub's catalog is gone at once, but its
         members only find out through their own maintenance traffic."""
-        if peer.is_super_peer:
-            self._drop_hub(peer.peer_id)
-            peer.is_super_peer = False
+        self._drop_hub(peer.peer_id)
 
     def _live_attach(self, peer: Peer) -> Optional[str]:
         """Send ``peer``'s LEAF-ATTACH to a hub and return it (the adapter
@@ -259,7 +254,6 @@ class TwoTierNetwork(PeerNetwork):
         """Deterministic promotion: the peer that found no reachable hub
         becomes one itself (maintenance iterates peers in sorted order,
         so the lowest-id orphan promotes first)."""
-        peer.is_super_peer = True
         peer.super_peer_id = peer.peer_id
         if peer.peer_id not in self._hubs:
             self._hubs[peer.peer_id] = HubCatalog()
@@ -277,7 +271,7 @@ class TwoTierNetwork(PeerNetwork):
             # REGISTER that lands when it lands.  An orphaned member
             # (its hub died, repair has not run yet) shares nothing —
             # the next re-attachment re-uploads everything.
-            if peer.is_super_peer and peer_id in self._hubs:
+            if peer_id in self._hubs:
                 self._insert(peer_id, peer_id, community_id, resource_id, metadata, title)
             elif peer.super_peer_id is not None:
                 self._upload(peer_id, peer.super_peer_id, community_id, resource_id,
@@ -285,7 +279,7 @@ class TwoTierNetwork(PeerNetwork):
             return
         if not self._hubs:
             self._elect(None)
-        hub_id = peer_id if peer.is_super_peer else peer.super_peer_id
+        hub_id = peer_id if peer_id in self._hubs else peer.super_peer_id
         if hub_id is None or hub_id not in self._hubs:
             self._attach(peer)
             hub_id = peer.super_peer_id

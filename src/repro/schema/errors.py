@@ -13,10 +13,6 @@ class SchemaParseError(SchemaError):
     """Raised when an XSD document cannot be interpreted."""
 
 
-class UnknownTypeError(SchemaError):
-    """Raised when an element references a type that is not defined."""
-
-
 @dataclass(frozen=True)
 class ValidationError:
     """One validation problem found in an instance document.

@@ -191,10 +191,6 @@ class ElementDeclaration:
     default: Optional[str] = None
     documentation: str = ""
 
-    @property
-    def is_complex(self) -> bool:
-        return self.complex_type is not None
-
     def resolved_type_name(self) -> str:
         """The referenced type name without prefix ('' for inline types)."""
         return strip_prefix(self.type_name) if self.type_name else ""

@@ -11,9 +11,5 @@ class ObjectNotFoundError(StorageError):
     """Raised when a resource id does not exist in the store."""
 
 
-class DuplicateObjectError(StorageError):
-    """Raised when an object with the same id is published twice."""
-
-
 class QueryError(StorageError):
     """Raised for malformed structured queries."""

@@ -1,24 +1,16 @@
-"""Unit tests for the sharded simulator, its barrier and the partitioner."""
+"""Unit tests for the sharded simulator, its barrier and shard placement."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.engine.kernel import EventKernel, ExchangeContext
-from repro.engine.partition import (
-    cross_shard_edges,
-    hash_assignment,
-    shard_of,
-    shard_sizes,
-    topology_assignment,
-)
-from repro.engine.sharded import ShardedSimulator
+from repro.engine.sharded import ShardedSimulator, shard_of
 from repro.network.messages import Message, MessageType
 from repro.network.peers import Peer
 from repro.network.simulator import (LatencyModel, NetworkSimulator,
                                      SimulationTruncated)
 from repro.network.stats import NetworkStats
-from repro.network.topology import Topology, build_topology
 
 
 def make_sharded_kernel(*, shards=2, base_ms=20.0, jitter_ms=10.0, seed=1,
@@ -38,44 +30,17 @@ def ping(sender, recipient):
 
 
 class TestPartition:
-    def test_hash_assignment_is_stable_and_in_range(self):
+    def test_shard_of_is_stable_and_in_range(self):
+        # crc32, not the salted builtin hash: the placement decides the
+        # event interleaving, so it must not move between processes.
         ids = [f"peer-{index:04d}" for index in range(100)]
-        assignment = hash_assignment(ids, 4)
-        assert assignment == hash_assignment(ids, 4)
-        assert set(assignment.values()) <= {0, 1, 2, 3}
-        assert all(shard_of(peer_id, 4) == shard for peer_id, shard in assignment.items())
+        shards = [shard_of(peer_id, 4) for peer_id in ids]
+        assert set(shards) == {0, 1, 2, 3}
+        assert shard_of("peer-0000", 4) == 3
+        assert shard_of("peer-0001", 4) == 1
 
     def test_single_shard_maps_everything_to_zero(self):
         assert shard_of("anything", 1) == 0
-
-    def test_topology_assignment_is_balanced_and_deterministic(self):
-        ids = [f"peer-{index:04d}" for index in range(40)]
-        topology = build_topology(ids, kind="power-law", degree=4, seed=3)
-        assignment = topology_assignment(topology, 4)
-        assert assignment == topology_assignment(topology, 4)
-        sizes = shard_sizes(assignment, 4)
-        assert sum(sizes) == 40
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_topology_assignment_cuts_fewer_edges_than_hashing(self):
-        # Locality is the point of the BFS growth: on a ring the
-        # partition should cut only the few edges between segments.
-        ids = [f"peer-{index:04d}" for index in range(64)]
-        topology = build_topology(ids, kind="ring", seed=0)
-        bfs_cut = cross_shard_edges(topology, topology_assignment(topology, 4))
-        hash_cut = cross_shard_edges(topology, hash_assignment(ids, 4))
-        assert bfs_cut <= 8 < hash_cut
-
-    def test_disconnected_leftovers_go_to_lightest_shard(self):
-        topology = Topology({"a": {"b"}, "b": {"a"}, "x": set(), "y": set()})
-        assignment = topology_assignment(topology, 2)
-        assert sorted(shard_sizes(assignment, 2)) == [2, 2]
-
-    def test_edges_iterates_each_edge_once_sorted(self):
-        topology = Topology()
-        topology.add_edge("b", "a")
-        topology.add_edge("b", "c")
-        assert list(topology.edges()) == [("a", "b"), ("b", "c")]
 
 
 class TestShardedRouting:
@@ -127,13 +92,6 @@ class TestShardedRouting:
         simulator.post_keyed("anything", 5.0, fired.append, "x")
         simulator.run()
         assert fired == ["x"]
-
-    def test_assign_pins_new_node_and_rejects_bad_shard(self):
-        _, simulator, _ = make_sharded_kernel()
-        simulator.assign("late-joiner", 1)
-        assert simulator.shard_of_node("late-joiner") == 1
-        with pytest.raises(ValueError):
-            simulator.assign("x", 7)
 
 
 class TestConservativeBarrier:

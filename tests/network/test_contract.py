@@ -11,8 +11,8 @@ caching x faults x routing and checks invariants on each: shards=4
 reproduces shards=1, a switched-off mechanism's knobs change nothing, a
 switched-on mechanism engaged, every delivery meets exactly one fate,
 the traffic classes add up, every result cache's provider index equals
-a scan of its entries and a drained churn-free run leaves nothing
-behind.  A subprocess leg replays cells under two string-hash salts.
+a scan of its entries, each overlay link and hub role is stored once
+and a drained churn-free run leaves nothing behind.  A subprocess leg replays cells under two string-hash salts.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.network.gnutella import GnutellaProtocol
 from repro.network.membership import PopulationModel
 from repro.network.rendezvous import RendezvousProtocol
 from repro.network.superpeer import SuperPeerProtocol
+from repro.network.twotier import TwoTierNetwork
 from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 from repro.xmlkit.parser import parse
@@ -592,6 +593,21 @@ def observe(stats, counts) -> tuple:
     return stats.digest(counts), stats.summary(), tuple(stats.staleness_windows_ms)
 
 
+def store_violations(network) -> list:
+    """What breaks "one store per fact" at this instant: a gnutella link
+    not held by both endpoints (or a self-link, or a link to a removed
+    peer); a two-tier hub that is not an online peer homed on itself."""
+    peers = network.peers
+    if isinstance(network, GnutellaProtocol):
+        return [(a, b) for a in sorted(peers) for b in sorted(peers[a].neighbors)
+                if b == a or b not in peers or a not in peers[b].neighbors]
+    if isinstance(network, TwoTierNetwork):
+        return [hub_id for hub_id in sorted(network._hubs)
+                if hub_id not in peers or not peers[hub_id].online
+                or peers[hub_id].super_peer_id != hub_id]
+    return []
+
+
 class FateLedger:
     """Counts the deliveries one kernel schedules (one per ``send``, one
     per ``send_many`` copy) and the delivery events it executes
@@ -653,6 +669,8 @@ class CellRun:
     #: (result cache sites, those whose provider index differs from a
     #: brute-force scan of their entries) at the end of the run
     cache_index: tuple = ()
+    #: ``store_violations`` of the network at the end of the run
+    store_violations: Optional[list] = None
     #: churn-free cells only: (queued events, un-ACKed sends, cache
     #: sites on departed nodes) once timers are cancelled and drained
     leftovers: Optional[tuple] = None
@@ -700,6 +718,7 @@ def _run_cell(cell: Cell, shards: int, knobs: tuple) -> CellRun:
     sites = network.caches.sites
     run.cache_index = (len(sites), [node_id for node_id, cache in sites.items()
                                     if cache._by_provider != provider_scan(cache)])
+    run.store_violations = store_violations(network)
     return run
 
 
@@ -765,6 +784,41 @@ class TestGeneratedContract:
         for shards in (1, 4):
             sites, drifted = run_cell(cell, shards).cache_index
             assert sites > 0 and drifted == []
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
+    def test_overlay_and_hub_role_are_stored_once(self, cell):
+        """Every gnutella link sits in both endpoints' neighbour sets;
+        every two-tier hub is an online peer homed on itself.  Holds at
+        the end of every cell, churned and faulted ones included."""
+        for shards in (1, 4):
+            assert run_cell(cell, shards).store_violations == []
+
+    @pytest.mark.parametrize("lifecycle", ("churn", "live"))
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_one_store_holds_through_crashes_and_removals(self, protocol, lifecycle):
+        """No generated cell churns a hub or removes a peer, so this leg
+        crashes a hub and a member of a faulted cell and, off mode, also
+        removes a hub and a member for good, checking at every 50 ms.  A
+        live removal is left out: it is an announced departure whose
+        neighbours drop their links only when the lease lapses."""
+        cell = Cell(protocol, lifecycle, faults=True)
+        scenario = build_scenario(cell.config(faults=FaultPlan(
+            seed=17, loss_rate=0.05, crashes=(("peer-0000", 150.0), ("peer-0004", 300.0)))))
+        network = scenario.network
+        seen = []
+
+        def check():
+            seen.extend(store_violations(network))
+            network.simulator.post(50.0, check)
+
+        network.simulator.post(0.0, check)
+        if lifecycle == "churn":
+            for peer_id, at_ms in (("peer-0021", 200.0), ("peer-0001", 350.0)):
+                network.simulator.post(at_ms, network.remove_peer, peer_id)
+        scenario.run_queries(max_results=100)
+        assert network.gone >= {"peer-0000", "peer-0004"}
+        assert lifecycle == "live" or not {"peer-0001", "peer-0021"} & set(network.peers)
+        assert seen + store_violations(network) == []
 
     @pytest.mark.parametrize(("mechanism", "cell"), INERT_CASES,
                              ids=[f"{mechanism}-off-{cell.id}" for mechanism, cell in INERT_CASES])

@@ -115,14 +115,6 @@ class TestTopology:
         assert topology.degree("only") == 0
         assert topology.is_connected()
 
-    def test_remove_peer(self):
-        topology = Topology()
-        topology.add_edge("a", "b")
-        topology.add_edge("b", "c")
-        topology.remove_peer("b")
-        assert topology.neighbors("a") == set()
-        assert topology.neighbors("c") == set()
-
     def test_no_self_loops(self):
         topology = Topology()
         topology.add_edge("a", "a")

@@ -227,7 +227,7 @@ class TestSuperPeer:
         supers = superpeer_network.super_peer_ids()
         assert len(supers) == 4  # 20 peers * 0.2 ratio
         for peer in superpeer_network.peers.values():
-            if not peer.is_super_peer:
+            if peer.peer_id not in supers:
                 assert peer.super_peer_id in supers
 
     def test_query_cost_between_centralized_and_flooding(self):
@@ -244,7 +244,9 @@ class TestSuperPeer:
 
     def test_leaf_departure_reassigns_objects(self, superpeer_network):
         populate(superpeer_network)
-        leaf = next(peer for peer in superpeer_network.peers.values() if not peer.is_super_peer)
+        supers = superpeer_network.super_peer_ids()
+        leaf = next(peer for peer in superpeer_network.peers.values()
+                    if peer.peer_id not in supers)
         publish_pattern(superpeer_network, leaf.peer_id, "Unique Leaf Pattern", "only here")
         superpeer_network.set_online(leaf.peer_id, False)
         response = superpeer_network.search("peer-001", Query.keyword("patterns", "unique leaf"))
@@ -262,7 +264,9 @@ class TestSuperPeer:
 
     def test_returning_peer_reattaches(self, superpeer_network):
         populate(superpeer_network)
-        leaf = next(peer for peer in superpeer_network.peers.values() if not peer.is_super_peer)
+        supers = superpeer_network.super_peer_ids()
+        leaf = next(peer for peer in superpeer_network.peers.values()
+                    if peer.peer_id not in supers)
         superpeer_network.set_online(leaf.peer_id, False)
         superpeer_network.set_online(leaf.peer_id, True)
         assert leaf.super_peer_id in superpeer_network.super_peer_ids()

@@ -199,8 +199,9 @@ class TestLeases:
         populate(network)
         victim = network.rendezvous_ids()[0]
         network.set_online(victim, False)
+        rendezvous = network.rendezvous_ids()
         for peer in network.online_peers():
-            if not peer.is_super_peer:
+            if peer.peer_id not in rendezvous:
                 assert peer.super_peer_id != victim
         # Re-publishing after the loss makes objects searchable again.
         publish_pattern(network, "peer-001", "Observer 999")

@@ -35,7 +35,7 @@ def build(name: str):
         network.create_peer(f"peer-{index:02d}")
     hubs = elect(network)
     for peer in list(network.peers.values()):
-        if not peer.is_super_peer:
+        if peer.peer_id not in hubs:
             title = f"Pattern {peer.peer_id}"
             metadata = {"name": [title]}
             document = parse(f"<pattern><name>{title}</name></pattern>").root
@@ -59,7 +59,7 @@ def indexes_built(monkeypatch):
 
 def members_of(network, hub_id):
     return sorted(peer.peer_id for peer in network.peers.values()
-                  if peer.super_peer_id == hub_id and not peer.is_super_peer)
+                  if peer.super_peer_id == hub_id and peer.peer_id != hub_id)
 
 
 @pytest.mark.parametrize("name", ("super-peer", "rendezvous"))
@@ -72,12 +72,12 @@ class TestTwoTierChurn:
         assert len(indexes_built) - before == len(network.peers) + len(hubs)
         for peer in network.peers.values():
             assert peer.super_peer_id in hubs
-            assert peer.is_super_peer == (peer.peer_id in hubs)
+            assert (peer.super_peer_id == peer.peer_id) == (peer.peer_id in hubs)
         # A re-election keeps the surviving hubs' state and builds none.
         del indexes_built[:]
         assert elect(network, 2) == ["peer-00", "peer-01"] == hub_ids(network)
         assert indexes_built == []
-        assert not network.peers["peer-02"].is_super_peer
+        assert "peer-02" not in hub_ids(network)
         assert network.peers["peer-02"].super_peer_id in ("peer-00", "peer-01")
 
     def test_hub_departure_rehomes_orphans_without_building_hub_state(
@@ -90,7 +90,7 @@ class TestTwoTierChurn:
         assert indexes_built == []  # no throw-away hub state, no throw-away index
         survivors = hub_ids(network)
         assert survivors == [hub_id for hub_id in hubs if hub_id != departed]
-        assert not network.peers[departed].is_super_peer
+        assert departed not in hub_ids(network)
         for orphan_id in orphans:
             assert network.peers[orphan_id].super_peer_id in survivors
         # The departed hub comes back as an ordinary member, and a
@@ -121,7 +121,7 @@ class TestTwoTierChurn:
         assert hub_ids(network) == []
         network.set_online("peer-07", True)
         assert hub_ids(network) == ["peer-07"]
-        assert network.peers["peer-07"].is_super_peer
+        assert network.peers["peer-07"].super_peer_id == "peer-07"
 
 
 def test_traced_primitives_are_defined_where_the_bench_tracer_looks():

@@ -98,7 +98,10 @@ class TestOneSpellingPerLayer:
         # and build_scenario calls go_live() before the workload
         groups["membership"] = dataclasses.replace(groups["membership"], live=False)
         network = build_network(config)
-        assert getattr(network, f"{group}_config") == groups[group]
+        if group == "reliability":  # held by the two collaborators that read it
+            assert network.channel.config == network.downloads.config == groups[group]
+        else:
+            assert getattr(network, f"{group}_config") == groups[group]
 
     def test_live_membership_and_lease_reach_the_running_network(self):
         scenario = build_scenario(ScenarioConfig(
