@@ -26,11 +26,26 @@ class Resource:
     title: str = ""
     attachments: tuple[str, ...] = ()
     provider_id: str = ""
+    # The id the publish of this object computed (see ``mark_published``).
+    _published_id: str = field(default="", init=False, repr=False, compare=False)
 
     @property
     def resource_id(self) -> str:
-        """The stable content-derived identity of this object."""
-        return resource_id_for(self.community_id, self.document)
+        """The content-derived identity of this object.
+
+        Before publish it is computed from the current ``document``.
+        From publish on it is the id the object was stored under, fixed
+        then: the store keeps its own copy of the document, so a later
+        edit of ``document`` changes neither what was published nor
+        this id.  Do not mutate a published object's document; build a
+        new :class:`Resource` for a new object.
+        """
+        return self._published_id or resource_id_for(self.community_id, self.document)
+
+    def mark_published(self, resource_id: str) -> None:
+        """Fix :attr:`resource_id` to the id its publish computed, so
+        reading it costs no second canonicalise + hash of the document."""
+        self._published_id = resource_id
 
     @classmethod
     def from_xml_text(cls, community_id: str, text: str, **kwargs) -> "Resource":

@@ -27,6 +27,7 @@ from repro.core.resource import Resource
 from repro.core.stylesheets import StylesheetSet
 from repro.network.base import PeerNetwork, RetrieveResult, SearchResponse, SearchResult
 from repro.network.peers import Peer
+from repro.schema.instance import build_instance
 from repro.storage.query import Query
 from repro.storage.repository import PublishResult
 
@@ -96,18 +97,18 @@ class Servent:
         values: FormValues,
         *,
         attachments: Sequence[str] = (),
-        strict: bool = True,
     ) -> Resource:
-        """Create and share a new object in a joined community."""
+        """Create and share a new object in a joined community.
+
+        The object is built from the submitted values and validated
+        once, by :meth:`publish_resource`; an invalid one raises
+        :class:`InvalidObjectError` before anything is stored, indexed
+        or announced.
+        """
         community = self.registry.require_joined(community_id)
-        form = CreateForm.from_schema(community.name, community.schema)
-        if strict:
-            document = form.submit_strict(community.schema, values)
-        else:
-            document, _ = form.submit(community.schema, values)
         resource = Resource(
             community_id=community.community_id,
-            document=document,
+            document=build_instance(community.schema, dict(values)),
             title=_first_value(values) or "",
             attachments=tuple(attachments),
             provider_id=self.peer_id,
@@ -116,7 +117,8 @@ class Servent:
         return resource
 
     def publish_resource(self, resource: Resource) -> PublishResult:
-        """Share an existing resource (e.g. parsed from an XML file)."""
+        """Validate and share an object (built from a form, or e.g.
+        parsed from an XML file); the result carries its resource id."""
         community = self.registry.require_joined(resource.community_id)
         report = community.validate_object(resource.document)
         if not report.is_valid:
@@ -124,19 +126,21 @@ class Servent:
                 f"object rejected by community {community.name!r}: {report.summary()}"
             )
         metadata = community.extract_metadata(resource)
+        title = resource.display_title(community.schema)
         result = self.repository.publish(
             community.community_id,
             resource.document,
             metadata,
-            title=resource.display_title(community.schema),
+            title=title,
             attachment_uris=list(metadata.get("__attachments__", [])),
         )
+        resource.mark_published(result.resource_id)
         self.network.publish(
             self.peer_id,
             community.community_id,
             result.resource_id,
             metadata,
-            title=resource.display_title(community.schema),
+            title=title,
         )
         return result
 

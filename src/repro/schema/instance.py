@@ -30,12 +30,13 @@ def build_instance(schema: Schema, values: FieldValues, *, root: Optional[str] =
     declaration = schema.elements.get(root) if root else schema.root_element()
     if declaration is None:
         raise SchemaError(f"schema does not declare element {root!r}")
-    known_paths = {info.path for info in schema.fields(declaration)}
+    fields = schema.fields(declaration)
+    known_paths = {info.path for info in fields}
     unknown = [path for path in values if path not in known_paths]
     if unknown:
         raise SchemaError(f"unknown field paths: {', '.join(sorted(unknown))}")
     element = Element(declaration.name)
-    for info in schema.fields(declaration):
+    for info in fields:
         raw = values.get(info.path)
         if raw is None:
             if info.optional:

@@ -338,13 +338,16 @@ class Schema:
     def fields(self, root: Optional[ElementDeclaration] = None) -> list[FieldInfo]:
         """Return the leaf fields of the (default: root) element, in order.
 
-        The default-root walk is done once per schema content (the
+        The root walk — asked for by default or by passing the root
+        declaration itself — is done once per schema content (the
         publish path asks for it several times per object); every call
         returns a fresh list of the shared :class:`FieldInfo` records.
         """
-        if root is None:
+        if root is None or root is next(iter(self.elements.values()), None):
             if self._root_fields is None:
-                self._root_fields = self.fields(self.root_element())
+                walked: list[FieldInfo] = []
+                self._collect_fields(self.root_element(), prefix="", out=walked, seen=set())
+                self._root_fields = walked
             return list(self._root_fields)
         collected: list[FieldInfo] = []
         self._collect_fields(root, prefix="", out=collected, seen=set())

@@ -42,14 +42,6 @@ class TestCreateFunction:
                 "title": "x", "artist": "y", "album": "z", "genre": "polka", "bitrate": "192",
             })
 
-    def test_non_strict_accepts_invalid(self, alice_with_mp3s):
-        alice, _, community = alice_with_mp3s
-        with pytest.raises(InvalidObjectError):
-            # still rejected at publish because the community validates it
-            alice.create_object(community.community_id, {
-                "title": "x", "artist": "y", "album": "z", "genre": "polka", "bitrate": "192",
-            }, strict=False)
-
     def test_publish_resource_from_xml(self, alice_with_mp3s, sample_mp3_xml):
         alice, _, community = alice_with_mp3s
         resource = Resource.from_xml_text(community.community_id, sample_mp3_xml)
