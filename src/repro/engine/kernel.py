@@ -19,6 +19,17 @@ follow-up messages *during* their own delivery, ``pending`` can only
 reach zero when no message of the exchange remains in flight, at which
 point the context is marked done and stamped with the completion time.
 
+One kind of copy never enters the queue at all: a flood copy of a
+once-per-node type sent to a node the exchange already visited (see
+:meth:`EventKernel.deliver_once_per_node`) could only arrive as a
+filtered duplicate, so the fan-out *absorbs* it at send time — it is
+counted and meets its fault fate as always, but instead of a queue
+entry and a ``pending`` token it leaves only its arrival time, folded
+into the context's ``horizon``.  When ``pending`` reaches zero the
+exchange completes then, or, if an absorbed copy would still have been
+in flight, by one queued completion at the horizon: ``completed_at`` is
+the last arrival either way.
+
 Two concrete context kinds exist: :class:`QueryContext` for searches
 and :class:`RetrieveContext` for downloads.  Both ride the same queue,
 so a download taken while queries are in flight perturbs neither their
@@ -69,6 +80,9 @@ class ExchangeContext:
     finalized: bool = False
     starved: bool = False
     completed_at: float = 0.0
+    #: latest arrival time of a copy absorbed at send (see
+    #: :meth:`EventKernel.send_many`): the exchange completes no earlier
+    horizon: float = 0.0
     #: invoked once, with the context, when the exchange completes; the
     #: batch driver uses this to count completions in O(1) instead of
     #: polling every context after every processed event
@@ -198,6 +212,11 @@ class MaintenanceTimer:
 class EventKernel:
     """Message scheduling, dispatch and per-exchange accounting."""
 
+    #: whether :meth:`send_many` absorbs copies to already-visited nodes
+    #: (a kernel holding only part of an exchange's ``visited`` and
+    #: ``pending`` cannot decide that, and turns it off)
+    absorbs_visited_copies = True
+
     def __init__(self, *, simulator: NetworkSimulator, peers: dict[str, "Peer"],
                  stats: NetworkStats) -> None:
         self.simulator = simulator
@@ -239,7 +258,14 @@ class EventKernel:
         type the kernel keeps the exchange's ``visited`` set itself: a
         delivery at a node already in it never enters a handler frame.
         It is still a message that was sent — counted at send time, its
-        ``pending`` token released at its arrival time.  Exchanges that
+        ``pending`` token released at its arrival time.
+
+        A copy :meth:`send_many` addresses to a node *already* in
+        ``visited`` could only arrive filtered, since ``visited`` only
+        grows.  Such a copy, unless it carries an ``ack_to`` (then it
+        must reach its recipient), is absorbed: counted and fault-
+        decided as usual, its arrival time folded into the context's
+        ``horizon``, no event and no ``pending`` token.  Exchanges that
         carry a registered type must have a ``visited`` set (the search
         and membership contexts do); a delivery without an exchange is
         never filtered.
@@ -341,66 +367,96 @@ class EventKernel:
         once for the hop; then, per copy and in the given order, the
         link latency is read and the delivery posted — the same events,
         in the same order, as one :meth:`send` per copy.
+
+        A copy of a once-per-node type to a node the exchange already
+        visited is absorbed instead of posted (see
+        :meth:`deliver_once_per_node`): everything above still happens
+        to it, fault decision included, but its arrival only raises the
+        context's ``horizon``.  It holds no ``pending`` token, so a
+        fan-out sent outside the exchange's own events must be followed
+        by :meth:`finish_if_idle`, as any exchange that may send nothing.
         """
         if not messages:
             return
         first = messages[0]
         count = len(messages)
         size = first.size_bytes
-        self.stats.record(first.type._value_, size, count)
+        type_value = first.type._value_
+        self.stats.record(type_value, size, count)
+        visited = None
         if context is not None:
             context.messages_sent += count
             context.bytes_sent += count * size
-            context.pending += count
+            if self.absorbs_visited_copies and type_value in self._once_per_node:
+                visited = context.visited  # type: ignore[attr-defined]
         sender = first.sender
         row = self._latency_row(sender)
         faulted = self.faults is not None
         post = self.simulator.post
         deliver = self._deliver
+        absorbed = 0
         for message in messages:
             recipient = message.recipient
             delay = row.get(recipient)
             if delay is None:
                 delay = self._link_latency(sender, recipient)
-            if faulted:
+            if visited is not None and recipient in visited and not message.ack_to:
+                absorbed += 1
+                if faulted:
+                    self._post_faulted(delay, message, context, absorbed=True)
+                else:
+                    self._absorb(delay, deliver, message, context)
+            elif faulted:
                 self._post_faulted(delay, message, context)
             else:
                 post(delay, deliver, message, context)
+        if context is not None:
+            context.pending += count - absorbed
 
     def _post_faulted(self, delay: float, message: Message,
-                      context: Optional[ExchangeContext]) -> None:
+                      context: Optional[ExchangeContext], *,
+                      absorbed: bool = False) -> None:
         """The send tail under fault injection: one fate per copy.
 
         ``decide`` keys same-instant sends on one link by their
         occurrence index, so it must be consulted exactly once per copy,
-        in send order.
+        in send order — an absorbed copy included, whose deliveries
+        (and drop) go to :meth:`_absorb` instead of the queue.
         """
         assert self.faults is not None
         decision = self.faults.decide(message.sender, message.recipient,
                                       self.simulator.now)
+        post: Callable[..., None] = self._absorb if absorbed else self.simulator.post
         if decision.drop:
             # The delivery is lost, but the exchange's reference
             # count must still fall at the original arrival time —
             # a drop event rides the queue in the delivery's place
             # (and routes to the recipient's shard exactly like it).
             self.stats.record_drop(partition=decision.partitioned)
-            self.simulator.post(delay, self._drop, message, context)
+            post(delay, self._drop, message, context)
             return
         if decision.duplicate:
             self.stats.record_duplicate()
-            if context is not None:
+            if context is not None and not absorbed:
                 context.pending += 1
-            self.simulator.post(delay + decision.duplicate_lag_ms,
-                                self._deliver, message, context)
-        self.simulator.post(delay + decision.extra_delay_ms,
-                            self._deliver, message, context)
+            post(delay + decision.duplicate_lag_ms, self._deliver, message, context)
+        post(delay + decision.extra_delay_ms, self._deliver, message, context)
+
+    def _absorb(self, delay_ms: float, _callback: Callable[..., None],
+                _message: Message, context: ExchangeContext) -> None:
+        """Where an absorbed copy's delivery goes instead of the queue:
+        its arrival time (the one :meth:`NetworkSimulator.post` would
+        queue it at) raises the exchange's ``horizon``."""
+        arrival = self.simulator.now + delay_ms
+        if arrival > context.horizon:
+            context.horizon = arrival
 
     def _drop(self, message: Message, context: Optional[ExchangeContext]) -> None:
         """A faulted delivery's arrival-time bookkeeping (no dispatch)."""
         if context is not None:
             context.pending -= 1
             if context.pending <= 0 and not context.done:
-                self._complete(context)
+                self._settle(context)
 
     def release(self, context: ExchangeContext) -> None:
         """Drop one externally-held pending token (reliable envelopes and
@@ -408,12 +464,21 @@ class EventKernel:
         complete while a retransmission or failover may still extend it)."""
         context.pending -= 1
         if context.pending <= 0 and not context.done:
-            self._complete(context)
+            self._settle(context)
 
     def finish_if_idle(self, context: ExchangeContext) -> None:
         """Complete an exchange that sent no messages (purely local answer)."""
         if context.pending == 0 and not context.done:
+            self._settle(context)
+
+    def _settle(self, context: ExchangeContext) -> None:
+        """``pending`` reached zero: complete the exchange now, or — while
+        an absorbed copy would still be in flight — by one event at its
+        ``horizon``, the instant its last delivery would have arrived."""
+        if context.horizon <= self.simulator.now:
             self._complete(context)
+        else:
+            self.simulator.post_at(context.horizon, self._complete, context)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -445,7 +510,7 @@ class EventKernel:
             if context is not None:
                 context.pending -= 1
                 if context.pending <= 0 and not context.done:
-                    self._complete(context)
+                    self._settle(context)
 
     def _complete(self, context: ExchangeContext) -> None:
         context.done = True

@@ -385,6 +385,9 @@ class WorkerKernel(EventKernel):
     drained-queue starvation (:meth:`mark_starved`).
     """
 
+    #: ``visited`` and ``pending`` are this worker's partial views
+    absorbs_visited_copies = False
+
     def __init__(self, runtime: WorkerRuntime, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self._rt = runtime

@@ -1,9 +1,11 @@
 """A small discrete-event simulator for the peer-to-peer substrate.
 
 The simulator provides a virtual clock, an event queue and a latency
-model between peers.  There is one way onto the queue — :meth:`post`
-(or :meth:`post_keyed`, with a shard-affinity hint) — and the clock
-moves only by processing events: ``run``, ``step`` and ``drive`` pop
+model between peers.  Events go onto the queue by :meth:`post`, a delay
+from now (or :meth:`post_keyed`, with a shard-affinity hint), or by
+:meth:`post_at`, an absolute time no earlier than now (the kernel's
+completion of an exchange at its horizon) — and the clock moves only by
+processing events: ``run``, ``step`` and ``drive`` pop
 the earliest entry and set ``now`` to its time.  Message deliveries,
 timers, churn transitions and workload submissions all share that one
 clock, so experiments can mix churn events with query workloads.
@@ -130,6 +132,16 @@ class NetworkSimulator:
         """
         heapq.heappush(self._queue,
                        (self._now + delay_ms, next(self._sequence), callback, args))
+
+    def post_at(self, time_ms: float, callback: Callable[..., None], *args) -> None:
+        """Queue ``callback(*args)`` to run at virtual time ``time_ms``.
+
+        The absolute spelling of :meth:`post`, for an instant computed
+        earlier as ``now + delay`` — re-adding a delay to a later
+        ``now`` could round to a different float.  ``time_ms`` must not
+        lie in the past; nothing checks it.
+        """
+        heapq.heappush(self._queue, (time_ms, next(self._sequence), callback, args))
 
     def post_keyed(self, key: str, delay_ms: float,
                    callback: Callable[..., None], *args) -> None:

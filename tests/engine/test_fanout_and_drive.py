@@ -4,6 +4,12 @@
   and without injected faults, leaves statistics, exchange counters and
   the queued deliveries exactly as one ``send()`` per copy does — on the
   single-queue simulator and on a sharded one.
+* The same property for a once-per-node type, whose copies to nodes the
+  exchange already visited are absorbed instead of queued: what the
+  absorbing fan-out queues plus what a test-side oracle says it absorbs
+  is what one ``send()`` per copy queues, the exchange's ``horizon`` is
+  the latest absorbed arrival, and the exchange completes at the same
+  instant.
 * The semantics of ``NetworkSimulator.drive`` (the loop under every
   batch and every synchronous search), on both simulators.
 """
@@ -32,13 +38,18 @@ SIMULATORS = {
 }
 
 
-def queued(simulator):
-    """Every queued entry as ``(time, sequence, callback name, recipient)``."""
+def entries(simulator):
+    """Every queued entry, in the order the simulator would run them."""
     queues = [simulator._queue]
     if isinstance(simulator, ShardedSimulator):
         queues += [*simulator._shard_queues, simulator._outbox]
-    return sorted((entry[0], entry[1], entry[2].__name__, entry[3][0].recipient)
-                  for entry in itertools.chain(*queues))
+    return sorted(itertools.chain(*queues), key=lambda entry: entry[:2])
+
+
+def queued(simulator):
+    """Every queued entry as ``(time, sequence, callback name, recipient)``."""
+    return [(entry[0], entry[1], entry[2].__name__, entry[3][0].recipient)
+            for entry in entries(simulator)]
 
 
 def fan_out_state(make_simulator, recipients, plan, *, many):
@@ -93,6 +104,100 @@ def test_fan_out_is_one_send_per_copy(recipients, plan, simulator):
     one_by_one = fan_out_state(make, recipients, plan, many=False)
     assert fan_out_state(make, recipients, plan, many=True) == one_by_one
     assert one_by_one["context"][0] == len(recipients)
+
+
+def once_per_node_fan_out(make_simulator, recipients, visited, acked, plan, *, absorbing):
+    """Fan a once-per-node QUERY out from inside a delivery at ``s``, for an
+    exchange that has visited ``visited`` and holds a token the fan-out
+    releases; the copies to the recipients ``acked`` names await an ACK.
+    Returns the run's state right after the fan-out and after a drain,
+    plus the copies the oracle says an absorbing kernel absorbs: once-
+    per-node type, recipient in ``visited`` at send, no ``ack_to``."""
+    simulator = make_simulator()
+    stats = NetworkStats()
+    kernel = EventKernel(simulator=simulator, stats=stats,
+                         peers={node: Peer(peer_id=node) for node in NODES})
+    kernel.deliver_once_per_node(MessageType.QUERY)
+    context = QueryContext(query=Query("c"), origin_id="s")
+    context.visited.update(visited)
+    context.pending += 1
+    held = query_message("x", "s", "<q/>", ttl=4, message_id="flood-1")
+    absorbable = {}   # id -> copy, which also keeps the id unique
+
+    def fan_out(peer, message, _context):
+        if message is not held:
+            return
+        copies = [message.forwarded("s", recipient) for recipient in recipients]
+        for copy in copies:
+            if copy.recipient in acked:
+                copy.ack_to = "s"
+        absorbable.update((id(copy), copy) for copy in copies
+                          if copy.recipient in context.visited and not copy.ack_to)
+        if absorbing:
+            kernel.send_many(copies, context=context)
+        else:
+            for copy in copies:
+                kernel.send(copy, context=context)
+        kernel.release(context)
+
+    kernel.register(MessageType.QUERY, fan_out)
+    kernel.send(held)
+    kernel.faults = build_fault_model(plan)   # after the send that must arrive
+    assert simulator.step()   # the delivery at s; its fan-out stays queued
+
+    def state():
+        return {"messages": dict(stats.messages_by_type), "bytes": dict(stats.bytes_by_type),
+                "faults": stats.fault_summary(),
+                "context": (context.messages_sent, context.bytes_sent),
+                "completion": (context.done, context.completed_at, context.starved)}
+
+    after_fan_out = dict(state(), pending=context.pending, horizon=context.horizon,
+                         now=simulator.now, entries=entries(simulator))
+    simulator.run()
+    return after_fan_out, dict(state(), pending=context.pending), absorbable
+
+
+def arrival(entry):
+    """A queued entry without its sequence number: when, what, where."""
+    target = entry[3][0]
+    return entry[0], entry[2].__name__, getattr(target, "recipient", None)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(recipients=st.lists(st.sampled_from(NODES), max_size=7),
+       visited=st.sets(st.sampled_from(NODES)),
+       acked=st.sets(st.sampled_from(NODES), max_size=2),
+       plan=fault_plans, simulator=st.sampled_from(sorted(SIMULATORS)))
+def test_absorbing_fan_out_is_one_send_per_copy(recipients, visited, acked, plan, simulator):
+    make = SIMULATORS[simulator]
+    reference, reference_end, expected = once_per_node_fan_out(
+        make, recipients, visited, acked, plan, absorbing=False)
+    absorbing, absorbing_end, absorbed = once_per_node_fan_out(
+        make, recipients, visited, acked, plan, absorbing=True)
+
+    for key in ("messages", "bytes", "faults", "context"):
+        assert absorbing[key] == reference[key]
+    # Split the reference's queued deliveries by the oracle's verdict on
+    # their copy; fault duplicates and drops of an absorbed copy count.
+    absorbed_arrivals = [arrival(entry) for entry in reference["entries"]
+                         if id(entry[3][0]) in expected]
+    kept = [arrival(entry) for entry in reference["entries"]
+            if id(entry[3][0]) not in expected]
+    deliveries = [entry for entry in absorbing["entries"]
+                  if entry[2].__name__ != "_complete"]
+    assert not [entry for entry in deliveries if id(entry[3][0]) in absorbed]
+    assert [arrival(entry) for entry in deliveries] == kept
+    assert absorbing["horizon"] == max((time for time, _, _ in absorbed_arrivals), default=0.0)
+    assert absorbing["pending"] == reference["pending"] - len(absorbed_arrivals)
+    # One horizon event stands in for the absorbed arrivals exactly when
+    # nothing else of the exchange is queued and one is still ahead.
+    settles = [arrival(entry)[:2] for entry in absorbing["entries"]
+               if entry[2].__name__ == "_complete"]
+    waits = absorbing["pending"] == 0 and absorbing["horizon"] > absorbing["now"]
+    assert settles == ([(absorbing["horizon"], "_complete")] if waits else [])
+
+    assert absorbing_end == reference_end
+    assert absorbing_end["completion"][0] and not absorbing_end["completion"][2]
 
 
 @pytest.fixture(params=sorted(SIMULATORS))

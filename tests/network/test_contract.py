@@ -36,6 +36,7 @@ from repro.network.errors import DuplicatePeerError
 from repro.network.faults import FaultPlan
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.membership import PopulationModel
+from repro.network.messages import MessageType
 from repro.network.rendezvous import RendezvousProtocol
 from repro.network.superpeer import SuperPeerProtocol
 from repro.network.twotier import TwoTierNetwork
@@ -608,26 +609,52 @@ def store_violations(network) -> list:
     return []
 
 
+#: the types gnutella delivers at most once per node per exchange
+GNUTELLA_ONCE_PER_NODE = frozenset((MessageType.QUERY, MessageType.PING))
+
+
 class FateLedger:
     """Counts the deliveries one kernel schedules (one per ``send``, one
     per ``send_many`` copy) and the delivery events it executes
     (``_deliver`` or ``_drop``), by wrapping those entry points on the
-    kernel instance."""
+    kernel instance.
+
+    A fan-out absorbs, instead of queueing, each copy of a once-per-node
+    type to a node its exchange already visited that awaits no ACK.  The
+    ledger names those copies itself at send time, from the same three
+    facts, and counts each one, and each fault duplicate of one, as
+    absorbed."""
 
     def __init__(self, network) -> None:
         kernel = network.kernel
         self.network = network
-        self.scheduled = self.executed = 0
-        send, send_many, deliver, drop = (kernel.send, kernel.send_many,
-                                          kernel._deliver, kernel._drop)
+        self.scheduled = self.executed = self.absorbed = 0
+        once_per_node = (GNUTELLA_ONCE_PER_NODE if isinstance(network, GnutellaProtocol)
+                         else frozenset())
+        absorbing: set[int] = set()   # ids of the copies of the fan-out being sent
+        send, send_many, deliver, drop, post_faulted = (
+            kernel.send, kernel.send_many, kernel._deliver, kernel._drop,
+            kernel._post_faulted)
 
         def counted_send(message, **kwargs):
             self.scheduled += 1
             send(message, **kwargs)
 
-        def counted_send_many(messages, **kwargs):
+        def counted_send_many(messages, *, context=None):
             self.scheduled += len(messages)
-            send_many(messages, **kwargs)
+            if context is not None:
+                absorbing.update(id(copy) for copy in messages
+                                 if copy.type in once_per_node and not copy.ack_to
+                                 and copy.recipient in context.visited)
+            self.absorbed += len(absorbing)
+            send_many(messages, context=context)
+            absorbing.clear()
+
+        def counted_post_faulted(delay, message, context, **kwargs):
+            duplicated = network.stats.duplicated
+            post_faulted(delay, message, context, **kwargs)
+            if id(message) in absorbing:
+                self.absorbed += network.stats.duplicated - duplicated
 
         def counted_deliver(*args):
             self.executed += 1
@@ -639,6 +666,7 @@ class FateLedger:
 
         kernel.send, kernel.send_many = counted_send, counted_send_many
         kernel._deliver, kernel._drop = counted_deliver, counted_drop
+        kernel._post_faulted = counted_post_faulted
         self.callbacks = (deliver, drop, counted_deliver, counted_drop)
         self.queued_at_start = self.queued()
 
@@ -649,9 +677,10 @@ class FateLedger:
         return sum(entry[2] in self.callbacks for heap in heaps for entry in heap)
 
     def balance(self) -> tuple[int, int]:
-        """(deliveries scheduled, deliveries executed or still queued)."""
+        """(deliveries scheduled, deliveries executed, absorbed or still
+        queued)."""
         scheduled = self.queued_at_start + self.scheduled + self.network.stats.duplicated
-        return scheduled, self.executed + self.queued()
+        return scheduled, self.executed + self.absorbed + self.queued()
 
 
 @dataclass
@@ -756,7 +785,7 @@ class TestGeneratedContract:
     @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
     def test_every_delivery_meets_one_fate(self, cell):
         """Deliveries scheduled (plus fault duplicates) equal deliveries
-        executed or dropped plus those still queued."""
+        executed or dropped, absorbed at send, or still queued."""
         for shards in (1, 4):
             for scheduled, accounted in run_cell(cell, shards).fates:
                 assert scheduled == accounted

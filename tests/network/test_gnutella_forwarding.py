@@ -10,8 +10,8 @@ returns:
 * under faults, every surviving copy keeps its fate — decisions are
   keyed by sender, recipient and send instant — so searches issued at
   fixed instants return the hits frozen before the rule was enforced;
-* every QUERY copy sent meets exactly one fate, and nothing of a flood
-  is left queued or pending at quiescence.
+* every QUERY copy sent meets exactly one fate — absorbed at send among
+  them — and nothing of a flood is left queued or pending at quiescence.
 """
 
 import collections
@@ -115,14 +115,24 @@ class _QueryFates:
         fates = self
 
         def counting_send_many(kernel, messages, *, context=None):
+            absorbed = []
             for copy in messages:
                 if copy.type is MessageType.QUERY:
                     fates.sent[id(copy)] = copy
+                    # QUERY is delivered once per node: a copy to a node
+                    # the flood already visited, awaiting no ACK, is
+                    # absorbed at send, its fault duplicates with it.
+                    if (context is not None and copy.recipient in context.visited
+                            and not copy.ack_to):
+                        absorbed.append(copy)
             send_many(kernel, messages, context=context)
+            for copy in absorbed:
+                for _ in range(1 + fates.duplicated[id(copy)]):
+                    fates.book(copy, "absorbed")
 
-        def counting_post_faulted(kernel, delay, message, context):
+        def counting_post_faulted(kernel, delay, message, context, **kwargs):
             duplicated = kernel.stats.duplicated
-            post_faulted(kernel, delay, message, context)
+            post_faulted(kernel, delay, message, context, **kwargs)
             if message.type is MessageType.QUERY:
                 fates.duplicated[id(message)] += kernel.stats.duplicated - duplicated
 
@@ -154,10 +164,11 @@ class _QueryFates:
 
 @pytest.mark.parametrize("plan", [None, FAULTS], ids=["clean", "faults"])
 def test_every_query_copy_meets_exactly_one_fate(monkeypatch, plan):
-    """Handled at its first arrival, filtered as a duplicate, delivered to
-    an offline peer, or dropped by a fault — one of the four per copy
-    (plus one more per extra delivery the duplication fault made), and
-    nothing of any flood left queued or pending at quiescence."""
+    """Absorbed at send (its recipient already visited), handled at its
+    first arrival, filtered as a duplicate, delivered to an offline peer,
+    or dropped by a fault — one of the five per copy (plus one more per
+    extra delivery the duplication fault made), and nothing of any flood
+    left queued or pending at quiescence."""
     scenario = fixed_scenario(churn_session_ms=3_000.0, churn_absence_ms=1_500.0)
     fates = _QueryFates(monkeypatch)
     contexts = searches_at_fixed_instants(scenario, plan)
@@ -170,6 +181,7 @@ def test_every_query_copy_meets_exactly_one_fate(monkeypatch, plan):
     assert sum(fates.fates.values()) == len(fates.sent) + sum(fates.duplicated.values())
     assert fates.fates["handled"] == sum(context.peers_probed for context in contexts)
     assert fates.fates["duplicate"] > 0 and fates.fates["offline"] > 0
+    assert fates.fates["absorbed"] > 0
     if plan is not None:
         assert fates.fates["dropped"] > 0 and sum(fates.duplicated.values()) > 0
     else:
