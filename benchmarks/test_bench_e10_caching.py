@@ -20,8 +20,7 @@ repeat-heavy workload (``query_repeat_alpha``) and records, per cell:
 
 Churn strikes everyone but two searchers — publishers included — so
 cached entries genuinely go stale; membership stays in the instant
-(off) mode so the message delta is purely the cache's doing.  The
-record lands in ``BENCH_perf.json`` under the ``caching`` key.
+(off) mode so the message delta is purely the cache's doing.
 
 At this workload's scale the capacity dimension binds only at the
 centralized server (the one site that sees all 48 queries); per-peer
@@ -61,13 +60,8 @@ BASE = dict(
     query_repeat_alpha=0.6,
 )
 
-RECORD: dict = {
-    "suite": "e10_caching",
-    "schema_version": 1,
-    "query_repeat_alpha": BASE["query_repeat_alpha"],
-    "churn_levels_session_ms": dict(CHURN_LEVELS),
-    "protocols": {},
-}
+#: collected by the grid tests; the last test prints it
+RECORD: dict = {"protocols": {}}
 
 
 def run_cell(
@@ -156,18 +150,12 @@ def test_bench_e10_caching_grid(benchmark, protocol):
         assert best > 0, f"{protocol}: caching must save broadcast traffic on repeats"
 
 
-def test_bench_e10_write_record(benchmark, report, request):
-    """Merge the caching record into ``BENCH_perf.json`` (preserving all
-    other suites' keys) and print the sweep table."""
+def test_bench_e10_write_record(benchmark, report):
+    """Print the sweep table."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(RECORD["protocols"]) == set(PROTOCOLS), (
         "run the whole module so every protocol is measured"
     )
-    if request.config.getoption("benchmark_disable", False):
-        pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
-    from conftest import write_perf_record
-
-    write_perf_record({"caching": RECORD})
     rows = []
     for protocol in PROTOCOLS:
         for cell in RECORD["protocols"][protocol]["cells"]:

@@ -37,16 +37,11 @@ A deliberately visible trade-off: *larger* filters are more precise,
 so more hops see every neighbour refuse — and each such hop falls back
 to the full blind fan-out.  Cells where precision rises but savings
 fall (fallbacks climbing) are the experiment's finding, not a bug.
-
-The record lands in ``BENCH_perf.json`` under the ``routing`` key;
-``check_perf_regression.py`` guards each cell's throughput.
 """
 
 from __future__ import annotations
 
 import time
-
-import pytest
 
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
@@ -69,18 +64,11 @@ BASE = dict(
     query_interarrival_ms=20.0,
 )
 
-RECORD: dict = {
-    "suite": "e11_informed_routing",
-    "schema_version": 1,
-    "filter_bits": list(FILTER_BITS),
-    "depths": list(DEPTHS),
-    "churn_levels_session_ms": dict(CHURN_LEVELS),
-    "grid": {},
-    "live": {},
-}
+#: collected by the grid test; the last test prints it
+RECORD: dict = {"grid": {}}
 
 
-def _run_once(session_ms, **overrides) -> dict:
+def run_cell(session_ms, **overrides) -> dict:
     """One run: relay churn per the scenario knobs, filters per cell."""
     if session_ms is not None:
         overrides = dict(overrides, churn_session_ms=session_ms,
@@ -104,39 +92,18 @@ def _run_once(session_ms, **overrides) -> dict:
     }
 
 
-def run_cell(session_ms, *, repeats: int, **overrides) -> dict:
-    """Best-of-``repeats`` wall time; the simulation is deterministic,
-    so every repeat produces the same counters and only the clock
-    varies — the minimum keeps a one-off slow sample out of the
-    committed record."""
-    best = None
-    for _ in range(repeats):
-        sample = _run_once(session_ms, **overrides)
-        if best is None or sample["wall_s"] < best["wall_s"]:
-            best = sample
-    return best
-
-
-def _timing_repeats(request) -> int:
-    """Best-of-3 when wall time lands in the record; a single run under
-    ``--benchmark-disable`` (tier-1/fast-CI mode), where the record is
-    never written and only the deterministic counters matter."""
-    return 1 if request.config.getoption("benchmark_disable", False) else 3
-
-
-def test_bench_e11_routing_grid(benchmark, request):
+def test_bench_e11_routing_grid(benchmark):
     """The filter-geometry x churn grid, with a blind baseline per
     churn level; recall is asserted identical in every cell."""
-    repeats = _timing_repeats(request)
     grid = {}
 
     def measure():
         for level, session_ms in CHURN_LEVELS.items():
-            blind = run_cell(session_ms, repeats=repeats)
+            blind = run_cell(session_ms)
             grid[f"{level}/blind"] = blind
             for bits in FILTER_BITS:
                 for depth in DEPTHS:
-                    sample = run_cell(session_ms, repeats=repeats,
+                    sample = run_cell(session_ms,
                                       informed_routing=True,
                                       routing_filter_bits=bits,
                                       routing_depth=depth)
@@ -167,17 +134,15 @@ def test_bench_e11_routing_grid(benchmark, request):
             f"{level}: no filter geometry saved any messages")
 
 
-def test_bench_e11_live_advertisement_cost(benchmark, request):
+def test_bench_e11_live_advertisement_cost(benchmark):
     """One live-membership cell: the filters ride keepalive PONGs, so
     the advertisement bytes they add are real measured control traffic."""
-    repeats = _timing_repeats(request)
     samples = {}
 
     def measure():
         cell = dict(live_membership=True, maintenance_interval_ms=250.0)
-        samples["blind"] = run_cell(CHURN_LEVELS["churny"], repeats=repeats, **cell)
-        samples["informed"] = run_cell(CHURN_LEVELS["churny"], repeats=repeats,
-                                       informed_routing=True, **cell)
+        samples["blind"] = run_cell(CHURN_LEVELS["churny"], **cell)
+        samples["informed"] = run_cell(CHURN_LEVELS["churny"], informed_routing=True, **cell)
         return samples
 
     benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -186,34 +151,12 @@ def test_bench_e11_live_advertisement_cost(benchmark, request):
         "live cell: informed routing changed a result count")
     assert informed["routing_filter_bytes"] > 0, (
         "live membership must bill filter advertisements")
-    informed["advert_bytes_per_message_saved"] = round(
-        informed["routing_filter_bytes"]
-        / max(1, blind["messages"] - informed["messages"]), 1)
-    RECORD["live"] = {"blind": blind, "informed": informed}
 
 
-def test_bench_e11_write_record(benchmark, report, request):
-    """Merge the routing record into ``BENCH_perf.json`` (preserving
-    all other suites' keys) and print the sweep table."""
+def test_bench_e11_write_record(benchmark, report):
+    """Print the sweep table."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert RECORD["grid"], "run the whole module so the grid is measured"
-    if request.config.getoption("benchmark_disable", False):
-        pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
-    from conftest import write_perf_record
-
-    # Per-query counts pin recall inside this run; they are bulky and
-    # per-cell identical to the blind baseline, so the committed record
-    # keeps the scalar summaries only.
-    record = {**RECORD, "grid": {
-        label: {key: value for key, value in sample.items() if key != "counts"}
-        for label, sample in RECORD["grid"].items()
-    }}
-    if RECORD["live"]:
-        record["live"] = {
-            which: {key: value for key, value in sample.items() if key != "counts"}
-            for which, sample in RECORD["live"].items()
-        }
-    write_perf_record({"routing": record})
     rows = []
     for level in CHURN_LEVELS:
         blind = RECORD["grid"][f"{level}/blind"]

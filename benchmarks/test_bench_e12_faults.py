@@ -24,8 +24,8 @@ the reliable-delivery hardening buys per protocol:
 
 Gnutella's query plane is best-effort by design (flood redundancy is
 its loss recovery), so its hardening applies to downloads only — the
-record shows that honestly rather than forcing an envelope onto the
-flood.  The record lands in ``BENCH_perf.json`` under ``faults``.
+table shows that honestly rather than forcing an envelope onto the
+flood.
 """
 
 from __future__ import annotations
@@ -86,35 +86,12 @@ OUTAGE_HARDENED = dict(
 
 OUTAGE_WINDOW = (500.0, 2_500.0)
 
-RECORD: dict = {
-    "suite": "e12_faults",
-    "schema_version": 1,
-    "loss_rates": list(LOSS_RATES),
-    "fault_seed": FAULT_SEED,
-    "outage_window_ms": list(OUTAGE_WINDOW),
-    "protocols": {},
-    "failover": {},
-}
+#: collected by the grid tests; the last test prints it
+RECORD: dict = {"protocols": {}}
 
 
-def run_loss_cell(protocol: str, loss_rate: float, hardened: bool,
-                  *, repeats: int = 3) -> dict:
-    """One loss-sweep cell: mixed workload under uniform message loss.
-
-    The simulation is deterministic, so every repeat produces the same
-    counters; only the wall clock varies.  Best-of-``repeats`` keeps a
-    one-off slow (or fast) sample from landing in the committed record
-    as if it were the trajectory — these cells run in tens of
-    milliseconds, where a single scheduler stall reads as a 5x swing."""
-    best = None
-    for _ in range(repeats):
-        sample = _run_loss_cell_once(protocol, loss_rate, hardened)
-        if best is None or sample["wall_s"] < best["wall_s"]:
-            best = sample
-    return best
-
-
-def _run_loss_cell_once(protocol: str, loss_rate: float, hardened: bool) -> dict:
+def run_loss_cell(protocol: str, loss_rate: float, hardened: bool) -> dict:
+    """One loss-sweep cell: mixed workload under uniform message loss."""
     knobs = dict(HARDENED) if hardened else {}
     plan = FaultPlan(seed=FAULT_SEED, loss_rate=loss_rate) if loss_rate else None
     scenario = build_scenario(ScenarioConfig(
@@ -140,20 +117,10 @@ def _run_loss_cell_once(protocol: str, loss_rate: float, hardened: bool) -> dict
     }
 
 
-def run_outage_cell(protocol: str, hardened: bool, *, repeats: int = 3) -> dict:
+def run_outage_cell(protocol: str, hardened: bool) -> dict:
     """One partition-outage cell: a deterministic mid-workload cut
     between the pure searchers and everyone else (providers, relays and
-    the organisations' virtual hubs), healing before the workload ends.
-    Best-of-``repeats`` wall clock, same counters every repeat."""
-    best = None
-    for _ in range(repeats):
-        sample = _run_outage_cell_once(protocol, hardened)
-        if best is None or sample["wall_s"] < best["wall_s"]:
-            best = sample
-    return best
-
-
-def _run_outage_cell_once(protocol: str, hardened: bool) -> dict:
+    the organisations' virtual hubs), healing before the workload ends."""
     knobs = dict(OUTAGE_HARDENED) if hardened else {}
     config = ScenarioConfig(protocol=protocol, **knobs, **BASE)
     scenario = build_scenario(config)
@@ -229,34 +196,25 @@ def run_failover_demo() -> dict:
     return {"control_no_replica": control, "treatment_with_replica": treatment}
 
 
-def sweep_protocol(protocol: str, *, repeats: int = 3) -> dict:
+def sweep_protocol(protocol: str) -> dict:
     cells = []
     for loss_rate in LOSS_RATES:
         for hardened in (False, True):
-            cells.append(run_loss_cell(protocol, loss_rate, hardened,
-                                       repeats=repeats))
+            cells.append(run_loss_cell(protocol, loss_rate, hardened))
     outage = {
-        "legacy": run_outage_cell(protocol, False, repeats=repeats),
-        "hardened": run_outage_cell(protocol, True, repeats=repeats),
+        "legacy": run_outage_cell(protocol, False),
+        "hardened": run_outage_cell(protocol, True),
     }
     return {"cells": cells, "outage": outage}
 
 
-def _timing_repeats(request) -> int:
-    """Best-of-3 when wall time lands in the record; a single run under
-    ``--benchmark-disable`` (tier-1/fast-CI mode), where the record is
-    never written and only the deterministic counters matter."""
-    return 1 if request.config.getoption("benchmark_disable", False) else 3
-
-
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_bench_e12_fault_grid(benchmark, protocol, request):
+def test_bench_e12_fault_grid(benchmark, protocol):
     """Loss sweep + partition outage for one protocol, timed as one."""
-    repeats = _timing_repeats(request)
     samples = {}
 
     def measure():
-        samples["sweep"] = sweep_protocol(protocol, repeats=repeats)
+        samples["sweep"] = sweep_protocol(protocol)
         return samples["sweep"]
 
     benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -296,7 +254,6 @@ def test_bench_e12_failover_demo(benchmark):
     samples = {}
     benchmark.pedantic(lambda: samples.update(run_failover_demo()),
                        rounds=1, iterations=1)
-    RECORD["failover"] = samples
     assert samples["control_no_replica"]["completed"] is False
     assert samples["control_no_replica"]["failovers"] == 0
     treatment = samples["treatment_with_replica"]
@@ -305,16 +262,11 @@ def test_bench_e12_failover_demo(benchmark):
     assert treatment["recovered_latency_ms"] > treatment["clean_latency_ms"]
 
 
-def test_bench_e12_write_record(benchmark, report, request):
-    """Merge the fault record into ``BENCH_perf.json`` and print it."""
+def test_bench_e12_write_record(benchmark, report):
+    """Print the fault table."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(RECORD["protocols"]) == set(PROTOCOLS), (
         "run the whole module so every protocol is measured")
-    if request.config.getoption("benchmark_disable", False):
-        pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
-    from conftest import write_perf_record
-
-    write_perf_record({"faults": RECORD})
     rows = []
     for protocol in PROTOCOLS:
         sweep = RECORD["protocols"][protocol]

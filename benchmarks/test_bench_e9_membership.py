@@ -14,10 +14,8 @@ cell:
 * **staleness window** — how long stale registrations/ads/leaf records
   outlive their owner's departure before repair purges them.
 
-A headline membership-on flood throughput sample (gnutella, moderate
-churn) is appended to ``BENCH_perf.json`` under the ``membership`` key
-so CI regression-guards the live-mode hot path alongside the plain
-queries/sec trajectory (``benchmarks/check_perf_regression.py``).
+A headline membership-on flood sample (gnutella, moderate churn) times
+the live-mode hot path.
 """
 
 from __future__ import annotations
@@ -43,32 +41,14 @@ BASE = dict(peers=40, members=16, publishers=8, corpus_size=60, queries=24,
 #: ticking (and staleness keeps resolving) beyond the last query
 EPILOGUE_MS = 4_000.0
 
-RECORD: dict = {
-    "suite": "e9_membership",
-    "schema_version": 1,
-    "churn_rates_session_ms": dict(CHURN_RATES),
-    "protocols": {},
-}
+#: collected by the grid tests; the last test prints it
+RECORD: dict = {"protocols": {}}
 
 
-def run_membership(protocol: str, session_ms: float, *, repeats: int = 3) -> dict:
+def run_membership(protocol: str, session_ms: float) -> dict:
     """One grid cell: live-membership workload under churn that strikes
     everyone but two searchers — publishers included, so each protocol's
-    stale state (registrations, ads, leaf records) genuinely decays.
-
-    The simulation is deterministic, so every repeat produces the same
-    counters; only the wall clock varies.  Best-of-``repeats`` keeps a
-    one-off slow (or fast) sample from landing in the committed record
-    as if it were the trajectory."""
-    best = None
-    for _ in range(repeats):
-        sample = _run_membership_once(protocol, session_ms)
-        if best is None or sample["wall_s"] < best["wall_s"]:
-            best = sample
-    return best
-
-
-def _run_membership_once(protocol: str, session_ms: float) -> dict:
+    stale state (registrations, ads, leaf records) genuinely decays."""
     scenario = build_scenario(ScenarioConfig(protocol=protocol, **BASE))
     population = PopulationModel(scenario.network, mean_session_ms=session_ms,
                                  mean_absence_ms=session_ms * 0.6, seed=5)
@@ -99,28 +79,19 @@ def _run_membership_once(protocol: str, session_ms: float) -> dict:
     }
 
 
-def _timing_repeats(request) -> int:
-    """Best-of-3 when wall time lands in the record; a single run under
-    ``--benchmark-disable`` (tier-1/fast-CI mode), where the record is
-    never written and only the deterministic counters matter."""
-    return 1 if request.config.getoption("benchmark_disable", False) else 3
-
-
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_bench_e9_membership_grid(benchmark, protocol, request):
+def test_bench_e9_membership_grid(benchmark, protocol):
     """Churn-rate sweep for one protocol; the moderate cell is timed."""
-    repeats = _timing_repeats(request)
     samples = {}
 
     def measure_moderate():
-        samples["moderate"] = run_membership(protocol, CHURN_RATES["moderate"],
-                                             repeats=repeats)
+        samples["moderate"] = run_membership(protocol, CHURN_RATES["moderate"])
         return samples["moderate"]
 
     benchmark.pedantic(measure_moderate, rounds=1, iterations=1)
     for level, session_ms in CHURN_RATES.items():
         if level not in samples:
-            samples[level] = run_membership(protocol, session_ms, repeats=repeats)
+            samples[level] = run_membership(protocol, session_ms)
     RECORD["protocols"][protocol] = samples
     for level, sample in samples.items():
         assert sample["control_bytes"] > 0, f"{protocol}/{level}: no maintenance traffic"
@@ -131,27 +102,20 @@ def test_bench_e9_membership_grid(benchmark, protocol, request):
         f"{protocol}: no staleness window was ever paid"
 
 
-def test_bench_e9_flood_live_throughput(benchmark, request):
-    """Headline regression-guarded sample: membership-on flood
-    throughput (gnutella, moderate churn), best of three."""
+def test_bench_e9_flood_live_throughput(benchmark):
+    """Headline sample: membership-on flood throughput (gnutella,
+    moderate churn)."""
     sample = benchmark.pedantic(
-        lambda: run_membership("gnutella", CHURN_RATES["moderate"],
-                               repeats=_timing_repeats(request)),
+        lambda: run_membership("gnutella", CHURN_RATES["moderate"]),
         rounds=1, iterations=1)
-    RECORD["flood_live"] = sample
     assert sample["queries_per_s"] > 0
 
 
-def test_bench_e9_write_record(benchmark, report, request):
-    """Merge the membership record into ``BENCH_perf.json`` (preserving
-    every other suite's keys) and print the sweep table."""
+def test_bench_e9_write_record(benchmark, report):
+    """Print the sweep table."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(RECORD["protocols"]) == set(PROTOCOLS), \
         "run the whole module so every protocol is measured"
-    if request.config.getoption("benchmark_disable", False):
-        pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
-    from conftest import write_perf_record
-    write_perf_record({"membership": RECORD})
     rows = []
     for protocol in PROTOCOLS:
         for level in CHURN_RATES:

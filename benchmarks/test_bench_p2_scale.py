@@ -12,24 +12,17 @@ in-process ``ShardedSimulator`` with ``shards=4`` must reproduce the
 ``shards=1`` counters bit-for-bit (the cheap always-on echo of the full
 contract suite).
 
-Results merge into ``BENCH_perf.json`` under the ``scale`` key;
-``check_perf_regression.py`` guards the per-cell ``messages_per_s``
-(cells absent from one side warn instead of failing, so capped CI runs
-coexist with the committed full grid).
-
 Grid capping: ``P2_MAX_POPULATION`` bounds the populations measured;
-without it, benchmark runs stop at 2k (CI pins that explicitly) and
-plain (``--benchmark-disable``) test runs at 200, so the tier-1 suite
-stays fast.  The committed record's 10k rows are produced locally with
-the full grid::
+without it, benchmark runs stop at 2k and plain
+(``--benchmark-disable``) test runs at 200, so the tier-1 suite stays
+fast.  The 10k rows cost minutes and are measured only on request::
 
     P2_MAX_POPULATION=10000 PYTHONPATH=src python -m pytest \
-        benchmarks/test_bench_p2_scale.py -q
+        benchmarks/test_bench_p2_scale.py -q -s
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 import pytest
@@ -42,7 +35,7 @@ SHARD_COUNTS = (1, 2, 4)
 GRID = [(population, shards) for population in POPULATIONS
         for shards in SHARD_COUNTS]
 
-#: merged into BENCH_perf.json under the "scale" key by the write test
+#: collected by the tests below; the last one prints it
 RECORD: dict = {"grid": {}}
 
 
@@ -52,8 +45,7 @@ def max_population(request) -> int:
         return int(env)
     # Without explicit opt-in, plain test runs only touch the smallest
     # population and benchmark runs stop at 2k: the 10k rows cost
-    # minutes and are refreshed deliberately (see the module docstring),
-    # while the per-cell merge below keeps their committed values.
+    # minutes (see the module docstring).
     if request.config.getoption("benchmark_disable", False):
         return 200
     return 2_000
@@ -94,7 +86,7 @@ def test_bench_p2_grid_cell(population, shards, request):
 def test_bench_p2_windowed_contract():
     """The in-process sharded simulator reproduces shards=1 exactly
     (every generated cell of tests/network/test_contract.py checks it;
-    this cell keeps a sample in the perf record)."""
+    this cell is the benchmark suite's sample of it)."""
 
     def signature(shards):
         scenario = build_scenario(ScenarioConfig(
@@ -109,37 +101,19 @@ def test_bench_p2_windowed_contract():
 
     single, sharded = signature(1), signature(4)
     assert single == sharded
-    RECORD["windowed_contract"] = {
-        "peers": 200, "shards_compared": [1, 4],
-        "identical": True,
-        "messages": sum(single["messages"].values()),
-    }
 
 
-def test_bench_p2_write_record(report, request):
-    """Merge the scale samples into ``BENCH_perf.json``.
-
-    Cells skipped by the population cap keep their committed values —
-    the merge is per-cell, never wholesale — so a capped run refreshes
-    what it measured and leaves the 10k rows alone.
-    """
-    if request.config.getoption("benchmark_disable", False):
-        pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
-    from conftest import read_perf_record, write_perf_record
-    existing = read_perf_record().get("scale", {})
-    merged_grid = {**existing.get("grid", {}), **RECORD["grid"]}
-    scale = {**existing, **RECORD, "grid": merged_grid}
-    write_perf_record({"scale": scale})
+def test_bench_p2_write_record(report):
+    """Print the scale grid measured by this run."""
     rows = [[label,
              sample["population"], sample["shards"],
              f"{sample['wall_s']:.2f}",
-             # nan: a cell kept from a record older than the split
-             f"{sample.get('build_s', math.nan):.2f}",
-             f"{sample.get('run_s', math.nan):.2f}",
+             f"{sample['build_s']:.2f}",
+             f"{sample['run_s']:.2f}",
              f"{sample['messages_per_s']:.0f}",
              f"{sample['peak_rss_mb']:.1f}"]
-            for label, sample in sorted(merged_grid.items())]
-    report("P2  scale grid (written to BENCH_perf.json)",
+            for label, sample in sorted(RECORD["grid"].items())]
+    report("P2  scale grid",
            ["cell", "population", "shards", "wall s", "build s", "run s",
             "msgs/s", "peak RSS MB"],
            rows)

@@ -8,11 +8,10 @@ echo as well as a perf sample.
 
 The grid charts population × shard count × execution mode (serial
 drive loop vs. ``workers=2`` barrier lockstep), recording wall-clock
-message throughput and each worker's peak resident set.  The record
-lands in ``BENCH_perf.json`` under the ``parallel`` key and its
-``messages_per_s`` samples are guarded by ``check_perf_regression.py``.
+message throughput and each worker's peak resident set, printed as
+one table at the end of the module.
 
-Hardware honesty: the record carries ``cores_available``.  On a
+Hardware honesty: the table's title carries the cores available.  On a
 single-core host the parallel cells pay the full barrier/serialization
 cost with zero overlap to show for it, so their throughput reads
 *below* serial — that is the honest number, not a bug; the speedup
@@ -33,7 +32,7 @@ POPULATIONS = (30, 60)
 SHARD_COUNTS = (2, 4)
 WORKERS = 2
 
-#: merged into BENCH_perf.json under the "parallel" key by the write test
+#: collected by the cell tests; the last test prints it
 RECORD: dict = {"grid": {}}
 
 
@@ -105,23 +104,15 @@ def test_bench_p3_cell(population, shards):
     }
 
 
-def test_bench_p3_write_record(report, request):
-    """Merge the parallel-execution samples into ``BENCH_perf.json``."""
-    if request.config.getoption("benchmark_disable", False):
-        pytest.skip("benchmark timing disabled; not rewriting BENCH_perf.json")
-    from conftest import read_perf_record, write_perf_record
-    existing = read_perf_record().get("parallel", {})
-    merged_grid = {**existing.get("grid", {}), **RECORD["grid"]}
+def test_bench_p3_write_record(report):
+    """Print the parallel-execution grid measured by this run."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else (os.cpu_count() or 1)
-    parallel = {**existing, **RECORD, "grid": merged_grid,
-                "workers": WORKERS, "cores_available": cores}
-    write_perf_record({"parallel": parallel})
     rows = [[label, sample["population"], sample["shards"], sample["mode"],
              f"{sample['wall_s']:.2f}", f"{sample['messages_per_s']:.0f}",
              "/".join(str(rss) for rss in sample.get("worker_peak_rss_mb", []))
              or "-"]
-            for label, sample in sorted(merged_grid.items())]
+            for label, sample in sorted(RECORD["grid"].items())]
     report(f"P3  parallel shard execution ({cores} core(s) available)",
            ["cell", "population", "shards", "mode", "wall s", "msgs/s",
             "worker RSS MB"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
-from repro.core.errors import InvalidObjectError
 from repro.schema.instance import build_instance
 from repro.schema.model import FieldInfo, Schema
 from repro.schema.validator import ValidationReport, validate
@@ -91,15 +90,6 @@ class CreateForm:
         document = build_instance(schema, dict(values))
         report = validate(schema, document)
         return document, report
-
-    def submit_strict(self, schema: Schema, values: FormValues) -> Element:
-        """Like :meth:`submit` but raise if the object does not validate."""
-        document, report = self.submit(schema, values)
-        if not report.is_valid:
-            raise InvalidObjectError(
-                f"object for community {self.community_name!r} is invalid: {report.summary()}"
-            )
-        return document
 
     # ------------------------------------------------------------------
     def to_html(self) -> str:

@@ -1,13 +1,12 @@
 """Sharded event execution with a conservative time-window barrier.
 
 The :class:`ShardedSimulator` partitions the event queue by shard: each
-node id has a home shard (an explicit assignment table, falling back to
-a crc32 hash for ids outside it, e.g. virtual nodes), message-delivery
-events queue on the *recipient's* shard, and everything else — driver
-submissions, churn, untagged timers — queues on a control shard.  The
-shards advance together through **conservative synchronization
-windows** of width equal to the minimum cross-shard link latency (the
-*lookahead*):
+node id has a home shard (:func:`shard_of`, a crc32 hash of the id),
+message-delivery events queue on the *recipient's* shard, and
+everything else — driver submissions, churn, untagged timers — queues
+on a control shard.  The shards advance together through
+**conservative synchronization windows** of width equal to the minimum
+cross-shard link latency (the *lookahead*):
 
 * A window ``[start, start + lookahead)`` opens at the global lower
   bound ``start`` — the earliest pending event time across every shard.
@@ -93,12 +92,11 @@ class ShardedSimulator(NetworkSimulator):
     """
 
     def __init__(self, *, latency: Optional[LatencyModel] = None, seed: int = 0,
-                 shards: int = 2, assignment: Optional[dict[str, int]] = None) -> None:
+                 shards: int = 2) -> None:
         super().__init__(latency=latency, seed=seed)
         if shards < 1:
             raise ValueError("need at least one shard")
         self.shards = shards
-        self._assignment: dict[str, int] = dict(assignment or {})
         #: the inherited ``_queue`` is the control shard; message
         #: deliveries go to per-shard heaps
         self._shard_queues: list[list[tuple]] = [[] for _ in range(shards)]
@@ -120,11 +118,8 @@ class ShardedSimulator(NetworkSimulator):
     # Partitioning
     # ------------------------------------------------------------------
     def shard_of_node(self, node_id: str) -> int:
-        """Home shard of ``node_id`` (assignment table, else crc32)."""
-        shard = self._assignment.get(node_id)
-        if shard is None:
-            shard = shard_of(node_id, self.shards)
-        return shard
+        """Home shard of ``node_id``: :func:`shard_of`."""
+        return shard_of(node_id, self.shards)
 
     @property
     def lookahead_ms(self) -> float:

@@ -1,8 +1,5 @@
 """Tests for the default stylesheets (Fig. 1 / Fig. 2 pipeline) and forms."""
 
-import pytest
-
-from repro.core.errors import InvalidObjectError
 from repro.core.forms import CreateForm, SearchForm
 from repro.core.stylesheets import (
     DEFAULT_CREATE_STYLESHEET,
@@ -110,12 +107,6 @@ class TestCreateForm:
         })
         assert report.is_valid
         assert document.child_text("title") == "Blue in Green"
-
-    def test_submit_strict_raises_on_invalid(self, mp3_schema):
-        form = CreateForm.from_schema("MP3s", mp3_schema)
-        with pytest.raises(InvalidObjectError):
-            form.submit_strict(mp3_schema, {"title": "x", "artist": "y", "album": "z",
-                                            "genre": "polka", "bitrate": "192"})
 
     def test_html_rendering(self, mp3_schema):
         html = CreateForm.from_schema("MP3s", mp3_schema).to_html()

@@ -21,6 +21,12 @@
   ``directory``: every search kept its result count and message count,
   and only the bytes moved (the origin's own matches no longer ride the
   QUERY-HIT); its direct-search triples, messages and bytes are literal.
+* *Work ledger.*  The work of the four toy rounds, as ``bench.trace``
+  and three test-side counters see it — each traced call count,
+  executed events, hits and messages built, copies fanned out — against
+  the committed ``BENCH_work.json``, by equality.
+  A change that means to move work rewrites the file (``python -m
+  tests.engine.test_hot_path``) and the JSON diff is its work claim.
 * *Quiescence.*  A drained toy round leaves no queued event, no un-ACKed
   reliable send and no result cache on a departed node.
 * *Count guards with no clock in them.*  The transport pays per hop, not
@@ -33,19 +39,21 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from bench import measure
-from bench.trace import Tracer
+from bench.trace import Tracer, install
 from bench.workloads import BATCH_OPS, INTERARRIVAL_MS, MAX_RESULTS, operations, scenario_config
+from repro.core import community, stylesheets
 from repro.engine.driver import QueryDriver
 from repro.engine.kernel import EventKernel
 from repro.network import messages as messages_module
 from repro.network import twotier
-from repro.network.base import PeerNetwork
+from repro.network.base import PeerNetwork, SearchResult
 from repro.network.gnutella import GnutellaProtocol
-from repro.network.messages import MessageType
+from repro.network.messages import Message, MessageType
 from repro.network.stats import NetworkStats
 from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -128,6 +136,67 @@ def test_stats_digest_is_the_bench_counters_digest(name):
     phase = measure.run_ops(bench_scenario, 0.0, measure.HostSpeed())
     assert phase.failed == 0
     assert phase.first.digest == stats.digest(counts)
+
+
+#: the committed work ledger; ``python -m tests.engine.test_hot_path``
+#: (with ``PYTHONPATH=src:.``) rewrites it from the tree as it stands
+WORK_LEDGER = Path(__file__).resolve().parents[2] / "BENCH_work.json"
+
+
+def work_ledger(name):
+    """Unit of work -> count, over the ``GOLDEN`` toy round of ``name``.
+
+    The units are every call count ``bench.trace`` takes (one per span,
+    plus its plain counters), the events the simulator executed, and
+    three counts the tracer does not take: ``SearchResult`` and
+    ``Message`` constructions and the copies sent through
+    ``EventKernel.send_many``.  The process-wide parse caches are
+    emptied first, so no count depends on what ran earlier.
+    """
+    community._shared_schema.cache_clear()
+    stylesheets._compile.cache_clear()
+    tracer = Tracer()
+    install(tracer)
+
+    def counted(unit):
+        return lambda function: tracer.counted(unit, function)
+
+    def note_copies(args, _result):
+        tracer.counts["engine.kernel.send_many.copies"] += len(args[1])
+
+    tracer.patch_method((SearchResult,), "__init__", counted("network.base.SearchResult.init"))
+    tracer.patch_method((Message,), "__init__", counted("network.messages.Message.init"))
+    tracer.patch_method((EventKernel,), "send_many", lambda function: tracer.span(
+        "engine.kernel.send_many", function, note_copies))
+    try:
+        scenario, _ = toy_round(name)
+    finally:
+        tracer.uninstall()
+    units = {span: tracer.totals(span)[0] for span, _parent in tracer.spans}
+    units.update(tracer.counts)
+    units["network.simulator.events_processed"] = scenario.network.simulator.events_processed
+    return dict(sorted(units.items()))
+
+
+def committed_work():
+    return json.loads(WORK_LEDGER.read_text(encoding="utf-8"))
+
+
+def test_the_ledger_covers_exactly_the_golden_workloads():
+    assert sorted(committed_work()) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_the_toy_rounds_do_the_committed_work(name):
+    """Work is gated by equality, with no clock in it: a change that adds
+    or removes work on any toy round moves a count here, and lands only
+    with the rewritten ``BENCH_work.json`` as its reviewed diff."""
+    committed = committed_work().get(name, {})
+    units = work_ledger(name)
+    moved = [(unit, committed.get(unit), units.get(unit))
+             for unit in sorted(set(units) | set(committed))
+             if units.get(unit) != committed.get(unit)]
+    assert units == committed, moved   # (unit, committed, now)
 
 
 #: protocol -> (sha256 of ``plan_observables``, ``direct_search`` outcome)
@@ -300,3 +369,8 @@ def test_a_repeated_directory_round_builds_no_new_hit(monkeypatch):
     built.clear()
     assert run_round(scenario) == counts
     assert built == []
+
+
+if __name__ == "__main__":
+    ledger = {name: work_ledger(name) for name in sorted(GOLDEN)}
+    WORK_LEDGER.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n", encoding="utf-8")

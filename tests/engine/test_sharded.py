@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import count
+
 import pytest
 
 from repro.engine.kernel import EventKernel, ExchangeContext
@@ -13,14 +15,24 @@ from repro.network.simulator import (LatencyModel, NetworkSimulator,
 from repro.network.stats import NetworkStats
 
 
-def make_sharded_kernel(*, shards=2, base_ms=20.0, jitter_ms=10.0, seed=1,
-                        peer_ids=("a", "b", "c", "d")):
-    """Kernel on a sharded simulator with peers split across shards."""
-    assignment = {peer_id: index % shards for index, peer_id in enumerate(peer_ids)}
+def homed_ids(shards):
+    """Four node ids, the i-th homed on shard ``i % shards`` by
+    :func:`shard_of`, the only placement there is."""
+    candidates = (f"n{index}" for index in count())
+    return tuple(next(node for node in candidates if shard_of(node, shards) == index % shards)
+                 for index in range(4))
+
+
+#: the peers of a two-shard kernel: A and C on shard 0, B and D on shard 1
+A, B, C, D = homed_ids(2)
+
+
+def make_sharded_kernel(*, shards=2, base_ms=20.0, jitter_ms=10.0, seed=1):
+    """Kernel on a sharded simulator with four peers split across shards."""
     simulator = ShardedSimulator(
         latency=LatencyModel(base_ms=base_ms, jitter_ms=jitter_ms, seed=seed),
-        seed=seed, shards=shards, assignment=assignment)
-    peers = {peer_id: Peer(peer_id=peer_id) for peer_id in peer_ids}
+        seed=seed, shards=shards)
+    peers = {peer_id: Peer(peer_id=peer_id) for peer_id in homed_ids(shards)}
     kernel = EventKernel(simulator=simulator, peers=peers, stats=NetworkStats())
     return kernel, simulator, peers
 
@@ -48,10 +60,10 @@ class TestShardedRouting:
         kernel, simulator, _ = make_sharded_kernel()
         seen = []
         kernel.register(MessageType.PING, lambda peer, msg, ctx: seen.append(msg.recipient))
-        kernel.send(ping("a", "c"))  # both shard 0
-        kernel.send(ping("a", "b"))  # cross 0 -> 1
+        kernel.send(ping(A, C))  # both shard 0
+        kernel.send(ping(A, B))  # cross 0 -> 1
         simulator.run()
-        assert sorted(seen) == ["b", "c"]
+        assert sorted(seen) == sorted([B, C])
         assert simulator.events_per_shard[0] >= 1
         assert simulator.events_per_shard[1] >= 1
 
@@ -59,11 +71,11 @@ class TestShardedRouting:
         kernel, simulator, _ = make_sharded_kernel()
 
         def relay(peer, message, context):
-            if message.recipient == "a":
-                kernel.send(ping("a", "b"))  # shard 0 -> shard 1, mid-event
+            if message.recipient == A:
+                kernel.send(ping(A, B))  # shard 0 -> shard 1, mid-event
 
         kernel.register(MessageType.PING, relay)
-        kernel.send(ping("b", "a"))
+        kernel.send(ping(B, A))
         simulator.run()
         assert simulator.cross_shard_messages >= 1
         assert simulator.windows >= 2
@@ -81,10 +93,10 @@ class TestShardedRouting:
     def test_post_keyed_routes_to_key_shard(self):
         kernel, simulator, _ = make_sharded_kernel()
         fired = []
-        simulator.post_keyed("b", 5.0, fired.append, "on-b-shard")
+        simulator.post_keyed(B, 5.0, fired.append, "on-b-shard")
         simulator.run()
         assert fired == ["on-b-shard"]
-        assert simulator.events_per_shard[simulator.shard_of_node("b")] == 1
+        assert simulator.events_per_shard[simulator.shard_of_node(B)] == 1
 
     def test_single_queue_simulator_ignores_affinity_hint(self):
         simulator = NetworkSimulator(seed=1)
@@ -108,13 +120,13 @@ class TestConservativeBarrier:
                 trace.append((round(simulator.now, 9), message.sender,
                               message.recipient))
                 if message.hops < 3:
-                    target = {"a": "b", "b": "c", "c": "d", "d": "a"}[message.recipient]
+                    target = {A: B, B: C, C: D, D: A}[message.recipient]
                     forwarded = message.forwarded(message.recipient, target)
                     forwarded.type = MessageType.PING
                     kernel.send(forwarded)
 
             kernel.register(MessageType.PING, handler)
-            for origin, target in (("a", "b"), ("c", "d"), ("b", "a")):
+            for origin, target in ((A, B), (C, D), (B, A)):
                 kernel.send(ping(origin, target))
             simulator.run()
             return trace
@@ -125,7 +137,7 @@ class TestConservativeBarrier:
         def plain():
             simulator = NetworkSimulator(
                 latency=LatencyModel(base_ms=20.0, jitter_ms=10.0, seed=1), seed=1)
-            peers = {peer_id: Peer(peer_id=peer_id) for peer_id in "abcd"}
+            peers = {peer_id: Peer(peer_id=peer_id) for peer_id in (A, B, C, D)}
             return EventKernel(simulator=simulator, peers=peers,
                                stats=NetworkStats()), simulator, peers
 
@@ -138,7 +150,7 @@ class TestConservativeBarrier:
         # twice.
         kernel, simulator, _ = make_sharded_kernel(base_ms=20.0, jitter_ms=0.0)
         fired = []
-        timer = kernel.every(20.0, lambda: fired.append(simulator.now), affinity="b")
+        timer = kernel.every(20.0, lambda: fired.append(simulator.now), affinity=B)
         simulator.run(until_ms=100.0)
         assert fired == [20.0, 40.0, 60.0, 80.0, 100.0]
         timer.cancel()
@@ -159,12 +171,12 @@ class TestConservativeBarrier:
         kernel, simulator, _ = make_sharded_kernel(base_ms=20.0, jitter_ms=0.0)
 
         def rogue(peer, message, context):
-            if message.recipient == "a":
+            if message.recipient == A:
                 # A protocol bug: cross-shard reply cheaper than one link.
-                kernel.send(ping("a", "b"), latency_ms=1.0)
+                kernel.send(ping(A, B), latency_ms=1.0)
 
         kernel.register(MessageType.PING, rogue)
-        kernel.send(ping("b", "a"))
+        kernel.send(ping(B, A))
         with pytest.raises(RuntimeError, match="lookahead violated"):
             simulator.run()
 
@@ -173,9 +185,9 @@ class TestConservativeBarrier:
         assert simulator.lookahead_ms == 0.0
         seen = []
         kernel.register(MessageType.PING, lambda peer, msg, ctx: seen.append(msg.recipient))
-        kernel.send(ping("a", "b"))
+        kernel.send(ping(A, B))
         simulator.run()
-        assert seen == ["b"]
+        assert seen == [B]
         assert simulator.windows == 0  # no windowed execution happened
 
     def test_run_until_ms_advances_clock_like_single_queue(self):
@@ -195,9 +207,9 @@ class TestCrossShardInFlight:
         handled = []
         kernel.register(MessageType.PING, lambda peer, msg, ctx: handled.append(msg))
         context = ExchangeContext()
-        kernel.send(ping("a", "b"), context=context)     # cross-shard, in flight
+        kernel.send(ping(A, B), context=context)     # cross-shard, in flight
         def depart():
-            peers["b"].online = False
+            peers[B].online = False
 
         simulator.post(1.0, depart)                  # departs before delivery
         kernel.run_until_complete([context])
