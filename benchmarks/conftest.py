@@ -1,12 +1,9 @@
-"""Shared helpers for the experiment/benchmark harness.
+"""Shared helpers for the substrate's performance suites (P1–P3).
 
-Every benchmark module reproduces one experiment, which its module
-docstring names and states (E1–E12 the paper's claims, F1–F3 its
-figures, A1–A3 the ablations, P1–P3 the substrate's performance).
-Besides the pytest-benchmark timings, each module prints the table or
-series the experiment is about (workload → measured values) so that
-running ``pytest benchmarks/ --benchmark-only`` regenerates the
-figures' data; the module docstring says how to read it.
+Each module charts one performance question, which its docstring
+states, and prints the table it measured (``pytest benchmarks/ -s``
+shows them).  The paper's claims (E1–E12, A1–A3, F1–F3) live in one
+table, :mod:`repro.report`, gated by ``tests/test_results.py``.
 
 Nothing here writes a record or gates a timing.  Wall-clock
 performance is measured by ``bench/`` (``bench/run.py`` +
@@ -20,8 +17,8 @@ import pytest
 
 
 def print_table(title: str, columns: list[str], rows: list[list]) -> None:
-    """Print a small aligned table to the terminal (captured by -s or shown
-    in the benchmark summary when a row assertion fails)."""
+    """Print a small aligned table to the terminal (shown with -s, or in
+    the report when a row assertion fails)."""
     widths = [max(len(str(column)), *(len(str(row[index])) for row in rows)) if rows else len(str(column))
               for index, column in enumerate(columns)]
     line = "  ".join(str(column).ljust(widths[index]) for index, column in enumerate(columns))
@@ -34,5 +31,5 @@ def print_table(title: str, columns: list[str], rows: list[list]) -> None:
 
 @pytest.fixture(scope="session")
 def report():
-    """The table printer, as a fixture so benchmarks stay terse."""
+    """The table printer, as a fixture so the suites stay terse."""
     return print_table

@@ -13,9 +13,8 @@ in-process ``ShardedSimulator`` with ``shards=4`` must reproduce the
 contract suite).
 
 Grid capping: ``P2_MAX_POPULATION`` bounds the populations measured;
-without it, benchmark runs stop at 2k and plain
-(``--benchmark-disable``) test runs at 200, so the tier-1 suite stays
-fast.  The 10k rows cost minutes and are measured only on request::
+without it, runs stop at 2k.  The 10k rows cost minutes and are
+measured only on request::
 
     P2_MAX_POPULATION=10000 PYTHONPATH=src python -m pytest \
         benchmarks/test_bench_p2_scale.py -q -s
@@ -39,16 +38,10 @@ GRID = [(population, shards) for population in POPULATIONS
 RECORD: dict = {"grid": {}}
 
 
-def max_population(request) -> int:
-    env = os.environ.get("P2_MAX_POPULATION")
-    if env:
-        return int(env)
-    # Without explicit opt-in, plain test runs only touch the smallest
-    # population and benchmark runs stop at 2k: the 10k rows cost
+def max_population() -> int:
+    # Without explicit opt-in, runs stop at 2k: the 10k rows cost
     # minutes (see the module docstring).
-    if request.config.getoption("benchmark_disable", False):
-        return 200
-    return 2_000
+    return int(os.environ.get("P2_MAX_POPULATION") or 2_000)
 
 
 def cell_label(population: int, shards: int) -> str:
@@ -57,9 +50,9 @@ def cell_label(population: int, shards: int) -> str:
 
 @pytest.mark.parametrize("population,shards", GRID,
                          ids=[cell_label(*cell) for cell in GRID])
-def test_bench_p2_grid_cell(population, shards, request):
+def test_bench_p2_grid_cell(population, shards):
     """One grid cell: run the population, record throughput and RSS."""
-    if population > max_population(request):
+    if population > max_population():
         pytest.skip(f"population {population} beyond P2_MAX_POPULATION")
     report = run_population(population, shards=shards, protocol="gnutella",
                             seed=11, queries_per_island=8)

@@ -3,55 +3,26 @@
 
 The paper (§IV-B) insists U-P2P "can be implemented in any peer-to-peer
 network"; its community schema enumerates Napster, Gnutella and
-FastTrack.  This script runs an identical design-pattern workload over
-the three protocol adapters and prints the cost/recall table — the data
-behind experiment E3.
+FastTrack.  This script measures claim E3 of the results ledger
+(:mod:`repro.report`): an identical design-pattern workload over the
+three protocol adapters, sequential and with eight queries in flight,
+and prints its cost/recall table and the relations it must satisfy.
 
 Run with:  python examples/protocol_comparison.py
 """
 
 from __future__ import annotations
 
-from repro.workloads.scenario import ScenarioConfig, build_scenario
-
-PROTOCOLS = ("centralized", "gnutella", "super-peer")
-
-
-def run(protocol: str) -> dict[str, float]:
-    scenario = build_scenario(ScenarioConfig(
-        protocol=protocol, peers=60, members=24, publishers=12,
-        corpus_size=90, queries=30, community="design-patterns", ttl=6, seed=11,
-    ))
-    counts = scenario.run_queries(max_results=200)
-    stats = scenario.network.stats
-    recalls = [min(found, expected) / expected
-               for found, expected in zip(counts, scenario.workload.expected_matches) if expected]
-    return {
-        "msgs/query": stats.mean_messages_per_query(),
-        "bytes/query": stats.total_bytes / max(1, len(stats.queries)),
-        "latency ms": stats.mean_latency_ms(),
-        "recall": sum(recalls) / len(recalls) if recalls else 0.0,
-        "success": stats.success_rate(),
-    }
+from repro.report import CLAIMS, render_claim
 
 
 def main() -> None:
-    print("running the same 30-query design-pattern workload on 60 peers…\n")
-    results = {protocol: run(protocol) for protocol in PROTOCOLS}
-    for protocol, values in results.items():
-        assert values["success"] > 0, f"{protocol}: every query failed"
-        assert values["recall"] > 0, f"{protocol}: nothing was ever found"
-        assert values["msgs/query"] > 0, f"{protocol}: no messages were accounted"
-    columns = ["protocol", "msgs/query", "bytes/query", "latency ms", "recall", "success"]
-    print("  ".join(column.ljust(12) for column in columns))
-    print("-" * 80)
-    for protocol, values in results.items():
-        cells = [protocol.ljust(12)]
-        for column in columns[1:]:
-            value = values[column]
-            cells.append(f"{value:12.2f}")
-        print("  ".join(cells))
-    print("\nreading the table:")
+    print("running the same design-pattern workload on 60 peers over each organisation…\n")
+    entry = CLAIMS["E3"].measure()
+    print(render_claim("E3", entry))
+    failing = [name for name, holds in entry["relations"].items() if not holds]
+    assert not failing, f"E3 relations fail: {failing}"
+    print("reading the table:")
     print(" * the centralized (Napster-style) index answers in 2 messages but is a single point of failure;")
     print(" * Gnutella-style flooding pays one to two orders of magnitude more messages for the same recall;")
     print(" * the FastTrack-style super-peer overlay sits in between — the trade-off U-P2P deliberately")

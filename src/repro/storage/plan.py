@@ -21,10 +21,10 @@ compilation buys — and every search the system runs is compiled:
   every hop's QUERY message.
 
 The contract the equivalence suite pins: :meth:`CompiledQuery.evaluate`
-returns exactly the ids :meth:`Query.evaluate` — the reference
-semantics — would, for every operator, including the edge semantics
-(blank values are skipped; a punctuation-only CONTAINS value matches no
-index entry).
+returns exactly the ids the reference semantics would
+(``tests/storage/reference.py``), for every operator, including the edge
+semantics (blank values are skipped; a punctuation-only CONTAINS value
+matches no index entry).
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class CompiledQuery:
     # Evaluation against an attribute index
     # ------------------------------------------------------------------
     def evaluate(self, index: AttributeIndex) -> set[str]:
-        """Matching resource ids; identical to :meth:`Query.evaluate`.
+        """Matching resource ids, exactly as the reference semantics define them.
 
         Exact and keyword criteria contribute live sorted ``array('I')``
         postings (no copies), prefix and any-field criteria contribute

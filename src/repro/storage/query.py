@@ -3,20 +3,17 @@
 Search requests travel between servents as small structured documents:
 a community id plus a conjunction of field criteria.  The class has an
 XML wire form (used by the network layer and measured in the message-
-cost experiments) and an in-memory matching form against the attribute
-index and against metadata dictionaries.  Searches evaluate the query
-through its compiled plan (:mod:`repro.storage.plan`); the matching
-form here is the reference semantics the plan is tested against.
+cost experiments).  Searches evaluate the query through its compiled
+plan (:mod:`repro.storage.plan`); the reference semantics the plan is
+tested against live with the tests, in ``tests/storage/reference.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from repro.storage.errors import QueryError
-from repro.storage.index import AttributeIndex, tokenize
 from repro.xmlkit.dom import Element
 from repro.xmlkit.parser import parse as parse_xml
 from repro.xmlkit.serializer import serialize
@@ -46,28 +43,6 @@ class Criterion:
     value: str
     operator: Operator = Operator.CONTAINS
 
-    def matches(self, values: list[str]) -> bool:
-        """Check this criterion against the values of one field."""
-        if self.operator == Operator.EQUALS:
-            wanted_value = self.value.strip().lower()  # hoisted: loop-invariant
-            return any(value.strip().lower() == wanted_value for value in values)
-        if self.operator == Operator.CONTAINS or self.operator == Operator.ANY:
-            wanted = set(tokenize(self.value))
-            if not wanted:
-                return True
-            present = set()
-            for value in values:
-                present.update(tokenize(value))
-                if wanted.issubset(present):
-                    return True
-            return False
-        if self.operator == Operator.PREFIX:
-            stem = self.value.strip().lower()
-            return any(
-                token.startswith(stem) for value in values for token in tokenize(value)
-            )
-        raise QueryError(f"unsupported operator {self.operator}")
-
 
 @dataclass
 class Query:
@@ -94,57 +69,6 @@ class Query:
     @property
     def is_empty(self) -> bool:
         return not self.criteria or all(not criterion.value.strip() for criterion in self.criteria)
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def matches_metadata(self, metadata: dict[str, list[str]]) -> bool:
-        """Evaluate against a plain metadata dictionary (path → values)."""
-        for criterion in self.criteria:
-            if not criterion.value.strip():
-                continue
-            if criterion.operator == Operator.ANY or criterion.field_path == "*":
-                # Tokenize the wanted value once and stream the field
-                # values instead of flattening them into a copy first.
-                wanted = set(tokenize(criterion.value))
-                if not wanted:
-                    continue
-                present: set[str] = set()
-                satisfied = False
-                for values in metadata.values():
-                    for value in values:
-                        present.update(tokenize(value))
-                        if wanted.issubset(present):
-                            satisfied = True
-                            break
-                    if satisfied:
-                        break
-                if not satisfied:
-                    return False
-                continue
-            values = metadata.get(criterion.field_path, [])
-            if not values or not criterion.matches(values):
-                return False
-        return True
-
-    def evaluate(self, index: AttributeIndex) -> set[str]:
-        """Evaluate against an attribute index, returning matching ids."""
-        result: Optional[set[str]] = None
-        for criterion in self.criteria:
-            if not criterion.value.strip():
-                continue
-            if criterion.operator == Operator.ANY or criterion.field_path == "*":
-                matched = index.any_field_keyword(self.community_id, criterion.value)
-            elif criterion.operator == Operator.EQUALS:
-                matched = index.exact(self.community_id, criterion.field_path, criterion.value)
-            elif criterion.operator == Operator.PREFIX:
-                matched = index.prefix(self.community_id, criterion.field_path, criterion.value)
-            else:
-                matched = index.keyword(self.community_id, criterion.field_path, criterion.value)
-            result = matched if result is None else result & matched
-            if not result:
-                return set()
-        return result if result is not None else set()
 
     # ------------------------------------------------------------------
     # Wire form

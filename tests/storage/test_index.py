@@ -224,6 +224,7 @@ class TestNumericIdPostings:
     def test_compiled_plan_matches_set_layout(self):
         from repro.storage.plan import compile_query
         from repro.storage.query import Operator, Query
+        from tests.storage.reference import evaluate
         index = self.build()
         cases = [
             (Query("patterns").where("category", "behavioral", Operator.EQUALS),
@@ -236,7 +237,7 @@ class TestNumericIdPostings:
             (Query.keyword("patterns", "decouple 4"), ids(*range(4, 50, 5))),
         ]
         for query, expected in cases:
-            assert compile_query(query).evaluate(index) == query.evaluate(index) \
+            assert compile_query(query).evaluate(index) == evaluate(query, index) \
                 == expected, query.describe()
 
     def test_posting_bytes_cost_four_bytes_per_id(self):

@@ -1,12 +1,12 @@
 """Equivalence suite for compiled query plans.
 
 :meth:`CompiledQuery.evaluate` is the only evaluator the system runs;
-:meth:`Query.evaluate` stays as its reference semantics.  The plan must
+``tests/storage/reference.py`` holds its reference semantics.  The plan must
 return exactly the ids the reference returns — for every operator, over
 randomized corpora and queries (fixed seeds), and at every handcrafted
 edge (blank values, punctuation-only values, "*" field paths, missing
 fields).  Where the two references share semantics, the plan must also
-select exactly the records :meth:`Query.matches_metadata` accepts.
+select exactly the records the reference ``matches_metadata`` accepts.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 from repro.storage.index import AttributeIndex, tokenize
 from repro.storage.plan import CompiledQuery, compile_query
 from repro.storage.query import Criterion, Operator, Query
+from tests.storage.reference import evaluate, matches_metadata
 
 VOCABULARY = [
     "observer", "factory", "abstract", "singleton", "visitor", "builder",
@@ -80,9 +81,9 @@ def metadata_reference_applies(query: Query) -> bool:
 
 
 def metadata_reference(query: Query, corpus: dict[str, dict[str, list[str]]]) -> set[str]:
-    """Ids of the records :meth:`Query.matches_metadata` accepts."""
+    """Ids of the records the reference ``matches_metadata`` accepts."""
     return {resource_id for resource_id, metadata in corpus.items()
-            if query.matches_metadata(metadata)}
+            if matches_metadata(query, metadata)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -92,11 +93,11 @@ class TestRandomizedEquivalence:
         for _ in range(120):
             query = random_query(rng, "patterns")
             plan = compile_query(query)
-            assert plan.evaluate(index) == query.evaluate(index), query.describe()
+            assert plan.evaluate(index) == evaluate(query, index), query.describe()
 
     def test_evaluate_selects_what_matches_metadata_accepts(self, seed):
         """The plan against the second, index-free reference: record by
-        record, :meth:`Query.matches_metadata` picks the same ids."""
+        record, the reference ``matches_metadata`` picks the same ids."""
         rng, index, corpus = build_corpus(seed)
         checked = 0
         for _ in range(120):
@@ -114,9 +115,9 @@ class TestRandomizedEquivalence:
         for _ in range(60):
             query = random_query(rng, "patterns")
             result = compile_query(query).evaluate(index)
-            before = query.evaluate(index)
+            before = evaluate(query, index)
             result.add("sentinel-mutation")
-            assert query.evaluate(index) == before
+            assert evaluate(query, index) == before
 
 
 class TestOperatorEdges:
@@ -138,7 +139,7 @@ class TestOperatorEdges:
             for value in ("Observer", "abstract factory", "obs", "", "!!!", "  OBSERVER  "):
                 query = Query("patterns", [Criterion(field, value, operator)])
                 plan = compile_query(query)
-                assert plan.evaluate(index) == query.evaluate(index), (operator, field, value)
+                assert plan.evaluate(index) == evaluate(query, index), (operator, field, value)
 
     @pytest.mark.parametrize("operator", list(Operator))
     def test_each_operator_agrees_with_matches_metadata(self, operator):
@@ -159,7 +160,7 @@ class TestOperatorEdges:
         operators = [criterion.operator for criterion in plan.criteria]
         assert operators == [Operator.EQUALS, Operator.CONTAINS, Operator.PREFIX, Operator.ANY]
         index = self.build_index()
-        assert plan.evaluate(index) == query.evaluate(index) == {"r1"}
+        assert plan.evaluate(index) == evaluate(query, index) == {"r1"}
 
     def test_blank_criteria_are_dropped(self):
         query = Query("patterns").where("name", "   ").where("name", "Observer", Operator.EQUALS)

@@ -5,7 +5,9 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.index import AttributeIndex, tokenize
+from repro.storage.plan import compile_query
 from repro.storage.query import Criterion, Operator, Query
+from tests.storage.reference import matches_metadata
 
 words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
 values = st.lists(words, min_size=1, max_size=4).map(" ".join)
@@ -17,8 +19,8 @@ metadata_dicts = st.dictionaries(field_names, st.lists(values, min_size=1, max_s
 @settings(max_examples=60, deadline=None)
 @given(st.lists(metadata_dicts, min_size=1, max_size=12))
 def test_index_and_metadata_matching_agree(records):
-    """Query.evaluate over the index matches exactly the records whose
-    metadata dictionaries satisfy Query.matches_metadata."""
+    """The compiled plan over the index matches exactly the records whose
+    metadata dictionaries satisfy the reference ``matches_metadata``."""
     index = AttributeIndex()
     for number, record in enumerate(records):
         index.add("c", f"r{number}", record)
@@ -32,10 +34,10 @@ def test_index_and_metadata_matching_agree(records):
                     probes.add((field_path, tokens[0]))
     for field_path, token in probes:
         query = Query("c", [Criterion(field_path, token, Operator.CONTAINS)])
-        from_index = query.evaluate(index)
+        from_index = compile_query(query).evaluate(index)
         from_metadata = {
             f"r{number}" for number, record in enumerate(records)
-            if query.matches_metadata(record)
+            if matches_metadata(query, record)
         }
         assert from_index == from_metadata
 

@@ -1,10 +1,23 @@
-"""Tests for the structured (CMIP-like) query model."""
+"""Tests for the structured (CMIP-like) query model.
+
+Evaluation runs through the compiled plan and, as a cross-check, the
+reference semantics in ``tests/storage/reference.py``; both must agree.
+"""
 
 import pytest
 
 from repro.storage.errors import QueryError
 from repro.storage.index import AttributeIndex
+from repro.storage.plan import compile_query
 from repro.storage.query import Criterion, Operator, Query
+from tests.storage import reference
+
+
+def run(query: Query, index: AttributeIndex) -> set[str]:
+    """The plan's answer, checked against the reference evaluator."""
+    answer = compile_query(query).evaluate(index)
+    assert answer == reference.evaluate(query, index), query.describe()
+    return answer
 
 
 @pytest.fixture()
@@ -42,58 +55,61 @@ class TestConstruction:
 
 class TestEvaluation:
     def test_equals_against_index(self, index):
-        assert Query("patterns").where("name", "observer", Operator.EQUALS).evaluate(index) == {"r1"}
+        assert run(Query("patterns").where("name", "observer", Operator.EQUALS), index) == {"r1"}
 
     def test_contains_against_index(self, index):
-        assert Query("patterns").where("intent", "object structure").evaluate(index) == {"r2"}
+        assert run(Query("patterns").where("intent", "object structure"), index) == {"r2"}
 
     def test_any_field(self, index):
-        assert Query.keyword("patterns", "factory").evaluate(index) == {"r3"}
+        assert run(Query.keyword("patterns", "factory"), index) == {"r3"}
 
     def test_prefix(self, index):
         query = Query("patterns").where("name", "vis", Operator.PREFIX)
-        assert query.evaluate(index) == {"r2"}
+        assert run(query, index) == {"r2"}
 
     def test_conjunction(self, index):
         query = (Query("patterns")
                  .where("category", "behavioral", Operator.EQUALS)
                  .where("intent", "operations"))
-        assert query.evaluate(index) == {"r2"}
+        assert run(query, index) == {"r2"}
 
     def test_conjunction_no_match(self, index):
         query = (Query("patterns")
                  .where("category", "creational", Operator.EQUALS)
                  .where("intent", "notify"))
-        assert query.evaluate(index) == set()
+        assert run(query, index) == set()
 
     def test_empty_query_matches_nothing_via_index(self, index):
-        assert Query("patterns").evaluate(index) == set()
+        assert run(Query("patterns"), index) == set()
 
     def test_wrong_community(self, index):
-        assert Query.keyword("mp3s", "observer").evaluate(index) == set()
+        assert run(Query.keyword("mp3s", "observer"), index) == set()
 
 
 class TestMetadataMatching:
     METADATA = {"name": ["Observer"], "category": ["behavioral"],
                 "intent": ["notify dependents of state changes"]}
 
+    def matches(self, query: Query) -> bool:
+        return reference.matches_metadata(query, self.METADATA)
+
     def test_contains(self):
-        assert Query("p").where("intent", "notify dependents").matches_metadata(self.METADATA)
-        assert not Query("p").where("intent", "create factories").matches_metadata(self.METADATA)
+        assert self.matches(Query("p").where("intent", "notify dependents"))
+        assert not self.matches(Query("p").where("intent", "create factories"))
 
     def test_equals(self):
-        assert Query("p").where("name", "observer", Operator.EQUALS).matches_metadata(self.METADATA)
-        assert not Query("p").where("name", "observer pattern", Operator.EQUALS).matches_metadata(self.METADATA)
+        assert self.matches(Query("p").where("name", "observer", Operator.EQUALS))
+        assert not self.matches(Query("p").where("name", "observer pattern", Operator.EQUALS))
 
     def test_any(self):
-        assert Query.keyword("p", "behavioral").matches_metadata(self.METADATA)
-        assert not Query.keyword("p", "creational").matches_metadata(self.METADATA)
+        assert self.matches(Query.keyword("p", "behavioral"))
+        assert not self.matches(Query.keyword("p", "creational"))
 
     def test_missing_field_fails(self):
-        assert not Query("p").where("author", "gamma").matches_metadata(self.METADATA)
+        assert not self.matches(Query("p").where("author", "gamma"))
 
     def test_prefix(self):
-        assert Query("p", [Criterion("name", "obs", Operator.PREFIX)]).matches_metadata(self.METADATA)
+        assert self.matches(Query("p", [Criterion("name", "obs", Operator.PREFIX)]))
 
 
 class TestWireFormat:

@@ -8,6 +8,7 @@ from repro.storage.plan import compile_query
 from repro.storage.query import Query
 from repro.storage.repository import LocalRepository
 from repro.xmlkit.parser import parse
+from tests.storage.reference import evaluate
 
 
 def doc(text):
@@ -99,7 +100,7 @@ class TestRepository:
             Query.keyword("patterns", "visitor"),
         ):
             expected = [repository.retrieve(resource_id)
-                        for resource_id in sorted(query.evaluate(repository.index))]
+                        for resource_id in sorted(evaluate(query, repository.index))]
             assert repository.search(compile_query(query)) == expected
 
     def test_rebuilt_index_answers_identically(self):

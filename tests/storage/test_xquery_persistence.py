@@ -123,7 +123,7 @@ class TestPersistence:
         assert loaded.owner == "curator"
         assert len(loaded.documents) == 23
         # Index works after reload without recomputing metadata.
-        hits = loaded.search(Query("patterns").where("name", "Observer"))
+        hits = loaded.search(compile_query(Query("patterns").where("name", "Observer")))
         assert len(hits) == 1
         assert hits[0].title == "Observer"
 
