@@ -93,11 +93,11 @@ RULES: dict[str, Rule] = {
                 "The sharded kernel's determinism argument (engine/sharded.py) "
                 "holds because every event enters the queue through a routed "
                 "entry point: message deliveries via kernel.send -> "
-                "simulator.post (routed to the recipient's shard, parked in "
-                "the outbox when sent cross-shard mid-event), keyed timers "
+                "simulator.post (routed to the recipient's shard, lookahead-"
+                "checked when sent cross-shard mid-event), keyed timers "
                 "via post_keyed.  post and post_keyed are the only ways onto "
                 "a queue; a protocol touching the _queue heap bypasses "
-                "_route and the barrier — under shards>1 that undermines the "
+                "_route and its lookahead check — under shards>1 that undermines the "
                 "bit-identical contract the windowed execution provides.  "
                 "Likewise EventKernel.every(...) without affinity= runs the "
                 "timer on the control queue: correct for network-wide "

@@ -92,17 +92,6 @@ class QueryDriver:
     def __init__(self, network: PeerNetwork) -> None:
         self.network = network
 
-    def run_batch(self, requests: Sequence[tuple[str, Query]], *,
-                  max_results: int = 100, interarrival_ms: float = 0.0,
-                  max_events: int = 5_000_000) -> BatchOutcome:
-        """Submit ``(origin_id, query)`` pairs and run until all complete.
-
-        Search-only convenience over :meth:`run_mixed`.
-        """
-        ops = [SearchOp(origin_id=origin_id, query=query) for origin_id, query in requests]
-        return self.run_mixed(ops, max_results=max_results,
-                              interarrival_ms=interarrival_ms, max_events=max_events)
-
     def run_mixed(self, ops: Sequence[WorkloadOp], *, max_results: int = 100,
                   interarrival_ms: float = 0.0,
                   max_events: int = 5_000_000) -> BatchOutcome:

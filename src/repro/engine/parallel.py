@@ -66,6 +66,7 @@ from repro.network.simulator import (
     _CALLBACK,
     _SEQUENCE,
     _TIME,
+    DriveLatch,
     LatencyModel,
     NetworkSimulator,
     SimulationTruncated,
@@ -817,9 +818,27 @@ class WorkerSimulator(NetworkSimulator):
             self._sequence = self._ctrl_sequence
         return True
 
-    #: the drive loop runs over :meth:`step` above (windows, barriers,
-    #: plane switching) — never the base class's inlined single-queue loop
-    drive = NetworkSimulator._drive_by_step
+    def drive(self, latch: DriveLatch, *, max_events: int,
+              until_ms: Optional[float] = None) -> tuple[int, bool]:
+        """The drive loop over :meth:`step` above (windows, barriers,
+        plane switching) — never the base class's single-queue loop.
+
+        A worker bounds time only in :meth:`run`, so ``until_ms`` must
+        be ``None``.  Reaching ``max_events`` with the latch still held
+        raises :class:`SimulationTruncated`.
+        """
+        if until_ms is not None:
+            raise ValueError("a worker's drive takes no until_ms; use run()")
+        processed = 0
+        while latch.remaining > 0:
+            if processed == max_events:
+                raise SimulationTruncated(
+                    f"drive hit max_events={max_events} with its latch "
+                    f"still held at t={self._now:.3f}ms", processed=processed)
+            if not self.step():
+                return processed, True
+            processed += 1
+        return processed, False
 
     def align_exit_clock(self, time_ms: float) -> None:
         """Pin the clock to the serial run's exit time.

@@ -67,9 +67,9 @@ class ReliableChannel:
         # Capped exponential backoff: 1x, 2x, 4x, ... up to 8x.
         timeout_ms = self.config.retry_timeout_ms * min(2.0 ** entry.attempt, 8.0)
         # post_keyed declares the retry timer's shard affinity (the
-        # sender's home shard) and enqueues directly there, bypassing
-        # the cross-shard outbox — so a short timeout never violates
-        # the sharded kernel's conservative lookahead window.
+        # sender's home shard) and enqueues directly there, never as a
+        # cross-shard send — so a short timeout never violates the
+        # sharded kernel's conservative lookahead window.
         self.kernel.simulator.post_keyed(entry.message.sender, timeout_ms, self._check,
                                          entry.message.message_id, entry.attempt)
 

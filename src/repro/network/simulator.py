@@ -4,17 +4,21 @@ The simulator provides a virtual clock, an event queue and a latency
 model between peers.  Events go onto the queue by :meth:`post`, a delay
 from now (or :meth:`post_keyed`, with a shard-affinity hint), or by
 :meth:`post_at`, an absolute time no earlier than now (the kernel's
-completion of an exchange at its horizon) — and the clock moves only by
-processing events: ``run``, ``step`` and ``drive`` pop
-the earliest entry and set ``now`` to its time.  Message deliveries,
-timers, churn transitions and workload submissions all share that one
-clock, so experiments can mix churn events with query workloads.
+completion of an exchange at its horizon).  The clock moves only by
+processing events, and one loop does that: :meth:`NetworkSimulator.drive`
+pops the earliest entry, sets ``now`` to its time and runs it, until a
+:class:`DriveLatch` is released, the queue drains, an ``until_ms``
+horizon or an event cap is reached; ``run`` and ``step`` are calls into
+it.  Message deliveries, timers, churn transitions and workload
+submissions all share that one clock, so experiments can mix churn
+events with query workloads.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from typing import Callable, Optional
 
@@ -28,7 +32,7 @@ _TIME, _SEQUENCE, _CALLBACK, _ARGS = 0, 1, 2, 3
 
 
 class SimulationTruncated(RuntimeError):
-    """``run(max_events=...)`` hit its event cap with work still eligible.
+    """A drive loop hit its ``max_events`` cap with work still eligible.
 
     A capped run that stops silently is indistinguishable from a
     completed one — under fault injection that would let a starved run
@@ -164,93 +168,63 @@ class NetworkSimulator:
         :class:`SimulationTruncated` — a capped run must never
         masquerade as a completed one.
         """
-        processed = 0
-        while self._queue and processed < max_events:
-            if until_ms is not None and self._queue[0][_TIME] > until_ms:
-                break
-            entry = heapq.heappop(self._queue)
-            time = entry[_TIME]
-            if time > self._now:
-                self._now = time
-            entry[_CALLBACK](*entry[_ARGS])
-            processed += 1
-            self.events_processed += 1
-        if processed >= max_events and self._has_eligible(until_ms):
-            raise SimulationTruncated(
-                f"run() hit max_events={max_events} with eligible events still "
-                f"queued at t={self._now:.3f}ms", processed=processed)
+        processed, _drained = self.drive(DriveLatch(1), max_events=max_events,
+                                         until_ms=until_ms)
         if until_ms is not None and self._now < until_ms:
             self._now = until_ms
         return processed
-
-    def _has_eligible(self, until_ms: Optional[float]) -> bool:
-        """Any queued event within the ``until_ms`` horizon?"""
-        return bool(self._queue) and (
-            until_ms is None or self._queue[0][_TIME] <= until_ms)
 
     def step(self) -> bool:
         """Process exactly one pending event.
 
         Returns ``True`` if an event ran, ``False`` if the queue was
-        empty.  The event kernel uses this to drain the queue only as
-        far as a query's completion, leaving later events (churn chains,
-        other queries) in place.
+        empty.  A one-event drive that finds more work queued raises
+        :class:`SimulationTruncated`; for a step that is the normal
+        outcome.
         """
-        if not self._queue:
-            return False
-        entry = heapq.heappop(self._queue)
-        time = entry[_TIME]
-        if time > self._now:
-            self._now = time
-        entry[_CALLBACK](*entry[_ARGS])
-        self.events_processed += 1
-        return True
+        try:
+            return self.drive(DriveLatch(1), max_events=1)[0] == 1
+        except SimulationTruncated:
+            return True
 
-    def drive(self, latch: DriveLatch, *, max_events: int) -> tuple[int, bool]:
-        """Run events until ``latch`` is released: the one drive loop.
+    def drive(self, latch: DriveLatch, *, max_events: int,
+              until_ms: Optional[float] = None) -> tuple[int, bool]:
+        """Run events until ``latch`` is released: the one loop that
+        pops the queue (``run`` and ``step`` call it).
 
         Returns ``(processed, drained)``; ``drained`` says the queue ran
         empty with the latch still held (the caller marks what it was
         waiting on starved).  Events after the releasing one stay
-        queued and ``now`` is the releasing event's time.  Running more
-        than ``max_events`` raises — a cascade that never quiesces.
-
-        This is :meth:`step` in a loop with the body inlined: the hot
-        path pays the event's own frame and no ``step()`` call around
-        it.  A subclass with its own :meth:`step` (its own queues) must
-        take :meth:`_drive_by_step` instead.
+        queued and ``now`` is the releasing event's time.  The loop
+        also stops before an event later than ``until_ms``, and after
+        ``max_events`` events — raising :class:`SimulationTruncated`
+        if an event within ``until_ms`` is still queued then.
         """
         queue = self._queue
         pop = heapq.heappop
+        horizon = math.inf if until_ms is None else until_ms
         processed = 0
         try:
             while latch.remaining > 0:
                 if not queue:
                     return processed, True
+                if processed == max_events:
+                    if queue[0][_TIME] <= horizon:
+                        raise SimulationTruncated(
+                            f"hit max_events={max_events} with eligible events "
+                            f"still queued at t={self._now:.3f}ms", processed=processed)
+                    break
                 entry = pop(queue)
                 time = entry[0]
+                if time > horizon:
+                    heapq.heappush(queue, entry)
+                    break
                 if time > self._now:
                     self._now = time
                 entry[2](*entry[3])
                 processed += 1
-                if processed > max_events:
-                    raise RuntimeError(
-                        f"drive loop exceeded {max_events} events without quiescing")
         finally:
             self.events_processed += processed
-        return processed, False
-
-    def _drive_by_step(self, latch: DriveLatch, *, max_events: int) -> tuple[int, bool]:
-        """:meth:`drive` as a plain loop over :meth:`step` — what a
-        simulator with its own queues and its own ``step`` uses."""
-        processed = 0
-        while latch.remaining > 0:
-            if not self.step():
-                return processed, True
-            processed += 1
-            if processed > max_events:
-                raise RuntimeError(
-                    f"drive loop exceeded {max_events} events without quiescing")
         return processed, False
 
     def align_exit_clock(self, time_ms: float) -> None:

@@ -233,16 +233,15 @@ class Scenario:
                 response = searcher.search(self.community_id, query, max_results=max_results)
                 counts.append(response.result_count)
             return counts
-        requests = [
-            (members[index % len(members)].peer_id, query)
+        ops = [
+            SearchOp(origin_id=members[index % len(members)].peer_id, query=query)
             for index, query in enumerate(self.workload)
         ]
         driver = QueryDriver(self.network)
         counts = []
-        for start in range(0, len(requests), self.config.concurrency):
-            batch = requests[start:start + self.config.concurrency]
-            outcome = driver.run_batch(
-                batch,
+        for start in range(0, len(ops), self.config.concurrency):
+            outcome = driver.run_mixed(
+                ops[start:start + self.config.concurrency],
                 max_results=max_results,
                 interarrival_ms=self.config.query_interarrival_ms,
             )

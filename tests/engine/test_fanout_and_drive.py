@@ -1,4 +1,4 @@
-"""The kernel fan-out is N sends; the drive loop is ``step()`` in a loop.
+"""The kernel fan-out is N sends; the drive loop is the one pop loop.
 
 * A property: ``EventKernel.send_many`` over any recipient list, with
   and without injected faults, leaves statistics, exchange counters and
@@ -11,7 +11,8 @@
   the latest absorbed arrival, and the exchange completes at the same
   instant.
 * The semantics of ``NetworkSimulator.drive`` (the loop under every
-  batch and every synchronous search), on both simulators.
+  batch, every synchronous search, ``run`` and ``step``), on both
+  simulators.
 """
 
 import itertools
@@ -19,14 +20,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.driver import QueryDriver
+from repro.engine.driver import QueryDriver, SearchOp
 from repro.engine.kernel import EventKernel, QueryContext
 from repro.engine.sharded import ShardedSimulator
 from repro.network.faults import FaultPlan, PartitionWindow, build_fault_model
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.messages import MessageType, query_message
 from repro.network.peers import Peer
-from repro.network.simulator import DriveLatch, NetworkSimulator
+from repro.network.simulator import DriveLatch, NetworkSimulator, SimulationTruncated
 from repro.network.stats import NetworkStats
 from repro.storage.query import Query
 
@@ -40,9 +41,7 @@ SIMULATORS = {
 
 def entries(simulator):
     """Every queued entry, in the order the simulator would run them."""
-    queues = [simulator._queue]
-    if isinstance(simulator, ShardedSimulator):
-        queues += [*simulator._shard_queues, simulator._outbox]
+    queues = [simulator._queue, *getattr(simulator, "_shard_queues", ())]
     return sorted(itertools.chain(*queues), key=lambda entry: entry[:2])
 
 
@@ -272,9 +271,20 @@ class TestDriveLoop:
             simulator.post(1.0, again)
 
         simulator.post(1.0, again)
-        with pytest.raises(RuntimeError, match="exceeded 50 events"):
+        with pytest.raises(SimulationTruncated) as excinfo:
             simulator.drive(DriveLatch(1), max_events=50)
-        assert simulator.events_processed == 51
+        assert excinfo.value.processed == 50
+        assert simulator.events_processed == 50
+
+    def test_stops_before_the_horizon_and_at_the_cap(self, simulator):
+        ran = []
+        for time in (5.0, 10.0, 15.0):
+            simulator.post(time, ran.append, time)
+        # an event at the horizon runs, one past it stays queued, and a
+        # cap reached with only that event left is no truncation
+        assert simulator.drive(DriveLatch(1), max_events=2, until_ms=10.0) == (2, False)
+        assert ran == [5.0, 10.0] and simulator.now == 10.0
+        assert simulator.pending_events() == 1 and simulator.events_processed == 2
 
     def test_events_processed_counts_what_ran_when_a_callback_raises(self, simulator):
         latch = DriveLatch(1)
@@ -357,8 +367,9 @@ def test_driver_marks_a_drained_batch_starved(shards):
         return context
 
     network.start_search = leaky_start_search
-    outcome = QueryDriver(network).run_batch(
-        [(f"peer-{index:02d}", Query.keyword("patterns", "observer")) for index in range(3)],
+    outcome = QueryDriver(network).run_mixed(
+        [SearchOp(f"peer-{index:02d}", Query.keyword("patterns", "observer"))
+         for index in range(3)],
         interarrival_ms=5.0)
     assert outcome.starved == 1 and outcome.failed == 0
     assert len(outcome.responses) == 3

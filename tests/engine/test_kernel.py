@@ -172,9 +172,9 @@ class TestQueryDriver:
     def test_batch_keeps_queries_in_flight_together(self):
         network = self.build_network()
         driver = QueryDriver(network)
-        requests = [(f"peer-{index:02d}", Query.keyword("patterns", "observer"))
-                    for index in range(8)]
-        outcome = driver.run_batch(requests, interarrival_ms=5.0)
+        ops = [SearchOp(f"peer-{index:02d}", Query.keyword("patterns", "observer"))
+               for index in range(8)]
+        outcome = driver.run_mixed(ops, interarrival_ms=5.0)
         assert len(outcome.responses) == 8
         assert outcome.failed == 0
         assert all(response.result_count >= 1 for response in outcome.responses)
@@ -184,9 +184,9 @@ class TestQueryDriver:
         network = self.build_network()
         network.set_online("peer-03", False)
         driver = QueryDriver(network)
-        requests = [("peer-02", Query.keyword("patterns", "observer")),
-                    ("peer-03", Query.keyword("patterns", "observer"))]
-        outcome = driver.run_batch(requests)
+        ops = [SearchOp("peer-02", Query.keyword("patterns", "observer")),
+               SearchOp("peer-03", Query.keyword("patterns", "observer"))]
+        outcome = driver.run_mixed(ops)
         assert outcome.failed == 1
         assert outcome.responses[1].result_count == 0
         assert outcome.responses[0].result_count >= 1
@@ -194,7 +194,7 @@ class TestQueryDriver:
     def test_negative_interarrival_rejected(self):
         network = self.build_network()
         with pytest.raises(ValueError):
-            QueryDriver(network).run_batch([], interarrival_ms=-1.0)
+            QueryDriver(network).run_mixed([], interarrival_ms=-1.0)
 
     def test_mixed_batch_runs_downloads_alongside_searches(self):
         network = self.build_network()
@@ -262,7 +262,7 @@ class TestQueryDriver:
                 return context
 
         driver = QueryDriver(LossyNetwork(network))
-        outcome = driver.run_batch([("peer-01", Query.keyword("patterns", "observer"))])
+        outcome = driver.run_mixed([SearchOp("peer-01", Query.keyword("patterns", "observer"))])
         assert outcome.starved == 1
         assert len(outcome.responses) == 1
         # The latency reflects the drain time, not a clamped zero.
@@ -289,9 +289,9 @@ class TestQueryDriver:
         network.publish("peer-00", "patterns", stored.resource_id, {"name": ["Observer"]})
         network.stats.reset()
         driver = QueryDriver(network)
-        requests = [(f"peer-{index:02d}", Query.keyword("patterns", "observer"))
-                    for index in range(1, 5)]
-        outcome = driver.run_batch(requests, interarrival_ms=1.0)
+        ops = [SearchOp(f"peer-{index:02d}", Query.keyword("patterns", "observer"))
+               for index in range(1, 5)]
+        outcome = driver.run_mixed(ops, interarrival_ms=1.0)
         assert all(response.messages_sent == 2 for response in outcome.responses)
         assert network.stats.total_messages == 8
 

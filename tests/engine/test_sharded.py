@@ -1,16 +1,17 @@
-"""Unit tests for the sharded simulator, its barrier and shard placement."""
+"""Unit tests for the sharded simulator, its windows and shard placement."""
 
 from __future__ import annotations
 
 from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.kernel import EventKernel, ExchangeContext
-from repro.engine.sharded import ShardedSimulator, shard_of
+from repro.engine.sharded import CONTROL, ShardedSimulator, shard_of
 from repro.network.messages import Message, MessageType
 from repro.network.peers import Peer
-from repro.network.simulator import (LatencyModel, NetworkSimulator,
+from repro.network.simulator import (DriveLatch, LatencyModel, NetworkSimulator,
                                      SimulationTruncated)
 from repro.network.stats import NetworkStats
 
@@ -67,7 +68,7 @@ class TestShardedRouting:
         assert simulator.events_per_shard[0] >= 1
         assert simulator.events_per_shard[1] >= 1
 
-    def test_cross_shard_sends_from_handlers_park_in_outbox(self):
+    def test_cross_shard_sends_from_handlers_cross_a_window(self):
         kernel, simulator, _ = make_sharded_kernel()
 
         def relay(peer, message, context):
@@ -180,6 +181,30 @@ class TestConservativeBarrier:
         with pytest.raises(RuntimeError, match="lookahead violated"):
             simulator.run()
 
+    def test_sub_lookahead_send_raises_inside_the_sending_event(self):
+        # The window opened at 10ms ends at 30ms.  The rogue delivery's
+        # 1ms cross-shard send lands inside it, so the send itself
+        # raises: neither the rest of the rogue event nor any later
+        # event of the window runs.
+        simulator = ShardedSimulator(
+            latency=LatencyModel(base_ms=20.0, jitter_ms=0.0, seed=1), seed=1, shards=2)
+        ran = []
+
+        def rogue(message):
+            ran.append("rogue")
+            simulator.post(1.0, ran.append, ping(A, B))
+            ran.append("after the send")
+
+        simulator.post(10.0, rogue, ping(B, A))
+        simulator.post(12.0, ran.append, ping(A, B))
+        simulator.post(15.0, ran.append, "control event")
+        with pytest.raises(RuntimeError, match="lookahead violated"):
+            simulator.run()
+        assert ran == ["rogue"]
+        assert simulator.now == 10.0
+        assert simulator.events_processed == 0
+        assert simulator.pending_events() == 2
+
     def test_degenerate_latency_model_falls_back_to_single_queue(self):
         kernel, simulator, _ = make_sharded_kernel(base_ms=0.0, jitter_ms=5.0)
         assert simulator.lookahead_ms == 0.0
@@ -237,3 +262,95 @@ class TestTruncationIsLoud:
         simulator.post(1_000.0, lambda: None)
         assert simulator.run(until_ms=10.0, max_events=1) == 1
         assert simulator.now == 10.0
+
+
+#: four nodes, the i-th homed on shard i of a four-shard simulator
+NODES4 = homed_ids(4)
+BASE_MS = 20.0
+
+#: one scheduled event: (how it is posted, delay, node, the events it
+#: posts when it runs).  A node makes a ``post`` / ``post_at`` event a
+#: delivery to that node and a ``post_keyed`` event keyed on it; with
+#: no node it is a control event (``post_keyed`` with an empty key).
+hows = st.sampled_from(["post", "post_at", "post_keyed"])
+delays = st.sampled_from([0.0, 5.0, 10.0, 20.0, 25.0, 40.0])
+nodes = st.sampled_from((None, *NODES4))
+event_specs = st.recursive(
+    st.tuples(hows, delays, nodes, st.just(())),
+    lambda children: st.tuples(hows, delays, nodes,
+                               st.lists(children, max_size=3).map(tuple)),
+    max_leaves=30)
+
+
+def execute(simulator, schedule, loop):
+    """Post ``schedule`` and run it with ``loop``; return the executed
+    ``(time, label)`` sequence, the final clock and the event count.
+
+    Labels are drawn in posting order, as sequence numbers are, so the
+    label sequence is the ``(time, sequence)`` sequence.  A delivery
+    posted from one shard's event to another shard's node waits at
+    least one base latency, as every link does.
+    """
+    trace, labels = [], count()
+
+    def fire(label, children, shard):
+        trace.append((simulator.now, label))
+        for child in children:
+            post(child, shard)
+
+    def deliver(message, label, children):
+        fire(label, children, shard_of(message.recipient, 4))
+
+    def post(spec, sender_shard):
+        how, delay, node, children = spec
+        label = next(labels)
+        if node is None or how == "post_keyed":
+            shard = CONTROL if node is None else shard_of(node, 4)
+            callback, args = fire, (label, children, shard)
+        else:
+            if sender_shard not in (CONTROL, shard_of(node, 4)):
+                delay = max(delay, BASE_MS)
+            callback, args = deliver, (ping("s", node), label, children)
+        if how == "post":
+            simulator.post(delay, callback, *args)
+        elif how == "post_at":
+            simulator.post_at(simulator.now + delay, callback, *args)
+        else:
+            simulator.post_keyed(node or "", delay, callback, *args)
+
+    for spec in schedule:
+        post(spec, CONTROL)
+    loop(simulator)
+    return trace, simulator.now, simulator.events_processed
+
+
+def step_until_empty(simulator):
+    while simulator.step():
+        pass
+
+
+LOOPS = {
+    "run": lambda simulator: simulator.run(),
+    "drive": lambda simulator: simulator.drive(DriveLatch(1), max_events=10_000),
+    "step": step_until_empty,
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(schedule=st.lists(event_specs, min_size=1, max_size=6))
+def test_every_loop_runs_the_same_events_on_every_simulator(schedule):
+    """``run()``, ``drive(latch)`` and ``step()`` until empty pop the
+    same ``(time, sequence)`` sequence on the single queue and on four
+    shards, and leave the same clock and event count."""
+    def single():
+        return NetworkSimulator(latency=LatencyModel(base_ms=BASE_MS, seed=1), seed=1)
+
+    def sharded():
+        return ShardedSimulator(latency=LatencyModel(base_ms=BASE_MS, seed=1),
+                                seed=1, shards=4)
+
+    reference = execute(single(), schedule, LOOPS["run"])
+    assert len(reference[0]) == reference[2]
+    for make in (single, sharded):
+        for loop in LOOPS.values():
+            assert execute(make(), schedule, loop) == reference

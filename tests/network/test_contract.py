@@ -672,8 +672,7 @@ class FateLedger:
 
     def queued(self) -> int:
         simulator = self.network.simulator
-        heaps = [simulator._queue, *getattr(simulator, "_shard_queues", ()),
-                 getattr(simulator, "_outbox", ())]
+        heaps = [simulator._queue, *getattr(simulator, "_shard_queues", ())]
         return sum(entry[2] in self.callbacks for heap in heaps for entry in heap)
 
     def balance(self) -> tuple[int, int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.driver import QueryDriver
+from repro.engine.driver import QueryDriver, SearchOp
 from repro.storage.plan import compile_query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
@@ -29,13 +29,13 @@ def answers_and_oracle(protocol, informed, seed, max_results):
     scenario = build_scenario(ScenarioConfig(protocol=protocol, informed_routing=informed,
                                              seed=seed, **ORACLE_CELL))
     members = scenario.members()
-    requests = [(members[index % len(members)].peer_id, query)
-                for index, query in enumerate(scenario.workload)]
+    ops = [SearchOp(members[index % len(members)].peer_id, query)
+           for index, query in enumerate(scenario.workload)]
     driver = QueryDriver(scenario.network)
     step = scenario.config.concurrency
     answers = []
-    for start in range(0, len(requests), step):
-        outcome = driver.run_batch(requests[start:start + step], max_results=max_results,
+    for start in range(0, len(ops), step):
+        outcome = driver.run_mixed(ops[start:start + step], max_results=max_results,
                                    interarrival_ms=scenario.config.query_interarrival_ms)
         answers += [{(result.provider_id, result.resource_id) for result in response.results}
                     for response in outcome.responses]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.driver import QueryDriver
+from repro.engine.driver import QueryDriver, SearchOp
 from repro.network.config import CacheConfig, RoutingConfig
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.routing import (
@@ -217,14 +217,14 @@ def run_cell(**overrides):
     query delivers, which counts alone cannot pin."""
     scenario = build_scenario(ScenarioConfig(**{**CONFIG, **overrides}))
     members = scenario.members()
-    requests = [(members[index % len(members)].peer_id, query)
-                for index, query in enumerate(scenario.workload)]
+    ops = [SearchOp(members[index % len(members)].peer_id, query)
+           for index, query in enumerate(scenario.workload)]
     driver = QueryDriver(scenario.network)
     result_sets = []
     step = scenario.config.concurrency
-    for start in range(0, len(requests), step):
-        outcome = driver.run_batch(
-            requests[start:start + step], max_results=100,
+    for start in range(0, len(ops), step):
+        outcome = driver.run_mixed(
+            ops[start:start + step], max_results=100,
             interarrival_ms=scenario.config.query_interarrival_ms)
         for response in outcome.responses:
             result_sets.append(frozenset(
