@@ -23,8 +23,8 @@ One kind of copy never enters the queue at all: a flood copy of a
 once-per-node type sent to a node the exchange already visited (see
 :meth:`EventKernel.deliver_once_per_node`) could only arrive as a
 filtered duplicate, so the fan-out *absorbs* it at send time — it is
-counted and meets its fault fate as always, but instead of a queue
-entry and a ``pending`` token it leaves only its arrival time, folded
+counted and meets its fault fate as always, but instead of a message, a
+queue entry and a ``pending`` token it leaves only its arrival time, folded
 into the context's ``horizon``.  When ``pending`` reaches zero the
 exchange completes then, or, if an absorbed copy would still have been
 in flight, by one queued completion at the horizon: ``completed_at`` is
@@ -40,7 +40,7 @@ processing events, never by side-effecting mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Collection, Optional, Sequence, TYPE_CHECKING
 
 from repro.network.faults import FaultModel
 from repro.network.messages import Message, MessageType, ack_message
@@ -262,10 +262,12 @@ class EventKernel:
 
         A copy :meth:`send_many` addresses to a node *already* in
         ``visited`` could only arrive filtered, since ``visited`` only
-        grows.  Such a copy, unless it carries an ``ack_to`` (then it
-        must reach its recipient), is absorbed: counted and fault-
-        decided as usual, its arrival time folded into the context's
-        ``horizon``, no event and no ``pending`` token.  Exchanges that
+        grows.  Such a copy is absorbed: counted and fault-decided as
+        usual, its arrival time folded into the context's ``horizon``,
+        no message, no event and no ``pending`` token.  (A copy awaiting
+        an ACK is never a fan-out copy: :meth:`Message.forwarded` does
+        not carry ``ack_to``, and a reliable envelope goes through
+        :meth:`send`, which never absorbs.)  Exchanges that
         carry a registered type must have a ``visited`` set (the search
         and membership contexts do); a delivery without an exchange is
         never filtered.
@@ -352,101 +354,106 @@ class EventKernel:
         delay = latency_ms if latency_ms is not None else self._link_latency(
             message.sender, message.recipient)
         if self.faults is not None:
-            self._post_faulted(delay, message, context)
+            self._post_faulted(delay, message.sender, message.recipient, message, context)
         else:
             self.simulator.post(delay, self._deliver, message, context)
 
-    def send_many(self, messages: Sequence[Message], *,
+    def send_many(self, message: Message, sender: str, recipients: Sequence[str], *,
                   context: Optional[ExchangeContext] = None) -> None:
-        """Send one hop's fan-out: the same message to several recipients.
+        """Forward ``message`` one hop from ``sender`` to each recipient.
 
-        ``messages`` are copies of one message from one sender that
-        differ only in their recipient (a flood hop, a relay broadcast,
-        a keepalive round), so wire size, type, statistics, the
-        exchange's counters and the sender's latency row are resolved
-        once for the hop; then, per copy and in the given order, the
-        link latency is read and the delivery posted — the same events,
-        in the same order, as one :meth:`send` per copy.
+        A flood hop, a discovery re-flood or a relay broadcast: the
+        copies differ only in their recipient, so wire size, type,
+        statistics, the exchange's counters and the sender's latency row
+        are resolved once for the hop.  Then, per recipient and in the
+        given order, the link latency is read and the copy
+        (``message.forwarded(sender, recipient)``) is built and posted —
+        the same events, in the same order, as one :meth:`send` per copy.
 
         A copy of a once-per-node type to a node the exchange already
-        visited is absorbed instead of posted (see
-        :meth:`deliver_once_per_node`): everything above still happens
-        to it, fault decision included, but its arrival only raises the
-        context's ``horizon``.  It holds no ``pending`` token, so a
-        fan-out sent outside the exchange's own events must be followed
-        by :meth:`finish_if_idle`, as any exchange that may send nothing.
+        visited is absorbed instead (see :meth:`deliver_once_per_node`):
+        it is counted and meets its fault fate like any copy, but it is
+        never built and nothing is queued for it; its arrival only
+        raises the context's ``horizon``.  It holds no ``pending`` token,
+        so a fan-out sent outside the exchange's own events must be
+        followed by :meth:`finish_if_idle`, as any exchange that may send
+        nothing.
         """
-        if not messages:
+        count = len(recipients)
+        if not count:
             return
-        first = messages[0]
-        count = len(messages)
-        size = first.size_bytes
-        type_value = first.type._value_
+        size = message.size_bytes
+        type_value = message.type._value_
         self.stats.record(type_value, size, count)
-        visited = None
+        visited: Collection[str] = ()
         if context is not None:
             context.messages_sent += count
             context.bytes_sent += count * size
             if self.absorbs_visited_copies and type_value in self._once_per_node:
                 visited = context.visited  # type: ignore[attr-defined]
-        sender = first.sender
         row = self._latency_row(sender)
         faulted = self.faults is not None
         post = self.simulator.post
         deliver = self._deliver
+        forward = message.forwarded
+        now = self.simulator.now
+        horizon = 0.0
         absorbed = 0
-        for message in messages:
-            recipient = message.recipient
+        for recipient in recipients:
             delay = row.get(recipient)
             if delay is None:
                 delay = self._link_latency(sender, recipient)
-            if visited is not None and recipient in visited and not message.ack_to:
+            if recipient in visited:
                 absorbed += 1
                 if faulted:
-                    self._post_faulted(delay, message, context, absorbed=True)
-                else:
-                    self._absorb(delay, deliver, message, context)
+                    self._post_faulted(delay, sender, recipient, None, context)
+                elif now + delay > horizon:
+                    horizon = now + delay
             elif faulted:
-                self._post_faulted(delay, message, context)
+                self._post_faulted(delay, sender, recipient,
+                                   forward(sender, recipient), context)
             else:
-                post(delay, deliver, message, context)
+                post(delay, deliver, forward(sender, recipient), context)
         if context is not None:
             context.pending += count - absorbed
+            if horizon > context.horizon:
+                context.horizon = horizon
 
-    def _post_faulted(self, delay: float, message: Message,
-                      context: Optional[ExchangeContext], *,
-                      absorbed: bool = False) -> None:
+    def _post_faulted(self, delay: float, sender: str, recipient: str,
+                      copy: Optional[Message],
+                      context: Optional[ExchangeContext]) -> None:
         """The send tail under fault injection: one fate per copy.
 
         ``decide`` keys same-instant sends on one link by their
         occurrence index, so it must be consulted exactly once per copy,
-        in send order — an absorbed copy included, whose deliveries
-        (and drop) go to :meth:`_absorb` instead of the queue.
+        in send order.  ``copy`` is ``None`` for a copy :meth:`send_many`
+        absorbed: its deliveries (and drop) go to :meth:`_absorb`
+        instead of the queue.
         """
         assert self.faults is not None
-        decision = self.faults.decide(message.sender, message.recipient,
-                                      self.simulator.now)
-        post: Callable[..., None] = self._absorb if absorbed else self.simulator.post
+        decision = self.faults.decide(sender, recipient, self.simulator.now)
+        post: Callable[..., None] = self.simulator.post if copy is not None else self._absorb
         if decision.drop:
             # The delivery is lost, but the exchange's reference
             # count must still fall at the original arrival time —
             # a drop event rides the queue in the delivery's place
             # (and routes to the recipient's shard exactly like it).
             self.stats.record_drop(partition=decision.partitioned)
-            post(delay, self._drop, message, context)
+            post(delay, self._drop, copy, context)
             return
         if decision.duplicate:
             self.stats.record_duplicate()
-            if context is not None and not absorbed:
+            if context is not None and copy is not None:
                 context.pending += 1
-            post(delay + decision.duplicate_lag_ms, self._deliver, message, context)
-        post(delay + decision.extra_delay_ms, self._deliver, message, context)
+            post(delay + decision.duplicate_lag_ms, self._deliver, copy, context)
+        post(delay + decision.extra_delay_ms, self._deliver, copy, context)
 
     def _absorb(self, delay_ms: float, _callback: Callable[..., None],
-                _message: Message, context: ExchangeContext) -> None:
-        """Where an absorbed copy's delivery goes instead of the queue:
-        its arrival time (the one :meth:`NetworkSimulator.post` would
-        queue it at) raises the exchange's ``horizon``."""
+                _copy: None, context: ExchangeContext) -> None:
+        """Where a faulted absorbed copy's deliveries and drop go instead
+        of the queue: each arrival time (the one
+        :meth:`NetworkSimulator.post` would queue it at) raises the
+        exchange's ``horizon``."""
         arrival = self.simulator.now + delay_ms
         if arrival > context.horizon:
             context.horizon = arrival

@@ -169,15 +169,15 @@ class GnutellaProtocol(PeerNetwork):
                              latency_ms=now - context.started_at)
             if message.ttl <= 1:
                 return
-            copies = []
+            recipients = []
             # ``visited`` already holds the delivering neighbour, so the
             # re-flood never echoes back to it.
             for neighbor_id in sorted(peer.neighbors):
                 neighbor = self.peers.get(neighbor_id)
                 if neighbor is not None and neighbor.online \
                         and neighbor_id not in context.visited:
-                    copies.append(message.forwarded(peer.peer_id, neighbor_id))
-            self.kernel.send_many(copies, context=context)
+                    recipients.append(neighbor_id)
+            self.kernel.send_many(message, peer.peer_id, recipients, context=context)
             return
         # Keepalive ping from a neighbour: acknowledge directly.  Under
         # informed routing the PONG also piggybacks this peer's routing
@@ -239,8 +239,8 @@ class GnutellaProtocol(PeerNetwork):
             for neighbor_id in sorted(peer.neighbors):
                 if peer.last_pong_ms.get(neighbor_id, 0.0) <= now - lease:
                     self._drop_link(peer, neighbor_id, now)
-            self.kernel.send_many([ping_message(peer_id, neighbor_id)
-                                   for neighbor_id in sorted(peer.neighbors)])
+            for neighbor_id in sorted(peer.neighbors):
+                self.kernel.send(ping_message(peer_id, neighbor_id))
             if len(peer.neighbors) < self.degree:
                 self._discover_neighbors(peer, kind="repair")
 
@@ -488,8 +488,8 @@ class GnutellaProtocol(PeerNetwork):
         # ``sender == origin``, never a neighbour.
         delivered_by = message.sender
         self.kernel.send_many(
-            [message.forwarded(peer_id, neighbor_id) for neighbor_id in targets
-             if neighbor_id != delivered_by],
+            message, peer_id,
+            [neighbor_id for neighbor_id in targets if neighbor_id != delivered_by],
             context=context)
 
     # ------------------------------------------------------------------

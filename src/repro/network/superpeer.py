@@ -305,8 +305,8 @@ class SuperPeerProtocol(TwoTierNetwork):
                                message_id=f"sp-{len(self.stats.queries)}", hops=hops)
         if at_entry:
             self.kernel.send_many(
-                [message.forwarded(super_id, other_id)
-                 for other_id in self._online_hubs() if other_id != super_id],
+                message, super_id,
+                [other_id for other_id in self._online_hubs() if other_id != super_id],
                 context=context)
 
     def _cache_store(self, context: QueryContext, response: SearchResponse) -> None:

@@ -100,6 +100,8 @@ class DocumentStore:
 
     def __init__(self) -> None:
         self._objects: dict[str, StoredObject] = {}
+        #: community id -> its objects; a community's bucket exists
+        #: exactly while it holds at least one object
         self._by_community: dict[str, dict[str, StoredObject]] = {}
 
     # ------------------------------------------------------------------
@@ -150,17 +152,23 @@ class DocumentStore:
         record = self._objects.pop(resource_id, None)
         if record is None:
             raise ObjectNotFoundError(f"no object with resource id {resource_id!r}")
-        community = self._by_community.get(record.community_id, {})
-        community.pop(resource_id, None)
+        community = self._by_community[record.community_id]
+        del community[resource_id]
+        if not community:
+            del self._by_community[record.community_id]
 
     # ------------------------------------------------------------------
+    def holds(self, community_id: str) -> bool:
+        """Whether at least one object is stored for ``community_id``."""
+        return community_id in self._by_community
+
     def objects_in(self, community_id: str) -> list[StoredObject]:
         """All objects stored for one community."""
         return list(self._by_community.get(community_id, {}).values())
 
     def communities(self) -> list[str]:
         """Community ids that have at least one stored object."""
-        return [community for community, objects in self._by_community.items() if objects]
+        return list(self._by_community)
 
     def __len__(self) -> int:
         return len(self._objects)

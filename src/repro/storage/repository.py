@@ -99,8 +99,12 @@ class LocalRepository:
 
         An empty query returns every object of the community (browsing);
         the returned list is always a fresh copy, never an alias of the
-        store's internals.
+        store's internals.  A repository holding nothing in the plan's
+        community answers ``[]`` without evaluating the plan: most peers
+        a flood reaches store nothing it asks about.
         """
+        if not self.documents.holds(plan.community_id):
+            return []
         if plan.is_empty:
             return self.documents.objects_in(plan.community_id)
         return [self.documents.get(resource_id)

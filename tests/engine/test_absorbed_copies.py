@@ -10,8 +10,8 @@ its exchange still completes at the instant the copy would have arrived.
   still "in flight" wait for it too: ``finish_if_idle`` after a fan-out
   sent outside the exchange's own events, and ``release`` of a held
   token.  Each is compared with a kernel that absorbs nothing.
-* A copy that carries an ``ack_to`` is never absorbed: it must reach its
-  recipient, which acknowledges it.
+* A copy that awaits an ACK goes through ``send``, which never absorbs:
+  it reaches its recipient, visited or not, which acknowledges it.
 """
 
 import pytest
@@ -97,7 +97,7 @@ def visited_context():
 
 
 def fan_out(kernel, context, recipients=("n0", "n1")):
-    kernel.send_many([query_message("s", node, "<q/>") for node in recipients], context=context)
+    kernel.send_many(query_message("x", "s", "<q/>"), "s", list(recipients), context=context)
 
 
 def idle_fan_out(absorbs):
@@ -146,10 +146,13 @@ def test_a_copy_awaiting_an_ack_is_queued_and_acknowledged():
     kernel, context = make_kernel(True), visited_context()
     acks = []
     kernel.register(MessageType.ACK, lambda peer, message, _context: acks.append(message))
-    copies = [query_message("s", node, "<q/>") for node in ("n0", "n1", "n2")]
-    copies[0].ack_to = "s"
-    kernel.send_many(copies, context=context)
-    # n1 is visited and awaits no ACK: absorbed; n2 is not visited yet.
+    hop = query_message("x", "s", "<q/>")
+    acked = hop.forwarded("s", "n0")
+    acked.ack_to = "s"
+    kernel.send(acked, context=context)
+    kernel.send_many(hop, "s", ["n1", "n2"], context=context)
+    # n0 is visited but was sent through ``send``: queued.  n1 is visited:
+    # absorbed; n2 is not visited yet.
     assert sorted(entry[3][0].recipient for entry in kernel.simulator._queue) == ["n0", "n2"]
     kernel.run_until_complete([context])
     assert [(ack.sender, ack.recipient) for ack in acks] == [("n0", "s")]

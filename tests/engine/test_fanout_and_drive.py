@@ -1,15 +1,19 @@
 """The kernel fan-out is N sends; the drive loop is the one pop loop.
 
-* A property: ``EventKernel.send_many`` over any recipient list, with
-  and without injected faults, leaves statistics, exchange counters and
-  the queued deliveries exactly as one ``send()`` per copy does — on the
-  single-queue simulator and on a sharded one.
-* The same property for a once-per-node type, whose copies to nodes the
-  exchange already visited are absorbed instead of queued: what the
-  absorbing fan-out queues plus what a test-side oracle says it absorbs
-  is what one ``send()`` per copy queues, the exchange's ``horizon`` is
-  the latest absorbed arrival, and the exchange completes at the same
-  instant.
+* A property: ``EventKernel.send_many(message, sender, recipients)``
+  over any recipient list, with and without injected faults, leaves
+  statistics, exchange counters, the ``horizon`` and the queued
+  deliveries exactly as one ``send(message.forwarded(sender, recipient))``
+  per recipient does — on the single-queue simulator and on a sharded
+  one, for a plain type and for a once-per-node type on a kernel that
+  absorbs nothing.
+* The same property for a once-per-node type on an absorbing kernel,
+  whose copies to nodes the exchange already visited are absorbed
+  instead of queued: what the fan-out queues plus what a test-side
+  oracle (recipient in ``visited`` at send) says it absorbs is what one
+  ``send()`` per copy queues, the exchange's ``horizon`` is the latest
+  absorbed arrival, the exchange completes at the same instant, and a
+  copy is built exactly when an event is queued for it.
 * The semantics of ``NetworkSimulator.drive`` (the loop under every
   batch, every synchronous search, ``run`` and ``step``), on both
   simulators.
@@ -25,7 +29,7 @@ from repro.engine.kernel import EventKernel, QueryContext
 from repro.engine.sharded import ShardedSimulator
 from repro.network.faults import FaultPlan, PartitionWindow, build_fault_model
 from repro.network.gnutella import GnutellaProtocol
-from repro.network.messages import MessageType, query_message
+from repro.network.messages import Message, MessageType, query_message
 from repro.network.peers import Peer
 from repro.network.simulator import DriveLatch, NetworkSimulator, SimulationTruncated
 from repro.network.stats import NetworkStats
@@ -51,23 +55,30 @@ def queued(simulator):
             for entry in entries(simulator)]
 
 
-def fan_out_state(make_simulator, recipients, plan, *, many):
-    """Fan a QUERY out from inside a delivery at ``s`` and report
-    everything the two spellings must agree on."""
-    simulator = make_simulator()
-    stats = NetworkStats()
-    kernel = EventKernel(simulator=simulator, stats=stats,
-                         peers={node: Peer(peer_id=node) for node in NODES})
+def fan_out_kernel(make_simulator, *, once_per_node, absorbs):
+    kernel = make_kernel(make_simulator())
+    kernel.absorbs_visited_copies = absorbs
+    if once_per_node:
+        kernel.deliver_once_per_node(MessageType.QUERY)
+    return kernel
+
+
+def fan_out_state(make_simulator, recipients, visited, plan, *, once_per_node, many):
+    """Fan a QUERY out from inside a delivery at ``s``, on a kernel that
+    absorbs nothing, and report everything the two spellings must agree
+    on."""
+    kernel = fan_out_kernel(make_simulator, once_per_node=once_per_node, absorbs=False)
+    simulator, stats = kernel.simulator, kernel.stats
     context = QueryContext(query=Query("c"), origin_id="s")
+    context.visited.update(visited)
     held = query_message("x", "s", "<q/>", ttl=4, message_id="flood-1")
 
     def fan_out(peer, message, _context):
-        copies = [message.forwarded("s", recipient) for recipient in recipients]
         if many:
-            kernel.send_many(copies, context=context)
+            kernel.send_many(message, "s", recipients, context=context)
         else:
-            for copy in copies:
-                kernel.send(copy, context=context)
+            for recipient in recipients:
+                kernel.send(message.forwarded("s", recipient), context=context)
 
     kernel.register(MessageType.QUERY, fan_out)
     kernel.send(held)
@@ -77,6 +88,7 @@ def fan_out_state(make_simulator, recipients, plan, *, many):
         "messages": dict(stats.messages_by_type), "bytes": dict(stats.bytes_by_type),
         "faults": stats.fault_summary(),
         "context": (context.messages_sent, context.bytes_sent, context.pending),
+        "horizon": context.horizon,
         "queued": queued(simulator),
     }
 
@@ -94,49 +106,52 @@ fault_plans = st.one_of(st.none(), st.builds(
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(recipients=st.lists(st.sampled_from(NODES), max_size=7), plan=fault_plans,
-       simulator=st.sampled_from(sorted(SIMULATORS)))
-def test_fan_out_is_one_send_per_copy(recipients, plan, simulator):
+@given(recipients=st.lists(st.sampled_from(NODES), max_size=7),
+       visited=st.sets(st.sampled_from(NODES)), once_per_node=st.booleans(),
+       plan=fault_plans, simulator=st.sampled_from(sorted(SIMULATORS)))
+def test_fan_out_is_one_send_per_copy(recipients, visited, once_per_node, plan, simulator):
     """Repeated recipients are the sharp case: the fault model keys
     same-instant sends on one link by their occurrence, i.e. by order."""
     make = SIMULATORS[simulator]
-    one_by_one = fan_out_state(make, recipients, plan, many=False)
-    assert fan_out_state(make, recipients, plan, many=True) == one_by_one
+    one_by_one = fan_out_state(make, recipients, visited, plan,
+                               once_per_node=once_per_node, many=False)
+    assert fan_out_state(make, recipients, visited, plan,
+                         once_per_node=once_per_node, many=True) == one_by_one
     assert one_by_one["context"][0] == len(recipients)
+    assert one_by_one["horizon"] == 0.0
 
 
-def once_per_node_fan_out(make_simulator, recipients, visited, acked, plan, *, absorbing):
-    """Fan a once-per-node QUERY out from inside a delivery at ``s``, for an
-    exchange that has visited ``visited`` and holds a token the fan-out
-    releases; the copies to the recipients ``acked`` names await an ACK.
-    Returns the run's state right after the fan-out and after a drain,
-    plus the copies the oracle says an absorbing kernel absorbs: once-
-    per-node type, recipient in ``visited`` at send, no ``ack_to``."""
-    simulator = make_simulator()
-    stats = NetworkStats()
-    kernel = EventKernel(simulator=simulator, stats=stats,
-                         peers={node: Peer(peer_id=node) for node in NODES})
-    kernel.deliver_once_per_node(MessageType.QUERY)
+def once_per_node_fan_out(make_simulator, recipients, visited, plan, *, absorbing):
+    """Fan a once-per-node QUERY out from inside a delivery at ``s``, on an
+    absorbing kernel, for an exchange that has visited ``visited`` and
+    holds a token the fan-out releases.  Returns the run's state right
+    after the fan-out and after a drain, plus every copy
+    ``Message.forwarded`` built during the fan-out."""
+    kernel = fan_out_kernel(make_simulator, once_per_node=True, absorbs=True)
+    simulator, stats = kernel.simulator, kernel.stats
     context = QueryContext(query=Query("c"), origin_id="s")
     context.visited.update(visited)
     context.pending += 1
     held = query_message("x", "s", "<q/>", ttl=4, message_id="flood-1")
-    absorbable = {}   # id -> copy, which also keeps the id unique
+    built = []
+    forwarded = Message.forwarded
+
+    def counted_forwarded(message, sender, recipient):
+        built.append(forwarded(message, sender, recipient))
+        return built[-1]
 
     def fan_out(peer, message, _context):
         if message is not held:
             return
-        copies = [message.forwarded("s", recipient) for recipient in recipients]
-        for copy in copies:
-            if copy.recipient in acked:
-                copy.ack_to = "s"
-        absorbable.update((id(copy), copy) for copy in copies
-                          if copy.recipient in context.visited and not copy.ack_to)
-        if absorbing:
-            kernel.send_many(copies, context=context)
-        else:
-            for copy in copies:
-                kernel.send(copy, context=context)
+        Message.forwarded = counted_forwarded
+        try:
+            if absorbing:
+                kernel.send_many(message, "s", recipients, context=context)
+            else:
+                for recipient in recipients:
+                    kernel.send(message.forwarded("s", recipient), context=context)
+        finally:
+            Message.forwarded = forwarded
         kernel.release(context)
 
     kernel.register(MessageType.QUERY, fan_out)
@@ -153,7 +168,7 @@ def once_per_node_fan_out(make_simulator, recipients, visited, acked, plan, *, a
     after_fan_out = dict(state(), pending=context.pending, horizon=context.horizon,
                          now=simulator.now, entries=entries(simulator))
     simulator.run()
-    return after_fan_out, dict(state(), pending=context.pending), absorbable
+    return after_fan_out, dict(state(), pending=context.pending), built
 
 
 def arrival(entry):
@@ -165,27 +180,30 @@ def arrival(entry):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(recipients=st.lists(st.sampled_from(NODES), max_size=7),
        visited=st.sets(st.sampled_from(NODES)),
-       acked=st.sets(st.sampled_from(NODES), max_size=2),
        plan=fault_plans, simulator=st.sampled_from(sorted(SIMULATORS)))
-def test_absorbing_fan_out_is_one_send_per_copy(recipients, visited, acked, plan, simulator):
+def test_absorbing_fan_out_is_one_send_per_copy(recipients, visited, plan, simulator):
     make = SIMULATORS[simulator]
-    reference, reference_end, expected = once_per_node_fan_out(
-        make, recipients, visited, acked, plan, absorbing=False)
-    absorbing, absorbing_end, absorbed = once_per_node_fan_out(
-        make, recipients, visited, acked, plan, absorbing=True)
+    reference, reference_end, _ = once_per_node_fan_out(
+        make, recipients, visited, plan, absorbing=False)
+    absorbing, absorbing_end, built = once_per_node_fan_out(
+        make, recipients, visited, plan, absorbing=True)
 
     for key in ("messages", "bytes", "faults", "context"):
         assert absorbing[key] == reference[key]
     # Split the reference's queued deliveries by the oracle's verdict on
-    # their copy; fault duplicates and drops of an absorbed copy count.
+    # their recipient; fault duplicates and drops of an absorbed copy count.
+    absorbed = set(recipients) & visited
     absorbed_arrivals = [arrival(entry) for entry in reference["entries"]
-                         if id(entry[3][0]) in expected]
+                         if arrival(entry)[2] in absorbed]
     kept = [arrival(entry) for entry in reference["entries"]
-            if id(entry[3][0]) not in expected]
+            if arrival(entry)[2] not in absorbed]
     deliveries = [entry for entry in absorbing["entries"]
                   if entry[2].__name__ != "_complete"]
-    assert not [entry for entry in deliveries if id(entry[3][0]) in absorbed]
     assert [arrival(entry) for entry in deliveries] == kept
+    # A copy is built exactly when an event is queued for it: one per
+    # recipient not absorbed, however many events its fate queued.
+    assert len(built) == len([node for node in recipients if node not in absorbed])
+    assert {id(copy) for copy in built} == {id(entry[3][0]) for entry in deliveries}
     assert absorbing["horizon"] == max((time for time, _, _ in absorbed_arrivals), default=0.0)
     assert absorbing["pending"] == reference["pending"] - len(absorbed_arrivals)
     # One horizon event stands in for the absorbed arrivals exactly when

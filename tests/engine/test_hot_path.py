@@ -32,7 +32,9 @@
 * *Count guards with no clock in them.*  The transport pays per hop, not
   per copy: one ``NetworkStats.record`` per re-flooding peer, no handler
   frame for a duplicate QUERY delivery, no message id drawn for a QUERY
-  copy, and no QUERY copy sent back to the peer it came from.  An index
+  copy, no QUERY copy sent back to the peer it came from, and no
+  ``Message`` built for a copy the fan-out absorbs.  A peer that stores
+  nothing in a query's community never evaluates its plan.  An index
   point builds each hit once per record and depth: a repeated
   ``directory`` round constructs no ``SearchResult`` in ``HubCatalog.take``.
 """
@@ -55,7 +57,9 @@ from repro.network.base import PeerNetwork, SearchResult
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.messages import Message, MessageType
 from repro.network.stats import NetworkStats
+from repro.storage.plan import CompiledQuery
 from repro.storage.query import Query
+from repro.storage.repository import LocalRepository
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 from tests.network.test_contract import BASE_CELL, make_network, publish_pattern
 
@@ -162,7 +166,7 @@ def work_ledger(name):
         return lambda function: tracer.counted(unit, function)
 
     def note_copies(args, _result):
-        tracer.counts["engine.kernel.send_many.copies"] += len(args[1])
+        tracer.counts["engine.kernel.send_many.copies"] += len(args[3])
 
     tracer.patch_method((SearchResult,), "__init__", counted("network.base.SearchResult.init"))
     tracer.patch_method((Message,), "__init__", counted("network.messages.Message.init"))
@@ -337,11 +341,11 @@ def test_a_flood_never_echoes(monkeypatch):
         delivered_by[peer.peer_id] = message.sender
         flood_from(self, peer, message, context)
 
-    def recording_send_many(self, messages, *, context=None):
+    def recording_send_many(self, message, sender, recipients, *, context=None):
         # A fan-out runs inside the ``_flood_from`` that just booked its sender.
-        sent.extend((copy.sender, copy.recipient, delivered_by[copy.sender])
-                    for copy in messages if copy.type is MessageType.QUERY)
-        send_many(self, messages, context=context)
+        if message.type is MessageType.QUERY:
+            sent.extend((sender, recipient, delivered_by[sender]) for recipient in recipients)
+        send_many(self, message, sender, recipients, context=context)
 
     monkeypatch.setattr(GnutellaProtocol, "_flood_from", recording_flood_from)
     monkeypatch.setattr(EventKernel, "send_many", recording_send_many)
@@ -350,6 +354,85 @@ def test_a_flood_never_echoes(monkeypatch):
     probed = sum(record.peers_probed for record in scenario.network.stats.queries)
     assert len(sent) == scenario.network.stats.messages_by_type["query"] > 2 * probed
     assert [copy for copy in sent if copy[1] == copy[2]] == []
+
+
+def test_a_flood_builds_a_message_per_queued_copy_only(monkeypatch):
+    """On the ``flood`` toy round ``Message.__init__`` runs once per QUERY
+    copy that enters the queue, once per point-to-point ``send`` and once
+    per search's origin QUERY — never for a copy the fan-out absorbs (a
+    QUERY copy to a node its flood already visited)."""
+    built = []          # (type, sender, recipient, id) per constructed message
+    absorbed = set()    # the same key per absorbed QUERY copy
+    calls = {"queued": 0, "send": 0, "start_search": 0}
+    init, send, send_many = Message.__init__, EventKernel.send, EventKernel.send_many
+    start_search = GnutellaProtocol.start_search
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.type, self.sender, self.recipient, self.message_id))
+
+    def counted_send(self, *args, **kwargs):
+        calls["send"] += 1
+        send(self, *args, **kwargs)
+
+    def counted_send_many(self, message, sender, recipients, *, context=None):
+        assert message.type is MessageType.QUERY   # the only fan-out of the round
+        for recipient in recipients:
+            if recipient in context.visited:
+                absorbed.add((message.type, sender, recipient, message.message_id))
+            else:
+                calls["queued"] += 1
+        send_many(self, message, sender, recipients, context=context)
+
+    def counted_start_search(self, *args, **kwargs):
+        calls["start_search"] += 1
+        return start_search(self, *args, **kwargs)
+
+    monkeypatch.setattr(Message, "__init__", counted_init)
+    monkeypatch.setattr(EventKernel, "send", counted_send)
+    monkeypatch.setattr(EventKernel, "send_many", counted_send_many)
+    monkeypatch.setattr(GnutellaProtocol, "start_search", counted_start_search)
+    toy_round("flood")
+
+    assert absorbed and calls["queued"] > 0   # the guard bites
+    assert len(built) == calls["queued"] + calls["send"] + calls["start_search"]
+    assert [key for key in built if key in absorbed] == []
+
+
+def test_a_peer_storing_nothing_in_the_community_never_evaluates(monkeypatch):
+    """On the ``flood`` toy round every ``CompiledQuery.evaluate`` runs
+    inside a ``LocalRepository.search`` whose repository stores at least
+    one object of the plan's community; most searches reach a repository
+    that stores none."""
+    searching = []   # the repository whose search is running
+    verdicts = []    # per evaluate: does the searched repository hold the community?
+    empty_searches = 0
+    search, evaluate = LocalRepository.search, CompiledQuery.evaluate
+
+    def holds(repository, community_id):
+        return any(stored.community_id == community_id for stored in repository.documents)
+
+    def recording_search(self, plan):
+        nonlocal empty_searches
+        empty_searches += not holds(self, plan.community_id)
+        searching.append(self)
+        try:
+            return search(self, plan)
+        finally:
+            searching.pop()
+
+    def recording_evaluate(self, index):
+        repository = searching[-1]
+        assert index is repository.index
+        verdicts.append(holds(repository, self.community_id))
+        return evaluate(self, index)
+
+    monkeypatch.setattr(LocalRepository, "search", recording_search)
+    monkeypatch.setattr(CompiledQuery, "evaluate", recording_evaluate)
+    toy_round("flood")
+
+    assert verdicts and empty_searches > len(verdicts)   # the guard bites
+    assert all(verdicts)
 
 
 def test_a_repeated_directory_round_builds_no_new_hit(monkeypatch):

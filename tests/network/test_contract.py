@@ -620,10 +620,9 @@ class FateLedger:
     kernel instance.
 
     A fan-out absorbs, instead of queueing, each copy of a once-per-node
-    type to a node its exchange already visited that awaits no ACK.  The
-    ledger names those copies itself at send time, from the same three
-    facts, and counts each one, and each fault duplicate of one, as
-    absorbed."""
+    type to a node its exchange already visited.  The ledger names those
+    copies itself at send time, by recipient, from the same two facts,
+    and counts each one, and each fault duplicate of one, as absorbed."""
 
     def __init__(self, network) -> None:
         kernel = network.kernel
@@ -631,7 +630,7 @@ class FateLedger:
         self.scheduled = self.executed = self.absorbed = 0
         once_per_node = (GNUTELLA_ONCE_PER_NODE if isinstance(network, GnutellaProtocol)
                          else frozenset())
-        absorbing: set[int] = set()   # ids of the copies of the fan-out being sent
+        absorbing: set[str] = set()   # recipients absorbed by the fan-out being sent
         send, send_many, deliver, drop, post_faulted = (
             kernel.send, kernel.send_many, kernel._deliver, kernel._drop,
             kernel._post_faulted)
@@ -640,20 +639,20 @@ class FateLedger:
             self.scheduled += 1
             send(message, **kwargs)
 
-        def counted_send_many(messages, *, context=None):
-            self.scheduled += len(messages)
-            if context is not None:
-                absorbing.update(id(copy) for copy in messages
-                                 if copy.type in once_per_node and not copy.ack_to
-                                 and copy.recipient in context.visited)
-            self.absorbed += len(absorbing)
-            send_many(messages, context=context)
+        def counted_send_many(message, sender, recipients, *, context=None):
+            self.scheduled += len(recipients)
+            if context is not None and message.type in once_per_node:
+                absorbed = [recipient for recipient in recipients
+                            if recipient in context.visited]
+                absorbing.update(absorbed)
+                self.absorbed += len(absorbed)
+            send_many(message, sender, recipients, context=context)
             absorbing.clear()
 
-        def counted_post_faulted(delay, message, context, **kwargs):
+        def counted_post_faulted(delay, sender, recipient, copy, context):
             duplicated = network.stats.duplicated
-            post_faulted(delay, message, context, **kwargs)
-            if id(message) in absorbing:
+            post_faulted(delay, sender, recipient, copy, context)
+            if recipient in absorbing:
                 self.absorbed += network.stats.duplicated - duplicated
 
         def counted_deliver(*args):

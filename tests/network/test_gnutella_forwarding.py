@@ -99,57 +99,64 @@ def test_surviving_copies_keep_their_fault_fates():
 
 class _QueryFates:
     """Test-side wrappers on the kernel that book every QUERY copy sent
-    and every arrival-time event of one, by copy.  The kernel looks its
-    methods up per send, so wrapping a built network catches every
-    later copy."""
+    and every arrival-time event of one, by copy.  A copy is keyed by its
+    flood's descriptor id, its sender and its recipient — a peer forwards
+    a flood once, so the key names one copy, built or absorbed.  The
+    kernel looks its methods up per send, so wrapping a built network
+    catches every later copy."""
 
     def __init__(self, monkeypatch):
-        self.sent = {}                               # id(copy) -> copy
-        self.duplicated = collections.Counter()      # id(copy) -> extra deliveries
-        self.events = collections.Counter()          # id(copy) -> arrival events
+        self.sent = set()                            # keys of the copies sent
+        self.duplicated = collections.Counter()      # key -> extra deliveries
+        self.events = collections.Counter()          # key -> arrival events
         self.fates = collections.Counter()           # fate -> arrival events
+        self.hop = None                              # the message being fanned out
         send_many = EventKernel.send_many
         post_faulted = EventKernel._post_faulted
         deliver = EventKernel._deliver
         drop = EventKernel._drop
         fates = self
 
-        def counting_send_many(kernel, messages, *, context=None):
+        def counting_send_many(kernel, message, sender, recipients, *, context=None):
             absorbed = []
-            for copy in messages:
-                if copy.type is MessageType.QUERY:
-                    fates.sent[id(copy)] = copy
-                    # QUERY is delivered once per node: a copy to a node
-                    # the flood already visited, awaiting no ACK, is
-                    # absorbed at send, its fault duplicates with it.
-                    if (context is not None and copy.recipient in context.visited
-                            and not copy.ack_to):
-                        absorbed.append(copy)
-            send_many(kernel, messages, context=context)
-            for copy in absorbed:
-                for _ in range(1 + fates.duplicated[id(copy)]):
-                    fates.book(copy, "absorbed")
-
-        def counting_post_faulted(kernel, delay, message, context, **kwargs):
-            duplicated = kernel.stats.duplicated
-            post_faulted(kernel, delay, message, context, **kwargs)
             if message.type is MessageType.QUERY:
-                fates.duplicated[id(message)] += kernel.stats.duplicated - duplicated
+                for recipient in recipients:
+                    key = (message.message_id, sender, recipient)
+                    fates.sent.add(key)
+                    # QUERY is delivered once per node: a copy to a node
+                    # the flood already visited is absorbed at send, its
+                    # fault duplicates with it.
+                    if context is not None and recipient in context.visited:
+                        absorbed.append(key)
+            fates.hop = message
+            send_many(kernel, message, sender, recipients, context=context)
+            fates.hop = None
+            for key in absorbed:
+                for _ in range(1 + fates.duplicated[key]):
+                    fates.book(key, "absorbed")
+
+        def counting_post_faulted(kernel, delay, sender, recipient, copy, context):
+            duplicated = kernel.stats.duplicated
+            post_faulted(kernel, delay, sender, recipient, copy, context)
+            message = copy if copy is not None else fates.hop   # None: absorbed
+            if message.type is MessageType.QUERY:
+                fates.duplicated[(message.message_id, sender, recipient)] += (
+                    kernel.stats.duplicated - duplicated)
 
         def counting_deliver(kernel, message, context):
             if message.type is MessageType.QUERY:
                 peer = kernel.peers.get(message.recipient)
                 if peer is None or not peer.online:
-                    fates.book(message, "offline")
+                    fates.book(key_of(message), "offline")
                 elif message.recipient in context.visited:
-                    fates.book(message, "duplicate")
+                    fates.book(key_of(message), "duplicate")
                 else:
-                    fates.book(message, "handled")
+                    fates.book(key_of(message), "handled")
             deliver(kernel, message, context)
 
         def counting_drop(kernel, message, context):
             if message.type is MessageType.QUERY:
-                fates.book(message, "dropped")
+                fates.book(key_of(message), "dropped")
             drop(kernel, message, context)
 
         monkeypatch.setattr(EventKernel, "send_many", counting_send_many)
@@ -157,9 +164,13 @@ class _QueryFates:
         monkeypatch.setattr(EventKernel, "_deliver", counting_deliver)
         monkeypatch.setattr(EventKernel, "_drop", counting_drop)
 
-    def book(self, message, fate):
-        self.events[id(message)] += 1
+    def book(self, key, fate):
+        self.events[key] += 1
         self.fates[fate] += 1
+
+
+def key_of(copy):
+    return copy.message_id, copy.sender, copy.recipient
 
 
 @pytest.mark.parametrize("plan", [None, FAULTS], ids=["clean", "faults"])
@@ -206,12 +217,11 @@ def test_a_discovery_ping_never_echoes(monkeypatch):
             delivered_by[peer.peer_id] = message.sender
         on_ping(self, peer, message, context)
 
-    def recording_send_many(self, messages, *, context=None):
+    def recording_send_many(self, message, sender, recipients, *, context=None):
         # A re-flood runs inside the handler that just booked its sender.
-        if isinstance(context, MembershipContext):
-            sent.extend((copy.sender, copy.recipient, delivered_by[copy.sender])
-                        for copy in messages if copy.type is MessageType.PING)
-        send_many(self, messages, context=context)
+        if isinstance(context, MembershipContext) and message.type is MessageType.PING:
+            sent.extend((sender, recipient, delivered_by[sender]) for recipient in recipients)
+        send_many(self, message, sender, recipients, context=context)
 
     monkeypatch.setattr(GnutellaProtocol, "_on_ping", recording_on_ping)
     monkeypatch.setattr(EventKernel, "send_many", recording_send_many)

@@ -57,6 +57,7 @@ class TestStore:
         store.delete(record.resource_id)
         assert not store.contains(record.resource_id)
         assert store.objects_in("c1") == []
+        assert store.communities() == [] and not store.holds("c1")
         with pytest.raises(ObjectNotFoundError):
             store.delete(record.resource_id)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.storage.attachments import Attachment, AttachmentStore
 from repro.storage.errors import ObjectNotFoundError
-from repro.storage.plan import compile_query
+from repro.storage.plan import CompiledQuery, compile_query
 from repro.storage.query import Query
 from repro.storage.repository import LocalRepository
 from repro.xmlkit.parser import parse
@@ -125,6 +125,37 @@ class TestRepository:
         assert repository.search(compile_query(Query.keyword("patterns", "observer"))) == []
         with pytest.raises(ObjectNotFoundError):
             repository.retrieve(result.resource_id)
+
+    def test_a_community_emptied_by_unpublish_is_never_evaluated(self, monkeypatch):
+        """Removing a community's last object drops the community: its
+        searches, browse and criteria alike, answer ``[]`` without
+        entering the plan, and ``communities()`` reads as before the
+        community's first publish."""
+        repository = LocalRepository()
+        repository.publish("mp3s", doc("<mp3><title>Giant Steps</title></mp3>"),
+                           {"title": ["Giant Steps"]}, title="Giant Steps")
+        before = repository.documents.communities()
+        result = self.publish_sample(repository)
+        assert repository.documents.communities() == ["mp3s", "patterns"]
+        repository.unpublish(result.resource_id)
+
+        evaluated = []
+        evaluate = CompiledQuery.evaluate
+
+        def spy(plan, index):
+            evaluated.append(plan.community_id)
+            return evaluate(plan, index)
+
+        monkeypatch.setattr(CompiledQuery, "evaluate", spy)
+        for query in (Query.keyword("patterns", "observer"), Query("patterns")):
+            assert repository.search(compile_query(query)) == []
+        assert evaluated == []
+        assert repository.documents.communities() == before == ["mp3s"]
+        assert repository.statistics()["communities"] == 1
+        # The guard bites: a community that holds an object is evaluated.
+        hits = repository.search(compile_query(Query.keyword("mp3s", "giant")))
+        assert [stored.title for stored in hits] == ["Giant Steps"]
+        assert evaluated == ["mp3s"]
 
     def test_statistics(self):
         repository = LocalRepository()
