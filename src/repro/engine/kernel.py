@@ -55,7 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.document_store import StoredObject
 
 #: handler(peer, message, context) — ``peer`` is the recipient (``None``
-#: for virtual nodes such as the centralized index server).
+#: for virtual nodes such as the centralized index server).  A fan-out's
+#: copies share one message whose ``recipient`` is empty, so a handler
+#: of a fanned-out type names its node by ``peer``.
 Handler = Callable[[Optional["Peer"], Message, Optional["ExchangeContext"]], None]
 
 
@@ -351,12 +353,13 @@ class EventKernel:
             context.messages_sent += copies
             context.bytes_sent += copies * size
             context.pending += 1
+        recipient = message.recipient
         delay = latency_ms if latency_ms is not None else self._link_latency(
-            message.sender, message.recipient)
+            message.sender, recipient)
         if self.faults is not None:
-            self._post_faulted(delay, message.sender, message.recipient, message, context)
+            self._post_faulted(delay, message.sender, recipient, message, context)
         else:
-            self.simulator.post(delay, self._deliver, message, context)
+            self.simulator.post(delay, self._deliver, message, recipient, context)
 
     def send_many(self, message: Message, sender: str, recipients: Sequence[str], *,
                   context: Optional[ExchangeContext] = None) -> None:
@@ -364,20 +367,23 @@ class EventKernel:
 
         A flood hop, a discovery re-flood or a relay broadcast: the
         copies differ only in their recipient, so wire size, type,
-        statistics, the exchange's counters and the sender's latency row
-        are resolved once for the hop.  Then, per recipient and in the
-        given order, the link latency is read and the copy
-        (``message.forwarded(sender, recipient)``) is built and posted —
-        the same events, in the same order, as one :meth:`send` per copy.
+        statistics, the exchange's counters, the sender's latency row
+        and the forwarded message itself are resolved once for the hop.
+        The hop message (``message.forwarded(sender, "")``: one hop
+        further, addressed to nobody in particular) is built at the
+        first copy that queues an event; then, per recipient and in the
+        given order, the link latency is read and the event
+        ``(hop, recipient, context)`` is posted — the same events, in
+        the same order, as one :meth:`send` per copy, with the recipient
+        riding the event instead of a per-copy message.
 
         A copy of a once-per-node type to a node the exchange already
         visited is absorbed instead (see :meth:`deliver_once_per_node`):
-        it is counted and meets its fault fate like any copy, but it is
-        never built and nothing is queued for it; its arrival only
-        raises the context's ``horizon``.  It holds no ``pending`` token,
-        so a fan-out sent outside the exchange's own events must be
-        followed by :meth:`finish_if_idle`, as any exchange that may send
-        nothing.
+        it is counted and meets its fault fate like any copy, but
+        nothing is queued for it; its arrival only raises the context's
+        ``horizon``.  It holds no ``pending`` token, so a fan-out sent
+        outside the exchange's own events must be followed by
+        :meth:`finish_if_idle`, as any exchange that may send nothing.
         """
         count = len(recipients)
         if not count:
@@ -395,8 +401,8 @@ class EventKernel:
         faulted = self.faults is not None
         post = self.simulator.post
         deliver = self._deliver
-        forward = message.forwarded
         now = self.simulator.now
+        hop: Optional[Message] = None
         horizon = 0.0
         absorbed = 0
         for recipient in recipients:
@@ -409,47 +415,50 @@ class EventKernel:
                     self._post_faulted(delay, sender, recipient, None, context)
                 elif now + delay > horizon:
                     horizon = now + delay
-            elif faulted:
-                self._post_faulted(delay, sender, recipient,
-                                   forward(sender, recipient), context)
+                continue
+            if hop is None:
+                hop = message.forwarded(sender, "")
+            if faulted:
+                self._post_faulted(delay, sender, recipient, hop, context)
             else:
-                post(delay, deliver, forward(sender, recipient), context)
+                post(delay, deliver, hop, recipient, context)
         if context is not None:
             context.pending += count - absorbed
             if horizon > context.horizon:
                 context.horizon = horizon
 
     def _post_faulted(self, delay: float, sender: str, recipient: str,
-                      copy: Optional[Message],
+                      message: Optional[Message],
                       context: Optional[ExchangeContext]) -> None:
         """The send tail under fault injection: one fate per copy.
 
         ``decide`` keys same-instant sends on one link by their
         occurrence index, so it must be consulted exactly once per copy,
-        in send order.  ``copy`` is ``None`` for a copy :meth:`send_many`
-        absorbed: its deliveries (and drop) go to :meth:`_absorb`
-        instead of the queue.
+        in send order.  ``message`` is ``None`` for a copy
+        :meth:`send_many` absorbed: its deliveries (and drop) go to
+        :meth:`_absorb` instead of the queue.
         """
         assert self.faults is not None
         decision = self.faults.decide(sender, recipient, self.simulator.now)
-        post: Callable[..., None] = self.simulator.post if copy is not None else self._absorb
+        post: Callable[..., None] = (self.simulator.post if message is not None
+                                     else self._absorb)
         if decision.drop:
             # The delivery is lost, but the exchange's reference
             # count must still fall at the original arrival time —
             # a drop event rides the queue in the delivery's place
             # (and routes to the recipient's shard exactly like it).
             self.stats.record_drop(partition=decision.partitioned)
-            post(delay, self._drop, copy, context)
+            post(delay, self._drop, message, recipient, context)
             return
         if decision.duplicate:
             self.stats.record_duplicate()
-            if context is not None and copy is not None:
+            if context is not None and message is not None:
                 context.pending += 1
-            post(delay + decision.duplicate_lag_ms, self._deliver, copy, context)
-        post(delay + decision.extra_delay_ms, self._deliver, copy, context)
+            post(delay + decision.duplicate_lag_ms, self._deliver, message, recipient, context)
+        post(delay + decision.extra_delay_ms, self._deliver, message, recipient, context)
 
     def _absorb(self, delay_ms: float, _callback: Callable[..., None],
-                _copy: None, context: ExchangeContext) -> None:
+                _message: None, _recipient: str, context: ExchangeContext) -> None:
         """Where a faulted absorbed copy's deliveries and drop go instead
         of the queue: each arrival time (the one
         :meth:`NetworkSimulator.post` would queue it at) raises the
@@ -458,7 +467,8 @@ class EventKernel:
         if arrival > context.horizon:
             context.horizon = arrival
 
-    def _drop(self, message: Message, context: Optional[ExchangeContext]) -> None:
+    def _drop(self, message: Message, recipient: str,
+              context: Optional[ExchangeContext]) -> None:
         """A faulted delivery's arrival-time bookkeeping (no dispatch)."""
         if context is not None:
             context.pending -= 1
@@ -490,9 +500,16 @@ class EventKernel:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def _deliver(self, message: Message, context: Optional[ExchangeContext]) -> None:
+    def _deliver(self, message: Message, recipient: str,
+                 context: Optional[ExchangeContext]) -> None:
+        """``message`` arrives at ``recipient``: dispatch it to the
+        type's handler (with the recipient's peer), unless the recipient
+        is offline or, for a once-per-node type, already visited.
+
+        The recipient comes from the event, never from
+        ``message.recipient``: a fan-out's copies share one hop message
+        (see :meth:`send_many`)."""
         try:
-            recipient = message.recipient
             peer = self.peers.get(recipient)
             if (peer is not None and peer.online) or recipient in self.virtual_nodes:
                 type_value = message.type._value_

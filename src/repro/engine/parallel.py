@@ -717,8 +717,12 @@ class WorkerSimulator(NetworkSimulator):
             # plane, replicated everywhere.
             heapq.heappush(self._queue, entry)
             return
+        # A delivery or drop event is ``(message, recipient, context)``;
+        # a fan-out's copies share one message, so the event names the
+        # recipient.
+        recipient = args[1]
         if (message.type._value_ not in SHARD_ROUTED_TYPE_VALUES
-                or message.recipient in self._control_nodes):
+                or recipient in self._control_nodes):
             if self._active_shard is None:
                 # Replicated sender: every worker pushes the identical
                 # entry (same time, same even sequence).
@@ -728,7 +732,7 @@ class WorkerSimulator(NetworkSimulator):
                 # (self included) so all control heaps stay identical.
                 self._bcast.append(entry)
             return
-        dest = self.shard_of_node(message.recipient)
+        dest = self.shard_of_node(recipient)
         owner = dest % self._rt.workers
         if self._active_shard is None:
             # Every worker executed this control-plane send; exactly the
@@ -909,28 +913,28 @@ class WorkerSimulator(NetworkSimulator):
             raise RuntimeError(
                 "only message deliveries and drops may cross workers "
                 f"(got {callback!r})")
-        message, context = entry[_ARGS]
+        message, recipient, context = entry[_ARGS]
         cid = None
         if context is not None:
             cid = getattr(context, "_cid", None)
             if cid is None:
                 raise RuntimeError(
                     "cross-worker delivery on an unregistered context")
-        return (kind, entry[_TIME], entry[_SEQUENCE], message, cid)
+        return (kind, entry[_TIME], entry[_SEQUENCE], message, recipient, cid)
 
     def _apply_wire(self, wire: list, sender_rank: int) -> None:
         kernel = self._rt.kernel
         contexts = self._rt.contexts
         workers = self._rt.workers
-        for kind, event_time, sequence, message, cid in wire:
+        for kind, event_time, sequence, message, recipient, cid in wire:
             context = contexts[cid] if cid is not None else None
             callback = (kernel._deliver if kind == _WIRE_DELIVER
                         else kernel._drop)
             entry = (event_time, SHIP_BASE + sequence * workers + sender_rank,
-                     callback, (message, context))
+                     callback, (message, recipient, context))
             if (message.type._value_ in SHARD_ROUTED_TYPE_VALUES
-                    and message.recipient not in self._control_nodes):
-                dest = self.shard_of_node(message.recipient)
+                    and recipient not in self._control_nodes):
+                dest = self.shard_of_node(recipient)
                 if dest not in self._shard_queues:
                     raise RuntimeError(
                         f"worker {self._rt.rank} received a delivery for "
@@ -987,8 +991,8 @@ class WorkerSimulator(NetworkSimulator):
                     continue
                 if entry[_CALLBACK] != kernel._deliver:
                     continue
-                message, context = entry[_ARGS]
-                if network._parallel_serve_probe(message, context,
+                message, recipient, context = entry[_ARGS]
+                if network._parallel_serve_probe(message, recipient, context,
                                                  entry[_TIME]):
                     best = key
         return best

@@ -2,7 +2,8 @@
 
 The :class:`ShardedSimulator` partitions the event queue by shard: each
 node id has a home shard (:func:`shard_of`, a crc32 hash of the id),
-message-delivery events queue on the *recipient's* shard, and
+message-delivery events queue on the shard of the recipient they
+carry, and
 everything else — driver submissions, churn, untagged timers — queues
 on a control shard.  Execution advances through **conservative
 synchronization windows** of width equal to the minimum cross-shard
@@ -147,8 +148,10 @@ class ShardedSimulator(NetworkSimulator):
     def _route(self, entry: tuple) -> None:
         """Queue ``entry`` on the shard its event belongs to.
 
-        Message deliveries (the kernel posts ``_deliver, message,
-        context``) belong to the recipient's shard; everything else —
+        Message deliveries and drops (the kernel posts ``_deliver,
+        message, recipient, context``) belong to the shard of the
+        recipient the event names — never ``message.recipient``, which
+        a fan-out's shared hop message leaves empty; everything else —
         driver submissions, churn, untagged timers — is control-plane
         and runs on the control queue.  The sequence number was already
         assigned at creation, so routing never perturbs global order.
@@ -163,7 +166,7 @@ class ShardedSimulator(NetworkSimulator):
         if type(message) is not Message:
             heapq.heappush(self._queue, entry)
             return
-        dest = self.shard_of_node(message.recipient)
+        dest = self.shard_of_node(args[1])
         if self._active_shard is not None and dest != self._active_shard:
             self.cross_shard_messages += 1
             if entry[_TIME] < self._window_end:

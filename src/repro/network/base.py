@@ -632,11 +632,11 @@ class PeerNetwork(ABC):
         """Subclass hook: store a finished response at this protocol's
         cache site (the base class caches nowhere)."""
 
-    def _parallel_serve_probe(self, message: Message,
+    def _parallel_serve_probe(self, message: Message, recipient: str,
                               context: Optional[QueryContext],
                               at_ms: float) -> bool:
-        """Would delivering this queued QUERY serve from a shard-plane
-        cache site?  (Process-parallel exactness hook — see
+        """Would delivering this queued QUERY to ``recipient`` serve from
+        a shard-plane cache site?  (Process-parallel exactness hook — see
         ``engine/parallel.py``.)
 
         A cached serving filters against the context's promised-result

@@ -75,11 +75,12 @@ class GnutellaProtocol(PeerNetwork):
         self.topology_kind = topology_kind
         self.degree = degree
         self._seed = seed
-        # peer id -> its neighbour ids in flood order, cached because a
-        # flood re-visits the same adjacency for every in-flight query;
-        # invalidated whenever the overlay changes (churn only toggles
-        # the online flag, which is checked at send time).
-        self._flood_order: dict[str, list[str]] = {}
+        # peer id -> its *online* neighbour ids in flood order (see
+        # ``_online_neighbors``), cached because every flood, discovery
+        # re-flood and reachability walk re-reads the same adjacency.
+        # Dropped whole on every online transition (``set_online``) and
+        # every overlay change.
+        self._fan_outs: dict[str, list[str]] = {}
         #: per-neighbour attenuated Bloom filters (``informed_routing``
         #: knob); ``None`` keeps the blind flood untouched on the hot path
         self._routing: Optional[RoutingIndex] = None
@@ -97,7 +98,7 @@ class GnutellaProtocol(PeerNetwork):
         topology = build_topology(
             self.peers, kind=self.topology_kind, degree=self.degree, seed=self._seed
         )
-        self._flood_order.clear()
+        self._fan_outs.clear()
         for peer in self.peers.values():
             peer.neighbors = set(topology.neighbors(peer.peer_id))
         if self._routing is not None:
@@ -106,7 +107,7 @@ class GnutellaProtocol(PeerNetwork):
     def _on_peer_added(self, peer: Peer) -> None:
         # Attach the newcomer to a few random online peers; experiments
         # that want a specific topology call build_overlay() afterwards.
-        self._flood_order.clear()
+        self._fan_outs.clear()
         if self._routing is not None:
             self._routing.note_overlay_changed()
         others = [candidate for candidate in self.online_peers() if candidate.peer_id != peer.peer_id]
@@ -118,12 +119,33 @@ class GnutellaProtocol(PeerNetwork):
             neighbor.connect(peer.peer_id)
 
     def _on_peer_removed(self, peer: Peer) -> None:
-        self._flood_order.clear()
+        self._fan_outs.clear()
         # Links are symmetric: the peer's own set names every other end.
         for neighbor_id in sorted(peer.neighbors):
             self.peers[neighbor_id].disconnect(peer.peer_id)
         if self._routing is not None:
             self._routing.forget_peer(peer.peer_id)
+
+    def set_online(self, peer_id: str, online: bool) -> None:
+        peer = self.peers.get(peer_id)
+        if peer is not None and peer.online != online:
+            # An online transition moves the peer in or out of every
+            # neighbour's fan-out.
+            self._fan_outs.clear()
+        super().set_online(peer_id, online)
+
+    def _online_neighbors(self, peer: Peer) -> list[str]:
+        """``peer``'s online neighbour ids in flood order (sorted): the
+        one spelling of who a flood, a discovery re-flood or a
+        reachability walk forwards to.  Cached until an online
+        transition or an overlay change; callers must not mutate it."""
+        fan_out = self._fan_outs.get(peer.peer_id)
+        if fan_out is None:
+            peers = self.peers
+            fan_out = self._fan_outs[peer.peer_id] = [
+                neighbor_id for neighbor_id in sorted(peer.neighbors)
+                if (neighbor := peers.get(neighbor_id)) is not None and neighbor.online]
+        return fan_out
 
     # ------------------------------------------------------------------
     # Live membership: joins bootstrap links with a TTL-2 PING/PONG
@@ -133,6 +155,9 @@ class GnutellaProtocol(PeerNetwork):
     bootstrap_ttl = 2
 
     def _on_peer_joined_live(self, peer: Peer) -> None:
+        # A newcomer may reuse the id of a peer whose neighbours still
+        # hold a stale link to it: it is back among their online ones.
+        self._fan_outs.clear()
         self._discover_neighbors(peer, kind="join")
 
     def _discover_neighbors(self, peer: Peer, *, kind: str) -> None:
@@ -169,15 +194,14 @@ class GnutellaProtocol(PeerNetwork):
                              latency_ms=now - context.started_at)
             if message.ttl <= 1:
                 return
-            recipients = []
             # ``visited`` already holds the delivering neighbour, so the
             # re-flood never echoes back to it.
-            for neighbor_id in sorted(peer.neighbors):
-                neighbor = self.peers.get(neighbor_id)
-                if neighbor is not None and neighbor.online \
-                        and neighbor_id not in context.visited:
-                    recipients.append(neighbor_id)
-            self.kernel.send_many(message, peer.peer_id, recipients, context=context)
+            visited = context.visited
+            self.kernel.send_many(
+                message, peer.peer_id,
+                [neighbor_id for neighbor_id in self._online_neighbors(peer)
+                 if neighbor_id not in visited],
+                context=context)
             return
         # Keepalive ping from a neighbour: acknowledge directly.  Under
         # informed routing the PONG also piggybacks this peer's routing
@@ -221,7 +245,7 @@ class GnutellaProtocol(PeerNetwork):
             other.connect(peer.peer_id)
             peer.last_pong_ms[message.sender] = now
             other.last_pong_ms[peer.peer_id] = now
-            self._flood_order.clear()
+            self._fan_outs.clear()
             if self._routing is not None:
                 self._routing.note_overlay_changed()
             return
@@ -252,7 +276,7 @@ class GnutellaProtocol(PeerNetwork):
             other.disconnect(peer.peer_id)
             other.last_pong_ms.pop(peer.peer_id, None)
         self._note_staleness(neighbor_id, now)
-        self._flood_order.clear()
+        self._fan_outs.clear()
         if self._routing is not None:
             self._routing.note_overlay_changed()
             self._routing.forget_link(peer.peer_id, neighbor_id)
@@ -412,17 +436,18 @@ class GnutellaProtocol(PeerNetwork):
         site for its own repeats and for floods passing through it."""
         self.caches.store(context.origin_id, context, response.results)
 
-    def _parallel_serve_probe(self, message: Message, context, at_ms: float) -> bool:
-        """A queued QUERY serves from the recipient's path cache iff the
+    def _parallel_serve_probe(self, message: Message, recipient: str, context,
+                              at_ms: float) -> bool:
+        """A queued QUERY serves from ``recipient``'s path cache iff the
         peer is fresh for this flood and holds a live entry (the same
         branch ``_on_query`` takes, read side-effect free)."""
         if not self.result_caching or context is None:
             return False
         if message.type is not MessageType.QUERY:
             return False
-        if message.recipient in context.visited:
+        if recipient in context.visited:
             return False
-        return self.caches.would_serve(message.recipient, context, at_ms)
+        return self.caches.would_serve(recipient, context, at_ms)
 
     def _flood_from(self, peer: Peer, message: Message, context: QueryContext) -> None:
         """Forward ``message``, the QUERY ``peer`` holds, to every online
@@ -446,17 +471,8 @@ class GnutellaProtocol(PeerNetwork):
         if ttl <= 0:
             return
         extra = context.extra
-        peers = self.peers
         peer_id = peer.peer_id
-        order = self._flood_order.get(peer_id)
-        if order is None:
-            order = sorted(peer.neighbors)
-            self._flood_order[peer_id] = order
-        targets = []
-        for neighbor_id in order:
-            neighbor = peers.get(neighbor_id)
-            if neighbor is not None and neighbor.online:
-                targets.append(neighbor_id)
+        targets = self._online_neighbors(peer)
         routing = self._routing
         if routing is not None and targets and ttl <= routing.depth:
             hashed = extra.get("routing_keys", _KEYS_NOT_HASHED)
@@ -505,9 +521,8 @@ class GnutellaProtocol(PeerNetwork):
             current = self.peers.get(current_id)
             if current is None or not current.online:
                 continue
-            for neighbor_id in sorted(current.neighbors):
-                neighbor = self.peers.get(neighbor_id)
-                if neighbor is None or not neighbor.online or neighbor_id in visited:
+            for neighbor_id in self._online_neighbors(current):
+                if neighbor_id in visited:
                     continue
                 visited.add(neighbor_id)
                 queue.append((neighbor_id, remaining - 1))

@@ -67,9 +67,12 @@ class Message:
     failure model, not a special case.  Neither field contributes to
     ``size_bytes``; the wire cost is already in ``payload_bytes``.
 
-    The class is slotted: a flood constructs one message per neighbour
-    per hop (:meth:`forwarded`), so construction cost is squarely on the
-    kernel hot path.
+    The class is slotted: a flood constructs one message per hop that
+    queues a copy (:meth:`forwarded`), so construction cost is squarely
+    on the kernel hot path.  A fan-out's copies share that one message;
+    each delivery event names its own recipient, and ``recipient`` here
+    is empty (see :meth:`EventKernel.send_many
+    <repro.engine.kernel.EventKernel.send_many>`).
     ``query_xml`` holds a *shared* reference to the query's wire form —
     serialized once per search, never per hop.
     """
@@ -100,9 +103,9 @@ class Message:
     # sixteen field-name strings per message.  Cross-process shard
     # execution pickles whole outbox batches per barrier, so the state
     # is a bare tuple in slot order instead — and because pickle
-    # memoizes *objects*, the shared ``query_xml`` wire form riding
-    # every hop of one flood is serialized once per batch, never
-    # re-rendered per message.
+    # memoizes *objects*, a hop's message shared by every copy of that
+    # hop in the batch is pickled once per batch, and the ``query_xml``
+    # wire form riding every hop of one flood once per batch too.
     def __getstate__(self):
         return (self.type, self.sender, self.recipient, self.message_id,
                 self.ttl, self.hops, self.payload_bytes, self.query_xml,
@@ -118,15 +121,17 @@ class Message:
          self.chunk_index, self.chunk_total) = state
 
     def forwarded(self, sender: str, recipient: str) -> "Message":
-        """A copy of this message forwarded one hop further.
+        """This message forwarded one hop further.
 
-        The one spelling of "forward a copy": every flood hop, discovery
-        re-flood, relay broadcast and rendezvous walk step builds its
-        copies here.  The copy keeps the descriptor id and shares the
-        immutable query payload (``query_xml``, ``payload_bytes``) —
-        forwarding never draws an id, re-serializes or re-measures the
-        wire form.  Positional construction: this runs once per copy of
-        every flood.
+        The one spelling of "forward": every flood hop, discovery
+        re-flood and relay broadcast builds its one hop message here
+        (with an empty ``recipient``: the kernel's delivery events name
+        each copy's recipient), and every rendezvous walk step its next
+        point-to-point message.  The copy keeps the descriptor id and
+        shares the immutable query payload (``query_xml``,
+        ``payload_bytes``) — forwarding never draws an id, re-serializes
+        or re-measures the wire form.  Positional construction: this runs
+        once per hop of every flood.
         """
         return Message(self.type, sender, recipient, self.message_id,
                        self.ttl - 1, self.hops + 1, self.payload_bytes,

@@ -316,8 +316,8 @@ class SuperPeerProtocol(TwoTierNetwork):
         if entry is not None and entry in self._hubs:
             self.caches.store(entry, context, response.results)
 
-    def _parallel_serve_probe(self, message: Message, context: Optional[QueryContext],
-                              at_ms: float) -> bool:
+    def _parallel_serve_probe(self, message: Message, recipient: str,
+                              context: Optional[QueryContext], at_ms: float) -> bool:
         """A queued QUERY serves from the entry super-peer's cache iff
         it targets the context's entry and the entry holds a live entry
         (the branch ``_answer_at_super`` takes, read side-effect free)."""
@@ -325,6 +325,6 @@ class SuperPeerProtocol(TwoTierNetwork):
             return False
         if message.type is not MessageType.QUERY:
             return False
-        if message.recipient != context.extra.get("entry"):
+        if recipient != context.extra.get("entry"):
             return False
-        return self.caches.would_serve(message.recipient, context, at_ms)
+        return self.caches.would_serve(recipient, context, at_ms)

@@ -153,7 +153,8 @@ def test_a_copy_awaiting_an_ack_is_queued_and_acknowledged():
     kernel.send_many(hop, "s", ["n1", "n2"], context=context)
     # n0 is visited but was sent through ``send``: queued.  n1 is visited:
     # absorbed; n2 is not visited yet.
-    assert sorted(entry[3][0].recipient for entry in kernel.simulator._queue) == ["n0", "n2"]
+    # A delivery event is ``(message, recipient, context)``.
+    assert sorted(entry[3][1] for entry in kernel.simulator._queue) == ["n0", "n2"]
     kernel.run_until_complete([context])
     assert [(ack.sender, ack.recipient) for ack in acks] == [("n0", "s")]
     assert context.done and kernel.stats.messages_by_type["query"] == 3

@@ -12,8 +12,9 @@
   instead of queued: what the fan-out queues plus what a test-side
   oracle (recipient in ``visited`` at send) says it absorbs is what one
   ``send()`` per copy queues, the exchange's ``horizon`` is the latest
-  absorbed arrival, the exchange completes at the same instant, and a
-  copy is built exactly when an event is queued for it.
+  absorbed arrival, the exchange completes at the same instant, and one
+  hop message is built exactly when the fan-out queues an event, shared
+  by every event it queues.
 * The semantics of ``NetworkSimulator.drive`` (the loop under every
   batch, every synchronous search, ``run`` and ``step``), on both
   simulators.
@@ -50,9 +51,13 @@ def entries(simulator):
 
 
 def queued(simulator):
-    """Every queued entry as ``(time, sequence, callback name, recipient)``."""
-    return [(entry[0], entry[1], entry[2].__name__, entry[3][0].recipient)
-            for entry in entries(simulator)]
+    """Every queued entry as ``(time, sequence, callback name, recipient,
+    hop)``: a delivery or drop event is ``(message, recipient, context)``,
+    and ``hop`` is what the message says of its hop (sender, descriptor
+    id, TTL and hops travelled) — everything but a recipient."""
+    return [(entry[0], entry[1], entry[2].__name__, entry[3][1],
+             (message.sender, message.message_id, message.ttl, message.hops))
+            for entry in entries(simulator) for message in entry[3][:1]]
 
 
 def fan_out_kernel(make_simulator, *, once_per_node, absorbs):
@@ -172,9 +177,11 @@ def once_per_node_fan_out(make_simulator, recipients, visited, plan, *, absorbin
 
 
 def arrival(entry):
-    """A queued entry without its sequence number: when, what, where."""
-    target = entry[3][0]
-    return entry[0], entry[2].__name__, getattr(target, "recipient", None)
+    """A queued entry without its sequence number: when, what, where (a
+    delivery or drop event is ``(message, recipient, context)``, a
+    completion ``(context,)``)."""
+    args = entry[3]
+    return entry[0], entry[2].__name__, args[1] if len(args) == 3 else None
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -200,9 +207,10 @@ def test_absorbing_fan_out_is_one_send_per_copy(recipients, visited, plan, simul
     deliveries = [entry for entry in absorbing["entries"]
                   if entry[2].__name__ != "_complete"]
     assert [arrival(entry) for entry in deliveries] == kept
-    # A copy is built exactly when an event is queued for it: one per
-    # recipient not absorbed, however many events its fate queued.
-    assert len(built) == len([node for node in recipients if node not in absorbed])
+    # One hop message is built exactly when an event is queued for some
+    # copy, however many recipients and events, and every queued event
+    # carries it.
+    assert len(built) == (1 if [node for node in recipients if node not in absorbed] else 0)
     assert {id(copy) for copy in built} == {id(entry[3][0]) for entry in deliveries}
     assert absorbing["horizon"] == max((time for time, _, _ in absorbed_arrivals), default=0.0)
     assert absorbing["pending"] == reference["pending"] - len(absorbed_arrivals)

@@ -32,8 +32,9 @@
 * *Count guards with no clock in them.*  The transport pays per hop, not
   per copy: one ``NetworkStats.record`` per re-flooding peer, no handler
   frame for a duplicate QUERY delivery, no message id drawn for a QUERY
-  copy, no QUERY copy sent back to the peer it came from, and no
-  ``Message`` built for a copy the fan-out absorbs.  A peer that stores
+  copy, no QUERY copy sent back to the peer it came from, and one
+  ``Message`` per fan-out that queues an event (shared by its copies,
+  none for a fan-out wholly absorbed).  A peer that stores
   nothing in a query's community never evaluates its plan.  An index
   point builds each hit once per record and depth: a repeated
   ``directory`` round constructs no ``SearchResult`` in ``HubCatalog.take``.
@@ -356,20 +357,25 @@ def test_a_flood_never_echoes(monkeypatch):
     assert [copy for copy in sent if copy[1] == copy[2]] == []
 
 
-def test_a_flood_builds_a_message_per_queued_copy_only(monkeypatch):
-    """On the ``flood`` toy round ``Message.__init__`` runs once per QUERY
-    copy that enters the queue, once per point-to-point ``send`` and once
-    per search's origin QUERY — never for a copy the fan-out absorbs (a
-    QUERY copy to a node its flood already visited)."""
-    built = []          # (type, sender, recipient, id) per constructed message
-    absorbed = set()    # the same key per absorbed QUERY copy
-    calls = {"queued": 0, "send": 0, "start_search": 0}
+def test_a_flood_builds_one_message_per_hop_that_queues(monkeypatch):
+    """On the ``flood`` toy round ``Message.__init__`` runs once per
+    fan-out that queues an event, once per point-to-point ``send`` and
+    once per search's origin QUERY — never per copy.  A fan-out's one
+    message is built inside it, addressed to nobody (``recipient`` is
+    empty), and rides every delivery event the fan-out queued, each of
+    which names its own recipient; a fan-out whose every copy is
+    absorbed builds nothing."""
+    built = []          # every message constructed, in order
+    hops = {}           # id(hop message) -> recipients its fan-out queued
+    delivered = {}      # id(hop message) -> recipients of its executed events
+    calls = {"queuing fan-outs": 0, "absorbed fan-outs": 0, "queued copies": 0,
+             "send": 0, "start_search": 0}
     init, send, send_many = Message.__init__, EventKernel.send, EventKernel.send_many
-    start_search = GnutellaProtocol.start_search
+    deliver, start_search = EventKernel._deliver, GnutellaProtocol.start_search
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append((self.type, self.sender, self.recipient, self.message_id))
+        built.append(self)
 
     def counted_send(self, *args, **kwargs):
         calls["send"] += 1
@@ -377,12 +383,24 @@ def test_a_flood_builds_a_message_per_queued_copy_only(monkeypatch):
 
     def counted_send_many(self, message, sender, recipients, *, context=None):
         assert message.type is MessageType.QUERY   # the only fan-out of the round
-        for recipient in recipients:
-            if recipient in context.visited:
-                absorbed.add((message.type, sender, recipient, message.message_id))
-            else:
-                calls["queued"] += 1
+        queued = [recipient for recipient in recipients if recipient not in context.visited]
+        before = len(built)
         send_many(self, message, sender, recipients, context=context)
+        new = built[before:]
+        if queued:
+            calls["queuing fan-outs"] += 1
+            calls["queued copies"] += len(queued)
+            [hop] = new
+            assert (hop.sender, hop.recipient, hop.ttl) == (sender, "", message.ttl - 1)
+            hops[id(hop)] = sorted(queued)
+        else:
+            calls["absorbed fan-outs"] += 1
+            assert new == []
+
+    def counted_deliver(self, message, recipient, context):
+        if id(message) in hops:
+            delivered.setdefault(id(message), []).append(recipient)
+        deliver(self, message, recipient, context)
 
     def counted_start_search(self, *args, **kwargs):
         calls["start_search"] += 1
@@ -391,12 +409,17 @@ def test_a_flood_builds_a_message_per_queued_copy_only(monkeypatch):
     monkeypatch.setattr(Message, "__init__", counted_init)
     monkeypatch.setattr(EventKernel, "send", counted_send)
     monkeypatch.setattr(EventKernel, "send_many", counted_send_many)
+    monkeypatch.setattr(EventKernel, "_deliver", counted_deliver)
     monkeypatch.setattr(GnutellaProtocol, "start_search", counted_start_search)
     toy_round("flood")
 
-    assert absorbed and calls["queued"] > 0   # the guard bites
-    assert len(built) == calls["queued"] + calls["send"] + calls["start_search"]
-    assert [key for key in built if key in absorbed] == []
+    # the guard bites: copies outnumber hops, and some fan-outs are all absorbed
+    assert calls["queued copies"] > 2 * calls["queuing fan-outs"] > 0
+    assert calls["absorbed fan-outs"] > 0
+    assert len(built) == calls["queuing fan-outs"] + calls["send"] + calls["start_search"]
+    assert len(built) == committed_work()["flood"]["network.messages.Message.init"]
+    # the flood runs without faults: one delivery event per queued copy
+    assert {key: sorted(recipients) for key, recipients in delivered.items()} == hops
 
 
 def test_a_peer_storing_nothing_in_the_community_never_evaluates(monkeypatch):

@@ -190,13 +190,18 @@ class TestConservativeBarrier:
             latency=LatencyModel(base_ms=20.0, jitter_ms=0.0, seed=1), seed=1, shards=2)
         ran = []
 
-        def rogue(message):
+        # A delivery event is ``(message, recipient, ...)``: it runs on
+        # the recipient's shard.
+        def arrived(message, recipient):
+            ran.append(message)
+
+        def rogue(message, recipient):
             ran.append("rogue")
-            simulator.post(1.0, ran.append, ping(A, B))
+            simulator.post(1.0, arrived, ping(A, B), B)
             ran.append("after the send")
 
-        simulator.post(10.0, rogue, ping(B, A))
-        simulator.post(12.0, ran.append, ping(A, B))
+        simulator.post(10.0, rogue, ping(B, A), A)
+        simulator.post(12.0, arrived, ping(A, B), B)
         simulator.post(15.0, ran.append, "control event")
         with pytest.raises(RuntimeError, match="lookahead violated"):
             simulator.run()
@@ -298,8 +303,8 @@ def execute(simulator, schedule, loop):
         for child in children:
             post(child, shard)
 
-    def deliver(message, label, children):
-        fire(label, children, shard_of(message.recipient, 4))
+    def deliver(message, recipient, label, children):
+        fire(label, children, shard_of(recipient, 4))
 
     def post(spec, sender_shard):
         how, delay, node, children = spec
@@ -310,7 +315,7 @@ def execute(simulator, schedule, loop):
         else:
             if sender_shard not in (CONTROL, shard_of(node, 4)):
                 delay = max(delay, BASE_MS)
-            callback, args = deliver, (ping("s", node), label, children)
+            callback, args = deliver, (ping("s", node), node, label, children)
         if how == "post":
             simulator.post(delay, callback, *args)
         elif how == "post_at":

@@ -30,6 +30,7 @@ import pytest
 
 import repro
 from repro.engine.driver import QueryDriver, RetrieveOp, SearchOp
+from repro.engine.sharded import ShardedSimulator
 from repro.network.centralized import CentralizedProtocol
 from repro.network.config import CacheConfig, MembershipConfig
 from repro.network.errors import DuplicatePeerError
@@ -622,12 +623,20 @@ class FateLedger:
     A fan-out absorbs, instead of queueing, each copy of a once-per-node
     type to a node its exchange already visited.  The ledger names those
     copies itself at send time, by recipient, from the same two facts,
-    and counts each one, and each fault duplicate of one, as absorbed."""
+    and counts each one, and each fault duplicate of one, as absorbed.
+
+    On a sharded simulator it also books every executed event that ran
+    on a shard other than its recipient's home (``misrouted``): a
+    delivery or drop event carries its recipient, and a fan-out's
+    copies share one message whose own ``recipient`` is empty."""
 
     def __init__(self, network) -> None:
         kernel = network.kernel
+        simulator = network.simulator
         self.network = network
         self.scheduled = self.executed = self.absorbed = 0
+        self.misrouted: list[tuple[str, str, Optional[int]]] = []
+        sharded = isinstance(simulator, ShardedSimulator) and simulator.lookahead_ms > 0
         once_per_node = (GNUTELLA_ONCE_PER_NODE if isinstance(network, GnutellaProtocol)
                          else frozenset())
         absorbing: set[str] = set()   # recipients absorbed by the fan-out being sent
@@ -655,13 +664,19 @@ class FateLedger:
             if recipient in absorbing:
                 self.absorbed += network.stats.duplicated - duplicated
 
-        def counted_deliver(*args):
-            self.executed += 1
-            deliver(*args)
+        def on_home_shard(kind, recipient):
+            if sharded and simulator._active_shard != simulator.shard_of_node(recipient):
+                self.misrouted.append((kind, recipient, simulator._active_shard))
 
-        def counted_drop(*args):
+        def counted_deliver(message, recipient, context):
             self.executed += 1
-            drop(*args)
+            on_home_shard("deliver", recipient)
+            deliver(message, recipient, context)
+
+        def counted_drop(message, recipient, context):
+            self.executed += 1
+            on_home_shard("drop", recipient)
+            drop(message, recipient, context)
 
         kernel.send, kernel.send_many = counted_send, counted_send_many
         kernel._deliver, kernel._drop = counted_deliver, counted_drop
@@ -679,6 +694,29 @@ class FateLedger:
         queued)."""
         scheduled = self.queued_at_start + self.scheduled + self.network.stats.duplicated
         return scheduled, self.executed + self.absorbed + self.queued()
+
+
+class FanOutCheck:
+    """Wraps a gnutella network's ``_flood_from`` on the instance: before
+    each forward, the peer's cached online fan-out (the one the forward
+    reads) is compared with a fresh ``sorted`` scan of its neighbours'
+    ``online`` flags, and every difference is booked in ``stale``."""
+
+    def __init__(self, network: GnutellaProtocol) -> None:
+        self.checked = 0
+        self.stale: list[tuple[float, str, list, list]] = []
+        flood_from, peers = network._flood_from, network.peers
+
+        def checked_flood_from(peer, message, context):
+            self.checked += 1
+            fresh = [neighbor_id for neighbor_id in sorted(peer.neighbors)
+                     if neighbor_id in peers and peers[neighbor_id].online]
+            cached = list(network._online_neighbors(peer))
+            if cached != fresh:
+                self.stale.append((network.simulator.now, peer.peer_id, cached, fresh))
+            flood_from(peer, message, context)
+
+        network._flood_from = checked_flood_from
 
 
 @dataclass
@@ -701,6 +739,12 @@ class CellRun:
     #: churn-free cells only: (queued events, un-ACKed sends, cache
     #: sites on departed nodes) once timers are cancelled and drained
     leftovers: Optional[tuple] = None
+    #: (delivery and drop events executed, those run off their
+    #: recipient's home shard) over the whole run
+    routing: tuple = ()
+    #: gnutella only: (``_flood_from`` calls, those whose cached online
+    #: fan-out differed from a fresh scan of the peer's neighbours)
+    fan_outs: tuple = ()
 
 
 def run_cell(cell: Cell, shards: int = 1, knobs: tuple = ()) -> CellRun:
@@ -715,6 +759,7 @@ def _run_cell(cell: Cell, shards: int, knobs: tuple) -> CellRun:
     network = scenario.network
     simulator, stats = network.simulator, network.stats
     ledger = FateLedger(network)
+    fan_outs = FanOutCheck(network) if isinstance(network, GnutellaProtocol) else None
     started = simulator.now
     counts = scenario.run_queries(max_results=100)
     breakdown = stats.traffic_breakdown().values()
@@ -746,6 +791,9 @@ def _run_cell(cell: Cell, shards: int, knobs: tuple) -> CellRun:
     run.cache_index = (len(sites), [node_id for node_id, cache in sites.items()
                                     if cache._by_provider != provider_scan(cache)])
     run.store_violations = store_violations(network)
+    run.routing = (ledger.executed, ledger.misrouted)
+    if fan_outs is not None:
+        run.fan_outs = (fan_outs.checked, fan_outs.stale)
     return run
 
 
@@ -787,6 +835,26 @@ class TestGeneratedContract:
         for shards in (1, 4):
             for scheduled, accounted in run_cell(cell, shards).fates:
                 assert scheduled == accounted
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
+    def test_every_delivery_runs_on_its_recipients_shard(self, cell):
+        """At shards=4 every delivery and drop event executes on the home
+        shard of the recipient it carries — fan-out copies included,
+        whose shared hop message names no recipient."""
+        executed, misrouted = run_cell(cell, 4).routing
+        assert executed > 0
+        assert misrouted == []
+
+    @pytest.mark.parametrize("cell", [cell for cell in CELLS if cell.protocol == "gnutella"],
+                             ids=lambda cell: cell.id)
+    def test_every_flood_fan_out_is_the_online_neighbours(self, cell):
+        """Every gnutella forward reads a cached fan-out equal to a fresh
+        scan of the peer's online neighbours in sorted order, through
+        churn and live membership alike."""
+        for shards in (1, 4):
+            checked, stale = run_cell(cell, shards).fan_outs
+            assert checked > 0
+            assert stale == []
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
     def test_traffic_classes_add_up_to_the_totals(self, cell):

@@ -11,7 +11,9 @@ returns:
   keyed by sender, recipient and send instant — so searches issued at
   fixed instants return the hits frozen before the rule was enforced;
 * every QUERY copy sent meets exactly one fate — absorbed at send among
-  them — and nothing of a flood is left queued or pending at quiescence.
+  them — and nothing of a flood is left queued or pending at quiescence;
+* a peer forwards to its *online* neighbours only, and the cached
+  fan-out follows a neighbour offline and back.
 """
 
 import collections
@@ -25,6 +27,7 @@ from repro.network.config import MembershipConfig
 from repro.network.faults import FaultPlan
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.messages import MessageType
+from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 #: absolute virtual instant the fault plan is armed at, well past the
@@ -135,29 +138,29 @@ class _QueryFates:
                 for _ in range(1 + fates.duplicated[key]):
                     fates.book(key, "absorbed")
 
-        def counting_post_faulted(kernel, delay, sender, recipient, copy, context):
+        def counting_post_faulted(kernel, delay, sender, recipient, hop, context):
             duplicated = kernel.stats.duplicated
-            post_faulted(kernel, delay, sender, recipient, copy, context)
-            message = copy if copy is not None else fates.hop   # None: absorbed
+            post_faulted(kernel, delay, sender, recipient, hop, context)
+            message = hop if hop is not None else fates.hop   # None: absorbed
             if message.type is MessageType.QUERY:
                 fates.duplicated[(message.message_id, sender, recipient)] += (
                     kernel.stats.duplicated - duplicated)
 
-        def counting_deliver(kernel, message, context):
+        def counting_deliver(kernel, message, recipient, context):
             if message.type is MessageType.QUERY:
-                peer = kernel.peers.get(message.recipient)
+                peer = kernel.peers.get(recipient)
                 if peer is None or not peer.online:
-                    fates.book(key_of(message), "offline")
-                elif message.recipient in context.visited:
-                    fates.book(key_of(message), "duplicate")
+                    fates.book(key_of(message, recipient), "offline")
+                elif recipient in context.visited:
+                    fates.book(key_of(message, recipient), "duplicate")
                 else:
-                    fates.book(key_of(message), "handled")
-            deliver(kernel, message, context)
+                    fates.book(key_of(message, recipient), "handled")
+            deliver(kernel, message, recipient, context)
 
-        def counting_drop(kernel, message, context):
+        def counting_drop(kernel, message, recipient, context):
             if message.type is MessageType.QUERY:
-                fates.book(key_of(message), "dropped")
-            drop(kernel, message, context)
+                fates.book(key_of(message, recipient), "dropped")
+            drop(kernel, message, recipient, context)
 
         monkeypatch.setattr(EventKernel, "send_many", counting_send_many)
         monkeypatch.setattr(EventKernel, "_post_faulted", counting_post_faulted)
@@ -169,8 +172,10 @@ class _QueryFates:
         self.fates[fate] += 1
 
 
-def key_of(copy):
-    return copy.message_id, copy.sender, copy.recipient
+def key_of(message, recipient):
+    """The key of the copy of ``message`` a delivery or drop event
+    carries to ``recipient`` (a fan-out's copies share one message)."""
+    return message.message_id, message.sender, recipient
 
 
 @pytest.mark.parametrize("plan", [None, FAULTS], ids=["clean", "faults"])
@@ -239,3 +244,43 @@ def test_a_discovery_ping_never_echoes(monkeypatch):
 
     assert len(sent) > 6
     assert [copy for copy in sent if copy[1] == copy[2]] == []
+
+
+def test_a_neighbour_offline_between_two_searches_leaves_the_fan_out_and_returns(monkeypatch):
+    """A peer's online fan-out is cached across floods, and an online
+    transition of one neighbour is seen by the next search: offline, it
+    gets no copy from anyone; back online, the origin sends it one again."""
+    network = GnutellaProtocol(seed=1, degree=4, default_ttl=3)
+    for index in range(16):
+        network.create_peer(f"peer-{index:02d}")
+    network.build_overlay()
+    origin = network.peers["peer-00"]
+    neighbours = sorted(origin.neighbors)
+    leaver = neighbours[0]
+    fan_outs = []   # per search: (sender, recipients) of every QUERY fan-out
+    send_many = EventKernel.send_many
+
+    def recording_send_many(self, message, sender, recipients, *, context=None):
+        fan_outs[-1].append((sender, list(recipients)))
+        send_many(self, message, sender, recipients, context=context)
+
+    monkeypatch.setattr(EventKernel, "send_many", recording_send_many)
+
+    def search():
+        fan_outs.append([])
+        network.search("peer-00", Query("patterns"))
+        sender, recipients = fan_outs[-1][0]
+        assert sender == "peer-00"
+        return recipients, {recipient for _, sent in fan_outs[-1] for recipient in sent}
+
+    assert len(neighbours) >= 2
+    first, reached = search()
+    assert first == neighbours and leaver in reached
+    network.set_online(leaver, False)
+    second, reached = search()
+    assert second == neighbours[1:] and leaver not in reached
+    assert network._online_neighbors(origin) == neighbours[1:]
+    network.set_online(leaver, True)
+    third, reached = search()
+    assert third == neighbours and leaver in reached
+    assert network._online_neighbors(origin) == neighbours
