@@ -1,5 +1,8 @@
 """Tests for protocol messages, statistics and topology generation."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.network.messages import (
@@ -11,7 +14,12 @@ from repro.network.messages import (
     register_message,
 )
 from repro.network.stats import NetworkStats, QueryRecord
-from repro.network.topology import Topology, build_topology
+from repro.network.topology import (
+    Topology,
+    _barabasi_albert_edges,
+    _gnp_random_edges,
+    build_topology,
+)
 
 
 class TestMessages:
@@ -129,3 +137,97 @@ class TestTopology:
         ring = build_topology(self.peer_ids(10), kind="ring")
         star = build_topology(self.peer_ids(10), kind="star")
         assert star.average_path_length() < ring.average_path_length()
+
+
+# The overlays networkx 3.6 drew, pinned: sha256 (first 16 hex digits)
+# of build_topology's sorted edge lists for one (kind, peers), over
+# degrees 1, 2, 4, 6 and seeds 0-3, taken while the generators were
+# still networkx's.  Every digest downstream depends on these graphs.
+OVERLAY_GRID_DEGREES = (1, 2, 4, 6)
+OVERLAY_GRID_SEEDS = (0, 1, 2, 3)
+OVERLAY_DIGESTS = {
+    "power-law 2": "38f4f3ce4e4a8a4e",
+    "power-law 3": "a17c00cb7439c946",
+    "power-law 7": "900b205d253ad6f0",
+    "power-law 40": "9c2eac90a87f2ec7",
+    "power-law 1000": "c54f5803bc5eddad",
+    "random 2": "38f4f3ce4e4a8a4e",
+    "random 3": "7b017e3bdbb95ba0",
+    "random 7": "37739dd4b97c1179",
+    "random 40": "e3ccc59610b9ee2b",
+    "random 1000": "b77f2b226996d61d",
+    "ring 2": "38f4f3ce4e4a8a4e",
+    "ring 3": "755b4eec11449c0a",
+    "ring 7": "0a5de89870ec3d67",
+    "ring 40": "cc2b729070918902",
+    "ring 1000": "cca166f97e3a22e2",
+    "star 2": "38f4f3ce4e4a8a4e",
+    "star 3": "39d3ffaf28bdf00c",
+    "star 7": "a2911bdd4654f72e",
+    "star 40": "9260006ddd7dc547",
+    "star 1000": "18e11fcd4f40e3c8",
+}
+
+
+def overlay_digest(kind, peers):
+    digest = hashlib.sha256()
+    ids = [f"peer-{index:04d}" for index in range(peers)]
+    for degree in OVERLAY_GRID_DEGREES:
+        for seed in OVERLAY_GRID_SEEDS:
+            topology = build_topology(ids, kind=kind, degree=degree, seed=seed)
+            # Sorted edges, never set order: str hashes are salted.
+            edges = sorted(
+                (a, b) for a, neighbors in topology.adjacency.items() for b in neighbors if a < b
+            )
+            digest.update(repr((degree, seed, edges)).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cell", sorted(OVERLAY_DIGESTS))
+def test_overlays_match_the_pinned_networkx_graphs(cell):
+    kind, peers = cell.rsplit(" ", 1)
+    assert overlay_digest(kind, int(peers)) == OVERLAY_DIGESTS[cell]
+
+
+class TestNetworkxCrossCheck:
+    """Edge for edge against networkx, where it is installed (tests only)."""
+
+    @pytest.fixture(scope="class")
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @pytest.mark.parametrize("attachment", [1, 2, 3, 5])
+    def test_barabasi_albert_edge_sequence(self, nx, attachment):
+        for count in [*range(attachment + 1, 40), 200, 1000]:
+            for seed in range(6 if count < 200 else 2):
+                expected = list(nx.barabasi_albert_graph(count, attachment, seed=seed).edges())
+                assert _barabasi_albert_edges(count, attachment, random.Random(seed)) == expected
+
+    @pytest.mark.parametrize("probability", [0.0, 0.01, 0.1, 0.5, 1.0])
+    def test_gnp_edge_sequence(self, nx, probability):
+        for count in (2, 3, 17, 120):
+            for seed in range(4):
+                expected = list(nx.gnp_random_graph(count, probability, seed=seed).edges())
+                assert list(_gnp_random_edges(count, probability, random.Random(seed))) == expected
+
+    @pytest.mark.parametrize("kind", ["power-law", "random", "ring", "star"])
+    def test_graph_queries(self, nx, kind):
+        for peers in (1, 2, 5, 33):
+            for seed in range(3):
+                topology = build_topology(
+                    [f"p{index}" for index in range(peers)], kind=kind, degree=3, seed=seed)
+                graph = nx.Graph()
+                graph.add_nodes_from(topology.adjacency)
+                graph.add_edges_from(
+                    (a, b) for a, neighbors in topology.adjacency.items() for b in neighbors)
+                assert topology.is_connected() == nx.is_connected(graph)
+                if peers > 1:
+                    assert topology.average_path_length() == nx.average_shortest_path_length(graph)
+                # A cut graph: drop every edge of one peer.
+                lonely = topology.peer_ids[-1]
+                graph.remove_edges_from(list(graph.edges(lonely)))
+                for neighbor in topology.adjacency[lonely]:
+                    topology.adjacency[neighbor].discard(lonely)
+                topology.adjacency[lonely] = set()
+                assert topology.is_connected() == (peers == 1)
+                assert topology.is_connected() == nx.is_connected(graph)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.network.gnutella import GnutellaProtocol
-from repro.network.topology import build_topology
+from repro.network.topology import Topology, build_topology
 
 
 @settings(max_examples=25, deadline=None)
@@ -22,6 +22,41 @@ def test_generated_topologies_always_connected(peers, degree, seed, kind):
         assert node not in neighbors
         for neighbor in neighbors:
             assert node in topology.adjacency[neighbor]
+
+
+def all_pairs_hops(ids, edges):
+    """Brute-force reference: Floyd-Warshall hop counts, ``inf`` if unreachable."""
+    hops = {(a, b): 0 if a == b else float("inf") for a in ids for b in ids}
+    for a, b in edges:
+        if a != b:
+            hops[a, b] = hops[b, a] = 1
+    for via in ids:
+        for a in ids:
+            for b in ids:
+                hops[a, b] = min(hops[a, b], hops[a, via] + hops[via, b])
+    return hops
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    peers=st.integers(min_value=0, max_value=9),
+    pairs=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=20),
+)
+def test_graph_queries_match_an_all_pairs_reference(peers, pairs):
+    """``is_connected`` and ``average_path_length`` on small graphs,
+    disconnected, empty and single-peer ones included."""
+    ids = [f"p{index}" for index in range(peers)]
+    edges = [(ids[a], ids[b]) for a, b in pairs if a < peers and b < peers]
+    topology = Topology({peer_id: set() for peer_id in ids})
+    for a, b in edges:
+        topology.add_edge(a, b)
+    hops = all_pairs_hops(ids, edges)
+    connected = all(distance < float("inf") for distance in hops.values())
+    assert topology.is_connected() == connected
+    if peers < 2 or not connected:
+        assert topology.average_path_length() == float("inf")
+    else:
+        assert topology.average_path_length() == sum(hops.values()) / (peers * (peers - 1))
 
 
 @settings(max_examples=20, deadline=None)
