@@ -1,55 +1,24 @@
 #!/usr/bin/env python3
-"""Scaling a population past the single-process ceiling.
+"""Sharding is an execution detail, never an observable.
 
-Two capabilities of the sharded event kernel, end to end:
-
-1. **Island scale-out** — `run_population` partitions a 10,000-peer
-   population into 4 islands, runs each island's scenario in its own
-   worker process, and aggregates the counters.  Both a flooding
-   (gnutella) and a hierarchical (super-peer) organisation complete at
-   a population 50x the E-series scenarios.
-
-2. **The determinism contract** — the in-process `ShardedSimulator`
-   executes one topology across shard-local event queues joined by a
-   conservative time-window barrier.  A 200-peer scenario run with
-   ``shards=4`` reproduces the ``shards=1`` hit counts *bit-for-bit*:
-   shard count is an execution detail, never an observable.
-
-The population defaults to 10,000; set ``SHARDED_POPULATION`` to run
-the same script at a size that fits your machine (CI uses 2000).
+The in-process `ShardedSimulator` executes one topology across
+shard-local event queues joined by a conservative time-window barrier.
+A 200-peer scenario run with ``shards=4`` reproduces the ``shards=1``
+hit counts *bit-for-bit*; the script prints both, with the windows and
+cross-shard messages the sharded run took.
 
 Run with:  python examples/sharded_population.py
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.workloads.scale import run_population
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
-POPULATION = int(os.environ.get("SHARDED_POPULATION", "10000"))
-SHARDS = 4
 SEED = 42
 
 
-def scale_out() -> None:
-    print(f"== {POPULATION:,} peers across {SHARDS} worker processes")
-    for protocol in ("gnutella", "super-peer"):
-        report = run_population(
-            POPULATION, shards=SHARDS, protocol=protocol, seed=SEED,
-            queries_per_island=8)
-        assert report.results > 0, f"{protocol}: scale run produced no hits"
-        assert len(report.islands) == SHARDS
-        print(f"  {protocol:11s} {report.messages:>9,} msgs  "
-              f"{report.messages_per_s:>7,.0f} msgs/s  "
-              f"{report.results:>5,} hits  "
-              f"peak RSS {report.peak_rss_bytes / (1 << 20):,.0f} MB  "
-              f"wall {report.wall_s:.1f}s")
-
-
 def determinism_contract() -> None:
-    print("\n== windowed determinism: shards=4 vs shards=1 on one topology")
+    print("== windowed determinism: shards=4 vs shards=1 on one topology")
 
     def hits(shards: int) -> dict:
         scenario = build_scenario(ScenarioConfig(
@@ -73,10 +42,5 @@ def determinism_contract() -> None:
     print("  identical hit counts -- sharding is unobservable")
 
 
-def main() -> None:
-    scale_out()
-    determinism_contract()
-
-
 if __name__ == "__main__":
-    main()
+    determinism_contract()

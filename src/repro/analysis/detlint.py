@@ -206,17 +206,10 @@ def _in_network_scope(path: str) -> bool:
     return "network" in _path_parts(path)
 
 
-def _in_benchmark_scope(path: str) -> bool:
-    return "benchmarks" in _path_parts(path)
-
-
 def _in_process_management_scope(path: str) -> bool:
-    """The two module families sanctioned to create processes (KERN002):
-    the parallel-shard runtime and the island-model workload runner."""
-    parts = _path_parts(path)
-    if "workloads" in parts:
-        return True
-    return len(parts) >= 2 and parts[-2:] == ("engine", "parallel.py")
+    """The one module sanctioned to create processes (KERN002): the
+    parallel-shard runtime."""
+    return _path_parts(path)[-2:] == ("engine", "parallel.py")
 
 
 # ----------------------------------------------------------------------
@@ -266,13 +259,9 @@ class _Checker(ast.NodeVisitor):
         return self.scope_all or _in_protocol_scope(self.path)
 
     @property
-    def _det004_active(self) -> bool:
-        return self.scope_all or not _in_benchmark_scope(self.path)
-
-    @property
     def _kern002_active(self) -> bool:
         # The exemption is the rule's semantics, not a scope default:
-        # engine/parallel.py and workloads/ stay exempt under scope_all.
+        # engine/parallel.py stays exempt under scope_all.
         return not _in_process_management_scope(self.path)
 
     # -- set-ish expression detection ---------------------------------
@@ -383,9 +372,9 @@ class _Checker(ast.NodeVisitor):
                     self._add(
                         node,
                         "KERN002",
-                        "direct multiprocessing use outside engine/parallel.py and "
-                        "workloads/; route process fan-out through "
-                        "ParallelShardRunner or workloads.scale",
+                        "direct multiprocessing use outside engine/parallel.py; "
+                        "route process fan-out through run_parallel_scenario / "
+                        "ParallelShardRunner",
                     )
         self.generic_visit(node)
 
@@ -395,9 +384,9 @@ class _Checker(ast.NodeVisitor):
                 self._add(
                     node,
                     "KERN002",
-                    "direct multiprocessing use outside engine/parallel.py and "
-                    "workloads/; route process fan-out through "
-                    "ParallelShardRunner or workloads.scale",
+                    "direct multiprocessing use outside engine/parallel.py; "
+                    "route process fan-out through run_parallel_scenario / "
+                    "ParallelShardRunner",
                 )
             elif node.module == "os" and any(
                 alias.name in ("fork", "forkpty") for alias in node.names
@@ -405,7 +394,7 @@ class _Checker(ast.NodeVisitor):
                 self._add(
                     node,
                     "KERN002",
-                    "importing os.fork outside engine/parallel.py and workloads/; "
+                    "importing os.fork outside engine/parallel.py; "
                     "a forked child inherits live kernel state mid-flight",
                 )
         self.generic_visit(node)
@@ -450,7 +439,7 @@ class _Checker(ast.NodeVisitor):
 
         if isinstance(func, ast.Attribute):
             owner = func.value
-            # KERN002: raw process creation outside the sanctioned modules
+            # KERN002: raw process creation outside the sanctioned module
             if (
                 self._kern002_active
                 and isinstance(owner, ast.Name)
@@ -460,7 +449,7 @@ class _Checker(ast.NodeVisitor):
                 self._add(
                     node,
                     "KERN002",
-                    f"os.{func.attr}() outside engine/parallel.py and workloads/; "
+                    f"os.{func.attr}() outside engine/parallel.py; "
                     "a forked child inherits live kernel state (heaps, RNG "
                     "positions, interning tables) mid-flight",
                 )
@@ -481,13 +470,13 @@ class _Checker(ast.NodeVisitor):
                         "explicit seed derived from the scenario seed",
                     )
             # DET004: wall clock
-            if self._det004_active and isinstance(owner, ast.Name):
+            if isinstance(owner, ast.Name):
                 if owner.id == "time" and func.attr in _WALLCLOCK_TIME_FNS:
                     self._add(
                         node,
                         "DET004",
                         f"time.{func.attr}() reads the wall clock; simulation code "
-                        "must use simulator.now (wall-clock timing belongs in benchmarks/)",
+                        "must use simulator.now (wall-clock timing belongs in bench/)",
                     )
                 elif owner.id in ("datetime", "date") and func.attr in _WALLCLOCK_DATETIME_FNS:
                     self._add(
@@ -497,8 +486,7 @@ class _Checker(ast.NodeVisitor):
                         "code must use simulator.now",
                     )
             if (
-                self._det004_active
-                and isinstance(owner, ast.Attribute)
+                isinstance(owner, ast.Attribute)
                 and owner.attr == "datetime"
                 and func.attr in _WALLCLOCK_DATETIME_FNS
             ):

@@ -80,9 +80,9 @@ RULES: dict[str, Rule] = {
             rationale=(
                 "The virtual clock moves only by processing events — nothing "
                 "in the simulation may observe real time, or results depend "
-                "on host speed and load.  Wall-clock reads belong in "
-                "benchmarks/ (and in explicitly-reported wall_s metrics); in "
-                "simulation code use simulator.now."
+                "on host speed and load.  Wall-clock reads belong in the "
+                "bench/ harness (and in explicitly-reported wall_s metrics); "
+                "in simulation code use simulator.now."
             ),
         ),
         Rule(
@@ -108,21 +108,21 @@ RULES: dict[str, Rule] = {
         Rule(
             id="KERN002",
             summary="direct multiprocessing / os.fork use outside the sanctioned "
-            "process-management modules",
+            "process-management module",
             rationale=(
-                "Exactly two modules may create processes: "
+                "Exactly one module may create processes: "
                 "engine/parallel.py (the coordinator/worker barrier runtime "
-                "for process-parallel shard execution) and workloads/ (the "
-                "island-model population runner).  Both pick a spawn-safe "
-                "start method deliberately, surface worker crashes loudly, "
-                "and keep the determinism story — full-replica bootstrap, "
-                "content-keyed fault streams — intact across process "
+                "for process-parallel shard execution).  It picks a "
+                "spawn-safe start method deliberately, surfaces worker "
+                "crashes loudly, and keeps the determinism story — "
+                "full-replica bootstrap, content-keyed fault streams — "
+                "intact across process "
                 "boundaries.  An ad-hoc multiprocessing import or os.fork() "
                 "anywhere else dodges those guarantees: a forked child "
                 "inherits live kernel state (heaps, interning tables, RNG "
                 "positions) mid-flight, and an unmanaged pool can hang the "
                 "suite when a worker dies.  Route process fan-out through "
-                "ParallelShardRunner or workloads.scale instead."
+                "run_parallel_scenario / ParallelShardRunner instead."
             ),
         ),
         Rule(

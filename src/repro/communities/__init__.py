@@ -12,7 +12,8 @@ to create once the application is generated from a schema (§I):
 
 Each module in this package defines one of those communities: its XML
 Schema, optional custom stylesheets and index filters, and a synthetic
-corpus generator used by the examples, tests and benchmarks.
+corpus generator used by the examples, the tests and the paper's
+claims in :mod:`repro.report`.
 """
 
 from repro.communities.base import CommunityDefinition

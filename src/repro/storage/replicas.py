@@ -6,8 +6,9 @@ accumulate holders and survive churn.  The registry records, per
 resource, every peer known to hold a copy together with its
 *provenance* — ``original`` for the publisher's copy, ``replica`` for a
 copy created by a download — and when the copy appeared in virtual
-time.  The network layer keeps one registry and the replication
-benchmarks read replication degree per popularity rank from it.
+time.  The network layer keeps one registry, and the replication
+claims of :mod:`repro.report` read replication degree per popularity
+rank from it.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """KERN002 green: protocol code delegates process fan-out to the
-sanctioned runners instead of creating processes itself."""
+sanctioned runner instead of creating processes itself."""
 
 
-def fan_out(run_population, population):
-    # workloads.scale owns the pool: start method, crash surfacing.
-    return run_population(population, shards=4, parallel=True)
+def fan_out(run_parallel_scenario, config):
+    # engine/parallel.py owns the pool: start method, crash surfacing.
+    return run_parallel_scenario(config, workers=2)
 
 
 def fork_free(os_module):

@@ -127,10 +127,15 @@ class TestScoping:
     def test_scope_all_applies_rules_everywhere(self):
         assert analyze_source(self.RED_BODY, "xmlkit/mod.py", scope_all=True) != []
 
-    def test_det004_exempts_benchmarks(self):
+    def test_det004_flags_a_workloads_wall_clock_read(self):
         source = "import time\n\ndef f():\n    return time.time()\n"
         assert analyze_source(source, "src/repro/workloads/mod.py") != []
-        assert analyze_source(source, "benchmarks/test_bench_mod.py") == []
+
+    def test_kern002_exempts_engine_parallel_only(self):
+        source = "import multiprocessing\n"
+        assert analyze_source(source, "src/repro/engine/parallel.py") == []
+        assert [f.rule for f in analyze_source(source, "src/repro/workloads/mod.py")] \
+            == ["KERN002"]
 
 
 class TestOrderInsensitiveReducers:

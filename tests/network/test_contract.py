@@ -285,6 +285,7 @@ class TestRetrieveComposition:
             ops.append(RetrieveOp(requester_id="peer-010", resource_id=payload_id,
                                   provider_id="peer-009"))
         outcome = QueryDriver(network).run_mixed(ops, interarrival_ms=5.0)
+        assert len(outcome.responses) + len(outcome.retrieves) == len(ops)
         assert outcome.failed == 0 and outcome.retrieve_failures == 0
         if with_download:
             assert outcome.retrieves[0] is not None

@@ -71,6 +71,17 @@ class TestParallelContract:
                                                faults=faults, **FAULTY)
         assert parallel == serial
 
+    @pytest.mark.parametrize(("peers", "shards"), [(30, 2), (30, 4), (60, 2), (60, 4)],
+                             ids=["p30-s2", "p30-s4", "p60-s2", "p60-s4"])
+    def test_parallel_reproduces_serial_static(self, peers, shards):
+        """A static gnutella flood, split two and four ways over two
+        workers, reproduces the serial run; cross-worker traffic flows."""
+        serial = serial_signature(protocol="gnutella", peers=peers, shards=1)
+        parallel, report = parallel_signature(protocol="gnutella", peers=peers,
+                                              shards=shards)
+        assert parallel == serial
+        assert report.windows > 0 and report.cross_shard_messages > 0
+
     def test_worker_count_is_immaterial(self):
         """1 and 3 workers reproduce the same run as 2 — the contract
         is worker-count independence, not a lucky pairing."""

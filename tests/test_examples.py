@@ -2,7 +2,7 @@
 
 Each example is seeded and asserts its own outcome, so a non-zero exit
 is a regression.  The scripts run in subprocesses, two at a time, with a
-timeout each; ``sharded_population.py`` runs at a reduced population.
+timeout each.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ TIMEOUT_S = 120
 
 
 def run_example(name: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, SHARDED_POPULATION="1000")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, str(ROOT / "examples" / name)], cwd=ROOT,

@@ -1,5 +1,7 @@
 """Tests for popularity distributions, query workloads and scenarios."""
 
+import functools
+
 import pytest
 
 from repro.communities.design_patterns import generate_pattern_corpus
@@ -97,7 +99,8 @@ class TestScenario:
         with pytest.raises(ValueError):
             ScenarioConfig(peers=10, publishers=5, members=3)
 
-    @pytest.mark.parametrize("protocol", ["centralized", "gnutella", "super-peer"])
+    @pytest.mark.parametrize("protocol",
+                             ["centralized", "gnutella", "super-peer", "rendezvous"])
     def test_small_scenario_end_to_end(self, protocol):
         scenario = build_scenario(ScenarioConfig(
             protocol=protocol, peers=15, members=8, publishers=4,
@@ -190,3 +193,59 @@ class TestMixedWorkload:
         # and accounts every operation one way or the other.
         total = len(outcome.responses) + len(outcome.retrieves)
         assert total == self.CONFIG["queries"]
+
+
+#: the E3 concurrent-query scenario scaled to 200 peers (claim E3's knobs
+#: in repro.report), and a search/download mix at 120 peers
+E3_200 = dict(peers=200, members=24, publishers=12, corpus_size=90, queries=16,
+              community="design-patterns", ttl=6, seed=11,
+              concurrency=8, query_interarrival_ms=20.0)
+MIXED_120 = dict(peers=120, members=24, publishers=12, corpus_size=90, queries=24,
+                 community="design-patterns", ttl=6, seed=11,
+                 concurrency=8, query_interarrival_ms=20.0,
+                 retrieve_fraction=0.3, popularity_skew=1.0)
+POPULATION_CELLS = [(protocol, shards)
+                    for protocol in ("centralized", "gnutella", "super-peer", "rendezvous")
+                    for shards in (1, 2, 4)]
+
+
+def run_population_cell(protocol: str, shards: int, *, mixed: bool) -> tuple:
+    """(operations accounted, messages, digest) of one fresh run."""
+    config = dict(MIXED_120 if mixed else E3_200, protocol=protocol, shards=shards)
+    scenario = build_scenario(ScenarioConfig(**config))
+    if mixed:
+        outcome = scenario.run_mixed_workload(max_results=200)
+        operations = len(outcome.responses) + len(outcome.retrieves)
+        counts = outcome.result_counts
+    else:
+        counts = scenario.run_queries(max_results=200)
+        operations = len(counts)
+    stats = scenario.network.stats
+    return operations, stats.total_messages, stats.digest(counts)
+
+
+@functools.lru_cache(maxsize=None)
+def serial_population_cell(protocol: str, *, mixed: bool) -> tuple:
+    return run_population_cell(protocol, 1, mixed=mixed)
+
+
+class TestPopulationScenarios:
+    """Every protocol at a few hundred peers, serial and windowed: each
+    operation is accounted for, and a run at ``shards`` 1, 2 or 4
+    reproduces an independent ``shards=1`` build bit for bit."""
+
+    @pytest.mark.parametrize(("protocol", "shards"), POPULATION_CELLS,
+                             ids=[f"{protocol}-s{shards}" for protocol, shards in POPULATION_CELLS])
+    def test_e3_200_flood_answers_every_query(self, protocol, shards):
+        operations, messages, digest = run_population_cell(protocol, shards, mixed=False)
+        assert operations == E3_200["queries"]
+        assert messages > 0
+        assert digest == serial_population_cell(protocol, mixed=False)[2]
+
+    @pytest.mark.parametrize(("protocol", "shards"), POPULATION_CELLS,
+                             ids=[f"{protocol}-s{shards}" for protocol, shards in POPULATION_CELLS])
+    def test_mixed_120_accounts_every_operation(self, protocol, shards):
+        operations, messages, digest = run_population_cell(protocol, shards, mixed=True)
+        assert operations == MIXED_120["queries"]
+        assert messages > 0
+        assert digest == serial_population_cell(protocol, mixed=True)[2]
