@@ -12,10 +12,9 @@ re-attachment in ``superpeer.py``) that repeat-twice determinism tests
 structurally *cannot* see, because both runs share one hash salt.
 
 This package machine-checks those rules at lint time.  Each rule is
-named, individually suppressible inline
-(``# detlint: ignore[RULE] -- reason``, reason mandatory) and
-baseline-able (``detlint-baseline.txt``), so accepted sites are
-explicit rather than invisible.  Run it as::
+named and individually suppressible inline
+(``# detlint: ignore[RULE] -- reason``, reason mandatory), so accepted
+sites are explicit rather than invisible.  Run it as::
 
     python -m repro.analysis src/
 

@@ -1,50 +1,18 @@
 """The detlint CLI: ``python -m repro.analysis [paths...]``.
 
-Exit status: 0 when clean (after suppressions and the baseline),
-1 when findings remain, 2 on usage errors.  ``--format github`` emits
-GitHub Actions ``::error`` annotations so CI findings appear inline on
-the PR diff.
-
-The baseline file resolves in order: ``--baseline PATH``, the
-``[tool.detlint] baseline`` key of ``./pyproject.toml``, then
-``./detlint-baseline.txt`` if it exists.  ``--no-baseline`` disables
-it; ``--write-baseline`` rewrites it from the current findings (with
-TODO reasons for you to fill in — reasonless entries are rejected at
-load time).
+Exit status: 0 when clean (after inline suppressions), 1 when findings
+remain, 2 on usage errors.  ``--format github`` emits GitHub Actions
+``::error`` annotations so CI findings appear inline on the PR diff.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import tomllib
-from pathlib import Path
 from typing import Optional
 
-from repro.analysis.baseline import (
-    BaselineError,
-    format_baseline,
-    load_baseline,
-    match_baseline,
-)
-from repro.analysis.detlint import Finding, analyze_paths
+from repro.analysis.detlint import analyze_paths
 from repro.analysis.rules import RULES
-
-
-def _resolve_baseline_path(explicit: Optional[str]) -> Optional[Path]:
-    if explicit is not None:
-        return Path(explicit)
-    pyproject = Path("pyproject.toml")
-    if pyproject.is_file():
-        try:
-            config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
-        except tomllib.TOMLDecodeError:
-            config = {}
-        configured = config.get("tool", {}).get("detlint", {}).get("baseline")
-        if configured:
-            return Path(configured)
-    default = Path("detlint-baseline.txt")
-    return default if default.is_file() else None
 
 
 def _print_rules() -> None:
@@ -62,15 +30,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", help="files or directories to analyze")
     parser.add_argument("--format", choices=("text", "github"), default="text",
                         help="finding output format (github = ::error annotations)")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="baseline file of accepted findings")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from the current findings and exit")
-    parser.add_argument("--scope-all", action="store_true",
-                        help="apply every rule to every file regardless of its path "
-                             "(path-scoped rules normally key off network//engine/ segments)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
@@ -83,37 +42,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: no paths given (try: python -m repro.analysis src/)", file=sys.stderr)
         return 2
 
-    findings = analyze_paths(args.paths, scope_all=args.scope_all)
-
-    baseline_path = None if args.no_baseline else _resolve_baseline_path(args.baseline)
-
-    if args.write_baseline:
-        target = baseline_path or Path("detlint-baseline.txt")
-        target.write_text(format_baseline(findings), encoding="utf-8")
-        print(f"wrote {len(findings)} finding(s) to {target}")
-        return 0
-
-    stale: list[tuple[str, str, str]] = []
-    if baseline_path is not None and baseline_path.is_file():
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        findings, stale = match_baseline(findings, baseline)
-
+    findings = analyze_paths(args.paths)
     for finding in findings:
         print(finding.render_github() if args.format == "github" else finding.render())
-    for path, rule, snippet in stale:
-        print(
-            f"warning: stale baseline entry (site fixed? delete it): "
-            f"{path}\t{rule}\t{snippet}",
-            file=sys.stderr,
-        )
     if findings:
         print(
             f"\ndetlint: {len(findings)} finding(s).  Fix, or suppress inline with "
-            "`# detlint: ignore[RULE] -- reason`, or baseline with --write-baseline.",
+            "`# detlint: ignore[RULE] -- reason`.",
             file=sys.stderr,
         )
         return 1

@@ -79,13 +79,8 @@ class Finding:
     col: int
     rule: str
     message: str
-    #: the stripped source line — the baseline fingerprint, robust to
-    #: the site moving around the file
+    #: the stripped source line
     snippet: str
-
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        return (PurePosixPath(self.path).as_posix(), self.rule, self.snippet)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -216,12 +211,10 @@ def _in_process_management_scope(path: str) -> bool:
 # Pass 2: the checker
 # ----------------------------------------------------------------------
 class _Checker(ast.NodeVisitor):
-    def __init__(self, path: str, source_lines: list[str], registry: SetRegistry,
-                 *, scope_all: bool = False) -> None:
+    def __init__(self, path: str, source_lines: list[str], registry: SetRegistry) -> None:
         self.path = path
         self.lines = source_lines
         self.registry = registry
-        self.scope_all = scope_all
         self.findings: list[Finding] = []
         self._class_stack: list[str] = []
         #: per-function stacks of local variable names known to be sets
@@ -248,20 +241,18 @@ class _Checker(ast.NodeVisitor):
     # -- scope flags ---------------------------------------------------
     @property
     def _det001_active(self) -> bool:
-        return self.scope_all or _in_protocol_scope(self.path)
+        return _in_protocol_scope(self.path)
 
     @property
     def _kern001_queue_active(self) -> bool:
-        return (self.scope_all or _in_network_scope(self.path)) and not self._in_simulator_class()
+        return _in_network_scope(self.path) and not self._in_simulator_class()
 
     @property
     def _kern001_every_active(self) -> bool:
-        return self.scope_all or _in_protocol_scope(self.path)
+        return _in_protocol_scope(self.path)
 
     @property
     def _kern002_active(self) -> bool:
-        # The exemption is the rule's semantics, not a scope default:
-        # engine/parallel.py stays exempt under scope_all.
         return not _in_process_management_scope(self.path)
 
     # -- set-ish expression detection ---------------------------------
@@ -572,8 +563,8 @@ def _iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
             yield path
 
 
-def analyze_source(source: str, path: str, registry: Optional[SetRegistry] = None,
-                   *, scope_all: bool = False) -> list[Finding]:
+def analyze_source(source: str, path: str,
+                   registry: Optional[SetRegistry] = None) -> list[Finding]:
     """Analyze one file's source text (the unit-test entry point)."""
     tree = ast.parse(source, filename=path)
     lines = source.splitlines()
@@ -585,12 +576,12 @@ def analyze_source(source: str, path: str, registry: Optional[SetRegistry] = Non
             set_attrs=registry.set_attrs | extra.set_attrs,
             dict_set_attrs=registry.dict_set_attrs | extra.dict_set_attrs,
         )
-    findings = _Checker(path, lines, registry, scope_all=scope_all).check(tree)
+    findings = _Checker(path, lines, registry).check(tree)
     findings = _apply_suppressions(findings, path, lines)
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
-def analyze_paths(paths: Iterable[str], *, scope_all: bool = False) -> list[Finding]:
+def analyze_paths(paths: Iterable[str]) -> list[Finding]:
     """Analyze every ``.py`` file under ``paths`` (dirs walk recursively)."""
     files: list[tuple[str, str]] = []
     for file_path in _iter_python_files(paths):
@@ -608,6 +599,6 @@ def analyze_paths(paths: Iterable[str], *, scope_all: bool = False) -> list[Find
     findings: list[Finding] = []
     for name, source, tree in trees:
         lines = source.splitlines()
-        file_findings = _Checker(name, lines, registry, scope_all=scope_all).check(tree)
+        file_findings = _Checker(name, lines, registry).check(tree)
         findings.extend(_apply_suppressions(file_findings, name, lines))
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))

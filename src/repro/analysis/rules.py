@@ -4,9 +4,9 @@ Every rule encodes one invariant the repository has either been bitten
 by or leans on for its determinism/sharding story.  The docstring of a
 rule is its contract: what it flags, why, and the historical incident
 or architectural argument behind it.  Rules are suppressible inline
-(``# detlint: ignore[RULE] -- reason``) or via the checked-in baseline
-file — both require a stated reason, so every accepted site is a
-documented decision.
+(``# detlint: ignore[RULE] -- reason``), and only with a stated
+reason, so every accepted site is a documented decision next to the
+code it excuses.
 """
 
 from __future__ import annotations

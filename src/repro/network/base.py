@@ -118,10 +118,6 @@ class SearchResponse:
     def distinct_resources(self) -> set[str]:
         return {result.resource_id for result in self.results}
 
-    def best(self) -> Optional[SearchResult]:
-        """The closest (fewest hops) result, if any."""
-        return min(self.results, key=lambda result: result.hops, default=None)
-
 
 class PeerNetwork(ABC):
     """Common behaviour of all network organisations.
@@ -237,11 +233,10 @@ class PeerNetwork(ABC):
 
     def _fault_crash(self, peer_id: str) -> None:
         """A crash-stop failure from the fault plan: the peer goes
-        offline permanently, exactly like an ungraceful permanent
-        departure — and stays gone even if it was already offline (a
-        churn absence then never ends)."""
+        offline permanently (:meth:`depart`) — and stays gone even if
+        it was already offline (a churn absence then never ends)."""
         if peer_id in self.peers:
-            self.depart(peer_id, graceful=False)
+            self.depart(peer_id)
 
     # ------------------------------------------------------------------
     # Membership
@@ -267,29 +262,6 @@ class PeerNetwork(ABC):
     def create_peer(self, peer_id: str) -> Peer:
         """Convenience: create, add and return a new peer."""
         return self.add_peer(Peer(peer_id=peer_id))
-
-    def remove_peer(self, peer_id: str) -> None:
-        """Remove a peer entirely (it will not come back).
-
-        Off mode this is the structural API it always was (instant hook
-        cleanup).  With live membership on, the removal is an announced
-        permanent departure — UNREGISTER/LEAVE/LEAF-DETACH traffic
-        through the kernel — and the off-mode hooks' free instant
-        mutation never runs.  Either way the peer's open session closes
-        into the uptime totals before the object is dropped.
-        """
-        peer = self._require_peer(peer_id, allow_offline=True)
-        if self.live_membership:
-            self.depart(peer_id, graceful=True)
-        else:
-            if peer.online:
-                session_ms = self.simulator.now - peer.online_since
-                peer.uptime_ms += session_ms
-                self.stats.record_uptime(session_ms)
-            self._on_peer_removed(peer)
-        self.replicas.forget_peer(peer_id)
-        self.caches.drop(peer_id)
-        del self.peers[peer_id]
 
     def set_online(self, peer_id: str, online: bool) -> None:
         """Toggle a peer's availability (used by the population model).
@@ -331,23 +303,16 @@ class PeerNetwork(ABC):
             else:
                 self._on_peer_departed(peer)
 
-    def depart(self, peer_id: str, *, graceful: bool = False) -> None:
+    def depart(self, peer_id: str) -> None:
         """Take a peer offline permanently: it joins :attr:`gone`, even
-        when it is offline already, so it never comes back.
-
-        With live membership on and ``graceful`` set, the peer first
-        announces its departure (UNREGISTER / LEAVE / LEAF-DETACH
-        traffic through the kernel) so the network cleans up without a
-        staleness window; an ungraceful permanent departure leaves
-        stale state behind exactly like a crash.
+        when it is offline already, so it never comes back.  Nobody is
+        told: with live membership on, the state others hold about the
+        peer goes stale until their leases lapse, exactly like a crash.
         """
         peer = self._require_peer(peer_id, allow_offline=True)
         self.gone.add(peer_id)
-        if not peer.online:
-            return
-        if self.live_membership and graceful:
-            self._announce_departure_live(peer)
-        self.set_online(peer_id, False)
+        if peer.online:
+            self.set_online(peer_id, False)
 
     # ------------------------------------------------------------------
     # Live membership
@@ -690,9 +655,6 @@ class PeerNetwork(ABC):
     def _on_peer_added(self, peer: Peer) -> None:
         """Subclass hook: wire a new peer into the overlay."""
 
-    def _on_peer_removed(self, peer: Peer) -> None:
-        """Subclass hook: unwire a removed peer."""
-
     def _on_peer_departed(self, peer: Peer) -> None:
         """Subclass hook: a peer went offline (churn)."""
 
@@ -710,9 +672,6 @@ class PeerNetwork(ABC):
         observable effects belong here (state held *on* the departed
         node dies with it); everything held *about* it elsewhere must
         persist until repair traffic notices."""
-
-    def _announce_departure_live(self, peer: Peer) -> None:
-        """Subclass hook: a graceful goodbye (UNREGISTER/LEAVE traffic)."""
 
     def _on_maintenance_tick(self, now: float) -> None:
         """Subclass hook: one recurring maintenance round (heartbeats,

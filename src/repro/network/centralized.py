@@ -25,10 +25,8 @@ from repro.network.messages import (
     Message,
     MessageType,
     join_message,
-    leave_message,
     ping_message,
     query_message,
-    unregister_message,
 )
 from repro.network.peers import Peer
 from repro.network.twotier import HubCatalog, HubRecord
@@ -75,23 +73,15 @@ class CentralizedProtocol(PeerNetwork):
             cache.bump_version()
         self._server.insert(provider_id, community_id, resource_id, metadata, title)
 
-    def withdraw(self, peer_id: str, resource_id: str) -> None:
-        """Remove one provider of an object from the central catalog."""
-        self._remove(lambda record: record.provider_id == peer_id
-                     and record.resource_id == resource_id)
-
-    def _remove(self, predicate: Callable[[HubRecord], bool], *,
-                now: Optional[float] = None) -> None:
-        """Drop the records ``predicate`` selects, whose providers the
-        server learned are gone: cached answers naming them die with
-        them.  With ``now`` given, the removal is a staleness repair
-        and each record's window is recorded."""
+    def _remove(self, predicate: Callable[[HubRecord], bool], now: float) -> None:
+        """Drop the records ``predicate`` selects, whose providers'
+        heartbeat lease expired: cached answers naming them die with
+        them, and each record's staleness window is recorded."""
         cache = self.caches.sites.get(INDEX_SERVER_ID)
         for record in self._server.remove_where(predicate):
             if cache is not None:
                 cache.invalidate_provider(record.provider_id)
-            if now is not None:
-                self._note_staleness(record.provider_id, now)
+            self._note_staleness(record.provider_id, now)
 
     # ------------------------------------------------------------------
     def start_search(self, origin_id: str, query: Query, *, max_results: int = 100,
@@ -115,9 +105,7 @@ class CentralizedProtocol(PeerNetwork):
         kernel.add_virtual_node(INDEX_SERVER_ID)
         kernel.register(MessageType.QUERY, self._on_query)
         kernel.register(MessageType.REGISTER, self._on_register)
-        kernel.register(MessageType.UNREGISTER, self._on_unregister)
         kernel.register(MessageType.JOIN, self._on_heartbeat)
-        kernel.register(MessageType.LEAVE, self._on_leave)
         kernel.register(MessageType.PING, self._on_heartbeat)
 
     def _on_query(self, peer: Optional[Peer], message: Message,
@@ -162,11 +150,6 @@ class CentralizedProtocol(PeerNetwork):
                      metadata, title)
         self._server.last_heard[message.sender] = self.simulator.now
 
-    def _on_unregister(self, peer: Optional[Peer], message: Message,
-                       context: Optional[ExchangeContext]) -> None:
-        if message.recipient == INDEX_SERVER_ID:
-            self.withdraw(message.sender, message.resource_id)
-
     def _on_heartbeat(self, peer: Optional[Peer], message: Message,
                       context: Optional[ExchangeContext]) -> None:
         """A JOIN or keepalive PING at the server.  Napster-style: the
@@ -174,11 +157,6 @@ class CentralizedProtocol(PeerNetwork):
         other direction (the server expiring a silent peer)."""
         if message.recipient == INDEX_SERVER_ID:
             self._server.last_heard[message.sender] = self.simulator.now
-
-    def _on_leave(self, peer: Optional[Peer], message: Message,
-                  context: Optional[ExchangeContext]) -> None:
-        if message.recipient == INDEX_SERVER_ID:
-            self._server.last_heard.pop(message.sender, None)
 
     # ------------------------------------------------------------------
     # Live-membership lifecycle
@@ -190,12 +168,6 @@ class CentralizedProtocol(PeerNetwork):
         either way — the centralized organisation's price for churn."""
         self.channel.send(join_message(peer.peer_id, INDEX_SERVER_ID))
         self._upload_all(peer, INDEX_SERVER_ID)
-
-    def _announce_departure_live(self, peer: Peer) -> None:
-        for stored in peer.repository.documents:
-            self.kernel.send(unregister_message(peer.peer_id, INDEX_SERVER_ID,
-                                                resource_id=stored.resource_id))
-        self.kernel.send(leave_message(peer.peer_id, INDEX_SERVER_ID))
 
     def _on_maintenance_tick(self, now: float) -> None:
         """One maintenance round: every online peer heartbeats the
@@ -211,7 +183,7 @@ class CentralizedProtocol(PeerNetwork):
             for peer_id in sorted(expired):
                 del heard[peer_id]
             # One catalog pass for the whole expiry batch.
-            self._remove(lambda record: record.provider_id in expired, now=now)
+            self._remove(lambda record: record.provider_id in expired, now)
 
     def _stamp_freshness(self, now: float) -> None:
         # Every peer gets a clock, offline ones too, so registrations a
@@ -221,11 +193,6 @@ class CentralizedProtocol(PeerNetwork):
     def believed_online(self) -> list[str]:
         """Peers the server currently believes alive (live mode)."""
         return sorted(self._server.last_heard)
-
-    # Off-mode churn keeps an offline peer's records (search filters
-    # them out); a peer removed for good is withdrawn.
-    def _on_peer_removed(self, peer: Peer) -> None:
-        self._remove(lambda record: record.provider_id == peer.peer_id)
 
     # ------------------------------------------------------------------
     def catalog_size(self) -> int:

@@ -58,10 +58,10 @@ class GnutellaProtocol(PeerNetwork):
 
     The overlay is stored once, in each peer's ``Peer.neighbors``: every
     link is written on both ends (``build_overlay``, joins, discovery
-    PONGs) and removed from both ends (``_drop_link``, off-mode peer
-    removal), so the flood, the routing BFS and the keepalives all read
-    that one set.  A live departure is the exception by design: its
-    neighbours keep their end until the keepalive lease lapses.
+    PONGs) and removed from both ends (``_drop_link``), so the flood,
+    the routing BFS and the keepalives all read that one set.  A
+    departure removes no link: its neighbours keep it until the
+    keepalive lease lapses.
     """
 
     protocol_name = "gnutella"
@@ -117,14 +117,6 @@ class GnutellaProtocol(PeerNetwork):
         for neighbor in self.simulator.random.sample(others, sample_size):
             peer.connect(neighbor.peer_id)
             neighbor.connect(peer.peer_id)
-
-    def _on_peer_removed(self, peer: Peer) -> None:
-        self._fan_outs.clear()
-        # Links are symmetric: the peer's own set names every other end.
-        for neighbor_id in sorted(peer.neighbors):
-            self.peers[neighbor_id].disconnect(peer.peer_id)
-        if self._routing is not None:
-            self._routing.forget_peer(peer.peer_id)
 
     def set_online(self, peer_id: str, online: bool) -> None:
         peer = self.peers.get(peer_id)

@@ -1,4 +1,4 @@
-"""Population dynamics: churn, permanent departures, arrivals, crowds.
+"""Population dynamics: churn, arrivals, crowds.
 
 The paper's robustness claims only mean something when the population
 moves.  :class:`PopulationModel` generalizes the original on/off churn
@@ -6,9 +6,6 @@ model into the full set of lifecycle patterns the experiments need:
 
 * **session churn** — exponentially distributed online sessions and
   absences, the classic early-file-sharing measurement model;
-* **permanent departures** — a seeded fraction of departures never
-  return (optionally announcing themselves first, so graceful and
-  crash exits can be compared);
 * **staged arrivals** — brand-new peers joining mid-run at a constant
   rate (population growth);
 * **flash crowds** — a burst of simultaneous arrivals at one instant.
@@ -19,7 +16,10 @@ so population changes interleave deterministically with in-flight
 queries, downloads and maintenance traffic.  With the network's
 ``live_membership`` knob on, each transition turns into real protocol
 traffic (joins, heartbeats, re-registrations); with it off the model
-degrades to exactly the old free-toggle behaviour.
+degrades to exactly the old free-toggle behaviour.  Permanent exits are
+crash-stop failures, which the fault plan schedules
+(``FaultPlan.crashes`` → :meth:`PeerNetwork.depart`); a peer that left
+for good is never brought back by a queued churn return.
 
 Interplay with informed routing (``repro.network.routing``): the
 attenuated Bloom filters summarize the *topology* graph, offline
@@ -46,7 +46,7 @@ class MembershipEvent:
 
     time_ms: float
     peer_id: str
-    kind: str  # "depart" | "return" | "arrive" | "depart-permanent"
+    kind: str  # "depart" | "return" | "arrive"
 
     @property
     def online(self) -> bool:
@@ -61,12 +61,6 @@ class PopulationModel:
     network: PeerNetwork
     mean_session_ms: float = 30 * 60 * 1000.0
     mean_absence_ms: float = 10 * 60 * 1000.0
-    #: probability that any given departure is permanent (never returns)
-    departure_permanence: float = 0.0
-    #: probability that a permanent departure says goodbye first (live
-    #: membership: UNREGISTER/LEAVE/LEAF-DETACH traffic instead of
-    #: leaving stale state behind)
-    graceful_fraction: float = 0.0
     seed: int = 0
     events: list[MembershipEvent] = field(default_factory=list)
     _rng: random.Random = field(init=False, repr=False)
@@ -75,10 +69,6 @@ class PopulationModel:
     def __post_init__(self) -> None:
         if self.mean_session_ms <= 0 or self.mean_absence_ms <= 0:
             raise ValueError("mean session and absence durations must be positive")
-        if not 0.0 <= self.departure_permanence <= 1.0:
-            raise ValueError("departure_permanence must be within [0, 1]")
-        if not 0.0 <= self.graceful_fraction <= 1.0:
-            raise ValueError("graceful_fraction must be within [0, 1]")
         self._rng = random.Random(self.seed)
 
     # ------------------------------------------------------------------
@@ -99,24 +89,14 @@ class PopulationModel:
         self.network.simulator.post(delay, self._return, peer_id)
 
     def _depart(self, peer_id: str) -> None:
-        if peer_id not in self.network.peers or peer_id in self.network.gone:
-            return
-        now = self.network.simulator.now
-        # Short-circuit so a permanence of zero draws nothing extra and
-        # the event stream stays bit-identical to the legacy churn model.
-        if self.departure_permanence > 0.0 \
-                and self._rng.random() < self.departure_permanence:
-            graceful = self.graceful_fraction > 0.0 \
-                and self._rng.random() < self.graceful_fraction
-            self.network.depart(peer_id, graceful=graceful)
-            self.events.append(MembershipEvent(now, peer_id, "depart-permanent"))
+        if peer_id in self.network.gone:
             return
         self.network.set_online(peer_id, False)
-        self.events.append(MembershipEvent(now, peer_id, "depart"))
+        self.events.append(MembershipEvent(self.network.simulator.now, peer_id, "depart"))
         self._schedule_return(peer_id)
 
     def _return(self, peer_id: str) -> None:
-        if peer_id not in self.network.peers or peer_id in self.network.gone:
+        if peer_id in self.network.gone:
             return
         self.network.set_online(peer_id, True)
         self.events.append(MembershipEvent(self.network.simulator.now, peer_id, "return"))
@@ -161,25 +141,6 @@ class PopulationModel:
         self.events.append(MembershipEvent(self.network.simulator.now, peer_id, "arrive"))
         if churn:
             self._schedule_departure(peer_id)
-
-    # ------------------------------------------------------------------
-    # Scheduled permanent departures
-    # ------------------------------------------------------------------
-    def schedule_departure(self, peer_id: str, *, at_ms: float,
-                           graceful: bool = False) -> None:
-        """Make ``peer_id`` leave for good ``at_ms`` from now."""
-        if at_ms < 0:
-            raise ValueError("the departure time must be non-negative")
-        self.network.simulator.post(at_ms, self._depart_forever, peer_id, graceful)
-
-    def _depart_forever(self, peer_id: str, graceful: bool) -> None:
-        if peer_id not in self.network.peers or peer_id in self.network.gone:
-            return
-        # ``depart`` marks the peer gone even when it strikes mid-absence,
-        # which voids any queued churn return.
-        self.network.depart(peer_id, graceful=graceful)
-        self.events.append(MembershipEvent(self.network.simulator.now,
-                                           peer_id, "depart-permanent"))
 
     # ------------------------------------------------------------------
     def expected_availability(self) -> float:

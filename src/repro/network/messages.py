@@ -1,8 +1,8 @@
 """Protocol messages exchanged between peers.
 
 The message vocabulary follows the Gnutella 0.4 descriptor set (ping,
-pong, query, query-hit, push) extended with the registration and
-download messages the centralized and super-peer organisations need.
+pong, query, query-hit) extended with the registration and download
+messages the centralized and super-peer organisations need.
 Only the fields that influence routing and cost accounting are
 modelled; payload size is estimated from the carried XML so the
 message-cost experiments report realistic byte counts.
@@ -23,18 +23,15 @@ class MessageType(Enum):
     PONG = "pong"
     QUERY = "query"
     QUERY_HIT = "query-hit"
-    PUSH = "push"
     REGISTER = "register"          # centralized / super-peer metadata upload
-    UNREGISTER = "unregister"
     DOWNLOAD_REQUEST = "download-request"
     DOWNLOAD_RESPONSE = "download-response"
-    # Membership lifecycle (live_membership mode): joins, graceful
-    # leaves, two-tier attachment and advertisement lease renewal all
-    # travel through the kernel like any other protocol traffic.
+    # Membership lifecycle (live_membership mode): joins, two-tier
+    # attachment and advertisement lease renewal all travel through the
+    # kernel like any other protocol traffic.  Nobody says goodbye: a
+    # departure is noticed when a lease lapses.
     JOIN = "join"
-    LEAVE = "leave"
     LEAF_ATTACH = "leaf-attach"
-    LEAF_DETACH = "leaf-detach"
     AD_RENEW = "ad-renew"
     # Reliable-delivery envelope: a header-only acknowledgement echoing
     # the acknowledged message's id (see ``ReliableChannel.send``).
@@ -202,17 +199,6 @@ def register_message(sender: str, recipient: str, *, community_id: str,
     )
 
 
-def unregister_message(sender: str, recipient: str, *, resource_id: str) -> Message:
-    """Withdraw one registration (a graceful departure's farewell)."""
-    return Message(
-        type=MessageType.UNREGISTER,
-        sender=sender,
-        recipient=recipient,
-        resource_id=resource_id,
-        payload_bytes=len(resource_id.encode("utf-8")),
-    )
-
-
 def ping_message(sender: str, recipient: str, *, ttl: int = 1) -> Message:
     """A Gnutella 0.4 PING: header-only (keepalive or discovery probe)."""
     return Message(type=MessageType.PING, sender=sender, recipient=recipient, ttl=ttl)
@@ -239,30 +225,10 @@ def join_message(sender: str, recipient: str) -> Message:
     )
 
 
-def leave_message(sender: str, recipient: str) -> Message:
-    """Announce a graceful departure to a directory node."""
-    return Message(
-        type=MessageType.LEAVE,
-        sender=sender,
-        recipient=recipient,
-        payload_bytes=len(sender.encode("utf-8")),
-    )
-
-
 def leaf_attach_message(sender: str, recipient: str) -> Message:
     """A leaf asks ``recipient`` (a super/rendezvous peer) to adopt it."""
     return Message(
         type=MessageType.LEAF_ATTACH,
-        sender=sender,
-        recipient=recipient,
-        payload_bytes=len(sender.encode("utf-8")),
-    )
-
-
-def leaf_detach_message(sender: str, recipient: str) -> Message:
-    """A leaf gracefully detaches from its super/rendezvous peer."""
-    return Message(
-        type=MessageType.LEAF_DETACH,
         sender=sender,
         recipient=recipient,
         payload_bytes=len(sender.encode("utf-8")),

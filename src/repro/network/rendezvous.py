@@ -40,10 +40,10 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Optional
 
-from repro.engine.kernel import EventKernel, ExchangeContext, QueryContext
+from repro.engine.kernel import EventKernel, QueryContext
 from repro.network.base import SearchResponse
 from repro.network.config import check_rendezvous_lease
-from repro.network.messages import Message, MessageType, leave_message, query_message
+from repro.network.messages import Message, MessageType, query_message
 from repro.network.peers import Peer
 from repro.network.twotier import HubRecord, TwoTierNetwork
 from repro.storage.query import Query
@@ -112,10 +112,6 @@ class RendezvousProtocol(TwoTierNetwork):
     # rendezvous died re-homes — and re-advertises everything — at its
     # next renewal tick, which is the organic repair path.
     # ------------------------------------------------------------------
-    def _announce_departure_live(self, peer: Peer) -> None:
-        if peer.peer_id not in self._hubs and peer.super_peer_id in self._hubs:
-            self.kernel.send(leave_message(peer.peer_id, peer.super_peer_id))
-
     def _live_attach(self, peer: Peer) -> Optional[str]:
         hub_id = super()._live_attach(peer)
         if hub_id is not None:
@@ -160,15 +156,6 @@ class RendezvousProtocol(TwoTierNetwork):
 
     def _stamp_freshness(self, now: float) -> None:
         self._last_renewed = {peer_id: now for peer_id in sorted(self.peers)}
-
-    def _on_leave(self, peer: Optional[Peer], message: Message,
-                  context: Optional[ExchangeContext]) -> None:
-        """A graceful goodbye: drop the sender's advertisements now
-        instead of letting them decay through lease expiry."""
-        hub = self._hubs.get(peer.peer_id) if peer is not None else None
-        if hub is not None:
-            hub.members.discard(message.sender)
-            hub.remove_where(lambda record: record.provider_id == message.sender)
 
     # ------------------------------------------------------------------
     # Primitives
@@ -284,7 +271,6 @@ class RendezvousProtocol(TwoTierNetwork):
         super()._register_handlers(kernel)
         kernel.register(MessageType.QUERY, self._on_query)
         kernel.register(MessageType.AD_RENEW, self._on_upload)
-        kernel.register(MessageType.LEAVE, self._on_leave)
 
     def _on_query(self, peer: Optional[Peer], message: Message,
                   context: Optional[QueryContext]) -> None:

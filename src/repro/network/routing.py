@@ -182,16 +182,7 @@ class RoutingIndex:
         self._dirty_graph = True
 
     def note_overlay_changed(self) -> None:
-        """An edge or peer was added or removed."""
-        self._dirty_graph = True
-
-    def forget_peer(self, peer_id: str) -> None:
-        """``peer_id`` left the network for good."""
-        self._self_filters.pop(peer_id, None)
-        self._filters.pop(peer_id, None)
-        self._versions.pop(peer_id, None)
-        self._stamps.pop(peer_id, None)
-        self._dirty_content.discard(peer_id)
+        """An edge was added or removed, or a peer joined."""
         self._dirty_graph = True
 
     def forget_link(self, peer_a: str, peer_b: str) -> None:

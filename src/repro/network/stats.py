@@ -15,10 +15,8 @@ from repro.network.messages import Message, MessageType
 #: availability).  Registrations count as control: they are index
 #: maintenance, not query answering.
 CONTROL_TYPE_VALUES = frozenset({
-    MessageType.PING.value, MessageType.PONG.value, MessageType.PUSH.value,
-    MessageType.REGISTER.value, MessageType.UNREGISTER.value,
-    MessageType.JOIN.value, MessageType.LEAVE.value,
-    MessageType.LEAF_ATTACH.value, MessageType.LEAF_DETACH.value,
+    MessageType.PING.value, MessageType.PONG.value, MessageType.REGISTER.value,
+    MessageType.JOIN.value, MessageType.LEAF_ATTACH.value,
     MessageType.AD_RENEW.value, MessageType.ACK.value,
 })
 QUERY_TYPE_VALUES = frozenset({MessageType.QUERY.value, MessageType.QUERY_HIT.value})

@@ -31,7 +31,6 @@ from repro.network.base import SearchResponse
 from repro.network.messages import (
     Message,
     MessageType,
-    leaf_detach_message,
     ping_message,
     pong_message,
     query_message,
@@ -113,11 +112,10 @@ class SuperPeerProtocol(TwoTierNetwork):
         hub.last_heard.pop(leaf_id, None)
         cache = self.caches.sites.get(hub_id)
         if cache is not None:
-            # The super learned this leaf is gone (a detach, a graceful
-            # LEAF-DETACH or its heartbeat lease lapsing): cached
-            # answers naming it die at the same moment its records do,
-            # so a stale cached hit never outlives the membership
-            # staleness window here.
+            # The super learned this leaf is gone (a detach or its
+            # heartbeat lease lapsing): cached answers naming it die at
+            # the same moment its records do, so a stale cached hit
+            # never outlives the membership staleness window here.
             cache.invalidate_provider(leaf_id)
         removed = hub.remove_where(lambda record: record.provider_id == leaf_id)
         if now is not None:
@@ -140,10 +138,6 @@ class SuperPeerProtocol(TwoTierNetwork):
     # of a departed leaf persists — stale — until the leaf's silence
     # exceeds the lease.
     # ------------------------------------------------------------------
-    def _announce_departure_live(self, peer: Peer) -> None:
-        if peer.peer_id not in self._hubs and peer.super_peer_id is not None:
-            self.kernel.send(leaf_detach_message(peer.peer_id, peer.super_peer_id))
-
     def _live_attach(self, peer: Peer) -> Optional[str]:
         hub_id = super()._live_attach(peer)
         if hub_id is not None:
@@ -183,11 +177,6 @@ class SuperPeerProtocol(TwoTierNetwork):
     # ------------------------------------------------------------------
     # Live-membership handlers
     # ------------------------------------------------------------------
-    def _on_leaf_detach(self, peer: Optional[Peer], message: Message,
-                        context: Optional[ExchangeContext]) -> None:
-        if peer is not None and peer.peer_id in self._hubs:
-            self._purge_leaf(peer.peer_id, message.sender)
-
     def _on_ping(self, peer: Optional[Peer], message: Message,
                  context: Optional[ExchangeContext]) -> None:
         """A leaf heartbeat.  A recipient that is no super any more
@@ -257,7 +246,6 @@ class SuperPeerProtocol(TwoTierNetwork):
     def _register_handlers(self, kernel: EventKernel) -> None:
         super()._register_handlers(kernel)
         kernel.register(MessageType.QUERY, self._on_query)
-        kernel.register(MessageType.LEAF_DETACH, self._on_leaf_detach)
         kernel.register(MessageType.PING, self._on_ping)
         kernel.register(MessageType.PONG, self._on_pong)
 

@@ -226,8 +226,6 @@ class TwoTierNetwork(PeerNetwork):
         else:
             self._elect(None)
 
-    _on_peer_removed = _on_peer_departed
-
     def _on_peer_joined_live(self, peer: Peer) -> None:
         peer.super_peer_id = None
         self._live_attach(peer)

@@ -19,7 +19,7 @@ The cache is deliberately small and honest about staleness:
   catalog changes (a publish or replica announcement arrives); entries
   filled under an older version miss on lookup and are dropped.
 * **Provider invalidation** — when the owner learns a peer departed
-  (graceful goodbye traffic, or a heartbeat/lease purge), every entry
+  (a heartbeat/lease purge, or an off-mode leaf detach), every entry
   carrying a result from that provider dies with
   :meth:`invalidate_provider`, so a stale cached hit never outlives the
   staleness window the membership layer already reports.  The cache
@@ -72,8 +72,8 @@ class QueryResultCache:
 
     One instance belongs to one *cache site* — the central index
     server, a flooding peer, a super-peer, a rendezvous edge — and only
-    that owner's observations (arriving publishes, goodbyes, lease
-    purges) invalidate it.  Anything the owner cannot observe is
+    that owner's observations (arriving publishes, lease purges,
+    detaches) invalidate it.  Anything the owner cannot observe is
     bounded by the TTL instead, which is why callers should keep
     ``ttl_ms`` at or below the membership layer's staleness lease.
     """
@@ -202,11 +202,10 @@ class QueryResultCache:
     def invalidate_provider(self, provider_id: str) -> int:
         """Drop every entry carrying a result from ``provider_id``.
 
-        Called when the owner *learns* of a departure — a graceful
-        UNREGISTER/LEAVE/LEAF-DETACH arriving, or a heartbeat/lease
-        purge — so cached hits stop referencing the departed peer the
-        moment the membership layer itself stops.  Returns how many
-        entries died.
+        Called when the owner *learns* of a departure — a heartbeat or
+        lease purge, or an off-mode leaf detach — so cached hits stop
+        referencing the departed peer the moment the membership layer
+        itself stops.  Returns how many entries died.
         """
         # Detached first, so forgetting these keys never edits the
         # bucket being walked.

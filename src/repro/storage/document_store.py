@@ -147,16 +147,6 @@ class DocumentStore:
     def contains(self, resource_id: str) -> bool:
         return resource_id in self._objects
 
-    def delete(self, resource_id: str) -> None:
-        """Remove an object (a peer un-sharing a file)."""
-        record = self._objects.pop(resource_id, None)
-        if record is None:
-            raise ObjectNotFoundError(f"no object with resource id {resource_id!r}")
-        community = self._by_community[record.community_id]
-        del community[resource_id]
-        if not community:
-            del self._by_community[record.community_id]
-
     # ------------------------------------------------------------------
     def holds(self, community_id: str) -> bool:
         """Whether at least one object is stored for ``community_id``."""

@@ -214,7 +214,8 @@ class AttributeIndex:
         self._free.append(numeric_id)
 
     def remove(self, resource_id: str) -> None:
-        """Remove every entry of ``resource_id`` (peer un-sharing)."""
+        """Remove every entry of ``resource_id`` (a re-add replacing
+        them, or a hub catalog dropping a record)."""
         entries = self._entries.pop(resource_id, None)
         if not entries:
             return

@@ -58,25 +58,6 @@ class ReplicaRegistry:
             holders[peer_id] = ReplicaEntry(peer_id=peer_id, provenance=provenance,
                                             recorded_at_ms=at_ms)
 
-    def drop(self, resource_id: str, peer_id: str) -> None:
-        """Forget one copy (a peer un-sharing an object)."""
-        holders = self._entries.get(resource_id)
-        if holders is not None:
-            holders.pop(peer_id, None)
-            if not holders:
-                del self._entries[resource_id]
-
-    def forget_peer(self, peer_id: str) -> int:
-        """Drop every copy held by ``peer_id`` (permanent removal, not
-        churn — an offline peer keeps its copies).  Returns the number
-        of copies forgotten."""
-        forgotten = 0
-        for resource_id in list(self._entries):
-            if peer_id in self._entries[resource_id]:
-                self.drop(resource_id, peer_id)
-                forgotten += 1
-        return forgotten
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

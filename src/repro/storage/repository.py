@@ -73,25 +73,6 @@ class LocalRepository:
             created.append(attachment)
         return PublishResult(stored=stored, indexed_fields=indexed, attachments=created)
 
-    def unpublish(self, resource_id: str) -> None:
-        """Remove an object and its index entries."""
-        self.index.remove(resource_id)
-        self.documents.delete(resource_id)
-
-    def rebuild_index(self) -> int:
-        """Drop and re-create the attribute index from the stored objects.
-
-        Returns the number of (field, value) pairs indexed.  Scenarios
-        use this to measure cold-index query phases: the index is
-        rebuilt from scratch immediately before the workload runs.
-        """
-        self.index = AttributeIndex()
-        indexed = 0
-        for stored in self.documents:
-            indexed += self.index.add(stored.community_id, stored.resource_id,
-                                      dict(stored.metadata))
-        return indexed
-
     # ------------------------------------------------------------------
     def search(self, plan: CompiledQuery) -> list[StoredObject]:
         """Evaluate a compiled query against the local index; matches

@@ -1,22 +1,46 @@
-"""CLI contract: exit codes, output formats, baseline workflow."""
+"""CLI contract: exit codes and output formats."""
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.__main__ import main
+from repro.analysis.detlint import analyze_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RED = str(FIXTURES / "network" / "det001_red.py")
 GREEN = str(FIXTURES / "network" / "det001_green.py")
 
-RED_SOURCE = "def f():\n    s = {1, 2}\n    return [v for v in s]\n"
-
 
 class TestExitCodes:
     def test_clean_tree_exits_zero(self):
-        assert main([GREEN, "--no-baseline"]) == 0
+        assert main([GREEN]) == 0
 
     def test_findings_exit_one(self):
-        assert main([RED, "--no-baseline"]) == 1
+        assert main([RED]) == 1
+
+    def test_only_an_inline_suppression_accepts_a_finding(self, tmp_path, monkeypatch):
+        """No file beside the sources can excuse a finding: a baseline
+        listing the site, in the old format and configured the old way,
+        changes nothing."""
+        monkeypatch.chdir(tmp_path)
+        entries = "".join(f"{finding.path}\t{finding.rule}\t{finding.snippet}\taccepted\n"
+                          for finding in analyze_paths([RED]))
+        (tmp_path / "detlint-baseline.txt").write_text(entries, encoding="utf-8")
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.detlint]\nbaseline = "detlint-baseline.txt"\n', encoding="utf-8")
+        assert main([RED]) == 1
+
+    @pytest.mark.parametrize("flag", (["--baseline", "detlint-baseline.txt"],
+                                      ["--no-baseline"], ["--write-baseline"],
+                                      ["--scope-all"]), ids=lambda flag: flag[0])
+    def test_retired_flags_are_usage_errors(self, flag, capsys):
+        """A caller still passing a baseline or scope flag fails loudly
+        instead of running a gate it thinks is configured differently."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([RED, *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_no_paths_is_a_usage_error(self, capsys):
         assert main([]) == 2
@@ -31,78 +55,16 @@ class TestExitCodes:
 
 class TestOutputFormats:
     def test_text_format_is_path_line_col_rule(self, capsys):
-        main([RED, "--no-baseline"])
+        main([RED])
         out = capsys.readouterr().out
         assert "det001_red.py:" in out
         assert " DET001 " in out
 
     def test_github_format_emits_error_annotations(self, capsys):
         """CI consumes ``::error file=...,line=...`` workflow commands."""
-        main([RED, "--no-baseline", "--format", "github"])
+        main([RED, "--format", "github"])
         out = capsys.readouterr().out
         first = out.splitlines()[0]
         assert first.startswith("::error file=")
         assert ",line=" in first and ",col=" in first
         assert "title=DET001" in first
-
-
-class TestBaselineWorkflow:
-    def _write_red_module(self, tmp_path):
-        package = tmp_path / "network"
-        package.mkdir()
-        bad = package / "bad.py"
-        bad.write_text(RED_SOURCE, encoding="utf-8")
-        return bad
-
-    def test_write_then_pass_then_regress(self, tmp_path, monkeypatch, capsys):
-        bad = self._write_red_module(tmp_path)
-        monkeypatch.chdir(tmp_path)
-
-        assert main([str(bad)]) == 1
-        assert main([str(bad), "--write-baseline"]) == 0
-        capsys.readouterr()
-
-        # The baselined site no longer fails the gate...
-        assert main([str(bad)]) == 0
-        # ...but a brand-new finding still does.
-        bad.write_text(RED_SOURCE + "\ndef g():\n    t = {3}\n    return list(t)\n",
-                       encoding="utf-8")
-        assert main([str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "return list(t)" not in out  # message cites the rule, not source
-        assert "DET001" in out
-
-    def test_reasonless_baseline_is_rejected(self, tmp_path, monkeypatch, capsys):
-        bad = self._write_red_module(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "detlint-baseline.txt"
-        main([str(bad), "--write-baseline"])
-        text = baseline.read_text(encoding="utf-8")
-        baseline.write_text(text.replace("TODO: justify", ""), encoding="utf-8")
-        assert main([str(bad)]) == 2
-        assert "reason" in capsys.readouterr().err
-
-    def test_stale_entries_warn_but_do_not_fail(self, tmp_path, monkeypatch, capsys):
-        bad = self._write_red_module(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        main([str(bad), "--write-baseline"])
-        bad.write_text("def f():\n    return 1\n", encoding="utf-8")
-        assert main([str(bad)]) == 0
-        assert "stale baseline entry" in capsys.readouterr().err
-
-    def test_no_baseline_flag_ignores_the_file(self, tmp_path, monkeypatch):
-        bad = self._write_red_module(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        main([str(bad), "--write-baseline"])
-        assert main([str(bad)]) == 0
-        assert main([str(bad), "--no-baseline"]) == 1
-
-    def test_pyproject_configures_the_baseline_path(self, tmp_path, monkeypatch):
-        bad = self._write_red_module(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        custom = tmp_path / "accepted.txt"
-        main([str(bad), "--baseline", str(custom), "--write-baseline"])
-        (tmp_path / "pyproject.toml").write_text(
-            f'[tool.detlint]\nbaseline = "{custom.name}"\n', encoding="utf-8"
-        )
-        assert main([str(bad)]) == 0

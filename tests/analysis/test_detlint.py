@@ -63,7 +63,7 @@ class TestRuleFixtures:
     def test_findings_carry_rule_metadata(self):
         for finding in findings_for("network/det001_red.py"):
             assert finding.rule in RULES
-            assert finding.snippet  # fingerprint material
+            assert finding.snippet  # the stripped source line
             assert finding.line > 0
 
 
@@ -124,9 +124,6 @@ class TestScoping:
         assert analyze_source(self.RED_BODY, "engine/mod.py") != []
         assert analyze_source(self.RED_BODY, "xmlkit/mod.py") == []
 
-    def test_scope_all_applies_rules_everywhere(self):
-        assert analyze_source(self.RED_BODY, "xmlkit/mod.py", scope_all=True) != []
-
     def test_det004_flags_a_workloads_wall_clock_read(self):
         source = "import time\n\ndef f():\n    return time.time()\n"
         assert analyze_source(source, "src/repro/workloads/mod.py") != []
@@ -184,15 +181,14 @@ class TestCrossFileRegistry:
 
 
 class TestCurrentTreeIsClean:
-    def test_src_passes_with_checked_in_baseline(self, monkeypatch):
-        """The acceptance criterion: the gate is green on the real tree.
-
-        Run from the repo root with relative paths — baseline
-        fingerprints are repo-relative, exactly as CI invokes the gate.
-        """
+    def test_src_passes_the_gate(self, monkeypatch):
+        """The acceptance criterion: the gate is green on the real tree,
+        with inline suppressions as the only way to accept a finding.
+        Run from the repo root with relative paths, exactly as CI
+        invokes the gate."""
         from repro.analysis.__main__ import main
 
         repo_root = Path(__file__).resolve().parents[2]
         assert (repo_root / "pyproject.toml").is_file()
         monkeypatch.chdir(repo_root)
-        assert main(["src", "--baseline", "detlint-baseline.txt"]) == 0
+        assert main(["src"]) == 0

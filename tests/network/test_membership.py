@@ -41,10 +41,6 @@ class TestPopulationModel:
         network, _ = self.build(5)
         with pytest.raises(ValueError):
             PopulationModel(network, mean_session_ms=0)
-        with pytest.raises(ValueError):
-            PopulationModel(network, departure_permanence=1.5)
-        with pytest.raises(ValueError):
-            PopulationModel(network, graceful_fraction=-0.1)
 
     def test_staged_arrivals_join_at_their_times(self):
         network, model = self.build(6)
@@ -71,42 +67,34 @@ class TestPopulationModel:
         assert {event.time_ms for event in model.arrivals()} == {500.0}
         assert all(peer_id in network.peers for peer_id in ids)
 
-    def test_permanent_departures_never_return(self):
-        network, model = self.build(12, mean_session_ms=200.0,
-                                    mean_absence_ms=100.0,
-                                    departure_permanence=1.0, seed=7)
-        model.start(["peer-000", "peer-001"])
-        settle(network, 5_000)
-        assert not network.peer("peer-000").online
-        assert not network.peer("peer-001").online
-        kinds = {event.kind for event in model.events}
-        assert kinds == {"depart-permanent"}
-        # Still offline much later: nothing was rescheduled.
-        settle(network, 5_000)
-        assert not network.peer("peer-000").online
-
     def test_permanent_departure_mid_absence_sticks(self):
-        """A scheduled permanent departure striking while the peer is in
-        a churn absence must void the queued return: the peer stays gone
-        and the event log stays truthful."""
+        """A permanent departure striking while the peer is in a churn
+        absence must void the queued return: the peer stays gone and
+        the event log stays truthful (no return is logged)."""
         network, model = self.build(8)
         network.set_online("peer-002", False)  # mid-absence
         queued_return_at = 1_000.0
         network.simulator.post(queued_return_at, model._return, "peer-002")
-        model.schedule_departure("peer-002", at_ms=500.0)
+        network.simulator.post(500.0, network.depart, "peer-002")
         settle(network, 5_000)
         assert not network.peer("peer-002").online
-        kinds = [event.kind for event in model.events if event.peer_id == "peer-002"]
-        assert kinds == ["depart-permanent"]
+        assert [event for event in model.events if event.peer_id == "peer-002"] == []
 
-    def test_scheduled_departure(self):
-        network, model = self.build(8)
-        model.schedule_departure("peer-003", at_ms=300.0)
-        settle(network, 299)
-        assert network.peer("peer-003").online
-        settle(network, 2)
-        assert not network.peer("peer-003").online
-        assert model.events[-1].kind == "depart-permanent"
+    def test_departure_under_churn_never_returns(self):
+        """A peer departed while the model churns it stays gone: the
+        model logs nothing more for it, and its session ends for good."""
+        network, model = self.build(12, mean_session_ms=200.0,
+                                    mean_absence_ms=100.0, seed=7)
+        model.start(["peer-000", "peer-001"])
+        settle(network, 1_000)
+        network.depart("peer-000")
+        logged = len([event for event in model.events if event.peer_id == "peer-000"])
+        settle(network, 5_000)
+        assert not network.peer("peer-000").online
+        assert len([event for event in model.events if event.peer_id == "peer-000"]) == logged
+        # The other churned peer keeps cycling.
+        assert {event.kind for event in model.events if event.peer_id == "peer-001"} \
+            == {"depart", "return"}
 
     def test_event_log_is_deterministic(self):
         def run():
@@ -124,7 +112,6 @@ class TestPopulationModel:
         assert MembershipEvent(0.0, "p", "depart").online is False
         assert MembershipEvent(0.0, "p", "return").online is True
         assert MembershipEvent(0.0, "p", "arrive").online is True
-        assert MembershipEvent(0.0, "p", "depart-permanent").online is False
 
 
 class TestUptimeAccounting:
@@ -203,15 +190,6 @@ class TestCentralizedLiveMembership:
                                   max_results=10)
         assert {result.provider_id for result in response.results} >= {"peer-001"}
 
-    def test_graceful_departure_unregisters_without_staleness(self):
-        network, _ = self.build()
-        network.depart("peer-001", graceful=True)
-        settle(network, 500)
-        assert network.catalog_size() == 1
-        assert not network.stats.staleness_windows_ms
-        assert network.stats.messages_of(MessageType.UNREGISTER) == 1
-        assert network.stats.messages_of(MessageType.LEAVE) == 1
-
     def test_registrations_of_peer_offline_at_go_live_still_decay(self):
         network = CentralizedProtocol(
             seed=3, membership=MembershipConfig(maintenance_interval_ms=200.0))
@@ -224,19 +202,6 @@ class TestCentralizedLiveMembership:
         settle(network, 4 * network.heartbeat_lease_ms)
         assert network.catalog_size() == 0
         assert network.stats.staleness_windows_ms
-
-    def test_remove_peer_in_live_mode_is_an_announced_departure(self):
-        network, _ = self.build()
-        removed_uptime_before = network.stats.uptime_ms_total
-        network.simulator.run(until_ms=network.simulator.now + 300)
-        network.remove_peer("peer-001")
-        assert "peer-001" not in network.peers
-        # The goodbye was traffic, the session closed into the totals.
-        settle(network, 500)
-        assert network.stats.messages_of(MessageType.UNREGISTER) == 1
-        assert network.stats.messages_of(MessageType.LEAVE) == 1
-        assert network.stats.uptime_ms_total > removed_uptime_before
-        assert network.catalog_size() == 1
 
     def test_heartbeats_cost_control_bytes(self):
         network, _ = self.build()
@@ -449,6 +414,56 @@ class TestRendezvousLiveMembership:
         alive = [rdv for rdv in network.rendezvous_ids()
                  if network.peers[rdv].online]
         assert alive
+
+
+def live_network(name):
+    """Ten peers of ``name`` with its structure built, maintenance every
+    200 ms and nothing published yet (not live yet)."""
+    membership = MembershipConfig(maintenance_interval_ms=200.0)
+    network = {
+        "centralized": lambda: CentralizedProtocol(seed=3, membership=membership),
+        "gnutella": lambda: GnutellaProtocol(seed=5, degree=3, membership=membership),
+        "super-peer": lambda: SuperPeerProtocol(
+            seed=6, super_peer_ratio=0.2, membership=membership),
+        "rendezvous": lambda: RendezvousProtocol(
+            seed=7, rendezvous_ratio=0.25, lease_ms=1_000.0, membership=membership),
+    }[name]()
+    for index in range(10):
+        network.create_peer(f"peer-{index:03d}")
+    if name == "gnutella":
+        network.build_overlay()
+    elif name == "super-peer":
+        network.elect_super_peers()
+    elif name == "rendezvous":
+        network.elect_rendezvous()
+    return network
+
+
+class TestSilentPermanentDeparture:
+    """Nobody says goodbye: ``depart`` sends nothing, the peer never
+    comes back and stays in ``network.peers``, its session closes into
+    the uptime totals, and the others repair their state about it only
+    when a lease lapses."""
+
+    @pytest.mark.parametrize("name", ("centralized", "gnutella", "super-peer", "rendezvous"))
+    def test_depart_is_silent_and_repaired_by_the_lease(self, name):
+        network = live_network(name)
+        hubs = set(getattr(network, "_hubs", ()))
+        leaver = next(peer_id for peer_id in sorted(network.peers) if peer_id not in hubs)
+        publish_pattern(network, leaver, "Observer")
+        network.go_live()
+        settle(network, 300)
+        messages, uptime = network.stats.total_messages, network.stats.uptime_ms_total
+
+        network.depart(leaver)
+        assert network.stats.total_messages == messages
+        assert network.stats.uptime_ms_total > uptime
+        network.set_online(leaver, True)
+        assert not network.peer(leaver).online and leaver in network.gone
+        assert not network.stats.staleness_windows_ms
+        settle(network, 5 * network.heartbeat_lease_ms)
+        assert network.stats.staleness_windows_ms
+        assert leaver in network.peers and not network.peer(leaver).online
 
 
 class TestLiveMembershipWithPopulationModel:

@@ -1,11 +1,16 @@
 """Tests for protocol messages, statistics and topology generation."""
 
 import hashlib
+import inspect
 import random
 
 import pytest
 
+from repro.network import messages
+from repro.network.centralized import CentralizedProtocol
+from repro.network.gnutella import GnutellaProtocol
 from repro.network.messages import (
+    Message,
     MessageType,
     download_request,
     next_message_id,
@@ -13,7 +18,15 @@ from repro.network.messages import (
     query_message,
     register_message,
 )
-from repro.network.stats import NetworkStats, QueryRecord
+from repro.network.rendezvous import RendezvousProtocol
+from repro.network.stats import (
+    CONTROL_TYPE_VALUES,
+    DOWNLOAD_TYPE_VALUES,
+    QUERY_TYPE_VALUES,
+    NetworkStats,
+    QueryRecord,
+)
+from repro.network.superpeer import SuperPeerProtocol
 from repro.network.topology import (
     Topology,
     _barabasi_albert_edges,
@@ -51,6 +64,48 @@ class TestMessages:
         assert register.type == MessageType.REGISTER
         request = download_request("a", "b", "resource-1")
         assert request.resource_id == "resource-1"
+
+
+def built_types() -> set[MessageType]:
+    """The type of every message a public builder of
+    :mod:`repro.network.messages` makes, each called with placeholder
+    values for its required parameters."""
+    placeholder = {str: "x", int: 1}
+    built = set()
+    for name, builder in vars(messages).items():
+        if name.startswith("_") or not inspect.isfunction(builder) \
+                or builder.__module__ != messages.__name__:
+            continue
+        signature = inspect.signature(builder, eval_str=True)
+        if signature.return_annotation is not Message:
+            continue
+        arguments = {parameter.name: placeholder[parameter.annotation]
+                     for parameter in signature.parameters.values()
+                     if parameter.default is inspect.Parameter.empty}
+        built.add(builder(**arguments).type)
+    return built
+
+
+class TestVocabulary:
+    """Every message type is live: something builds it, something
+    handles it, and the stats book it in exactly one traffic class."""
+
+    @pytest.mark.parametrize("kind", list(MessageType), ids=lambda kind: kind.value)
+    def test_every_type_has_a_builder(self, kind):
+        assert kind in built_types()
+
+    @pytest.mark.parametrize("kind", list(MessageType), ids=lambda kind: kind.value)
+    def test_every_type_has_a_handler(self, kind):
+        handled = set()
+        for protocol in (CentralizedProtocol, GnutellaProtocol,
+                         SuperPeerProtocol, RendezvousProtocol):
+            handled |= set(protocol(seed=1).kernel._handlers)
+        assert kind.value in handled
+
+    def test_traffic_classes_partition_the_types(self):
+        classes = (CONTROL_TYPE_VALUES, QUERY_TYPE_VALUES, DOWNLOAD_TYPE_VALUES)
+        assert sum(len(values) for values in classes) == len(MessageType)
+        assert set().union(*classes) == {kind.value for kind in MessageType}
 
 
 class TestStats:

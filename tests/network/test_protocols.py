@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.centralized import CentralizedProtocol, INDEX_SERVER_ID
+from repro.network.centralized import CentralizedProtocol
 from repro.network.errors import DuplicatePeerError, PeerOfflineError, UnknownPeerError
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.messages import MessageType
@@ -134,20 +134,23 @@ class TestCentralized:
         centralized_network.set_online("peer-000", False)
         assert centralized_network.provider_count(resource_ids[0]) == 0
 
-    def test_removed_peer_withdrawn_from_catalog(self, centralized_network):
+    def test_departed_peer_withdrawn_from_catalog(self, centralized_network):
         resource_ids = populate(centralized_network)
-        centralized_network.remove_peer("peer-000")
+        centralized_network.depart("peer-000")
         assert centralized_network.provider_count(resource_ids[0]) == 0
-        assert INDEX_SERVER_ID not in centralized_network.peers
+        response = centralized_network.search(
+            "peer-003", Query.keyword("patterns", "observer"), max_results=100)
+        assert "peer-000" not in {result.provider_id for result in response.results}
+        assert response.result_count == len(resource_ids) - 1
 
     def test_two_providers_of_one_object_are_two_records(self, centralized_network):
-        """The server keeps one record per (object, provider): withdrawing
-        one provider leaves the other answering."""
+        """The server keeps one record per (object, provider): one
+        provider going offline leaves the other answering."""
         resource_ids = populate(centralized_network)
         resource_id = resource_ids[0]
         centralized_network.retrieve("peer-001", "peer-000", resource_id)
         assert centralized_network.provider_count(resource_id) == 2
-        centralized_network.withdraw("peer-000", resource_id)
+        centralized_network.set_online("peer-000", False)
         assert centralized_network.provider_count(resource_id) == 1
         assert centralized_network.catalog_size() == len(resource_ids)
         response = centralized_network.search("peer-003", Query.keyword("patterns", "observer"),
@@ -215,10 +218,15 @@ class TestGnutella:
         network.set_online("peer-009", False)
         assert network.reachable_peers("peer-000") == 0
 
-    def test_peer_removed_from_overlay(self, gnutella_network):
+
+    def test_departed_peer_drops_out_of_the_flood(self, gnutella_network):
         populate(gnutella_network)
-        gnutella_network.remove_peer("peer-005")
-        assert all("peer-005" not in peer.neighbors for peer in gnutella_network.peers.values())
+        reachable = gnutella_network.reachable_peers("peer-000")
+        gnutella_network.depart("peer-005")
+        assert gnutella_network.reachable_peers("peer-000") < reachable
+        response = gnutella_network.search(
+            "peer-000", Query.keyword("patterns", "observer"), max_results=100)
+        assert "peer-005" not in {result.provider_id for result in response.results}
 
 
 class TestSuperPeer:

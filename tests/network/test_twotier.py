@@ -94,10 +94,10 @@ class TestTwoTierChurn:
         for orphan_id in orphans:
             assert network.peers[orphan_id].super_peer_id in survivors
         # The departed hub comes back as an ordinary member, and a
-        # removal is a departure that never returns.
+        # permanent departure never returns.
         network.set_online(departed, True)
         assert network.peers[departed].super_peer_id in survivors
-        network.remove_peer(survivors[0])
+        network.depart(survivors[0])
         assert hub_ids(network) == survivors[1:]
         assert indexes_built == []
 

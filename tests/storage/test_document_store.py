@@ -51,16 +51,6 @@ class TestStore:
         with pytest.raises(ObjectNotFoundError):
             DocumentStore().get("nope")
 
-    def test_delete(self):
-        store = DocumentStore()
-        record = store.put("c1", doc("<a><b>1</b></a>"))
-        store.delete(record.resource_id)
-        assert not store.contains(record.resource_id)
-        assert store.objects_in("c1") == []
-        assert store.communities() == [] and not store.holds("c1")
-        with pytest.raises(ObjectNotFoundError):
-            store.delete(record.resource_id)
-
     def test_partition_by_community(self):
         store = DocumentStore()
         store.put("mp3s", doc("<mp3><t>a</t></mp3>"))

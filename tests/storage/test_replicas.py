@@ -43,32 +43,6 @@ class TestRecording:
         registry.note_replica("res-1", "bob")
         assert registry.holders("res-1") == ["mallory", "bob", "zed"]
 
-
-class TestForgetting:
-    def test_drop_removes_one_copy(self):
-        registry = ReplicaRegistry()
-        registry.note_original("res-1", "alice")
-        registry.note_replica("res-1", "bob")
-        registry.drop("res-1", "bob")
-        assert registry.holders("res-1") == ["alice"]
-        registry.drop("res-1", "alice")
-        assert registry.replication_degree("res-1") == 0
-        assert "res-1" not in registry.resources()
-
-    def test_drop_of_unknown_is_noop(self):
-        registry = ReplicaRegistry()
-        registry.drop("res-1", "ghost")
-        assert len(registry) == 0
-
-    def test_forget_peer_drops_every_copy(self):
-        registry = ReplicaRegistry()
-        registry.note_original("res-1", "alice")
-        registry.note_replica("res-2", "alice")
-        registry.note_original("res-2", "bob")
-        assert registry.forget_peer("alice") == 2
-        assert registry.holders("res-1") == []
-        assert registry.holders("res-2") == ["bob"]
-
     def test_degree_by_resource(self):
         registry = ReplicaRegistry()
         registry.note_original("res-1", "alice")

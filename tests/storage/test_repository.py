@@ -103,41 +103,18 @@ class TestRepository:
                         for resource_id in sorted(evaluate(query, repository.index))]
             assert repository.search(compile_query(query)) == expected
 
-    def test_rebuilt_index_answers_identically(self):
-        repository = LocalRepository()
-        self.publish_sample(repository)
-        plan = compile_query(Query.keyword("patterns", "observer"))
-        before = [stored.resource_id for stored in repository.search(plan)]
-        repository.rebuild_index()
-        after = [stored.resource_id for stored in repository.search(plan)]
-        assert before == after and before
-
     def test_retrieve(self):
         repository = LocalRepository()
         result = self.publish_sample(repository)
         stored = repository.retrieve(result.resource_id)
         assert stored.title == "Observer"
 
-    def test_unpublish(self):
-        repository = LocalRepository()
-        result = self.publish_sample(repository)
-        repository.unpublish(result.resource_id)
-        assert repository.search(compile_query(Query.keyword("patterns", "observer"))) == []
-        with pytest.raises(ObjectNotFoundError):
-            repository.retrieve(result.resource_id)
-
-    def test_a_community_emptied_by_unpublish_is_never_evaluated(self, monkeypatch):
-        """Removing a community's last object drops the community: its
-        searches, browse and criteria alike, answer ``[]`` without
-        entering the plan, and ``communities()`` reads as before the
-        community's first publish."""
+    def test_a_community_holding_nothing_is_never_evaluated(self, monkeypatch):
+        """A community the repository holds no object of answers
+        ``[]``, browse and criteria alike, without entering the plan."""
         repository = LocalRepository()
         repository.publish("mp3s", doc("<mp3><title>Giant Steps</title></mp3>"),
                            {"title": ["Giant Steps"]}, title="Giant Steps")
-        before = repository.documents.communities()
-        result = self.publish_sample(repository)
-        assert repository.documents.communities() == ["mp3s", "patterns"]
-        repository.unpublish(result.resource_id)
 
         evaluated = []
         evaluate = CompiledQuery.evaluate
@@ -150,7 +127,7 @@ class TestRepository:
         for query in (Query.keyword("patterns", "observer"), Query("patterns")):
             assert repository.search(compile_query(query)) == []
         assert evaluated == []
-        assert repository.documents.communities() == before == ["mp3s"]
+        assert repository.documents.communities() == ["mp3s"]
         assert repository.statistics()["communities"] == 1
         # The guard bites: a community that holds an object is evaluated.
         hits = repository.search(compile_query(Query.keyword("mp3s", "giant")))
