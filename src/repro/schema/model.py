@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from repro.schema.datatypes import check_builtin, is_builtin, strip_prefix
 from repro.schema.errors import SchemaError
@@ -237,6 +237,25 @@ class ComplexType:
         return None
 
 
+class Resolved(NamedTuple):
+    """The types governing one element declaration (:meth:`Schema.resolved`)."""
+
+    complex_type: Optional[ComplexType]
+    simple_type: Optional[SimpleType]
+    #: the referenced type name without prefix ('' for inline types)
+    type_name: str
+
+
+class Group(NamedTuple):
+    """A particle's element declarations in the forms a validation
+    reads them (:meth:`Schema.group`)."""
+
+    declarations: tuple[ElementDeclaration, ...]
+    by_name: dict[str, ElementDeclaration]
+    #: element name -> position in the declaration order
+    order: dict[str, int]
+
+
 @dataclass
 class FieldInfo:
     """A flattened leaf field of a schema, used by forms and the index.
@@ -272,8 +291,14 @@ class Schema:
         self.complex_types: dict[str, ComplexType] = {}
         self.simple_types: dict[str, SimpleType] = {}
         self.annotations: list[str] = []
-        # The default-root field walk, kept until the next add_*().
+        # The default-root field walk and what validation resolves per
+        # declaration / particle, all kept until the next add_*().  The
+        # memos are keyed by id and hold the object, so its id stays its
+        # own; a hit is checked by identity, as a copied or unpickled
+        # schema carries the keys of the objects it was copied from.
         self._root_fields: Optional[list[FieldInfo]] = None
+        self._resolved: dict[int, tuple[ElementDeclaration, Resolved]] = {}
+        self._groups: dict[int, tuple[Particle, Group]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -282,7 +307,7 @@ class Schema:
         if declaration.name in self.elements:
             raise SchemaError(f"duplicate global element {declaration.name!r}")
         self.elements[declaration.name] = declaration
-        self._root_fields = None
+        self._forget()
         return declaration
 
     def add_complex_type(self, definition: ComplexType) -> ComplexType:
@@ -291,7 +316,7 @@ class Schema:
         if definition.name in self.complex_types:
             raise SchemaError(f"duplicate complexType {definition.name!r}")
         self.complex_types[definition.name] = definition
-        self._root_fields = None
+        self._forget()
         return definition
 
     def add_simple_type(self, definition: SimpleType) -> SimpleType:
@@ -300,8 +325,14 @@ class Schema:
         if definition.name in self.simple_types:
             raise SchemaError(f"duplicate simpleType {definition.name!r}")
         self.simple_types[definition.name] = definition
-        self._root_fields = None
+        self._forget()
         return definition
+
+    def _forget(self) -> None:
+        """Drop everything derived from the schema's content."""
+        self._root_fields = None
+        self._resolved.clear()
+        self._groups.clear()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -331,6 +362,32 @@ class Schema:
             if is_builtin(name):
                 return SimpleType(name=None, base=name)
         return None
+
+    def resolved(self, declaration: ElementDeclaration) -> Resolved:
+        """:meth:`resolve_complex_type`, :meth:`resolve_simple_type` and
+        the type name of ``declaration``, worked out on its first
+        validation only (the publish path validates every object)."""
+        memo = self._resolved.get(id(declaration))
+        if memo is None or memo[0] is not declaration:
+            memo = self._resolved[id(declaration)] = (declaration, Resolved(
+                self.resolve_complex_type(declaration),
+                self.resolve_simple_type(declaration),
+                declaration.resolved_type_name(),
+            ))
+        return memo[1]
+
+    def group(self, particle: Particle) -> Group:
+        """``particle``'s element declarations with their by-name map and
+        order, collected on its first validation only."""
+        memo = self._groups.get(id(particle))
+        if memo is None or memo[0] is not particle:
+            declarations = tuple(particle.element_declarations())
+            memo = self._groups[id(particle)] = (particle, Group(
+                declarations,
+                {declaration.name: declaration for declaration in declarations},
+                {declaration.name: index for index, declaration in enumerate(declarations)},
+            ))
+        return memo[1]
 
     # ------------------------------------------------------------------
     # Flattened field view (drives forms, search and indexing)

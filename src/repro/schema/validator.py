@@ -3,7 +3,10 @@
 The validator walks the instance tree alongside the schema's content
 model and reports every problem it finds (it does not stop at the first
 error) so that the Create form can show all field errors at once, the
-behaviour the paper's web interface implies.
+behaviour the paper's web interface implies.  What depends on the
+schema alone (a declaration's types, a particle's declarations) comes
+from the schema's memos (:meth:`Schema.resolved`, :meth:`Schema.group`);
+every check on the instance runs per document.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from repro.schema.model import (
     ComplexType,
     ElementDeclaration,
     Particle,
+    Resolved,
     Schema,
 )
 from repro.xmlkit.dom import Document, Element
@@ -73,9 +77,9 @@ def _validate_element(
     path: str,
     report: ValidationReport,
 ) -> None:
-    complex_type = schema.resolve_complex_type(declaration)
-    if complex_type is not None:
-        _validate_complex(schema, complex_type, element, path, report)
+    resolved = schema.resolved(declaration)
+    if resolved.complex_type is not None:
+        _validate_complex(schema, resolved.complex_type, element, path, report)
         return
     # Simple content: no child elements allowed.
     if element.children:
@@ -85,18 +89,17 @@ def _validate_element(
             f"element <{element.local_name}> has a simple type but contains child elements",
         )
     value = element.text_content().strip()
-    _validate_simple_value(schema, declaration, value, path, report)
+    _validate_simple_value(schema, resolved, value, path, report)
 
 
 def _validate_simple_value(
     schema: Schema,
-    declaration: ElementDeclaration,
+    resolved: Resolved,
     value: str,
     path: str,
     report: ValidationReport,
 ) -> None:
-    simple = schema.resolve_simple_type(declaration)
-    type_name = declaration.resolved_type_name()
+    simple, type_name = resolved.simple_type, resolved.type_name
     if simple is not None:
         for problem in simple.problems(value, schema):
             report.add(path, "facet-violation", problem)
@@ -192,20 +195,22 @@ def _validate_particle(
     path: str,
     report: ValidationReport,
 ) -> None:
-    declarations = list(particle.element_declarations())
-    declared_names = {declaration.name for declaration in declarations}
+    group = schema.group(particle)
+    declarations, by_name = group.declarations, group.by_name
+    children = element.children
+    names = [child.local_name for child in children]
     counts: dict[str, int] = {}
-    for child in element.children:
-        counts[child.local_name] = counts.get(child.local_name, 0) + 1
-        if child.local_name not in declared_names:
+    for name in names:
+        counts[name] = counts.get(name, 0) + 1
+        if name not in by_name:
             report.add(
-                f"{path}/{child.local_name}",
+                f"{path}/{name}",
                 "unexpected-element",
-                f"element <{child.local_name}> is not declared in the content model",
+                f"element <{name}> is not declared in the content model",
             )
 
     if particle.kind == "choice":
-        _check_choice(declarations, counts, path, report)
+        _check_choice(declarations, by_name, counts, path, report)
     else:
         for declaration in declarations:
             count = counts.get(declaration.name, 0)
@@ -221,28 +226,28 @@ def _validate_particle(
                 )
 
     if particle.kind == "sequence":
-        _check_sequence_order(declarations, element, path, report)
+        _check_sequence_order(group.order, names, path, report)
 
     # Recurse into matching children.
-    by_name = {declaration.name: declaration for declaration in declarations}
     positions: dict[str, int] = {}
-    for child in element.children:
-        declaration = by_name.get(child.local_name)
+    for child, name in zip(children, names, strict=True):
+        declaration = by_name.get(name)
         if declaration is None:
             continue
-        index = positions.get(child.local_name, 0) + 1
-        positions[child.local_name] = index
-        suffix = f"[{index}]" if counts.get(child.local_name, 0) > 1 else ""
-        _validate_element(schema, declaration, child, f"{path}/{child.local_name}{suffix}", report)
+        index = positions.get(name, 0) + 1
+        positions[name] = index
+        suffix = f"[{index}]" if counts[name] > 1 else ""
+        _validate_element(schema, declaration, child, f"{path}/{name}{suffix}", report)
 
 
 def _check_choice(
-    declarations: list[ElementDeclaration],
+    declarations: tuple[ElementDeclaration, ...],
+    by_name: dict[str, ElementDeclaration],
     counts: dict[str, int],
     path: str,
     report: ValidationReport,
 ) -> None:
-    present = [name for name in counts if name in {d.name for d in declarations}]
+    present = [name for name in counts if name in by_name]
     if len(present) > 1:
         report.add(
             path,
@@ -258,24 +263,23 @@ def _check_choice(
 
 
 def _check_sequence_order(
-    declarations: list[ElementDeclaration],
-    element: Element,
+    order: dict[str, int],
+    names: list[str],
     path: str,
     report: ValidationReport,
 ) -> None:
-    order = {declaration.name: index for index, declaration in enumerate(declarations)}
     last_index = -1
     last_name: Optional[str] = None
-    for child in element.children:
-        index = order.get(child.local_name)
+    for name in names:
+        index = order.get(name)
         if index is None:
             continue
         if index < last_index:
             report.add(
-                f"{path}/{child.local_name}",
+                f"{path}/{name}",
                 "sequence-order",
-                f"element <{child.local_name}> must appear before <{last_name}>",
+                f"element <{name}> must appear before <{last_name}>",
             )
         else:
             last_index = index
-            last_name = child.local_name
+            last_name = name

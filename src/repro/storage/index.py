@@ -20,57 +20,51 @@ never observable in results, counts or bytes.
 
 from __future__ import annotations
 
-import re
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from repro.storage.interning import intern_values
-
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+from repro.storage.interning import tokenize, value_forms
 
 #: shared empty posting returned by the non-copying lookups, so a miss
 #: costs no allocation (callers must treat postings as read-only)
 EMPTY_IDS = array("I")
 
 
-def tokenize(text: str) -> list[str]:
-    """Lower-case word tokens of ``text``."""
-    return [token.lower() for token in _TOKEN_RE.findall(text)]
-
-
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(NamedTuple):
     """One indexed (field, value) pair of one object.
 
     The entry carries its normalized form (``value_lower``) and word
-    tokens, computed once at ``add`` time, so :meth:`AttributeIndex.remove`
-    never re-tokenizes stored values.  The normalized value and the
-    token tuple are interned: every peer indexing the same corpus value
-    references one canonical string/tuple instead of its own copy.
+    tokens, taken at ``add`` time from :func:`value_forms`, so
+    :meth:`AttributeIndex.remove` never re-tokenizes stored values.  All
+    three are canonical: every index holding the same corpus value
+    references one string/tuple instead of its own copy.
     """
 
     community_id: str
     resource_id: str
     field_path: str
     value: str
-    value_lower: str = ""
-    tokens: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.value_lower:
-            object.__setattr__(self, "value_lower", sys.intern(self.value.lower()))
-        if not self.tokens:
-            object.__setattr__(self, "tokens", intern_values(tokenize(self.value)))
+    value_lower: str
+    tokens: tuple[str, ...]
 
 
-def _insert_id(bucket: array, numeric_id: int) -> None:
-    """Insert ``numeric_id`` into a sorted posting array (set semantics)."""
-    position = bisect_left(bucket, numeric_id)
-    if position == len(bucket) or bucket[position] != numeric_id:
-        bucket.insert(position, numeric_id)
+def _post(postings: dict[str, array], key: str, numeric_id: int) -> None:
+    """Add ``numeric_id`` to the sorted posting of ``key`` (set semantics).
+
+    An id past the posting's last one is appended; only a reused id (the
+    free list hands out low ones) or a repeat pays the binary search.
+    """
+    bucket = postings.get(key)
+    if bucket is None:
+        postings[key] = array("I", (numeric_id,))
+    elif bucket[-1] < numeric_id:
+        bucket.append(numeric_id)
+    else:
+        position = bisect_left(bucket, numeric_id)
+        if bucket[position] != numeric_id:
+            bucket.insert(position, numeric_id)
 
 
 def _discard_id(bucket: array, numeric_id: int) -> None:
@@ -184,25 +178,20 @@ class AttributeIndex:
         numeric_id = self._assign_id(resource_id)
         entries: list[IndexEntry] = []
         for field_path, values in fields.items():
+            present = [value for value in map(str.strip, values) if value]
+            if not present:
+                continue
+            # A field's index levels appear with its first non-blank value.
             field_path = sys.intern(field_path)
-            for value in values:
-                value = value.strip()
-                if not value:
-                    continue
-                value = sys.intern(value)
-                entry = IndexEntry(community_id, resource_id, field_path, value)
-                entries.append(entry)
-                field_values = self._values.setdefault(community_id, {}).setdefault(field_path, {})
-                field_tokens = self._tokens.setdefault(community_id, {}).setdefault(field_path, {})
-                bucket = field_values.get(entry.value_lower)
-                if bucket is None:
-                    field_values[entry.value_lower] = bucket = array("I")
-                _insert_id(bucket, numeric_id)
-                for token in entry.tokens:
-                    token_bucket = field_tokens.get(token)
-                    if token_bucket is None:
-                        field_tokens[token] = token_bucket = array("I")
-                    _insert_id(token_bucket, numeric_id)
+            field_values = self._values.setdefault(community_id, {}).setdefault(field_path, {})
+            field_tokens = self._tokens.setdefault(community_id, {}).setdefault(field_path, {})
+            for value in present:
+                value, value_lower, tokens = value_forms(value)
+                entries.append(IndexEntry(community_id, resource_id, field_path,
+                                          value, value_lower, tokens))
+                _post(field_values, value_lower, numeric_id)
+                for token in tokens:
+                    _post(field_tokens, token, numeric_id)
         self._entries[resource_id] = entries
         if not entries:
             self._release_id(resource_id, numeric_id)
@@ -220,29 +209,29 @@ class AttributeIndex:
         if not entries:
             return
         numeric_id = self._ids[resource_id]
-        for entry in entries:
-            values = self._values.get(entry.community_id, {}).get(entry.field_path, {})
-            bucket = values.get(entry.value_lower)
+        for community_id, _, field_path, _, value_lower, tokens in entries:
+            values = self._values.get(community_id, {}).get(field_path, {})
+            bucket = values.get(value_lower)
             if bucket is not None:
                 _discard_id(bucket, numeric_id)
                 if not bucket:
-                    values.pop(entry.value_lower, None)
-            tokens = self._tokens.get(entry.community_id, {}).get(entry.field_path, {})
-            for token in entry.tokens:
-                token_bucket = tokens.get(token)
+                    values.pop(value_lower, None)
+            field_tokens = self._tokens.get(community_id, {}).get(field_path, {})
+            for token in tokens:
+                token_bucket = field_tokens.get(token)
                 if token_bucket is not None:
                     _discard_id(token_bucket, numeric_id)
                     if not token_bucket:
-                        tokens.pop(token, None)
+                        field_tokens.pop(token, None)
             # Prune emptied field/community levels so an add/remove
             # round-trip leaves the index structurally identical to the
             # state before the add (pinned by the round-trip test).
             for table in (self._values, self._tokens):
-                community = table.get(entry.community_id)
-                if community is not None and not community.get(entry.field_path, True):
-                    del community[entry.field_path]
+                community = table.get(community_id)
+                if community is not None and not community.get(field_path, True):
+                    del community[field_path]
                     if not community:
-                        del table[entry.community_id]
+                        del table[community_id]
         self._release_id(resource_id, numeric_id)
 
     # ------------------------------------------------------------------

@@ -21,9 +21,18 @@ from repro.core.resource import Resource
 from repro.core.servent import Servent, _first_value
 from repro.network.centralized import CentralizedProtocol
 from repro.schema.instance import build_instance
-from repro.schema.model import Schema
+from repro.schema.model import (
+    ComplexType,
+    ElementDeclaration,
+    Facets,
+    Particle,
+    Schema,
+    SimpleType,
+)
 from repro.schema.validator import validate
+from repro.storage import interning
 from repro.storage.document_store import resource_id_for
+from repro.storage.index import tokenize
 from repro.workloads.scenario import build_scenario
 from repro.xmlkit.serializer import canonical, serialize
 
@@ -148,6 +157,64 @@ class TestWorkCounts:
         assert tracer.counts["validate"] == self.N
         assert tracer.counts["resource_id_for"] == self.N
         assert len(documents) == before + self.N
+
+    def test_each_distinct_value_is_tokenised_once(self, tracer):
+        """The peer's index and the index server's catalog take one
+        value's tokens from one ``tokenize`` call, not one each."""
+        application = fresh_application()
+        records = sample_records("mp3", self.N)
+        interning.clear()
+        tracer.patch_function(tokenize, counted(tracer, "tokenize"))
+
+        keys = [application.publish(record).resource_id for record in records]
+
+        index = application.servent.repository.index
+        catalog = application.servent.network._server.index
+        local = [entry.value for key in keys for entry in index.entries_for(key)]
+        served = [entry.value for key in keys for entry in catalog.entries_for(f"{key}@alice")]
+        assert sorted(served) == sorted(local)
+        assert len(local) > len(set(local)) > 0
+        assert tracer.counts["tokenize"] == len(set(local))
+
+    def test_validation_resolves_each_declaration_once(self, tracer):
+        """Once a schema has validated an object, validating more builds
+        no ``SimpleType`` and resolves no declaration or group again."""
+        application = fresh_application()
+        records = sample_records("mp3", self.N + 1)
+        application.publish(records[0])
+        tracer.patch_method((SimpleType,), "__init__", counted(tracer, "simple_type"))
+        for name in ("resolve_complex_type", "resolve_simple_type"):
+            tracer.patch_method((Schema,), name, counted(tracer, "resolve"))
+        tracer.patch_method((ElementDeclaration,), "resolved_type_name", counted(tracer, "resolve"))
+        tracer.patch_method((Particle,), "element_declarations", counted(tracer, "group"))
+
+        for record in records[1:]:
+            application.publish(record)
+
+        assert tracer.counts["simple_type"] == 0
+        assert tracer.counts["resolve"] == 0
+        assert tracer.counts["group"] == 0
+
+    def test_adding_a_type_after_a_validation_changes_the_verdict(self, tracer):
+        """The resolved declarations are dropped by ``add_simple_type``,
+        as the root field walk is: a type defined after a validation
+        governs the next one."""
+        mood = ElementDeclaration(name="mood", type_name="moodType")
+        note_type = ComplexType(name=None, particle=Particle(items=[mood]))
+        schema = Schema()
+        schema.add_element(ElementDeclaration(name="note", complex_type=note_type))
+        note = build_instance(schema, {"mood": "happy"})
+        tracer.patch_method((Schema,), "resolve_simple_type", counted(tracer, "resolve"))
+
+        assert [error.code for error in validate(schema, note).errors] == ["unknown-type"]
+        resolved = tracer.counts["resolve"]
+        assert [error.code for error in validate(schema, note).errors] == ["unknown-type"]
+        assert tracer.counts["resolve"] == resolved
+        mood_type = SimpleType(name="moodType", facets=Facets(enumeration=["happy", "sad"]))
+        schema.add_simple_type(mood_type)
+
+        assert validate(schema, note).is_valid
+        assert tracer.counts["resolve"] > resolved
 
     def test_resource_id_is_fixed_at_publish(self):
         application = fresh_application()

@@ -254,3 +254,19 @@ class TestNumericIdPostings:
         assert one["name"] is two["name"]
         assert one["tags"] is two["tags"]
         assert intern_values(["x", "y"]) is intern_values(["x", "y"])
+
+    def test_value_forms_are_shared_and_cleared(self):
+        """Equal values get the very same forms, so every index holding a
+        value tokenised it once; ``clear`` drops this table too."""
+        from repro.storage import interning
+
+        # Built at run time, so neither is the compiler's constant.
+        one, two = "".join(["Blue ", "Train"]), "".join(["Blue", " Train"])
+        assert one is not two
+        forms = interning.value_forms(one)
+        again = interning.value_forms(two)
+        assert forms is again
+        assert all(part is other for part, other in zip(forms, again, strict=True))
+        assert forms == ("Blue Train", "blue train", ("blue", "train"))
+        interning.clear()
+        assert interning.value_forms(two) is not forms

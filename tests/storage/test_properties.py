@@ -1,10 +1,14 @@
 """Property-based tests for the storage substrate."""
 
+import re
 import string
+from array import array
+from bisect import bisect_left
 
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.index import AttributeIndex, tokenize
+from repro.storage.interning import intern_values, value_forms
 from repro.storage.plan import compile_query
 from repro.storage.query import Criterion, Operator, Query
 from tests.storage.reference import matches_metadata
@@ -81,3 +85,118 @@ def test_query_wire_roundtrip(criteria):
     assert [(c.field_path, c.value, c.operator) for c in again.criteria] == [
         (c.field_path, c.value, c.operator) for c in query.criteria
     ]
+
+
+class ReferenceIndex:
+    """The write side of :class:`AttributeIndex` as it was built before
+    value forms were shared: each entry tokenised for itself, each id
+    placed by a binary-search insert, each level made at the value that
+    needs it."""
+
+    def __init__(self):
+        self._tokens, self._values, self._entries = {}, {}, {}
+        self._ids, self._rids, self._free = {}, [], []
+
+    def add(self, community_id, resource_id, fields):
+        if resource_id in self._entries:
+            self.remove(resource_id)
+        numeric_id = self._ids.get(resource_id)
+        if numeric_id is None:
+            if self._free:
+                numeric_id = self._free.pop()
+                self._rids[numeric_id] = resource_id
+            else:
+                numeric_id = len(self._rids)
+                self._rids.append(resource_id)
+            self._ids[resource_id] = numeric_id
+        entries = []
+        for field_path, values in fields.items():
+            for value in values:
+                value = value.strip()
+                if not value:
+                    continue
+                tokens = tuple(token.lower() for token in re.findall("[A-Za-z0-9]+", value))
+                entries.append((community_id, resource_id, field_path, value, value.lower(),
+                                tokens))
+                field_values = self._values.setdefault(community_id, {}).setdefault(field_path, {})
+                field_tokens = self._tokens.setdefault(community_id, {}).setdefault(field_path, {})
+                keys = [(field_values, value.lower())] + [(field_tokens, token) for token in tokens]
+                for postings, key in keys:
+                    bucket = postings.setdefault(key, array("I"))
+                    position = bisect_left(bucket, numeric_id)
+                    if position == len(bucket) or bucket[position] != numeric_id:
+                        bucket.insert(position, numeric_id)
+        self._entries[resource_id] = entries
+        if not entries:
+            self._release(resource_id)
+
+    def remove(self, resource_id):
+        entries = self._entries.pop(resource_id, None)
+        if not entries:
+            return
+        numeric_id = self._ids[resource_id]
+        for community_id, _, field_path, _, value_lower, tokens in entries:
+            keys = [(self._values, value_lower)] + [(self._tokens, token) for token in tokens]
+            for table, key in keys:
+                postings = table.get(community_id, {}).get(field_path, {})
+                if numeric_id in postings.get(key, ()):
+                    postings[key].remove(numeric_id)
+                    if not postings[key]:
+                        del postings[key]
+            for table in (self._values, self._tokens):
+                community = table.get(community_id)
+                if community is not None and not community.get(field_path, True):
+                    del community[field_path]
+                    if not community:
+                        del table[community_id]
+        self._release(resource_id)
+
+    def _release(self, resource_id):
+        numeric_id = self._ids.pop(resource_id)
+        self._rids[numeric_id] = ""
+        self._free.append(numeric_id)
+
+
+STATE = ("_values", "_tokens", "_entries", "_ids", "_rids", "_free")
+#: repeated words, punctuation only, blank, and letters outside ASCII
+#: ('İ' lowers to two code points; the Kelvin sign lowers to ASCII 'k')
+ODD_VALUES = ["", "   ", "!!", ", ;", "a a", "A b", "b", "İstanbul", "\u212aelvin",
+              "caf\u00e9 au lait", " Observer ", "observer"]
+index_values = st.one_of(st.sampled_from(ODD_VALUES),
+                         st.text(alphabet="aB \u0130\u212a,9", max_size=6))
+index_fields = st.dictionaries(st.sampled_from(["name", "intent", "tags"]),
+                               st.lists(index_values, max_size=3), max_size=3)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(["c", "d"]), st.integers(0, 4), index_fields),
+        st.tuples(st.just("remove"), st.integers(0, 4)),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(operations)
+def test_index_state_matches_the_per_entry_reference(ops):
+    """Adds, re-adds and removes, ids reused from the free list, values
+    repeated within and across objects, blank and all-blank fields:
+    every table of the index equals the reference's after each step."""
+    index, reference = AttributeIndex(), ReferenceIndex()
+    for op in ops:
+        if op[0] == "add":
+            _, community_id, number, fields = op
+            index.add(community_id, f"r{number}", fields)
+            reference.add(community_id, f"r{number}", fields)
+        else:
+            index.remove(f"r{op[1]}")
+            reference.remove(f"r{op[1]}")
+        for name in STATE:
+            assert getattr(index, name) == getattr(reference, name), name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(["\u0130", "\u0130stanbul", "\u212a", "\u212aelvin"]),
+                 st.text(alphabet="aZ9 ,.\u0130\u212a\u00e9", min_size=1, max_size=8)))
+def test_value_forms_are_lowered_value_and_tokens(value):
+    """Tokens are found first and lowered each, as :func:`tokenize` does."""
+    assert value_forms(value) == (value, value.lower(), intern_values(tokenize(value)))
