@@ -29,7 +29,6 @@ class CommunityDefinition:
     stylesheets: Optional[StylesheetSet] = None
     index_filter_fields: Optional[tuple[str, ...]] = None
     corpus: Optional[Callable[[int, int], list[dict[str, object]]]] = None
-    attachments_field: str = ""
 
     def create_on(self, servent: Servent) -> Community:
         """Create (and join) this community through ``servent``."""

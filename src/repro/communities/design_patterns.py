@@ -279,5 +279,4 @@ def design_pattern_community() -> CommunityDefinition:
         stylesheets=pattern_stylesheets(),
         index_filter_fields=PATTERN_INDEX_FIELDS,
         corpus=generate_pattern_corpus,
-        attachments_field="diagram",
     )

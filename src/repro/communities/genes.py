@@ -71,5 +71,4 @@ def gene_community() -> CommunityDefinition:
         category="science",
         protocol="Napster",
         corpus=generate_gene_corpus,
-        attachments_field="sequence",
     )

@@ -76,5 +76,4 @@ def molecule_community() -> CommunityDefinition:
         category="science",
         protocol="Gnutella",
         corpus=generate_molecule_corpus,
-        attachments_field="structure",
     )

@@ -80,7 +80,6 @@ def mp3_community() -> CommunityDefinition:
         category="media",
         protocol="Gnutella",
         corpus=generate_mp3_corpus,
-        attachments_field="file",
     )
 
 
@@ -101,5 +100,4 @@ def narrowed_mp3_community(artist: str) -> CommunityDefinition:
         category="media",
         protocol=definition.protocol,
         corpus=corpus,
-        attachments_field="file",
     )

@@ -71,5 +71,4 @@ def species_community() -> CommunityDefinition:
         category="science",
         protocol="FastTrack",
         corpus=generate_species_corpus,
-        attachments_field="photo",
     )

@@ -304,15 +304,12 @@ class DownloadManager:
             context.transfer_bytes += message.payload_bytes
         if not isinstance(attachment, Attachment):
             return  # a partial chunk carries bytes only
-        if message.chunk_total or self.kernel.faults is not None:
-            # Each attachment counts once per download: a duplicate, or
-            # a failover re-serving it, is dropped.  (Gated so the
-            # pinned faults=None byte accounting of the single-response
-            # path stays untouched.)
-            seen = context.extra.setdefault("attachments_seen", set())
-            if message.attachment_uri in seen:
-                return
-            seen.add(message.attachment_uri)
+        # Each attachment counts once per download: a duplicate, or a
+        # failover re-serving it, is dropped.
+        seen = context.extra.setdefault("attachments_seen", set())
+        if message.attachment_uri in seen:
+            return
+        seen.add(message.attachment_uri)
         peer.repository.attachments.receive(attachment)
         context.attachments_transferred += 1
         if not message.chunk_total:

@@ -223,15 +223,16 @@ class AttributeIndex:
                     _discard_id(token_bucket, numeric_id)
                     if not token_bucket:
                         field_tokens.pop(token, None)
-            # Prune emptied field/community levels so an add/remove
-            # round-trip leaves the index structurally identical to the
-            # state before the add (pinned by the round-trip test).
-            for table in (self._values, self._tokens):
-                community = table.get(community_id)
-                if community is not None and not community.get(field_path, True):
-                    del community[field_path]
+            # Prune a field once both its levels are empty, and not before:
+            # a token-less value ('!!') leaves the token level empty while
+            # the field is still indexed.  An add/remove round-trip thus
+            # leaves the index structurally identical to the state before.
+            if not values and not field_tokens:
+                for table in (self._values, self._tokens):
+                    community = table.get(community_id, {})
+                    community.pop(field_path, None)
                     if not community:
-                        del table[community_id]
+                        table.pop(community_id, None)
         self._release_id(resource_id, numeric_id)
 
     # ------------------------------------------------------------------

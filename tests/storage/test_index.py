@@ -84,6 +84,19 @@ class TestMaintenance:
         assert index.exact("c", "name", "Observer") == set()
         assert index.entry_count() == 0
 
+    def test_a_field_with_only_tokenless_values_survives_a_remove(self):
+        """A punctuation-only value has no tokens, so its field's token
+        level is empty; removing one of two objects must not prune the
+        field while the other's value is still indexed."""
+        index = AttributeIndex()
+        index.add("c", "r1", {"f": ["!!"]})
+        index.add("c", "r2", {"f": ["!!"]})
+        index.remove("r1")
+        assert index.values_for("c", "f") == ["!!"]
+        assert index.fields_for("c") == ["f"]
+        index.remove("r2")
+        assert index.fields_for("c") == [] and index.values_for("c", "f") == []
+
     def test_readd_replaces_entries(self):
         index = AttributeIndex()
         index.add("c", "r1", {"name": ["Observer"]})

@@ -5,7 +5,7 @@ import string
 from array import array
 from bisect import bisect_left
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.storage.index import AttributeIndex, tokenize
 from repro.storage.interning import intern_values, value_forms
@@ -143,12 +143,13 @@ class ReferenceIndex:
                     postings[key].remove(numeric_id)
                     if not postings[key]:
                         del postings[key]
-            for table in (self._values, self._tokens):
-                community = table.get(community_id)
-                if community is not None and not community.get(field_path, True):
-                    del community[field_path]
-                    if not community:
-                        del table[community_id]
+            if not self._values.get(community_id, {}).get(field_path, True):
+                for table in (self._values, self._tokens):
+                    community = table.get(community_id)
+                    if community is not None and not community.get(field_path, True):
+                        del community[field_path]
+                        if not community:
+                            del table[community_id]
         self._release(resource_id)
 
     def _release(self, resource_id):
@@ -177,10 +178,15 @@ operations = st.lists(
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(operations)
+# Two objects share a field whose only value has no token; removing one
+# must keep the field in both levels while the other still holds it.
+@example([("add", "c", 1, {"name": ["!!"]}), ("add", "c", 2, {"name": ["!!"]}),
+          ("remove", 1), ("add", "c", 3, {"name": ["??"]}), ("remove", 2), ("remove", 3)])
 def test_index_state_matches_the_per_entry_reference(ops):
     """Adds, re-adds and removes, ids reused from the free list, values
     repeated within and across objects, blank and all-blank fields:
-    every table of the index equals the reference's after each step."""
+    every table of the index equals the reference's after each step, and
+    a field is listed exactly while it holds a value."""
     index, reference = AttributeIndex(), ReferenceIndex()
     for op in ops:
         if op[0] == "add":
@@ -192,6 +198,10 @@ def test_index_state_matches_the_per_entry_reference(ops):
             reference.remove(f"r{op[1]}")
         for name in STATE:
             assert getattr(index, name) == getattr(reference, name), name
+        for community_id in ("c", "d"):
+            assert index.fields_for(community_id) == sorted(
+                field for field in ("name", "intent", "tags")
+                if index.values_for(community_id, field))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
