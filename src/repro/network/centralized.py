@@ -59,19 +59,21 @@ class CentralizedProtocol(PeerNetwork):
             self._upload(peer_id, INDEX_SERVER_ID, community_id, resource_id,
                          metadata, title)
             return
+        metadata_bytes = metadata_wire_bytes(metadata)
         self._account_registration(peer_id, INDEX_SERVER_ID, community_id, resource_id,
-                                   metadata_wire_bytes(metadata))
-        self._insert(peer_id, community_id, resource_id, metadata, title)
+                                   metadata_bytes)
+        self._insert(peer_id, community_id, resource_id, metadata, title, metadata_bytes)
 
     def _insert(self, provider_id: str, community_id: str, resource_id: str,
-                metadata: dict[str, list[str]], title: str) -> None:
+                metadata: dict[str, list[str]], title: str, metadata_bytes: int) -> None:
         cache = self.caches.sites.get(INDEX_SERVER_ID)
         if cache is not None:
             # A publish (or replica announcement) arriving at the server
             # is the invalidation traffic: the catalog version moves and
             # every cached answer filled before it goes stale.
             cache.bump_version()
-        self._server.insert(provider_id, community_id, resource_id, metadata, title)
+        self._server.insert(provider_id, community_id, resource_id, metadata, title,
+                            metadata_bytes)
 
     def _remove(self, predicate: Callable[[HubRecord], bool], now: float) -> None:
         """Drop the records ``predicate`` selects, whose providers'
@@ -147,7 +149,7 @@ class CentralizedProtocol(PeerNetwork):
         metadata, title = payload
         self.stats.record_registration()
         self._insert(message.sender, message.community_id, message.resource_id,
-                     metadata, title)
+                     metadata, title, message.payload_bytes)
         self._server.last_heard[message.sender] = self.simulator.now
 
     def _on_heartbeat(self, peer: Optional[Peer], message: Message,

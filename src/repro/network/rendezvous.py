@@ -100,9 +100,11 @@ class RendezvousProtocol(TwoTierNetwork):
             self._hubs[hub_id].members.add(peer.peer_id)
 
     def _insert(self, hub_id: str, provider_id: str, community_id: str,
-                resource_id: str, metadata: dict[str, list[str]], title: str) -> None:
+                resource_id: str, metadata: dict[str, list[str]], title: str,
+                metadata_bytes: int) -> None:
         """(Re)insert an advertisement whose lease starts now."""
         self._hubs[hub_id].insert(provider_id, community_id, resource_id, metadata, title,
+                                  metadata_bytes,
                                   expires_at_ms=self.simulator.now + self.lease_ms)
 
     # ------------------------------------------------------------------

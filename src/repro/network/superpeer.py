@@ -123,13 +123,15 @@ class SuperPeerProtocol(TwoTierNetwork):
                 self._note_staleness(leaf_id, now)
 
     def _insert(self, hub_id: str, provider_id: str, community_id: str,
-                resource_id: str, metadata: dict[str, list[str]], title: str) -> None:
+                resource_id: str, metadata: dict[str, list[str]], title: str,
+                metadata_bytes: int) -> None:
         cache = self.caches.sites.get(hub_id)
         if cache is not None:
             # A registration arriving is the invalidation traffic: the
             # super's catalog version moves, stale cached answers drop.
             cache.bump_version()
-        self._hubs[hub_id].insert(provider_id, community_id, resource_id, metadata, title)
+        self._hubs[hub_id].insert(provider_id, community_id, resource_id, metadata, title,
+                                  metadata_bytes)
 
     # ------------------------------------------------------------------
     # Live membership: leaves heartbeat their super each tick and

@@ -339,8 +339,9 @@ class DownloadManager:
                           stored: StoredObject) -> None:
         """The document arrived in full: replicate and re-announce it."""
         context.stored = stored
+        # The store copies the document and the metadata it keeps.
         replica = peer.repository.publish(
-            stored.community_id, stored.document, dict(stored.metadata), title=stored.title
+            stored.community_id, stored.document, stored.metadata, title=stored.title
         )
         self.replicas.note_replica(replica.resource_id, peer.peer_id,
                                    at_ms=self.simulator.now)

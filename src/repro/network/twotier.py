@@ -85,13 +85,16 @@ class HubCatalog:
         self.last_heard: dict[str, float] = {}
 
     def insert(self, provider_id: str, community_id: str, resource_id: str,
-               metadata: dict[str, list[str]], title: str, *,
+               metadata: dict[str, list[str]], title: str, metadata_bytes: int, *,
                expires_at_ms: float = math.inf) -> None:
-        """Add (or replace) ``provider_id``'s replica of ``resource_id``."""
+        """Add (or replace) ``provider_id``'s replica of ``resource_id``;
+        ``metadata_bytes`` is ``metadata_wire_bytes(metadata)``, which
+        every caller already holds (a publish's registration accounting,
+        an upload's payload, a stored object's memo)."""
         key = f"{resource_id}@{provider_id}"
         self.records[key] = HubRecord(resource_id, community_id, title,
                                       intern_view(metadata), provider_id,
-                                      metadata_wire_bytes(metadata), expires_at_ms)
+                                      metadata_bytes, expires_at_ms)
         self.index.add(community_id, key, metadata)
 
     def remove_where(self, predicate: Callable[[HubRecord], bool]) -> list[HubRecord]:
@@ -167,7 +170,8 @@ class TwoTierNetwork(PeerNetwork):
 
     @abstractmethod
     def _insert(self, hub_id: str, provider_id: str, community_id: str,
-                resource_id: str, metadata: dict[str, list[str]], title: str) -> None:
+                resource_id: str, metadata: dict[str, list[str]], title: str,
+                metadata_bytes: int) -> None:
         """Enter one replica into ``hub_id``'s catalog."""
 
     def _online_hubs(self) -> list[str]:
@@ -257,7 +261,8 @@ class TwoTierNetwork(PeerNetwork):
             self._hubs[peer.peer_id] = HubCatalog()
         for stored in peer.repository.documents:
             self._insert(peer.peer_id, peer.peer_id, stored.community_id,
-                         stored.resource_id, stored.metadata, stored.title)
+                         stored.resource_id, stored.metadata, stored.title,
+                         stored.metadata_wire_bytes())
 
     def _publish(self, peer_id: str, community_id: str, resource_id: str,
                  metadata: dict[str, list[str]], title: str) -> None:
@@ -270,7 +275,8 @@ class TwoTierNetwork(PeerNetwork):
             # (its hub died, repair has not run yet) shares nothing —
             # the next re-attachment re-uploads everything.
             if peer_id in self._hubs:
-                self._insert(peer_id, peer_id, community_id, resource_id, metadata, title)
+                self._insert(peer_id, peer_id, community_id, resource_id, metadata, title,
+                             metadata_wire_bytes(metadata))
             elif peer.super_peer_id is not None:
                 self._upload(peer_id, peer.super_peer_id, community_id, resource_id,
                              metadata, title)
@@ -287,10 +293,12 @@ class TwoTierNetwork(PeerNetwork):
     def _register(self, peer_id: str, hub_id: str, community_id: str, resource_id: str,
                   metadata: dict[str, list[str]], title: str) -> None:
         """Off-mode registration: instant, a hub's own object is free."""
+        metadata_bytes = metadata_wire_bytes(metadata)
         if peer_id != hub_id:
             self._account_registration(peer_id, hub_id, community_id, resource_id,
-                                       metadata_wire_bytes(metadata))
-        self._insert(hub_id, peer_id, community_id, resource_id, metadata, title)
+                                       metadata_bytes)
+        self._insert(hub_id, peer_id, community_id, resource_id, metadata, title,
+                     metadata_bytes)
 
     def _register_handlers(self, kernel: EventKernel) -> None:
         super()._register_handlers(kernel)
@@ -309,7 +317,7 @@ class TwoTierNetwork(PeerNetwork):
         metadata, title = payload
         self.stats.record_registration()
         self._insert(message.recipient, message.sender, message.community_id,
-                     message.resource_id, metadata, title)
+                     message.resource_id, metadata, title, message.payload_bytes)
         hub.last_heard[message.sender] = self.simulator.now
 
     def _on_leaf_attach(self, peer: Optional[Peer], message: Message,

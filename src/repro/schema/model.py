@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Union
 
-from repro.schema.datatypes import check_builtin, is_builtin, strip_prefix
+from repro.schema.datatypes import BuiltinType, get_builtin, is_builtin, strip_prefix
 from repro.schema.errors import SchemaError
 
 UNBOUNDED: Optional[int] = None
@@ -96,13 +96,7 @@ class Facets:
             issues.append(f"value must be at least {self.min_length} characters long")
         if self.max_length is not None and len(value) > self.max_length:
             issues.append(f"value must be at most {self.max_length} characters long")
-        numeric_facets = (
-            self.min_inclusive,
-            self.max_inclusive,
-            self.min_exclusive,
-            self.max_exclusive,
-        )
-        if any(bound is not None for bound in numeric_facets):
+        if self.has_numeric_bounds():
             try:
                 number = float(value)
             except ValueError:
@@ -117,6 +111,10 @@ class Facets:
                 if self.max_exclusive is not None and number >= self.max_exclusive:
                     issues.append(f"value must be < {self.max_exclusive}")
         return issues
+
+    def has_numeric_bounds(self) -> bool:
+        return (self.min_inclusive is not None or self.max_inclusive is not None
+                or self.min_exclusive is not None or self.max_exclusive is not None)
 
     def is_empty(self) -> bool:
         return not self.enumeration and all(
@@ -144,17 +142,24 @@ class SimpleType:
 
     def problems(self, value: str, schema: Optional["Schema"] = None) -> list[str]:
         """Validate ``value``, following base-type chains through ``schema``."""
+        base = self.base_of(None) if schema is None else schema.base_of(self)
         issues: list[str] = []
-        base = strip_prefix(self.base)
-        if is_builtin(base):
-            if not check_builtin(base, value):
-                issues.append(f"value {value!r} is not a valid {base}")
-        elif schema is not None:
-            base_type = schema.simple_types.get(base)
-            if base_type is not None:
-                issues.extend(base_type.problems(value, schema))
+        if base.builtin is not None:
+            if not base.builtin.is_valid(value):
+                issues.append(f"value {value!r} is not a valid {base.name}")
+        elif base.simple_type is not None:
+            issues.extend(base.simple_type.problems(value, schema))
         issues.extend(self.facets.problems(value))
         return issues
+
+    def base_of(self, schema: Optional["Schema"]) -> "Base":
+        """This type's base, looked up in the built-ins, then in ``schema``."""
+        name = strip_prefix(self.base)
+        builtin = get_builtin(name)
+        simple_type = None
+        if builtin is None and schema is not None:
+            simple_type = schema.simple_types.get(name)
+        return Base(name, builtin, simple_type)
 
 
 @dataclass
@@ -246,6 +251,17 @@ class Resolved(NamedTuple):
     type_name: str
 
 
+class Base(NamedTuple):
+    """The base of a simple type (:meth:`Schema.base_of`)."""
+
+    #: the base type's name without prefix
+    name: str
+    #: the built-in type of that name, if there is one
+    builtin: Optional[BuiltinType]
+    #: otherwise the schema's simple type of that name, if there is one
+    simple_type: Optional[SimpleType]
+
+
 class Group(NamedTuple):
     """A particle's element declarations in the forms a validation
     reads them (:meth:`Schema.group`)."""
@@ -292,13 +308,15 @@ class Schema:
         self.simple_types: dict[str, SimpleType] = {}
         self.annotations: list[str] = []
         # The default-root field walk and what validation resolves per
-        # declaration / particle, all kept until the next add_*().  The
-        # memos are keyed by id and hold the object, so its id stays its
-        # own; a hit is checked by identity, as a copied or unpickled
-        # schema carries the keys of the objects it was copied from.
+        # declaration / particle / simple type, all kept until the next
+        # add_*().  The memos are keyed by id and hold the object, so its
+        # id stays its own; a hit is checked by identity, as a copied or
+        # unpickled schema carries the keys of the objects it was copied
+        # from.
         self._root_fields: Optional[list[FieldInfo]] = None
         self._resolved: dict[int, tuple[ElementDeclaration, Resolved]] = {}
         self._groups: dict[int, tuple[Particle, Group]] = {}
+        self._bases: dict[int, tuple[SimpleType, Base]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -333,6 +351,7 @@ class Schema:
         self._root_fields = None
         self._resolved.clear()
         self._groups.clear()
+        self._bases.clear()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -374,6 +393,14 @@ class Schema:
                 self.resolve_simple_type(declaration),
                 declaration.resolved_type_name(),
             ))
+        return memo[1]
+
+    def base_of(self, simple_type: SimpleType) -> Base:
+        """:meth:`SimpleType.base_of` in this schema, looked up on the
+        type's first validated value only."""
+        memo = self._bases.get(id(simple_type))
+        if memo is None or memo[0] is not simple_type:
+            memo = self._bases[id(simple_type)] = (simple_type, simple_type.base_of(self))
         return memo[1]
 
     def group(self, particle: Particle) -> Group:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from repro.storage.errors import ObjectNotFoundError
 from repro.storage.interning import intern_view
 from repro.xmlkit.dom import Element
-from repro.xmlkit.serializer import canonical, serialize
+from repro.xmlkit.serializer import canonical, canonical_form, serialize
 
 
 def metadata_wire_bytes(metadata: Mapping[str, Sequence[str]]) -> int:
@@ -31,12 +31,33 @@ def metadata_wire_bytes(metadata: Mapping[str, Sequence[str]]) -> int:
                for path, values in metadata.items())
 
 
+class StoredForm(NamedTuple):
+    """A document's resource id, byte size and private copy (:func:`stored_form`)."""
+
+    resource_id: str
+    #: UTF-8 length of the compact serialisation (``StoredObject.size_bytes``)
+    size_bytes: int
+    #: the store's private copy, which no later edit of the caller's tree reaches
+    document: Element
+
+
+def stored_form(community_id: str, document: Element) -> StoredForm:
+    """``document``'s resource id within a community, its byte size and a
+    private copy of it, from one walk of the tree."""
+    form = canonical_form(document)
+    return StoredForm(_resource_id(community_id, form.text), form.size_bytes, form.copy)
+
+
 def resource_id_for(community_id: str, document: Element) -> str:
     """Compute the stable resource id of ``document`` within a community."""
+    return _resource_id(community_id, canonical(document))
+
+
+def _resource_id(community_id: str, canonical_text: str) -> str:
     digest = hashlib.sha1()
     digest.update(community_id.encode("utf-8"))
     digest.update(b"\x00")
-    digest.update(canonical(document).encode("utf-8"))
+    digest.update(canonical_text.encode("utf-8"))
     return digest.hexdigest()[:20]
 
 
@@ -120,17 +141,17 @@ class DocumentStore:
         idempotent: the existing record is returned unchanged, mirroring
         how downloading an already-shared file does not duplicate it.
         """
-        resource_id = resource_id_for(community_id, document)
+        resource_id, size_bytes, private = stored_form(community_id, document)
         existing = self._objects.get(resource_id)
         if existing is not None:
             return existing
         record = StoredObject(
             resource_id=resource_id,
             community_id=community_id,
-            document=document.copy(),
+            document=private,
             title=title or document.text_content().strip()[:64],
             publisher=publisher,
-            size_bytes=len(serialize(document, xml_declaration=False).encode("utf-8")),
+            size_bytes=size_bytes,
             metadata=dict(metadata or {}),
         )
         self._objects[resource_id] = record

@@ -17,7 +17,10 @@ This module provides one canonical copy per distinct content:
   strings are all canonical;
 * :func:`value_forms` returns one indexed value's canonical
   ``(value, value_lower, tokens)``, tokenised once per process however
-  many indexes (a peer's own, every index point it announces to) hold it.
+  many indexes (a peer's own, every index point it announces to) hold it;
+* :func:`tokens_of` reads a value's tokens from that table without
+  adding to it (``build_query_workload`` re-reads the corpus publish
+  just indexed).
 
 The tables are keyed by content, so growth is bounded by the number of
 *distinct* field values in play (the corpus vocabulary), not by the
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -76,6 +79,14 @@ def value_forms(value: str) -> tuple[str, str, tuple[str, ...]]:
         forms = _FORMS[value] = (value, sys.intern(value.lower()),
                                  intern_values(tokenize(value)))
     return forms
+
+
+def tokens_of(value: str) -> Sequence[str]:
+    """``tokenize(value)``, read from :func:`value_forms`' table when the
+    value is already there; a value that is not is tokenised afresh and
+    left out of it, so no table grows."""
+    forms = _FORMS.get(value)
+    return forms[2] if forms is not None else tokenize(value)
 
 
 def clear() -> None:

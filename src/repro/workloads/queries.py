@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.storage.index import tokenize
+from repro.storage.interning import tokens_of
 from repro.storage.query import Criterion, Operator, Query
 from repro.workloads.popularity import ZipfDistribution
 
@@ -103,7 +103,7 @@ def build_query_workload(
             expected = matches.field_contains(field_path, value)
         else:
             # Keyword query on a word of the value.
-            tokens = tokenize(value)
+            tokens = tokens_of(value)
             token = rng.choice(tokens) if tokens else value
             query = Query.keyword(community_id, token)
             expected = matches.keyword(token)
@@ -138,7 +138,8 @@ class _CorpusMatches:
     queries from per-field postings (token -> bitmask of the records
     whose field value holds it) built the first time a field is asked
     about.  Counts and bitmasks, not per-record token sets: the corpus
-    is large and the memo must stay small beside it.
+    is large and the memo must stay small beside it.  A value publish
+    already indexed is not tokenised again (:func:`tokens_of`).
     """
 
     def __init__(self, corpus: Sequence[dict[str, object]]) -> None:
@@ -151,23 +152,28 @@ class _CorpusMatches:
         if self._keyword_frequency is None:
             self._keyword_frequency = Counter()
             for record in self._corpus:
-                text = " ".join(
-                    value if isinstance(value, str) else " ".join(str(item) for item in value)
-                    for value in record.values()
-                )
-                self._keyword_frequency.update(set(tokenize(text)))
+                # Tokens are [A-Za-z0-9]+ runs, so the record's tokens
+                # are the union of its values' tokens.
+                held: set[str] = set()
+                for value in record.values():
+                    if isinstance(value, str):
+                        held.update(tokens_of(value))
+                    else:
+                        for item in value:
+                            held.update(tokens_of(str(item)))
+                self._keyword_frequency.update(held)
         return self._keyword_frequency[token.lower()]
 
     def field_contains(self, field_path: str, value: str) -> int:
         """Records whose ``field_path`` value holds every token of ``value``."""
-        wanted = tokenize(value)
+        wanted = tokens_of(value)
         if not wanted:
             return 0
         postings = self._field_postings.get(field_path)
         if postings is None:
             postings = self._field_postings[field_path] = {}
             for position, record in enumerate(self._corpus):
-                for token in tokenize(_value_of(record, field_path)):
+                for token in tokens_of(_value_of(record, field_path)):
                     postings[token] = postings.get(token, 0) | (1 << position)
         holders = -1
         for token in wanted:

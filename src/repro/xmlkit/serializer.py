@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 from repro.xmlkit.dom import Document, Element
 from repro.xmlkit.escape import escape_attribute, escape_text
 
 Node = Union[Document, Element]
+
+_new_element = Element.__new__
+
+
+class CanonicalForm(NamedTuple):
+    """What one walk of a tree gives (:func:`canonical_form`)."""
+
+    #: the tree's :func:`canonical` text
+    text: str
+    #: ``len(serialize(node, xml_declaration=False).encode("utf-8"))``
+    size_bytes: int
+    #: a deep copy of the tree, parent link cleared, as :meth:`Element.copy` makes
+    copy: Element
 
 
 def serialize(node: Node, *, xml_declaration: bool = True) -> str:
@@ -42,10 +55,25 @@ def canonical(node: Node) -> str:
     dropped and no XML declaration is included.  Two structurally equal
     trees produce identical canonical strings.
     """
-    element = node.root if isinstance(node, Document) else node
     parts: list[str] = []
-    _write_canonical(element, parts)
+    _walk(_root(node), parts, None, None)
     return "".join(parts)
+
+
+def canonical_form(node: Node) -> CanonicalForm:
+    """The canonical text, the compact serialisation's UTF-8 size and a
+    deep copy of ``node``'s tree, from one walk of it.
+
+    Every text, tail and attribute is escaped once and serves both
+    forms, so a character illegal in XML output raises
+    :class:`~repro.xmlkit.errors.XMLSerializeError` exactly where
+    :func:`serialize` or :func:`canonical` would.  The compact string
+    itself is never built: its length is added up piece by piece.
+    """
+    parts: list[str] = []
+    copies: list[Element] = []
+    size = _walk(_root(node), parts, copies, None)
+    return CanonicalForm("".join(parts), size, copies[0])
 
 
 # ----------------------------------------------------------------------
@@ -91,22 +119,81 @@ def _write_element(element: Element, parts: list[str], *, indent: Union[str, Non
     del pad  # kept for readability of the indenting logic above
 
 
-def _write_canonical(element: Element, parts: list[str]) -> None:
-    parts.append(f"<{element.local_name}")
-    attributes = {
-        name: value
-        for name, value in element.attributes.items()
-        if not name.startswith("xmlns")
-    }
-    for name in sorted(attributes):
-        parts.append(f' {name.split(":", 1)[-1]}="{escape_attribute(attributes[name])}"')
+def _root(node: Node) -> Element:
+    return node.root if isinstance(node, Document) else node
+
+
+def _walk(element: Element, parts: list[str], copies: Optional[list[Element]],
+          parent: Optional[Element]) -> int:
+    """Append ``element``'s canonical form to ``parts`` and, unless
+    ``copies`` is None, its copy (whose parent is ``parent``) to
+    ``copies``; return the UTF-8 length of its compact serialisation."""
+    tag = element.tag
+    local = tag.split(":", 1)[1] if ":" in tag else tag
+    attributes = element.attributes
+    tag_size = len(tag) if tag.isascii() else len(tag.encode("utf-8"))
+    size = 1 + tag_size  # "<tag"
+    parts.append("<" + local)
+    if attributes:
+        named: list[tuple[str, str]] = []
+        for name, value in attributes.items():
+            escaped = escape_attribute(value)
+            # ' name="value"'
+            size += 4 + len(name) + len(escaped)
+            if not (name.isascii() and escaped.isascii()):
+                size += (len(name.encode("utf-8")) - len(name)
+                         + len(escaped.encode("utf-8")) - len(escaped))
+            if not name.startswith("xmlns"):
+                named.append((name, escaped))
+        named.sort()
+        for name, escaped in named:
+            parts.append(f' {name.split(":", 1)[-1]}="{escaped}"')
     parts.append(">")
-    text = element.text.strip()
+    text = element.text
+    children = element.children
+    has_text = False
     if text:
-        parts.append(escape_text(text))
-    for child in element.children:
-        _write_canonical(child, parts)
-        tail = child.tail.strip()
+        stripped = text.strip()
+        has_text = bool(stripped)
+        if has_text or children:
+            size += _escaped_size(text, stripped, parts)
+    # "/>", or ">" ... "</tag>"
+    size += 2 if not children and not has_text else 4 + tag_size
+    kids: Optional[list[Element]] = None
+    clone: Optional[Element] = None
+    if copies is not None:
+        # Slot by slot: Element.__init__ would rescan the attributes
+        # for namespace declarations that ``nsmap`` already holds.
+        clone = _new_element(Element)
+        clone.tag = tag
+        clone.attributes = attributes.copy() if attributes else {}
+        clone.children = kids = []
+        clone.text = text
+        clone.tail = element.tail
+        clone.parent = parent
+        nsmap = element.nsmap
+        clone.nsmap = nsmap.copy() if nsmap else {}
+        copies.append(clone)
+    for child in children:
+        size += _walk(child, parts, kids, clone)
+        tail = child.tail
         if tail:
-            parts.append(escape_text(tail))
-    parts.append(f"</{element.local_name}>")
+            size += _escaped_size(tail, tail.strip(), parts)
+    parts.append(f"</{local}>")
+    return size
+
+
+def _escaped_size(text: str, stripped: str, parts: list[str]) -> int:
+    """Escape ``text`` once: append the escaped ``stripped`` to
+    ``parts`` unless it is empty, and return the UTF-8 length of the
+    escaped ``text``."""
+    escaped = escape_text(text)
+    if stripped:
+        if len(stripped) == len(text):
+            parts.append(escaped)
+        elif "\r" in text:
+            # stripping may have taken a CR that escaping turned into "&#13;"
+            parts.append(escape_text(stripped))
+        else:
+            parts.append(escaped.strip())
+    return len(escaped) if escaped.isascii() else len(escaped.encode("utf-8"))

@@ -31,7 +31,7 @@ from repro.schema.model import (
 )
 from repro.schema.validator import validate
 from repro.storage import interning
-from repro.storage.document_store import resource_id_for
+from repro.storage.document_store import metadata_wire_bytes, resource_id_for, stored_form
 from repro.storage.index import tokenize
 from repro.workloads.scenario import build_scenario
 from repro.xmlkit.serializer import canonical, serialize
@@ -51,6 +51,13 @@ def tracer():
 
 def counted(tracer, name):
     return lambda function: tracer.counted(name, function)
+
+
+def count_resource_ids(tracer):
+    """Count every resource id worked out, through either entry point:
+    ``stored_form`` (the store's one walk) or ``resource_id_for``."""
+    tracer.patch_function(stored_form, counted(tracer, "resource_id"))
+    tracer.patch_function(resource_id_for, counted(tracer, "resource_id"))
 
 
 def fresh_application(community="mp3"):
@@ -129,7 +136,7 @@ class TestWorkCounts:
         records = sample_records("mp3", self.N + 1)
         application.publish(records[0])  # the schema walk happens here at the latest
         tracer.patch_function(validate, counted(tracer, "validate"))
-        tracer.patch_function(resource_id_for, counted(tracer, "resource_id_for"))
+        count_resource_ids(tracer)
         tracer.patch_method((Schema,), "_collect_fields", counted(tracer, "collect_fields"))
         tracer.patch_method((FormField,), "__init__", counted(tracer, "form_field"))
 
@@ -137,7 +144,7 @@ class TestWorkCounts:
 
         assert tracer.counts["validate"] == self.N
         assert tracer.counts["collect_fields"] == 0
-        assert tracer.counts["resource_id_for"] == self.N
+        assert tracer.counts["resource_id"] == self.N
         assert tracer.counts["form_field"] == 0
         stored = {stored.resource_id for stored in application.servent.repository.documents}
         published = {resource.resource_id for resource in resources}
@@ -147,7 +154,7 @@ class TestWorkCounts:
         application = fresh_application()
         texts = [as_xml(application, record) for record in sample_records("mp3", self.N)]
         tracer.patch_function(validate, counted(tracer, "validate"))
-        tracer.patch_function(resource_id_for, counted(tracer, "resource_id_for"))
+        count_resource_ids(tracer)
 
         documents = application.servent.repository.documents
         before = len(documents)
@@ -155,8 +162,23 @@ class TestWorkCounts:
             application.publish_xml(text)
 
         assert tracer.counts["validate"] == self.N
-        assert tracer.counts["resource_id_for"] == self.N
+        assert tracer.counts["resource_id"] == self.N
         assert len(documents) == before + self.N
+
+    def test_a_publish_measures_its_metadata_wire_size_once(self, tracer):
+        """The REGISTER accounting and the index server's catalog record
+        take one ``metadata_wire_bytes`` result, not one each."""
+        application = fresh_application()
+        records = sample_records("mp3", self.N)
+        tracer.patch_function(metadata_wire_bytes, counted(tracer, "wire_bytes"))
+
+        keys = [application.publish(record).resource_id for record in records]
+
+        assert tracer.counts["wire_bytes"] == self.N
+        catalog = application.servent.network._server.records
+        for key in keys:
+            record = catalog[f"{key}@alice"]
+            assert record.metadata_bytes == metadata_wire_bytes(record.metadata_view)
 
     def test_each_distinct_value_is_tokenised_once(self, tracer):
         """The peer's index and the index server's catalog take one
@@ -260,10 +282,10 @@ class TestEquivalence:
 
 class TestScenarioBuild:
     def test_scenario_takes_each_id_from_its_publish(self, tracer):
-        tracer.patch_function(resource_id_for, counted(tracer, "resource_id_for"))
+        count_resource_ids(tracer)
         counts = {}
         for corpus_size in (10, 20):
-            before = tracer.counts["resource_id_for"]
+            before = tracer.counts["resource_id"]
             scenario = build_scenario(
                 protocol="centralized",
                 peers=12,
@@ -273,7 +295,7 @@ class TestScenarioBuild:
                 queries=4,
                 seed=3,
             )
-            counts[corpus_size] = tracer.counts["resource_id_for"] - before
+            counts[corpus_size] = tracer.counts["resource_id"] - before
             stored = {
                 stored.resource_id
                 for servent in scenario.servents

@@ -162,7 +162,16 @@ class TestReliableChannel:
 
 
 def insert(catalog, provider_id, name, *, community_id="patterns", **kwargs):
-    catalog.insert(provider_id, community_id, f"{name}-id", {"name": [name]}, name, **kwargs)
+    metadata = {"name": [name]}
+    catalog.insert(
+        provider_id,
+        community_id,
+        f"{name}-id",
+        metadata,
+        name,
+        metadata_wire_bytes(metadata),
+        **kwargs,
+    )
 
 
 def query_context(query, *, origin_id="origin", max_results=100):
@@ -294,7 +303,14 @@ class TestHubCatalog:
         catalog = HubCatalog()
         for provider_id, community_id, name, description in entries:
             metadata = {"name": [name], "description": [description] if description else []}
-            catalog.insert(provider_id, community_id, f"{name}-id", metadata, name)
+            catalog.insert(
+                provider_id,
+                community_id,
+                f"{name}-id",
+                metadata,
+                name,
+                metadata_wire_bytes(metadata),
+            )
         peers = {provider_id: Peer(peer_id=provider_id) for provider_id in PROVIDERS}
         for provider_id in offline:
             peers[provider_id].online = False
@@ -347,6 +363,7 @@ class TestHubCatalog:
                 record.resource_id,
                 metadata,
                 f"{record.title} (revised)",
+                record.metadata_bytes,
             )
             fresh, _ = take(hops)
             assert [key_of(result) for result in fresh] == expected

@@ -12,8 +12,11 @@ import pytest
 from bench.trace import Tracer
 from repro.communities import ALL_COMMUNITIES
 from repro.core.community import _shared_schema
+from repro.core.servent import Servent
 from repro.core.stylesheets import _compile
+from repro.network.centralized import CentralizedProtocol
 from repro.network.twotier import TwoTierNetwork
+from repro.storage import interning
 from repro.storage.index import tokenize
 from repro.storage.query import Operator
 from repro.workloads.queries import _value_of, build_query_workload
@@ -67,9 +70,12 @@ class TestExpectedMatchesOracle:
         corpus = ALL_COMMUNITIES["mp3"]().sample_corpus(80, seed=11)
         tracer.patch_function(tokenize, counted(tracer, "tokenize"))
         build_query_workload("c", corpus, count=200, seed=11)
-        # One pass per table (any-field, plus one per field) and at most
+        # One pass per table (any-field: one call per value, as nothing
+        # is memoised; plus one per field: one per record) and at most
         # two calls per query — not a pass over the corpus per query.
-        assert 0 < tracer.counts["tokenize"] <= len(corpus) * (1 + len(corpus[0])) + 2 * 200
+        values = sum(len(record) for record in corpus)
+        assert all(isinstance(value, str) for record in corpus for value in record.values())
+        assert 0 < tracer.counts["tokenize"] <= values + len(corpus) * len(corpus[0]) + 2 * 200
 
     def test_value_that_tokenises_to_nothing(self):
         corpus = [{"title": "!!!", "note": "first"}, {"title": "?", "note": "second !!!"}]
@@ -92,6 +98,38 @@ class TestExpectedMatchesOracle:
         assert workload.expected_matches == [2] * 12
         assert workload.expected_matches \
             == [scan_expected(corpus, query) for query in workload]
+
+    @pytest.mark.parametrize("community", sorted(ALL_COMMUNITIES))
+    def test_the_publish_memo_never_changes_a_count(self, community):
+        """``build_query_workload`` reads the tokens publish memoised for
+        a value, and tokenises (without memoising) what publish never
+        indexed: the workload is the same with the memo cold or warm,
+        and the memo does not grow."""
+        definition = ALL_COMMUNITIES[community]()
+        corpus = definition.sample_corpus(60, seed=11)
+        application = definition.application_on(Servent("alice", CentralizedProtocol(seed=11)))
+        searchable = [info.path for info in application.community.schema.searchable_fields()]
+        fields = [path for path in searchable if "/" not in path] or None
+
+        def build():
+            return build_query_workload(
+                "c", corpus, count=64, searchable_fields=fields, repeat_alpha=0.3, seed=11
+            )
+
+        interning.clear()
+        cold = build()
+        assert not interning._FORMS
+        for record in corpus:
+            application.publish(record)
+        memoised = len(interning._FORMS)
+        warm = build()
+
+        values = [value for record in corpus for value in record.values()]
+        assert any(isinstance(value, str) and value in interning._FORMS for value in values)
+        assert len(interning._FORMS) == memoised
+        assert warm.queries == cold.queries
+        assert warm.expected_matches == cold.expected_matches
+        assert sum(warm.expected_matches) > 0
 
 
 class TestSetupWorkDoesNotGrowWithPeers:
