@@ -159,9 +159,20 @@ class MembershipContext(ExchangeContext):
 
 
 @dataclass
+class DownloadStream:
+    """One download stream's progress: the ordinals of the pieces that
+    arrived (read only by length and membership, never iterated, so
+    their order cannot leak) and the payload its final piece brought."""
+
+    received: set[int] = field(default_factory=set)
+    payload: object = None
+
+
+@dataclass
 class RetrieveContext(ExchangeContext):
-    """One in-flight download: DOWNLOAD-REQUEST / DOWNLOAD-RESPONSE plus
-    per-attachment transfer events, quiescing by reference counting."""
+    """One in-flight download: a DOWNLOAD-REQUEST answered by
+    DOWNLOAD-RESPONSE pieces of its streams — the document (``""``) and
+    one per attachment (its URI) — quiescing by reference counting."""
 
     requester_id: str
     provider_id: str
@@ -171,11 +182,11 @@ class RetrieveContext(ExchangeContext):
     transfer_bytes: int = 0
     attachments_transferred: int = 0
     error: Optional[Exception] = None
-    # Chunked-transfer state (``download_chunk_bytes`` mode).  The
-    # received set is consulted only by length and membership, never
-    # iterated, so its order cannot leak into results.
-    chunks_received: set[int] = field(default_factory=set)
-    chunk_total: int = 0
+    #: requester side: each stream's progress, keyed by stream name
+    streams: dict[str, DownloadStream] = field(default_factory=dict)
+    #: provider side: the ``(provider, attempt)`` whose chunk stream is
+    #: running, so a duplicated request starts no second one
+    serving: Optional[tuple[str, int]] = None
     #: providers that stalled or crashed out of this download
     failed_providers: list[str] = field(default_factory=list)
     #: re-requests already burned on the current provider

@@ -90,8 +90,9 @@ class Message:
     #: reliable-delivery envelope: when non-empty, the kernel sends an
     #: ACK back to this node id once the message is handled on arrival
     ack_to: str = ""
-    #: chunked-download framing (``download_chunk_bytes`` mode): this
-    #: chunk's ordinal and the transfer's chunk count (0 = unchunked)
+    #: download framing: a DOWNLOAD-RESPONSE is piece ``chunk_index``
+    #: of ``chunk_total`` (≥ 1) of one stream — the document, or the
+    #: attachment ``attachment_uri`` names; 0 on every other type
     chunk_index: int = 0
     chunk_total: int = 0
 
@@ -103,14 +104,14 @@ class Message:
     # memoizes *objects*, a hop's message shared by every copy of that
     # hop in the batch is pickled once per batch, and the ``query_xml``
     # wire form riding every hop of one flood once per batch too.
-    def __getstate__(self):
+    def __getstate__(self) -> tuple:
         return (self.type, self.sender, self.recipient, self.message_id,
                 self.ttl, self.hops, self.payload_bytes, self.query_xml,
                 self.resource_id, self.community_id, self.attachment_uri,
                 self.carried_results, self.payload_object, self.ack_to,
                 self.chunk_index, self.chunk_total)
 
-    def __setstate__(self, state) -> None:
+    def __setstate__(self, state: tuple) -> None:
         (self.type, self.sender, self.recipient, self.message_id,
          self.ttl, self.hops, self.payload_bytes, self.query_xml,
          self.resource_id, self.community_id, self.attachment_uri,
@@ -265,20 +266,6 @@ def download_request(sender: str, recipient: str, resource_id: str) -> Message:
     )
 
 
-def download_response(sender: str, recipient: str, resource_id: str, *,
-                      payload_bytes: int, message_id: Optional[str] = None,
-                      payload_object: object = None) -> Message:
-    return Message(
-        type=MessageType.DOWNLOAD_RESPONSE,
-        sender=sender,
-        recipient=recipient,
-        resource_id=resource_id,
-        message_id=message_id or next_message_id(),
-        payload_bytes=payload_bytes,
-        payload_object=payload_object,
-    )
-
-
 def ack_message(sender: str, recipient: str, *, message_id: str) -> Message:
     """Acknowledge one reliably-sent message (header-only).
 
@@ -294,48 +281,29 @@ def ack_message(sender: str, recipient: str, *, message_id: str) -> Message:
     )
 
 
-def download_chunk(sender: str, recipient: str, resource_id: str, *,
-                   index: int, total: int, size_bytes: int,
-                   payload_object: object = None) -> Message:
-    """One chunk of a chunked download (``download_chunk_bytes`` mode).
+def download_piece(sender: str, recipient: str, resource_id: str, *,
+                   size_bytes: int, uri: str = "", index: int = 0, total: int = 1,
+                   payload_object: object = None, message_id: str = "") -> Message:
+    """Piece ``index`` of ``total`` of one download stream: the
+    document (``uri`` empty) or the attachment ``uri`` names.
 
-    The stored object rides the final chunk; the requester assembles
-    the transfer from chunk ordinals, so loss or reordering of any
-    chunk is detectable by the stall watchdog instead of silently
-    corrupting the download.
+    The stream's payload (the stored object, or the attachment) rides
+    its final piece; an unchunked stream is piece 0 of 1.  The
+    requester assembles each stream from piece ordinals, so a lost or
+    reordered piece is detectable by the stall watchdog instead of
+    silently corrupting the download.  ``message_id`` is reused when
+    given (the unchunked document answers with its request's id);
+    otherwise a fresh id is drawn.
     """
     return Message(
         type=MessageType.DOWNLOAD_RESPONSE,
         sender=sender,
         recipient=recipient,
-        resource_id=resource_id,
-        payload_bytes=size_bytes,
-        chunk_index=index,
-        chunk_total=total,
-        payload_object=payload_object,
-    )
-
-
-def attachment_transfer(sender: str, recipient: str, resource_id: str, *,
-                        uri: str, size_bytes: int, payload_object: object = None,
-                        message_id: Optional[str] = None,
-                        chunk_index: int = 0, chunk_total: int = 0) -> Message:
-    """One attachment of a download, transferred as its own event.
-
-    In chunked-download mode the attachment is itself streamed as
-    paced chunks (``chunk_total`` set, the payload riding the final
-    chunk) so a provider crash mid-attachment is detectable by the
-    requester's stall watchdog.
-    """
-    return Message(
-        type=MessageType.DOWNLOAD_RESPONSE,
-        sender=sender,
-        recipient=recipient,
-        resource_id=resource_id,
         message_id=message_id or next_message_id(),
         payload_bytes=size_bytes,
+        resource_id=resource_id,
         attachment_uri=uri,
         payload_object=payload_object,
-        chunk_index=chunk_index,
-        chunk_total=chunk_total,
+        chunk_index=index,
+        chunk_total=total,
     )

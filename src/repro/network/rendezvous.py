@@ -181,7 +181,7 @@ class RendezvousProtocol(TwoTierNetwork):
         renewed = 0
         for stored in peer.repository.documents:
             self.publish(peer_id, stored.community_id, stored.resource_id,
-                         dict(stored.metadata), title=stored.title)
+                         stored.metadata, title=stored.title)
             renewed += 1
         return renewed
 

@@ -2,11 +2,13 @@
 
 Offer / request / transfer / ack is its own protocol (SNIPPETS.md
 Snippet 1): whichever organisation located the provider, the download
-is a DOWNLOAD-REQUEST answered by the document plus its attachments.
-:class:`DownloadManager` owns both ends — the provider-side serving
-(one response, or a paced chunk stream under ``download_chunk_bytes``),
-the requester-side arrival handlers, and the chunked mode's stall
-watchdog with replica failover.  The finished object replicates into
+is a DOWNLOAD-REQUEST answered by DOWNLOAD-RESPONSE pieces of the
+object's streams: its attachments (one stream each, named by URI) and
+its document (the stream ``""``).  :class:`DownloadManager` owns both
+ends — the provider-side serving (one piece per stream scheduled up
+front, or a paced chunk stream under ``download_chunk_bytes``), the
+requester's one arrival handler, and the chunked mode's stall watchdog
+with replica failover.  The finished object replicates into
 the requester's repository and is re-announced through the adapter's
 own ``publish``.
 """
@@ -17,17 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from repro.engine.kernel import EventKernel, ExchangeContext, RetrieveContext
+from repro.engine.kernel import DownloadStream, EventKernel, ExchangeContext, RetrieveContext
 from repro.network.config import ReliabilityConfig
 from repro.network.errors import TransferError
-from repro.network.messages import (
-    Message,
-    MessageType,
-    attachment_transfer,
-    download_chunk,
-    download_request,
-    download_response,
-)
+from repro.network.messages import Message, MessageType, download_piece, download_request
 from repro.network.peers import Peer
 from repro.network.reliable import ReliableChannel
 from repro.network.stats import DownloadRecord
@@ -155,13 +150,13 @@ class DownloadManager:
         return None
 
     # ------------------------------------------------------------------
-    # Provider side: one response, or a paced chunk stream
+    # Provider side: one piece per stream, or a paced chunk stream
     # ------------------------------------------------------------------
     def _on_request(self, peer: Optional[Peer], message: Message,
                     context: Optional[ExchangeContext]) -> None:
-        """The provider serves the object: a response event for the
-        document plus one transfer event per attachment, each arriving
-        after its cumulative transmission time."""
+        """The provider serves the object: every stream as one piece,
+        each arriving after its cumulative transmission time, or as
+        paced chunks under ``download_chunk_bytes``."""
         if peer is None or not isinstance(context, RetrieveContext):
             return
         if peer.peer_id != context.provider_id:
@@ -172,11 +167,11 @@ class DownloadManager:
             context.error = error
             return
         if self.config.download_chunk_bytes is not None:
-            if context.extra.get("serving") == (peer.peer_id, context.provider_attempts):
+            if context.serving == (peer.peer_id, context.provider_attempts):
                 return  # a duplicated request: this stream is already running
-            context.extra["serving"] = (peer.peer_id, context.provider_attempts)
-            # Unlike the single-response path below — which schedules
-            # every delivery up front, so a provider crash mid-transfer
+            context.serving = (peer.peer_id, context.provider_attempts)
+            # Unlike the unchunked path below — which schedules every
+            # delivery up front, so a provider crash mid-transfer
             # changes nothing — each chunk is emitted by its own event
             # that checks the provider is still online.  A crash-stop
             # between chunks therefore strands the rest of the stream,
@@ -185,25 +180,30 @@ class DownloadManager:
             self._emit_chunk(peer.peer_id, self._chunk_stream(peer, stored, context),
                              context, False)
             return
-        payload = len(stored.to_xml_text().encode("utf-8"))
-        latency = self.simulator.transfer_time(peer.peer_id, context.requester_id, payload,
-                                               bandwidth_kbps=context.bandwidth_kbps)
-        response = download_response(peer.peer_id, context.requester_id, message.resource_id,
-                                     payload_bytes=payload, message_id=message.message_id,
-                                     payload_object=stored)
-        self.kernel.send(response, context=context, latency_ms=latency)
-        for uri in stored.metadata.get("__attachments__", []):
-            if not peer.repository.attachments.has(uri):
-                continue
-            attachment = peer.repository.attachments.serve(uri)
-            latency += self.simulator.transfer_time(peer.peer_id, context.requester_id,
-                                                    attachment.size_bytes,
+        # The document goes first and answers with the request's id;
+        # fault draws follow each link's send order, so it stays first.
+        *attachments, document = self._streams(peer, stored)
+        latency = 0.0
+        for uri, payload, size in (document, *attachments):
+            latency += self.simulator.transfer_time(peer.peer_id, context.requester_id, size,
                                                     bandwidth_kbps=context.bandwidth_kbps)
-            transfer = attachment_transfer(peer.peer_id, context.requester_id,
-                                           message.resource_id, uri=uri,
-                                           size_bytes=attachment.size_bytes,
-                                           payload_object=attachment)
-            self.kernel.send(transfer, context=context, latency_ms=latency)
+            piece = download_piece(peer.peer_id, context.requester_id, message.resource_id,
+                                   size_bytes=size, uri=uri, payload_object=payload,
+                                   message_id="" if uri else message.message_id)
+            self.kernel.send(piece, context=context, latency_ms=latency)
+
+    @staticmethod
+    def _streams(peer: Peer, stored: StoredObject
+                 ) -> Iterator[tuple[str, Union[Attachment, StoredObject], int]]:
+        """Every stream of ``stored`` the provider holds, as
+        ``(name, payload, bytes)``: its attachments, then the document
+        (named ``""``), each served only when the caller reaches it."""
+        attachments = peer.repository.attachments
+        for uri in [uri for uri in stored.metadata.get("__attachments__", [])
+                    if attachments.has(uri)]:
+            attachment = attachments.serve(uri)
+            yield uri, attachment, attachment.size_bytes
+        yield "", stored, len(stored.to_xml_text().encode("utf-8"))
 
     def _chunk_sizes(self, payload_bytes: int) -> list[int]:
         chunk_bytes = self.config.download_chunk_bytes
@@ -216,31 +216,21 @@ class DownloadManager:
         """The whole object as ``(chunk, more_follow)`` pairs, each built
         only when the emitter reaches it.
 
-        Attachments stream *first* (each one chunked like the document)
-        and the document chunks come last: the assembled object rides
-        the very final chunk, so ``context.stored`` is only set once
-        everything arrived and a stall at *any* point is recoverable by
-        the watchdog's full restart against a surviving replica.
+        Attachments stream *first* and the document chunks come last:
+        the assembled object rides the very final chunk, so
+        ``context.stored`` is only set once everything arrived and a
+        stall at *any* point is recoverable by the watchdog's restart
+        against a surviving replica.
         """
         provider_id, requester_id = peer.peer_id, context.requester_id
-        attachments = peer.repository.attachments
-        for uri in [uri for uri in stored.metadata.get("__attachments__", [])
-                    if attachments.has(uri)]:
-            attachment = attachments.serve(uri)
-            sizes = self._chunk_sizes(attachment.size_bytes)
-            for index, size in enumerate(sizes):
+        for uri, payload, size in self._streams(peer, stored):
+            sizes = self._chunk_sizes(size)
+            for index, piece in enumerate(sizes):
                 last = index + 1 == len(sizes)
-                yield attachment_transfer(
-                    provider_id, requester_id, context.resource_id, uri=uri,
-                    size_bytes=size, payload_object=attachment if last else None,
-                    chunk_index=index, chunk_total=len(sizes)), True
-        sizes = self._chunk_sizes(len(stored.to_xml_text().encode("utf-8")))
-        for index, size in enumerate(sizes):
-            last = index + 1 == len(sizes)
-            yield download_chunk(
-                provider_id, requester_id, context.resource_id, index=index,
-                total=len(sizes), size_bytes=size,
-                payload_object=stored if last else None), not last
+                yield download_piece(
+                    provider_id, requester_id, context.resource_id, size_bytes=piece,
+                    uri=uri, index=index, total=len(sizes),
+                    payload_object=payload if last else None), bool(uri) or not last
 
     def _emit_chunk(self, provider_id: str, stream: Iterator[tuple[Message, bool]],
                     context: RetrieveContext, holds_token: bool) -> None:
@@ -278,62 +268,40 @@ class DownloadManager:
     # ------------------------------------------------------------------
     def _on_response(self, peer: Optional[Peer], message: Message,
                      context: Optional[ExchangeContext]) -> None:
-        """The requester receives the document (replicating it and
-        re-announcing through this protocol's own publish path) or one
-        attachment.  A requester that churned offline never gets here —
-        the kernel dropped the delivery."""
+        """One piece of one stream reached the requester.
+
+        The document completes (replicating it and re-announcing it
+        through this protocol's own publish path) and an attachment
+        lands when the policy line below says so.  A requester that
+        churned offline never gets here — the kernel dropped the
+        delivery."""
         if peer is None or not isinstance(context, RetrieveContext):
             return
-        stored = message.payload_object
-        if message.attachment_uri:
-            self._on_attachment(peer, message, context)
-        elif message.chunk_total:
-            self._on_document_chunk(peer, message, context)
-        elif isinstance(stored, StoredObject) and context.stored is None:
-            # (a duplicated response finds the document already arrived)
-            context.transfer_bytes += message.payload_bytes
-            self.complete_document(peer, context, stored)
-
-    def _on_attachment(self, peer: Peer, message: Message,
-                       context: RetrieveContext) -> None:
-        attachment = message.payload_object
-        if message.chunk_total:
-            # A chunk of a streamed attachment: partial chunks only
-            # count bytes; the attachment itself rides the final
-            # chunk of its stream.
-            context.transfer_bytes += message.payload_bytes
-        if not isinstance(attachment, Attachment):
-            return  # a partial chunk carries bytes only
-        # Each attachment counts once per download: a duplicate, or a
-        # failover re-serving it, is dropped.
-        seen = context.extra.setdefault("attachments_seen", set())
-        if message.attachment_uri in seen:
-            return
-        seen.add(message.attachment_uri)
-        peer.repository.attachments.receive(attachment)
-        context.attachments_transferred += 1
-        if not message.chunk_total:
-            context.transfer_bytes += attachment.size_bytes
-
-    def _on_document_chunk(self, peer: Peer, message: Message,
-                           context: RetrieveContext) -> None:
-        """One chunk of a chunked download reached the requester."""
-        if context.stored is not None:
-            return  # the document already completed (a straggler chunk)
+        uri = message.attachment_uri
+        if not uri and context.stored is not None:
+            return  # the document already completed (a straggler piece)
         context.transfer_bytes += message.payload_bytes
-        if message.chunk_index in context.chunks_received:
+        stream = context.streams.get(uri)
+        if stream is None:
+            stream = context.streams[uri] = DownloadStream()
+        if message.chunk_index in stream.received:
             return  # a duplicated delivery: bytes burned, no progress
-        context.chunks_received.add(message.chunk_index)
-        context.chunk_total = message.chunk_total
+        stream.received.add(message.chunk_index)
         if message.payload_object is not None:
-            # The assembled object rides the final chunk; stash it in
-            # case faults deliver chunks out of order.
-            context.extra["chunk_payload"] = message.payload_object
-        if len(context.chunks_received) >= message.chunk_total:
-            stored = context.extra.pop("chunk_payload", None)
-            if stored is None:
-                return  # payload chunk lost; the watchdog will re-request
-            self.complete_document(peer, context, stored)
+            # The payload rides the stream's final piece; stash it in
+            # case faults deliver pieces out of order.
+            stream.payload = message.payload_object
+        # The policy line (ROADMAP 22): the document waits for every
+        # piece of its stream, an attachment lands with its payload
+        # piece even while a middle piece is missing.
+        if stream.payload is None or (not uri and len(stream.received) < message.chunk_total):
+            return
+        payload, stream.payload = stream.payload, None
+        if isinstance(payload, Attachment):
+            peer.repository.attachments.receive(payload)
+            context.attachments_transferred += 1
+        elif isinstance(payload, StoredObject):
+            self.complete_document(peer, context, payload)
 
     def complete_document(self, peer: Peer, context: RetrieveContext,
                           stored: StoredObject) -> None:
@@ -347,7 +315,7 @@ class DownloadManager:
                                    at_ms=self.simulator.now)
         # The new replica is announced so later searches can find it here.
         self.announce(peer.peer_id, stored.community_id, replica.resource_id,
-                      dict(stored.metadata), title=stored.title)
+                      stored.metadata, title=stored.title)
         self._release_watchdog(context)
         # Parallel workers replicate this completion to the rest of the
         # fleet at the next barrier (no-op in serial execution).
@@ -359,11 +327,12 @@ class DownloadManager:
     def _progress(self, context: RetrieveContext) -> tuple:
         """The watchdog's progress mark: any arrival moves it.
 
-        Bytes (not chunk ordinals) are the primary signal so progress
-        during the attachment phase — when ``chunks_received`` is still
-        empty — keeps the watchdog quiet.
+        Bytes (not piece ordinals) are the primary signal so progress
+        during the attachment phase — before any document piece
+        arrived — keeps the watchdog quiet.
         """
-        return (context.transfer_bytes, len(context.chunks_received),
+        document = context.streams.get("")
+        return (context.transfer_bytes, len(document.received) if document else 0,
                 context.provider_id, context.provider_attempts)
 
     def _arm_watchdog(self, context: RetrieveContext) -> None:
@@ -417,12 +386,12 @@ class DownloadManager:
             stats.record_failover()
             context.provider_id = next_provider
             context.provider_attempts = 0
-        # Restart the stream: stale partial state is discarded
+        # Restart the document stream: its partial state is discarded
         # (transfer_bytes keeps accumulating — the wasted wire bytes
-        # are an honest cost of the recovery).
+        # are an honest cost of the recovery).  Attachment streams keep
+        # their marks, so a re-served attachment lands only once.
         context.error = None
-        context.chunks_received.clear()
-        context.extra.pop("chunk_payload", None)
+        context.streams.pop("", None)
         self.channel.send(download_request(context.requester_id, context.provider_id,
                                            context.resource_id), context=context)
         self._arm_watchdog(context)

@@ -239,6 +239,31 @@ class TestHubCatalog:
         assert record.metadata_bytes == len("name") + len("Observer")
         assert select(catalog, keyword("observer")) == ["Observer-id@alice"]
 
+    def test_the_callers_metadata_dict_is_not_kept(self):
+        # Announce paths hand the catalog a stored object's own metadata
+        # dict, so a later edit of that dict must reach nothing here.
+        catalog = HubCatalog()
+        metadata = {"name": ["Observer"], "description": ["a behavioural pattern"]}
+        catalog.insert(
+            "alice", "patterns", "Observer-id", metadata, "Observer", metadata_wire_bytes(metadata)
+        )
+        peers = {"alice": Peer(peer_id="alice")}
+
+        def answers():
+            return {
+                text: catalog.take(query_context(Query.keyword("patterns", text)), peers, hops=0)
+                for text in ("observer", "behavioural", "visitor", "creational", "")
+            }
+
+        view, before = dict(catalog.records["Observer-id@alice"].metadata_view), answers()
+        metadata["name"][0] = "Visitor"
+        metadata["name"].append("Sonata")
+        metadata["description"] = ["a creational pattern"]
+        metadata["extra"] = ["observer"]
+        assert catalog.records["Observer-id@alice"].metadata_view == view
+        assert answers() == before
+        assert [key_of(result) for result in before["observer"][0]] == ["Observer-id@alice"]
+
     def test_remove_where_by_provider_and_by_lease(self):
         catalog = HubCatalog()
         insert(catalog, "alice", "Observer", expires_at_ms=100.0)
