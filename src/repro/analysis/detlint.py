@@ -248,10 +248,6 @@ class _Checker(ast.NodeVisitor):
         return _in_network_scope(self.path) and not self._in_simulator_class()
 
     @property
-    def _kern001_every_active(self) -> bool:
-        return _in_protocol_scope(self.path)
-
-    @property
     def _kern002_active(self) -> bool:
         return not _in_process_management_scope(self.path)
 
@@ -484,20 +480,6 @@ class _Checker(ast.NodeVisitor):
                 self._add(node, "DET004",
                           f"datetime.{func.attr}() reads the wall clock; simulation "
                           "code must use simulator.now")
-
-            # KERN001: kernel timers without shard affinity
-            if (
-                self._kern001_every_active
-                and func.attr == "every"
-                and not any(keyword.arg == "affinity" for keyword in node.keywords)
-            ):
-                self._add(
-                    node,
-                    "KERN001",
-                    ".every(...) without affinity= runs the timer on the control "
-                    "queue; per-peer maintenance should name its peer "
-                    "(affinity=peer_id) so it executes on that peer's shard",
-                )
         self.generic_visit(node)
 
 

@@ -87,8 +87,7 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             id="KERN001",
-            summary="cross-shard hazard: event-heap access in protocol code, "
-            "or a kernel timer without shard affinity",
+            summary="cross-shard hazard: event-heap access in protocol code",
             rationale=(
                 "The sharded kernel's determinism argument (engine/sharded.py) "
                 "holds because every event enters the queue through a routed "
@@ -98,11 +97,7 @@ RULES: dict[str, Rule] = {
                 "via post_keyed.  post and post_keyed are the only ways onto "
                 "a queue; a protocol touching the _queue heap bypasses "
                 "_route and its lookahead check — under shards>1 that undermines the "
-                "bit-identical contract the windowed execution provides.  "
-                "Likewise EventKernel.every(...) without affinity= runs the "
-                "timer on the control queue: correct for network-wide "
-                "sweeps, wrong for per-peer maintenance, which should run on "
-                "the peer's home shard (affinity=peer_id)."
+                "bit-identical contract the windowed execution provides."
             ),
         ),
         Rule(

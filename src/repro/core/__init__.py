@@ -10,9 +10,8 @@ top of the substrates:
 * :mod:`repro.core.stylesheets` — the default Create / Search / View
   stylesheets that operate on any community schema, plus helpers for
   custom per-community stylesheets.
-* :mod:`repro.core.forms` — generated Create and Search forms.
-* :mod:`repro.core.search` — building structured queries from filled-in
-  search forms.
+* :mod:`repro.core.forms` — the Search form's model: structured
+  queries from filled-in search forms.
 * :mod:`repro.core.registry` — the per-servent registry of known and
   joined communities.
 * :mod:`repro.core.servent` — the servent: create, search, view,
@@ -24,7 +23,7 @@ top of the substrates:
 from repro.core.application import Application
 from repro.core.community import Community, CommunityDescriptor, root_community
 from repro.core.errors import CommunityError, NotAMemberError, UP2PError
-from repro.core.forms import CreateForm, FormField, SearchForm
+from repro.core.forms import FormField, SearchForm
 from repro.core.registry import CommunityRegistry
 from repro.core.resource import Resource
 from repro.core.servent import Servent
@@ -37,7 +36,6 @@ __all__ = [
     "root_community",
     "Resource",
     "CommunityRegistry",
-    "CreateForm",
     "SearchForm",
     "FormField",
     "UP2PError",

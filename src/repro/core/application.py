@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from repro.core.community import Community
-from repro.core.forms import CreateForm, FormValues, SearchForm
+from repro.core.forms import FormValues
 from repro.core.resource import Resource
 from repro.core.servent import DownloadedObject, Servent
 from repro.network.base import SearchResponse, SearchResult
@@ -46,12 +46,6 @@ class Application:
     def object_name(self) -> str:
         """The kind of object this application shares (``mp3``, ``pattern`` …)."""
         return self.community.root_element_name
-
-    def create_form(self) -> CreateForm:
-        return self.servent.create_form(self.community.community_id)
-
-    def search_form(self) -> SearchForm:
-        return self.servent.search_form(self.community.community_id)
 
     def create_page_html(self) -> str:
         """The Create screen, generated from the schema by XSLT."""

@@ -15,7 +15,7 @@ searching for an object, and joining one means downloading its schema.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -211,22 +211,6 @@ class Community:
             attachments=(self.descriptor.schema_uri,) if self.descriptor.schema_uri else (),
         )
 
-    @classmethod
-    def from_resource(cls, resource: Resource, schema_xsd: str, **kwargs) -> "Community":
-        """Rebuild a community from a downloaded community object."""
-        descriptor = CommunityDescriptor.from_xml(resource.document)
-        return cls(descriptor, schema_xsd, **kwargs)
-
-    def with_descriptor(self, **changes) -> "Community":
-        """A copy of this community with some descriptor fields changed."""
-        return Community(
-            replace(self.descriptor, **changes),
-            self.schema_xsd,
-            display_stylesheet=self.display_stylesheet,
-            create_stylesheet=self.create_stylesheet,
-            search_stylesheet=self.search_stylesheet,
-            index_filter_fields=self.index_filter_fields,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Community {self.name!r} id={self.community_id} root={self.root_element_name}>"

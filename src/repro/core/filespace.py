@@ -33,9 +33,6 @@ class FileSpace:
         self.fetches += 1
         return self._files.get(uri)
 
-    def has(self, uri: str) -> bool:
-        return uri in self._files
-
     def __len__(self) -> int:
         return len(self._files)
 

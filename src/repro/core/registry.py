@@ -10,10 +10,10 @@ created with the root community already joined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.core.community import Community, ROOT_COMMUNITY_ID, root_community
-from repro.core.errors import CommunityError, NotAMemberError
+from repro.core.errors import NotAMemberError
 
 
 @dataclass
@@ -45,15 +45,7 @@ class CommunityRegistry:
         self.joined[community.community_id] = community
         return community
 
-    def leave(self, community_id: str) -> None:
-        if community_id == ROOT_COMMUNITY_ID:
-            raise CommunityError("the root community cannot be left")
-        self.joined.pop(community_id, None)
-
     # ------------------------------------------------------------------
-    def get(self, community_id: str) -> Optional[Community]:
-        return self.joined.get(community_id) or self.known.get(community_id)
-
     def require_joined(self, community_id: str) -> Community:
         """Return a joined community or raise :class:`NotAMemberError`."""
         community = self.joined.get(community_id)
@@ -67,16 +59,6 @@ class CommunityRegistry:
 
     def is_joined(self, community_id: str) -> bool:
         return community_id in self.joined
-
-    def find_by_name(self, name: str) -> Optional[Community]:
-        wanted = name.strip().lower()
-        for community in self.known.values():
-            if community.name.strip().lower() == wanted:
-                return community
-        return None
-
-    def joined_ids(self) -> list[str]:
-        return sorted(self.joined)
 
     def __iter__(self) -> Iterator[Community]:
         return iter(self.joined.values())

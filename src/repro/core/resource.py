@@ -102,6 +102,3 @@ class Resource:
         if pretty_print:
             return pretty(self.document, xml_declaration=False)
         return serialize(self.document, xml_declaration=False)
-
-    def size_bytes(self) -> int:
-        return len(self.to_xml_text().encode("utf-8"))

@@ -21,7 +21,7 @@ from repro.core.community import (
 )
 from repro.core.errors import CommunityError, InvalidObjectError
 from repro.core.filespace import FileSpace, filespace_for
-from repro.core.forms import CreateForm, FormValues, SearchForm
+from repro.core.forms import FormValues, SearchForm
 from repro.core.registry import CommunityRegistry
 from repro.core.resource import Resource
 from repro.core.stylesheets import StylesheetSet
@@ -82,10 +82,6 @@ class Servent:
     # ------------------------------------------------------------------
     # Create (paper §IV-C.1)
     # ------------------------------------------------------------------
-    def create_form(self, community_id: str) -> CreateForm:
-        community = self.registry.require_joined(community_id)
-        return CreateForm.from_schema(community.name, community.schema)
-
     def render_create_form(self, community_id: str) -> str:
         """The HTML Create form generated from the schema by XSLT."""
         community = self.registry.require_joined(community_id)
@@ -147,10 +143,6 @@ class Servent:
     # ------------------------------------------------------------------
     # Search (paper §IV-C.2)
     # ------------------------------------------------------------------
-    def search_form(self, community_id: str) -> SearchForm:
-        community = self.registry.require_joined(community_id)
-        return SearchForm.from_schema(community.name, community.schema)
-
     def render_search_form(self, community_id: str) -> str:
         community = self.registry.require_joined(community_id)
         return self.styles_for(community_id).render_search_form(community.schema_xsd)
@@ -182,7 +174,7 @@ class Servent:
     def _as_query(self, community: Community, criteria: Union[str, FormValues, Query]) -> Query:
         if isinstance(criteria, Query):
             return criteria
-        form = SearchForm.from_schema(community.name, community.schema)
+        form = SearchForm.from_schema(community.schema)
         if isinstance(criteria, str):
             return form.keyword_query(community.community_id, criteria)
         return form.submit(community.community_id, criteria)

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from repro.xmlkit.parser import parse as parse_xml
 from repro.xslt.engine import TransformResult, Transformer
-from repro.xslt.model import Stylesheet
 from repro.xslt.parser import parse_stylesheet_text
 
 #: Transforms a community schema (XSD) into an HTML Create form.
@@ -192,12 +191,9 @@ def _compile(stylesheet_text: str) -> Transformer:
     is safe because a transformer is read-only once built: it holds only
     its :class:`Stylesheet`, and ``transform`` builds fresh result
     elements and re-parents the *source* root, never a stylesheet node.
-    Treat what this returns as immutable; :func:`compile_stylesheet`
-    hands out a private, mutable parse.
+    Treat what this returns as immutable;
+    :func:`~repro.xslt.parser.parse_stylesheet_text` hands out a
+    private, mutable parse.
     """
     return Transformer(parse_stylesheet_text(stylesheet_text))
 
-
-def compile_stylesheet(stylesheet_text: str) -> Stylesheet:
-    """Parse a stylesheet's text (exported for custom community styles)."""
-    return parse_stylesheet_text(stylesheet_text)

@@ -69,10 +69,6 @@ class BatchOutcome:
         return [response.result_count for response in self.responses]
 
     @property
-    def latencies_ms(self) -> list[float]:
-        return [response.latency_ms for response in self.responses]
-
-    @property
     def downloads_completed(self) -> int:
         return sum(1 for result in self.retrieves if result is not None)
 

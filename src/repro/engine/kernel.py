@@ -184,8 +184,8 @@ class RetrieveContext(ExchangeContext):
     error: Optional[Exception] = None
     #: requester side: each stream's progress, keyed by stream name
     streams: dict[str, DownloadStream] = field(default_factory=dict)
-    #: provider side: the ``(provider, attempt)`` whose chunk stream is
-    #: running, so a duplicated request starts no second one
+    #: provider side: the ``(provider, attempt)`` already serving, so a
+    #: duplicated request (chunked or not) serves nothing twice
     serving: Optional[tuple[str, int]] = None
     #: providers that stalled or crashed out of this download
     failed_providers: list[str] = field(default_factory=list)
@@ -207,16 +207,14 @@ class MaintenanceTimer:
     one tuple per tick and nothing else.
     """
 
-    __slots__ = ("interval_ms", "callback", "args", "cancelled", "affinity")
+    __slots__ = ("interval_ms", "callback", "args", "cancelled")
 
     def __init__(self, interval_ms: float, callback: Callable[..., None],
-                 args: tuple, affinity: Optional[str] = None) -> None:
+                 args: tuple) -> None:
         self.interval_ms = interval_ms
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: node id whose home shard executes the timer (None = control)
-        self.affinity = affinity
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -294,9 +292,8 @@ class EventKernel:
     # ------------------------------------------------------------------
     # Recurring maintenance timers
     # ------------------------------------------------------------------
-    def every(self, interval_ms: float, callback: Callable[..., None], *args: object,
-              first_delay_ms: Optional[float] = None,
-              affinity: Optional[str] = None) -> MaintenanceTimer:
+    def every(self, interval_ms: float, callback: Callable[..., None],
+              *args: object) -> MaintenanceTimer:
         """Run ``callback(*args)`` every ``interval_ms`` of virtual time.
 
         Each firing is an ordinary event on the shared queue, so
@@ -307,32 +304,22 @@ class EventKernel:
         drive the simulator with ``run(until_ms=...)`` (an unbounded
         ``run()`` would never drain the queue).
 
-        ``affinity`` names the node the timer maintains (a peer's
-        heartbeat, a super-peer's lease sweep): under a sharded
-        simulator the firing then executes on that node's home shard
-        instead of the control queue, keeping per-peer maintenance
-        shard-local.  The single-queue simulator ignores the hint.
+        Both recurring timers (the maintenance tick and the result-cache
+        sweep) are network-wide: one round visits every peer or cache
+        site, so under a sharded simulator they run on the control queue.
         """
         if interval_ms <= 0:
             raise ValueError("the maintenance interval must be positive")
-        timer = MaintenanceTimer(interval_ms, callback, args, affinity)
+        timer = MaintenanceTimer(interval_ms, callback, args)
         self.timers.append(timer)
-        first = interval_ms if first_delay_ms is None else first_delay_ms
-        if affinity is None:
-            self.simulator.post(first, self._fire_timer, timer)
-        else:
-            self.simulator.post_keyed(affinity, first, self._fire_timer, timer)
+        self.simulator.post(interval_ms, self._fire_timer, timer)
         return timer
 
     def _fire_timer(self, timer: MaintenanceTimer) -> None:
         if timer.cancelled:
             return
         timer.callback(*timer.args)
-        if timer.affinity is None:
-            self.simulator.post(timer.interval_ms, self._fire_timer, timer)
-        else:
-            self.simulator.post_keyed(timer.affinity, timer.interval_ms,
-                                      self._fire_timer, timer)
+        self.simulator.post(timer.interval_ms, self._fire_timer, timer)
 
     def cancel_timers(self) -> None:
         """Stop every recurring timer (ends a live-membership run)."""

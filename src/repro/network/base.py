@@ -31,6 +31,7 @@ from typing import Iterable, Optional, Union
 
 from repro.engine.kernel import EventKernel, QueryContext, RetrieveContext
 from repro.network.config import (
+    HEARTBEAT_LEASE_INTERVALS,
     CacheConfig,
     MembershipConfig,
     ReliabilityConfig,
@@ -111,10 +112,6 @@ class SearchResponse:
     def result_count(self) -> int:
         return len(self.results)
 
-    def providers_of(self, resource_id: str) -> list[str]:
-        """Every peer offering ``resource_id`` (replication degree)."""
-        return [result.provider_id for result in self.results if result.resource_id == resource_id]
-
     def distinct_resources(self) -> set[str]:
         return {result.resource_id for result in self.results}
 
@@ -134,9 +131,7 @@ class PeerNetwork(ABC):
 
     protocol_name = "abstract"
 
-    def __init__(self, *, simulator: Optional[NetworkSimulator] = None,
-                 stats: Optional[NetworkStats] = None, seed: int = 0,
-                 shards: int = 1, parallel: bool = False,
+    def __init__(self, *, seed: int = 0, shards: int = 1, parallel: bool = False,
                  faults: Optional[FaultPlan] = None,
                  cache: Optional[CacheConfig] = None,
                  membership: Optional[MembershipConfig] = None,
@@ -173,10 +168,6 @@ class PeerNetwork(ABC):
                     "parallel=True requires an active worker runtime; "
                     "drive parallel execution through "
                     "repro.engine.parallel.run_parallel_scenario")
-            if simulator is not None or stats is not None:
-                raise ValueError(
-                    "parallel=True builds its own worker simulator and "
-                    "stats; pass neither")
             self.simulator = WorkerSimulator(runtime, seed=seed, shards=shards)
             self.stats = WorkerStats(runtime)
             self.peers: dict[str, Peer] = {}
@@ -184,11 +175,12 @@ class PeerNetwork(ABC):
                                        peers=self.peers, stats=self.stats)
             self.kernel.bind_network(self)
         else:
-            if simulator is None and shards > 1:
+            if shards > 1:
                 from repro.engine.sharded import ShardedSimulator
-                simulator = ShardedSimulator(seed=seed, shards=shards)
-            self.simulator = simulator or NetworkSimulator(seed=seed)
-            self.stats = stats or NetworkStats()
+                self.simulator = ShardedSimulator(seed=seed, shards=shards)
+            else:
+                self.simulator = NetworkSimulator(seed=seed)
+            self.stats = NetworkStats()
             self.peers = {}
             self.kernel = EventKernel(simulator=self.simulator, peers=self.peers,
                                       stats=self.stats)
@@ -333,16 +325,12 @@ class PeerNetwork(ABC):
     @property
     def heartbeat_lease_ms(self) -> float:
         """How long a silent counterpart stays trusted."""
-        membership = self.membership_config
-        return membership.maintenance_interval_ms * membership.heartbeat_lease_intervals
+        return self.membership_config.maintenance_interval_ms * HEARTBEAT_LEASE_INTERVALS
 
     def _ensure_maintenance(self) -> None:
         # Re-arm after kernel.cancel_timers() too, so going live again
         # after a paused run actually resumes heartbeats and sweeps.
         if self._maintenance_timer is None or self._maintenance_timer.cancelled:
-            # detlint: ignore[KERN001] -- network-wide tick: one round visits
-            # every peer/site, so it has no single home shard; it runs on the
-            # sharded simulator's control queue by design.
             self._maintenance_timer = self.kernel.every(
                 self.membership_config.maintenance_interval_ms, self._maintenance_tick)
 
@@ -679,7 +667,3 @@ class PeerNetwork(ABC):
 
     def _stamp_freshness(self, now: float) -> None:
         """Subclass hook: initialize heartbeat/lease stamps at go-live."""
-
-    def describe(self) -> str:
-        online = len(self.online_peers())
-        return f"{self.protocol_name} network: {online}/{len(self.peers)} peers online"

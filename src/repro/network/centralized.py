@@ -197,10 +197,6 @@ class CentralizedProtocol(PeerNetwork):
         return sorted(self._server.last_heard)
 
     # ------------------------------------------------------------------
-    def catalog_size(self) -> int:
-        """Number of distinct objects known to the server."""
-        return len({record.resource_id for record in self._server.records.values()})
-
     def provider_count(self, resource_id: str) -> int:
         """How many peers currently provide ``resource_id`` (replication)."""
         return sum(1 for record in self._server.records.values()

@@ -50,6 +50,12 @@ class CacheConfig:
             raise ValueError("the result cache TTL must be positive")
 
 
+#: a counterpart silent for this many maintenance intervals is presumed dead
+HEARTBEAT_LEASE_INTERVALS = 2
+#: hash functions per routing-filter key (crc32 double hashing)
+ROUTING_HASH_COUNT = 4
+
+
 @dataclass(frozen=True)
 class MembershipConfig:
     """Live-membership maintenance (the ``live_membership`` knob family)."""
@@ -59,14 +65,10 @@ class MembershipConfig:
     live: bool = False
     #: period of the maintenance tick (heartbeats, lease sweeps)
     maintenance_interval_ms: float = 2_000.0
-    #: a counterpart silent for this many intervals is presumed dead
-    heartbeat_lease_intervals: int = 2
 
     def __post_init__(self) -> None:
         if self.maintenance_interval_ms <= 0:
             raise ValueError("the maintenance interval must be positive")
-        if self.heartbeat_lease_intervals < 1:
-            raise ValueError("the heartbeat lease must cover at least one interval")
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,6 @@ class RoutingConfig:
     #: bits per Bloom-filter level (a multiple of 8: filters are
     #: advertised on the wire and sized in whole bytes)
     filter_bits: int = 512
-    #: hash functions per key (crc32 double hashing)
-    hash_count: int = 4
     #: filter levels: level ``d`` summarizes content at overlay
     #: distance ``d``, so pruning bites at hops with remaining
     #: TTL <= depth (the flood fringe, where the messages are)
@@ -118,8 +118,6 @@ class RoutingConfig:
     def __post_init__(self) -> None:
         if self.filter_bits < 8 or self.filter_bits % 8:
             raise ValueError("filter_bits must be a positive multiple of 8")
-        if self.hash_count < 1:
-            raise ValueError("need at least one hash function")
         if self.depth < 1:
             raise ValueError("the filter needs at least one level")
 

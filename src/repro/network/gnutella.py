@@ -36,6 +36,7 @@ from typing import Optional
 
 from repro.engine.kernel import EventKernel, MembershipContext, QueryContext
 from repro.network.base import PeerNetwork, SearchResult
+from repro.network.config import ROUTING_HASH_COUNT
 from repro.network.messages import (
     Message,
     MessageType,
@@ -88,7 +89,7 @@ class GnutellaProtocol(PeerNetwork):
             routing = self.routing_config
             self._routing = RoutingIndex(
                 self, filter_bits=routing.filter_bits,
-                hash_count=routing.hash_count, depth=routing.depth)
+                hash_count=ROUTING_HASH_COUNT, depth=routing.depth)
 
     # ------------------------------------------------------------------
     # Overlay maintenance

@@ -141,21 +141,3 @@ class PopulationModel:
         self.events.append(MembershipEvent(self.network.simulator.now, peer_id, "arrive"))
         if churn:
             self._schedule_departure(peer_id)
-
-    # ------------------------------------------------------------------
-    def expected_availability(self) -> float:
-        """Steady-state probability that a churning peer is online."""
-        return self.mean_session_ms / (self.mean_session_ms + self.mean_absence_ms)
-
-    def observed_availability(self) -> float:
-        """Fraction of peers currently online."""
-        peers = self.network.peers
-        if not peers:
-            return 0.0
-        return len(self.network.online_peers()) / len(peers)
-
-    def departures(self) -> list[MembershipEvent]:
-        return [event for event in self.events if not event.online]
-
-    def arrivals(self) -> list[MembershipEvent]:
-        return [event for event in self.events if event.kind == "arrive"]

@@ -140,10 +140,6 @@ class Message:
         """Total on-the-wire size (header plus payload)."""
         return _HEADER_BYTES + self.payload_bytes
 
-    @property
-    def expired(self) -> bool:
-        return self.ttl <= 0
-
 
 def query_message(sender: str, recipient: str, query_xml: str, *, ttl: int = 7,
                   community_id: str = "", payload_bytes: Optional[int] = None,

@@ -18,8 +18,8 @@ class Peer:
     the Gnutella overlay itself — the network keeps no other copy, and
     writes every link on both ends.  ``super_peer_id`` is the hub a
     two-tier member attached to (a hub's own id for a hub); whether a
-    peer *is* a hub is the network's fact (``super_peer_ids()`` /
-    ``rendezvous_ids()``), not the peer's.  ``uptime_ms`` accumulates
+    peer *is* a hub is the network's fact (its hub catalogs), not the
+    peer's.  ``uptime_ms`` accumulates
     completed online-session time at each offline transition;
     ``online_since`` stamps the start of the current session.  In
     live-membership mode ``last_pong_ms`` tracks when each counterpart
@@ -60,9 +60,6 @@ class Peer:
     def join_community(self, community_id: str) -> None:
         self.joined_communities.add(community_id)
 
-    def shared_object_count(self) -> int:
-        return len(self.repository.documents)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "online" if self.online else "offline"
-        return f"<Peer {self.peer_id} {status} objects={self.shared_object_count()}>"
+        return f"<Peer {self.peer_id} {status} objects={len(self.repository.documents)}>"

@@ -81,9 +81,6 @@ class RendezvousProtocol(TwoTierNetwork):
         """Promote peers to rendezvous and attach every edge peer."""
         return self._elect(count)
 
-    def rendezvous_ids(self) -> list[str]:
-        return sorted(self._hubs)
-
     def _choose_hub(self, peer: Peer,
                     online_hubs: Optional[list[str]] = None) -> Optional[str]:
         # Deterministic assignment: a stable hash of the peer id picks
@@ -171,19 +168,6 @@ class RendezvousProtocol(TwoTierNetwork):
             # other edges' caches are bounded by the TTL/lease instead.
             cache.bump_version()
         self._publish(peer_id, community_id, resource_id, metadata, title)
-
-    def renew(self, peer_id: str) -> int:
-        """Re-advertise every object a peer shares (lease renewal).
-
-        Returns the number of advertisements renewed.
-        """
-        peer = self._require_peer(peer_id)
-        renewed = 0
-        for stored in peer.repository.documents:
-            self.publish(peer_id, stored.community_id, stored.resource_id,
-                         stored.metadata, title=stored.title)
-            renewed += 1
-        return renewed
 
     def expire_advertisements(self) -> int:
         """Drop expired advertisements everywhere; returns how many died."""

@@ -60,8 +60,6 @@ class ResultCacheLayer:
         # recurring sweep (one TTL period) just bounds memory and keeps
         # the expiration counters honest.
         if self._sweep_timer is None or self._sweep_timer.cancelled:
-            # detlint: ignore[KERN001] -- sweeps every cache site in one pass,
-            # so it is control-plane work with no single home shard.
             self._sweep_timer = self.kernel.every(self.config.ttl_ms, self._sweep)
 
     def _sweep(self) -> None:

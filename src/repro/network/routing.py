@@ -46,7 +46,7 @@ link pays the advertisement again.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 from zlib import crc32
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base imports us)
@@ -94,11 +94,6 @@ class BloomFilter:
 
     def merge(self, other: "BloomFilter") -> None:
         self.bits |= other.bits
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits set — the saturation diagnostic E11 charts
-        against false-positive forwards."""
-        return bin(self.bits).count("1") / self.size_bits
 
     def wire_bytes(self) -> int:
         return self.size_bits // 8
@@ -256,10 +251,6 @@ class RoutingIndex:
             for neighbor_id in sorted(peer.neighbors):
                 self._advertised[(peer_id, neighbor_id)] = version
 
-    def filter_wire_bytes(self) -> int:
-        """Wire size of one peer's full advertisement."""
-        return _ADVERT_HEADER_BYTES + self.depth * (self.filter_bits // 8)
-
     # ------------------------------------------------------------------
     # Rebuild
     # ------------------------------------------------------------------
@@ -318,7 +309,3 @@ class RoutingIndex:
                 break
         return AttenuatedFilter(levels)
 
-
-def routing_index_for(network: "PeerNetwork") -> Optional[RoutingIndex]:
-    """The network's routing index when informed routing is on."""
-    return getattr(network, "_routing", None)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
@@ -193,15 +191,6 @@ class NetworkStats:
         """One routing-filter advertisement piggybacked on a keepalive."""
         self.routing_filter_bytes += size_bytes
 
-    def routing_summary(self) -> dict[str, int]:
-        """The informed-routing axis as one comparable dictionary."""
-        return {
-            "routing_pruned": self.routing_pruned,
-            "routing_fallbacks": self.routing_fallbacks,
-            "routing_fp_forwards": self.routing_fp_forwards,
-            "routing_filter_bytes": self.routing_filter_bytes,
-        }
-
     def fault_summary(self) -> dict[str, int]:
         """The fault/recovery axis as one comparable dictionary."""
         return {
@@ -216,26 +205,6 @@ class NetworkStats:
     def cache_hit_ratio(self) -> float:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
-
-    def digest(self, result_counts: list[int]) -> str:
-        """sha256 over everything a simulator-only change must leave
-        alone: the per-search ``result_counts`` a driver collected, the
-        per-type traffic, every query record and every download record
-        (latencies rounded to six decimals of a millisecond).  The same
-        payload and hash as ``bench.measure.counters_digest``.
-        """
-        payload = {
-            "result_counts": result_counts,
-            "messages_by_type": sorted(self.messages_by_type.items()),
-            "bytes_by_type": sorted(self.bytes_by_type.items()),
-            "queries": [(record.results, record.messages, record.bytes,
-                         record.peers_probed, round(record.latency_ms, 6))
-                        for record in self.queries],
-            "downloads": [(record.resource_id, record.requester, record.provider,
-                           record.bytes, round(record.latency_ms, 6))
-                          for record in self.download_records],
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     # ------------------------------------------------------------------
     @property

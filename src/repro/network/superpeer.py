@@ -59,13 +59,6 @@ class SuperPeerProtocol(TwoTierNetwork):
         and (re)attach every leaf to the least-loaded online super-peer."""
         return self._elect(count)
 
-    def super_peer_ids(self) -> list[str]:
-        return sorted(self._hubs)
-
-    def leaves_of(self, super_id: str) -> set[str]:
-        hub = self._hubs.get(super_id)
-        return set(hub.members) if hub is not None else set()
-
     def _choose_hub(self, peer: Peer, online_hubs: Optional[list[str]] = None, *,
                     cap: Optional[int] = None) -> Optional[str]:
         """The least-loaded online super-peer (ties by id).  With a

@@ -29,18 +29,8 @@ class Topology:
 
     adjacency: dict[str, set[str]] = field(default_factory=dict)
 
-    @property
-    def peer_ids(self) -> list[str]:
-        return list(self.adjacency)
-
     def neighbors(self, peer_id: str) -> set[str]:
         return self.adjacency.get(peer_id, set())
-
-    def degree(self, peer_id: str) -> int:
-        return len(self.neighbors(peer_id))
-
-    def edge_count(self) -> int:
-        return sum(len(neighbors) for neighbors in self.adjacency.values()) // 2
 
     def add_edge(self, a: str, b: str) -> None:
         if a == b:
@@ -64,11 +54,6 @@ class Topology:
                         reached.append(neighbor)
             frontier = reached
         return distance
-
-    def is_connected(self) -> bool:
-        if not self.adjacency:
-            return True
-        return len(self.distances(next(iter(self.adjacency)))) == len(self.adjacency)
 
     def average_path_length(self) -> float:
         """Mean hop distance over ordered peer pairs; ``inf`` if disconnected or < 2 peers."""

@@ -166,10 +166,10 @@ class DownloadManager:
         except ObjectNotFoundError as error:
             context.error = error
             return
+        if context.serving == (peer.peer_id, context.provider_attempts):
+            return  # a duplicated request: this provider already serves it
+        context.serving = (peer.peer_id, context.provider_attempts)
         if self.config.download_chunk_bytes is not None:
-            if context.serving == (peer.peer_id, context.provider_attempts):
-                return  # a duplicated request: this stream is already running
-            context.serving = (peer.peer_id, context.provider_attempts)
             # Unlike the unchunked path below — which schedules every
             # delivery up front, so a provider crash mid-transfer
             # changes nothing — each chunk is emitted by its own event

@@ -174,6 +174,10 @@ class TwoTierNetwork(PeerNetwork):
                 metadata_bytes: int) -> None:
         """Enter one replica into ``hub_id``'s catalog."""
 
+    def hub_ids(self) -> list[str]:
+        """Every current hub (super-peer or rendezvous), sorted."""
+        return sorted(self._hubs)
+
     def _online_hubs(self) -> list[str]:
         return sorted(hub_id for hub_id in self._hubs
                       if (peer := self.peers.get(hub_id)) is not None and peer.online)

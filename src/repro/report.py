@@ -1213,7 +1213,7 @@ def _a2_cell(factory: Callable[[], object]) -> Counters:
         recalls.append(len(found) / max(1, remote))
     counters = {"recall": _mean(recalls), **_query_counters(network)}
     if isinstance(network, SuperPeerProtocol):
-        counters["super_peers"] = len(network.super_peer_ids())
+        counters["super_peers"] = len(network.hub_ids())
     return counters
 
 

@@ -16,8 +16,8 @@ package provides the schema machinery:
   reports precise errors.
 * :mod:`repro.schema.builder` — programmatic schema construction, the
   substitute for the paper's web-based schema-generation tool.
-* :mod:`repro.schema.instance` — instance skeleton generation and
-  random instance synthesis used by tests and workloads.
+* :mod:`repro.schema.instance` — instance construction from field
+  values and random instance synthesis used by tests and workloads.
 """
 
 from repro.schema.builder import SchemaBuilder

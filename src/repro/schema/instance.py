@@ -1,4 +1,4 @@
-"""Instance-document helpers: skeletons, construction and synthesis.
+"""Instance-document helpers: construction and synthesis.
 
 The Create function of a community turns a flat mapping of field values
 into a schema-conformant XML object; tests and workloads additionally
@@ -55,35 +55,6 @@ def _set_field(root: Element, path: str, value: str) -> None:
         existing = node.find(part)
         node = existing if existing is not None else node.make_child(part)
     node.make_child(parts[-1], text=value)
-
-
-def instance_skeleton(schema: Schema, *, root: Optional[str] = None) -> Element:
-    """Return an empty instance with one element per field (a form template)."""
-    declaration = schema.elements.get(root) if root else schema.root_element()
-    if declaration is None:
-        raise SchemaError(f"schema does not declare element {root!r}")
-    values = {info.path: info.enumeration[0] if info.enumeration else "" for info in schema.fields(declaration)}
-    return build_instance(schema, values, root=root)
-
-
-def extract_values(schema: Schema, instance: Element) -> dict[str, list[str]]:
-    """Flatten an instance back into path → values (inverse of build_instance)."""
-    result: dict[str, list[str]] = {}
-    for info in schema.fields():
-        values = _read_field(instance, info.path)
-        if values:
-            result[info.path] = values
-    return result
-
-
-def _read_field(root: Element, path: str) -> list[str]:
-    nodes = [root]
-    for part in path.split("/"):
-        next_nodes: list[Element] = []
-        for node in nodes:
-            next_nodes.extend(node.find_all(part))
-        nodes = next_nodes
-    return [node.text_content().strip() for node in nodes]
 
 
 # ----------------------------------------------------------------------

@@ -291,12 +291,6 @@ class FieldInfo:
     enumeration: list[str] = field(default_factory=list)
     documentation: str = ""
 
-    @property
-    def label(self) -> str:
-        """A human-friendly label derived from the element name."""
-        words = re.sub(r"(?<!^)(?=[A-Z])", " ", self.name.replace("_", " ").replace("-", " "))
-        return words[:1].upper() + words[1:]
-
 
 class Schema:
     """A parsed schema: global elements plus named type definitions."""
@@ -500,25 +494,6 @@ class Schema:
         for child in complex_type.element_declarations():
             self._collect_fields(child, child_prefix, out, seen, depth=depth + 1)
         seen.discard(marker)
-
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        """A short human-readable inventory of the schema."""
-        root = self.root_element()
-        lines = [f"root element: {root.name}"]
-        for info in self.fields():
-            flags = []
-            if info.searchable:
-                flags.append("searchable")
-            if info.attachment:
-                flags.append("attachment")
-            if info.repeated:
-                flags.append("repeated")
-            if info.optional:
-                flags.append("optional")
-            suffix = f" ({', '.join(flags)})" if flags else ""
-            lines.append(f"  {info.path}: {info.type_name}{suffix}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

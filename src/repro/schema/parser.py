@@ -13,7 +13,6 @@ length and value facets, ``attribute``, ``annotation`` /
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Optional, Union
 
 from repro.schema.errors import SchemaParseError
@@ -42,11 +41,6 @@ def parse_schema_text(text: str) -> Schema:
     except XMLParseError as error:
         raise SchemaParseError(f"schema document is not well-formed XML: {error}") from error
     return parse_schema(document)
-
-
-def parse_schema_file(path: Union[str, Path]) -> Schema:
-    """Parse the XSD file at ``path``."""
-    return parse_schema_text(Path(path).read_text(encoding="utf-8"))
 
 
 def parse_schema(document: Union[Document, Element]) -> Schema:

@@ -229,14 +229,3 @@ class QueryResultCache:
         self._entries.clear()
         self._by_provider.clear()
 
-    # ------------------------------------------------------------------
-    def hit_ratio(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def describe(self) -> str:
-        return (
-            f"cache[{len(self._entries)}/{self.capacity} entries, "
-            f"ttl={self.ttl_ms:.0f}ms, v{self.version}, "
-            f"{self.hits}h/{self.misses}m]"
-        )

@@ -325,10 +325,6 @@ class AttributeIndex:
         """Field paths that have at least one indexed value."""
         return sorted(self._tokens.get(community_id, {}).keys())
 
-    def values_for(self, community_id: str, field_path: str) -> list[str]:
-        """Distinct indexed values of one field (drives search-form dropdowns)."""
-        return sorted(self._values.get(community_id, {}).get(field_path, {}).keys())
-
     # ------------------------------------------------------------------
     # Size accounting (experiment E5: index filtering)
     # ------------------------------------------------------------------
@@ -366,9 +362,6 @@ class AttributeIndex:
                     for bucket in field_postings.values():
                         total += array_base + bucket.itemsize * len(bucket)
         return total
-
-    def entries_for(self, resource_id: str) -> Iterable[IndexEntry]:
-        return tuple(self._entries.get(resource_id, ()))
 
     def iter_entries(self) -> Iterable[IndexEntry]:
         """Every indexed entry in deterministic (resource-id) order —

@@ -215,9 +215,6 @@ class CompiledQuery:
                 arrays.extend(buckets)
         return index.resolve_ids(intersect_postings(arrays, id_sets))
 
-    def describe(self) -> str:
-        return f"compiled[{self.source.describe()}]"
-
 
 def compile_query(query: Query) -> CompiledQuery:
     """Compile ``query`` for repeated evaluation (one call per search)."""

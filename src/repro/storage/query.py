@@ -66,10 +66,6 @@ class Query:
         """A single keyword query across all searchable fields."""
         return cls(community_id, [Criterion("*", text, Operator.ANY)])
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.criteria or all(not criterion.value.strip() for criterion in self.criteria)
-
     # ------------------------------------------------------------------
     # Wire form
     # ------------------------------------------------------------------
@@ -119,17 +115,13 @@ class Query:
         document = parse_xml(text, check_namespaces=False)
         return cls.from_xml(document.root)
 
-    def wire_size_bytes(self) -> int:
-        """Size of the serialized query (message-cost accounting)."""
-        return len(self.to_xml_text().encode("utf-8"))
-
     def describe(self) -> str:
         """Human-readable one-line description."""
-        if self.is_empty:
-            return f"all objects in {self.community_id}"
         clauses = [
             f"{criterion.field_path} {criterion.operator.value} {criterion.value!r}"
             for criterion in self.criteria
             if criterion.value.strip()
         ]
+        if not clauses:
+            return f"all objects in {self.community_id}"
         return f"{self.community_id}: " + " AND ".join(clauses)

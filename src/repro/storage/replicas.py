@@ -83,22 +83,6 @@ class ReplicaRegistry:
         return sorted(self._entries.get(resource_id, {}).values(),
                       key=lambda entry: (entry.recorded_at_ms, entry.peer_id))
 
-    def replicas_of(self, resource_id: str) -> list[str]:
-        """Holders whose copy came from a download."""
-        return [entry.peer_id
-                for entry in self._entries.get(resource_id, {}).values()
-                if entry.provenance == REPLICA]
-
-    def replication_degree(self, resource_id: str) -> int:
-        """Total copies known for ``resource_id`` (original + replicas)."""
-        return len(self._entries.get(resource_id, {}))
-
-    def degree_by_resource(self) -> dict[str, int]:
-        return {resource_id: len(holders) for resource_id, holders in self._entries.items()}
-
-    def resources(self) -> list[str]:
-        return sorted(self._entries)
-
     def total_replicas(self) -> int:
         """Downloaded copies across all resources."""
         return sum(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Sequence
 
 
 class ZipfDistribution:
@@ -47,14 +46,3 @@ class ZipfDistribution:
             raise IndexError(f"rank {rank} outside [0, {self.n})")
         previous = self._cumulative[rank - 1] if rank > 0 else 0.0
         return self._cumulative[rank] - previous
-
-    def pick(self, items: Sequence) -> object:
-        """Pick an element of ``items`` (which must have length ``n``)."""
-        if len(items) != self.n:
-            raise ValueError(f"expected {self.n} items, got {len(items)}")
-        return items[self.sample()]
-
-    def expected_top_share(self, top: int) -> float:
-        """Probability mass concentrated in the ``top`` most popular ranks."""
-        top = min(top, self.n)
-        return self._cumulative[top - 1] if top > 0 else 0.0

@@ -18,6 +18,11 @@ from repro.storage.interning import tokens_of
 from repro.storage.query import Criterion, Operator, Query
 from repro.workloads.popularity import ZipfDistribution
 
+#: share of queries that use vocabulary guaranteed not to occur in the corpus
+MISS_FRACTION = 0.1
+#: Zipf exponent of the record skew queries are drawn with
+ZIPF_EXPONENT = 0.8
+
 
 @dataclass
 class QueryWorkload:
@@ -33,11 +38,6 @@ class QueryWorkload:
     def __iter__(self):
         return iter(self.queries)
 
-    def mean_expected_matches(self) -> float:
-        if not self.expected_matches:
-            return 0.0
-        return sum(self.expected_matches) / len(self.expected_matches)
-
 
 def build_query_workload(
     community_id: str,
@@ -45,8 +45,6 @@ def build_query_workload(
     *,
     count: int = 50,
     searchable_fields: Optional[Sequence[str]] = None,
-    miss_fraction: float = 0.1,
-    zipf_exponent: float = 0.8,
     repeat_alpha: float = 0.0,
     seed: int = 0,
 ) -> QueryWorkload:
@@ -54,8 +52,8 @@ def build_query_workload(
 
     Queries target values drawn from the corpus itself, skewed by a Zipf
     distribution over records so that popular objects are asked for more
-    often; a ``miss_fraction`` of queries use vocabulary guaranteed not
-    to occur in the corpus.
+    often; a :data:`MISS_FRACTION` of queries use vocabulary guaranteed
+    not to occur in the corpus.
 
     ``repeat_alpha`` is the probability that a workload position
     re-issues an earlier query of the stream verbatim (drawn uniformly
@@ -66,14 +64,12 @@ def build_query_workload(
     """
     if not corpus:
         raise ValueError("cannot build a query workload from an empty corpus")
-    if not 0.0 <= miss_fraction <= 1.0:
-        raise ValueError("miss_fraction must be within [0, 1]")
     if not 0.0 <= repeat_alpha <= 1.0:
         raise ValueError("repeat_alpha must be within [0, 1]")
     rng = random.Random(seed)
     repeat_rng = random.Random(f"repeat:{seed}")
     fields = list(searchable_fields) if searchable_fields else _text_fields(corpus)
-    popularity = ZipfDistribution(len(corpus), exponent=zipf_exponent, seed=seed)
+    popularity = ZipfDistribution(len(corpus), exponent=ZIPF_EXPONENT, seed=seed)
     matches = _CorpusMatches(corpus)
     workload = QueryWorkload(community_id=community_id)
 
@@ -84,7 +80,7 @@ def build_query_workload(
             workload.queries.append(workload.queries[position])
             workload.expected_matches.append(workload.expected_matches[position])
             continue
-        if rng.random() < miss_fraction:
+        if rng.random() < MISS_FRACTION:
             query = Query.keyword(community_id, f"zzqx{query_index:04d} nothing matches this")
             workload.queries.append(query)
             workload.expected_matches.append(0)
@@ -103,7 +99,7 @@ def build_query_workload(
             expected = matches.field_contains(field_path, value)
         else:
             # Keyword query on a word of the value.
-            tokens = tokens_of(value)
+            tokens = matches.tokens(value)
             token = rng.choice(tokens) if tokens else value
             query = Query.keyword(community_id, token)
             expected = matches.keyword(token)
@@ -139,13 +135,23 @@ class _CorpusMatches:
     whose field value holds it) built the first time a field is asked
     about.  Counts and bitmasks, not per-record token sets: the corpus
     is large and the memo must stay small beside it.  A value publish
-    already indexed is not tokenised again (:func:`tokens_of`).
+    already indexed is not tokenised again (:func:`tokens_of`), and any
+    other value once per build: its tokens are kept here, never in the
+    interning memo.
     """
 
     def __init__(self, corpus: Sequence[dict[str, object]]) -> None:
         self._corpus = corpus
         self._keyword_frequency: Optional[Counter[str]] = None
         self._field_postings: dict[str, dict[str, int]] = {}
+        self._tokens: dict[str, Sequence[str]] = {}
+
+    def tokens(self, value: str) -> Sequence[str]:
+        """``tokens_of(value)``, each distinct value tokenised at most once."""
+        found = self._tokens.get(value)
+        if found is None:
+            found = self._tokens[value] = tokens_of(value)
+        return found
 
     def keyword(self, token: str) -> int:
         """Records holding ``token`` in any field."""
@@ -157,23 +163,23 @@ class _CorpusMatches:
                 held: set[str] = set()
                 for value in record.values():
                     if isinstance(value, str):
-                        held.update(tokens_of(value))
+                        held.update(self.tokens(value))
                     else:
                         for item in value:
-                            held.update(tokens_of(str(item)))
+                            held.update(self.tokens(str(item)))
                 self._keyword_frequency.update(held)
         return self._keyword_frequency[token.lower()]
 
     def field_contains(self, field_path: str, value: str) -> int:
         """Records whose ``field_path`` value holds every token of ``value``."""
-        wanted = tokens_of(value)
+        wanted = self.tokens(value)
         if not wanted:
             return 0
         postings = self._field_postings.get(field_path)
         if postings is None:
             postings = self._field_postings[field_path] = {}
             for position, record in enumerate(self._corpus):
-                for token in tokens_of(_value_of(record, field_path)):
+                for token in self.tokens(_value_of(record, field_path)):
                     postings[token] = postings.get(token, 0) | (1 << position)
         holders = -1
         for token in wanted:

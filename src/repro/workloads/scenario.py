@@ -61,7 +61,6 @@ class ScenarioConfig:
     ttl: int = 7
     degree: int = 4
     super_peer_ratio: float = 0.1
-    miss_fraction: float = 0.1
     seed: int = 0
     #: how many queries are kept in flight together (1 = serial)
     concurrency: int = 1
@@ -85,8 +84,6 @@ class ScenarioConfig:
     live_membership: bool = MembershipConfig.live
     #: ``MembershipConfig.maintenance_interval_ms``
     maintenance_interval_ms: float = MembershipConfig.maintenance_interval_ms
-    #: ``MembershipConfig.heartbeat_lease_intervals``
-    heartbeat_lease_intervals: int = MembershipConfig.heartbeat_lease_intervals
     #: advertisement lease of the rendezvous organisation
     #: (``RendezvousProtocol(lease_ms=...)``; the others ignore it)
     rendezvous_lease_ms: float = 30 * 60 * 1000.0
@@ -129,8 +126,6 @@ class ScenarioConfig:
     informed_routing: bool = RoutingConfig.informed
     #: ``RoutingConfig.filter_bits``
     routing_filter_bits: int = RoutingConfig.filter_bits
-    #: ``RoutingConfig.hash_count``
-    routing_hash_count: int = RoutingConfig.hash_count
     #: ``RoutingConfig.depth``
     routing_depth: int = RoutingConfig.depth
 
@@ -179,8 +174,7 @@ class ScenarioConfig:
                               ttl_ms=self.cache_ttl_ms),
             membership=MembershipConfig(
                 live=self.live_membership,
-                maintenance_interval_ms=self.maintenance_interval_ms,
-                heartbeat_lease_intervals=self.heartbeat_lease_intervals),
+                maintenance_interval_ms=self.maintenance_interval_ms),
             reliability=ReliabilityConfig(
                 reliable_delivery=self.reliable_delivery,
                 retry_timeout_ms=self.retry_timeout_ms,
@@ -189,7 +183,6 @@ class ScenarioConfig:
                 download_stall_timeout_ms=self.download_stall_timeout_ms),
             routing=RoutingConfig(informed=self.informed_routing,
                                   filter_bits=self.routing_filter_bits,
-                                  hash_count=self.routing_hash_count,
                                   depth=self.routing_depth),
         )
 
@@ -219,26 +212,18 @@ class Scenario:
     def run_queries(self, *, max_results: int = 100) -> list[int]:
         """Run the whole query workload round-robin over members.
 
-        With ``concurrency`` of one each query completes before the
-        next is submitted; above one, the driver keeps that many
-        queries in flight together on the event kernel.  Returns the
-        result count of each query (recall analysis happens against
-        ``workload.expected_matches``).
+        The driver submits the workload in batches of ``concurrency``
+        queries kept in flight together on the event kernel (one at a
+        time when it is one).  Returns the result count of each query
+        (recall analysis happens against ``workload.expected_matches``).
         """
         members = self.members()
-        if self.config.concurrency <= 1:
-            counts: list[int] = []
-            for index, query in enumerate(self.workload):
-                searcher = members[index % len(members)]
-                response = searcher.search(self.community_id, query, max_results=max_results)
-                counts.append(response.result_count)
-            return counts
         ops = [
             SearchOp(origin_id=members[index % len(members)].peer_id, query=query)
             for index, query in enumerate(self.workload)
         ]
         driver = QueryDriver(self.network)
-        counts = []
+        counts: list[int] = []
         for start in range(0, len(ops), self.config.concurrency):
             outcome = driver.run_mixed(
                 ops[start:start + self.config.concurrency],
@@ -368,7 +353,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None, **overrides) -> Scen
         corpus,
         count=config.queries,
         searchable_fields=[path for path in searchable if "/" not in path] or None,
-        miss_fraction=config.miss_fraction,
         repeat_alpha=config.query_repeat_alpha,
         seed=config.seed,
     )

@@ -15,7 +15,7 @@ those stylesheets need:
   methods.
 """
 
-from repro.xslt.engine import Transformer, transform
+from repro.xslt.engine import Transformer
 from repro.xslt.errors import XSLTError
 from repro.xslt.html import render_html
 from repro.xslt.model import Stylesheet, TemplateRule
@@ -23,7 +23,6 @@ from repro.xslt.parser import parse_stylesheet, parse_stylesheet_text
 
 __all__ = [
     "Transformer",
-    "transform",
     "Stylesheet",
     "TemplateRule",
     "XSLTError",

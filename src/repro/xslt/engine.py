@@ -44,34 +44,15 @@ class TransformResult:
                 return node
         return None
 
-    def to_text(self) -> str:
-        """Concatenated text content of the result tree."""
-        parts = []
-        for node in self.nodes:
-            parts.append(node.text_content() if isinstance(node, Element) else node)
-        return "".join(parts)
-
-    def to_xml(self) -> str:
-        """Serialize the result as XML (no declaration)."""
-        parts = []
-        for node in self.nodes:
-            if isinstance(node, Element):
-                parts.append(serialize(node, xml_declaration=False))
-            else:
-                parts.append(node)
-        return "".join(parts)
-
-    def to_html(self) -> str:
-        """Serialize the result as HTML."""
-        return render_html(self.nodes)
-
     def serialize(self) -> str:
         """Serialize according to the stylesheet's output method."""
         if self.output_method == "html":
-            return self.to_html()
+            return render_html(self.nodes)
         if self.output_method == "text":
-            return self.to_text()
-        return self.to_xml()
+            return "".join(node.text_content() if isinstance(node, Element) else node
+                           for node in self.nodes)
+        return "".join(serialize(node, xml_declaration=False) if isinstance(node, Element)
+                       else node for node in self.nodes)
 
 
 class Transformer:
@@ -376,16 +357,6 @@ class Transformer:
             return value
 
         return sorted(nodes, key=key, reverse=descending)
-
-
-# ----------------------------------------------------------------------
-def transform(
-    stylesheet: Stylesheet,
-    source: Union[Document, Element],
-    parameters: Optional[dict[str, str]] = None,
-) -> TransformResult:
-    """Convenience wrapper: apply ``stylesheet`` to ``source``."""
-    return Transformer(stylesheet).transform(source, parameters)
 
 
 def _expand_avt(template: str, context: EvalContext) -> str:

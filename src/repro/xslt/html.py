@@ -23,7 +23,7 @@ _BOOLEAN_ATTRIBUTES = {"checked", "selected", "disabled", "readonly", "multiple"
 
 
 def render_html(nodes: Sequence[Union[Element, str]]) -> str:
-    """Serialize result-tree nodes as an HTML fragment (or page)."""
+    """Serialize result-tree nodes as an HTML fragment."""
     parts: list[str] = []
     for node in nodes:
         if isinstance(node, Element):
@@ -31,16 +31,6 @@ def render_html(nodes: Sequence[Union[Element, str]]) -> str:
         else:
             parts.append(escape_text(node))
     return "".join(parts)
-
-
-def render_page(body: Union[Element, str], *, title: str = "U-P2P") -> str:
-    """Wrap a fragment in a minimal HTML page skeleton."""
-    content = render_html([body]) if isinstance(body, Element) else body
-    return (
-        "<!DOCTYPE html>\n"
-        f"<html><head><meta charset=\"utf-8\"><title>{escape_text(title)}</title></head>"
-        f"<body>{content}</body></html>"
-    )
 
 
 def _write_html(element: Element, parts: list[str]) -> None:

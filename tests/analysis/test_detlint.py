@@ -24,7 +24,7 @@ RED_EXPECTATIONS = {
     "det002_red.py": {"DET002": 1},
     "det003_red.py": {"DET003": 2},
     "det004_red.py": {"DET004": 5},
-    "network/kern001_red.py": {"KERN001": 2},
+    "network/kern001_red.py": {"KERN001": 1},
     "network/kern002_red.py": {"KERN002": 3},
 }
 

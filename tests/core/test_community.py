@@ -1,5 +1,7 @@
 """Tests for communities, descriptors and the Fig. 3 bootstrap schema."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.community import (
@@ -107,15 +109,24 @@ class TestCommunity:
         resource = community.to_resource()
         assert resource.community_id == ROOT_COMMUNITY_ID
         assert resource.title == "MP3s"
-        rebuilt = Community.from_resource(resource, mp3_xsd)
+        rebuilt = Community(CommunityDescriptor.from_xml(resource.document), mp3_xsd)
         assert rebuilt.descriptor == descriptor
         assert rebuilt.community_id == community.community_id
 
     def test_with_descriptor(self, mp3_xsd):
+        """Narrowing (paper §IV-A): the same schema under a narrower
+        descriptor is a community of its own that shares the parsed
+        schema with the broad one."""
         community = Community(CommunityDescriptor(name="MP3s"), mp3_xsd)
-        narrowed = community.with_descriptor(description="only Miles Davis")
+        narrowed = Community(
+            dataclasses.replace(community.descriptor, name="MP3s: Miles Davis",
+                                description="only Miles Davis"),
+            community.schema_xsd)
         assert narrowed.descriptor.description == "only Miles Davis"
-        assert narrowed.descriptor.name == "MP3s"
+        assert community.descriptor.description == ""
+        assert narrowed.community_id != community.community_id
+        assert narrowed.schema is community.schema
+        assert narrowed.searchable_field_paths() == community.searchable_field_paths()
 
 
 class TestRootCommunity:

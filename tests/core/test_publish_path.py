@@ -192,8 +192,10 @@ class TestWorkCounts:
 
         index = application.servent.repository.index
         catalog = application.servent.network._server.index
-        local = [entry.value for key in keys for entry in index.entries_for(key)]
-        served = [entry.value for key in keys for entry in catalog.entries_for(f"{key}@alice")]
+        served_keys = {f"{key}@alice" for key in keys}
+        local = [entry.value for entry in index.iter_entries() if entry.resource_id in keys]
+        served = [entry.value for entry in catalog.iter_entries()
+                  if entry.resource_id in served_keys]
         assert sorted(served) == sorted(local)
         assert len(local) > len(set(local)) > 0
         assert tracer.counts["tokenize"] == len(set(local))

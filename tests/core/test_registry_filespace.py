@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.community import Community, CommunityDescriptor, ROOT_COMMUNITY_ID
-from repro.core.errors import CommunityError, NotAMemberError
+from repro.core.errors import NotAMemberError
 from repro.core.filespace import FileSpace, filespace_for
 from repro.core.registry import CommunityRegistry
 from repro.communities.mp3 import mp3_schema_xsd
@@ -21,20 +21,12 @@ class TestRegistry:
         assert registry.root.name == "Community"
         assert len(registry) == 1
 
-    def test_join_and_leave(self):
+    def test_join(self):
         registry = CommunityRegistry()
         community = make_community()
         registry.join(community)
         assert registry.is_joined(community.community_id)
-        registry.leave(community.community_id)
-        assert not registry.is_joined(community.community_id)
-        # Still known even after leaving.
-        assert registry.get(community.community_id) is community
-
-    def test_cannot_leave_root(self):
-        registry = CommunityRegistry()
-        with pytest.raises(CommunityError):
-            registry.leave(ROOT_COMMUNITY_ID)
+        assert registry.known[community.community_id] is community
 
     def test_require_joined(self):
         registry = CommunityRegistry()
@@ -50,18 +42,23 @@ class TestRegistry:
         with pytest.raises(NotAMemberError):
             CommunityRegistry().require_joined("community-doesnotexist")
 
-    def test_find_by_name_case_insensitive(self):
+    def test_register_records_without_joining(self):
         registry = CommunityRegistry()
         community = make_community("Design Patterns")
-        registry.register(community)
-        assert registry.find_by_name("design patterns") is community
-        assert registry.find_by_name("nope") is None
+        assert registry.register(community) is community
+        assert registry.known[community.community_id] is community
+        assert not registry.is_joined(community.community_id)
+        assert len(registry) == 1
+        with pytest.raises(NotAMemberError, match="known but not joined: 'Design Patterns'"):
+            registry.require_joined(community.community_id)
 
-    def test_joined_ids_sorted(self):
+    def test_iterates_joined_communities_in_join_order(self):
         registry = CommunityRegistry()
-        registry.join(make_community("B community"))
-        registry.join(make_community("A community"))
-        assert registry.joined_ids() == sorted(registry.joined_ids())
+        first = registry.join(make_community("B community"))
+        second = registry.join(make_community("A community"))
+        registry.register(make_community("C community"))   # known only
+        assert list(registry) == [registry.root, first, second]
+        assert len(registry) == 3
 
 
 class TestFileSpace:
@@ -69,7 +66,6 @@ class TestFileSpace:
         space = FileSpace()
         space.put("up2p:mp3/schema.xsd", "<schema/>")
         assert space.get("up2p:mp3/schema.xsd") == "<schema/>"
-        assert space.has("up2p:mp3/schema.xsd")
         assert len(space) == 1
         assert space.fetches == 1
 

@@ -60,9 +60,8 @@ class TestResource:
         resource = Resource.from_xml_text("mp3s", sample_mp3_xml)
         assert resource.display_title(mp3_schema) == "So What"
 
-    def test_size_bytes(self, sample_mp3_xml):
+    def test_to_xml_text(self, sample_mp3_xml):
         resource = Resource.from_xml_text("mp3s", sample_mp3_xml)
-        assert resource.size_bytes() == len(resource.to_xml_text().encode("utf-8"))
         assert "<mp3>" in resource.to_xml_text()
 
     def test_pretty_serialization(self, sample_mp3_xml):

@@ -23,7 +23,6 @@ from repro.core.stylesheets import (
     DEFAULT_VIEW_STYLESHEET,
     StylesheetSet,
     _compile,
-    compile_stylesheet,
 )
 from repro.communities.design_patterns import design_pattern_community, pattern_stylesheets
 from repro.schema.model import ElementDeclaration
@@ -33,6 +32,7 @@ from repro.xmlkit.dom import Element
 from repro.xmlkit.parser import parse as parse_xml
 from repro.xmlkit.serializer import serialize
 from repro.xslt.errors import XSLTParseError
+from repro.xslt.parser import parse_stylesheet_text
 
 COMPILED = ("_create", "_search", "_view", "_index_filter")
 
@@ -74,8 +74,8 @@ class TestFlyweightIsReal:
     def test_public_parsers_still_hand_out_fresh_objects(self):
         first = parse_schema_text(COMMUNITY_SCHEMA_XSD)
         assert first is not parse_schema_text(COMMUNITY_SCHEMA_XSD)
-        assert compile_stylesheet(DEFAULT_VIEW_STYLESHEET) \
-            is not compile_stylesheet(DEFAULT_VIEW_STYLESHEET)
+        assert parse_stylesheet_text(DEFAULT_VIEW_STYLESHEET) \
+            is not parse_stylesheet_text(DEFAULT_VIEW_STYLESHEET)
         # ... and mutable ones: a caller's edit stays the caller's.
         first.add_element(ElementDeclaration(name="extra"))
         assert "extra" not in parse_schema_text(COMMUNITY_SCHEMA_XSD).elements
@@ -150,7 +150,7 @@ class TestReadOnlyContract:
         schemas = (root_community().schema,
                    Community(CommunityDescriptor(name=definition.name),
                              definition.schema_xsd).schema)
-        described = [schema.describe() for schema in schemas]
+        described = [copy.deepcopy(schema.fields()) for schema in schemas]
         state = [schema_state(schema) for schema in schemas]
 
         scenario = build_scenario(protocol="super-peer", community="design-patterns",
@@ -161,5 +161,5 @@ class TestReadOnlyContract:
 
         assert scenario.servents[-1].registry.root.schema is schemas[0]
         assert scenario.applications[-1].community.schema is schemas[1]
-        assert [schema.describe() for schema in schemas] == described
+        assert [schema.fields() for schema in schemas] == described
         assert [schema_state(schema) for schema in schemas] == state

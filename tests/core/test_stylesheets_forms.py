@@ -1,20 +1,32 @@
 """Tests for the default stylesheets (Fig. 1 / Fig. 2 pipeline) and forms."""
 
-from repro.core.forms import CreateForm, SearchForm
+import re
+
+from repro.core.forms import SearchForm
 from repro.core.stylesheets import (
     DEFAULT_CREATE_STYLESHEET,
     DEFAULT_INDEX_FILTER_STYLESHEET,
     DEFAULT_SEARCH_STYLESHEET,
     DEFAULT_VIEW_STYLESHEET,
     StylesheetSet,
-    compile_stylesheet,
 )
 from repro.communities.design_patterns import (
     PATTERN_INDEX_FILTER_STYLESHEET,
     PATTERN_VIEW_STYLESHEET,
     pattern_stylesheets,
 )
+from repro.schema.instance import build_instance
+from repro.schema.validator import validate
 from repro.storage.query import Operator
+from repro.xslt.parser import parse_stylesheet_text
+
+
+def input_names(html, row_class=None):
+    """The ``name`` of every ``<input>`` in a rendered form, in order;
+    with ``row_class``, only those inside ``<tr class="row_class">``."""
+    if row_class is None:
+        return re.findall(r'<input type="text" name="([^"]+)"', html)
+    return re.findall(rf'<tr class="{row_class}">.*?<input type="text" name="([^"]+)"', html)
 
 
 class TestDefaultStylesheets:
@@ -23,7 +35,7 @@ class TestDefaultStylesheets:
     def test_all_defaults_compile(self):
         for text in (DEFAULT_CREATE_STYLESHEET, DEFAULT_SEARCH_STYLESHEET,
                      DEFAULT_VIEW_STYLESHEET, DEFAULT_INDEX_FILTER_STYLESHEET):
-            assert compile_stylesheet(text).templates
+            assert parse_stylesheet_text(text).templates
 
     def test_create_form_generated_from_schema(self, mp3_xsd):
         html = StylesheetSet().render_create_form(mp3_xsd)
@@ -88,61 +100,86 @@ class TestDefaultStylesheets:
         assert "sample_code" not in values
 
 
-class TestCreateForm:
+class TestFormFields:
     def test_fields_from_schema(self, mp3_schema):
-        form = CreateForm.from_schema("MP3s", mp3_schema)
-        paths = [field.path for field in form.fields]
-        assert "title" in paths and "file" in paths
-        by_path = {field.path: field for field in form.fields}
-        assert by_path["genre"].input_type == "select"
-        assert by_path["bitrate"].input_type == "number"
-        assert by_path["file"].input_type == "url"
-        assert by_path["year"].required is False
+        by_path = {field.path: field for field in SearchForm.from_schema(mp3_schema).fields}
+        genres = {info.path: info.enumeration for info in mp3_schema.fields()}["genre"]
+        assert by_path["genre"].options == tuple(genres)
+        assert by_path["title"].options == ()
 
-    def test_submit_builds_valid_instance(self, mp3_schema):
-        form = CreateForm.from_schema("MP3s", mp3_schema)
-        document, report = form.submit(mp3_schema, {
+
+class TestCreateForm:
+    """The Create form the default stylesheet generates (paper §IV-C.1)."""
+
+    def test_html_rendering(self, mp3_xsd, mp3_schema):
+        html = StylesheetSet().render_create_form(mp3_xsd)
+        # one input per schema field, in schema order, each labelled with
+        # its declared type (the enumeration's named type for genre)
+        assert input_names(html) == [info.path for info in mp3_schema.fields()]
+        assert 'name="bitrate" class="xsd:positiveInteger"' in html
+        assert 'name="genre" class="genreValues"' in html
+        assert html.count('type="submit"') == 1
+
+    def test_submit_builds_valid_instance(self, mp3_xsd, mp3_schema):
+        # Every input the generated form offers is a field path the
+        # Create function accepts; filling them in gives a valid object.
+        html = StylesheetSet().render_create_form(mp3_xsd)
+        filled = {
             "title": "Blue in Green", "artist": "Miles Davis", "album": "Kind of Blue",
-            "genre": "jazz", "bitrate": "256",
-        })
-        assert report.is_valid
+            "genre": "jazz", "year": "1959", "bitrate": "256", "duration": "337",
+            "file": "http://peer.local/audio/blue-in-green.mp3",
+        }
+        values = {name: filled[name] for name in input_names(html)}
+        assert set(values) == set(filled)
+        document = build_instance(mp3_schema, values)
+        assert validate(mp3_schema, document).is_valid
         assert document.child_text("title") == "Blue in Green"
-
-    def test_html_rendering(self, mp3_schema):
-        html = CreateForm.from_schema("MP3s", mp3_schema).to_html()
-        assert "<select" in html and "<option" in html
-        assert 'type="number"' in html
-        assert "required" in html
+        assert document.child_text("bitrate") == "256"
 
 
 class TestSearchForm:
     def test_only_searchable_fields(self, mp3_schema):
-        form = SearchForm.from_schema("MP3s", mp3_schema)
+        form = SearchForm.from_schema(mp3_schema)
         paths = {field.path for field in form.fields}
         assert paths == {"title", "artist", "album", "genre"}
 
     def test_submit_builds_query(self, mp3_schema):
-        form = SearchForm.from_schema("MP3s", mp3_schema)
+        form = SearchForm.from_schema(mp3_schema)
         query = form.submit("mp3s", {"artist": "Miles Davis", "title": ""})
         assert len(query.criteria) == 1
         assert query.criteria[0].field_path == "artist"
         assert query.criteria[0].operator == Operator.CONTAINS
 
     def test_enumerated_fields_use_equals(self, mp3_schema):
-        form = SearchForm.from_schema("MP3s", mp3_schema)
+        form = SearchForm.from_schema(mp3_schema)
         query = form.submit("mp3s", {"genre": "jazz"})
         assert query.criteria[0].operator == Operator.EQUALS
 
     def test_unknown_fields_ignored(self, mp3_schema):
-        form = SearchForm.from_schema("MP3s", mp3_schema)
+        form = SearchForm.from_schema(mp3_schema)
         query = form.submit("mp3s", {"composer": "Bach"})
-        assert query.is_empty
+        assert query.criteria == []
 
     def test_keyword_query(self, mp3_schema):
-        form = SearchForm.from_schema("MP3s", mp3_schema)
+        form = SearchForm.from_schema(mp3_schema)
         query = form.keyword_query("mp3s", "kind of blue")
         assert query.criteria[0].operator == Operator.ANY
 
-    def test_html_rendering(self, mp3_schema):
-        html = SearchForm.from_schema("MP3s", mp3_schema).to_html()
-        assert "up2p-search" in html and 'name="artist"' in html
+    def test_submit_joins_repeated_values_and_strips_blanks(self, mp3_schema):
+        form = SearchForm.from_schema(mp3_schema)
+        query = form.submit("mp3s", {"title": ["kind", "of", "blue"],
+                                     "artist": "  Miles  ", "album": "   "})
+        assert [(c.field_path, c.value) for c in query.criteria] == \
+            [("title", "kind of blue"), ("artist", "Miles")]
+        assert query.community_id == "mp3s"
+
+    def test_html_rendering(self, mp3_xsd, mp3_schema):
+        # The stylesheet-rendered form and the programmatic model agree
+        # on which fields a search can use.
+        html = StylesheetSet().render_search_form(mp3_xsd)
+        model = [field.path for field in SearchForm.from_schema(mp3_schema).fields]
+        assert "up2p-search" in html
+        assert input_names(html, "searchable") == model
+        assert set(input_names(html, "not-indexed")) == \
+            {info.path for info in mp3_schema.fields()} - set(model)
+        assert html.count("disabled") == len(input_names(html, "not-indexed"))

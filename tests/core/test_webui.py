@@ -25,6 +25,17 @@ class TestPages:
         assert "MP3 community" in html
         assert "centralized" in html
 
+    def test_page_skeleton(self, populated):
+        alice, _, app = populated
+        ui = WebUI(alice, title="U-P2P <lab>")
+        for page in (ui.home_page(), ui.communities_page(),
+                     ui.community_page(app.community.community_id)):
+            assert page.startswith("<!DOCTYPE html>\n<html><head>")
+            assert "<title>U-P2P &lt;lab&gt; — " in page
+            assert '<a href="index.html">Home</a>' in page
+            assert '<a href="communities.html">Communities</a>' in page
+            assert page.endswith("</body></html>")
+
     def test_communities_page_lists_discovered_communities(self, populated):
         _, bob, app = populated
         html = WebUI(bob).communities_page()

@@ -1,7 +1,7 @@
 """Guards on the transport hot path: what it must compute, and how often.
 
-* *Golden digests.*  ``NetworkStats.digest`` of one toy-size round of
-  each benchmark workload, serial and ``shards=4``, against constants
+* *Golden digests.*  ``bench.measure.counters_digest`` of one toy-size
+  round of each benchmark workload, serial and ``shards=4``, against constants
   taken before the transport was reworked.  A simulator-only change
   that moves one of them fails here in seconds, not only in the bench
   pipeline; a change that means to move one rebases the constant and
@@ -9,8 +9,8 @@
   a QUERY back to the neighbour that delivered it, ``dynamic`` once,
   when fault rolls became BLAKE2b lanes, and ``directory`` once, when
   the index server's store became a ``HubCatalog`` and the origin began
-  answering its own matches locally.  The bench's own
-  ``counters_digest`` is pinned equal to the ``src/`` spelling.
+  answering its own matches locally.  The bench's own first round is
+  pinned equal to the toy round.
 * *Golden query evaluation.*  Per protocol, a digest of a concurrent
   search scenario's observables and the hits of one direct search,
   taken while a switch could still send every query through the
@@ -108,7 +108,7 @@ def run_round(scenario):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_toy_round_reproduces_the_golden_digest(name, shards):
     scenario, counts = toy_round(name, shards)
-    assert scenario.network.stats.digest(counts) == GOLDEN[name]
+    assert measure.counters_digest(counts, scenario.network.stats) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("shards", [1, 4])
@@ -130,17 +130,13 @@ def test_a_drained_round_leaves_no_state_behind(name, shards):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_stats_digest_is_the_bench_counters_digest(name):
-    """``NetworkStats.digest`` and ``bench.measure.counters_digest`` are one
-    definition of "same behaviour": equal on the round itself, and on the
-    bench's own first round."""
+def test_the_bench_first_round_is_the_toy_round(name):
+    """The bench's own first round does what the toy round does."""
     scenario, counts = toy_round(name)
-    stats = scenario.network.stats
-    assert stats.digest(counts) == measure.counters_digest(counts, stats)
     bench_scenario = build_scenario(scenario_config(name, SEED, toy=True))
     phase = measure.run_ops(bench_scenario, 0.0, measure.HostSpeed())
     assert phase.failed == 0
-    assert phase.first.digest == stats.digest(counts)
+    assert phase.first.digest == measure.counters_digest(counts, scenario.network.stats)
 
 
 #: the committed work ledger; ``python -m tests.engine.test_hot_path``

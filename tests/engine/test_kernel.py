@@ -366,33 +366,47 @@ class TestRetrieveOnKernel:
         assert context.done and context.stored is None
 
 
-class TestTimerAffinity:
-    """Recurring timers carry an optional shard-affinity hint."""
-
-    def test_every_without_affinity_behaves_as_before(self):
+class TestRecurringTimer:
+    def test_every_fires_each_interval_until_cancelled(self):
         kernel, simulator, _, _ = make_kernel()
         fired = []
-        kernel.every(10.0, lambda: fired.append(simulator.now))
-        simulator.run(until_ms=35.0)
-        assert fired == [10.0, 20.0, 30.0]
-
-    def test_every_with_affinity_fires_identically_on_single_queue(self):
-        # The hint routes execution under a sharded simulator; on the
-        # single-queue simulator it must change nothing observable.
-        kernel, simulator, _, _ = make_kernel()
-        fired = []
-        timer = kernel.every(10.0, lambda: fired.append(simulator.now), affinity="a")
-        assert timer.affinity == "a"
+        timer = kernel.every(10.0, lambda: fired.append(simulator.now))
         simulator.run(until_ms=35.0)
         assert fired == [10.0, 20.0, 30.0]
         timer.cancel()
         simulator.run(until_ms=60.0)
         assert len(fired) == 3
 
-    def test_affinity_timer_first_delay_override(self):
+    def test_every_rejects_a_non_positive_interval(self):
+        kernel, simulator, _, _ = make_kernel()
+        for interval in (0.0, -5.0):
+            with pytest.raises(ValueError, match="must be positive"):
+                kernel.every(interval, lambda: None)
+        assert kernel.timers == []
+        assert simulator.pending_events() == 0
+
+    def test_a_callback_can_cancel_its_own_timer(self):
         kernel, simulator, _, _ = make_kernel()
         fired = []
-        kernel.every(10.0, lambda: fired.append(simulator.now),
-                     first_delay_ms=3.0, affinity="b")
-        simulator.run(until_ms=25.0)
-        assert fired == [3.0, 13.0, 23.0]
+
+        def tick():
+            fired.append(simulator.now)
+            if len(fired) == 2:
+                timer.cancel()
+
+        timer = kernel.every(7.0, tick)
+        simulator.run(until_ms=100.0)
+        assert fired == [7.0, 14.0]
+
+    def test_cancel_timers_stops_every_timer(self):
+        kernel, simulator, _, _ = make_kernel()
+        fired = []
+        kernel.every(10.0, lambda: fired.append(("a", simulator.now)))
+        kernel.every(15.0, lambda: fired.append(("b", simulator.now)))
+        simulator.run(until_ms=30.0)
+        # At the 30 ms tie, b's firing was queued first (at 15 ms, a's at 20 ms)
+        assert fired == [("a", 10.0), ("b", 15.0), ("a", 20.0), ("b", 30.0), ("a", 30.0)]
+        kernel.cancel_timers()
+        assert kernel.timers == []
+        simulator.run(until_ms=100.0)
+        assert len(fired) == 5

@@ -151,7 +151,7 @@ class TestConservativeBarrier:
         # twice.
         kernel, simulator, _ = make_sharded_kernel(base_ms=20.0, jitter_ms=0.0)
         fired = []
-        timer = kernel.every(20.0, lambda: fired.append(simulator.now), affinity=B)
+        timer = kernel.every(20.0, lambda: fired.append(simulator.now))
         simulator.run(until_ms=100.0)
         assert fired == [20.0, 40.0, 60.0, 80.0, 100.0]
         timer.cancel()

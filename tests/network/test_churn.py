@@ -24,9 +24,25 @@ class TestSessionChurn:
             PopulationModel(network, mean_absence_ms=-5)
 
     def test_expected_availability(self):
-        network = build_network(5)
-        churn = PopulationModel(network, mean_session_ms=3000, mean_absence_ms=1000)
-        assert churn.expected_availability() == pytest.approx(0.75)
+        """Time-weighted availability over the event log approaches
+        session / (session + absence) = 3000 / 4000."""
+        network = build_network(30)
+        churn = PopulationModel(network, mean_session_ms=3000, mean_absence_ms=1000, seed=4)
+        churn.start()
+        horizon = 60_000.0
+        network.simulator.run(until_ms=horizon)
+        online_ms = 0.0
+        for peer_id in network.peers:
+            since, online = 0.0, True
+            for event in churn.events:
+                if event.peer_id == peer_id:
+                    if online:
+                        online_ms += event.time_ms - since
+                    since, online = event.time_ms, event.online
+            if online:
+                online_ms += horizon - since
+        availability = online_ms / (horizon * len(network.peers))
+        assert availability == pytest.approx(0.75, abs=0.05)
 
     def test_peers_depart_and_return(self):
         network = build_network()
@@ -47,7 +63,7 @@ class TestSessionChurn:
         churn = PopulationModel(network, mean_session_ms=2000, mean_absence_ms=2000, seed=5)
         churn.start()
         network.simulator.run(until_ms=20_000)
-        observed = churn.observed_availability()
+        observed = len(network.online_peers()) / len(network.peers)
         assert 0.2 <= observed <= 0.8  # expected 0.5 with generous tolerance
 
     def test_events_recorded_with_timestamps(self):

@@ -29,6 +29,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 import repro
+from bench.measure import counters_digest
 from repro.engine.driver import QueryDriver, RetrieveOp, SearchOp
 from repro.engine.sharded import ShardedSimulator
 from repro.network.centralized import CentralizedProtocol
@@ -385,7 +386,7 @@ class TestResultCacheContract:
         publish_pattern(network, "peer-005", "Observer")
         network.go_live()
         home = network.peer("peer-005").super_peer_id
-        origin = sorted(network.leaves_of(home) - {"peer-005"})[0]
+        origin = sorted(network._hubs[home].members - {"peer-005"})[0]
         assert "peer-005" in self.providers_of(network, origin)  # fills entry cache
         network.set_online("peer-005", False)
         assert "peer-005" in self.providers_of(network, origin)  # served stale
@@ -527,12 +528,12 @@ INFORMED = dict(informed_routing=True)
 #: while the mechanism is off.  ``rendezvous_lease_ms`` is not here: the
 #: off-mode rendezvous walk pulls lease expiry at search time.
 INERT_KNOBS = {
-    "live": dict(maintenance_interval_ms=123.0, heartbeat_lease_intervals=5),
+    "live": dict(maintenance_interval_ms=123.0),
     "churn": dict(churn_absence_ms=333.0),
     "caching": dict(cache_capacity=2, cache_ttl_ms=37.0),
     "faults": dict(retry_timeout_ms=37.0, retry_max_attempts=9,
                    download_stall_timeout_ms=77.0, faults=FaultPlan(seed=99)),
-    "informed": dict(routing_filter_bits=64, routing_hash_count=1, routing_depth=1),
+    "informed": dict(routing_filter_bits=64, routing_depth=1),
 }
 
 
@@ -582,7 +583,7 @@ INERT_CASES = [(mechanism, cell) for mechanism in INERT_KNOBS for protocol in PR
 
 def observe(stats, counts) -> tuple:
     """One run as the contract compares it."""
-    return stats.digest(counts), stats.summary(), tuple(stats.staleness_windows_ms)
+    return counters_digest(counts, stats), stats.summary(), tuple(stats.staleness_windows_ms)
 
 
 def store_violations(network) -> list:
@@ -594,7 +595,7 @@ def store_violations(network) -> list:
         return [(a, b) for a in sorted(peers) for b in sorted(peers[a].neighbors)
                 if b == a or a not in peers[b].neighbors]
     if isinstance(network, TwoTierNetwork):
-        return [hub_id for hub_id in sorted(network._hubs)
+        return [hub_id for hub_id in network.hub_ids()
                 if hub_id not in peers or not peers[hub_id].online
                 or peers[hub_id].super_peer_id != hub_id]
     return []
@@ -758,7 +759,9 @@ def _run_cell(cell: Cell, shards: int, knobs: tuple) -> CellRun:
         fates=[ledger.balance()],
         engaged=dict(
             cache=(stats.cache_hits, stats.cache_misses), faults=stats.fault_summary(),
-            routing=stats.routing_summary(), control_messages=stats.control_messages,
+            routing=(stats.routing_pruned, stats.routing_fallbacks,
+                     stats.routing_fp_forwards, stats.routing_filter_bytes),
+            control_messages=stats.control_messages,
             churn_events=len(scenario.churn.events) if scenario.churn else 0,
             windows=getattr(simulator, "windows", 0),
             cross_shard_messages=getattr(simulator, "cross_shard_messages", 0),
@@ -811,7 +814,7 @@ class TestGeneratedContract:
         faults, routing = engaged["faults"], engaged["routing"]
         assert (hits > 0) == (misses > 0) == cell.caching
         assert (faults["dropped"] > 0) == any(faults.values()) == cell.faults
-        assert (routing["routing_pruned"] > 0) == any(routing.values()) == cell.informed
+        assert (routing[0] > 0) == any(routing) == cell.informed
         assert (engaged["churn_events"] > 0) == (cell.lifecycle != "static")
         assert (engaged["control_messages"] > 0) == (cell.lifecycle == "live")
         sharded = run_cell(cell, 4).engaged

@@ -52,7 +52,8 @@ class TestPopulationModel:
         assert ids[2] not in network.peers
         settle(network, 200)
         assert all(peer_id in network.peers for peer_id in ids)
-        arrivals = model.arrivals()
+        arrivals = model.events
+        assert all(event.kind == "arrive" for event in arrivals)
         assert [event.peer_id for event in arrivals] == ids
         assert [event.time_ms for event in arrivals] == [100.0, 150.0, 200.0, 250.0]
 
@@ -64,7 +65,7 @@ class TestPopulationModel:
         assert len(network.peers) == before
         settle(network, 2)
         assert len(network.peers) == before + 10
-        assert {event.time_ms for event in model.arrivals()} == {500.0}
+        assert {(event.kind, event.time_ms) for event in model.events} == {("arrive", 500.0)}
         assert all(peer_id in network.peers for peer_id in ids)
 
     def test_permanent_departure_mid_absence_sticks(self):
@@ -170,9 +171,9 @@ class TestCentralizedLiveMembership:
         # Inside the staleness window the catalog still holds the entry
         # (search filters the offline provider, but the server pays the
         # storage and does not know).
-        assert network.catalog_size() == 2
+        assert len(network._server.records) == 2
         settle(network, 3 * network.heartbeat_lease_ms)
-        assert network.catalog_size() == 1
+        assert len(network._server.records) == 1
         assert network.stats.staleness_windows_ms
         assert "peer-001" not in network.believed_online()
 
@@ -180,12 +181,12 @@ class TestCentralizedLiveMembership:
         network, _ = self.build()
         network.set_online("peer-001", False)
         settle(network, 3 * network.heartbeat_lease_ms)
-        assert network.catalog_size() == 1
+        assert len(network._server.records) == 1
         joins_before = network.stats.messages_of(MessageType.JOIN)
         network.set_online("peer-001", True)
         settle(network, 500)
         assert network.stats.messages_of(MessageType.JOIN) == joins_before + 1
-        assert network.catalog_size() == 2
+        assert len(network._server.records) == 2
         response = network.search("peer-003", Query.keyword("patterns", "observer"),
                                   max_results=10)
         assert {result.provider_id for result in response.results} >= {"peer-001"}
@@ -198,9 +199,9 @@ class TestCentralizedLiveMembership:
         publish_pattern(network, "peer-001", "Pre Live Observer")
         network.set_online("peer-001", False)  # departs before go-live
         network.go_live()
-        assert network.catalog_size() == 1
+        assert len(network._server.records) == 1
         settle(network, 4 * network.heartbeat_lease_ms)
-        assert network.catalog_size() == 0
+        assert len(network._server.records) == 0
         assert network.stats.staleness_windows_ms
 
     def test_heartbeats_cost_control_bytes(self):
@@ -298,8 +299,8 @@ class TestSuperPeerLiveMembership:
 
     def test_super_departure_rehomes_leaves_with_attach_traffic(self):
         network = self.build()
-        victim = network.super_peer_ids()[0]
-        orphans = sorted(network.leaves_of(victim))
+        victim = network.hub_ids()[0]
+        orphans = sorted(network._hubs[victim].members)
         assert orphans
         attaches_before = network.stats.messages_of(MessageType.LEAF_ATTACH)
         network.set_online(victim, False)
@@ -316,11 +317,11 @@ class TestSuperPeerLiveMembership:
 
     def test_promotion_when_no_super_remains(self):
         network = self.build(peer_count=6)
-        for super_id in network.super_peer_ids():
+        for super_id in network.hub_ids():
             network.set_online(super_id, False)
-        assert not any(network.peers[s].online for s in network.super_peer_ids())
+        assert not any(network.peers[s].online for s in network.hub_ids())
         settle(network, 5 * network.heartbeat_lease_ms)
-        promoted = [super_id for super_id in network.super_peer_ids()
+        promoted = [super_id for super_id in network.hub_ids()
                     if network.peers[super_id].online]
         assert promoted
         # Deterministic: the lowest-id online orphan promoted itself first.
@@ -331,15 +332,15 @@ class TestSuperPeerLiveMembership:
         network = self.build()
         provider = "peer-005"
         network.set_online(provider, False)
-        super_id = [s for s in network.super_peer_ids()][0]
+        super_id = [s for s in network.hub_ids()][0]
         settle(network, 5 * network.heartbeat_lease_ms)
-        for state_super in network.super_peer_ids():
-            assert provider not in network.leaves_of(state_super)
+        for state_super in network.hub_ids():
+            assert provider not in network._hubs[state_super].members
         assert network.stats.staleness_windows_ms
 
     def test_search_works_after_rehoming(self):
         network = self.build()
-        victim = network.super_peer_ids()[0]
+        victim = network.hub_ids()[0]
         network.set_online(victim, False)
         settle(network, 6 * network.heartbeat_lease_ms)
         response = network.search("peer-009", Query.keyword("patterns", "observer"),
@@ -396,7 +397,7 @@ class TestRendezvousLiveMembership:
         for index in range(8):
             network.create_peer(f"peer-{index:03d}")
         network.elect_rendezvous()
-        rendezvous_id = network.rendezvous_ids()[0]
+        rendezvous_id = network.hub_ids()[0]
         publish_pattern(network, rendezvous_id, "Self Hosted Observer")
         network.go_live()
         settle(network, 5_000)  # several leases with everyone online
@@ -408,10 +409,10 @@ class TestRendezvousLiveMembership:
 
     def test_promotion_when_no_rendezvous_remains(self):
         network = self.build(lease_ms=1_000.0)
-        for rendezvous_id in network.rendezvous_ids():
+        for rendezvous_id in network.hub_ids():
             network.set_online(rendezvous_id, False)
         settle(network, 2_000)
-        alive = [rdv for rdv in network.rendezvous_ids()
+        alive = [rdv for rdv in network.hub_ids()
                  if network.peers[rdv].online]
         assert alive
 

@@ -51,8 +51,7 @@ class TestMessages:
         assert forwarded.ttl == 2
         assert forwarded.hops == 1
         assert forwarded.message_id == original.message_id
-        assert not forwarded.expired
-        assert forwarded.forwarded("c", "d").forwarded("d", "e").expired
+        assert forwarded.forwarded("c", "d").forwarded("d", "e").ttl == 0
 
     def test_query_hit_size_grows_with_results(self):
         small = query_hit_message("a", "b", result_count=1, metadata_bytes=10, message_id="m")
@@ -151,22 +150,22 @@ class TestTopology:
     @pytest.mark.parametrize("kind", ["power-law", "random", "ring", "star"])
     def test_generated_topologies_are_connected(self, kind):
         topology = build_topology(self.peer_ids(40), kind=kind, degree=4, seed=2)
-        assert topology.is_connected()
-        assert set(topology.peer_ids) == set(self.peer_ids(40))
+        assert len(topology.distances("peer-000")) == 40
+        assert set(topology.adjacency) == set(self.peer_ids(40))
 
     def test_ring_degree(self):
         topology = build_topology(self.peer_ids(10), kind="ring")
-        assert all(topology.degree(peer) == 2 for peer in topology.peer_ids)
+        assert all(len(neighbors) == 2 for neighbors in topology.adjacency.values())
 
     def test_star_shape(self):
         topology = build_topology(self.peer_ids(10), kind="star")
-        degrees = sorted(topology.degree(peer) for peer in topology.peer_ids)
+        degrees = sorted(len(neighbors) for neighbors in topology.adjacency.values())
         assert degrees[-1] == 9
         assert degrees[:-1] == [1] * 9
 
     def test_power_law_has_hubs(self):
         topology = build_topology(self.peer_ids(100), kind="power-law", degree=4, seed=3)
-        degrees = sorted(topology.degree(peer) for peer in topology.peer_ids)
+        degrees = sorted(len(neighbors) for neighbors in topology.adjacency.values())
         assert degrees[-1] > degrees[len(degrees) // 2] * 2
 
     def test_unknown_kind_rejected(self):
@@ -175,13 +174,13 @@ class TestTopology:
 
     def test_single_peer(self):
         topology = build_topology(["only"], kind="power-law")
-        assert topology.degree("only") == 0
-        assert topology.is_connected()
+        assert topology.adjacency == {"only": set()}
+        assert topology.distances("only") == {"only": 0}
 
     def test_no_self_loops(self):
         topology = Topology()
         topology.add_edge("a", "a")
-        assert topology.edge_count() == 0
+        assert topology.adjacency == {}
 
     def test_deterministic_for_seed(self):
         a = build_topology(self.peer_ids(30), kind="power-law", seed=7)
@@ -275,14 +274,14 @@ class TestNetworkxCrossCheck:
                 graph.add_nodes_from(topology.adjacency)
                 graph.add_edges_from(
                     (a, b) for a, neighbors in topology.adjacency.items() for b in neighbors)
-                assert topology.is_connected() == nx.is_connected(graph)
+                assert (len(topology.distances("p0")) == peers) == nx.is_connected(graph)
                 if peers > 1:
                     assert topology.average_path_length() == nx.average_shortest_path_length(graph)
                 # A cut graph: drop every edge of one peer.
-                lonely = topology.peer_ids[-1]
+                lonely = f"p{peers - 1}"
                 graph.remove_edges_from(list(graph.edges(lonely)))
                 for neighbor in topology.adjacency[lonely]:
                     topology.adjacency[neighbor].discard(lonely)
                 topology.adjacency[lonely] = set()
-                assert topology.is_connected() == (peers == 1)
-                assert topology.is_connected() == nx.is_connected(graph)
+                assert (len(topology.distances("p0")) == peers) == (peers == 1)
+                assert (len(topology.distances("p0")) == peers) == nx.is_connected(graph)

@@ -17,7 +17,7 @@ def test_generated_topologies_always_connected(peers, degree, seed, kind):
     """Every generated overlay is connected and undirected."""
     ids = [f"p{index}" for index in range(peers)]
     topology = build_topology(ids, kind=kind, degree=degree, seed=seed)
-    assert topology.is_connected()
+    assert len(topology.distances(ids[0])) == peers
     for node, neighbors in topology.adjacency.items():
         assert node not in neighbors
         for neighbor in neighbors:
@@ -43,7 +43,7 @@ def all_pairs_hops(ids, edges):
     pairs=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=20),
 )
 def test_graph_queries_match_an_all_pairs_reference(peers, pairs):
-    """``is_connected`` and ``average_path_length`` on small graphs,
+    """``distances`` and ``average_path_length`` on small graphs,
     disconnected, empty and single-peer ones included."""
     ids = [f"p{index}" for index in range(peers)]
     edges = [(ids[a], ids[b]) for a, b in pairs if a < peers and b < peers]
@@ -52,7 +52,8 @@ def test_graph_queries_match_an_all_pairs_reference(peers, pairs):
         topology.add_edge(a, b)
     hops = all_pairs_hops(ids, edges)
     connected = all(distance < float("inf") for distance in hops.values())
-    assert topology.is_connected() == connected
+    for a in ids:
+        assert topology.distances(a) == {b: hops[a, b] for b in ids if hops[a, b] < float("inf")}
     if peers < 2 or not connected:
         assert topology.average_path_length() == float("inf")
     else:

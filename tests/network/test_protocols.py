@@ -124,7 +124,7 @@ class TestCentralized:
 
     def test_catalog_and_replication_count(self, centralized_network):
         resource_ids = populate(centralized_network)
-        assert centralized_network.catalog_size() == len(resource_ids)
+        assert len(centralized_network._server.records) == len(resource_ids)
         assert centralized_network.provider_count(resource_ids[0]) == 1
         centralized_network.retrieve("peer-001", "peer-000", resource_ids[0])
         assert centralized_network.provider_count(resource_ids[0]) == 2
@@ -152,10 +152,11 @@ class TestCentralized:
         assert centralized_network.provider_count(resource_id) == 2
         centralized_network.set_online("peer-000", False)
         assert centralized_network.provider_count(resource_id) == 1
-        assert centralized_network.catalog_size() == len(resource_ids)
+        assert len(centralized_network._server.records) == len(resource_ids) + 1
         response = centralized_network.search("peer-003", Query.keyword("patterns", "observer"),
                                               max_results=500)
-        assert response.providers_of(resource_id) == ["peer-001"]
+        assert [result.provider_id for result in response.results
+                if result.resource_id == resource_id] == ["peer-001"]
 
     def test_max_results_cap(self, centralized_network):
         populate(centralized_network, peer_count=20, object_every=1)
@@ -232,7 +233,7 @@ class TestGnutella:
 class TestSuperPeer:
     def test_super_peer_election(self, superpeer_network):
         populate(superpeer_network)
-        supers = superpeer_network.super_peer_ids()
+        supers = superpeer_network.hub_ids()
         assert len(supers) == 4  # 20 peers * 0.2 ratio
         for peer in superpeer_network.peers.values():
             if peer.peer_id not in supers:
@@ -252,7 +253,7 @@ class TestSuperPeer:
 
     def test_leaf_departure_reassigns_objects(self, superpeer_network):
         populate(superpeer_network)
-        supers = superpeer_network.super_peer_ids()
+        supers = superpeer_network.hub_ids()
         leaf = next(peer for peer in superpeer_network.peers.values()
                     if peer.peer_id not in supers)
         publish_pattern(superpeer_network, leaf.peer_id, "Unique Leaf Pattern", "only here")
@@ -262,8 +263,8 @@ class TestSuperPeer:
 
     def test_super_peer_departure_reattaches_leaves(self, superpeer_network):
         populate(superpeer_network)
-        super_id = superpeer_network.super_peer_ids()[0]
-        orphans = superpeer_network.leaves_of(super_id)
+        super_id = superpeer_network.hub_ids()[0]
+        orphans = set(superpeer_network._hubs[super_id].members)
         superpeer_network.set_online(super_id, False)
         for orphan_id in orphans:
             orphan = superpeer_network.peer(orphan_id)
@@ -272,12 +273,12 @@ class TestSuperPeer:
 
     def test_returning_peer_reattaches(self, superpeer_network):
         populate(superpeer_network)
-        supers = superpeer_network.super_peer_ids()
+        supers = superpeer_network.hub_ids()
         leaf = next(peer for peer in superpeer_network.peers.values()
                     if peer.peer_id not in supers)
         superpeer_network.set_online(leaf.peer_id, False)
         superpeer_network.set_online(leaf.peer_id, True)
-        assert leaf.super_peer_id in superpeer_network.super_peer_ids()
+        assert leaf.super_peer_id in superpeer_network.hub_ids()
 
     def test_search_still_works_after_reelection(self, superpeer_network):
         populate(superpeer_network)

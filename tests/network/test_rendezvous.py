@@ -34,12 +34,12 @@ class TestElectionAndAttachment:
     def test_rendezvous_ratio(self):
         network = RendezvousProtocol(seed=1, rendezvous_ratio=0.2)
         populate(network, 20)
-        assert len(network.rendezvous_ids()) == 4
+        assert len(network.hub_ids()) == 4
 
     def test_every_edge_attached(self):
         network = RendezvousProtocol(seed=1, rendezvous_ratio=0.25)
         populate(network, 16)
-        rendezvous = set(network.rendezvous_ids())
+        rendezvous = set(network.hub_ids())
         for peer in network.peers.values():
             if peer.peer_id not in rendezvous:
                 assert peer.super_peer_id in rendezvous
@@ -137,12 +137,17 @@ class TestLeases:
         assert all(result.provider_id == "peer-001" for result in response.results)
 
     def test_renewal_restores_visibility(self):
+        """Off mode: an owner whose advertisement expired announces its
+        objects again through ``publish`` and is visible again."""
         network = RendezvousProtocol(seed=6, rendezvous_ratio=0.2, lease_ms=1_000)
         populate(network)
         network.simulator.run(until_ms=network.simulator.now + 2_000)
         network.expire_advertisements()
-        renewed = network.renew("peer-000")
-        assert renewed >= 1
+        shared = network.peers["peer-000"].repository.documents
+        assert len(shared) >= 1
+        for stored in shared:
+            network.publish("peer-000", stored.community_id, stored.resource_id,
+                            stored.metadata, title=stored.title)
         response = network.search("peer-001", Query.keyword("patterns", "observer"),
                                   max_results=200)
         assert any(result.provider_id == "peer-000" for result in response.results)
@@ -163,7 +168,11 @@ class TestLeases:
         assert owner not in {result.provider_id for result in hidden.results}
 
         network.set_online(owner, True)
-        assert network.renew(owner) >= 1
+        shared = network.peers[owner].repository.documents
+        assert len(shared) >= 1
+        for stored in shared:
+            network.publish(owner, stored.community_id, stored.resource_id,
+                            stored.metadata, title=stored.title)
         visible = network.search("peer-001", Query.keyword("patterns", "observer"),
                                  max_results=200)
         assert owner in {result.provider_id for result in visible.results}
@@ -197,9 +206,9 @@ class TestLeases:
     def test_rendezvous_departure_reattaches_edges(self):
         network = RendezvousProtocol(seed=7, rendezvous_ratio=0.2)
         populate(network)
-        victim = network.rendezvous_ids()[0]
+        victim = network.hub_ids()[0]
         network.set_online(victim, False)
-        rendezvous = network.rendezvous_ids()
+        rendezvous = network.hub_ids()
         for peer in network.online_peers():
             if peer.peer_id not in rendezvous:
                 assert peer.super_peer_id != victim

@@ -25,7 +25,6 @@ from repro.network.routing import (
     BloomFilter,
     RoutingIndex,
     _positions,
-    routing_index_for,
 )
 from repro.storage.plan import compile_query
 from repro.storage.query import Operator, Query
@@ -67,11 +66,11 @@ class TestBloomFilter:
         assert left.contains_positions(_positions("alpha", 128, 3))
         assert left.contains_positions(_positions("beta", 128, 3))
 
-    def test_fill_ratio_and_wire_bytes(self):
+    def test_bits_set_and_wire_bytes(self):
         bloom = BloomFilter(64, 2)
-        assert bloom.fill_ratio() == 0.0
+        assert bloom.bits == 0
         bloom.add("something")
-        assert 0.0 < bloom.fill_ratio() <= 2 / 64
+        assert 0 < bloom.bits.bit_count() <= 2
         assert bloom.wire_bytes() == 8
 
 
@@ -146,7 +145,7 @@ class TestRoutingIndex:
         TTL that reaches it — the heart of the no-lost-results proof."""
         network = _ring_network()
         publish_pattern(network, "peer-005", "Observer")
-        index = routing_index_for(network)
+        index = network._routing
         assert isinstance(index, RoutingIndex)
         hashed = index.hash_keys(
             compile_query(Query.keyword("patterns", "observer")).routing_keys)
@@ -159,7 +158,7 @@ class TestRoutingIndex:
 
     def test_beyond_horizon_is_blindly_admitted(self):
         network = _ring_network()
-        index = routing_index_for(network)
+        index = network._routing
         hashed = index.hash_keys(
             compile_query(Query.keyword("patterns", "nothing-published")).routing_keys)
         depth = index.depth
@@ -172,14 +171,14 @@ class TestRoutingIndex:
         network = _ring_network()
         publish_pattern(network, "peer-005", "Observer")
         network.set_online("peer-005", False)
-        index = routing_index_for(network)
+        index = network._routing
         hashed = index.hash_keys(
             compile_query(Query.keyword("patterns", "observer")).routing_keys)
         assert index.admits("peer-004", hashed, 2)
 
     def test_publish_dirties_the_filters(self):
         network = _ring_network()
-        index = routing_index_for(network)
+        index = network._routing
         hashed = index.hash_keys(
             compile_query(Query.keyword("patterns", "latecomer")).routing_keys)
         assert not index.admits("peer-003", hashed, 1)
@@ -188,9 +187,9 @@ class TestRoutingIndex:
 
     def test_advertisement_bytes_paid_once_per_version(self):
         network = _ring_network()
-        index = routing_index_for(network)
+        index = network._routing
         first = index.advertisement_bytes("peer-002", "peer-003")
-        assert first == index.filter_wire_bytes()
+        assert first == 4 + 3 * 512 // 8  # header + one 512-bit filter per depth level
         assert index.advertisement_bytes("peer-002", "peer-003") == 0
         # A content change bumps the version and re-bills the link.
         publish_pattern(network, "peer-002", "Fresh Object")
@@ -201,7 +200,7 @@ class TestRoutingIndex:
 
     def test_blind_network_has_no_routing_index(self):
         network = GnutellaProtocol(seed=7)
-        assert routing_index_for(network) is None
+        assert network._routing is None
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,10 @@ def run_cell(**overrides):
         "by_type": dict(stats.messages_by_type),
         "bytes_by_type": dict(stats.bytes_by_type),
         "latencies": [round(record.latency_ms, 6) for record in stats.queries],
-        "routing": stats.routing_summary(),
+        "routing_pruned": stats.routing_pruned,
+        "routing_fallbacks": stats.routing_fallbacks,
+        "routing_fp_forwards": stats.routing_fp_forwards,
+        "routing_filter_bytes": stats.routing_filter_bytes,
     }
 
 
@@ -263,7 +265,7 @@ class TestInformedRoutingContract:
         informed = run_cell(informed_routing=True)
         assert informed["result_sets"] == blind["result_sets"]
         assert informed["total_messages"] < blind["total_messages"]
-        assert informed["routing"]["routing_pruned"] > 0
+        assert informed["routing_pruned"] > 0
 
     def test_informed_run_is_deterministic(self):
         first = run_cell(informed_routing=True, churn_session_ms=1_500.0,
@@ -295,7 +297,7 @@ class TestInformedRoutingContract:
         assert first["result_sets"] == blind["result_sets"]
         assert first["total_messages"] <= blind["total_messages"]
         # The filters genuinely travelled: advert bytes were billed.
-        assert first["routing"]["routing_filter_bytes"] > 0
+        assert first["routing_filter_bytes"] > 0
 
     def test_composes_with_sharded_kernel(self):
         one = run_cell(informed_routing=True)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.engine.kernel import RetrieveContext
 from repro.network.config import ReliabilityConfig
-from repro.network.messages import download_piece
+from repro.network.messages import download_piece, download_request
 from repro.network.peers import Peer
 from repro.network.reliable import ReliableChannel
 from repro.network.transfer import DownloadManager
@@ -33,6 +33,9 @@ class FakeSimulator:
 
     def post_keyed(self, key, delay_ms, callback, *args):
         pass  # the scripts below decide when a restart happens
+
+    def transfer_time(self, source, target, size_bytes, *, bandwidth_kbps):
+        return 1.0
 
 
 class FakeStats:
@@ -52,7 +55,7 @@ class FakeKernel:
     def register(self, message_type, handler):
         pass
 
-    def send(self, message, *, context=None):
+    def send(self, message, *, context=None, latency_ms=0.0):
         self.sent.append(message)
 
     def release(self, context):
@@ -236,3 +239,25 @@ def test_an_attachment_with_a_missing_middle_piece_does_not_land():
     assert download.context.stored is download.stored
     assert download.context.attachments_transferred == 0
     assert not download.requester.repository.attachments.has("file://diagram-1.png")
+
+
+def test_a_duplicated_unchunked_request_is_served_once():
+    """A DOWNLOAD-REQUEST retransmitted after its ACK was lost reaches
+    the provider twice: the document and each attachment go out once."""
+    provider = Peer(peer_id="hub")
+    uris = ["file://a.png", "file://b.png"]
+    document = parse("<pattern><name>Observer</name></pattern>").root
+    stored = provider.repository.publish(
+        "patterns", document, {"name": ["Observer"], "__attachments__": uris},
+        attachment_uris=uris).stored
+    kernel = FakeKernel(provider, Peer(peer_id="alice"))
+    manager = DownloadManager(kernel, ReliabilityConfig(),
+                              channel=ReliableChannel(kernel, ReliabilityConfig()),
+                              replicas=ReplicaRegistry(), announce=lambda *args, **kwargs: None)
+    context = RetrieveContext(requester_id="alice", provider_id="hub",
+                              resource_id=stored.resource_id)
+    request = download_request("alice", "hub", stored.resource_id)
+    for _ in range(2):
+        manager._on_request(provider, request, context)
+    assert sorted(piece.attachment_uri for piece in kernel.sent) == ["", *uris]
+    assert all((piece.chunk_index, piece.chunk_total) == (0, 1) for piece in kernel.sent)

@@ -20,12 +20,6 @@ def elect(network, count=None):
     return network.elect_rendezvous(count)
 
 
-def hub_ids(network):
-    if isinstance(network, SuperPeerProtocol):
-        return network.super_peer_ids()
-    return network.rendezvous_ids()
-
-
 def build(name: str):
     if name == "super-peer":
         network = SuperPeerProtocol(seed=3, super_peer_ratio=0.25)
@@ -67,7 +61,7 @@ class TestTwoTierChurn:
     def test_election_builds_one_index_per_hub(self, name, indexes_built):
         before = len(indexes_built)
         network, hubs = build(name)
-        assert hubs == ["peer-00", "peer-01", "peer-02"] == hub_ids(network)
+        assert hubs == ["peer-00", "peer-01", "peer-02"] == network.hub_ids()
         # (every peer's repository owns an index too)
         assert len(indexes_built) - before == len(network.peers) + len(hubs)
         for peer in network.peers.values():
@@ -75,9 +69,9 @@ class TestTwoTierChurn:
             assert (peer.super_peer_id == peer.peer_id) == (peer.peer_id in hubs)
         # A re-election keeps the surviving hubs' state and builds none.
         del indexes_built[:]
-        assert elect(network, 2) == ["peer-00", "peer-01"] == hub_ids(network)
+        assert elect(network, 2) == ["peer-00", "peer-01"] == network.hub_ids()
         assert indexes_built == []
-        assert "peer-02" not in hub_ids(network)
+        assert "peer-02" not in network.hub_ids()
         assert network.peers["peer-02"].super_peer_id in ("peer-00", "peer-01")
 
     def test_hub_departure_rehomes_orphans_without_building_hub_state(
@@ -88,9 +82,9 @@ class TestTwoTierChurn:
         del indexes_built[:]
         network.set_online(departed, False)
         assert indexes_built == []  # no throw-away hub state, no throw-away index
-        survivors = hub_ids(network)
+        survivors = network.hub_ids()
         assert survivors == [hub_id for hub_id in hubs if hub_id != departed]
-        assert departed not in hub_ids(network)
+        assert departed not in network.hub_ids()
         for orphan_id in orphans:
             assert network.peers[orphan_id].super_peer_id in survivors
         # The departed hub comes back as an ordinary member, and a
@@ -98,7 +92,7 @@ class TestTwoTierChurn:
         network.set_online(departed, True)
         assert network.peers[departed].super_peer_id in survivors
         network.depart(survivors[0])
-        assert hub_ids(network) == survivors[1:]
+        assert network.hub_ids() == survivors[1:]
         assert indexes_built == []
 
     def test_orphans_stay_searchable_after_their_hub_departs(self, name):
@@ -107,8 +101,11 @@ class TestTwoTierChurn:
         orphan = members_of(network, departed)[0]
         network.set_online(departed, False)
         if name == "rendezvous":
-            # Re-homing does not re-upload here (leases decay): the orphan renews.
-            network.renew(orphan)
+            # Re-homing does not re-upload here (leases decay): the orphan
+            # announces its object again, to its new rendezvous.
+            (stored,) = network.peers[orphan].repository.documents
+            network.publish(orphan, stored.community_id, stored.resource_id,
+                            stored.metadata, title=stored.title)
         asker = next(peer_id for peer_id in sorted(network.peers)
                      if peer_id not in (orphan, departed))
         response = network.search(asker, Query.keyword("patterns", orphan), max_results=50)
@@ -118,9 +115,9 @@ class TestTwoTierChurn:
         network, hubs = build(name)
         for peer_id in sorted(network.peers):
             network.set_online(peer_id, False)
-        assert hub_ids(network) == []
+        assert network.hub_ids() == []
         network.set_online("peer-07", True)
-        assert hub_ids(network) == ["peer-07"]
+        assert network.hub_ids() == ["peer-07"]
         assert network.peers["peer-07"].super_peer_id == "peer-07"
 
 

@@ -1,15 +1,11 @@
-"""Tests for instance construction, extraction and synthesis."""
+"""Tests for instance construction and synthesis."""
 
 import pytest
 
 from repro.schema.errors import SchemaError
-from repro.schema.instance import (
-    InstanceSynthesizer,
-    build_instance,
-    extract_values,
-    instance_skeleton,
-)
+from repro.schema.instance import InstanceSynthesizer, build_instance
 from repro.schema.validator import validate
+from repro.xmlkit.xpath import xpath_find_all
 from repro.xmlkit.serializer import serialize
 
 
@@ -48,6 +44,15 @@ class TestBuildInstance:
         assert instance.find("artist") is not None
         assert instance.child_text("artist") == ""
 
+    def test_empty_values_leave_required_fields_for_the_validator(self, mp3_schema):
+        instance = build_instance(mp3_schema, {})
+        required = [info.path for info in mp3_schema.fields() if not info.optional]
+        assert [child.local_name for child in instance.children] == required
+        assert all(child.text_content() == "" for child in instance.children)
+        report = validate(mp3_schema, instance)
+        # empty text is a string but neither a genre nor a positive integer
+        assert sorted(error.path for error in report.errors) == ["mp3/bitrate", "mp3/genre"]
+
     def test_optional_missing_fields_omitted(self, mp3_schema):
         instance = build_instance(mp3_schema, {
             "title": "x", "artist": "y", "album": "z", "genre": "rock", "bitrate": "128",
@@ -60,7 +65,7 @@ class TestBuildInstance:
         assert "<title>x</title>" in serialize(instance, xml_declaration=False)
 
 
-class TestExtractValues:
+class TestReadBack:
     def test_roundtrip(self, pattern_schema):
         values = {
             "name": "Observer", "category": "behavioral", "intent": "notify dependents",
@@ -68,14 +73,9 @@ class TestExtractValues:
             "solution/participants": ["Subject", "Observer", "ConcreteObserver"],
         }
         instance = build_instance(pattern_schema, values)
-        extracted = extract_values(pattern_schema, instance)
-        assert extracted["name"] == ["Observer"]
-        assert extracted["solution/participants"] == ["Subject", "Observer", "ConcreteObserver"]
-
-    def test_skeleton_contains_every_field(self, mp3_schema):
-        skeleton = instance_skeleton(mp3_schema)
-        names = {child.local_name for child in skeleton.children}
-        assert {"title", "artist", "album", "genre", "bitrate"} <= names
+        assert [node.text_content() for node in xpath_find_all(instance, "name")] == ["Observer"]
+        assert [node.text_content() for node in xpath_find_all(instance, "solution/participants")] \
+            == ["Subject", "Observer", "ConcreteObserver"]
 
 
 class TestSynthesizer:

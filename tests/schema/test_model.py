@@ -207,24 +207,6 @@ class TestSchema:
         assert schema.field_by_path("solution/structure") is not None
         assert schema.field_by_path("nope") is None
 
-    def test_describe_mentions_flags(self):
-        description = build_pattern_schema().describe()
-        assert "root element: pattern" in description
-        assert "searchable" in description
-        assert "attachment" in description
-
-    def test_field_label_formatting(self):
-        schema = Schema()
-        schema.add_element(ElementDeclaration(
-            name="song",
-            complex_type=ComplexType(name=None, particle=Particle(items=[
-                ElementDeclaration(name="trackTitle"),
-                ElementDeclaration(name="album_name"),
-            ])),
-        ))
-        labels = [info.label for info in schema.fields()]
-        assert labels == ["Track Title", "Album name"]
-
     def test_recursive_type_does_not_loop(self):
         schema = Schema()
         nested = ComplexType(name="node", particle=Particle(items=[

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.schema.errors import SchemaParseError
-from repro.schema.parser import parse_schema_file, parse_schema_text
+from repro.schema.parser import parse_schema, parse_schema_text
+from repro.xmlkit.parser import parse
 
 
 class TestCommunitySchema:
@@ -143,11 +144,15 @@ class TestGeneralParsing:
         assert simple.facets.min_inclusive == 32
         assert simple.facets.max_inclusive == 320
 
-    def test_parse_schema_file(self, tmp_path, community_schema_xsd):
-        path = tmp_path / "community.xsd"
-        path.write_text(community_schema_xsd, encoding="utf-8")
-        schema = parse_schema_file(path)
-        assert schema.root_element().name == "community"
+
+    def test_parse_schema_from_a_parsed_document(self, community_schema_xsd):
+        document = parse(community_schema_xsd, check_namespaces=False,
+                         keep_whitespace_text=False)
+        from_text = parse_schema_text(community_schema_xsd)
+        for source in (document, document.root):
+            schema = parse_schema(source)
+            assert schema.root_element().name == "community"
+            assert schema.fields() == from_text.fields()
 
 
 class TestParseErrors:

@@ -63,7 +63,8 @@ class TestIndexing:
     def test_fields_and_values_for(self):
         index = self.build()
         assert index.fields_for("mp3s") == ["artist", "title"]
-        assert index.values_for("patterns", "name") == [
+        assert sorted({entry.value_lower for entry in index.iter_entries()
+                       if (entry.community_id, entry.field_path) == ("patterns", "name")}) == [
             "abstract factory", "factory method", "observer",
         ]
 
@@ -92,10 +93,10 @@ class TestMaintenance:
         index.add("c", "r1", {"f": ["!!"]})
         index.add("c", "r2", {"f": ["!!"]})
         index.remove("r1")
-        assert index.values_for("c", "f") == ["!!"]
+        assert index.exact("c", "f", "!!") == {"r2"}
         assert index.fields_for("c") == ["f"]
         index.remove("r2")
-        assert index.fields_for("c") == [] and index.values_for("c", "f") == []
+        assert index.fields_for("c") == [] and index.exact("c", "f", "!!") == set()
 
     def test_readd_replaces_entries(self):
         index = AttributeIndex()
@@ -121,14 +122,14 @@ class TestMaintenance:
         index.add("c", "r1", {"name": ["Observer"], "intent": ["decouple things"]})
         assert index.entry_count() == 2
         assert index.size_bytes() > 0
-        assert len(list(index.entries_for("r1"))) == 2
+        assert [entry.resource_id for entry in index.iter_entries()] == ["r1", "r1"]
 
     def test_entries_carry_tokens_from_add_time(self):
         """Removal relies on the tokens stored on the entry, so they must
         be exactly the tokens the add indexed."""
         index = AttributeIndex()
         index.add("c", "r1", {"name": ["Abstract Factory, 2nd"]})
-        (entry,) = index.entries_for("r1")
+        (entry,) = index.iter_entries()
         assert entry.tokens == ("abstract", "factory", "2nd")
         assert entry.value_lower == "abstract factory, 2nd"
 
@@ -193,7 +194,9 @@ class TestNumericIdPostings:
         ]
         for method, args, expected in probes:
             assert getattr(index, method)(*args) == expected, (method, args)
-        assert index.values_for("patterns", "name") == [f"pattern {n}" for n in range(7)]
+        assert sorted({entry.value_lower for entry in index.iter_entries()
+                       if (entry.community_id, entry.field_path) == ("patterns", "name")}) \
+            == [f"pattern {n}" for n in range(7)]
         assert index.fields_for("patterns") == ["category", "intent", "name"]
         assert index.entry_count() == 150
 

@@ -201,7 +201,8 @@ def test_index_state_matches_the_per_entry_reference(ops):
         for community_id in ("c", "d"):
             assert index.fields_for(community_id) == sorted(
                 field for field in ("name", "intent", "tags")
-                if index.values_for(community_id, field))
+                if any((entry.community_id, entry.field_path) == (community_id, field)
+                       for entry in index.iter_entries()))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -36,16 +36,16 @@ class TestConstruction:
     def test_fluent_where(self):
         query = Query("patterns").where("name", "Observer", Operator.EQUALS).where("category", "behavioral")
         assert len(query.criteria) == 2
-        assert not query.is_empty
+        assert not compile_query(query).is_empty
 
     def test_keyword_constructor(self):
         query = Query.keyword("patterns", "factory")
         assert query.criteria[0].operator == Operator.ANY
 
     def test_empty_detection(self):
-        assert Query("patterns").is_empty
-        assert Query("patterns", [Criterion("name", "  ")]).is_empty
-        assert not Query("patterns", [Criterion("name", "x")]).is_empty
+        assert compile_query(Query("patterns")).is_empty
+        assert compile_query(Query("patterns", [Criterion("name", "  ")])).is_empty
+        assert not compile_query(Query("patterns", [Criterion("name", "x")])).is_empty
 
     def test_describe(self):
         query = Query("patterns").where("name", "Observer", Operator.EQUALS)
@@ -129,7 +129,7 @@ class TestWireFormat:
     def test_wire_size_positive_and_grows(self):
         small = Query.keyword("p", "x")
         large = Query.keyword("p", "a much longer query string with many words")
-        assert 0 < small.wire_size_bytes() < large.wire_size_bytes()
+        assert 0 < compile_query(small).wire_bytes < compile_query(large).wire_bytes
 
     def test_missing_community_rejected(self):
         with pytest.raises(QueryError):

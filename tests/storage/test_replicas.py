@@ -27,13 +27,12 @@ class TestRecording:
 
     def test_replication_degree_counts_all_copies(self):
         registry = ReplicaRegistry()
-        assert registry.replication_degree("res-1") == 0
+        assert registry.holders("res-1") == []
         registry.note_original("res-1", "alice")
         registry.note_replica("res-1", "bob")
         registry.note_replica("res-1", "carol")
-        assert registry.replication_degree("res-1") == 3
-        assert registry.replicas_of("res-1") == ["bob", "carol"] or \
-            set(registry.replicas_of("res-1")) == {"bob", "carol"}
+        assert registry.holders("res-1") == ["alice", "bob", "carol"]
+        assert [registry.provenance("res-1", peer) for peer in ("bob", "carol")] == [REPLICA] * 2
         assert registry.total_replicas() == 2
 
     def test_holders_orders_originals_first_deterministically(self):
@@ -48,4 +47,5 @@ class TestRecording:
         registry.note_original("res-1", "alice")
         registry.note_replica("res-1", "bob")
         registry.note_original("res-2", "carol")
-        assert registry.degree_by_resource() == {"res-1": 2, "res-2": 1}
+        assert len(registry) == 2
+        assert [len(registry.holders(resource)) for resource in ("res-1", "res-2")] == [2, 1]

@@ -13,6 +13,8 @@ import dataclasses
 import pytest
 
 from repro.network.config import (
+    HEARTBEAT_LEASE_INTERVALS,
+    ROUTING_HASH_COUNT,
     CacheConfig,
     MembershipConfig,
     ReliabilityConfig,
@@ -29,7 +31,6 @@ KNOBS = (
     ("cache_ttl_ms", "cache", "ttl_ms", 400.0),
     ("live_membership", "membership", "live", True),
     ("maintenance_interval_ms", "membership", "maintenance_interval_ms", 500.0),
-    ("heartbeat_lease_intervals", "membership", "heartbeat_lease_intervals", 5),
     ("reliable_delivery", "reliability", "reliable_delivery", True),
     ("retry_timeout_ms", "reliability", "retry_timeout_ms", 125.0),
     ("retry_max_attempts", "reliability", "retry_max_attempts", 9),
@@ -37,7 +38,6 @@ KNOBS = (
     ("download_stall_timeout_ms", "reliability", "download_stall_timeout_ms", 77.0),
     ("informed_routing", "routing", "informed", True),
     ("routing_filter_bits", "routing", "filter_bits", 2_048),
-    ("routing_hash_count", "routing", "hash_count", 2),
     ("routing_depth", "routing", "depth", 5),
 )
 
@@ -53,19 +53,19 @@ class TestGroupDataclasses:
         lambda: CacheConfig(capacity=0),
         lambda: CacheConfig(ttl_ms=0.0),
         lambda: MembershipConfig(maintenance_interval_ms=0.0),
-        lambda: MembershipConfig(heartbeat_lease_intervals=0),
         lambda: ReliabilityConfig(retry_timeout_ms=0.0),
         lambda: ReliabilityConfig(retry_max_attempts=0),
         lambda: ReliabilityConfig(download_chunk_bytes=0),
         lambda: ReliabilityConfig(download_stall_timeout_ms=0.0),
         lambda: RoutingConfig(filter_bits=0),
         lambda: RoutingConfig(filter_bits=100),   # not a multiple of 8
-        lambda: RoutingConfig(hash_count=0),
         lambda: RoutingConfig(depth=0),
         # the flat spelling validates through the same constructors
         lambda: ScenarioConfig(cache_capacity=0),
         lambda: ScenarioConfig(maintenance_interval_ms=-1.0),
         lambda: ScenarioConfig(routing_filter_bits=100),
+        lambda: ScenarioConfig(retry_max_attempts=0),
+        lambda: ScenarioConfig(routing_depth=0),
     ))
     def test_value_validation(self, bad):
         with pytest.raises(ValueError):
@@ -75,6 +75,23 @@ class TestGroupDataclasses:
         """The lease's one home is ``RendezvousProtocol(lease_ms=...)``."""
         with pytest.raises(TypeError):
             MembershipConfig(rendezvous_lease_ms=5_000.0)
+
+    @pytest.mark.parametrize("build, keyword", (
+        (ScenarioConfig, "heartbeat_lease_intervals"),
+        (ScenarioConfig, "routing_hash_count"),
+        (ScenarioConfig, "miss_fraction"),
+        (MembershipConfig, "heartbeat_lease_intervals"),
+        (RoutingConfig, "hash_count"),
+    ))
+    def test_fixed_constants_take_no_knob(self, build, keyword):
+        """The heartbeat lease, the Bloom hash count and the workload's
+        miss share are module constants, not settable values."""
+        with pytest.raises(TypeError):
+            build(**{keyword: 3})
+
+    def test_routing_hash_count_reaches_the_filters(self):
+        network = build_network(ScenarioConfig(protocol="gnutella", informed_routing=True))
+        assert network._routing.hash_count == ROUTING_HASH_COUNT
 
     def test_rendezvous_lease_rule_is_one_check(self):
         """Scenario and protocol refuse a lease shorter than two
@@ -106,10 +123,9 @@ class TestOneSpellingPerLayer:
     def test_live_membership_and_lease_reach_the_running_network(self):
         scenario = build_scenario(ScenarioConfig(
             protocol="gnutella", peers=12, members=6, publishers=3, corpus_size=8,
-            queries=2, live_membership=True, heartbeat_lease_intervals=4))
+            queries=2, live_membership=True, maintenance_interval_ms=500.0))
         assert scenario.network.live_membership is True
-        assert scenario.network.heartbeat_lease_ms == \
-            4 * MembershipConfig.maintenance_interval_ms
+        assert scenario.network.heartbeat_lease_ms == HEARTBEAT_LEASE_INTERVALS * 500.0
 
     @pytest.mark.parametrize("flat, group, field, value", KNOBS)
     def test_protocol_constructors_take_no_flat_knob(self, flat, group, field, value):

@@ -4,9 +4,10 @@ import functools
 
 import pytest
 
+from bench.measure import counters_digest
 from repro.communities.design_patterns import generate_pattern_corpus
 from repro.workloads.popularity import ZipfDistribution
-from repro.workloads.queries import build_query_workload
+from repro.workloads.queries import MISS_FRACTION, build_query_workload
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 
@@ -32,13 +33,19 @@ class TestZipf:
 
     def test_expected_top_share_monotone(self):
         zipf = ZipfDistribution(100, exponent=1.0)
-        assert zipf.expected_top_share(10) < zipf.expected_top_share(50) <= 1.0
 
-    def test_pick_requires_matching_length(self):
+        def top_share(k):
+            return sum(zipf.probability(rank) for rank in range(k))
+
+        assert top_share(10) < top_share(50) < top_share(100) == pytest.approx(1.0)
+        # H(10) / H(100) for Zipf(1)
+        assert top_share(10) == pytest.approx(2.928968 / 5.187378, rel=1e-5)
+
+    def test_probability_rejects_a_rank_outside_the_range(self):
         zipf = ZipfDistribution(3, seed=2)
-        assert zipf.pick(["a", "b", "c"]) in ("a", "b", "c")
-        with pytest.raises(ValueError):
-            zipf.pick(["a"])
+        for rank in (-1, 3):
+            with pytest.raises(IndexError):
+                zipf.probability(rank)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -56,14 +63,28 @@ class TestQueryWorkload:
         workload = build_query_workload("patterns", corpus, count=30, seed=2)
         assert len(workload) == 30
         assert len(workload.expected_matches) == 30
-        assert workload.mean_expected_matches() >= 0
+        assert all(expected >= 0 for expected in workload.expected_matches)
 
-    def test_miss_fraction_zero_and_one(self):
+    def test_misses_expect_nothing_and_hits_something(self):
         corpus = generate_pattern_corpus(20, seed=1)
-        all_miss = build_query_workload("patterns", corpus, count=20, miss_fraction=1.0, seed=3)
-        assert all(expected == 0 for expected in all_miss.expected_matches)
-        no_miss = build_query_workload("patterns", corpus, count=20, miss_fraction=0.0, seed=3)
-        assert sum(no_miss.expected_matches) > 0
+        workload = build_query_workload("patterns", corpus, count=60, seed=3)
+        misses = [expected for query, expected in zip(workload.queries, workload.expected_matches)
+                  if query.criteria[0].value.startswith("zzqx")]
+        assert misses and all(expected == 0 for expected in misses)
+        assert sum(workload.expected_matches) > 0
+
+    def test_miss_share_is_the_module_constant(self):
+        corpus = generate_pattern_corpus(20, seed=1)
+        workload = build_query_workload("patterns", corpus, count=1_000, seed=5)
+        misses = sum(1 for query in workload.queries
+                     if query.criteria[0].value.startswith("zzqx"))
+        assert misses / len(workload) == pytest.approx(MISS_FRACTION, abs=0.03)
+
+    def test_invalid_repeat_alpha(self):
+        corpus = generate_pattern_corpus(5, seed=1)
+        for alpha in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="repeat_alpha"):
+                build_query_workload("patterns", corpus, repeat_alpha=alpha)
 
     def test_queries_target_community(self):
         corpus = generate_pattern_corpus(10, seed=1)
@@ -73,11 +94,6 @@ class TestQueryWorkload:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_query_workload("patterns", [], count=5)
-
-    def test_invalid_miss_fraction(self):
-        corpus = generate_pattern_corpus(5, seed=1)
-        with pytest.raises(ValueError):
-            build_query_workload("patterns", corpus, miss_fraction=1.5)
 
     def test_deterministic(self):
         corpus = generate_pattern_corpus(20, seed=1)
@@ -115,6 +131,21 @@ class TestScenario:
         assert len(stats.queries) == 10
         # At least the non-miss queries should mostly succeed.
         assert stats.success_rate() >= 0.5
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_an_offline_searcher_counts_zero_at_any_concurrency(self, concurrency):
+        """A member offline when its turn comes is refused by the driver:
+        its queries count 0 hits, one at a time or batched alike."""
+        scenario = build_scenario(ScenarioConfig(peers=12, members=4, publishers=3,
+                                                 corpus_size=12, queries=8, seed=2,
+                                                 concurrency=concurrency))
+        offline = scenario.members()[1].peer_id
+        scenario.network.set_online(offline, False)
+        counts = scenario.run_queries()
+        assert len(counts) == 8
+        assert counts[1] == counts[5] == 0
+        assert len(scenario.network.stats.queries) == 6
+        assert all(record.origin != offline for record in scenario.network.stats.queries)
 
     def test_stats_reset_before_query_phase(self):
         scenario = build_scenario(ScenarioConfig(peers=10, members=5, publishers=3,
@@ -175,7 +206,7 @@ class TestMixedWorkload:
             outcome = scenario.run_mixed_workload()
             return {
                 "counts": outcome.result_counts,
-                "latencies": [round(value, 9) for value in outcome.latencies_ms],
+                "latencies": [round(response.latency_ms, 9) for response in outcome.responses],
                 "downloads": outcome.downloads_completed,
                 "bytes": scenario.network.stats.download_bytes,
                 "degrees": scenario.replication_degrees(),
@@ -221,7 +252,7 @@ def run_population_cell(protocol: str, shards: int, *, mixed: bool) -> tuple:
         counts = scenario.run_queries(max_results=200)
         operations = len(counts)
     stats = scenario.network.stats
-    return operations, stats.total_messages, stats.digest(counts)
+    return operations, stats.total_messages, counters_digest(counts, stats)
 
 
 @functools.lru_cache(maxsize=None)

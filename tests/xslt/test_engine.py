@@ -3,7 +3,7 @@
 import pytest
 
 from repro.xmlkit.parser import parse
-from repro.xslt.engine import Transformer, transform
+from repro.xslt.engine import Transformer
 from repro.xslt.errors import XSLTParseError, XSLTRuntimeError
 from repro.xslt.parser import parse_stylesheet_text
 
@@ -15,7 +15,7 @@ def run(stylesheet_body, source_xml, parameters=None, output="xml"):
         f'<?xml version="1.0"?>{XSL_HEADER}<xsl:output method="{output}"/>{stylesheet_body}</xsl:stylesheet>'
     )
     source = parse(source_xml, keep_whitespace_text=False)
-    return transform(stylesheet, source, parameters)
+    return Transformer(stylesheet).transform(source, parameters)
 
 
 SOURCE = (
@@ -28,16 +28,16 @@ class TestBasicInstructions:
     def test_value_of(self):
         result = run('<xsl:template match="/"><out><xsl:value-of select="community/name"/></out></xsl:template>',
                      SOURCE)
-        assert result.to_xml() == "<out>mp3</out>"
+        assert result.serialize() == "<out>mp3</out>"
 
     def test_literal_elements_and_text(self):
         result = run('<xsl:template match="/"><p>static text</p></xsl:template>', SOURCE)
-        assert result.to_xml() == "<p>static text</p>"
+        assert result.serialize() == "<p>static text</p>"
 
     def test_xsl_text(self):
         result = run('<xsl:template match="/"><out><xsl:text>kept  spaces</xsl:text></out></xsl:template>',
                      SOURCE)
-        assert "kept  spaces" in result.to_xml()
+        assert "kept  spaces" in result.serialize()
 
     def test_attribute_value_template(self):
         result = run('<xsl:template match="/"><div class="{community/protocol}"/></xsl:template>', SOURCE)
@@ -54,7 +54,7 @@ class TestBasicInstructions:
             "</xsl:template>",
             SOURCE,
         )
-        assert result.to_xml() == '<row id="r1">x</row>'
+        assert result.serialize() == '<row id="r1">x</row>'
 
     def test_dynamic_element_name(self):
         result = run(
@@ -66,7 +66,7 @@ class TestBasicInstructions:
     def test_copy_of_deep_copies(self):
         result = run('<xsl:template match="/"><wrap><xsl:copy-of select="community/name"/></wrap></xsl:template>',
                      SOURCE)
-        assert result.to_xml() == "<wrap><name>mp3</name></wrap>"
+        assert result.serialize() == "<wrap><name>mp3</name></wrap>"
 
     def test_for_each(self):
         result = run(
@@ -74,7 +74,7 @@ class TestBasicInstructions:
             '<item><xsl:value-of select="name()"/></item></xsl:for-each></list></xsl:template>',
             SOURCE,
         )
-        assert result.to_xml() == (
+        assert result.serialize() == (
             "<list><item>name</item><item>description</item>"
             "<item>protocol</item><item>keywords</item></list>"
         )
@@ -99,7 +99,7 @@ class TestBasicInstructions:
             "</xsl:choose></out></xsl:template>"
         )
         result = run(body, SOURCE)
-        assert result.to_xml() == "<out><yes/><few/></out>"
+        assert result.serialize() == "<out><yes/><few/></out>"
 
     def test_variable(self):
         body = (
@@ -107,7 +107,7 @@ class TestBasicInstructions:
             '<xsl:variable name="proto" select="community/protocol"/>'
             '<out><xsl:value-of select="$proto"/></out></xsl:template>'
         )
-        assert run(body, SOURCE).to_xml() == "<out>Gnutella</out>"
+        assert run(body, SOURCE).serialize() == "<out>Gnutella</out>"
 
 
 class TestTemplates:
@@ -118,7 +118,7 @@ class TestTemplates:
             '<xsl:template match="*"><other name="{name()}"/></xsl:template>'
         )
         result = run(body, SOURCE)
-        xml = result.to_xml()
+        xml = result.serialize()
         assert "<title>mp3</title>" in xml
         assert xml.count("<other") == 3
 
@@ -128,7 +128,7 @@ class TestTemplates:
             '<xsl:template match="name" priority="2"><high/></xsl:template>'
             '<xsl:template match="community/name"><specific/></xsl:template>'
         )
-        assert "<high/>" in run(body, SOURCE).to_xml()
+        assert "<high/>" in run(body, SOURCE).serialize()
 
     def test_more_specific_pattern_wins_by_default(self):
         body = (
@@ -136,12 +136,12 @@ class TestTemplates:
             '<xsl:template match="name"><generic/></xsl:template>'
             '<xsl:template match="community/name"><specific/></xsl:template>'
         )
-        assert "<specific/>" in run(body, SOURCE).to_xml()
+        assert "<specific/>" in run(body, SOURCE).serialize()
 
     def test_builtin_rules_recurse_to_text(self):
         body = '<xsl:template match="name"><got><xsl:value-of select="."/></got></xsl:template>'
         result = run(body, SOURCE)
-        text = result.to_xml()
+        text = result.serialize()
         # Built-in rules copy the text of unmatched elements and apply the
         # explicit rule for <name>.
         assert "<got>mp3</got>" in text
@@ -154,7 +154,7 @@ class TestTemplates:
             "</out></xsl:template>"
             '<xsl:template name="greet"><xsl:param name="who"/><hello to="{$who}"/></xsl:template>'
         )
-        assert run(body, SOURCE).to_xml() == '<out><hello to="mp3"/></out>'
+        assert run(body, SOURCE).serialize() == '<out><hello to="mp3"/></out>'
 
     def test_call_template_unknown_name_raises(self):
         body = '<xsl:template match="/"><xsl:call-template name="nope"/></xsl:template>'
@@ -167,7 +167,7 @@ class TestTemplates:
             '<xsl:template match="*"><f/></xsl:template>'
         )
         result = run(body, SOURCE)
-        assert result.to_xml() == "<c><f/><f/><f/><f/></c>"
+        assert result.serialize() == "<c><f/><f/><f/><f/></c>"
 
     def test_modes(self):
         body = (
@@ -178,7 +178,7 @@ class TestTemplates:
             '<xsl:template match="name" mode="loud"><LOUD/></xsl:template>'
             '<xsl:template match="name"><quiet/></xsl:template>'
         )
-        assert run(body, SOURCE).to_xml() == "<out><LOUD/><quiet/></out>"
+        assert run(body, SOURCE).serialize() == "<out><LOUD/><quiet/></out>"
 
     def test_recursion_limit(self):
         body = (
@@ -206,8 +206,8 @@ class TestOutputMethods:
             "</xsl:stylesheet>"
         )
         source = parse(SOURCE)
-        assert Transformer(stylesheet).transform(source).to_xml() == "<out>hi</out>"
-        assert Transformer(stylesheet).transform(source, {"greeting": "bonjour"}).to_xml() == "<out>bonjour</out>"
+        assert Transformer(stylesheet).transform(source).serialize() == "<out>hi</out>"
+        assert Transformer(stylesheet).transform(source, {"greeting": "bonjour"}).serialize() == "<out>bonjour</out>"
 
     def test_source_tree_not_mutated(self):
         source = parse(SOURCE)

@@ -2,7 +2,7 @@
 
 from repro.xmlkit.dom import Element
 from repro.xmlkit.parser import parse
-from repro.xslt.html import render_html, render_page
+from repro.xslt.html import render_html
 
 
 class TestRenderHtml:
@@ -37,14 +37,3 @@ class TestRenderHtml:
     def test_tag_case_lowered(self):
         assert render_html([Element("DIV")]) == "<div></div>"
 
-
-class TestRenderPage:
-    def test_page_skeleton(self):
-        page = render_page(Element("h1", text="U-P2P"), title="Create")
-        assert page.startswith("<!DOCTYPE html>")
-        assert "<title>Create</title>" in page
-        assert "<h1>U-P2P</h1>" in page
-
-    def test_page_accepts_prerendered_fragment(self):
-        page = render_page("<p>already html</p>")
-        assert "<p>already html</p>" in page
