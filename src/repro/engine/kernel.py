@@ -240,10 +240,8 @@ class EventKernel:
         #: type values delivered at most once per node per exchange
         #: (see :meth:`deliver_once_per_node`)
         self._once_per_node: set[str] = set()
-        # Bound methods of the latency model, resolved once: the send
-        # path calls one per message, the fan-out the other per hop.
+        # Bound once: the send path calls it per message.
         self._link_latency = simulator.latency_model.latency
-        self._latency_row = simulator.latency_model.row
         #: always-on endpoints that are not peers (e.g. the index server)
         self.virtual_nodes: set[str] = set()
         #: recurring maintenance timers (heartbeats, lease sweeps)
@@ -359,21 +357,32 @@ class EventKernel:
         else:
             self.simulator.post(delay, self._deliver, message, recipient, context)
 
-    def send_many(self, message: Message, sender: str, recipients: Sequence[str], *,
-                  context: Optional[ExchangeContext] = None) -> None:
-        """Forward ``message`` one hop from ``sender`` to each recipient.
+    def fan_out(self, sender: str, recipients: Sequence[str]) -> list[tuple[str, float]]:
+        """``(recipient, link latency)`` for each of ``recipients``, in
+        order: the row :meth:`send_many` sends from.  A link's latency
+        never changes, so a caller may keep the row until the
+        recipients change."""
+        latency = self._link_latency
+        return [(recipient, latency(sender, recipient)) for recipient in recipients]
+
+    def send_many(self, message: Message, sender: str, fan_out: Sequence[tuple[str, float]],
+                  *, exclude: str = "", context: Optional[ExchangeContext] = None) -> None:
+        """Forward ``message`` one hop from ``sender`` to each recipient
+        of ``fan_out`` (a :meth:`fan_out` row) but ``exclude``.
 
         A flood hop, a discovery re-flood or a relay broadcast: the
         copies differ only in their recipient, so wire size, type,
-        statistics, the exchange's counters, the sender's latency row
-        and the forwarded message itself are resolved once for the hop.
-        The hop message (``message.forwarded(sender, "")``: one hop
-        further, addressed to nobody in particular) is built at the
-        first copy that queues an event; then, per recipient and in the
-        given order, the link latency is read and the event
-        ``(hop, recipient, context)`` is posted — the same events, in
-        the same order, as one :meth:`send` per copy, with the recipient
-        riding the event instead of a per-copy message.
+        statistics, the exchange's counters and the forwarded message
+        itself are resolved once for the hop, and each copy's latency
+        comes with its recipient.  ``exclude`` gets no copy and is not
+        counted (a flood hop passes the neighbour that delivered it).  The
+        hop message (``message.forwarded(sender, "")``: one hop further,
+        addressed to nobody in particular) is built at the first copy
+        that queues an event; then, per recipient and in the given
+        order, the event ``(hop, recipient, context)`` is posted — the
+        same events, in the same order, as one :meth:`send` per copy,
+        with the recipient riding the event instead of a per-copy
+        message.
 
         A copy of a once-per-node type to a node the exchange already
         visited is absorbed instead (see :meth:`deliver_once_per_node`):
@@ -383,19 +392,14 @@ class EventKernel:
         outside the exchange's own events must be followed by
         :meth:`finish_if_idle`, as any exchange that may send nothing.
         """
-        count = len(recipients)
+        count = len(fan_out)
         if not count:
             return
-        size = message.size_bytes
         type_value = message.type._value_
-        self.stats.record(type_value, size, count)
         visited: Collection[str] = ()
-        if context is not None:
-            context.messages_sent += count
-            context.bytes_sent += count * size
-            if self.absorbs_visited_copies and type_value in self._once_per_node:
-                visited = context.visited  # type: ignore[attr-defined]
-        row = self._latency_row(sender)
+        if (context is not None and self.absorbs_visited_copies
+                and type_value in self._once_per_node):
+            visited = context.visited  # type: ignore[attr-defined]
         faulted = self.faults is not None
         post = self.simulator.post
         deliver = self._deliver
@@ -403,10 +407,10 @@ class EventKernel:
         hop: Optional[Message] = None
         horizon = 0.0
         absorbed = 0
-        for recipient in recipients:
-            delay = row.get(recipient)
-            if delay is None:
-                delay = self._link_latency(sender, recipient)
+        for recipient, delay in fan_out:
+            if recipient == exclude:
+                count -= 1
+                continue
             if recipient in visited:
                 absorbed += 1
                 if faulted:
@@ -420,7 +424,15 @@ class EventKernel:
                 self._post_faulted(delay, sender, recipient, hop, context)
             else:
                 post(delay, deliver, hop, recipient, context)
+        if not count:
+            return
+        # Accounted after the copies: nothing a copy's send does reads
+        # these counters.
+        size = message.size_bytes
+        self.stats.record(type_value, size, count)
         if context is not None:
+            context.messages_sent += count
+            context.bytes_sent += count * size
             context.pending += count - absorbed
             if horizon > context.horizon:
                 context.horizon = horizon

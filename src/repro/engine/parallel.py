@@ -418,11 +418,11 @@ class WorkerKernel(EventKernel):
         super().send(message, context=context, copies=copies,
                      latency_ms=latency_ms)
 
-    def send_many(self, message: Message, sender: str, recipients: Sequence[str], *,
-                  context: Any = None) -> None:
+    def send_many(self, message: Message, sender: str, fan_out: Sequence[tuple[str, float]],
+                  *, exclude: str = "", context: Any = None) -> None:
         if self._suppress_sends:
             return
-        super().send_many(message, sender, recipients, context=context)
+        super().send_many(message, sender, fan_out, exclude=exclude, context=context)
 
     # -- completion ------------------------------------------------------
 

@@ -189,6 +189,9 @@ class PeerNetwork(ABC):
         #: :meth:`set_online` never brings one back, so a permanent
         #: departure sticks whatever churn return is still queued
         self.gone: set[str] = set()
+        #: the online peers in insertion order (see :meth:`online_peers`);
+        #: ``None`` until read again after an online transition
+        self._online: Optional[list[Peer]] = None
         #: the on/off flags handlers branch on per delivered message
         #: (documented on the groups); off is pinned bit-identical to
         #: the mechanism's absence
@@ -243,6 +246,8 @@ class PeerNetwork(ABC):
         if peer.peer_id in self.peers:
             raise DuplicatePeerError(f"peer id {peer.peer_id!r} is already in the network")
         self.peers[peer.peer_id] = peer
+        if peer.online and self._online is not None:
+            self._online.append(peer)
         peer.online_since = self.simulator.now
         if self.live_membership:
             self._ensure_maintenance()
@@ -272,6 +277,7 @@ class PeerNetwork(ABC):
         peer = self._require_peer(peer_id, allow_offline=True)
         if peer.online == online or (online and peer_id in self.gone):
             return
+        self._online = None
         now = self.simulator.now
         if online:
             peer.online = True
@@ -363,7 +369,14 @@ class PeerNetwork(ABC):
         return self.stats.uptime_ms_total
 
     def online_peers(self) -> list[Peer]:
-        return [peer for peer in self.peers.values() if peer.online]
+        """The online peers in insertion order, kept as an index:
+        :meth:`add_peer` extends it and :meth:`set_online`, the only
+        other writer of ``Peer.online``, drops it for one rescan at the
+        next read.  Callers must not mutate it."""
+        online = self._online
+        if online is None:
+            online = self._online = [peer for peer in self.peers.values() if peer.online]
+        return online
 
     def peer(self, peer_id: str) -> Peer:
         return self._require_peer(peer_id, allow_offline=True)

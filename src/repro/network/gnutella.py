@@ -76,12 +76,12 @@ class GnutellaProtocol(PeerNetwork):
         self.topology_kind = topology_kind
         self.degree = degree
         self._seed = seed
-        # peer id -> its *online* neighbour ids in flood order (see
-        # ``_online_neighbors``), cached because every flood, discovery
-        # re-flood and reachability walk re-reads the same adjacency.
-        # Dropped whole on every online transition (``set_online``) and
-        # every overlay change.
-        self._fan_outs: dict[str, list[str]] = {}
+        # peer id -> its *online* neighbours in flood order, each with
+        # its link latency (see ``_fan_out``), cached because every
+        # flood, discovery re-flood and reachability walk re-reads the
+        # same adjacency.  Dropped whole on every online transition
+        # (``set_online``) and every overlay change.
+        self._fan_outs: dict[str, list[tuple[str, float]]] = {}
         #: per-neighbour attenuated Bloom filters (``informed_routing``
         #: knob); ``None`` keeps the blind flood untouched on the hot path
         self._routing: Optional[RoutingIndex] = None
@@ -111,11 +111,15 @@ class GnutellaProtocol(PeerNetwork):
         self._fan_outs.clear()
         if self._routing is not None:
             self._routing.note_overlay_changed()
-        others = [candidate for candidate in self.online_peers() if candidate.peer_id != peer.peer_id]
+        # An online newcomer is the online index's last entry: drawing
+        # positions among the others makes the same draws as sampling
+        # a list of them, without building one per join.
+        online = self.online_peers()
+        others = len(online) - 1 if peer.online else len(online)
         if not others:
             return
-        sample_size = min(self.degree, len(others))
-        for neighbor in self.simulator.random.sample(others, sample_size):
+        for index in self.simulator.random.sample(range(others), min(self.degree, others)):
+            neighbor = online[index]
             peer.connect(neighbor.peer_id)
             neighbor.connect(peer.peer_id)
 
@@ -127,17 +131,19 @@ class GnutellaProtocol(PeerNetwork):
             self._fan_outs.clear()
         super().set_online(peer_id, online)
 
-    def _online_neighbors(self, peer: Peer) -> list[str]:
-        """``peer``'s online neighbour ids in flood order (sorted): the
-        one spelling of who a flood, a discovery re-flood or a
-        reachability walk forwards to.  Cached until an online
-        transition or an overlay change; callers must not mutate it."""
+    def _fan_out(self, peer: Peer) -> list[tuple[str, float]]:
+        """``peer``'s online neighbours in flood order (sorted by id),
+        each paired with its link latency: the one spelling of who a
+        flood, a discovery re-flood or a reachability walk forwards to,
+        and the row :meth:`EventKernel.send_many` sends from.  Cached
+        until an online transition or an overlay change; callers must
+        not mutate it."""
         fan_out = self._fan_outs.get(peer.peer_id)
         if fan_out is None:
             peers = self.peers
-            fan_out = self._fan_outs[peer.peer_id] = [
+            fan_out = self._fan_outs[peer.peer_id] = self.kernel.fan_out(peer.peer_id, [
                 neighbor_id for neighbor_id in sorted(peer.neighbors)
-                if (neighbor := peers.get(neighbor_id)) is not None and neighbor.online]
+                if (neighbor := peers.get(neighbor_id)) is not None and neighbor.online])
         return fan_out
 
     # ------------------------------------------------------------------
@@ -192,8 +198,7 @@ class GnutellaProtocol(PeerNetwork):
             visited = context.visited
             self.kernel.send_many(
                 message, peer.peer_id,
-                [neighbor_id for neighbor_id in self._online_neighbors(peer)
-                 if neighbor_id not in visited],
+                [pair for pair in self._fan_out(peer) if pair[0] not in visited],
                 context=context)
             return
         # Keepalive ping from a neighbour: acknowledge directly.  Under
@@ -465,9 +470,9 @@ class GnutellaProtocol(PeerNetwork):
             return
         extra = context.extra
         peer_id = peer.peer_id
-        targets = self._online_neighbors(peer)
+        fan_out = self._fan_out(peer)
         routing = self._routing
-        if routing is not None and targets and ttl <= routing.depth:
+        if routing is not None and fan_out and ttl <= routing.depth:
             hashed = extra.get("routing_keys", _KEYS_NOT_HASHED)
             if hashed is _KEYS_NOT_HASHED:
                 # Hash the probe keys once per flood; every hop reuses
@@ -477,11 +482,11 @@ class GnutellaProtocol(PeerNetwork):
                 hashed = None if keys is None else routing.hash_keys(keys)
                 extra["routing_keys"] = hashed
             if hashed is not None:
-                admitted = [neighbor_id for neighbor_id in targets
-                            if routing.admits(neighbor_id, hashed, ttl)]
+                admitted = [pair for pair in fan_out
+                            if routing.admits(pair[0], hashed, ttl)]
                 if admitted:
-                    self.stats.record_routing_pruned(len(targets) - len(admitted))
-                    targets = admitted
+                    self.stats.record_routing_pruned(len(fan_out) - len(admitted))
+                    fan_out = admitted
                 else:
                     # No filter admits the query from here: fall back to
                     # the blind fan-out (the no-lost-results contract) and
@@ -490,16 +495,13 @@ class GnutellaProtocol(PeerNetwork):
                     extra.setdefault("fallback_hops", set()).add(peer_id)
         # Gnutella forwards to every neighbour *except the one that
         # delivered the descriptor*: it already handled the flood, so
-        # the copy could only arrive as a duplicate.  Filtered after the
+        # the copy could only arrive as a duplicate.  Excluded after the
         # routing decision, which must see every neighbour (before it,
         # a hop whose only admitting filter is the sender's would fall
         # back to the blind fan-out).  The origin's own copy has
         # ``sender == origin``, never a neighbour.
-        delivered_by = message.sender
-        self.kernel.send_many(
-            message, peer_id,
-            [neighbor_id for neighbor_id in targets if neighbor_id != delivered_by],
-            context=context)
+        self.kernel.send_many(message, peer_id, fan_out, exclude=message.sender,
+                              context=context)
 
     # ------------------------------------------------------------------
     def reachable_peers(self, origin_id: str, ttl: Optional[int] = None) -> int:
@@ -514,7 +516,7 @@ class GnutellaProtocol(PeerNetwork):
             current = self.peers.get(current_id)
             if current is None or not current.online:
                 continue
-            for neighbor_id in self._online_neighbors(current):
+            for neighbor_id, _latency in self._fan_out(current):
                 if neighbor_id in visited:
                     continue
                 visited.add(neighbor_id)

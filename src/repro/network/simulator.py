@@ -79,23 +79,14 @@ class LatencyModel:
         #: source -> {target: ms}, filled on first use in both directions
         self._rows: dict[str, dict[str, float]] = {}
 
-    def row(self, source: str) -> dict[str, float]:
-        """The latencies from ``source`` computed so far, by target.
-
-        A fan-out fetches its sender's row once per hop and reads each
-        recipient from it without building a key; a target missing from
-        the row goes through :meth:`latency`, which fills it.
-        """
-        row = self._rows.get(source)
-        if row is None:
-            row = self._rows[source] = {}
-        return row
-
     def latency(self, source: str, target: str) -> float:
         """Latency in milliseconds of the link ``source`` ↔ ``target``."""
         if source == target:
             return 0.0
-        row = self.row(source)
+        rows = self._rows
+        row = rows.get(source)
+        if row is None:
+            row = rows[source] = {}
         cached = row.get(target)
         if cached is None:
             ordered = (source, target) if source <= target else (target, source)
@@ -104,7 +95,7 @@ class LatencyModel:
             # Cache both directions so the symmetric hit path skips the
             # ordering comparison entirely.
             row[target] = cached
-            self.row(target)[source] = cached
+            rows.setdefault(target, {})[source] = cached
         return cached
 
 

@@ -97,7 +97,8 @@ def visited_context():
 
 
 def fan_out(kernel, context, recipients=("n0", "n1")):
-    kernel.send_many(query_message("x", "s", "<q/>"), "s", list(recipients), context=context)
+    kernel.send_many(query_message("x", "s", "<q/>"), "s", kernel.fan_out("s", recipients),
+                     context=context)
 
 
 def idle_fan_out(absorbs):
@@ -150,7 +151,7 @@ def test_a_copy_awaiting_an_ack_is_queued_and_acknowledged():
     acked = hop.forwarded("s", "n0")
     acked.ack_to = "s"
     kernel.send(acked, context=context)
-    kernel.send_many(hop, "s", ["n1", "n2"], context=context)
+    kernel.send_many(hop, "s", kernel.fan_out("s", ["n1", "n2"]), context=context)
     # n0 is visited but was sent through ``send``: queued.  n1 is visited:
     # absorbed; n2 is not visited yet.
     # A delivery event is ``(message, recipient, context)``.

@@ -1,12 +1,13 @@
 """The kernel fan-out is N sends; the drive loop is the one pop loop.
 
-* A property: ``EventKernel.send_many(message, sender, recipients)``
-  over any recipient list, with and without injected faults, leaves
-  statistics, exchange counters, the ``horizon`` and the queued
-  deliveries exactly as one ``send(message.forwarded(sender, recipient))``
-  per recipient does — on the single-queue simulator and on a sharded
-  one, for a plain type and for a once-per-node type on a kernel that
-  absorbs nothing.
+* A property: ``EventKernel.send_many(message, sender, fan_out,
+  exclude=)`` over any recipient list's ``EventKernel.fan_out`` row,
+  with and without injected faults, leaves statistics, exchange
+  counters, the ``horizon`` and the queued deliveries exactly as one
+  ``send(message.forwarded(sender, recipient))`` per recipient other
+  than ``exclude`` does — on the single-queue simulator and on a
+  sharded one, for a plain type and for a once-per-node type on a
+  kernel that absorbs nothing.
 * The same property for a once-per-node type on an absorbing kernel,
   whose copies to nodes the exchange already visited are absorbed
   instead of queued: what the fan-out queues plus what a test-side
@@ -68,7 +69,8 @@ def fan_out_kernel(make_simulator, *, once_per_node, absorbs):
     return kernel
 
 
-def fan_out_state(make_simulator, recipients, visited, plan, *, once_per_node, many):
+def fan_out_state(make_simulator, recipients, exclude, visited, plan, *, once_per_node,
+                  many):
     """Fan a QUERY out from inside a delivery at ``s``, on a kernel that
     absorbs nothing, and report everything the two spellings must agree
     on."""
@@ -80,10 +82,12 @@ def fan_out_state(make_simulator, recipients, visited, plan, *, once_per_node, m
 
     def fan_out(peer, message, _context):
         if many:
-            kernel.send_many(message, "s", recipients, context=context)
+            kernel.send_many(message, "s", kernel.fan_out("s", recipients), exclude=exclude,
+                             context=context)
         else:
             for recipient in recipients:
-                kernel.send(message.forwarded("s", recipient), context=context)
+                if recipient != exclude:
+                    kernel.send(message.forwarded("s", recipient), context=context)
 
     kernel.register(MessageType.QUERY, fan_out)
     kernel.send(held)
@@ -112,17 +116,20 @@ fault_plans = st.one_of(st.none(), st.builds(
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(recipients=st.lists(st.sampled_from(NODES), max_size=7),
+       exclude=st.sampled_from(("",) + NODES),
        visited=st.sets(st.sampled_from(NODES)), once_per_node=st.booleans(),
        plan=fault_plans, simulator=st.sampled_from(sorted(SIMULATORS)))
-def test_fan_out_is_one_send_per_copy(recipients, visited, once_per_node, plan, simulator):
+def test_fan_out_is_one_send_per_copy(recipients, exclude, visited, once_per_node, plan,
+                                      simulator):
     """Repeated recipients are the sharp case: the fault model keys
     same-instant sends on one link by their occurrence, i.e. by order."""
     make = SIMULATORS[simulator]
-    one_by_one = fan_out_state(make, recipients, visited, plan,
+    one_by_one = fan_out_state(make, recipients, exclude, visited, plan,
                                once_per_node=once_per_node, many=False)
-    assert fan_out_state(make, recipients, visited, plan,
+    assert fan_out_state(make, recipients, exclude, visited, plan,
                          once_per_node=once_per_node, many=True) == one_by_one
-    assert one_by_one["context"][0] == len(recipients)
+    assert one_by_one["context"][0] == len(
+        [recipient for recipient in recipients if recipient != exclude])
     assert one_by_one["horizon"] == 0.0
 
 
@@ -151,7 +158,8 @@ def once_per_node_fan_out(make_simulator, recipients, visited, plan, *, absorbin
         Message.forwarded = counted_forwarded
         try:
             if absorbing:
-                kernel.send_many(message, "s", recipients, context=context)
+                kernel.send_many(message, "s", kernel.fan_out("s", recipients),
+                                 context=context)
             else:
                 for recipient in recipients:
                     kernel.send(message.forwarded("s", recipient), context=context)

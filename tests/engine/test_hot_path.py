@@ -162,13 +162,17 @@ def work_ledger(name):
     def counted(unit):
         return lambda function: tracer.counted(unit, function)
 
-    def note_copies(args, _result):
-        tracer.counts["engine.kernel.send_many.copies"] += len(args[3])
+    def spanned_send_many(function):
+        def copies_noted(kernel, message, sender, fan_out, *, exclude="", context=None):
+            # the copies sent: the excluded delivering neighbour gets none
+            tracer.counts["engine.kernel.send_many.copies"] += sum(
+                recipient != exclude for recipient, _latency in fan_out)
+            function(kernel, message, sender, fan_out, exclude=exclude, context=context)
+        return tracer.span("engine.kernel.send_many", copies_noted)
 
     tracer.patch_method((SearchResult,), "__init__", counted("network.base.SearchResult.init"))
     tracer.patch_method((Message,), "__init__", counted("network.messages.Message.init"))
-    tracer.patch_method((EventKernel,), "send_many", lambda function: tracer.span(
-        "engine.kernel.send_many", function, note_copies))
+    tracer.patch_method((EventKernel,), "send_many", spanned_send_many)
     try:
         scenario, _ = toy_round(name)
     finally:
@@ -338,11 +342,13 @@ def test_a_flood_never_echoes(monkeypatch):
         delivered_by[peer.peer_id] = message.sender
         flood_from(self, peer, message, context)
 
-    def recording_send_many(self, message, sender, recipients, *, context=None):
-        # A fan-out runs inside the ``_flood_from`` that just booked its sender.
+    def recording_send_many(self, message, sender, fan_out, *, exclude="", context=None):
+        # A fan-out runs inside the ``_flood_from`` that just booked its
+        # sender; the count below holds the kernel to skipping ``exclude``.
         if message.type is MessageType.QUERY:
-            sent.extend((sender, recipient, delivered_by[sender]) for recipient in recipients)
-        send_many(self, message, sender, recipients, context=context)
+            sent.extend((sender, recipient, delivered_by[sender])
+                        for recipient, _latency in fan_out if recipient != exclude)
+        send_many(self, message, sender, fan_out, exclude=exclude, context=context)
 
     monkeypatch.setattr(GnutellaProtocol, "_flood_from", recording_flood_from)
     monkeypatch.setattr(EventKernel, "send_many", recording_send_many)
@@ -377,11 +383,12 @@ def test_a_flood_builds_one_message_per_hop_that_queues(monkeypatch):
         calls["send"] += 1
         send(self, *args, **kwargs)
 
-    def counted_send_many(self, message, sender, recipients, *, context=None):
+    def counted_send_many(self, message, sender, fan_out, *, exclude="", context=None):
         assert message.type is MessageType.QUERY   # the only fan-out of the round
-        queued = [recipient for recipient in recipients if recipient not in context.visited]
+        queued = [recipient for recipient, _latency in fan_out
+                  if recipient != exclude and recipient not in context.visited]
         before = len(built)
-        send_many(self, message, sender, recipients, context=context)
+        send_many(self, message, sender, fan_out, exclude=exclude, context=context)
         new = built[before:]
         if queued:
             calls["queuing fan-outs"] += 1

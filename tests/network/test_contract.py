@@ -639,14 +639,15 @@ class FateLedger:
             self.scheduled += 1
             send(message, **kwargs)
 
-        def counted_send_many(message, sender, recipients, *, context=None):
+        def counted_send_many(message, sender, fan_out, *, exclude="", context=None):
+            recipients = [recipient for recipient, _latency in fan_out if recipient != exclude]
             self.scheduled += len(recipients)
             if context is not None and message.type in once_per_node:
                 absorbed = [recipient for recipient in recipients
                             if recipient in context.visited]
                 absorbing.update(absorbed)
                 self.absorbed += len(absorbed)
-            send_many(message, sender, recipients, context=context)
+            send_many(message, sender, fan_out, exclude=exclude, context=context)
             absorbing.clear()
 
         def counted_post_faulted(delay, sender, recipient, copy, context):
@@ -689,9 +690,10 @@ class FateLedger:
 
 class FanOutCheck:
     """Wraps a gnutella network's ``_flood_from`` on the instance: before
-    each forward, the peer's cached online fan-out (the one the forward
+    each forward, the peer's cached fan-out row (the one the forward
     reads) is compared with a fresh ``sorted`` scan of its neighbours'
-    ``online`` flags, and every difference is booked in ``stale``."""
+    ``online`` flags, each paired with its link latency, and every
+    difference is booked in ``stale``."""
 
     def __init__(self, network: GnutellaProtocol) -> None:
         self.checked = 0
@@ -700,9 +702,10 @@ class FanOutCheck:
 
         def checked_flood_from(peer, message, context):
             self.checked += 1
-            fresh = [neighbor_id for neighbor_id in sorted(peer.neighbors)
+            fresh = [(neighbor_id, network.simulator.link_latency(peer.peer_id, neighbor_id))
+                     for neighbor_id in sorted(peer.neighbors)
                      if neighbor_id in peers and peers[neighbor_id].online]
-            cached = list(network._online_neighbors(peer))
+            cached = list(network._fan_out(peer))
             if cached != fresh:
                 self.stale.append((network.simulator.now, peer.peer_id, cached, fresh))
             flood_from(peer, message, context)

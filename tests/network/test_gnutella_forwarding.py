@@ -120,10 +120,12 @@ class _QueryFates:
         drop = EventKernel._drop
         fates = self
 
-        def counting_send_many(kernel, message, sender, recipients, *, context=None):
+        def counting_send_many(kernel, message, sender, fan_out, *, exclude="", context=None):
             absorbed = []
             if message.type is MessageType.QUERY:
-                for recipient in recipients:
+                for recipient, _latency in fan_out:
+                    if recipient == exclude:
+                        continue   # the delivering neighbour gets no copy
                     key = (message.message_id, sender, recipient)
                     fates.sent.add(key)
                     # QUERY is delivered once per node: a copy to a node
@@ -132,7 +134,7 @@ class _QueryFates:
                     if context is not None and recipient in context.visited:
                         absorbed.append(key)
             fates.hop = message
-            send_many(kernel, message, sender, recipients, context=context)
+            send_many(kernel, message, sender, fan_out, exclude=exclude, context=context)
             fates.hop = None
             for key in absorbed:
                 for _ in range(1 + fates.duplicated[key]):
@@ -222,11 +224,12 @@ def test_a_discovery_ping_never_echoes(monkeypatch):
             delivered_by[peer.peer_id] = message.sender
         on_ping(self, peer, message, context)
 
-    def recording_send_many(self, message, sender, recipients, *, context=None):
+    def recording_send_many(self, message, sender, fan_out, *, exclude="", context=None):
         # A re-flood runs inside the handler that just booked its sender.
         if isinstance(context, MembershipContext) and message.type is MessageType.PING:
-            sent.extend((sender, recipient, delivered_by[sender]) for recipient in recipients)
-        send_many(self, message, sender, recipients, context=context)
+            sent.extend((sender, recipient, delivered_by[sender])
+                        for recipient, _latency in fan_out if recipient != exclude)
+        send_many(self, message, sender, fan_out, exclude=exclude, context=context)
 
     monkeypatch.setattr(GnutellaProtocol, "_on_ping", recording_on_ping)
     monkeypatch.setattr(EventKernel, "send_many", recording_send_many)
@@ -260,9 +263,10 @@ def test_a_neighbour_offline_between_two_searches_leaves_the_fan_out_and_returns
     fan_outs = []   # per search: (sender, recipients) of every QUERY fan-out
     send_many = EventKernel.send_many
 
-    def recording_send_many(self, message, sender, recipients, *, context=None):
-        fan_outs[-1].append((sender, list(recipients)))
-        send_many(self, message, sender, recipients, context=context)
+    def recording_send_many(self, message, sender, fan_out, *, exclude="", context=None):
+        fan_outs[-1].append((sender, [recipient for recipient, _latency in fan_out
+                                      if recipient != exclude]))
+        send_many(self, message, sender, fan_out, exclude=exclude, context=context)
 
     monkeypatch.setattr(EventKernel, "send_many", recording_send_many)
 
@@ -279,8 +283,8 @@ def test_a_neighbour_offline_between_two_searches_leaves_the_fan_out_and_returns
     network.set_online(leaver, False)
     second, reached = search()
     assert second == neighbours[1:] and leaver not in reached
-    assert network._online_neighbors(origin) == neighbours[1:]
+    assert network._fan_out(origin) == network.kernel.fan_out("peer-00", neighbours[1:])
     network.set_online(leaver, True)
     third, reached = search()
     assert third == neighbours and leaver in reached
-    assert network._online_neighbors(origin) == neighbours
+    assert network._fan_out(origin) == network.kernel.fan_out("peer-00", neighbours)
