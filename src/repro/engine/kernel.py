@@ -30,6 +30,13 @@ exchange completes then, or, if an absorbed copy would still have been
 in flight, by one queued completion at the horizon: ``completed_at`` is
 the last arrival either way.
 
+A copy queued *behind* an earlier copy to the same node is not queued
+either: it is *held* (see :class:`HeldCopies`) — counted, its sequence
+number reserved, its arrival folded into the ``horizon`` — and re-queued
+at its own ``(time, sequence)`` only if the earlier copy finds the node
+offline and not yet visited, the one case in which it could still be
+handled.
+
 Two concrete context kinds exist: :class:`QueryContext` for searches
 and :class:`RetrieveContext` for downloads.  Both ride the same queue,
 so a download taken while queries are in flight perturbs neither their
@@ -39,6 +46,7 @@ processing events, never by side-effecting mutation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Optional, Sequence, TYPE_CHECKING
 
@@ -82,9 +90,12 @@ class ExchangeContext:
     finalized: bool = False
     starved: bool = False
     completed_at: float = 0.0
-    #: latest arrival time of a copy absorbed at send (see
+    #: latest arrival time of a copy absorbed or held at send (see
     #: :meth:`EventKernel.send_many`): the exchange completes no earlier
     horizon: float = 0.0
+    #: the copies :meth:`EventKernel.send_many` holds behind an earlier
+    #: queued copy, made at the exchange's first holding fan-out
+    held: Optional["HeldCopies"] = None
     #: invoked once, with the context, when the exchange completes; the
     #: batch driver uses this to count completions in O(1) instead of
     #: polling every context after every processed event
@@ -199,6 +210,36 @@ class RetrieveContext(ExchangeContext):
         return self.stored is not None and self.error is None
 
 
+class HeldCopies:
+    """One exchange's flood copies held behind an earlier queued copy.
+
+    ``scheduled`` maps each node a fan-out queued a once-per-node copy to
+    the earliest arrival queued for it.  A later copy to that node which
+    arrives no earlier is *held*: it is queued behind a copy that pops
+    first, after which the node is visited (the copy is then a filtered
+    duplicate) unless that earlier copy found the node offline.  So only
+    then, and only if the node is still unvisited, are its held copies
+    re-queued (:meth:`EventKernel._release`).
+
+    A held copy is one row of plain columns — recipient, arrival,
+    reserved sequence number, sender and the message it forwards (what
+    :meth:`Message.forwarded` needs) — so holding it allocates no
+    per-copy object: the arrival and sequence columns are typed arrays,
+    and the others hold references to objects that exist already.  A
+    released row's recipient is blanked.
+    """
+
+    __slots__ = ("scheduled", "recipients", "arrivals", "sequences", "senders", "messages")
+
+    def __init__(self) -> None:
+        self.scheduled: dict[str, float] = {}
+        self.recipients: list[str] = []
+        self.arrivals = array("d")
+        self.sequences = array("q")
+        self.senders: list[str] = []
+        self.messages: list[Message] = []
+
+
 class MaintenanceTimer:
     """Handle of one recurring kernel timer (see :meth:`EventKernel.every`).
 
@@ -276,10 +317,22 @@ class EventKernel:
         no message, no event and no ``pending`` token.  (A copy awaiting
         an ACK is never a fan-out copy: :meth:`Message.forwarded` does
         not carry ``ack_to``, and a reliable envelope goes through
-        :meth:`send`, which never absorbs.)  Exchanges that
-        carry a registered type must have a ``visited`` set (the search
-        and membership contexts do); a delivery without an exchange is
-        never filtered.
+        :meth:`send`, which never absorbs.)
+
+        Without faults, a copy to a node not yet visited but behind a
+        copy already queued to it that arrives no later is *held*
+        (:class:`HeldCopies`): it too is counted and folded into the
+        ``horizon`` with no message, event or token, and only its
+        sequence number is drawn, where :meth:`NetworkSimulator.post`
+        would have drawn it.  The earlier copy pops first and leaves the
+        node visited, unless it finds the node offline; then the held
+        copies go back on the queue at their own ``(time, sequence)``
+        (:meth:`_release`), so churn sees every copy a plain send would
+        have queued.  A kernel that absorbs nothing holds nothing.
+
+        Exchanges that carry a registered type must have a ``visited``
+        set (the search and membership contexts do); a delivery without
+        an exchange is never filtered.
         """
         self._once_per_node.add(message_type.value)
 
@@ -385,45 +438,79 @@ class EventKernel:
         message.
 
         A copy of a once-per-node type to a node the exchange already
-        visited is absorbed instead (see :meth:`deliver_once_per_node`):
-        it is counted and meets its fault fate like any copy, but
-        nothing is queued for it; its arrival only raises the context's
-        ``horizon``.  It holds no ``pending`` token, so a fan-out sent
-        outside the exchange's own events must be followed by
-        :meth:`finish_if_idle`, as any exchange that may send nothing.
+        visited is absorbed instead, and without faults one queued
+        behind an earlier copy to its node is held (see
+        :meth:`deliver_once_per_node`): it is counted (and an absorbed
+        one meets its fault fate) like any copy, but nothing is queued
+        for it; its arrival only raises the context's ``horizon``.  It
+        holds no ``pending`` token, so a fan-out sent outside the
+        exchange's own events must be followed by :meth:`finish_if_idle`,
+        as any exchange that may send nothing.
         """
         count = len(fan_out)
         if not count:
             return
         type_value = message.type._value_
+        faulted = self.faults is not None
         visited: Collection[str] = ()
+        held: Optional[HeldCopies] = None
         if (context is not None and self.absorbs_visited_copies
                 and type_value in self._once_per_node):
             visited = context.visited  # type: ignore[attr-defined]
-        faulted = self.faults is not None
+            if not faulted:
+                held = context.held
+                if held is None:
+                    held = context.held = HeldCopies()
         post = self.simulator.post
         deliver = self._deliver
-        now = self.simulator.now
         hop: Optional[Message] = None
         horizon = 0.0
-        absorbed = 0
-        for recipient, delay in fan_out:
-            if recipient == exclude:
-                count -= 1
-                continue
-            if recipient in visited:
+        absorbed = 0   # copies that take no ``pending`` token: absorbed or held
+        if held is not None:
+            # The unfaulted once-per-node fan-out: a flood hop.
+            now = self.simulator.now
+            scheduled = held.scheduled
+            reserve = self.simulator.reserve
+            # Half the hops hold nothing: the columns are looked up per
+            # held copy rather than bound per hop.
+            for recipient, delay in fan_out:
+                if recipient == exclude:
+                    count -= 1
+                    continue
+                arrival = now + delay
+                if recipient not in visited:
+                    first = scheduled.get(recipient)
+                    if first is None or arrival < first:
+                        scheduled[recipient] = arrival
+                        if hop is None:
+                            hop = message.forwarded(sender, "")
+                        post(delay, deliver, hop, recipient, context)
+                        continue
+                    held.recipients.append(recipient)
+                    held.arrivals.append(arrival)
+                    held.sequences.append(reserve())
+                    held.senders.append(sender)
+                    held.messages.append(message)
                 absorbed += 1
-                if faulted:
+                if arrival > horizon:
+                    horizon = arrival
+        else:
+            # A plain type, or a faulted flood hop: only the latter has a
+            # ``visited`` set, and its absorbed copies meet their fates.
+            for recipient, delay in fan_out:
+                if recipient == exclude:
+                    count -= 1
+                    continue
+                if recipient in visited:
+                    absorbed += 1
                     self._post_faulted(delay, sender, recipient, None, context)
-                elif now + delay > horizon:
-                    horizon = now + delay
-                continue
-            if hop is None:
-                hop = message.forwarded(sender, "")
-            if faulted:
-                self._post_faulted(delay, sender, recipient, hop, context)
-            else:
-                post(delay, deliver, hop, recipient, context)
+                    continue
+                if hop is None:
+                    hop = message.forwarded(sender, "")
+                if faulted:
+                    self._post_faulted(delay, sender, recipient, hop, context)
+                else:
+                    post(delay, deliver, hop, recipient, context)
         if not count:
             return
         # Accounted after the copies: nothing a copy's send does reads
@@ -540,15 +627,47 @@ class EventKernel:
                     self.send(ack_message(recipient, message.ack_to,
                                           message_id=message.message_id),
                               context=context)
+            elif context is not None and context.held is not None:
+                self._release(recipient, context)
         finally:
             if context is not None:
                 context.pending -= 1
                 if context.pending <= 0 and not context.done:
                     self._settle(context)
 
+    def _release(self, recipient: str, context: ExchangeContext) -> None:
+        """A delivery found ``recipient`` offline.  Unless the exchange
+        visited it already, a copy held behind this one (see
+        :class:`HeldCopies`) may find it back online, so each is queued
+        at the ``(time, sequence)`` it was held at — the entry a plain
+        send would have queued — and nothing more is held behind this
+        delivery: the node's ``scheduled`` entry goes."""
+        if recipient in context.visited:  # type: ignore[attr-defined]
+            return
+        held = context.held
+        assert held is not None
+        if held.scheduled.pop(recipient, None) is None:
+            return   # nothing is held for a node with no scheduled entry
+        recipients = held.recipients
+        post_reserved = self.simulator.post_reserved
+        index = -1
+        while True:
+            try:
+                index = recipients.index(recipient, index + 1)
+            except ValueError:
+                return
+            recipients[index] = ""
+            context.pending += 1
+            post_reserved(held.arrivals[index], held.sequences[index], self._deliver,
+                          held.messages[index].forwarded(held.senders[index], ""),
+                          recipient, context)
+
     def _complete(self, context: ExchangeContext) -> None:
         context.done = True
         context.completed_at = self.simulator.now
+        # Nothing of the exchange is queued: its held copies are all
+        # filtered duplicates now.
+        context.held = None
         if context.watcher is not None:
             context.watcher(context)
 

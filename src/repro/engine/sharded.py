@@ -136,6 +136,10 @@ class ShardedSimulator(NetworkSimulator):
     def post_at(self, time_ms: float, callback: Callable[..., None], *args: object) -> None:
         self._route((time_ms, next(self._sequence), callback, args))
 
+    def post_reserved(self, time_ms: float, sequence: int,
+                      callback: Callable[..., None], *args: object) -> None:
+        self._route((time_ms, sequence, callback, args))
+
     def post_keyed(self, key: str, delay_ms: float,
                    callback: Callable[..., None], *args: object) -> None:
         """Post an event with explicit shard affinity (keyed timers)."""

@@ -4,7 +4,9 @@ The simulator provides a virtual clock, an event queue and a latency
 model between peers.  Events go onto the queue by :meth:`post`, a delay
 from now (or :meth:`post_keyed`, with a shard-affinity hint), or by
 :meth:`post_at`, an absolute time no earlier than now (the kernel's
-completion of an exchange at its horizon).  The clock moves only by
+completion of an exchange at its horizon), or by :meth:`post_reserved`,
+at an absolute time and a sequence number :meth:`reserve` drew earlier
+(the kernel's release of a held flood copy).  The clock moves only by
 processing events, and one loop does that: :meth:`NetworkSimulator.drive`
 pops the earliest entry, sets ``now`` to its time and runs it, until a
 :class:`DriveLatch` is released, the queue drains, an ``until_ms``
@@ -137,6 +139,21 @@ class NetworkSimulator:
         lie in the past; nothing checks it.
         """
         heapq.heappush(self._queue, (time_ms, next(self._sequence), callback, args))
+
+    def reserve(self) -> int:
+        """Draw the sequence number a :meth:`post` now would take, for an
+        event that :meth:`post_reserved` may queue later — or nothing
+        ever will.  Sequence numbers only order entries, so an unused one
+        changes no order."""
+        return next(self._sequence)
+
+    def post_reserved(self, time_ms: float, sequence: int,
+                      callback: Callable[..., None], *args) -> None:
+        """Queue ``callback(*args)`` at ``(time_ms, sequence)``, a number
+        :meth:`reserve` drew: the entry a :meth:`post` would have queued
+        then.  The kernel re-queues a held flood copy this way
+        (``EventKernel._release``); ``time_ms`` must not lie in the past."""
+        heapq.heappush(self._queue, (time_ms, sequence, callback, args))
 
     def post_keyed(self, key: str, delay_ms: float,
                    callback: Callable[..., None], *args) -> None:

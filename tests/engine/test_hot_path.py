@@ -9,8 +9,10 @@
   a QUERY back to the neighbour that delivered it, ``dynamic`` once,
   when fault rolls became BLAKE2b lanes, and ``directory`` once, when
   the index server's store became a ``HubCatalog`` and the origin began
-  answering its own matches locally.  The bench's own first round is
-  pinned equal to the toy round.
+  answering its own matches locally.  Two more cells re-run the ``flood``
+  round under relay churn (``flood-churn``) and with live membership as
+  well (``flood-live``), where a flood copy can find its node offline.
+  The bench's own first round is pinned equal to the toy round.
 * *Golden query evaluation.*  Per protocol, a digest of a concurrent
   search scenario's observables and the hits of one direct search,
   taken while a switch could still send every query through the
@@ -34,7 +36,7 @@
   frame for a duplicate QUERY delivery, no message id drawn for a QUERY
   copy, no QUERY copy sent back to the peer it came from, and one
   ``Message`` per fan-out that queues an event (shared by its copies,
-  none for a fan-out wholly absorbed).  A peer that stores
+  none for a fan-out wholly absorbed or held).  A peer that stores
   nothing in a query's community never evaluates its plan.  An index
   point builds each hit once per record and depth: a repeated
   ``directory`` round constructs no ``SearchResult`` in ``HubCatalog.take``.
@@ -62,7 +64,8 @@ from repro.storage.plan import CompiledQuery
 from repro.storage.query import Query
 from repro.storage.repository import LocalRepository
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-from tests.network.test_contract import BASE_CELL, make_network, publish_pattern
+from tests.network.test_contract import (
+    BASE_CELL, GNUTELLA_ONCE_PER_NODE, HoldOracle, make_network, publish_pattern)
 
 SEED = 7
 
@@ -79,14 +82,32 @@ GOLDEN = {
     "directory": "ace821caed15ce4f6b1736dc429c7e488393661e6f10d0ae3bd365e2f848d24f",
     "bootstrap": "9d1b9f5733f1a0cc0114a605727ec3e0e3ad4d93cfe84f735f0065b66f20c316",
     "dynamic": "ff34508003cfa91562c5c186fd612188e2b2f7d751879a05424eed74cba782d3",
+    # Frozen while every flood copy behind an earlier copy to the same
+    # node still rode the queue.  Relays flap (300 ms sessions, 150 ms
+    # absences) inside one flood, so a copy held behind one that found
+    # its node offline must be re-queued, and the node's ``scheduled``
+    # entry dropped: a kernel that keeps the entry holds later copies
+    # that would have been handled, and moves both digests.
+    "flood-churn": "ffdf5addced8b27550746fbec766ade762d6662e2840c670f4413d9e1f7b6566",
+    "flood-live": "653ec95281cd1904ec8187ce5bd3a3deba3cb22759ccc3979c67b86d80604714",
 }
+
+#: the ``GOLDEN`` cells that are not bench workloads: (workload, overrides)
+_CHURN = dict(churn_session_ms=300.0, churn_absence_ms=150.0)
+VARIANTS = {
+    "flood-churn": ("flood", _CHURN),
+    "flood-live": ("flood", dict(_CHURN, live_membership=True)),
+}
+#: the four bench workloads
+WORKLOADS = sorted(name for name in GOLDEN if name not in VARIANTS)
 
 
 def toy_round(name, shards=1, **overrides):
-    """One toy-size round of workload ``name``, batched the way the bench
-    batches it; returns the scenario and each search's result count."""
-    scenario = build_scenario(scenario_config(name, SEED, toy=True, shards=shards,
-                                              **overrides))
+    """One toy-size round of ``GOLDEN`` cell ``name``, batched the way the
+    bench batches it; returns the scenario and each search's result count."""
+    workload, knobs = VARIANTS.get(name, (name, {}))
+    scenario = build_scenario(scenario_config(workload, SEED, toy=True, shards=shards,
+                                              **{**knobs, **overrides}))
     return scenario, run_round(scenario)
 
 
@@ -112,7 +133,7 @@ def test_toy_round_reproduces_the_golden_digest(name, shards):
 
 
 @pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_a_drained_round_leaves_no_state_behind(name, shards):
     """No leaked state at quiescence: once the timers are cancelled and the
     queue has run dry, nothing is queued, no reliable send is un-ACKed and
@@ -129,7 +150,7 @@ def test_a_drained_round_leaves_no_state_behind(name, shards):
     assert set(network.caches.sites) <= live
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_the_bench_first_round_is_the_toy_round(name):
     """The bench's own first round does what the toy round does."""
     scenario, counts = toy_round(name)
@@ -145,7 +166,7 @@ WORK_LEDGER = Path(__file__).resolve().parents[2] / "BENCH_work.json"
 
 
 def work_ledger(name):
-    """Unit of work -> count, over the ``GOLDEN`` toy round of ``name``.
+    """Unit of work -> count, over the toy round of bench workload ``name``.
 
     The units are every call count ``bench.trace`` takes (one per span,
     plus its plain counters), the events the simulator executed, and
@@ -188,10 +209,10 @@ def committed_work():
 
 
 def test_the_ledger_covers_exactly_the_golden_workloads():
-    assert sorted(committed_work()) == sorted(GOLDEN)
+    assert sorted(committed_work()) == WORKLOADS
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_the_toy_rounds_do_the_committed_work(name):
     """Work is gated by equality, with no clock in it: a change that adds
     or removes work on any toy round moves a count here, and lands only
@@ -366,12 +387,13 @@ def test_a_flood_builds_one_message_per_hop_that_queues(monkeypatch):
     message is built inside it, addressed to nobody (``recipient`` is
     empty), and rides every delivery event the fan-out queued, each of
     which names its own recipient; a fan-out whose every copy is
-    absorbed builds nothing."""
+    absorbed or held builds nothing."""
     built = []          # every message constructed, in order
     hops = {}           # id(hop message) -> recipients its fan-out queued
     delivered = {}      # id(hop message) -> recipients of its executed events
-    calls = {"queuing fan-outs": 0, "absorbed fan-outs": 0, "queued copies": 0,
-             "send": 0, "start_search": 0}
+    calls = {"queuing fan-outs": 0, "absorbed or held fan-outs": 0, "queued copies": 0,
+             "held copies": 0, "send": 0, "start_search": 0}
+    oracles = []        # the HoldOracle of the round's one kernel
     init, send, send_many = Message.__init__, EventKernel.send, EventKernel.send_many
     deliver, start_search = EventKernel._deliver, GnutellaProtocol.start_search
 
@@ -385,8 +407,13 @@ def test_a_flood_builds_one_message_per_hop_that_queues(monkeypatch):
 
     def counted_send_many(self, message, sender, fan_out, *, exclude="", context=None):
         assert message.type is MessageType.QUERY   # the only fan-out of the round
-        queued = [recipient for recipient, _latency in fan_out
-                  if recipient != exclude and recipient not in context.visited]
+        if not oracles:
+            oracles.append(HoldOracle(self, GNUTELLA_ONCE_PER_NODE))
+        absorbed, held = oracles[0].fan_out(message, sender, fan_out, exclude, context)
+        queued = [recipient for recipient, _latency in fan_out if recipient != exclude]
+        for recipient in absorbed + held:
+            queued.remove(recipient)
+        calls["held copies"] += len(held)
         before = len(built)
         send_many(self, message, sender, fan_out, exclude=exclude, context=context)
         new = built[before:]
@@ -397,7 +424,7 @@ def test_a_flood_builds_one_message_per_hop_that_queues(monkeypatch):
             assert (hop.sender, hop.recipient, hop.ttl) == (sender, "", message.ttl - 1)
             hops[id(hop)] = sorted(queued)
         else:
-            calls["absorbed fan-outs"] += 1
+            calls["absorbed or held fan-outs"] += 1
             assert new == []
 
     def counted_deliver(self, message, recipient, context):
@@ -416,12 +443,14 @@ def test_a_flood_builds_one_message_per_hop_that_queues(monkeypatch):
     monkeypatch.setattr(GnutellaProtocol, "start_search", counted_start_search)
     toy_round("flood")
 
-    # the guard bites: copies outnumber hops, and some fan-outs are all absorbed
+    # the guard bites: copies outnumber hops, some copies are held, and
+    # some fan-outs queue nothing
     assert calls["queued copies"] > 2 * calls["queuing fan-outs"] > 0
-    assert calls["absorbed fan-outs"] > 0
+    assert calls["held copies"] > 0 and calls["absorbed or held fan-outs"] > 0
     assert len(built) == calls["queuing fan-outs"] + calls["send"] + calls["start_search"]
     assert len(built) == committed_work()["flood"]["network.messages.Message.init"]
-    # the flood runs without faults: one delivery event per queued copy
+    # the flood runs without faults or churn: one delivery event per
+    # queued copy, and none for a held one
     assert {key: sorted(recipients) for key, recipients in delivered.items()} == hops
 
 
@@ -481,5 +510,5 @@ def test_a_repeated_directory_round_builds_no_new_hit(monkeypatch):
 
 
 if __name__ == "__main__":
-    ledger = {name: work_ledger(name) for name in sorted(GOLDEN)}
+    ledger = {name: work_ledger(name) for name in WORKLOADS}
     WORK_LEDGER.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n", encoding="utf-8")

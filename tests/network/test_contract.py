@@ -605,6 +605,66 @@ def store_violations(network) -> list:
 GNUTELLA_ONCE_PER_NODE = frozenset((MessageType.QUERY, MessageType.PING))
 
 
+class HoldOracle:
+    """Names, from the rule and not from the kernel's columns, the
+    fan-out copies a kernel holds behind an earlier queued copy, and the
+    held copies a delivery releases.
+
+    A copy is held when its kernel absorbs visited copies and runs
+    unfaulted, its type is once per node, its recipient is not yet
+    visited, and a copy its exchange queued to that recipient arrives no
+    later.  A delivery that finds its recipient offline and not visited
+    releases every copy held for that recipient and forgets the queued
+    arrival, so nothing more is held behind it."""
+
+    def __init__(self, kernel, once_per_node) -> None:
+        self.kernel, self.once_per_node = kernel, once_per_node
+        #: (id of the exchange, recipient) -> earliest queued arrival
+        self.first: dict[tuple[int, str], float] = {}
+        #: (id of the exchange, recipient) -> (descriptor id, sender) per held copy
+        self.held: dict[tuple[int, str], list[tuple[str, str]]] = {}
+        self.contexts: dict[int, object] = {}   # kept alive: no id is reused
+
+    def fan_out(self, message, sender, fan_out, exclude, context) -> tuple[list, list]:
+        """(absorbed recipients, held recipients) of a ``send_many`` about
+        to run."""
+        kernel = self.kernel
+        if (context is None or message.type not in self.once_per_node
+                or not kernel.absorbs_visited_copies):
+            return [], []
+        self.contexts[id(context)] = context
+        now = kernel.simulator.now
+        absorbed, held = [], []
+        for recipient, latency in fan_out:
+            if recipient == exclude:
+                continue
+            if recipient in context.visited:
+                absorbed.append(recipient)
+                continue
+            if kernel.faults is not None:
+                continue
+            key, arrival = (id(context), recipient), now + latency
+            first = self.first.get(key)
+            if first is not None and first <= arrival:
+                held.append(recipient)
+                self.held.setdefault(key, []).append((message.message_id, sender))
+            else:
+                self.first[key] = arrival
+        return absorbed, held
+
+    def arrive(self, recipient, context) -> list[tuple[str, str]]:
+        """(descriptor id, sender) of each held copy the delivery to
+        ``recipient`` about to run releases."""
+        key = (id(context), recipient)
+        if context is None or key not in self.first or recipient in context.visited:
+            return []
+        peer = self.kernel.peers.get(recipient)
+        if (peer is not None and peer.online) or recipient in self.kernel.virtual_nodes:
+            return []
+        del self.first[key]
+        return self.held.pop(key, [])
+
+
 class FateLedger:
     """Counts the deliveries one kernel schedules (one per ``send``, one
     per ``send_many`` copy) and the delivery events it executes
@@ -612,9 +672,11 @@ class FateLedger:
     kernel instance.
 
     A fan-out absorbs, instead of queueing, each copy of a once-per-node
-    type to a node its exchange already visited.  The ledger names those
-    copies itself at send time, by recipient, from the same two facts,
-    and counts each one, and each fault duplicate of one, as absorbed.
+    type to a node its exchange already visited, and holds each copy
+    queued behind an earlier one (:class:`HoldOracle`).  The ledger names
+    those copies itself at send time, by recipient, and counts each
+    absorbed one, and each fault duplicate of one, as absorbed, and each
+    held one as held until a delivery releases it into the queue.
 
     On a sharded simulator it also books every executed event that ran
     on a shard other than its recipient's home (``misrouted``): a
@@ -625,11 +687,11 @@ class FateLedger:
         kernel = network.kernel
         simulator = network.simulator
         self.network = network
-        self.scheduled = self.executed = self.absorbed = 0
+        self.scheduled = self.executed = self.absorbed = self.held = self.released = 0
         self.misrouted: list[tuple[str, str, Optional[int]]] = []
         sharded = isinstance(simulator, ShardedSimulator) and simulator.lookahead_ms > 0
-        once_per_node = (GNUTELLA_ONCE_PER_NODE if isinstance(network, GnutellaProtocol)
-                         else frozenset())
+        oracle = HoldOracle(kernel, GNUTELLA_ONCE_PER_NODE
+                            if isinstance(network, GnutellaProtocol) else frozenset())
         absorbing: set[str] = set()   # recipients absorbed by the fan-out being sent
         send, send_many, deliver, drop, post_faulted = (
             kernel.send, kernel.send_many, kernel._deliver, kernel._drop,
@@ -640,13 +702,11 @@ class FateLedger:
             send(message, **kwargs)
 
         def counted_send_many(message, sender, fan_out, *, exclude="", context=None):
-            recipients = [recipient for recipient, _latency in fan_out if recipient != exclude]
-            self.scheduled += len(recipients)
-            if context is not None and message.type in once_per_node:
-                absorbed = [recipient for recipient in recipients
-                            if recipient in context.visited]
-                absorbing.update(absorbed)
-                self.absorbed += len(absorbed)
+            self.scheduled += sum(recipient != exclude for recipient, _latency in fan_out)
+            absorbed, held = oracle.fan_out(message, sender, fan_out, exclude, context)
+            absorbing.update(absorbed)
+            self.absorbed += len(absorbed)
+            self.held += len(held)
             send_many(message, sender, fan_out, exclude=exclude, context=context)
             absorbing.clear()
 
@@ -663,6 +723,9 @@ class FateLedger:
         def counted_deliver(message, recipient, context):
             self.executed += 1
             on_home_shard("deliver", recipient)
+            released = len(oracle.arrive(recipient, context))
+            self.held -= released
+            self.released += released
             deliver(message, recipient, context)
 
         def counted_drop(message, recipient, context):
@@ -682,10 +745,10 @@ class FateLedger:
         return sum(entry[2] in self.callbacks for heap in heaps for entry in heap)
 
     def balance(self) -> tuple[int, int]:
-        """(deliveries scheduled, deliveries executed, absorbed or still
-        queued)."""
+        """(deliveries scheduled, deliveries executed, absorbed, held and
+        never released, or still queued)."""
         scheduled = self.queued_at_start + self.scheduled + self.network.stats.duplicated
-        return scheduled, self.executed + self.absorbed + self.queued()
+        return scheduled, self.executed + self.absorbed + self.held + self.queued()
 
 
 class FanOutCheck:
@@ -766,6 +829,7 @@ def _run_cell(cell: Cell, shards: int, knobs: tuple) -> CellRun:
                      stats.routing_fp_forwards, stats.routing_filter_bytes),
             control_messages=stats.control_messages,
             churn_events=len(scenario.churn.events) if scenario.churn else 0,
+            held=(ledger.held, ledger.released),
             windows=getattr(simulator, "windows", 0),
             cross_shard_messages=getattr(simulator, "cross_shard_messages", 0),
             events_per_shard=getattr(simulator, "events_per_shard", ())),
@@ -827,10 +891,16 @@ class TestGeneratedContract:
     @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
     def test_every_delivery_meets_one_fate(self, cell):
         """Deliveries scheduled (plus fault duplicates) equal deliveries
-        executed or dropped, absorbed at send, or still queued."""
+        executed or dropped, absorbed at send, held at send and never
+        released, or still queued."""
         for shards in (1, 4):
             for scheduled, accounted in run_cell(cell, shards).fates:
                 assert scheduled == accounted
+        # Only an unfaulted flood holds copies, and only churn releases one.
+        held, released = run_cell(cell).engaged["held"]
+        holds = cell.protocol == "gnutella" and not cell.faults
+        assert (held > 0) == holds
+        assert (released > 0) == (holds and cell.lifecycle != "static")
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.id)
     def test_every_delivery_runs_on_its_recipients_shard(self, cell):

@@ -10,8 +10,9 @@ returns:
 * under faults, every surviving copy keeps its fate — decisions are
   keyed by sender, recipient and send instant — so searches issued at
   fixed instants return the hits frozen before the rule was enforced;
-* every QUERY copy sent meets exactly one fate — absorbed at send among
-  them — and nothing of a flood is left queued or pending at quiescence;
+* every QUERY copy sent meets exactly one fate — absorbed at send, or
+  held at send behind an earlier copy, among them — and nothing of a
+  flood is left queued or pending at quiescence;
 * a peer forwards to its *online* neighbours only, and the cached
   fan-out follows a neighbour offline and back.
 """
@@ -29,6 +30,7 @@ from repro.network.gnutella import GnutellaProtocol
 from repro.network.messages import MessageType
 from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
+from tests.network.test_contract import GNUTELLA_ONCE_PER_NODE, HoldOracle
 
 #: absolute virtual instant the fault plan is armed at, well past the
 #: bootstrap of :func:`fixed_scenario` (≈ 154 s); searches start from it
@@ -104,41 +106,49 @@ class _QueryFates:
     """Test-side wrappers on the kernel that book every QUERY copy sent
     and every arrival-time event of one, by copy.  A copy is keyed by its
     flood's descriptor id, its sender and its recipient — a peer forwards
-    a flood once, so the key names one copy, built or absorbed.  The
-    kernel looks its methods up per send, so wrapping a built network
-    catches every later copy."""
+    a flood once, so the key names one copy, built, absorbed or held.
+    A held copy a delivery releases is queued after all, and meets the
+    fate of its arrival instead.  The kernel looks its methods up per
+    send, so wrapping a built network catches every later copy."""
 
     def __init__(self, monkeypatch):
         self.sent = set()                            # keys of the copies sent
         self.duplicated = collections.Counter()      # key -> extra deliveries
         self.events = collections.Counter()          # key -> arrival events
         self.fates = collections.Counter()           # fate -> arrival events
+        self.released = 0                            # held copies re-queued
         self.hop = None                              # the message being fanned out
+        self.oracle = None                           # HoldOracle of the kernel
         send_many = EventKernel.send_many
         post_faulted = EventKernel._post_faulted
         deliver = EventKernel._deliver
         drop = EventKernel._drop
         fates = self
 
+        def oracle(kernel):
+            if fates.oracle is None:
+                fates.oracle = HoldOracle(kernel, GNUTELLA_ONCE_PER_NODE)
+            return fates.oracle
+
         def counting_send_many(kernel, message, sender, fan_out, *, exclude="", context=None):
-            absorbed = []
+            # QUERY is delivered once per node: a copy to a node the flood
+            # already visited is absorbed at send, its fault duplicates
+            # with it, and one queued behind an earlier copy is held.
+            absorbed, held = oracle(kernel).fan_out(message, sender, fan_out, exclude, context)
             if message.type is MessageType.QUERY:
-                for recipient, _latency in fan_out:
-                    if recipient == exclude:
-                        continue   # the delivering neighbour gets no copy
-                    key = (message.message_id, sender, recipient)
-                    fates.sent.add(key)
-                    # QUERY is delivered once per node: a copy to a node
-                    # the flood already visited is absorbed at send, its
-                    # fault duplicates with it.
-                    if context is not None and recipient in context.visited:
-                        absorbed.append(key)
+                fates.sent.update((message.message_id, sender, recipient)
+                                  for recipient, _latency in fan_out
+                                  if recipient != exclude)   # the deliverer gets none
             fates.hop = message
             send_many(kernel, message, sender, fan_out, exclude=exclude, context=context)
             fates.hop = None
-            for key in absorbed:
-                for _ in range(1 + fates.duplicated[key]):
-                    fates.book(key, "absorbed")
+            if message.type is MessageType.QUERY:
+                for recipient in absorbed:
+                    key = (message.message_id, sender, recipient)
+                    for _ in range(1 + fates.duplicated[key]):
+                        fates.book(key, "absorbed")
+                for recipient in held:
+                    fates.book((message.message_id, sender, recipient), "held")
 
         def counting_post_faulted(kernel, delay, sender, recipient, hop, context):
             duplicated = kernel.stats.duplicated
@@ -149,6 +159,11 @@ class _QueryFates:
                     kernel.stats.duplicated - duplicated)
 
         def counting_deliver(kernel, message, recipient, context):
+            for message_id, sender in oracle(kernel).arrive(recipient, context):
+                # Released into the queue: it meets its arrival's fate.
+                fates.events[(message_id, sender, recipient)] -= 1
+                fates.fates["held"] -= 1
+                fates.released += 1
             if message.type is MessageType.QUERY:
                 peer = kernel.peers.get(recipient)
                 if peer is None or not peer.online:
@@ -182,11 +197,13 @@ def key_of(message, recipient):
 
 @pytest.mark.parametrize("plan", [None, FAULTS], ids=["clean", "faults"])
 def test_every_query_copy_meets_exactly_one_fate(monkeypatch, plan):
-    """Absorbed at send (its recipient already visited), handled at its
-    first arrival, filtered as a duplicate, delivered to an offline peer,
-    or dropped by a fault — one of the five per copy (plus one more per
+    """Absorbed at send (its recipient already visited), held at send
+    behind an earlier copy and never released, handled at its first
+    arrival, filtered as a duplicate, delivered to an offline peer, or
+    dropped by a fault — one of the six per copy (plus one more per
     extra delivery the duplication fault made), and nothing of any flood
-    left queued or pending at quiescence."""
+    left queued or pending at quiescence.  A held copy that a delivery
+    to its offline recipient releases meets its arrival's fate."""
     scenario = fixed_scenario(churn_session_ms=3_000.0, churn_absence_ms=1_500.0)
     fates = _QueryFates(monkeypatch)
     contexts = searches_at_fixed_instants(scenario, plan)
@@ -202,8 +219,10 @@ def test_every_query_copy_meets_exactly_one_fate(monkeypatch, plan):
     assert fates.fates["absorbed"] > 0
     if plan is not None:
         assert fates.fates["dropped"] > 0 and sum(fates.duplicated.values()) > 0
+        assert fates.fates["held"] == fates.released == 0   # a faulted flood holds nothing
     else:
         assert fates.fates["dropped"] == 0 and not fates.duplicated
+        assert fates.fates["held"] > 0 and fates.released > 0
 
     assert all(context.done and not context.starved and context.pending == 0
                for context in contexts)

@@ -9,13 +9,18 @@ the parent's median and quartiles, the change's median, their ratio and
 how many pairs the change won (ties count for neither side), and marks
 a gain as claimable when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
-range.  A run that fails, or reports a wrong output or a failed op, is
-printed as it happens.
+range.  The last column flags a metric whose change median is worse
+than the parent's by more than the metric's ``bound`` (a share of the
+parent's median), the other way a change is refused.  A run that fails,
+or reports a wrong output or a failed op, is printed as it happens.
 
 Usage (stdlib only; not a pytest module)::
 
     python tests/tools/pairs.py PARENT_TREE CHANGE_TREE \\
         [--workload flood ...] [--pairs 10] [--seed 1000] [--seconds 8] [--out PATH]
+
+``--workload`` takes one or more names and may be repeated; every name
+given runs, in order (``flood`` when none is).
 
 ``--out`` writes every run's metrics as JSON.  Each tree needs only its
 ``bench/``, ``src/`` and ``BENCHMARK.json``; neither is written to.
@@ -59,7 +64,7 @@ def summarise(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]])
     count = len(runs)
     print(f"\n{workload}: {count} pairs")
     print(f"  {'metric':<20} {'parent median (q1-q3)':>36} {'change':>10} "
-          f"{'ratio':>7} {'wins':>6}  claimable")
+          f"{'ratio':>7} {'wins':>6}  claimable  over bound")
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [(parent["metrics"][name]["value"], change["metrics"][name]["value"])
@@ -78,19 +83,38 @@ def summarise(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]])
         ratio = change_median / parent_median if parent_median else float("nan")
         spread = f"{parent_median:.4g} ({low:.4g}-{high:.4g})"
         print(f"  {name:<20} {spread:>36} {change_median:>10.4g} {ratio:>7.3f} "
-              f"{wins:>3}/{len(pairs):<2}  {'yes' if claimable else 'no'}")
+              f"{wins:>3}/{len(pairs):<2}  {'yes' if claimable else 'no':<9}  "
+              f"{over_bound(metric, parent_median, change_median)}")
 
 
-def main(argv: list[str]) -> int:
+def over_bound(metric: dict, parent_median: float, change_median: float) -> str:
+    """``"YES"`` when the change median is worse than the parent's by more
+    than ``metric["bound"]`` of the parent's median, ``"no"`` when it is
+    not, ``"-"`` for a metric with no bound."""
+    bound = metric.get("bound")
+    if bound is None:
+        return "-"
+    worse = (change_median - parent_median if metric["better"] == "lower"
+             else parent_median - change_median)
+    return "YES" if worse > bound * abs(parent_median) else "no"
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", nargs="+", default=["flood"])
+    parser.add_argument("--workload", nargs="+", action="extend")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1000)
     parser.add_argument("--seconds", type=float, default=8)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    args.workload = args.workload or ["flood"]
+    return args
+
+
+def main(argv: list[str]) -> int:
+    args = parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     record: dict[str, list] = {}
