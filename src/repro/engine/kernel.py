@@ -50,7 +50,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Optional, Sequence, TYPE_CHECKING
 
-from repro.network.faults import FaultModel
+from repro.network.faults import _CLEAN, FaultDecision, FaultModel
 from repro.network.messages import Message, MessageType, ack_message
 from repro.network.simulator import DriveLatch, NetworkSimulator
 from repro.network.stats import NetworkStats
@@ -406,9 +406,14 @@ class EventKernel:
         delay = latency_ms if latency_ms is not None else self._link_latency(
             message.sender, recipient)
         if self.faults is not None:
-            self._post_faulted(delay, message.sender, recipient, message, context)
-        else:
-            self.simulator.post(delay, self._deliver, message, recipient, context)
+            # Decided here: a clean fate (most of them) posts the same
+            # delivery as an unfaulted send, with no tail frame.
+            decision = self.faults.decide(message.sender, recipient, self.simulator.now)
+            if decision is not _CLEAN:
+                self._post_faulted(delay, message.sender, recipient, message, context,
+                                   decision)
+                return
+        self.simulator.post(delay, self._deliver, message, recipient, context)
 
     def fan_out(self, sender: str, recipients: Sequence[str]) -> list[tuple[str, float]]:
         """``(recipient, link latency)`` for each of ``recipients``, in
@@ -526,17 +531,21 @@ class EventKernel:
 
     def _post_faulted(self, delay: float, sender: str, recipient: str,
                       message: Optional[Message],
-                      context: Optional[ExchangeContext]) -> None:
+                      context: Optional[ExchangeContext],
+                      decision: Optional[FaultDecision] = None) -> None:
         """The send tail under fault injection: one fate per copy.
 
         ``decide`` keys same-instant sends on one link by their
         occurrence index, so it must be consulted exactly once per copy,
-        in send order.  ``message`` is ``None`` for a copy
+        in send order: here, unless the caller passes the ``decision``
+        it took (:meth:`send` decides itself and comes here only with a
+        fate that is not clean).  ``message`` is ``None`` for a copy
         :meth:`send_many` absorbed: its deliveries (and drop) go to
         :meth:`_absorb` instead of the queue.
         """
-        assert self.faults is not None
-        decision = self.faults.decide(sender, recipient, self.simulator.now)
+        if decision is None:
+            assert self.faults is not None
+            decision = self.faults.decide(sender, recipient, self.simulator.now)
         post: Callable[..., None] = (self.simulator.post if message is not None
                                      else self._absorb)
         if decision.drop:

@@ -50,6 +50,9 @@ class SuperPeerProtocol(TwoTierNetwork):
 
     def __init__(self, *, super_peer_ratio: float = 0.1, **kwargs: Any) -> None:
         super().__init__(hub_ratio=super_peer_ratio, **kwargs)
+        #: leaf id → its heartbeat row ``[super id, link latency, PING,
+        #: PONG or None]``, rebuilt when the leaf's super changes
+        self._heartbeats: dict[str, list] = {}
 
     # ------------------------------------------------------------------
     # Role assignment and attachment
@@ -144,6 +147,7 @@ class SuperPeerProtocol(TwoTierNetwork):
 
     def _on_maintenance_tick(self, now: float) -> None:
         lease = self.heartbeat_lease_ms
+        rows = self._heartbeats
         for peer_id in sorted(self.peers):
             peer = self.peers[peer_id]
             if not peer.online:
@@ -159,8 +163,14 @@ class SuperPeerProtocol(TwoTierNetwork):
                     or peer.last_pong_ms.get(super_id, 0.0) <= now - lease:
                 # The super went silent (or was never reachable): re-home.
                 self._live_attach(peer)
-            else:
-                self.kernel.send(ping_message(peer_id, super_id))
+                continue
+            row = rows.get(peer_id)
+            if row is None or row[0] != super_id:
+                # The leaf's first heartbeat to this super: the same PING
+                # is sent every round.
+                row = rows[peer_id] = [super_id, self.simulator.link_latency(peer_id, super_id),
+                                       ping_message(peer_id, super_id), None]
+            self.kernel.send(row[2], latency_ms=row[1])
 
     def _stamp_freshness(self, now: float) -> None:
         for hub in self._hubs.values():
@@ -175,12 +185,22 @@ class SuperPeerProtocol(TwoTierNetwork):
     def _on_ping(self, peer: Optional[Peer], message: Message,
                  context: Optional[ExchangeContext]) -> None:
         """A leaf heartbeat.  A recipient that is no super any more
-        stays silent, so the leaf's lease lapses and it re-homes."""
+        stays silent, so the leaf's lease lapses and it re-homes.  The
+        PING of the leaf's heartbeat row is answered with the row's
+        PONG, built at its first answer."""
         if peer is None or peer.peer_id not in self._hubs:
             return
-        self._hubs[peer.peer_id].last_heard[message.sender] = self.simulator.now
-        self.kernel.send(pong_message(peer.peer_id, message.sender,
-                                      message_id=message.message_id))
+        leaf_id = message.sender
+        self._hubs[peer.peer_id].last_heard[leaf_id] = self.simulator.now
+        row = self._heartbeats.get(leaf_id)
+        if row is not None and row[2] is message:
+            if row[3] is None:
+                row[3] = pong_message(peer.peer_id, leaf_id, message_id=message.message_id)
+            # Links are symmetric: the answer travels back at the PING's latency.
+            self.kernel.send(row[3], latency_ms=row[1])
+        else:
+            # Not the leaf's current PING (one sent before a re-home).
+            self.kernel.send(pong_message(peer.peer_id, leaf_id, message_id=message.message_id))
 
     def _on_pong(self, peer: Optional[Peer], message: Message,
                  context: Optional[ExchangeContext]) -> None:

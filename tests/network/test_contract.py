@@ -710,9 +710,9 @@ class FateLedger:
             send_many(message, sender, fan_out, exclude=exclude, context=context)
             absorbing.clear()
 
-        def counted_post_faulted(delay, sender, recipient, copy, context):
+        def counted_post_faulted(delay, sender, recipient, copy, context, decision=None):
             duplicated = network.stats.duplicated
-            post_faulted(delay, sender, recipient, copy, context)
+            post_faulted(delay, sender, recipient, copy, context, decision)
             if recipient in absorbing:
                 self.absorbed += network.stats.duplicated - duplicated
 

@@ -150,9 +150,10 @@ class _QueryFates:
                 for recipient in held:
                     fates.book((message.message_id, sender, recipient), "held")
 
-        def counting_post_faulted(kernel, delay, sender, recipient, hop, context):
+        def counting_post_faulted(kernel, delay, sender, recipient, hop, context,
+                                  decision=None):
             duplicated = kernel.stats.duplicated
-            post_faulted(kernel, delay, sender, recipient, hop, context)
+            post_faulted(kernel, delay, sender, recipient, hop, context, decision)
             message = hop if hop is not None else fates.hop   # None: absorbed
             if message.type is MessageType.QUERY:
                 fates.duplicated[(message.message_id, sender, recipient)] += (
