@@ -91,11 +91,6 @@ class RendezvousProtocol(TwoTierNetwork):
             return None
         return online[zlib.crc32(peer.peer_id.encode("utf-8")) % len(online)]
 
-    def _attach(self, peer: Peer, online_hubs: Optional[list[str]] = None) -> None:
-        peer.super_peer_id = hub_id = self._choose_hub(peer, online_hubs)
-        if hub_id is not None:
-            self._hubs[hub_id].members.add(peer.peer_id)
-
     def _insert(self, hub_id: str, provider_id: str, community_id: str,
                 resource_id: str, metadata: dict[str, list[str]], title: str,
                 metadata_bytes: int) -> None:

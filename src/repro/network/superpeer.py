@@ -39,9 +39,6 @@ from repro.network.peers import Peer
 from repro.network.twotier import HubCatalog, TwoTierNetwork
 from repro.storage.query import Query
 
-#: leaves a super-peer takes before attachment prefers a less loaded one
-MAX_LEAVES = 50
-
 
 class SuperPeerProtocol(TwoTierNetwork):
     """Two-tier super-peer / leaf organisation."""
@@ -62,35 +59,20 @@ class SuperPeerProtocol(TwoTierNetwork):
         and (re)attach every leaf to the least-loaded online super-peer."""
         return self._elect(count)
 
-    def _choose_hub(self, peer: Peer, online_hubs: Optional[list[str]] = None, *,
-                    cap: Optional[int] = None) -> Optional[str]:
-        """The least-loaded online super-peer (ties by id).  With a
-        ``cap``, supers below it are preferred; when everything is full
-        the globally least loaded takes the leaf anyway."""
+    def _choose_hub(self, peer: Peer, online_hubs: Optional[list[str]] = None) -> Optional[str]:
+        """The least-loaded online super-peer (ties by id)."""
         hubs = self._online_hubs() if online_hubs is None else online_hubs
-        if cap is not None:
-            hubs = [hub_id for hub_id in hubs
-                    if len(self._hubs[hub_id].members) < cap] or hubs
         return min(hubs, key=lambda hub_id: (len(self._hubs[hub_id].members), hub_id),
                    default=None)
 
-    def _attach(self, leaf: Peer, online_hubs: Optional[list[str]] = None) -> None:
-        hub_id = self._choose_hub(leaf, online_hubs, cap=MAX_LEAVES)
-        if hub_id is None:
-            leaf.super_peer_id = None
-            return
-        previous = leaf.super_peer_id
-        if previous and previous in self._hubs:
-            self._purge_leaf(previous, leaf.peer_id)
-        leaf.super_peer_id = hub_id
-        self._hubs[hub_id].members.add(leaf.peer_id)
-        # The leaf re-uploads its metadata to its new super-peer.
-        for stored in leaf.repository.documents:
-            self._register(leaf.peer_id, hub_id, stored.community_id, stored.resource_id,
-                           stored.metadata, stored.title)
-
     def _detach(self, peer: Peer, hub_id: str) -> None:
         self._purge_leaf(hub_id, peer.peer_id)
+
+    def _home(self, peer: Peer, hub_id: str) -> None:
+        super()._home(peer, hub_id)
+        # Grace stamp, for an election's move too: trust the new super
+        # until the first heartbeat round has had a chance to be answered.
+        peer.last_pong_ms[hub_id] = self.simulator.now
 
     def _drop_hub(self, hub_id: str) -> Optional[HubCatalog]:
         # The entry cache is part of the super's hub state: it dies
@@ -139,9 +121,6 @@ class SuperPeerProtocol(TwoTierNetwork):
     def _live_attach(self, peer: Peer) -> Optional[str]:
         hub_id = super()._live_attach(peer)
         if hub_id is not None:
-            # Grace stamp: trust the new super until the first heartbeat
-            # round has had a chance to be answered.
-            peer.last_pong_ms[hub_id] = self.simulator.now
             self._upload_all(peer, hub_id)
         return hub_id
 

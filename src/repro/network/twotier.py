@@ -5,11 +5,11 @@ In both the super-peer and the rendezvous network a fraction of peers
 are promoted to *hubs* (super-peers / rendezvous peers); every other
 peer attaches to one hub and uploads the searchable metadata of its
 shared objects there.  :class:`HubCatalog` is the one index-point
-replica store (the centralized index server keeps one too);
-:class:`TwoTierNetwork` holds the lifecycle both adapters spell
-the same.  What really differs stays in the adapters: which hub a peer
-attaches to, whether detaching purges or leases decay, heartbeat versus
-renewal maintenance, and broadcast relay versus ring walk.
+replica store; :class:`TwoTierNetwork` owns the member lifecycle:
+election, promotion (a hub indexes its own objects), and moves (a
+member re-registers all it shares at its new hub).  The adapters keep
+what differs: which hub a peer attaches to, whether detaching purges
+or leases decay, heartbeat versus renewal, relay versus ring walk.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class HubCatalog:
 
 class TwoTierNetwork(PeerNetwork):
     """Hub election and the member lifecycle shared by both adapters,
-    which supply ``_choose_hub``, ``_attach`` and ``_insert`` (and may
-    extend ``_detach``, ``_drop_hub``, ``_live_attach``, ``_promote``)."""
+    which supply ``_choose_hub`` and ``_insert`` (and may extend
+    ``_detach``, ``_home``, ``_drop_hub``, ``_live_attach``, ``_promote``)."""
 
     def __init__(self, *, hub_ratio: float, **kwargs: Any) -> None:
         super().__init__(**kwargs)
@@ -159,14 +159,35 @@ class TwoTierNetwork(PeerNetwork):
         ``online_hubs`` is the caller's ``_online_hubs()`` snapshot (read,
         never mutated); without one the choice takes its own."""
 
-    @abstractmethod
     def _attach(self, peer: Peer, online_hubs: Optional[list[str]] = None) -> None:
-        """Off mode: (re)attach ``peer`` to a hub, instantly and for free;
-        ``online_hubs`` is handed on to :meth:`_choose_hub`."""
+        """Off mode, instantly and for free: a member that stays where it
+        is listed is left alone; any other leaves its old hub, joins the
+        one :meth:`_choose_hub` picks and re-registers all it shares."""
+        hub_id = self._choose_hub(peer, online_hubs)
+        previous = peer.super_peer_id
+        if previous and previous in self._hubs:
+            if hub_id == previous and peer.peer_id in self._hubs[previous].members:
+                return
+            self._detach(peer, previous)
+        if hub_id is None:
+            peer.super_peer_id = None
+            return
+        self._home(peer, hub_id)
+        hub = self._hubs[hub_id]
+        hub.members.add(peer.peer_id)
+        if self.live_membership:    # an election: the lease starts as at a LEAF-ATTACH
+            hub.last_heard[peer.peer_id] = self.simulator.now
+        for stored in peer.repository.documents:
+            self._register(peer.peer_id, hub_id, stored.community_id, stored.resource_id,
+                           stored.metadata, stored.title)
 
     def _detach(self, peer: Peer, hub_id: str) -> None:
         """Off mode: ``peer`` left ``hub_id``; its records stay unless the adapter purges."""
         self._hubs[hub_id].members.discard(peer.peer_id)
+
+    def _home(self, peer: Peer, hub_id: str) -> None:
+        """``peer`` now counts ``hub_id`` as its hub (both attach paths)."""
+        peer.super_peer_id = hub_id
 
     @abstractmethod
     def _insert(self, hub_id: str, provider_id: str, community_id: str,
@@ -200,11 +221,9 @@ class TwoTierNetwork(PeerNetwork):
         elected = set(chosen)
         for hub_id in sorted(set(self._hubs).difference(elected)):
             self._drop_hub(hub_id)
-        for peer in self.peers.values():
-            if peer.peer_id in elected:
-                peer.super_peer_id = peer.peer_id
-                if peer.peer_id not in self._hubs:
-                    self._hubs[peer.peer_id] = HubCatalog()
+        for hub_id in chosen:
+            if hub_id not in self._hubs:
+                self._promote(self.peers[hub_id])
         # One snapshot for the whole loop: attaching changes member sets
         # and catalogs, never a hub's online status or the hub set.
         online_hubs = self._online_hubs()
@@ -250,19 +269,21 @@ class TwoTierNetwork(PeerNetwork):
         if hub_id is None:
             self._promote(peer)
             return None
-        peer.super_peer_id = hub_id
+        self._home(peer, hub_id)
         # Attachment and the re-upload are the member's whole
         # searchability — reliable delivery retries them under faults.
         self.channel.send(leaf_attach_message(peer.peer_id, hub_id))
         return hub_id
 
     def _promote(self, peer: Peer) -> None:
-        """Deterministic promotion: the peer that found no reachable hub
-        becomes one itself (maintenance iterates peers in sorted order,
-        so the lowest-id orphan promotes first)."""
+        """Make ``peer`` a hub that indexes its own objects: an elected
+        peer, or one that found no reachable hub (maintenance iterates
+        peers in sorted order, so the lowest-id orphan promotes first)."""
+        previous = peer.super_peer_id
+        if previous and previous in self._hubs:
+            self._detach(peer, previous)
         peer.super_peer_id = peer.peer_id
-        if peer.peer_id not in self._hubs:
-            self._hubs[peer.peer_id] = HubCatalog()
+        self._hubs[peer.peer_id] = HubCatalog()
         for stored in peer.repository.documents:
             self._insert(peer.peer_id, peer.peer_id, stored.community_id,
                          stored.resource_id, stored.metadata, stored.title,
@@ -285,14 +306,13 @@ class TwoTierNetwork(PeerNetwork):
                 self._upload(peer_id, peer.super_peer_id, community_id, resource_id,
                              metadata, title)
             return
-        if not self._hubs:
-            self._elect(None)
         hub_id = peer_id if peer_id in self._hubs else peer.super_peer_id
-        if hub_id is None or hub_id not in self._hubs:
-            self._attach(peer)
-            hub_id = peer.super_peer_id
-        if hub_id is not None:
+        if hub_id and hub_id in self._hubs:
             self._register(peer_id, hub_id, community_id, resource_id, metadata, title)
+        elif self._hubs:
+            self._attach(peer)    # registers all the publisher stores, this object too
+        else:
+            self._elect(None)     # which promotes or attaches the publisher: the same
 
     def _register(self, peer_id: str, hub_id: str, community_id: str, resource_id: str,
                   metadata: dict[str, list[str]], title: str) -> None:

@@ -7,6 +7,8 @@
   latency, and the row equals a fresh build.  Only the row's own PING is
   answered from the row; any other PING gets a fresh PONG.  The table
   holds at most one row per peer, however often leaves re-home.
+* A live re-election is kept: for a lease after it nobody sends a
+  LEAF-ATTACH, and each moved leaf heartbeats the super it was given.
 * Over churn schedules (with loss, and with re-elections that attach
   leaves unstamped), the tick purges the same ``(hub, leaf)`` pairs and
   queues the same sends and drops, in the same order and at the same
@@ -115,6 +117,30 @@ def test_after_a_rehome_the_next_ping_goes_to_the_current_super(name):
         assert message is network._heartbeats[leaf_id][2]
         assert_row_is_fresh(network, leaf_id)
     assert moved    # some leaf's next PING went to another super
+
+
+def test_a_live_re_election_is_not_undone_by_the_next_lease():
+    """The election's move grants the leaf's lease like a LEAF-ATTACH
+    does: nobody re-homes, and each moved leaf heartbeats (and stays
+    listed at) the super the election gave it."""
+    network = live_network()
+    settle(network, 2 * INTERVAL_MS)
+    leaves = sorted(network.peers)[3:]    # the supers are 000, 001 and 002 after it
+    before = {leaf_id: network.peers[leaf_id].super_peer_id for leaf_id in leaves}
+    re_elect(network, None)
+    elected = {leaf_id: network.peers[leaf_id].super_peer_id for leaf_id in leaves}
+    moved = [leaf_id for leaf_id in leaves if elected[leaf_id] != before[leaf_id]]
+    assert moved
+    attaches = network.stats.messages_of(MessageType.LEAF_ATTACH)
+    sent = record_sends(network)
+    settle(network, network.heartbeat_lease_ms)
+    assert network.stats.messages_of(MessageType.LEAF_ATTACH) == attaches
+    for leaf_id in moved:
+        ping = next(message for message, _latency, _super in sent
+                    if message.type is MessageType.PING and message.sender == leaf_id)
+        assert ping.recipient == elected[leaf_id]
+        assert network.peers[leaf_id].super_peer_id == elected[leaf_id]
+        assert leaf_id in network._hubs[elected[leaf_id]].members
 
 
 def test_only_the_rows_own_ping_is_answered_from_the_row():

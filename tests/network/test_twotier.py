@@ -20,21 +20,32 @@ def elect(network, count=None):
     return network.elect_rendezvous(count)
 
 
-def build(name: str):
+def unelected(name: str):
     if name == "super-peer":
         network = SuperPeerProtocol(seed=3, super_peer_ratio=0.25)
     else:
         network = RendezvousProtocol(seed=3, rendezvous_ratio=0.25)
     for index in range(12):
         network.create_peer(f"peer-{index:02d}")
+    return network
+
+
+def share(network, peer_id: str) -> None:
+    """``peer_id`` stores one pattern and publishes it."""
+    title = f"Pattern {peer_id}"
+    metadata = {"name": [title]}
+    document = parse(f"<pattern><name>{title}</name></pattern>").root
+    stored = network.peers[peer_id].repository.publish("patterns", document, metadata,
+                                                       title=title)
+    network.publish(peer_id, "patterns", stored.resource_id, metadata, title=title)
+
+
+def build(name: str):
+    network = unelected(name)
     hubs = elect(network)
-    for peer in list(network.peers.values()):
-        if peer.peer_id not in hubs:
-            title = f"Pattern {peer.peer_id}"
-            metadata = {"name": [title]}
-            document = parse(f"<pattern><name>{title}</name></pattern>").root
-            stored = peer.repository.publish("patterns", document, metadata, title=title)
-            network.publish(peer.peer_id, "patterns", stored.resource_id, metadata, title=title)
+    for peer_id in sorted(network.peers):
+        if peer_id not in hubs:
+            share(network, peer_id)
     return network, hubs
 
 
@@ -100,16 +111,29 @@ class TestTwoTierChurn:
         departed = next(hub_id for hub_id in hubs if members_of(network, hub_id))
         orphan = members_of(network, departed)[0]
         network.set_online(departed, False)
-        if name == "rendezvous":
-            # Re-homing does not re-upload here (leases decay): the orphan
-            # announces its object again, to its new rendezvous.
-            (stored,) = network.peers[orphan].repository.documents
-            network.publish(orphan, stored.community_id, stored.resource_id,
-                            stored.metadata, title=stored.title)
         asker = next(peer_id for peer_id in sorted(network.peers)
                      if peer_id not in (orphan, departed))
         response = network.search(asker, Query.keyword("patterns", orphan), max_results=50)
         assert orphan in {result.provider_id for result in response.results}
+
+    def test_a_promoted_member_leaves_its_old_hub(self, name):
+        network, hubs = build(name)
+        old_hub = network.peers["peer-03"].super_peer_id
+        assert elect(network, 4) == hubs + ["peer-03"]
+        # Its old hub's departure re-homes that hub's members, and the
+        # promoted peer is none of them any more.
+        network.set_online(old_hub, False)
+        assert network.peers["peer-03"].super_peer_id == "peer-03"
+        response = network.search("peer-11", Query.keyword("patterns", "peer-03"))
+        assert {result.provider_id for result in response.results} == {"peer-03"}
+
+    def test_a_publish_that_elects_registers_its_object_once(self, name):
+        network = unelected(name)
+        # The first publish elects the hubs and attaches the publisher,
+        # and the attach is the one registration.
+        share(network, "peer-07")
+        assert network.hub_ids() == ["peer-00", "peer-01", "peer-02"]
+        assert network.stats.registrations == 1
 
     def test_last_hub_leaving_triggers_a_fresh_election_on_return(self, name):
         network, hubs = build(name)
