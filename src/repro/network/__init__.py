@@ -48,8 +48,6 @@ _LAZY = {
     "RendezvousProtocol": ("repro.network.rendezvous", "RendezvousProtocol"),
     "PopulationModel": ("repro.network.membership", "PopulationModel"),
     "MembershipEvent": ("repro.network.membership", "MembershipEvent"),
-    "BloomFilter": ("repro.network.routing", "BloomFilter"),
-    "AttenuatedFilter": ("repro.network.routing", "AttenuatedFilter"),
     "RoutingIndex": ("repro.network.routing", "RoutingIndex"),
 }
 
@@ -83,8 +81,6 @@ __all__ = [
     "build_topology",
     "PopulationModel",
     "MembershipEvent",
-    "BloomFilter",
-    "AttenuatedFilter",
     "RoutingIndex",
     "NetworkError",
     "UnknownPeerError",

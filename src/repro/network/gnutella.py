@@ -473,17 +473,17 @@ class GnutellaProtocol(PeerNetwork):
         fan_out = self._fan_out(peer)
         routing = self._routing
         if routing is not None and fan_out and ttl <= routing.depth:
-            hashed = extra.get("routing_keys", _KEYS_NOT_HASHED)
-            if hashed is _KEYS_NOT_HASHED:
-                # Hash the probe keys once per flood; every hop reuses
-                # the positions.  ``None`` marks an unprobeable query
-                # (no compilable criterion), which floods blind.
+            mask = extra.get("routing_keys", _KEYS_NOT_HASHED)
+            if mask is _KEYS_NOT_HASHED:
+                # Hash the probe keys into one mask per flood; every hop
+                # reuses it.  ``None`` marks an unprobeable query (no
+                # compilable criterion), which floods blind.
                 keys = context.plan.routing_keys
-                hashed = None if keys is None else routing.hash_keys(keys)
-                extra["routing_keys"] = hashed
-            if hashed is not None:
+                mask = None if keys is None else routing.hash_keys(keys)
+                extra["routing_keys"] = mask
+            if mask is not None:
                 admitted = [pair for pair in fan_out
-                            if routing.admits(pair[0], hashed, ttl)]
+                            if routing.admits(pair[0], mask, ttl)]
                 if admitted:
                     self.stats.record_routing_pruned(len(fan_out) - len(admitted))
                     fan_out = admitted

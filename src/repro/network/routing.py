@@ -3,7 +3,7 @@
 Gnutella's blind flood is the paper's message-count outlier — every hop
 forwards to every neighbour whether or not anything matching lies in
 that direction.  This module gives each peer a *routing index*: for
-every neighbour ``v``, an **attenuated Bloom filter** — an array of
+every neighbour ``v``, an **attenuated Bloom filter** — a tuple of
 ``depth`` Bloom filters where level ``d`` summarizes the searchable
 content of every peer at overlay distance exactly ``d`` from ``v``
 (level 0 is ``v``'s own index).  A flood hop with remaining TTL ``r``
@@ -12,11 +12,16 @@ to, so the probe checks levels ``0 .. min(r, depth) - 1``; when the
 remaining TTL sees past the filter horizon (``r > depth``) the filter
 is silent about the tail and the hop forwards unconditionally.
 
-The probe keys are the :attr:`CompiledQuery.routing_keys` exact/token
-keys, the same normalization the attribute index stores — a compiled
-plan tests against a filter without re-tokenizing.  Hashing is
-crc32-based double hashing (no builtin ``hash()``: filter decisions
-must not depend on the process hash salt, pinned by detlint DET002).
+Every Bloom filter is a plain Python int of ``filter_bits`` bits: a
+key's bits are set by OR-ing its mask in, a level is the OR of its
+peers' self-filters.  The probe keys are the
+:attr:`CompiledQuery.routing_keys` exact/token keys, the same
+normalization the attribute index stores, and a query probes with one
+mask, the OR of all its keys' masks: a level admits the query iff
+``level & mask == mask``, i.e. iff it holds every bit of every key.
+Hashing is crc32-based double hashing (no builtin ``hash()``: filter
+decisions must not depend on the process hash salt, pinned by detlint
+DET002).
 
 Safety argument (the "can only save messages, never lose a result"
 contract): Bloom filters have no false negatives, level unions are
@@ -58,87 +63,27 @@ _SALT = 0x9747B28C
 _ADVERT_HEADER_BYTES = 4
 
 
-def _positions(key: str, size_bits: int, hash_count: int) -> tuple[int, ...]:
-    """The ``hash_count`` bit positions of ``key``: classic double
-    hashing ``h1 + i*h2`` over two independent crc32 streams (the
-    stride is forced odd so it never collapses to a single position)."""
+def _mask(key: str, size_bits: int, hash_count: int) -> int:
+    """The ``hash_count`` bit positions of ``key`` OR-ed into one int:
+    classic double hashing ``h1 + i*h2`` over two independent crc32
+    streams (the stride is forced odd so it never collapses to a single
+    position)."""
     data = key.encode("utf-8")
     h1 = crc32(data)
     h2 = crc32(data, _SALT) | 1
-    return tuple((h1 + i * h2) % size_bits for i in range(hash_count))
-
-
-class BloomFilter:
-    """A fixed-size Bloom filter over string keys.
-
-    The bit array is one Python int (union is ``|``, membership is a
-    shift-and-mask), which keeps level merges cheap during rebuilds.
-    """
-
-    __slots__ = ("size_bits", "hash_count", "bits")
-
-    def __init__(self, size_bits: int, hash_count: int, bits: int = 0) -> None:
-        self.size_bits = size_bits
-        self.hash_count = hash_count
-        self.bits = bits
-
-    def add(self, key: str) -> None:
-        for position in _positions(key, self.size_bits, self.hash_count):
-            self.bits |= 1 << position
-
-    def contains_positions(self, positions: tuple[int, ...]) -> bool:
-        """Membership test against pre-hashed bit positions (the probe
-        hot path hashes each query key once, not once per filter)."""
-        bits = self.bits
-        return all(bits >> position & 1 for position in positions)
-
-    def merge(self, other: "BloomFilter") -> None:
-        self.bits |= other.bits
-
-    def wire_bytes(self) -> int:
-        return self.size_bits // 8
-
-
-class AttenuatedFilter:
-    """One neighbour's depth-array of Bloom filters.
-
-    ``levels[d]`` is the union of the self-filters of every peer at
-    overlay distance exactly ``d`` from the advertising neighbour.
-    """
-
-    __slots__ = ("levels",)
-
-    def __init__(self, levels: tuple[BloomFilter, ...]) -> None:
-        self.levels = levels
-
-    def admits(self, key_groups: tuple[tuple[tuple[int, ...], ...], ...],
-               level_limit: int) -> bool:
-        """Could a single peer within ``level_limit`` levels satisfy the
-        whole conjunction?  Each key group is one criterion's pre-hashed
-        keys; a matching peer holds *all* keys of *every* group, so the
-        probe asks for one level containing the complete conjunction.
-        """
-        for level in self.levels[:level_limit]:
-            if all(level.contains_positions(positions)
-                   for group in key_groups for positions in group):
-                return True
-        return False
-
-    def wire_bytes(self) -> int:
-        return _ADVERT_HEADER_BYTES + sum(level.wire_bytes() for level in self.levels)
-
-    def stamp(self) -> tuple[int, ...]:
-        """A content fingerprint: equal stamps mean nothing to re-advertise."""
-        return tuple(level.bits for level in self.levels)
+    mask = 0
+    for i in range(hash_count):
+        mask |= 1 << (h1 + i * h2) % size_bits
+    return mask
 
 
 class RoutingIndex:
     """The network-wide informed-routing state (``informed_routing`` knob).
 
     Owns one self-filter per peer (its indexed content as exact/token
-    keys), one :class:`AttenuatedFilter` per peer (what that peer
-    advertises to its neighbours) and the per-directed-link
-    advertisement versions that drive the keepalive piggyback cost.
+    keys), one attenuated filter per peer (what that peer advertises to
+    its neighbours) and the per-directed-link advertisement versions
+    that drive the keepalive piggyback cost.
 
     Rebuilds are lazy behind a dirty flag: content changes (publish)
     dirty one peer's self-filter, overlay changes (edge add/remove,
@@ -157,16 +102,15 @@ class RoutingIndex:
         self._dirty_content: set[str] = set()
         #: overlay changed: every attenuated filter must be re-derived
         self._dirty_graph = True
-        self._self_filters: dict[str, BloomFilter] = {}
-        self._filters: dict[str, AttenuatedFilter] = {}
+        self._self_filters: dict[str, int] = {}
+        self._filters: dict[str, tuple[int, ...]] = {}
         #: per-peer advertisement version, bumped only when the filter
         #: content actually changed across a rebuild
         self._versions: dict[str, int] = {}
-        self._stamps: dict[str, tuple[int, ...]] = {}
         #: directed link (advertiser, observer) -> last version shipped
         self._advertised: dict[tuple[str, str], int] = {}
-        #: pre-hashed probe positions per key (shared across all filters)
-        self._position_memo: dict[str, tuple[int, ...]] = {}
+        #: probe mask per key (shared across all filters)
+        self._mask_memo: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Dirty hooks (called by the owning protocol's mutation paths)
@@ -189,40 +133,39 @@ class RoutingIndex:
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
-    def hash_keys(self, key_groups: tuple[tuple[str, ...], ...],
-                  ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Pre-hash a plan's probe keys once per query (memoized — the
-        same workload re-probes the same keys at every hop)."""
-        memo = self._position_memo
-        hashed = []
-        for group in key_groups:
-            positions = []
-            for key in group:
-                cached = memo.get(key)
-                if cached is None:
-                    cached = _positions(key, self.filter_bits, self.hash_count)
-                    memo[key] = cached
-                positions.append(cached)
-            hashed.append(tuple(positions))
-        return tuple(hashed)
+    def hash_keys(self, keys: tuple[str, ...]) -> int:
+        """A plan's probe mask, computed once per query: the union of
+        every key's bits (each key hashed once, memoized — the same
+        workload re-probes the same keys)."""
+        memo = self._mask_memo
+        mask = 0
+        for key in keys:
+            key_mask = memo.get(key)
+            if key_mask is None:
+                key_mask = memo[key] = _mask(key, self.filter_bits, self.hash_count)
+            mask |= key_mask
+        return mask
 
-    def admits(self, neighbor_id: str,
-               hashed_keys: tuple[tuple[tuple[int, ...], ...], ...],
-               remaining_ttl: int) -> bool:
+    def admits(self, neighbor_id: str, mask: int, remaining_ttl: int) -> bool:
         """Does forwarding to ``neighbor_id`` with ``remaining_ttl``
         possibly reach a peer matching the whole conjunction?
 
-        A hop with remaining TTL ``r`` covers distances ``0 .. r-1``
-        from the neighbour; past the filter horizon (``r > depth``) the
-        filter is silent and the answer must be yes.
+        A matching peer holds every probe key, so some level within
+        reach must hold every bit of the mask.  A hop with remaining TTL
+        ``r`` covers distances ``0 .. r-1`` from the neighbour; past the
+        filter horizon (``r > depth``) the filter is silent and the
+        answer must be yes.
         """
         if remaining_ttl > self.depth:
             return True
         self._ensure_current()
-        advertised = self._filters.get(neighbor_id)
-        if advertised is None:
+        levels = self._filters.get(neighbor_id)
+        if levels is None:
             return True  # nothing known about the neighbour: stay blind
-        return advertised.admits(hashed_keys, remaining_ttl)
+        for level in levels[:remaining_ttl]:
+            if level & mask == mask:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Advertisement cost (the live-membership keepalive piggyback)
@@ -237,8 +180,9 @@ class RoutingIndex:
         if self._advertised.get(link) == version:
             return 0
         self._advertised[link] = version
-        advertised = self._filters.get(advertiser_id)
-        return advertised.wire_bytes() if advertised is not None else 0
+        if advertiser_id not in self._filters:
+            return 0
+        return _ADVERT_HEADER_BYTES + self.depth * self.filter_bits // 8
 
     def mark_all_advertised(self) -> None:
         """Stamp every current link as advertised (go-live boundary:
@@ -267,45 +211,44 @@ class RoutingIndex:
                 self._self_filters[peer_id] = self._build_self_filter(peer_id)
         for peer_id in sorted(peers):
             rebuilt = self._build_attenuated(peer_id)
-            stamp = rebuilt.stamp()
-            if self._stamps.get(peer_id) != stamp:
-                self._stamps[peer_id] = stamp
-                self._versions[peer_id] = self._versions.get(peer_id, 0) + 1
+            if self._filters.get(peer_id) != rebuilt:
                 self._filters[peer_id] = rebuilt
+                self._versions[peer_id] = self._versions.get(peer_id, 0) + 1
         self._dirty_graph = False
 
-    def _build_self_filter(self, peer_id: str) -> BloomFilter:
+    def _build_self_filter(self, peer_id: str) -> int:
         """One peer's indexed content as a Bloom filter of the same
         exact/token keys :attr:`CompiledQuery.routing_keys` probes."""
-        bloom = BloomFilter(self.filter_bits, self.hash_count)
-        add = bloom.add
+        size_bits, hash_count = self.filter_bits, self.hash_count
+        bits = 0
         for entry in self.network.peers[peer_id].repository.index.iter_entries():
             community = entry.community_id
             field = entry.field_path
-            add(f"e\x1f{community}\x1f{field}\x1f{entry.value_lower}")
+            bits |= _mask(f"e\x1f{community}\x1f{field}\x1f{entry.value_lower}",
+                          size_bits, hash_count)
             for token in entry.tokens:
-                add(f"t\x1f{community}\x1f{field}\x1f{token}")
-                add(f"a\x1f{community}\x1f{token}")
-        return bloom
+                bits |= _mask(f"t\x1f{community}\x1f{field}\x1f{token}",
+                              size_bits, hash_count)
+                bits |= _mask(f"a\x1f{community}\x1f{token}", size_bits, hash_count)
+        return bits
 
-    def _build_attenuated(self, peer_id: str) -> AttenuatedFilter:
+    def _build_attenuated(self, peer_id: str) -> tuple[int, ...]:
         """BFS over the overlay (offline peers included — see the module
-        safety argument) collecting self-filters by exact distance."""
+        safety argument) OR-ing self-filters by exact distance."""
         peers = self.network.peers
-        levels = tuple(BloomFilter(self.filter_bits, self.hash_count)
-                       for _ in range(self.depth))
+        self_filters = self._self_filters
+        levels: list[int] = []
         seen = {peer_id}
         frontier = [peer_id]
-        for level in levels:
+        for _ in range(self.depth):
+            bits = 0
             next_frontier: list[str] = []
             for node_id in frontier:
-                level.merge(self._self_filters[node_id])
+                bits |= self_filters[node_id]
                 for neighbor_id in sorted(peers[node_id].neighbors):
                     if neighbor_id not in seen and neighbor_id in peers:
                         seen.add(neighbor_id)
                         next_frontier.append(neighbor_id)
+            levels.append(bits)
             frontier = next_frontier
-            if not frontier:
-                break
-        return AttenuatedFilter(levels)
-
+        return tuple(levels)

@@ -87,7 +87,7 @@ class CompiledQuery:
         self._wire_xml: Optional[str] = None
         self._wire_bytes: int = -1
         self._cache_key: Optional[tuple] = None
-        self._routing_keys: Optional[tuple[tuple[str, ...], ...]] = None
+        self._routing_keys: Optional[tuple[str, ...]] = None
         self._routing_keys_ready = False
 
     # ------------------------------------------------------------------
@@ -135,15 +135,14 @@ class CompiledQuery:
     # Routing-filter probe keys (the informed_routing knob)
     # ------------------------------------------------------------------
     @property
-    def routing_keys(self) -> Optional[tuple[tuple[str, ...], ...]]:
-        """Per-criterion Bloom-filter probe keys, or ``None`` when the
-        query cannot be probed (no criterion constrains the filter).
+    def routing_keys(self) -> Optional[tuple[str, ...]]:
+        """The Bloom-filter probe keys, or ``None`` when the query cannot
+        be probed (no criterion constrains the filter).
 
-        Each group is one criterion's keys in the exact normalization
-        the attribute index stores — a matching peer's self-filter
-        contains *every* key of *every* group, so a routing filter may
-        prune a neighbour only when no level holds the complete
-        conjunction.  EQUALS probes the normalized value, CONTAINS the
+        The keys are in the exact normalization the attribute index
+        stores — a matching peer's self-filter contains *every* key, so
+        a routing filter may prune a neighbour only when no level holds
+        all of them.  EQUALS probes the normalized value, CONTAINS the
         field-scoped tokens, any-field criteria the unscoped tokens.
         PREFIX criteria (and blank token sets, which match trivially)
         contribute no keys: skipping a criterion only weakens the probe
@@ -152,24 +151,20 @@ class CompiledQuery:
         if not self._routing_keys_ready:
             self._routing_keys_ready = True
             community = self.community_id
-            groups: list[tuple[str, ...]] = []
+            keys: list[str] = []
             for criterion in self.criteria:
                 if criterion.any_field:
-                    if criterion.token_set:
-                        groups.append(tuple(
-                            f"a\x1f{community}\x1f{token}"
-                            for token in sorted(criterion.token_set)))
+                    keys.extend(f"a\x1f{community}\x1f{token}"
+                                for token in sorted(criterion.token_set))
                 elif criterion.operator is Operator.EQUALS:
-                    groups.append((
-                        f"e\x1f{community}\x1f{criterion.field_path}"
-                        f"\x1f{criterion.norm_value}",))
-                elif criterion.operator is Operator.CONTAINS and criterion.token_set:
-                    groups.append(tuple(
-                        f"t\x1f{community}\x1f{criterion.field_path}\x1f{token}"
-                        for token in sorted(criterion.token_set)))
+                    keys.append(f"e\x1f{community}\x1f{criterion.field_path}"
+                                f"\x1f{criterion.norm_value}")
+                elif criterion.operator is Operator.CONTAINS:
+                    keys.extend(f"t\x1f{community}\x1f{criterion.field_path}\x1f{token}"
+                                for token in sorted(criterion.token_set))
                 # PREFIX: the index stores whole tokens, so no key form
                 # is a necessary condition for a prefix match.
-            self._routing_keys = tuple(groups) if groups else None
+            self._routing_keys = tuple(keys) if keys else None
         return self._routing_keys
 
     # ------------------------------------------------------------------

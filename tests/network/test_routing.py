@@ -15,17 +15,16 @@ leaving no trace is a generated cell of ``test_contract.py``.)
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+from zlib import crc32
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.driver import QueryDriver, SearchOp
 from repro.network.config import CacheConfig, RoutingConfig
 from repro.network.gnutella import GnutellaProtocol
-from repro.network.routing import (
-    AttenuatedFilter,
-    BloomFilter,
-    RoutingIndex,
-    _positions,
-)
+from repro.network.routing import _SALT, RoutingIndex, _mask
 from repro.storage.plan import compile_query
 from repro.storage.query import Operator, Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -38,70 +37,37 @@ from tests.network.test_contract import BASE_CELL, populate, publish_pattern
 # ---------------------------------------------------------------------------
 
 class TestBloomFilter:
-    def test_positions_are_deterministic_and_bounded(self):
-        first = _positions("e\x1fpatterns\x1fname\x1fobserver", 512, 4)
-        second = _positions("e\x1fpatterns\x1fname\x1fobserver", 512, 4)
+    def test_masks_are_deterministic_and_bounded(self):
+        first = _mask("e\x1fpatterns\x1fname\x1fobserver", 512, 4)
+        second = _mask("e\x1fpatterns\x1fname\x1fobserver", 512, 4)
         assert first == second
-        assert len(first) == 4
-        assert all(0 <= position < 512 for position in first)
+        assert 1 <= first.bit_count() <= 4
+        assert 0 < first < 1 << 512
 
     def test_distinct_keys_hash_apart(self):
-        a = _positions("t\x1fpatterns\x1fname\x1fobserver", 4096, 4)
-        b = _positions("t\x1fpatterns\x1fname\x1fvisitor", 4096, 4)
+        a = _mask("t\x1fpatterns\x1fname\x1fobserver", 4096, 4)
+        b = _mask("t\x1fpatterns\x1fname\x1fvisitor", 4096, 4)
         assert a != b
 
     def test_no_false_negatives(self):
-        bloom = BloomFilter(256, 4)
         keys = [f"key-{index}" for index in range(40)]
+        bloom = 0
         for key in keys:
-            bloom.add(key)
+            bloom |= _mask(key, 256, 4)
         for key in keys:
-            assert bloom.contains_positions(_positions(key, 256, 4))
+            mask = _mask(key, 256, 4)
+            assert bloom & mask == mask
 
     def test_merge_is_union(self):
-        left, right = BloomFilter(128, 3), BloomFilter(128, 3)
-        left.add("alpha")
-        right.add("beta")
-        left.merge(right)
-        assert left.contains_positions(_positions("alpha", 128, 3))
-        assert left.contains_positions(_positions("beta", 128, 3))
+        alpha, beta = _mask("alpha", 128, 3), _mask("beta", 128, 3)
+        merged = alpha | beta
+        assert merged & alpha == alpha
+        assert merged & beta == beta
 
-    def test_bits_set_and_wire_bytes(self):
-        bloom = BloomFilter(64, 2)
-        assert bloom.bits == 0
-        bloom.add("something")
-        assert 0 < bloom.bits.bit_count() <= 2
-        assert bloom.wire_bytes() == 8
-
-
-class TestAttenuatedFilter:
-    def _filter_with_key_at_level(self, key: str, level: int, depth: int = 3):
-        levels = tuple(BloomFilter(256, 4) for _ in range(depth))
-        levels[level].add(key)
-        return AttenuatedFilter(levels)
-
-    def test_admits_respects_level_limit(self):
-        attenuated = self._filter_with_key_at_level("needle", level=2)
-        probe = ((_positions("needle", 256, 4),),)
-        # Remaining TTL 1 and 2 see levels 0 / 0-1 only.
-        assert not attenuated.admits(probe, 1)
-        assert not attenuated.admits(probe, 2)
-        assert attenuated.admits(probe, 3)
-
-    def test_conjunction_must_sit_in_one_level(self):
-        levels = tuple(BloomFilter(256, 4) for _ in range(2))
-        levels[0].add("alpha")
-        levels[1].add("beta")
-        attenuated = AttenuatedFilter(levels)
-        probe = ((_positions("alpha", 256, 4),), (_positions("beta", 256, 4),))
-        # No single peer (level entry) holds both keys: not admitted.
-        assert not attenuated.admits(probe, 2)
-        levels[1].add("alpha")
-        assert attenuated.admits(probe, 2)
-
-    def test_wire_bytes_counts_header_and_levels(self):
-        attenuated = self._filter_with_key_at_level("x", 0, depth=3)
-        assert attenuated.wire_bytes() == 4 + 3 * (256 // 8)
+    def test_bits_set(self):
+        mask = _mask("something", 64, 2)
+        assert 0 < mask.bit_count() <= 2
+        assert mask < 1 << 64
 
 
 class TestRoutingKeys:
@@ -110,14 +76,13 @@ class TestRoutingKeys:
             .where("name", "Observer", Operator.EQUALS) \
             .where("intent", "decouple things", Operator.CONTAINS)
         keys = compile_query(query).routing_keys
-        flat = [key for group in keys for key in group]
-        assert "e\x1fpatterns\x1fname\x1fobserver" in flat
-        assert "t\x1fpatterns\x1fintent\x1fdecouple" in flat
-        assert "t\x1fpatterns\x1fintent\x1fthings" in flat
+        assert "e\x1fpatterns\x1fname\x1fobserver" in keys
+        assert "t\x1fpatterns\x1fintent\x1fdecouple" in keys
+        assert "t\x1fpatterns\x1fintent\x1fthings" in keys
 
     def test_any_field_tokens(self):
         keys = compile_query(Query.keyword("patterns", "observer")).routing_keys
-        assert keys == (("a\x1fpatterns\x1fobserver",),)
+        assert keys == ("a\x1fpatterns\x1fobserver",)
 
     def test_prefix_only_query_is_unprobeable(self):
         query = Query("patterns").where("name", "obs", Operator.PREFIX)
@@ -147,23 +112,23 @@ class TestRoutingIndex:
         publish_pattern(network, "peer-005", "Observer")
         index = network._routing
         assert isinstance(index, RoutingIndex)
-        hashed = index.hash_keys(
+        mask = index.hash_keys(
             compile_query(Query.keyword("patterns", "observer")).routing_keys)
         # peer-004 and peer-006 are ring neighbours of the publisher:
         # distance 1, admitted from remaining TTL 2 upward; peer-005
         # itself admits from TTL 1 (level 0 is its own index).
-        assert index.admits("peer-005", hashed, 1)
-        assert index.admits("peer-004", hashed, 2)
-        assert index.admits("peer-006", hashed, 2)
+        assert index.admits("peer-005", mask, 1)
+        assert index.admits("peer-004", mask, 2)
+        assert index.admits("peer-006", mask, 2)
 
     def test_beyond_horizon_is_blindly_admitted(self):
         network = _ring_network()
         index = network._routing
-        hashed = index.hash_keys(
+        mask = index.hash_keys(
             compile_query(Query.keyword("patterns", "nothing-published")).routing_keys)
         depth = index.depth
-        assert not index.admits("peer-000", hashed, depth)
-        assert index.admits("peer-000", hashed, depth + 1)
+        assert not index.admits("peer-000", mask, depth)
+        assert index.admits("peer-000", mask, depth + 1)
 
     def test_offline_peers_stay_in_the_filters(self):
         """Churn safety: a peer's content remains advertised while it is
@@ -172,18 +137,45 @@ class TestRoutingIndex:
         publish_pattern(network, "peer-005", "Observer")
         network.set_online("peer-005", False)
         index = network._routing
-        hashed = index.hash_keys(
+        mask = index.hash_keys(
             compile_query(Query.keyword("patterns", "observer")).routing_keys)
-        assert index.admits("peer-004", hashed, 2)
+        assert index.admits("peer-004", mask, 2)
 
     def test_publish_dirties_the_filters(self):
         network = _ring_network()
         index = network._routing
-        hashed = index.hash_keys(
+        mask = index.hash_keys(
             compile_query(Query.keyword("patterns", "latecomer")).routing_keys)
-        assert not index.admits("peer-003", hashed, 1)
+        assert not index.admits("peer-003", mask, 1)
         publish_pattern(network, "peer-003", "Latecomer")
-        assert index.admits("peer-003", hashed, 1)
+        assert index.admits("peer-003", mask, 1)
+
+    def test_admits_respects_level_limit(self):
+        network = _ring_network()
+        publish_pattern(network, "peer-005", "Needle")
+        index = network._routing
+        mask = index.hash_keys(
+            compile_query(Query.keyword("patterns", "needle")).routing_keys)
+        # peer-005 is at ring distance 2 from peer-003: remaining TTL 1
+        # and 2 see levels 0 / 0-1 only.
+        assert not index.admits("peer-003", mask, 1)
+        assert not index.admits("peer-003", mask, 2)
+        assert index.admits("peer-003", mask, 3)
+
+    def test_conjunction_must_sit_in_one_level(self):
+        network = _ring_network()
+        publish_pattern(network, "peer-005", "Alpha")
+        publish_pattern(network, "peer-006", "Gamma", intent="beta")
+        index = network._routing
+        query = Query("patterns") \
+            .where("name", "Alpha", Operator.EQUALS) \
+            .where("intent", "beta", Operator.CONTAINS)
+        mask = index.hash_keys(compile_query(query).routing_keys)
+        # Seen from peer-005, level 0 holds "alpha" and level 1 (peers
+        # 004 and 006) "beta": no single peer holds both, not admitted.
+        assert not index.admits("peer-005", mask, 2)
+        publish_pattern(network, "peer-006", "Alpha")
+        assert index.admits("peer-005", mask, 2)
 
     def test_advertisement_bytes_paid_once_per_version(self):
         network = _ring_network()
@@ -201,6 +193,72 @@ class TestRoutingIndex:
     def test_blind_network_has_no_routing_index(self):
         network = GnutellaProtocol(seed=7)
         assert network._routing is None
+
+
+# ---------------------------------------------------------------------------
+# Equivalence: one mask per query is the per-position probe
+# ---------------------------------------------------------------------------
+
+_KEYS = st.text(alphabet="abcdefgh", min_size=1, max_size=3)
+#: small enough that distinct keys collide
+_BITS = 8
+
+
+def _reference_positions(key, size_bits, hash_count):
+    """A key's bit positions as the per-position probe hashed them:
+    the same crc32 double hashing, one position per hash."""
+    data = key.encode("utf-8")
+    h1 = crc32(data)
+    h2 = crc32(data, _SALT) | 1
+    return tuple((h1 + i * h2) % size_bits for i in range(hash_count))
+
+
+def _reference_admits(levels, groups, remaining_ttl, depth, hash_count):
+    """The per-position probe: past the horizon admit blindly, else some
+    level within reach has every position of every key of every
+    criterion group set."""
+    if remaining_ttl > depth:
+        return True
+    position_groups = [[_reference_positions(key, _BITS, hash_count) for key in group]
+                       for group in groups]
+    for level in levels[:remaining_ttl]:
+        if all(level >> position & 1
+               for group in position_groups for positions in group
+               for position in positions):
+            return True
+    return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mask_probe_decides_as_the_per_position_probe(data):
+    """Random level contents, criterion groups and level limits over an
+    8-bit filter (so keys collide): ``RoutingIndex.admits`` with the
+    query's one mask admits exactly when the per-position probe does."""
+    hash_count = data.draw(st.integers(1, 4), label="hash_count")
+    depth = data.draw(st.integers(1, 4), label="depth")
+    level_keys = data.draw(st.lists(st.lists(_KEYS, max_size=4),
+                                    min_size=depth, max_size=depth), label="levels")
+    groups = data.draw(st.lists(st.lists(_KEYS, min_size=1, max_size=3),
+                                min_size=1, max_size=3), label="groups")
+    remaining_ttl = data.draw(st.integers(1, depth + 1), label="remaining_ttl")
+    levels = []
+    for keys in level_keys:
+        bits = 0
+        for key in keys:
+            for position in _reference_positions(key, _BITS, hash_count):
+                bits |= 1 << position
+        levels.append(bits)
+    for key in {key for group in groups for key in group}:
+        assert _mask(key, _BITS, hash_count) == sum(
+            1 << position for position in set(_reference_positions(key, _BITS, hash_count)))
+    index = RoutingIndex(SimpleNamespace(peers={}), filter_bits=_BITS,
+                         hash_count=hash_count, depth=depth)
+    index._filters["neighbour"] = tuple(levels)
+    index._dirty_graph = False
+    mask = index.hash_keys(tuple(key for group in groups for key in group))
+    assert index.admits("neighbour", mask, remaining_ttl) == _reference_admits(
+        levels, groups, remaining_ttl, depth, hash_count)
 
 
 # ---------------------------------------------------------------------------
