@@ -18,7 +18,8 @@ import math
 from abc import abstractmethod
 from dataclasses import dataclass
 from heapq import heapify, heappop
-from typing import Any, Callable, Optional
+from itertools import repeat
+from typing import Any, Callable, Iterable, Optional
 
 from repro.engine.kernel import EventKernel, ExchangeContext, QueryContext
 from repro.network.base import PeerNetwork, SearchResult
@@ -112,7 +113,8 @@ class HubCatalog:
         """The results this hub contributes to ``context`` — at most
         the room left, in key order, skipping unreachable providers and
         the origin's own objects — plus their metadata bytes.  An empty
-        query browses its whole community.  Matching keys are popped off
+        query browses its whole community.  A match set that fits the
+        room is walked whole, so it is sorted; a larger one is popped off
         a heap, so the cost follows the room rather than the match count.
         An empty catalog answers at once, without evaluating the plan
         (most rendezvous a walk visits hold no advertisement)."""
@@ -125,12 +127,19 @@ class HubCatalog:
                     if record.community_id == plan.community_id]
         else:
             keys = list(plan.evaluate(self.index))
-        heapify(keys)
         results: list[SearchResult] = []
         metadata_bytes = 0
         room = context.room()
-        while keys and len(results) < room:
-            record = records[heappop(keys)]
+        if len(keys) <= room:
+            keys.sort()
+            ordered: Iterable[str] = keys
+        else:
+            heapify(keys)
+            ordered = map(heappop, repeat(keys, len(keys)))
+        for key in ordered:
+            if len(results) >= room:
+                break
+            record = records[key]
             provider = peers.get(record.provider_id)
             if provider is None or not provider.online \
                     or record.provider_id == context.origin_id:

@@ -95,6 +95,18 @@ def _gallop_intersect(small: array, large: array) -> array:
     return out
 
 
+def _constraining(postings: list[array], holders: int) -> list[array]:
+    """The postings of one field that can narrow an intersection.
+
+    Every token posting is a subset of its field's holders, so one as
+    long as ``holders`` *is* the holder set and removes no id.  When
+    every posting is, one of them stays: the criterion still means
+    "every holder of the field".
+    """
+    narrowing = [bucket for bucket in postings if len(bucket) < holders]
+    return narrowing or postings[:1]
+
+
 def intersect_postings(arrays: list[array], id_sets: list[set[int]]) -> array | set[int]:
     """Ids present in every posting; postings may be sorted arrays
     (exact/keyword buckets, treated read-only) or ``set[int]`` objects
@@ -129,6 +141,10 @@ def intersect_postings(arrays: list[array], id_sets: list[set[int]]) -> array | 
 
 class AttributeIndex:
     """Inverted index: (community, field, token/value) → resource ids."""
+
+    #: community -> field path -> how many objects hold a value there;
+    #: made by the first add, so an index that never holds one allocates none
+    _holders: Optional[dict[str, dict[str, int]]] = None
 
     def __init__(self) -> None:
         # community -> field path -> token -> sorted numeric-id posting
@@ -176,6 +192,9 @@ class AttributeIndex:
         community_id = sys.intern(community_id)
         resource_id = sys.intern(resource_id)
         numeric_id = self._assign_id(resource_id)
+        holders = self._holders
+        if holders is None:
+            holders = self._holders = {}
         entries: list[IndexEntry] = []
         for field_path, values in fields.items():
             present = [value for value in map(str.strip, values) if value]
@@ -185,6 +204,8 @@ class AttributeIndex:
             field_path = sys.intern(field_path)
             field_values = self._values.setdefault(community_id, {}).setdefault(field_path, {})
             field_tokens = self._tokens.setdefault(community_id, {}).setdefault(field_path, {})
+            field_holders = holders.setdefault(community_id, {})
+            field_holders[field_path] = field_holders.get(field_path, 0) + 1
             for value in present:
                 value, value_lower, tokens = value_forms(value)
                 entries.append(IndexEntry(community_id, resource_id, field_path,
@@ -209,7 +230,14 @@ class AttributeIndex:
         if not entries:
             return
         numeric_id = self._ids[resource_id]
+        holders = self._holders
+        assert holders is not None    # made by the add that filed ``entries``
+        previous_field = None
         for community_id, _, field_path, _, value_lower, tokens in entries:
+            # ``add`` lists a field's entries together: count it off once.
+            if field_path != previous_field:
+                previous_field = field_path
+                holders[community_id][field_path] -= 1
             values = self._values.get(community_id, {}).get(field_path, {})
             bucket = values.get(value_lower)
             if bucket is not None:
@@ -228,7 +256,7 @@ class AttributeIndex:
             # the field is still indexed.  An add/remove round-trip thus
             # leaves the index structurally identical to the state before.
             if not values and not field_tokens:
-                for table in (self._values, self._tokens):
+                for table in (self._values, self._tokens, holders):
                     community = table.get(community_id, {})
                     community.pop(field_path, None)
                     if not community:
@@ -264,10 +292,11 @@ class AttributeIndex:
 
     def keyword_postings(self, community_id: str, field_path: str,
                          tokens: Sequence[str]) -> Optional[list[array]]:
-        """Non-copying variant of :meth:`keyword`: one live sorted
-        ``array('I')`` posting per token, or ``None`` when no match is
-        possible (no tokens, or a token with no postings).  Callers must
-        not mutate the postings.
+        """Non-copying variant of :meth:`keyword`: the live sorted
+        ``array('I')`` postings whose intersection is the match (one per
+        token, less those every holder of the field shares), or ``None``
+        when no match is possible (no tokens, or a token with no
+        postings).  Callers must not mutate the postings.
         """
         if not tokens:
             return None
@@ -280,6 +309,9 @@ class AttributeIndex:
             if not bucket:
                 return None
             postings.append(bucket)
+        if len(postings) > 1:
+            assert self._holders is not None    # the field is indexed, so counted
+            postings = _constraining(postings, self._holders[community_id][field_path])
         return postings
 
     def prefix(self, community_id: str, field_path: str, stem: str) -> set[str]:
@@ -309,7 +341,7 @@ class AttributeIndex:
         matches: set[int] = set()
         if not tokens:
             return matches
-        for field_tokens in self._tokens.get(community_id, {}).values():
+        for field_path, field_tokens in self._tokens.get(community_id, {}).items():
             postings: Optional[list[array]] = []
             for token in tokens:
                 bucket = field_tokens.get(token)
@@ -318,6 +350,10 @@ class AttributeIndex:
                     break
                 postings.append(bucket)
             if postings:
+                if len(postings) > 1:
+                    assert self._holders is not None    # the field is indexed, so counted
+                    postings = _constraining(postings,
+                                             self._holders[community_id][field_path])
                 matches.update(intersect_postings(postings, []))
         return matches
 

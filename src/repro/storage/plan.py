@@ -58,7 +58,8 @@ class CompiledCriterion:
         self.any_field = (criterion.operator is Operator.ANY
                           or criterion.field_path == "*")
         self.norm_value = criterion.value.strip().lower()
-        self.tokens: tuple[str, ...] = tuple(tokenize(criterion.value))
+        # A token repeated in the value is probed once.
+        self.tokens: tuple[str, ...] = tuple(dict.fromkeys(tokenize(criterion.value)))
         self.token_set = frozenset(self.tokens)
         self.cost = (_OPERATOR_COST[Operator.ANY] if self.any_field
                      else _OPERATOR_COST[self.operator])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.kernel import MaintenanceTimer, QueryContext, RetrieveContext
+from repro.engine.kernel import QueryContext, RetrieveContext
 from repro.network.base import SearchResult
 from repro.network.config import CacheConfig, ReliabilityConfig
 from repro.network.messages import MessageType, ack_message, register_message
@@ -23,66 +23,11 @@ from repro.network.twotier import HubCatalog
 from repro.storage.document_store import metadata_wire_bytes
 from repro.storage.plan import compile_query
 from repro.storage.query import Query
-
-
-class FakeSimulator:
-    def __init__(self):
-        self.now = 0.0
-        self.posted = []  # (key, delay_ms, callback, args), in arming order
-
-    def post_keyed(self, key, delay_ms, callback, *args):
-        self.posted.append((key, delay_ms, callback, args))
-
-
-class FakeStats:
-    def __init__(self):
-        self.retries = self.timeouts = self.cache_misses = 0
-
-    def record_retry(self):
-        self.retries += 1
-
-    def record_timeout(self):
-        self.timeouts += 1
-
-    def record_cache_miss(self):
-        self.cache_misses += 1
-
-
-class FakeKernel:
-    """Records what a collaborator asks of the kernel; the test script
-    decides which timers fire and which messages 'arrive'."""
-
-    def __init__(self, *peer_ids):
-        self.simulator = FakeSimulator()
-        self.stats = FakeStats()
-        self.peers = {peer_id: Peer(peer_id=peer_id) for peer_id in peer_ids}
-        self.virtual_nodes = set()
-        self.handlers = {}
-        self.sent = []
-        self.released = []
-        self.recurring = []  # (interval_ms, callback)
-
-    def register(self, message_type, handler):
-        self.handlers[message_type] = handler
-
-    def send(self, message, *, context=None):
-        self.sent.append(message)
-
-    def release(self, context):
-        self.released.append(context)
-        context.pending -= 1
-
-    def every(self, interval_ms, callback):
-        self.recurring.append((interval_ms, callback))
-        return MaintenanceTimer(interval_ms, callback, ())
-
-    def fire_next_timer(self):
-        _key, _delay, callback, args = self.simulator.posted.pop(0)
-        callback(*args)
+from tests.network.harness import FakeKernel
 
 
 def make_channel(**config):
-    kernel = FakeKernel("alice", "hub")
+    kernel = FakeKernel(Peer(peer_id="alice"), Peer(peer_id="hub"))
     channel = ReliableChannel(
         kernel, ReliabilityConfig(reliable_delivery=True, retry_timeout_ms=100.0, **config)
     )
@@ -99,7 +44,7 @@ def download_context():
 
 class TestReliableChannel:
     def test_off_is_a_plain_send(self):
-        kernel = FakeKernel("alice", "hub")
+        kernel = FakeKernel(Peer(peer_id="alice"), Peer(peer_id="hub"))
         channel = ReliableChannel(kernel, ReliabilityConfig())
         message = upload()
         channel.send(message)
@@ -312,6 +257,30 @@ class TestHubCatalog:
         full.claim(2)
         assert catalog.take(full, peers, hops=0) == ([], 0)
 
+    @pytest.mark.parametrize("room, matches", [(0, 0), (0, 1), (3, 2), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("skipped", [0, 1, 2])
+    def test_take_either_side_of_the_room(self, room, matches, skipped):
+        """A match set that fits the room is sorted, a larger one heaped;
+        both walk the same keys.  The first ``skipped`` providers in key
+        order are offline or the origin, so the walk passes the room."""
+        providers = [f"p{number}" for number in range(matches)]
+        peers = {provider: Peer(peer_id=provider) for provider in providers}
+        catalog = HubCatalog()
+        for provider in providers:
+            insert(catalog, provider, "Observer")
+        insert(catalog, "p0", "Visitor")
+        if skipped and matches:
+            peers["p0"].online = False
+        origin_id = "p1" if skipped == 2 and matches > 1 else "origin"
+        context = query_context(
+            Query.keyword("patterns", "observer"), origin_id=origin_id, max_results=room
+        )
+        results, metadata_bytes = catalog.take(context, peers, hops=0)
+        expected = select(catalog, keyword("observer"), peers=peers, origin_id=origin_id, room=room)
+        assert [key_of(result) for result in results] == expected
+        assert len(expected) == min(room, matches - min(skipped, matches))
+        assert metadata_bytes == sum(catalog.records[key].metadata_bytes for key in expected)
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         entries=CATALOG_ENTRIES,
@@ -397,7 +366,7 @@ class TestHubCatalog:
 
 
 def make_cache_layer():
-    kernel = FakeKernel("alice", "bob")
+    kernel = FakeKernel(Peer(peer_id="alice"), Peer(peer_id="bob"))
     kernel.virtual_nodes.add("server")
     return kernel, ResultCacheLayer(kernel, CacheConfig(enabled=True, capacity=4, ttl_ms=100.0))
 

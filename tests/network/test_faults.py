@@ -21,27 +21,12 @@ from repro.network.faults import (FaultModel, FaultPlan, PartitionWindow,
                                   build_fault_model)
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.membership import PopulationModel
-from repro.network.rendezvous import RendezvousProtocol
-from repro.network.superpeer import SuperPeerProtocol
 from repro.storage.plan import compile_query
 from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-from repro.xmlkit.parser import parse
+from tests.network.harness import publish_pattern, settle
 
 PROTOCOL_NAMES = ("centralized", "gnutella", "super-peer", "rendezvous")
-
-
-def publish_pattern(network, peer_id, name, intent="notify dependents"):
-    peer = network.peer(peer_id)
-    document = parse(f"<pattern><name>{name}</name><intent>{intent}</intent></pattern>").root
-    metadata = {"name": [name], "intent": [intent]}
-    result = peer.repository.publish("patterns", document, metadata, title=name)
-    network.publish(peer_id, "patterns", result.resource_id, metadata, title=name)
-    return result.resource_id
-
-
-def settle(network, ms):
-    network.simulator.run(until_ms=network.simulator.now + ms)
 
 
 class TestFaultPlanValidation:

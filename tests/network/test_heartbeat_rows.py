@@ -23,29 +23,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.config import MembershipConfig
 from repro.network.faults import FaultPlan
 from repro.network.messages import MessageType, ping_message, pong_message
-from repro.network.superpeer import SuperPeerProtocol
-
-INTERVAL_MS = 200.0
-
-
-def live_network(peer_count=10, *, faults=None):
-    network = SuperPeerProtocol(seed=6, super_peer_ratio=0.2,
-                                membership=MembershipConfig(maintenance_interval_ms=INTERVAL_MS))
-    for index in range(peer_count):
-        network.create_peer(f"peer-{index:03d}")
-    network.elect_super_peers()
-    if faults is not None:
-        network.install_faults(faults)
-    network.go_live()
-    return network
-
-
-def settle(network, ms):
-    network.simulator.run(until_ms=network.simulator.now + ms)
-
+from tests.network.harness import INTERVAL_MS, live_network, settle
 
 def record_sends(network):
     """Every ``(message, latency_ms, the sender's super then)`` the kernel
@@ -97,8 +77,9 @@ REHOMES = {"lease lapse": lapse_the_lease, "super departs": depart_the_super,
 def test_after_a_rehome_the_next_ping_goes_to_the_current_super(name):
     rehome = REHOMES[name]
     moved = 0
-    for leaf_id in sorted(live_network().peers)[2:]:    # the two supers are 000 and 001
-        network = live_network()
+    for leaf_id in sorted(live_network("super-peer").peers)[2:]:    # the two supers are 000 and 001
+        network = live_network("super-peer")
+        network.go_live()
         settle(network, 2 * INTERVAL_MS)
         old_super = network._heartbeats[leaf_id][0]
         assert_row_is_fresh(network, leaf_id)
@@ -123,7 +104,8 @@ def test_a_live_re_election_is_not_undone_by_the_next_lease():
     """The election's move grants the leaf's lease like a LEAF-ATTACH
     does: nobody re-homes, and each moved leaf heartbeats (and stays
     listed at) the super the election gave it."""
-    network = live_network()
+    network = live_network("super-peer")
+    network.go_live()
     settle(network, 2 * INTERVAL_MS)
     leaves = sorted(network.peers)[3:]    # the supers are 000, 001 and 002 after it
     before = {leaf_id: network.peers[leaf_id].super_peer_id for leaf_id in leaves}
@@ -144,7 +126,8 @@ def test_a_live_re_election_is_not_undone_by_the_next_lease():
 
 
 def test_only_the_rows_own_ping_is_answered_from_the_row():
-    network = live_network()
+    network = live_network("super-peer")
+    network.go_live()
     settle(network, 2 * INTERVAL_MS)
     leaf_id = next(leaf for leaf in sorted(network._heartbeats))
     row = network._heartbeats[leaf_id]
@@ -167,7 +150,8 @@ def test_only_the_rows_own_ping_is_answered_from_the_row():
 
 
 def test_the_table_holds_at_most_one_row_per_peer_after_churn():
-    network = live_network(16, faults=FaultPlan(seed=3, loss_rate=0.2))
+    network = live_network("super-peer", 16, faults=FaultPlan(seed=3, loss_rate=0.2))
+    network.go_live()
     attaches = network.stats.messages_of(MessageType.LEAF_ATTACH)
     for step, peer_id in enumerate(sorted(network.peers)):
         network.simulator.post(step * 150.0, network.set_online, peer_id, False)
@@ -233,7 +217,8 @@ schedules = st.lists(st.tuples(st.sampled_from(["offline", "online", "depart", "
 
 def run_schedule(schedule, loss_rate, *, reference):
     faults = FaultPlan(seed=5, loss_rate=loss_rate) if loss_rate else None
-    network = live_network(12, faults=faults)
+    network = live_network("super-peer", 12, faults=faults)
+    network.go_live()
     if reference:
         network._on_maintenance_tick = types.MethodType(reference_tick, network)
     purges, sends = trace(network)

@@ -11,21 +11,7 @@ from repro.network.messages import MessageType
 from repro.network.rendezvous import RendezvousProtocol
 from repro.network.superpeer import SuperPeerProtocol
 from repro.storage.query import Query
-from repro.xmlkit.parser import parse
-
-
-def publish_pattern(network, peer_id, name, intent="notify dependents"):
-    peer = network.peer(peer_id)
-    document = parse(f"<pattern><name>{name}</name><intent>{intent}</intent></pattern>").root
-    metadata = {"name": [name], "intent": [intent]}
-    result = peer.repository.publish("patterns", document, metadata, title=name)
-    network.publish(peer_id, "patterns", result.resource_id, metadata, title=name)
-    return result.resource_id
-
-
-def settle(network, ms):
-    """Run the shared queue forward so lifecycle traffic lands."""
-    network.simulator.run(until_ms=network.simulator.now + ms)
+from tests.network.harness import live_network, publish_pattern, settle
 
 
 class TestPopulationModel:
@@ -415,29 +401,6 @@ class TestRendezvousLiveMembership:
         alive = [rdv for rdv in network.hub_ids()
                  if network.peers[rdv].online]
         assert alive
-
-
-def live_network(name):
-    """Ten peers of ``name`` with its structure built, maintenance every
-    200 ms and nothing published yet (not live yet)."""
-    membership = MembershipConfig(maintenance_interval_ms=200.0)
-    network = {
-        "centralized": lambda: CentralizedProtocol(seed=3, membership=membership),
-        "gnutella": lambda: GnutellaProtocol(seed=5, degree=3, membership=membership),
-        "super-peer": lambda: SuperPeerProtocol(
-            seed=6, super_peer_ratio=0.2, membership=membership),
-        "rendezvous": lambda: RendezvousProtocol(
-            seed=7, rendezvous_ratio=0.25, lease_ms=1_000.0, membership=membership),
-    }[name]()
-    for index in range(10):
-        network.create_peer(f"peer-{index:03d}")
-    if name == "gnutella":
-        network.build_overlay()
-    elif name == "super-peer":
-        network.elect_super_peers()
-    elif name == "rendezvous":
-        network.elect_rendezvous()
-    return network
 
 
 class TestSilentPermanentDeparture:

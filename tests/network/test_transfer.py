@@ -24,45 +24,9 @@ from repro.storage.attachments import Attachment
 from repro.storage.document_store import StoredObject
 from repro.storage.replicas import ReplicaRegistry
 from repro.xmlkit.parser import parse
+from tests.network.harness import FakeKernel
 
 RECOVER = "recover"
-
-
-class FakeSimulator:
-    now = 0.0
-
-    def post_keyed(self, key, delay_ms, callback, *args):
-        pass  # the scripts below decide when a restart happens
-
-    def transfer_time(self, source, target, size_bytes, *, bandwidth_kbps):
-        return 1.0
-
-
-class FakeStats:
-    retries = 0
-
-    def record_retry(self):
-        self.retries += 1
-
-
-class FakeKernel:
-    def __init__(self, *peers):
-        self.simulator = FakeSimulator()
-        self.stats = FakeStats()
-        self.peers = {peer.peer_id: peer for peer in peers}
-        self.sent = []
-
-    def register(self, message_type, handler):
-        pass
-
-    def send(self, message, *, context=None, latency_ms=0.0):
-        self.sent.append(message)
-
-    def release(self, context):
-        context.pending -= 1
-
-    def note_document_completed(self, peer, context, stored):
-        pass
 
 
 def published_object():

@@ -144,6 +144,7 @@ class TestMaintenance:
         snapshot = (
             copy.deepcopy(index._tokens),
             copy.deepcopy(index._values),
+            copy.deepcopy(index._holders),
             copy.deepcopy(index._entries),
         )
         # The new object introduces a new community, a new field of an
@@ -152,7 +153,7 @@ class TestMaintenance:
         index.add("patterns", "r9", {"name": ["Observer Deluxe"], "category": ["behavioral"]})
         index.remove("g1")
         index.remove("r9")
-        assert (index._tokens, index._values, index._entries) == snapshot
+        assert (index._tokens, index._values, index._holders, index._entries) == snapshot
 
 
 def ids(*numbers):
@@ -229,7 +230,7 @@ class TestNumericIdPostings:
         for resource_id in self.CORPUS:
             index.remove(resource_id)
         assert index.entry_count() == 0
-        assert index._values == {} and index._tokens == {}
+        assert index._values == {} and index._tokens == {} and index._holders == {}
         assert not index._ids
         # A fresh add after total removal reuses recycled numeric ids
         # rather than growing the id table forever under churn.
@@ -255,6 +256,25 @@ class TestNumericIdPostings:
         for query, expected in cases:
             assert compile_query(query).evaluate(index) == evaluate(query, index) \
                 == expected, query.describe()
+
+    def test_a_stop_word_posting_leaves_the_intersection(self):
+        """Every intent holds "decouple", "thing", "from" and "observer":
+        of a criterion, only its constraining posting is intersected, a
+        repeated token is probed once, and an all-stop-word criterion
+        keeps one posting, the holder set itself."""
+        from repro.storage.plan import compile_query
+        from repro.storage.query import Query
+        index = self.build()
+        intent = index._tokens["patterns"]["intent"]
+        assert index._holders["patterns"]["intent"] == 50
+        (criterion,) = compile_query(
+            Query("patterns").where("intent", "Decouple thing 4 from 4")).criteria
+        assert criterion.tokens == ("decouple", "thing", "4", "from")
+        (posting,) = index.keyword_postings("patterns", "intent", criterion.tokens)
+        assert posting is intent["4"] and list(posting) == sorted(range(4, 50, 5))
+        (holders,) = index.keyword_postings("patterns", "intent", ("decouple", "observer"))
+        assert holders is intent["decouple"] and len(holders) == 50
+        assert index.keyword_postings("patterns", "intent", ("decouple", "zzz")) is None
 
     def test_posting_bytes_cost_four_bytes_per_id(self):
         """43 postings holding 588 ids, each costed by content: one empty

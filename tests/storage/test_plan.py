@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.index import AttributeIndex, tokenize
 from repro.storage.plan import CompiledQuery, compile_query
@@ -118,6 +120,79 @@ class TestRandomizedEquivalence:
             before = evaluate(query, index)
             result.add("sentinel-mutation")
             assert evaluate(query, index) == before
+
+
+STOP_WORDS = ("the", "pattern")
+CONTENT_WORDS = ("observer", "factory", "visitor", "decouple")
+
+
+@st.composite
+def stop_word_corpora(draw):
+    """Records whose "name" always holds both stop words and whose
+    "intent" always holds "the"; in "category" the first record holds a
+    token-less value, so that there no posting is every holder's."""
+    corpus = {}
+    for number in range(draw(st.integers(2, 10))):
+        metadata = {}
+        for field, stop_words in (("name", STOP_WORDS), ("intent", ("the",)),
+                                  ("category", STOP_WORDS)):
+            if number and not draw(st.booleans()):
+                continue
+            if field == "category" and number == 0:
+                metadata[field] = ["!!"]
+                continue
+            words = draw(st.permutations(
+                [*stop_words, *draw(st.lists(st.sampled_from(CONTENT_WORDS), max_size=2))]))
+            cut = draw(st.integers(1, len(words)))
+            metadata[field] = [" ".join(part) for part in (words[:cut], words[cut:]) if part]
+        corpus[f"r{number:02d}"] = metadata
+    return corpus
+
+
+stop_word_criteria = st.lists(
+    st.tuples(st.sampled_from((Operator.CONTAINS, Operator.ANY)),
+              st.sampled_from(("name", "intent", "category")),
+              st.lists(st.sampled_from((*STOP_WORDS, *CONTENT_WORDS)), min_size=1, max_size=4)),
+    min_size=1, max_size=3)
+
+
+def index_semantics(query: Query, corpus: dict[str, dict[str, list[str]]]) -> set[str]:
+    """Record by record, what the index answers: a CONTAINS criterion
+    wants all its words in its field, an ANY criterion all of them in
+    some one field."""
+    matched = set()
+    for resource_id, metadata in corpus.items():
+        held = {field: {token for value in values for token in tokenize(value)}
+                for field, values in metadata.items()}
+        if all(any(set(tokenize(criterion.value)) <= tokens for tokens in held.values())
+               if criterion.operator is Operator.ANY
+               else criterion.field_path in held
+               and set(tokenize(criterion.value)) <= held[criterion.field_path]
+               for criterion in query.criteria):
+            matched.add(resource_id)
+    return matched
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stop_word_corpora(), st.lists(stop_word_criteria, min_size=1, max_size=6))
+def test_evaluate_identical_where_postings_hold_every_holder(corpus, queries):
+    """Postings every holder of a field shares leave the intersection;
+    criteria of stop words only, of repeated words and of words no
+    posting holds whole answer as the references do, before and after
+    the token-less holder goes (its stop words are then every holder's)."""
+    index = AttributeIndex()
+    for resource_id, metadata in corpus.items():
+        index.add("patterns", resource_id, metadata)
+    for removed in (None, "r00"):
+        if removed:
+            index.remove(removed)
+            del corpus[removed]
+        for criteria in queries:
+            query = Query("patterns")
+            for operator, field, words in criteria:
+                query.where(field, " ".join(words), operator)
+            assert compile_query(query).evaluate(index) == evaluate(query, index) \
+                == index_semantics(query, corpus), query.describe()
 
 
 class TestOperatorEdges:

@@ -91,15 +91,19 @@ class ReferenceIndex:
     """The write side of :class:`AttributeIndex` as it was built before
     value forms were shared: each entry tokenised for itself, each id
     placed by a binary-search insert, each level made at the value that
-    needs it."""
+    needs it.  Holder counts are taken from the entries: one per field
+    an object has an entry in, the table made by the first add."""
 
     def __init__(self):
         self._tokens, self._values, self._entries = {}, {}, {}
         self._ids, self._rids, self._free = {}, [], []
+        self._holders = None
 
     def add(self, community_id, resource_id, fields):
         if resource_id in self._entries:
             self.remove(resource_id)
+        if self._holders is None:
+            self._holders = {}
         numeric_id = self._ids.get(resource_id)
         if numeric_id is None:
             if self._free:
@@ -127,6 +131,9 @@ class ReferenceIndex:
                     if position == len(bucket) or bucket[position] != numeric_id:
                         bucket.insert(position, numeric_id)
         self._entries[resource_id] = entries
+        for field_path in {entry[2] for entry in entries}:
+            counts = self._holders.setdefault(community_id, {})
+            counts[field_path] = counts.get(field_path, 0) + 1
         if not entries:
             self._release(resource_id)
 
@@ -135,6 +142,8 @@ class ReferenceIndex:
         if not entries:
             return
         numeric_id = self._ids[resource_id]
+        for field_path in {entry[2] for entry in entries}:
+            self._holders[entries[0][0]][field_path] -= 1
         for community_id, _, field_path, _, value_lower, tokens in entries:
             keys = [(self._values, value_lower)] + [(self._tokens, token) for token in tokens]
             for table, key in keys:
@@ -144,7 +153,7 @@ class ReferenceIndex:
                     if not postings[key]:
                         del postings[key]
             if not self._values.get(community_id, {}).get(field_path, True):
-                for table in (self._values, self._tokens):
+                for table in (self._values, self._tokens, self._holders):
                     community = table.get(community_id)
                     if community is not None and not community.get(field_path, True):
                         del community[field_path]
@@ -158,7 +167,7 @@ class ReferenceIndex:
         self._free.append(numeric_id)
 
 
-STATE = ("_values", "_tokens", "_entries", "_ids", "_rids", "_free")
+STATE = ("_values", "_tokens", "_holders", "_entries", "_ids", "_rids", "_free")
 #: repeated words, punctuation only, blank, and letters outside ASCII
 #: ('İ' lowers to two code points; the Kelvin sign lowers to ASCII 'k')
 ODD_VALUES = ["", "   ", "!!", ", ;", "a a", "A b", "b", "İstanbul", "\u212aelvin",
