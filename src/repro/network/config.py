@@ -82,9 +82,9 @@ class ReliabilityConfig:
     retry_timeout_ms: float = 250.0
     #: total send attempts per reliable message / download provider
     retry_max_attempts: int = 4
-    #: ``None`` sends each stream of a download (the document, each
-    #: attachment) as one piece, scheduled up front; a byte count streams
-    #: them as paced chunks with stall detection and failover
+    #: ``None`` sends each stream of a download (each attachment, then
+    #: the document) as one paced piece; a byte count splits them into
+    #: chunks and arms stall detection with failover
     download_chunk_bytes: Optional[int] = None
     #: how long a download may stall before re-request / failover
     download_stall_timeout_ms: float = 500.0

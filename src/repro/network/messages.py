@@ -279,23 +279,22 @@ def ack_message(sender: str, recipient: str, *, message_id: str) -> Message:
 
 def download_piece(sender: str, recipient: str, resource_id: str, *,
                    size_bytes: int, uri: str = "", index: int = 0, total: int = 1,
-                   payload_object: object = None, message_id: str = "") -> Message:
+                   payload_object: object = None) -> Message:
     """Piece ``index`` of ``total`` of one download stream: the
     document (``uri`` empty) or the attachment ``uri`` names.
 
     The stream's payload (the stored object, or the attachment) rides
-    its final piece; an unchunked stream is piece 0 of 1.  The
-    requester assembles each stream from piece ordinals, so a lost or
-    reordered piece is detectable by the stall watchdog instead of
-    silently corrupting the download.  ``message_id`` is reused when
-    given (the unchunked document answers with its request's id);
-    otherwise a fresh id is drawn.
+    its final piece; an unchunked stream is piece 0 of 1.  Every piece
+    carries a fresh id and is emitted by the provider's one paced
+    schedule.  The requester assembles each stream from piece ordinals,
+    so a lost or reordered piece is detectable by the stall watchdog
+    instead of silently corrupting the download.
     """
     return Message(
         type=MessageType.DOWNLOAD_RESPONSE,
         sender=sender,
         recipient=recipient,
-        message_id=message_id or next_message_id(),
+        message_id=next_message_id(),
         payload_bytes=size_bytes,
         resource_id=resource_id,
         attachment_uri=uri,

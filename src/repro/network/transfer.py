@@ -5,12 +5,12 @@ Snippet 1): whichever organisation located the provider, the download
 is a DOWNLOAD-REQUEST answered by DOWNLOAD-RESPONSE pieces of the
 object's streams: its attachments (one stream each, named by URI) and
 its document (the stream ``""``).  :class:`DownloadManager` owns both
-ends — the provider-side serving (one piece per stream scheduled up
-front, or a paced chunk stream under ``download_chunk_bytes``), the
-requester's one arrival handler, and the chunked mode's stall watchdog
-with replica failover.  The finished object replicates into
-the requester's repository and is re-announced through the adapter's
-own ``publish``.
+ends — the provider-side serving (one paced schedule per download:
+attachments first, the document last, each stream one piece or
+``download_chunk_bytes`` chunks), the requester's one arrival handler,
+and the chunked mode's stall watchdog with replica failover.  The
+finished object replicates into the requester's repository and is
+re-announced through the adapter's own ``publish``.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class DownloadManager:
         """Inject a download into the event kernel and return its context.
 
         The DOWNLOAD-REQUEST is scheduled like any other message; the
-        provider answers at delivery time with a DOWNLOAD-RESPONSE plus
-        one transfer event per attachment, and the object replicates
-        into the requester's repository when the response *arrives*.
+        provider answers at delivery time with paced DOWNLOAD-RESPONSE
+        pieces, attachments first, and the object replicates into the
+        requester's repository when the document's last piece *arrives*.
         The context quiesces by reference counting — the shared clock is
         never mutated, so downloads compose deterministically with any
         queries in flight.
@@ -150,13 +150,16 @@ class DownloadManager:
         return None
 
     # ------------------------------------------------------------------
-    # Provider side: one piece per stream, or a paced chunk stream
+    # Provider side: one paced schedule per download
     # ------------------------------------------------------------------
     def _on_request(self, peer: Optional[Peer], message: Message,
                     context: Optional[ExchangeContext]) -> None:
-        """The provider serves the object: every stream as one piece,
-        each arriving after its cumulative transmission time, or as
-        paced chunks under ``download_chunk_bytes``."""
+        """The provider serves the object as one paced schedule.
+
+        Each piece — a whole stream, or a chunk of one under
+        ``download_chunk_bytes`` — is emitted by its own event that
+        checks the provider is still online, so a crash-stop between
+        pieces strands the rest of the download."""
         if peer is None or not isinstance(context, RetrieveContext):
             return
         if peer.peer_id != context.provider_id:
@@ -169,28 +172,8 @@ class DownloadManager:
         if context.serving == (peer.peer_id, context.provider_attempts):
             return  # a duplicated request: this provider already serves it
         context.serving = (peer.peer_id, context.provider_attempts)
-        if self.config.download_chunk_bytes is not None:
-            # Unlike the unchunked path below — which schedules every
-            # delivery up front, so a provider crash mid-transfer
-            # changes nothing — each chunk is emitted by its own event
-            # that checks the provider is still online.  A crash-stop
-            # between chunks therefore strands the rest of the stream,
-            # which is exactly what the requester's stall watchdog
-            # exists to notice.
-            self._emit_chunk(peer.peer_id, self._chunk_stream(peer, stored, context),
-                             context, False)
-            return
-        # The document goes first and answers with the request's id;
-        # fault draws follow each link's send order, so it stays first.
-        *attachments, document = self._streams(peer, stored)
-        latency = 0.0
-        for uri, payload, size in (document, *attachments):
-            latency += self.simulator.transfer_time(peer.peer_id, context.requester_id, size,
-                                                    bandwidth_kbps=context.bandwidth_kbps)
-            piece = download_piece(peer.peer_id, context.requester_id, message.resource_id,
-                                   size_bytes=size, uri=uri, payload_object=payload,
-                                   message_id="" if uri else message.message_id)
-            self.kernel.send(piece, context=context, latency_ms=latency)
+        self._emit_chunk(peer.peer_id, self._chunk_stream(peer, stored, context),
+                         context, False)
 
     @staticmethod
     def _streams(peer: Peer, stored: StoredObject
@@ -207,7 +190,8 @@ class DownloadManager:
 
     def _chunk_sizes(self, payload_bytes: int) -> list[int]:
         chunk_bytes = self.config.download_chunk_bytes
-        assert chunk_bytes is not None
+        if chunk_bytes is None:
+            return [payload_bytes]
         total = max(1, math.ceil(payload_bytes / chunk_bytes))
         return [chunk_bytes] * (total - 1) + [payload_bytes - chunk_bytes * (total - 1)]
 

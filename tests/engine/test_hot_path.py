@@ -64,8 +64,9 @@ from repro.storage.plan import CompiledQuery
 from repro.storage.query import Query
 from repro.storage.repository import LocalRepository
 from repro.workloads.scenario import ScenarioConfig, build_scenario
+from tests.network.harness import publish_pattern
 from tests.network.test_contract import (
-    BASE_CELL, GNUTELLA_ONCE_PER_NODE, HoldOracle, make_network, publish_pattern)
+    BASE_CELL, GNUTELLA_ONCE_PER_NODE, HoldOracle, make_network)
 
 SEED = 7
 

@@ -7,12 +7,14 @@ from repro.communities.mp3 import mp3_community
 from repro.core.application import Application
 from repro.core.errors import InvalidObjectError
 from repro.core.servent import Servent
+from repro.network.centralized import CentralizedProtocol
 from repro.network.config import ReliabilityConfig
-from repro.network.errors import PeerOfflineError, UnknownPeerError
+from repro.network.errors import PeerOfflineError, TransferError, UnknownPeerError
 from repro.network.gnutella import GnutellaProtocol
 from repro.network.membership import PopulationModel
 from repro.storage.errors import ObjectNotFoundError
 from repro.xmlkit.errors import XMLParseError
+from repro.xmlkit.parser import parse
 
 
 class TestMalformedInput:
@@ -196,8 +198,62 @@ class TestProviderCrashMidDownload:
     def test_crash_without_replica_fails_with_timeout_recorded(self):
         network, resource_id, _ = self.build()
         network.simulator.post(5.0, network._fault_crash, "alice")
-        from repro.network.errors import TransferError
         with pytest.raises(TransferError):
             network.retrieve("requester", "alice", resource_id)
         assert network.stats.timeouts >= 1
         assert network.stats.failovers == 0
+
+
+class TestUnchunkedDownload:
+    """An unchunked download is the chunked schedule with one piece per
+    stream: attachments first and the document last, each piece paced
+    by its transmission time and emitted only while the provider is up."""
+
+    URIS = ["file://observer.png", "file://observer-uml.png"]
+
+    def build(self):
+        network = CentralizedProtocol(seed=5)
+        for peer_id in ("alice", "bob"):
+            network.create_peer(peer_id)
+        document = parse("<pattern><name>Observer</name></pattern>").root
+        metadata = {"name": ["Observer"], "__attachments__": self.URIS}
+        stored = network.peer("alice").repository.publish(
+            "patterns", document, metadata, title="Observer", attachment_uris=self.URIS).stored
+        network.publish("alice", "patterns", stored.resource_id, metadata, title="Observer")
+        network.simulator.run()
+        return network, stored
+
+    @pytest.mark.parametrize("fix", ["paced-latency", "announced-last", "crash-strands-the-rest"])
+    def test_an_unchunked_download_is_one_paced_schedule(self, fix):
+        network, stored = self.build()
+        simulator, bob = network.simulator, network.peer("bob")
+        attachments = network.peer("alice").repository.attachments
+        link = simulator.link_latency("alice", "bob")
+        request_leg = simulator.link_latency("bob", "alice")
+        sizes = [*(attachments.get(uri).size_bytes for uri in self.URIS),
+                 len(stored.to_xml_text().encode("utf-8"))]
+        transmissions = [simulator.transfer_time("alice", "bob", size) - link for size in sizes]
+        if fix == "crash-strands-the-rest":
+            # Alice departs while the first attachment is on the wire:
+            # the second attachment and the document never leave.
+            simulator.post(request_leg + transmissions[0] / 2, network.depart, "alice")
+            with pytest.raises(TransferError):
+                network.retrieve("bob", "alice", stored.resource_id)
+            assert [bob.repository.attachments.has(uri) for uri in self.URIS] == [True, False]
+            return
+        landed_at_announce = []
+        announce = network.downloads.announce
+
+        def recording_announce(*args, **kwargs):
+            landed_at_announce.append([bob.repository.attachments.has(uri) for uri in self.URIS])
+            announce(*args, **kwargs)
+
+        network.downloads.announce = recording_announce
+        result = network.retrieve("bob", "alice", stored.resource_id)
+        assert result.attachments_transferred == len(self.URIS)
+        if fix == "paced-latency":
+            # One link latency for the whole schedule, not one per stream.
+            assert result.latency_ms == pytest.approx(request_leg + link + sum(transmissions))
+        else:
+            # The replica becomes findable only once it is whole.
+            assert landed_at_announce == [[True, True]]

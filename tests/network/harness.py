@@ -33,6 +33,9 @@ class FakeSimulator:
     def transfer_time(self, source, target, size_bytes, *, bandwidth_kbps):
         return 1.0
 
+    def link_latency(self, source, target):
+        return 0.5
+
 
 class FakeStats:
     def __init__(self):

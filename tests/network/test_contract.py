@@ -44,8 +44,8 @@ from repro.network.superpeer import SuperPeerProtocol
 from repro.network.twotier import TwoTierNetwork
 from repro.storage.query import Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
-from repro.xmlkit.parser import parse
 from tests.storage.test_cache import provider_scan
+from tests.network.harness import publish_pattern
 
 
 def make_network(name: str):
@@ -61,15 +61,6 @@ def make_network(name: str):
 
 
 PROTOCOL_NAMES = ("centralized", "gnutella", "super-peer", "rendezvous")
-
-
-def publish_pattern(network, peer_id, name, intent="decouple things"):
-    peer = network.peer(peer_id)
-    document = parse(f"<pattern><name>{name}</name><intent>{intent}</intent></pattern>").root
-    metadata = {"name": [name], "intent": [intent]}
-    result = peer.repository.publish("patterns", document, metadata, title=name)
-    network.publish(peer_id, "patterns", result.resource_id, metadata, title=name)
-    return result.resource_id
 
 
 def populate(network, peer_count=12):
@@ -490,10 +481,11 @@ class TestResultCacheContract:
                                    cache=CacheConfig(enabled=True, ttl_ms=60_000.0))
         populate(network, peer_count=8)
         network.build_overlay()
-        cached_id = publish_pattern(network, "peer-002", "Observer")
+        # The intent fixes the resource ids, so it fixes their order.
+        cached_id = publish_pattern(network, "peer-002", "Observer", intent="decouple things")
         query = Query.keyword("patterns", "observer")
         network.search("peer-000", query, max_results=2)  # caches [002: Observer]
-        fresh_id = publish_pattern(network, "peer-002", "Observer Copy")
+        fresh_id = publish_pattern(network, "peer-002", "Observer Copy", intent="decouple things")
         # Precondition for the trap: local_matches returns resource-id
         # order, and the already-promised match must come first so a
         # naive limit-then-filter hands it the only room slot.

@@ -9,17 +9,7 @@ from repro.network.messages import MessageType
 from repro.network.rendezvous import RendezvousProtocol
 from repro.network.superpeer import SuperPeerProtocol
 from repro.storage.query import Query
-from repro.xmlkit.parser import parse
-
-
-def publish_pattern(network, peer_id, name, intent="decouple things"):
-    """Store + announce one pattern object on ``peer_id``."""
-    peer = network.peer(peer_id)
-    document = parse(f"<pattern><name>{name}</name><intent>{intent}</intent></pattern>").root
-    metadata = {"name": [name], "intent": [intent]}
-    result = peer.repository.publish("patterns", document, metadata, title=name)
-    network.publish(peer_id, "patterns", result.resource_id, metadata, title=name)
-    return result.resource_id
+from tests.network.harness import publish_pattern
 
 
 def populate(network, peer_count=20, object_every=2):

@@ -29,7 +29,8 @@ from repro.storage.plan import compile_query
 from repro.storage.query import Operator, Query
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
-from tests.network.test_contract import BASE_CELL, populate, publish_pattern
+from tests.network.harness import publish_pattern
+from tests.network.test_contract import BASE_CELL, populate
 
 
 # ---------------------------------------------------------------------------

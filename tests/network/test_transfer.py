@@ -207,7 +207,8 @@ def test_an_attachment_with_a_missing_middle_piece_does_not_land():
 
 def test_a_duplicated_unchunked_request_is_served_once():
     """A DOWNLOAD-REQUEST retransmitted after its ACK was lost reaches
-    the provider twice: the document and each attachment go out once."""
+    the provider twice: the document and each attachment go out once,
+    attachments first, from the one paced schedule."""
     provider = Peer(peer_id="hub")
     uris = ["file://a.png", "file://b.png"]
     document = parse("<pattern><name>Observer</name></pattern>").root
@@ -223,5 +224,8 @@ def test_a_duplicated_unchunked_request_is_served_once():
     request = download_request("alice", "hub", stored.resource_id)
     for _ in range(2):
         manager._on_request(provider, request, context)
+    while kernel.simulator.posted:
+        kernel.fire_next_timer()
+    assert [piece.attachment_uri for piece in kernel.sent] == [*uris, ""]
     assert sorted(piece.attachment_uri for piece in kernel.sent) == ["", *uris]
     assert all((piece.chunk_index, piece.chunk_total) == (0, 1) for piece in kernel.sent)
