@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 from dataclasses import dataclass
-from heapq import heapify, heappop
-from itertools import repeat
 from typing import Any, Callable, Iterable, Optional
 
 from repro.engine.kernel import EventKernel, ExchangeContext, QueryContext
@@ -113,29 +111,30 @@ class HubCatalog:
         """The results this hub contributes to ``context`` — at most
         the room left, in key order, skipping unreachable providers and
         the origin's own objects — plus their metadata bytes.  An empty
-        query browses its whole community.  A match set that fits the
-        room is walked whole, so it is sorted; a larger one is popped off
-        a heap, so the cost follows the room rather than the match count.
-        An empty catalog answers at once, without evaluating the plan
-        (most rendezvous a walk visits hold no advertisement)."""
+        query browses its whole community, sorted.  A match set that fits
+        the room is walked whole, so it is resolved and sorted; a larger
+        one is walked in the index's resource-id order until the room is
+        full, so only the keys it hands out or skips become strings.  An
+        empty catalog answers at once, without evaluating the plan (most
+        rendezvous a walk visits hold no advertisement)."""
         records = self.records
         if not records:
             return [], 0
         plan = context.plan
+        room = context.room()
+        ordered: Iterable[str]
         if plan.is_empty:
-            keys = [key for key, record in records.items()
-                    if record.community_id == plan.community_id]
+            ordered = sorted(key for key, record in records.items()
+                             if record.community_id == plan.community_id)
         else:
-            keys = list(plan.evaluate(self.index))
+            index = self.index
+            matched = plan.evaluate(index)
+            if len(matched) <= room:
+                ordered = sorted(index.resolve_ids(matched))
+            else:
+                ordered = index.in_order(matched)
         results: list[SearchResult] = []
         metadata_bytes = 0
-        room = context.room()
-        if len(keys) <= room:
-            keys.sort()
-            ordered: Iterable[str] = keys
-        else:
-            heapify(keys)
-            ordered = map(heappop, repeat(keys, len(keys)))
         for key in ordered:
             if len(results) >= room:
                 break

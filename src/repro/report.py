@@ -213,7 +213,8 @@ def _e1_need(need: str) -> Counters:
     for number, record in enumerate(corpus):
         index.add("patterns", f"r{number}", _e1_metadata(record))
     query = Query("patterns", [Criterion(path, value, op) for path, value, op in criteria])
-    by_metadata = {int(rid[1:]) for rid in compile_query(query).evaluate(index)}
+    matched = index.resolve_ids(compile_query(query).evaluate(index))
+    by_metadata = {int(rid[1:]) for rid in matched}
     words = tokenize(" ".join(value for _, value, _ in criteria))
     names = [_e1_filename(record) for record in corpus]
     by_filename = {number for number, name in enumerate(names) if all(w in name for w in words)}

@@ -13,17 +13,18 @@ number per indexed object, mapped through a per-index id table),
 intersected by galloping binary search.  A posting entry costs 4 bytes
 instead of a hashed set slot holding a 40-character resource-id string,
 which is what lets 10k–100k peer populations hold their indexes in RAM.
-Numeric ids are resolved back to resource-id strings at the boundary,
-and every consumer sorts result ids before use, so the id mapping is
-never observable in results, counts or bytes.
+A plan's answer is numeric ids; a consumer resolves them to resource-id
+strings (:meth:`AttributeIndex.resolve_ids`) and sorts those, or walks
+them in resource-id order (:meth:`AttributeIndex.in_order`), so the id
+mapping is never observable in results, counts or bytes.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
-from typing import Iterable, NamedTuple, Optional, Sequence
+from bisect import bisect_left, insort
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.storage.interning import tokenize, value_forms
 
@@ -145,6 +146,9 @@ class AttributeIndex:
     #: community -> field path -> how many objects hold a value there;
     #: made by the first add, so an index that never holds one allocates none
     _holders: Optional[dict[str, dict[str, int]]] = None
+    #: the live numeric ids in resource-id order; made by the first
+    #: :meth:`in_order`, so an index that is never walked allocates none
+    _order: Optional[list[int]] = None
 
     def __init__(self) -> None:
         # community -> field path -> token -> sorted numeric-id posting
@@ -171,12 +175,24 @@ class AttributeIndex:
                 numeric_id = len(self._rids)
                 self._rids.append(resource_id)
             self._ids[resource_id] = numeric_id
+            if self._order is not None:
+                insort(self._order, numeric_id, key=self._rids.__getitem__)
         return numeric_id
 
     def resolve_ids(self, numeric_ids: Iterable[int]) -> set[str]:
         """Resource-id strings of ``numeric_ids`` (the id→public boundary)."""
         rids = self._rids
         return {rids[numeric_id] for numeric_id in numeric_ids}
+
+    def in_order(self, numeric_ids: array | set[int]) -> Iterator[str]:
+        """Resource ids of ``numeric_ids`` in resource-id order, produced
+        lazily: a caller that stops after ``n`` pays for ``n`` strings and
+        the live ids before them, not for the whole match set.  The walk
+        reads the live order, so the index must not change under it."""
+        if self._order is None:
+            self._order = sorted(self._ids.values(), key=self._rids.__getitem__)
+        members = numeric_ids if isinstance(numeric_ids, set) else set(numeric_ids)
+        return map(self._rids.__getitem__, filter(members.__contains__, self._order))
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -219,6 +235,9 @@ class AttributeIndex:
         return len(entries)
 
     def _release_id(self, resource_id: str, numeric_id: int) -> None:
+        if self._order is not None:
+            del self._order[bisect_left(self._order, resource_id,
+                                        key=self._rids.__getitem__)]
         del self._ids[resource_id]
         self._rids[numeric_id] = ""
         self._free.append(numeric_id)

@@ -14,14 +14,16 @@ compilation buys — and every search the system runs is compiled:
 * criteria are reordered cheapest-first (EQUALS → CONTAINS → PREFIX →
   ANY), so evaluation probes hash tables before it scans token tables;
 * evaluation intersects live numeric-id postings smallest-first and
-  resolves only the final result to resource ids, never copying the
-  candidate sets (:meth:`AttributeIndex.exact_ref` /
-  :meth:`AttributeIndex.keyword_postings`);
+  answers in numeric ids, never copying the candidate sets
+  (:meth:`AttributeIndex.exact_ref` / :meth:`AttributeIndex.keyword_postings`)
+  and never resolving an id its caller does not use: a caller resolves
+  the answer (:meth:`AttributeIndex.resolve_ids`) or walks as much of it
+  as it needs in resource-id order (:meth:`AttributeIndex.in_order`);
 * the XML wire form and its byte length are computed once and shared by
   every hop's QUERY message.
 
 The contract the equivalence suite pins: :meth:`CompiledQuery.evaluate`
-returns exactly the ids the reference semantics would
+returns exactly the ids, once resolved, the reference semantics would
 (``tests/storage/reference.py``), for every operator, including the edge
 semantics (blank values are skipped; a punctuation-only CONTAINS value
 matches no index entry).
@@ -32,7 +34,7 @@ from __future__ import annotations
 from array import array
 from typing import Optional
 
-from repro.storage.index import AttributeIndex, intersect_postings, tokenize
+from repro.storage.index import EMPTY_IDS, AttributeIndex, intersect_postings, tokenize
 from repro.storage.query import Criterion, Operator, Query
 
 #: evaluation order: cheap hash probes first, token-table scans last
@@ -171,17 +173,20 @@ class CompiledQuery:
     # ------------------------------------------------------------------
     # Evaluation against an attribute index
     # ------------------------------------------------------------------
-    def evaluate(self, index: AttributeIndex) -> set[str]:
-        """Matching resource ids, exactly as the reference semantics define them.
+    def evaluate(self, index: AttributeIndex) -> array | set[int]:
+        """The numeric ids of ``index`` whose resource ids the reference
+        semantics match.
 
         Exact and keyword criteria contribute live sorted ``array('I')``
         postings (no copies), prefix and any-field criteria contribute
         fresh ``set[int]`` matches; the postings intersect smallest-first
-        by galloping binary search with early exit, and only the
-        surviving ids are resolved back to a fresh set of resource ids.
+        by galloping binary search with early exit.  The answer is a
+        sorted array or a set, empty on a miss, and may be a live posting,
+        so it is read-only; :meth:`AttributeIndex.resolve_ids` turns it
+        into a fresh set of resource ids.
         """
         if self.is_empty:
-            return set()
+            return EMPTY_IDS
         community_id = self.community_id
         arrays: list[array] = []
         id_sets: list[set[int]] = []
@@ -189,27 +194,27 @@ class CompiledQuery:
             if criterion.any_field:
                 matched = index.any_field_ids(community_id, criterion.tokens)
                 if not matched:
-                    return set()
+                    return EMPTY_IDS
                 id_sets.append(matched)
             elif criterion.operator is Operator.EQUALS:
                 bucket = index.exact_ref(community_id, criterion.field_path,
                                          criterion.norm_value)
                 if not bucket:
-                    return set()
+                    return EMPTY_IDS
                 arrays.append(bucket)
             elif criterion.operator is Operator.PREFIX:
                 matched = index.prefix_ids(community_id, criterion.field_path,
                                            criterion.norm_value)
                 if not matched:
-                    return set()
+                    return EMPTY_IDS
                 id_sets.append(matched)
             else:  # CONTAINS
                 buckets = index.keyword_postings(community_id, criterion.field_path,
                                                  criterion.tokens)
                 if buckets is None:
-                    return set()
+                    return EMPTY_IDS
                 arrays.extend(buckets)
-        return index.resolve_ids(intersect_postings(arrays, id_sets))
+        return intersect_postings(arrays, id_sets)
 
 
 def compile_query(query: Query) -> CompiledQuery:

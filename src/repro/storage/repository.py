@@ -88,8 +88,8 @@ class LocalRepository:
             return []
         if plan.is_empty:
             return self.documents.objects_in(plan.community_id)
-        return [self.documents.get(resource_id)
-                for resource_id in sorted(plan.evaluate(self.index))]
+        matched = self.index.resolve_ids(plan.evaluate(self.index))
+        return [self.documents.get(resource_id) for resource_id in sorted(matched)]
 
     def retrieve(self, resource_id: str) -> StoredObject:
         """Return the full stored object (the download path)."""

@@ -200,6 +200,9 @@ class Scenario:
     workload: QueryWorkload
     resource_ids: list[str] = field(default_factory=list)
     churn: Optional[PopulationModel] = None
+    #: set-up joiners whose community search found no ad, so they joined
+    #: the founder's community locally instead of downloading it
+    discovery_misses: int = 0
 
     @property
     def community_id(self) -> str:
@@ -321,10 +324,12 @@ def build_scenario(config: Optional[ScenarioConfig] = None, **overrides) -> Scen
     # Members 1..members-1 discover the community in the root community
     # and join it; the remaining peers only relay traffic.
     applications = [founder_app]
+    discovery_misses = 0
     for servent in servents[1:config.members]:
         discovery = servent.search_communities(definition.keywords.split()[0])
         matches = [result for result in discovery.results if result.title == definition.name]
         if not matches:
+            discovery_misses += 1
             community = founder_app.community
             servent.join_community(community)
         else:
@@ -401,4 +406,5 @@ def build_scenario(config: Optional[ScenarioConfig] = None, **overrides) -> Scen
         workload=workload,
         resource_ids=resource_ids,
         churn=churn,
+        discovery_misses=discovery_misses,
     )

@@ -9,7 +9,7 @@ brute-force reference that sorts every match.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.kernel import QueryContext, RetrieveContext
@@ -24,6 +24,7 @@ from repro.storage.document_store import metadata_wire_bytes
 from repro.storage.plan import compile_query
 from repro.storage.query import Query
 from tests.network.harness import FakeKernel
+from tests.storage.reference import resolved
 
 
 def make_channel(**config):
@@ -135,7 +136,7 @@ def select(catalog, plan, *, peers=None, origin_id=None, room=None):
     if plan.is_empty:
         keys = [key for key, record in records.items() if record.community_id == plan.community_id]
     else:
-        keys = plan.evaluate(catalog.index)
+        keys = resolved(plan, catalog.index)
     keys = sorted(keys)
     if peers is not None:
         keys = [key for key in keys if reachable(records[key].provider_id, peers, origin_id)]
@@ -172,6 +173,28 @@ SEARCHES = st.tuples(
     st.sampled_from(("factory", "pattern", "creational", "", "zzz")),
 )
 
+
+#: one step of a catalog's life: insert (re-inserting a key when its
+#: provider and name repeat), remove every record of a provider or a
+#: title, or take a keyword search at a room of ``drawn % (records + 2)``,
+#: so from 0 to one past the catalog
+WRITE_SCHEDULES = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.tuples(
+                st.sampled_from((*PROVIDERS, "ghost")),
+                st.sampled_from(("patterns", "music")),
+                st.sampled_from(NAMES),
+                st.sampled_from(DESCRIPTIONS),
+            ),
+        ),
+        st.tuples(st.just("remove"), st.sampled_from((*PROVIDERS, *NAMES))),
+        st.tuples(st.just("take"), st.tuples(SEARCHES, st.integers(0, 60))),
+    ),
+    min_size=4,
+    max_size=30,
+)
 
 class TestHubCatalog:
     def test_reinserting_a_key_replaces_the_record(self):
@@ -260,9 +283,10 @@ class TestHubCatalog:
     @pytest.mark.parametrize("room, matches", [(0, 0), (0, 1), (3, 2), (3, 3), (3, 4)])
     @pytest.mark.parametrize("skipped", [0, 1, 2])
     def test_take_either_side_of_the_room(self, room, matches, skipped):
-        """A match set that fits the room is sorted, a larger one heaped;
-        both walk the same keys.  The first ``skipped`` providers in key
-        order are offline or the origin, so the walk passes the room."""
+        """A match set that fits the room is sorted, a larger one walked
+        in the index's key order; both hand out the same keys.  The first
+        ``skipped`` providers in key order are offline or the origin, so
+        the walk passes the room."""
         providers = [f"p{number}" for number in range(matches)]
         peers = {provider: Peer(peer_id=provider) for provider in providers}
         catalog = HubCatalog()
@@ -280,6 +304,8 @@ class TestHubCatalog:
         assert [key_of(result) for result in results] == expected
         assert len(expected) == min(room, matches - min(skipped, matches))
         assert metadata_bytes == sum(catalog.records[key].metadata_bytes for key in expected)
+        # Only a match set larger than the room builds the index's key order.
+        assert (catalog.index._order is not None) == (matches > room)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -363,6 +389,63 @@ class TestHubCatalog:
             assert [key_of(result) for result in fresh] == expected
             assert fresh[0] is not stale and fresh[0].title == f"{stale.title} (revised)"
             assert all(hit is first for hit, first in zip(fresh[1:], results[1:], strict=True))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(schedule=WRITE_SCHEDULES, origin_id=st.sampled_from((*PROVIDERS, "origin")))
+    # Ids run against key order and a record that does not match sorts
+    # first; the first walk (4 matches, room 2) builds the index's key
+    # order, then a removal frees an id a later-sorting key takes over
+    # before the next walk (4 matches, room 1).
+    @example(
+        schedule=[
+            ("insert", ("dave", "patterns", "Observer", "a behavioural pattern")),
+            ("insert", ("alice", "patterns", "Visitor", "a behavioural pattern")),
+            ("insert", ("carol", "patterns", "Observer", "a creational pattern")),
+            ("insert", ("bob", "patterns", "Factory Method", "a creational pattern")),
+            ("insert", ("alice", "patterns", "Abstract Factory", "")),
+            ("take", (("patterns", "pattern"), 2)),
+            ("remove", "bob"),
+            ("insert", ("carol", "patterns", "Sonata", "a behavioural pattern")),
+            ("take", (("patterns", "pattern"), 1)),
+        ],
+        origin_id="origin",
+    )
+    def test_take_equals_the_reference_under_writes(self, schedule, origin_id):
+        """Inserts, re-inserts of one key and ``remove_where`` steps
+        interleaved with takes at rooms from 0 to one past the catalog:
+        every take answers as the sorted reference does, also once the
+        index's key order was built and an id came back off the free
+        list."""
+        catalog = HubCatalog()
+        peers = {provider_id: Peer(peer_id=provider_id) for provider_id in PROVIDERS}
+        for step, argument in schedule:
+            if step == "insert":
+                provider_id, community_id, name, description = argument
+                metadata = {"name": [name], "description": [description] if description else []}
+                catalog.insert(
+                    provider_id,
+                    community_id,
+                    f"{name}-id",
+                    metadata,
+                    name,
+                    metadata_wire_bytes(metadata),
+                )
+            elif step == "remove":
+                catalog.remove_where(
+                    lambda record, gone=argument: gone in (record.provider_id, record.title)
+                )
+            else:
+                search, drawn = argument
+                room = drawn % (len(catalog.records) + 2)
+                context = query_context(Query.keyword(*search), origin_id=origin_id,
+                                        max_results=room)
+                results, metadata_bytes = catalog.take(context, peers, hops=0)
+                expected = select(catalog, compile_query(Query.keyword(*search)),
+                                  peers=peers, origin_id=origin_id, room=room)
+                assert [key_of(result) for result in results] == expected
+                assert metadata_bytes == sum(
+                    catalog.records[key].metadata_bytes for key in expected
+                )
 
 
 def make_cache_layer():

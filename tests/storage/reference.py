@@ -6,7 +6,9 @@ the straightforward readings of a :class:`~repro.storage.query.Query`
 that the plan must agree with: :func:`evaluate` intersects the attribute
 index's per-criterion lookups, and :func:`matches_metadata` checks one
 record's metadata dictionary.  Blank criterion values are skipped, and a
-punctuation-only CONTAINS value matches no index entry.
+punctuation-only CONTAINS value matches no index entry.  The plan answers
+in numeric ids; :func:`resolved` is its answer as resource ids, the form
+both evaluators here return.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from typing import Optional
 
 from repro.storage.errors import QueryError
 from repro.storage.index import AttributeIndex, tokenize
+from repro.storage.plan import CompiledQuery
 from repro.storage.query import Criterion, Operator, Query
+
+
+def resolved(plan: CompiledQuery, index: AttributeIndex) -> set[str]:
+    """``plan``'s answer over ``index`` as a fresh set of resource ids."""
+    return index.resolve_ids(plan.evaluate(index))
 
 
 def criterion_matches(criterion: Criterion, values: list[str]) -> bool:

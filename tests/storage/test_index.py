@@ -241,7 +241,7 @@ class TestNumericIdPostings:
     def test_compiled_plan_matches_set_layout(self):
         from repro.storage.plan import compile_query
         from repro.storage.query import Operator, Query
-        from tests.storage.reference import evaluate
+        from tests.storage.reference import evaluate, resolved
         index = self.build()
         cases = [
             (Query("patterns").where("category", "behavioral", Operator.EQUALS),
@@ -254,7 +254,7 @@ class TestNumericIdPostings:
             (Query.keyword("patterns", "decouple 4"), ids(*range(4, 50, 5))),
         ]
         for query, expected in cases:
-            assert compile_query(query).evaluate(index) == evaluate(query, index) \
+            assert resolved(compile_query(query), index) == evaluate(query, index) \
                 == expected, query.describe()
 
     def test_a_stop_word_posting_leaves_the_intersection(self):

