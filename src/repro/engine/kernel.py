@@ -138,9 +138,12 @@ class QueryContext(ExchangeContext):
         """How many more results fit under ``max_results``.
 
         Counts both arrived results and results claimed by in-flight
-        hits, so concurrent generation sites never oversubscribe.
+        hits, so concurrent generation sites never oversubscribe.  (A
+        conditional, not ``max``: a rendezvous walk asks at every step.)
         """
-        return self.max_results - max(self.claimed, len(self.results))
+        claimed = self.claimed
+        arrived = len(self.results)
+        return self.max_results - (claimed if claimed > arrived else arrived)
 
     def claim(self, count: int) -> None:
         """Reserve space for ``count`` results riding an in-flight hit."""

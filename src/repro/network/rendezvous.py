@@ -26,6 +26,18 @@ rendezvous) is what bounds the walk.  A rendezvous peer that churns
 offline mid-walk drops the chain, ending the walk early, which is
 exactly the fragility the lease/renewal model is there to paper over.
 
+A walk step pays only for its message.  The ring is kept as *rows*:
+each online rendezvous, in ring order, with its successor and the link
+latency to it, rebuilt only after the hub set changed (a hub that goes
+offline leaves it).  A search keeps a reference to the rows of its
+submission, which are replaced and never mutated, so its walk order is
+fixed then even if hubs come and go while it runs.  A rendezvous
+holding no advertisement is not asked for one, and a hub answers and
+relays each walk once, however many copies of its QUERY injected
+duplication delivers.  The off-mode lease pull before each search is
+gated by one bound, no later than the earliest instant any
+advertisement can expire: before it the pull scans no catalog.
+
 The hub catalog (an advertisement is a
 :class:`~repro.network.twotier.HubRecord` with a lease) and the
 lifecycle shared with the super-peer adapter live in
@@ -37,6 +49,7 @@ the bounded ring walk instead of a full broadcast.
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Any, Callable, Optional
 
@@ -45,7 +58,7 @@ from repro.network.base import SearchResponse
 from repro.network.config import check_rendezvous_lease
 from repro.network.messages import Message, MessageType, query_message
 from repro.network.peers import Peer
-from repro.network.twotier import HubRecord, TwoTierNetwork
+from repro.network.twotier import HubCatalog, HubRecord, TwoTierNetwork
 from repro.storage.query import Query
 
 
@@ -64,11 +77,20 @@ class RendezvousProtocol(TwoTierNetwork):
         super().__init__(hub_ratio=rendezvous_ratio, **kwargs)
         if lease_ms <= 0:
             raise ValueError("the advertisement lease must be positive")
+        if walk_limit is not None and walk_limit < 1:
+            raise ValueError("the walk limit must be at least one rendezvous")
         self.lease_ms = lease_ms
         self.walk_limit = walk_limit
         #: live-membership renewal clocks: peer id -> virtual time it
         #: last re-advertised its objects
         self._last_renewed: dict[str, float] = {}
+        #: the ring rows (see ``_ring_rows``); ``None`` from a change of
+        #: the hub set until the next search
+        self._ring: Optional[dict[str, tuple[str, float]]] = None
+        #: no advertisement expires before this instant: ``_insert`` lowers
+        #: it, renewals only extend leases, sweeps only remove, and
+        #: ``expire_advertisements`` sets it exactly after its sweep
+        self._earliest_lease = math.inf
 
     def go_live(self) -> None:
         check_rendezvous_lease(self.lease_ms, self.membership_config)
@@ -95,9 +117,36 @@ class RendezvousProtocol(TwoTierNetwork):
                 resource_id: str, metadata: dict[str, list[str]], title: str,
                 metadata_bytes: int) -> None:
         """(Re)insert an advertisement whose lease starts now."""
+        expires_at_ms = self.simulator.now + self.lease_ms
+        if expires_at_ms < self._earliest_lease:
+            self._earliest_lease = expires_at_ms
         self._hubs[hub_id].insert(provider_id, community_id, resource_id, metadata, title,
-                                  metadata_bytes,
-                                  expires_at_ms=self.simulator.now + self.lease_ms)
+                                  metadata_bytes, expires_at_ms=expires_at_ms)
+
+    # ------------------------------------------------------------------
+    # The ring
+    # ------------------------------------------------------------------
+    def _ring_rows(self) -> dict[str, tuple[str, float]]:
+        """Each online rendezvous, in ring (sorted id) order, mapped to
+        its successor on the ring and the link latency to it.  Cached
+        until the hub set changes (``_promote``, ``_drop_hub``), which
+        covers every online transition of a hub: a hub that goes offline
+        is dropped in both membership modes, and only an online peer is
+        promoted.  The rows are replaced then, never mutated, so a walk
+        may keep them."""
+        rows = self._ring
+        if rows is None:
+            ring = self._online_hubs()
+            latency = self.simulator.link_latency
+            rows = self._ring = {hub_id: (successor, latency(hub_id, successor))
+                                 for hub_id, successor in zip(ring, ring[1:] + ring[:1])}
+        return rows
+
+    def _drop_hub(self, hub_id: str) -> Optional[HubCatalog]:
+        hub = super()._drop_hub(hub_id)
+        if hub is not None:
+            self._ring = None
+        return hub
 
     # ------------------------------------------------------------------
     # Live membership: edges renew their advertisements on a timer (the
@@ -115,6 +164,7 @@ class RendezvousProtocol(TwoTierNetwork):
 
     def _promote(self, peer: Peer) -> None:
         super()._promote(peer)
+        self._ring = None
         self._last_renewed[peer.peer_id] = self.simulator.now
 
     def _on_maintenance_tick(self, now: float) -> None:
@@ -166,11 +216,21 @@ class RendezvousProtocol(TwoTierNetwork):
 
     def expire_advertisements(self) -> int:
         """Drop expired advertisements everywhere; returns how many died."""
-        expired = _expired_by(self.simulator.now)
-        # (Off mode this runs before every search: at population scale
-        # most rendezvous peers hold no advertisement and are skipped.)
-        return sum(len(hub.remove_where(expired)) for hub in self._hubs.values()
+        now = self.simulator.now
+        # (Off mode this runs before every search: until the earliest
+        # lease ends there is nothing to sweep.)
+        if now < self._earliest_lease:
+            return 0
+        expired = _expired_by(now)
+        died = sum(len(hub.remove_where(expired)) for hub in self._hubs.values()
                    if hub.records)
+        self._earliest_lease = self._lease_floor()
+        return died
+
+    def _lease_floor(self) -> float:
+        """The earliest lease end of every advertisement held now."""
+        return min((record.expires_at_ms for hub in self._hubs.values()
+                    for record in hub.records.values()), default=math.inf)
 
     def advertisement_count(self) -> int:
         """Live advertisements across all rendezvous peers."""
@@ -214,25 +274,19 @@ class RendezvousProtocol(TwoTierNetwork):
             self.kernel.finish_if_idle(context)
             return context
 
-        # The walk order is fixed at submission: the ring of online
-        # rendezvous peers, rotated to start at the entry point.
-        ring = self._online_hubs()
-        if entry in ring:
-            start = ring.index(entry)
-            ordered = ring[start:] + ring[:start]
-        else:
-            ordered = ring
-        limit = self.walk_limit if self.walk_limit is not None else len(ordered)
-        walk = ordered[:limit]
-        context.extra["walk"] = walk
-        if not walk:
+        # The walk is fixed at submission: the ring of online rendezvous
+        # peers from the entry point on, ``walk_limit`` of them at most.
+        rows = self._ring_rows()
+        if not rows:
             self.kernel.finish_if_idle(context)
             return context
-
+        first = entry if entry in rows else next(iter(rows))
+        steps = len(rows) if self.walk_limit is None else min(self.walk_limit, len(rows))
         hop_to_entry = 0 if origin_id in self._hubs else 1
-        context.extra["hop_to_entry"] = hop_to_entry
+        # A step relays while its ``hops`` is below the last step's.
+        context.extra["walk"] = (rows, hop_to_entry + steps - 1)
         # The query's descriptor; every walk step relays a copy of it.
-        message = query_message(origin_id, walk[0], context.plan.wire_xml,
+        message = query_message(origin_id, first, context.plan.wire_xml,
                                 community_id=query.community_id,
                                 payload_bytes=context.plan.wire_bytes,
                                 message_id=context.extra["query_id"])
@@ -241,7 +295,7 @@ class RendezvousProtocol(TwoTierNetwork):
             self.kernel.send(message, context=context)
         else:
             # The origin IS the entry rendezvous: it takes the first step.
-            self._answer_at_rendezvous(origin, message, context)
+            self._on_query(origin, message, context)
         self.kernel.finish_if_idle(context)
         return context
 
@@ -255,12 +309,6 @@ class RendezvousProtocol(TwoTierNetwork):
 
     def _on_query(self, peer: Optional[Peer], message: Message,
                   context: Optional[QueryContext]) -> None:
-        if peer is None or context is None:
-            return
-        self._answer_at_rendezvous(peer, message, context)
-
-    def _answer_at_rendezvous(self, peer: Peer, message: Message,
-                              context: QueryContext) -> None:
         """One walk step: answer ``message``, the QUERY as it reached
         this rendezvous, then relay it to the next.
 
@@ -268,20 +316,31 @@ class RendezvousProtocol(TwoTierNetwork):
         so the walk stops at the same point it would if hits were
         instantaneous.  The relay keeps the descriptor id; its ``ttl``
         is not read — ``walk_limit`` bounds the walk."""
+        if peer is None or context is None:
+            return
+        peer_id = peer.peer_id
+        if self.faults is not None:
+            # Injected duplication delivers a QUERY twice: the second
+            # copy neither answers nor relays, or the walk would fork.
+            # (Gated: without faults no QUERY arrives twice.)
+            answered = context.extra.setdefault("walk_answered", set())
+            if peer_id in answered:
+                return
+            answered.add(peer_id)
         hops = message.hops
         context.peers_probed += 1
-        hub = self._hubs.get(peer.peer_id)
-        if hub is not None:
+        hub = self._hubs.get(peer_id)
+        if hub is not None and hub.records:
             results, metadata_bytes = hub.take(context, self.peers, hops)
             if results:
-                self._send_hit(peer.peer_id, context, results, metadata_bytes,
+                self._send_hit(peer_id, context, results, metadata_bytes,
                                message_id=f"rdv-{len(self.stats.queries)}")
-        walk: list[str] = context.extra["walk"]
-        position = hops - context.extra.get("hop_to_entry", 0)
-        if context.room() <= 0 or position + 1 >= len(walk):
+        rows, last_hops = context.extra["walk"]
+        if hops >= last_hops or context.room() <= 0:
             return
-        self.kernel.send(message.forwarded(peer.peer_id, walk[position + 1]),
-                         context=context)
+        successor, latency_ms = rows[peer_id]
+        self.kernel.send(message.forwarded(peer_id, successor), context=context,
+                         latency_ms=latency_ms)
 
     def _cache_store(self, context: QueryContext, response: SearchResponse) -> None:
         """The origin edge caches its finished response.  Entry lifetime

@@ -115,8 +115,7 @@ class HubCatalog:
         the room is walked whole, so it is resolved and sorted; a larger
         one is walked in the index's resource-id order until the room is
         full, so only the keys it hands out or skips become strings.  An
-        empty catalog answers at once, without evaluating the plan (most
-        rendezvous a walk visits hold no advertisement)."""
+        empty catalog answers at once, without evaluating the plan."""
         records = self.records
         if not records:
             return [], 0

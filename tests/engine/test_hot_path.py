@@ -11,7 +11,12 @@
   the index server's store became a ``HubCatalog`` and the origin began
   answering its own matches locally.  Two more cells re-run the ``flood``
   round under relay churn (``flood-churn``) and with live membership as
-  well (``flood-live``), where a flood copy can find its node offline.
+  well (``flood-live``), where a flood copy can find its node offline;
+  two re-run the ``bootstrap`` round with churning rendezvous on the
+  ring (``bootstrap-churn``, ``bootstrap-live``), where a walk can relay
+  to a hub that left; one re-runs ``directory`` over a corpus large
+  enough that the index server walks a match set bigger than the room
+  (``directory-overflow``).
   The bench's own first round is pinned equal to the toy round.
 * *Golden query evaluation.*  Per protocol, a digest of a concurrent
   search scenario's observables and the hits of one direct search,
@@ -91,13 +96,35 @@ GOLDEN = {
     # that would have been handled, and moves both digests.
     "flood-churn": "ffdf5addced8b27550746fbec766ade762d6662e2840c670f4413d9e1f7b6566",
     "flood-live": "653ec95281cd1904ec8187ce5bd3a3deba3cb22759ccc3979c67b86d80604714",
+    # Frozen while every walk step re-derived its ring from ``_hubs``.
+    # Ten rendezvous of which six relay-churn: hubs drop out mid-round (the
+    # ring is rebuilt) and some walks relay to a hub already offline, which
+    # ends them there.  The live cell sweeps leases on its own timer, short
+    # enough that an advertisement expires inside the round.
+    "bootstrap-churn": "1269877ecccb342836c3f36bded9639f508dbfa8ade51493107bfd0b4acf45be",
+    "bootstrap-live": "71a92e638733fa90c117f7398ef81c8312e5109eb9e6ff6f809afecb09b98895",
+    # Taken on the tree that first walked a large match set in resource-id
+    # order: a corpus big enough that some searches match more than the
+    # room, so ``HubCatalog.take`` walks them, and downloads whose replica
+    # announcements re-register keys at the index server between walks,
+    # so numeric ids are released and re-used after the order was built.
+    "directory-overflow": "0bd39e28cc3e398bb4ab4600528f595ab8f95e0c7538596c4ea201ae3539832e",
 }
 
 #: the ``GOLDEN`` cells that are not bench workloads: (workload, overrides)
 _CHURN = dict(churn_session_ms=300.0, churn_absence_ms=150.0)
+#: the toy bootstrap's hubs are all members, and members never churn:
+#: fewer members and more hubs put churning relays on the ring
+_RING_CHURN = dict(_CHURN, members=4, publishers=4, super_peer_ratio=0.25)
 VARIANTS = {
     "flood-churn": ("flood", _CHURN),
     "flood-live": ("flood", dict(_CHURN, live_membership=True)),
+    "bootstrap-churn": ("bootstrap", _RING_CHURN),
+    "bootstrap-live": ("bootstrap", dict(_RING_CHURN, live_membership=True,
+                                         maintenance_interval_ms=100.0,
+                                         rendezvous_lease_ms=400.0)),
+    "directory-overflow": ("directory", dict(corpus_size=400, queries=64,
+                                            retrieve_fraction=0.5, popularity_skew=1.5)),
 }
 #: the four bench workloads
 WORKLOADS = sorted(name for name in GOLDEN if name not in VARIANTS)
